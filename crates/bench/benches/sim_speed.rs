@@ -29,11 +29,7 @@ use elastic_sim::{SettleStrategy, SimConfig, Simulation};
 fn bench(c: &mut Criterion) {
     print_experiment_header("sim-speed", "simulator cycles/second on the speculative designs");
     let quiet = SimConfig { record_trace: false, ..SimConfig::default() };
-    let quiet_sweep = SimConfig {
-        record_trace: false,
-        settle: SettleStrategy::FullSweep,
-        ..SimConfig::default()
-    };
+    let quiet_sweep = SimConfig { record_trace: false, settle: SettleStrategy::FullSweep };
 
     let fig1 = fig1d(&Fig1Config::default());
     let fig7 = resilient_speculative(&ResilientConfig {

@@ -39,7 +39,7 @@
 //! the structural precondition check so analysis tooling can report *why*
 //! speculation is (not) applicable.
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 use crate::error::{CoreError, Result};
 use crate::id::{NodeId, Port};
@@ -351,7 +351,9 @@ fn check_preconditions(
     let tainted = lazy_tainted_nodes(netlist);
     let mut upstream: Vec<NodeId> =
         netlist.input_channels(mux).iter().map(|c| c.from.node).collect();
-    let mut cone: HashSet<NodeId> = HashSet::new();
+    // Node order, not hash order: the refusal names the first coupling node
+    // it meets, and identical searches must name the same one.
+    let mut cone: BTreeSet<NodeId> = BTreeSet::new();
     while let Some(node) = upstream.pop() {
         let combinational = netlist.node(node).is_some_and(|n| n.kind.is_combinational());
         if !combinational || !cone.insert(node) {

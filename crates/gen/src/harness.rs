@@ -298,32 +298,9 @@ fn strategies_agree(
              {cycles}"
         ));
     }
-    if event_report.sink_streams != sweep_report.sink_streams {
+    if let Some(field) = event_report.behavioural_difference(&sweep_report) {
         return Err(format!(
-            "sink transfer streams differ between the {reference_name} and {candidate_name} \
-             engines"
-        ));
-    }
-    if event_report.source_kills != sweep_report.source_kills {
-        return Err(format!(
-            "source kill counts differ between the {reference_name} and {candidate_name} engines"
-        ));
-    }
-    if event_report.node_stats != sweep_report.node_stats {
-        return Err(format!(
-            "per-node statistics differ between the {reference_name} and {candidate_name} engines"
-        ));
-    }
-    if event_report.shared_stats != sweep_report.shared_stats {
-        return Err(format!(
-            "shared-module statistics differ between the {reference_name} and {candidate_name} \
-             engines"
-        ));
-    }
-    if event_report.commit_stats != sweep_report.commit_stats {
-        return Err(format!(
-            "commit-stage lane statistics differ between the {reference_name} and \
-             {candidate_name} engines"
+            "{field} differ between the {reference_name} and {candidate_name} engines"
         ));
     }
     Ok(())
@@ -367,21 +344,8 @@ pub fn lanes_agree(netlist: &Netlist, cycles: u64) -> Result<(), String> {
             "lane-0 trace diverges from the scalar engine at cycle {divergence} of {cycles}"
         ));
     }
-    let lane_report = lanes.report(0);
-    if lane_report.sink_streams != scalar_report.sink_streams {
-        return Err("lane-0 sink transfer streams differ from the scalar engine".into());
-    }
-    if lane_report.source_kills != scalar_report.source_kills {
-        return Err("lane-0 source kill counts differ from the scalar engine".into());
-    }
-    if lane_report.node_stats != scalar_report.node_stats {
-        return Err("lane-0 per-node statistics differ from the scalar engine".into());
-    }
-    if lane_report.shared_stats != scalar_report.shared_stats {
-        return Err("lane-0 shared-module statistics differ from the scalar engine".into());
-    }
-    if lane_report.commit_stats != scalar_report.commit_stats {
-        return Err("lane-0 commit-stage statistics differ from the scalar engine".into());
+    if let Some(field) = lanes.report(0).behavioural_difference(&scalar_report) {
+        return Err(format!("lane-0 {field} differ from the scalar engine"));
     }
     Ok(())
 }

@@ -150,3 +150,25 @@ fn speculate_rejects_non_mux_nodes_on_generated_netlists() {
         assert!(find_select_cycles(&generated.netlist, node.id).is_err());
     }
 }
+
+#[test]
+fn lazy_rendezvous_refusals_name_one_witness_node() {
+    // Mux n31 of this design has four nodes coupling it to a lazy
+    // rendezvous (n8, n24, n27, n30). The refusal must name the same one
+    // every time — the lowest — or identical explorer searches report
+    // different skip reasons and their reports compare unequal.
+    let generated = generate(0xac7d_99d4_5859_7799, &GenConfig::loops());
+    let mux = NodeId::new(31);
+    let options = SpeculateOptions { allow_acyclic: true, ..SpeculateOptions::default() };
+    let reasons: BTreeSet<String> = (0..32)
+        .map(|_| {
+            let mut candidate = generated.netlist.clone();
+            speculate(&mut candidate, mux, &options)
+                .expect_err("n31's cone touches a lazy rendezvous")
+                .to_string()
+        })
+        .collect();
+    assert_eq!(reasons.len(), 1, "repeated refusals must agree: {reasons:#?}");
+    let reason = reasons.first().expect("one reason");
+    assert!(reason.contains("lazy fork's rendezvous region (via node n8)"), "{reason}");
+}

@@ -21,6 +21,7 @@
 //! follow this "kill wins over transfer" convention so both endpoints agree
 //! on what happened.
 
+use crate::metrics::{CommitStageStats, SharedModuleStats};
 use crate::signal::ChannelState;
 
 /// Read/write access to the channels attached to one node during `eval`.
@@ -171,6 +172,25 @@ pub struct NodeStats {
     pub mispredictions: u64,
 }
 
+/// One controller's contribution to a [`crate::SimulationReport`]: its
+/// [`NodeStats`] plus the observables only its node kind records. Both
+/// engines assemble their reports with one match over this enum.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum NodeReport<'a> {
+    /// Buffers, function blocks, forks, multiplexors and variable-latency
+    /// units: statistics only.
+    Basic(NodeStats),
+    /// A source; its `killed_tokens` are the report's source kills.
+    Source(NodeStats),
+    /// A sink and its `(cycle, value)` transfer stream, in transfer order.
+    Sink(NodeStats, &'a [(u64, u64)]),
+    /// A speculative shared module and its speculation statistics.
+    Shared(NodeStats, SharedModuleStats),
+    /// An in-order commit stage and its per-lane counters — the observable
+    /// behind the depth sweeps of `BENCH_commit_depth.json`.
+    Commit(NodeStats, CommitStageStats),
+}
+
 /// A cycle-accurate model of one netlist node.
 pub trait Controller: std::fmt::Debug {
     /// Combinational evaluation: read the attached channels and drive the
@@ -269,34 +289,10 @@ pub trait Controller: std::fmt::Debug {
         None
     }
 
-    /// Statistics collected so far.
-    fn stats(&self) -> NodeStats {
-        NodeStats::default()
-    }
-
-    /// Prediction feedback of the most recent cycle (speculative shared
-    /// modules only) — used by the engine to build prediction-accuracy
-    /// reports.
-    fn last_feedback(&self) -> Option<&elastic_core::SharedFeedback> {
-        None
-    }
-
-    /// The transfer stream recorded by the node, when it records one
-    /// (sinks only): `(cycle, value)` pairs in transfer order.
-    fn transfer_stream(&self) -> Option<&[(u64, u64)]> {
-        None
-    }
-
-    /// Per-user `(transfers, kills)` counters (speculative shared modules only).
-    fn per_user_stats(&self) -> Option<(Vec<u64>, Vec<u64>)> {
-        None
-    }
-
-    /// Per-lane commit/squash/occupancy counters (in-order commit stages
-    /// only) — the observable behind the depth sweeps of
-    /// `BENCH_commit_depth.json`.
-    fn commit_stats(&self) -> Option<crate::metrics::CommitStageStats> {
-        None
+    /// What this controller contributes to a [`crate::SimulationReport`]:
+    /// its statistics plus the observables only its node kind records.
+    fn report(&self) -> NodeReport<'_> {
+        NodeReport::Basic(NodeStats::default())
     }
 }
 
@@ -341,8 +337,7 @@ mod tests {
             fn commit(&mut self, _io: &NodeIo<'_>) {}
             fn reset(&mut self) {}
         }
-        assert_eq!(Dummy.stats(), NodeStats::default());
-        assert!(Dummy.last_feedback().is_none());
+        assert_eq!(Dummy.report(), NodeReport::Basic(NodeStats::default()));
         let mut dummy = Dummy;
         assert!(
             !dummy.override_backpressure(&elastic_core::kind::BackpressurePattern::Never),

@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 
 use elastic_core::BufferSpec;
 
-use crate::controller::{Controller, NodeIo, NodeStats};
+use crate::controller::{Controller, NodeIo, NodeReport, NodeStats};
 
 const IN: usize = 0;
 const OUT: usize = 0;
@@ -121,8 +121,8 @@ impl Controller for StandardBuffer {
         }
     }
 
-    fn stats(&self) -> NodeStats {
-        self.stats
+    fn report(&self) -> NodeReport<'_> {
+        NodeReport::Basic(self.stats)
     }
 
     fn reset(&mut self) {
@@ -218,8 +218,8 @@ impl Controller for ZeroBackwardBuffer {
         }
     }
 
-    fn stats(&self) -> NodeStats {
-        self.stats
+    fn report(&self) -> NodeReport<'_> {
+        NodeReport::Basic(self.stats)
     }
 
     fn reset(&mut self) {
@@ -297,7 +297,7 @@ mod tests {
         assert!(!channels[1].backward_stop, "a buffer holding a token absorbs the anti-token");
         run_commit(&mut eb, &mut channels);
         assert_eq!(eb.occupancy(), 0);
-        assert_eq!(eb.stats().killed_tokens, 1);
+        assert_eq!(eb.stats.killed_tokens, 1);
     }
 
     #[test]
@@ -355,7 +355,7 @@ mod tests {
         assert!(!channels[0].backward_valid, "the stored token absorbs the kill locally");
         run_commit(&mut eb, &mut channels);
         assert!(!eb.is_full());
-        assert_eq!(eb.stats().killed_tokens, 1);
+        assert_eq!(eb.stats.killed_tokens, 1);
     }
 
     #[test]

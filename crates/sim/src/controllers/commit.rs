@@ -25,7 +25,7 @@
 
 use elastic_core::CommitSpec;
 
-use crate::controller::{Controller, NodeIo, NodeStats};
+use crate::controller::{Controller, NodeIo, NodeReport, NodeStats};
 use crate::metrics::CommitStageStats;
 
 /// Controller for an in-order commit stage.
@@ -148,17 +148,16 @@ impl Controller for CommitStage {
         }
     }
 
-    fn stats(&self) -> NodeStats {
-        self.stats
-    }
-
-    fn commit_stats(&self) -> Option<CommitStageStats> {
-        Some(CommitStageStats {
-            depth: self.spec.depth,
-            commits_per_lane: self.commits.clone(),
-            squashes_per_lane: self.squashes.clone(),
-            peak_occupancy_per_lane: self.peaks.clone(),
-        })
+    fn report(&self) -> NodeReport<'_> {
+        NodeReport::Commit(
+            self.stats,
+            CommitStageStats {
+                depth: self.spec.depth,
+                commits_per_lane: self.commits.clone(),
+                squashes_per_lane: self.squashes.clone(),
+                peak_occupancy_per_lane: self.peaks.clone(),
+            },
+        )
     }
 
     fn reset(&mut self) {
@@ -305,17 +304,19 @@ mod tests {
         assert_eq!(stage.peak_occupancy_per_lane(), &[1, 0]);
         stage.reset();
         assert_eq!(stage.occupancy(0), 0);
-        assert_eq!(stage.stats(), NodeStats::default());
         assert_eq!(stage.commits_per_lane(), &[0, 0]);
         assert_eq!(stage.peak_occupancy_per_lane(), &[0, 0]);
         assert_eq!(
-            stage.commit_stats(),
-            Some(crate::metrics::CommitStageStats {
-                depth: 1,
-                commits_per_lane: vec![0, 0],
-                squashes_per_lane: vec![0, 0],
-                peak_occupancy_per_lane: vec![0, 0],
-            })
+            stage.report(),
+            NodeReport::Commit(
+                NodeStats::default(),
+                CommitStageStats {
+                    depth: 1,
+                    commits_per_lane: vec![0, 0],
+                    squashes_per_lane: vec![0, 0],
+                    peak_occupancy_per_lane: vec![0, 0],
+                }
+            )
         );
     }
 
@@ -406,7 +407,9 @@ mod tests {
         stage.commit(&io1(&mut channels));
         assert_eq!(stage.occupancy(0), 2);
         assert_eq!(stage.peak_occupancy_per_lane(), &[3]);
-        let stats = stage.commit_stats().unwrap();
+        let NodeReport::Commit(_, stats) = stage.report() else {
+            panic!("a commit stage reports commit-stage statistics")
+        };
         assert_eq!(stats.depth, 4);
         assert_eq!(stats.peak_occupancy_per_lane, vec![3]);
         assert!((stats.mean_peak_occupancy().unwrap() - 3.0).abs() < 1e-9);

@@ -11,7 +11,7 @@ use elastic_core::{SinkSpec, SourceSpec};
 use elastic_datapath::adder::mask;
 use elastic_datapath::lfsr::Lfsr64;
 
-use crate::controller::{Controller, NodeIo, NodeStats};
+use crate::controller::{Controller, NodeIo, NodeReport, NodeStats};
 
 const OUT: usize = 0;
 const IN: usize = 0;
@@ -146,8 +146,8 @@ impl Controller for SourceController {
         }
     }
 
-    fn stats(&self) -> NodeStats {
-        self.stats
+    fn report(&self) -> NodeReport<'_> {
+        NodeReport::Source(self.stats)
     }
 
     fn reset(&mut self) {
@@ -249,8 +249,8 @@ impl Controller for SinkController {
         }
     }
 
-    fn stats(&self) -> NodeStats {
-        self.stats
+    fn report(&self) -> NodeReport<'_> {
+        NodeReport::Sink(self.stats, &self.received)
     }
 
     fn reset(&mut self) {
@@ -264,10 +264,6 @@ impl Controller for SinkController {
         self.spec.backpressure = pattern.clone();
         self.reset();
         true
-    }
-
-    fn transfer_stream(&self) -> Option<&[(u64, u64)]> {
-        Some(&self.received)
     }
 
     /// The back-pressure pattern fully determines the driven signals; sinks
@@ -374,7 +370,7 @@ mod tests {
         }
         let values: Vec<u64> = sink.received().iter().map(|&(_, v)| v).collect();
         assert_eq!(values, vec![4, 5, 6]);
-        assert_eq!(sink.stats().output_transfers, 3);
+        assert_eq!(sink.stats.output_transfers, 3);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use elastic_core::ForkSpec;
 
-use crate::controller::{Controller, NodeIo, NodeStats};
+use crate::controller::{Controller, NodeIo, NodeReport, NodeStats};
 
 const IN: usize = 0;
 
@@ -202,8 +202,8 @@ impl Controller for EagerFork {
         }
     }
 
-    fn stats(&self) -> NodeStats {
-        self.stats
+    fn report(&self) -> NodeReport<'_> {
+        NodeReport::Basic(self.stats)
     }
 
     fn reset(&mut self) {

@@ -19,7 +19,7 @@ use elastic_core::FunctionSpec;
 use elastic_datapath::adder::mask;
 use elastic_datapath::evaluate;
 
-use crate::controller::{Controller, NodeIo, NodeStats};
+use crate::controller::{Controller, NodeIo, NodeReport, NodeStats};
 
 const OUT: usize = 0;
 
@@ -84,8 +84,8 @@ impl Controller for FunctionBlock {
         }
     }
 
-    fn stats(&self) -> NodeStats {
-        self.stats
+    fn report(&self) -> NodeReport<'_> {
+        NodeReport::Basic(self.stats)
     }
 
     fn reset(&mut self) {

@@ -21,81 +21,40 @@ pub mod mux;
 pub mod shared;
 pub mod varlatency;
 
-use elastic_core::{Netlist, Node, NodeKind, Scheduler};
+use elastic_core::{BufferSpec, Netlist, Node, NodeKind};
 
 use crate::controller::Controller;
 use crate::engine::SimError;
 
 /// Builds the controller for one netlist node.
 ///
-/// `scheduler_override` replaces the scheduler named in a shared module's
-/// specification (used by benchmarks to sweep prediction policies without
-/// rebuilding the netlist).
-///
 /// # Errors
 ///
 /// Returns [`SimError::UnsupportedNode`] when a node's configuration cannot
 /// be simulated (e.g. a buffer with forward latency other than 1).
-pub fn build_controller(
-    netlist: &Netlist,
-    node: &Node,
-    scheduler_override: Option<Box<dyn Scheduler>>,
-) -> Result<Box<dyn Controller>, SimError> {
-    let output_widths: Vec<u8> = netlist.output_channels(node.id).iter().map(|c| c.width).collect();
+pub fn build_controller(netlist: &Netlist, node: &Node) -> Result<Box<dyn Controller>, SimError> {
+    let width = output_width(netlist, node);
     let controller: Box<dyn Controller> = match &node.kind {
         NodeKind::Buffer(spec) => {
-            if spec.forward_latency != 1 {
-                return Err(SimError::UnsupportedNode {
-                    node: node.id,
-                    reason: format!(
-                        "buffers with forward latency {} are not supported by the simulator \
-                         (chain unit-latency buffers instead)",
-                        spec.forward_latency
-                    ),
-                });
-            }
-            // Mask the initial token's value to the output channel width:
-            // every other data entry point (source streams, function
-            // results) masks at the producer, and an unmasked init value
-            // would otherwise leak through width-preserving controllers
-            // (buffers, forks) into traces and sinks (found by the
-            // elastic-gen differential fuzzer as a spurious conservation
-            // violation on a narrow loop channel).
-            let mut spec = *spec;
-            spec.init_value = elastic_datapath::adder::mask(
-                spec.init_value,
-                output_widths.first().copied().unwrap_or(64),
-            );
+            let spec = simulated_buffer(node, spec, width)?;
             if spec.backward_latency == 0 {
                 Box::new(buffer::ZeroBackwardBuffer::new(spec))
             } else {
                 Box::new(buffer::StandardBuffer::new(spec))
             }
         }
-        NodeKind::Function(spec) => Box::new(function::FunctionBlock::new(
-            spec.clone(),
-            output_widths.first().copied().unwrap_or(64),
-        )),
+        NodeKind::Function(spec) => Box::new(function::FunctionBlock::new(spec.clone(), width)),
         NodeKind::Mux(spec) => Box::new(mux::MuxController::new(*spec)),
         NodeKind::Fork(spec) => Box::new(fork::EagerFork::new(*spec)),
         NodeKind::Shared(spec) => {
-            let scheduler = scheduler_override
-                .unwrap_or_else(|| elastic_predict::from_kind(&spec.scheduler, spec.users));
-            Box::new(shared::SharedModule::new(
-                spec.clone(),
-                scheduler,
-                output_widths.first().copied().unwrap_or(64),
-            ))
+            let scheduler = elastic_predict::from_kind(&spec.scheduler, spec.users);
+            Box::new(shared::SharedModule::new(spec.clone(), scheduler, width))
         }
         NodeKind::Commit(spec) => Box::new(commit::CommitStage::new(*spec)),
-        NodeKind::VarLatency(spec) => Box::new(varlatency::VarLatencyUnit::new(
-            spec.clone(),
-            output_widths.first().copied().unwrap_or(64),
-        )),
-        NodeKind::Source(spec) => Box::new(environment::SourceController::new(
-            spec.clone(),
-            output_widths.first().copied().unwrap_or(64),
-        )),
+        NodeKind::VarLatency(spec) => {
+            Box::new(varlatency::VarLatencyUnit::new(spec.clone(), width))
+        }
+        NodeKind::Source(spec) => Box::new(environment::SourceController::new(spec.clone(), width)),
         NodeKind::Sink(spec) => Box::new(environment::SinkController::new(spec.clone())),
         // `NodeKind` is non-exhaustive within the workspace; reject anything
         // this simulator does not know how to model rather than mis-simulate.
@@ -107,4 +66,39 @@ pub fn build_controller(
         }
     };
     Ok(controller)
+}
+
+/// Declared width of a node's first output channel (64 when it has none).
+pub(crate) fn output_width(netlist: &Netlist, node: &Node) -> u8 {
+    netlist.output_channels(node.id).first().map_or(64, |channel| channel.width)
+}
+
+/// The buffer spec a buffer node simulates with, for both engines.
+///
+/// # Errors
+///
+/// [`SimError::UnsupportedNode`] unless the forward latency is 1.
+pub(crate) fn simulated_buffer(
+    node: &Node,
+    spec: &BufferSpec,
+    output_width: u8,
+) -> Result<BufferSpec, SimError> {
+    if spec.forward_latency != 1 {
+        return Err(SimError::UnsupportedNode {
+            node: node.id,
+            reason: format!(
+                "buffers with forward latency {} are not supported by the simulator \
+                 (chain unit-latency buffers instead)",
+                spec.forward_latency
+            ),
+        });
+    }
+    // Mask the initial token's value to the output channel width: every
+    // other data entry point (source streams, function results) masks at the
+    // producer, and an unmasked init value would otherwise leak through
+    // width-preserving controllers (buffers, forks) into traces and sinks
+    // (found by the elastic-gen differential fuzzer as a spurious
+    // conservation violation on a narrow loop channel).
+    let init_value = elastic_datapath::adder::mask(spec.init_value, output_width);
+    Ok(BufferSpec { init_value, ..*spec })
 }

@@ -14,7 +14,7 @@
 
 use elastic_core::MuxSpec;
 
-use crate::controller::{Controller, NodeIo, NodeStats};
+use crate::controller::{Controller, NodeIo, NodeReport, NodeStats};
 
 const SELECT: usize = 0;
 const OUT: usize = 0;
@@ -142,8 +142,8 @@ impl Controller for MuxController {
         }
     }
 
-    fn stats(&self) -> NodeStats {
-        self.stats
+    fn report(&self) -> NodeReport<'_> {
+        NodeReport::Basic(self.stats)
     }
 
     fn reset(&mut self) {
@@ -236,7 +236,7 @@ mod tests {
         mux.eval(&mut io(&mut channels));
         mux.commit(&io(&mut channels));
         assert_eq!(mux.owed_anti_tokens(), &[0, 0]);
-        assert_eq!(mux.stats().killed_tokens, 1);
+        assert_eq!(mux.stats.killed_tokens, 1);
     }
 
     #[test]

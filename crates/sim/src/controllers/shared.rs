@@ -19,7 +19,8 @@ use elastic_core::{Scheduler, SharedFeedback, SharedSpec};
 use elastic_datapath::adder::mask;
 use elastic_datapath::evaluate;
 
-use crate::controller::{Controller, NodeIo, NodeStats};
+use crate::controller::{Controller, NodeIo, NodeReport, NodeStats};
+use crate::metrics::SharedModuleStats;
 
 /// Controller for a speculative shared module.
 #[derive(Debug)]
@@ -214,8 +215,13 @@ impl Controller for SharedModule {
         self.last_feedback = feedback;
     }
 
-    fn stats(&self) -> NodeStats {
-        self.stats
+    fn report(&self) -> NodeReport<'_> {
+        let shared = SharedModuleStats {
+            mispredictions: self.stats.mispredictions,
+            transfers_per_user: self.transfers_per_user.clone(),
+            kills_per_user: self.kills_per_user.clone(),
+        };
+        NodeReport::Shared(self.stats, shared)
     }
 
     fn reset(&mut self) {
@@ -231,14 +237,6 @@ impl Controller for SharedModule {
     fn override_scheduler(&mut self, scheduler: Box<dyn Scheduler>) -> bool {
         self.scheduler = scheduler;
         true
-    }
-
-    fn last_feedback(&self) -> Option<&SharedFeedback> {
-        Some(&self.last_feedback)
-    }
-
-    fn per_user_stats(&self) -> Option<(Vec<u64>, Vec<u64>)> {
-        Some((self.transfers_per_user.clone(), self.kills_per_user.clone()))
     }
 }
 
@@ -307,8 +305,8 @@ mod tests {
         channels[2].forward_stop = true; // the consumer refuses the speculated result
         module.eval(&mut io(&mut channels));
         module.commit(&io(&mut channels));
-        assert_eq!(module.stats().mispredictions, 1);
-        let feedback = module.last_feedback().unwrap();
+        assert_eq!(module.stats.mispredictions, 1);
+        let feedback = &module.last_feedback;
         assert!(feedback.output_retry[0]);
         assert!(feedback.mispredicted());
     }
@@ -340,7 +338,7 @@ mod tests {
         module.eval(&mut io(&mut channels));
         module.commit(&io(&mut channels));
         assert_eq!(module.transfers_per_user(), &[1, 0]);
-        assert_eq!(module.last_feedback().unwrap().resolved, Some(0));
+        assert_eq!(module.last_feedback.resolved, Some(0));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use elastic_core::kind::VarLatencySpec;
 use elastic_datapath::adder::mask;
 use elastic_datapath::evaluate;
 
-use crate::controller::{Controller, NodeIo, NodeStats};
+use crate::controller::{Controller, NodeIo, NodeReport, NodeStats};
 
 const OUT: usize = 0;
 
@@ -107,8 +107,8 @@ impl Controller for VarLatencyUnit {
         }
     }
 
-    fn stats(&self) -> NodeStats {
-        self.stats
+    fn report(&self) -> NodeReport<'_> {
+        NodeReport::Basic(self.stats)
     }
 
     fn reset(&mut self) {

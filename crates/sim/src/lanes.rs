@@ -9,12 +9,15 @@
 //!
 //! Layout:
 //!
-//! * [`LaneSimulation`] mirrors [`crate::Simulation`] — same dense channel
-//!   indexing, same topological ranks, same rank-bucketed worklist, same
-//!   compare-and-set dirty tracking (a channel re-enters the worklist when
-//!   *any* lane changed), same optimistic two-pass for lazy forks, and the
-//!   same settle budget / oscillation witness when a combinational loop
-//!   fails to settle.
+//! * [`LaneSimulation`] runs on the same private engine core as
+//!   [`crate::Simulation`]: dense channel indexing, topological ranks, the
+//!   rank-bucketed worklist with its optimistic two-pass for lazy forks,
+//!   the settle budget and oscillation witness, override lookup, the clock
+//!   edge and report assembly (from [`LaneController::report`]) are the
+//!   same code. Compare-and-set dirty tracking is word-wide: a channel
+//!   re-enters the worklist when *any* lane changed. The lane engine keeps
+//!   the word storage, the per-lane traces, the divergence map and the
+//!   per-lane environments.
 //! * Rails are stored structure-of-arrays: `Vec<u64>` per rail, one word
 //!   per channel. Data is a lane-major column per channel
 //!   (`data[channel * LANES + lane]`) touched only by the ops that consume
@@ -35,17 +38,17 @@
 //! fuzz leg pin this the same way the FullSweep oracle pinned the PR-1
 //! engine swap.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use elastic_core::kind::{BackpressurePattern, SourcePattern};
 use elastic_core::{BufferSpec, ForkSpec, FunctionSpec, MuxSpec, Netlist, Node, NodeId, NodeKind};
 
-use crate::controller::{Controller, NodeIo, NodeStats};
-use crate::controllers::build_controller;
-use crate::engine::{evaluation_ranks, OscillationWitness, SimError, Worklist};
-use crate::metrics::{SharedModuleStats, SimulationReport};
+use crate::controller::{Controller, NodeIo, NodeReport, NodeStats};
+use crate::controllers::{build_controller, output_width, simulated_buffer};
+use crate::engine::SimError;
+use crate::engine_core::{CoreNode, EngineCore, Ports};
+use crate::metrics::SimulationReport;
 use crate::signal::ChannelState;
 use crate::trace::Trace;
 
@@ -74,9 +77,6 @@ pub struct LaneConfig {
     /// per-cycle transpose from lane words to [`ChannelState`] rows; switch
     /// it off for throughput sweeps.
     pub record_trace: bool,
-    /// Settle budget override in full-sweep equivalents; `0` derives the
-    /// same `2·channels + 8` bound as the scalar engine.
-    pub max_settle_iterations: usize,
     /// Accumulate a per-channel lane-divergence map: bit `ℓ` of word `c`
     /// is set once lane `ℓ` ever differed from lane 0 on channel `c` (any
     /// rail or the data column). Costs a per-cycle scan; off by default.
@@ -85,7 +85,7 @@ pub struct LaneConfig {
 
 impl Default for LaneConfig {
     fn default() -> Self {
-        LaneConfig { record_trace: true, max_settle_iterations: 0, track_divergence: false }
+        LaneConfig { record_trace: true, track_divergence: false }
     }
 }
 
@@ -118,7 +118,7 @@ fn for_each_lane(mut word: u64, mut f: impl FnMut(usize)) {
 /// Structure-of-arrays signal store: one `u64` word per channel per rail
 /// (bit `ℓ` = lane `ℓ`) plus a lane-major data column per channel.
 #[derive(Debug)]
-struct LaneChannels {
+pub(crate) struct LaneChannels {
     forward_valid: Vec<u64>,
     forward_stop: Vec<u64>,
     backward_valid: Vec<u64>,
@@ -190,33 +190,13 @@ impl fmt::Debug for LaneIo<'_> {
 }
 
 impl<'a> LaneIo<'a> {
-    fn untracked(
+    fn new(
         channels: &'a mut LaneChannels,
-        input_channels: &'a [usize],
-        output_channels: &'a [usize],
+        (input_channels, output_channels): &'a Ports,
         channel_widths: &'a [u8],
+        dirty: Option<&'a mut Vec<usize>>,
     ) -> Self {
-        LaneIo { channels, input_channels, output_channels, channel_widths, dirty: None }
-    }
-
-    fn tracked(
-        channels: &'a mut LaneChannels,
-        input_channels: &'a [usize],
-        output_channels: &'a [usize],
-        channel_widths: &'a [u8],
-        dirty: &'a mut Vec<usize>,
-    ) -> Self {
-        LaneIo { channels, input_channels, output_channels, channel_widths, dirty: Some(dirty) }
-    }
-
-    /// Number of input ports.
-    pub fn input_count(&self) -> usize {
-        self.input_channels.len()
-    }
-
-    /// Number of output ports.
-    pub fn output_count(&self) -> usize {
-        self.output_channels.len()
+        LaneIo { channels, input_channels, output_channels, channel_widths, dirty }
     }
 
     fn input_channel(&self, input: usize) -> usize {
@@ -276,44 +256,31 @@ impl<'a> LaneIo<'a> {
     /// Sets the forward-stop word of input port `input`.
     pub fn set_input_stop(&mut self, input: usize, word: u64) {
         let channel = self.input_channel(input);
-        if self.channels.forward_stop[channel] != word {
-            self.channels.forward_stop[channel] = word;
-            if let Some(dirty) = self.dirty.as_deref_mut() {
-                dirty.push(channel);
-            }
-        }
+        set_word(&mut self.channels.forward_stop, channel, word, &mut self.dirty);
     }
 
     /// Sets the backward-valid (kill) word of input port `input`.
     pub fn set_input_kill(&mut self, input: usize, word: u64) {
         let channel = self.input_channel(input);
-        if self.channels.backward_valid[channel] != word {
-            self.channels.backward_valid[channel] = word;
-            if let Some(dirty) = self.dirty.as_deref_mut() {
-                dirty.push(channel);
-            }
-        }
+        set_word(&mut self.channels.backward_valid, channel, word, &mut self.dirty);
     }
 
     /// Sets the forward-valid word of output port `output`.
     pub fn set_output_valid(&mut self, output: usize, word: u64) {
         let channel = self.output_channel(output);
-        if self.channels.forward_valid[channel] != word {
-            self.channels.forward_valid[channel] = word;
-            if let Some(dirty) = self.dirty.as_deref_mut() {
-                dirty.push(channel);
-            }
-        }
+        set_word(&mut self.channels.forward_valid, channel, word, &mut self.dirty);
     }
 
     /// Sets the backward-stop word of output port `output`.
     pub fn set_output_anti_stop(&mut self, output: usize, word: u64) {
         let channel = self.output_channel(output);
-        if self.channels.backward_stop[channel] != word {
-            self.channels.backward_stop[channel] = word;
-            if let Some(dirty) = self.dirty.as_deref_mut() {
-                dirty.push(channel);
-            }
+        set_word(&mut self.channels.backward_stop, channel, word, &mut self.dirty);
+    }
+
+    /// Marks `channel` dirty when tracking.
+    fn mark_dirty(&mut self, channel: usize) {
+        if let Some(dirty) = self.dirty.as_deref_mut() {
+            dirty.push(channel);
         }
     }
 
@@ -333,9 +300,7 @@ impl<'a> LaneIo<'a> {
             }
         }
         if changed {
-            if let Some(dirty) = self.dirty.as_deref_mut() {
-                dirty.push(channel);
-            }
+            self.mark_dirty(channel);
         }
     }
 
@@ -359,67 +324,57 @@ impl<'a> LaneIo<'a> {
             }
         }
         if changed {
-            if let Some(dirty) = self.dirty.as_deref_mut() {
-                dirty.push(dst);
-            }
+            self.mark_dirty(dst);
         }
-    }
-
-    /// One lane's scalar view of a (global) channel index.
-    fn lane_state(&self, channel: usize, lane: usize) -> ChannelState {
-        self.channels.lane_state(channel, lane)
     }
 
     /// Scatters the consumer-driven rails (`S+`, `V−`) of one lane of a
     /// channel back from a scalar evaluation, with compare-and-set.
     fn scatter_consumer_lane(&mut self, channel: usize, lane: usize, state: ChannelState) {
-        let bit = 1u64 << lane;
-        let word = self.channels.forward_stop[channel];
-        let next = if state.forward_stop { word | bit } else { word & !bit };
-        if next != word {
-            self.channels.forward_stop[channel] = next;
-            if let Some(dirty) = self.dirty.as_deref_mut() {
-                dirty.push(channel);
-            }
-        }
-        let word = self.channels.backward_valid[channel];
-        let next = if state.backward_valid { word | bit } else { word & !bit };
-        if next != word {
-            self.channels.backward_valid[channel] = next;
-            if let Some(dirty) = self.dirty.as_deref_mut() {
-                dirty.push(channel);
-            }
-        }
+        let rails = &mut *self.channels;
+        let stop = with_lane(rails.forward_stop[channel], lane, state.forward_stop);
+        set_word(&mut rails.forward_stop, channel, stop, &mut self.dirty);
+        let kill = with_lane(rails.backward_valid[channel], lane, state.backward_valid);
+        set_word(&mut rails.backward_valid, channel, kill, &mut self.dirty);
     }
 
     /// Scatters the producer-driven rails (`V+`, `S−`) and the data value
     /// of one lane of a channel back from a scalar evaluation, with
     /// compare-and-set. The scalar evaluation already masked the data.
     fn scatter_producer_lane(&mut self, channel: usize, lane: usize, state: ChannelState) {
-        let bit = 1u64 << lane;
-        let word = self.channels.forward_valid[channel];
-        let next = if state.forward_valid { word | bit } else { word & !bit };
-        if next != word {
-            self.channels.forward_valid[channel] = next;
-            if let Some(dirty) = self.dirty.as_deref_mut() {
-                dirty.push(channel);
-            }
-        }
-        let word = self.channels.backward_stop[channel];
-        let next = if state.backward_stop { word | bit } else { word & !bit };
-        if next != word {
-            self.channels.backward_stop[channel] = next;
-            if let Some(dirty) = self.dirty.as_deref_mut() {
-                dirty.push(channel);
-            }
-        }
-        let slot = &mut self.channels.data[channel * LANES + lane];
+        let rails = &mut *self.channels;
+        let valid = with_lane(rails.forward_valid[channel], lane, state.forward_valid);
+        set_word(&mut rails.forward_valid, channel, valid, &mut self.dirty);
+        let anti_stop = with_lane(rails.backward_stop[channel], lane, state.backward_stop);
+        set_word(&mut rails.backward_stop, channel, anti_stop, &mut self.dirty);
+        let slot = &mut rails.data[channel * LANES + lane];
         if *slot != state.data {
             *slot = state.data;
-            if let Some(dirty) = self.dirty.as_deref_mut() {
-                dirty.push(channel);
-            }
+            self.mark_dirty(channel);
         }
+    }
+}
+
+/// Compare-and-set of one channel's rail word; a change marks the channel
+/// dirty when tracking.
+#[inline]
+fn set_word(rail: &mut [u64], channel: usize, word: u64, dirty: &mut Option<&mut Vec<usize>>) {
+    if rail[channel] != word {
+        rail[channel] = word;
+        if let Some(dirty) = dirty {
+            dirty.push(channel);
+        }
+    }
+}
+
+/// `word` with lane `lane`'s bit set to `value`.
+#[inline]
+fn with_lane(word: u64, lane: usize, value: bool) -> u64 {
+    let bit = 1u64 << lane;
+    if value {
+        word | bit
+    } else {
+        word & !bit
     }
 }
 
@@ -457,53 +412,16 @@ pub trait LaneController: fmt::Debug {
     /// Rewinds every lane to its post-construction state.
     fn reset(&mut self);
 
-    /// Accumulated statistics of one lane.
-    fn stats(&self, lane: usize) -> NodeStats;
+    /// What one lane of this node contributes to that lane's
+    /// [`SimulationReport`] — the lane analogue of [`Controller::report`].
+    fn report(&self, lane: usize) -> NodeReport<'_>;
 
-    /// One lane's `(cycle, value)` sink transfer stream, when this node is
-    /// a sink.
-    fn transfer_stream(&self, lane: usize) -> Option<&[(u64, u64)]> {
-        let _ = lane;
+    /// The per-lane scalar controllers of a `ScalarLanes` node, where
+    /// per-lane environment and scheduler overrides land; `None` for the
+    /// native word controllers (buffers, functions, forks, muxes), which
+    /// take no overrides.
+    fn scalar_lanes(&mut self) -> Option<&mut [Box<dyn Controller>]> {
         None
-    }
-
-    /// One lane's per-user `(transfers, kills)` split, when this node is a
-    /// shared module.
-    fn per_user_stats(&self, lane: usize) -> Option<(Vec<u64>, Vec<u64>)> {
-        let _ = lane;
-        None
-    }
-
-    /// One lane's commit-stage statistics, when this node is a commit
-    /// stage.
-    fn commit_stats(&self, lane: usize) -> Option<crate::metrics::CommitStageStats> {
-        let _ = lane;
-        None
-    }
-
-    /// Replaces one lane's sink back-pressure pattern; `true` when this
-    /// node is a sink.
-    fn override_backpressure(&mut self, lane: usize, pattern: &BackpressurePattern) -> bool {
-        let _ = (lane, pattern);
-        false
-    }
-
-    /// Replaces one lane's source offer pattern; `true` when this node is
-    /// a source.
-    fn override_source_pattern(&mut self, lane: usize, pattern: &SourcePattern) -> bool {
-        let _ = (lane, pattern);
-        false
-    }
-
-    /// Replaces one lane's prediction policy; `true` when this node is a
-    /// shared module. The box is dropped (and `false` returned) otherwise.
-    fn override_scheduler(
-        &mut self,
-        lane: usize,
-        scheduler: Box<dyn elastic_core::Scheduler>,
-    ) -> bool {
-        let _ = (lane, scheduler);
-        false
     }
 }
 
@@ -688,8 +606,8 @@ impl LaneController for LaneStandardBuffer {
         }
     }
 
-    fn stats(&self, lane: usize) -> NodeStats {
-        self.stats[lane]
+    fn report(&self, lane: usize) -> NodeReport<'_> {
+        NodeReport::Basic(self.stats[lane])
     }
 }
 
@@ -772,8 +690,8 @@ impl LaneController for LaneZeroBackwardBuffer {
         self.stats.fill(NodeStats::default());
     }
 
-    fn stats(&self, lane: usize) -> NodeStats {
-        self.stats[lane]
+    fn report(&self, lane: usize) -> NodeReport<'_> {
+        NodeReport::Basic(self.stats[lane])
     }
 }
 
@@ -883,8 +801,8 @@ impl LaneController for LaneFunction {
         self.cache_valid = false;
     }
 
-    fn stats(&self, lane: usize) -> NodeStats {
-        self.stats[lane]
+    fn report(&self, lane: usize) -> NodeReport<'_> {
+        NodeReport::Basic(self.stats[lane])
     }
 }
 
@@ -1031,8 +949,8 @@ impl LaneController for LaneEagerFork {
         self.stats.fill(NodeStats::default());
     }
 
-    fn stats(&self, lane: usize) -> NodeStats {
-        self.stats[lane]
+    fn report(&self, lane: usize) -> NodeReport<'_> {
+        NodeReport::Basic(self.stats[lane])
     }
 }
 
@@ -1177,8 +1095,8 @@ impl LaneController for LaneMux {
         self.stats.fill(NodeStats::default());
     }
 
-    fn stats(&self, lane: usize) -> NodeStats {
-        self.stats[lane]
+    fn report(&self, lane: usize) -> NodeReport<'_> {
+        NodeReport::Basic(self.stats[lane])
     }
 }
 
@@ -1210,12 +1128,8 @@ impl fmt::Debug for ScalarLanes {
 
 impl ScalarLanes {
     fn build(netlist: &Netlist, node: &Node, channel_count: usize) -> Result<Self, SimError> {
-        let mut lanes = Vec::with_capacity(LANES);
-        for _ in 0..LANES {
-            lanes.push(build_controller(netlist, node, None)?);
-        }
         Ok(ScalarLanes {
-            lanes,
+            lanes: (0..LANES).map(|_| build_controller(netlist, node)).collect::<Result<_, _>>()?,
             scratch: vec![ChannelState::default(); channel_count],
             dirty_scratch: Vec::new(),
         })
@@ -1227,7 +1141,7 @@ impl ScalarLanes {
         let widths = io.channel_widths;
         for lane in 0..LANES {
             for &channel in inputs.iter().chain(outputs.iter()) {
-                self.scratch[channel] = io.lane_state(channel, lane);
+                self.scratch[channel] = io.channels.lane_state(channel, lane);
             }
             self.dirty_scratch.clear();
             let mut node_io = NodeIo::tracked(
@@ -1274,7 +1188,7 @@ impl LaneController for ScalarLanes {
         let outputs = io.output_channels;
         for lane in 0..LANES {
             for &channel in inputs.iter().chain(outputs.iter()) {
-                self.scratch[channel] = io.lane_state(channel, lane);
+                self.scratch[channel] = io.channels.lane_state(channel, lane);
             }
             let node_io = NodeIo::new(&mut self.scratch, inputs, outputs);
             self.lanes[lane].commit(&node_io);
@@ -1287,36 +1201,12 @@ impl LaneController for ScalarLanes {
         }
     }
 
-    fn stats(&self, lane: usize) -> NodeStats {
-        self.lanes[lane].stats()
+    fn report(&self, lane: usize) -> NodeReport<'_> {
+        self.lanes[lane].report()
     }
 
-    fn transfer_stream(&self, lane: usize) -> Option<&[(u64, u64)]> {
-        self.lanes[lane].transfer_stream()
-    }
-
-    fn per_user_stats(&self, lane: usize) -> Option<(Vec<u64>, Vec<u64>)> {
-        self.lanes[lane].per_user_stats()
-    }
-
-    fn commit_stats(&self, lane: usize) -> Option<crate::metrics::CommitStageStats> {
-        self.lanes[lane].commit_stats()
-    }
-
-    fn override_backpressure(&mut self, lane: usize, pattern: &BackpressurePattern) -> bool {
-        self.lanes[lane].override_backpressure(pattern)
-    }
-
-    fn override_source_pattern(&mut self, lane: usize, pattern: &SourcePattern) -> bool {
-        self.lanes[lane].override_source_pattern(pattern)
-    }
-
-    fn override_scheduler(
-        &mut self,
-        lane: usize,
-        scheduler: Box<dyn elastic_core::Scheduler>,
-    ) -> bool {
-        self.lanes[lane].override_scheduler(scheduler)
+    fn scalar_lanes(&mut self) -> Option<&mut [Box<dyn Controller>]> {
+        Some(&mut self.lanes)
     }
 }
 
@@ -1327,34 +1217,17 @@ fn build_lane_controller(
     node: &Node,
     channel_count: usize,
 ) -> Result<Box<dyn LaneController>, SimError> {
-    let output_widths: Vec<u8> = netlist.output_channels(node.id).iter().map(|c| c.width).collect();
+    let width = output_width(netlist, node);
     let controller: Box<dyn LaneController> = match &node.kind {
         NodeKind::Buffer(spec) => {
-            if spec.forward_latency != 1 {
-                return Err(SimError::UnsupportedNode {
-                    node: node.id,
-                    reason: format!(
-                        "buffers with forward latency {} are not supported by the simulator \
-                         (chain unit-latency buffers instead)",
-                        spec.forward_latency
-                    ),
-                });
-            }
-            // Same producer-side init-value masking as the scalar build.
-            let mut spec = *spec;
-            spec.init_value = elastic_datapath::adder::mask(
-                spec.init_value,
-                output_widths.first().copied().unwrap_or(64),
-            );
+            let spec = simulated_buffer(node, spec, width)?;
             if spec.backward_latency == 0 {
                 Box::new(LaneZeroBackwardBuffer::new(spec))
             } else {
                 Box::new(LaneStandardBuffer::new(spec))
             }
         }
-        NodeKind::Function(spec) => {
-            Box::new(LaneFunction::new(spec.clone(), output_widths.first().copied().unwrap_or(64)))
-        }
+        NodeKind::Function(spec) => Box::new(LaneFunction::new(spec.clone(), width)),
         NodeKind::Mux(spec) => Box::new(LaneMux::new(*spec)),
         NodeKind::Fork(spec) => Box::new(LaneEagerFork::new(*spec)),
         _ => Box::new(ScalarLanes::build(netlist, node, channel_count)?),
@@ -1366,50 +1239,71 @@ fn build_lane_controller(
 // The engine
 // ---------------------------------------------------------------------------
 
+impl CoreNode for Box<dyn LaneController> {
+    type Channels = LaneChannels;
+
+    fn optimistic(&self) -> bool {
+        self.is_optimistic()
+    }
+
+    fn reads_channels(&self) -> bool {
+        self.eval_reads_channels()
+    }
+
+    fn eval_tracked(
+        &mut self,
+        channels: &mut LaneChannels,
+        ports: &Ports,
+        widths: &[u8],
+        dirty: &mut Vec<usize>,
+        optimistic: bool,
+    ) {
+        let mut io = LaneIo::new(channels, ports, widths, Some(dirty));
+        if optimistic {
+            self.eval_optimistic(&mut io);
+        } else {
+            self.eval(&mut io);
+        }
+    }
+
+    fn commit_settled(&mut self, channels: &mut LaneChannels, ports: &Ports) {
+        // Commits only read the settled words, so no widths are needed.
+        self.commit(&LaneIo::new(channels, ports, &[], None));
+    }
+
+    fn rewind(&mut self) {
+        self.reset();
+    }
+}
+
 /// A cycle-accurate SELF simulation advancing [`LANES`] independent
 /// scenarios per word operation.
 ///
-/// The settle algorithm, evaluation ranks, worklist, budgets and
-/// oscillation reporting are the scalar [`crate::Simulation`]'s,
-/// generalised word-wise. Environment injection covers the scalar reset
-/// surface: sink back-pressure and source offer patterns vary per lane,
-/// and shared-module schedulers inject lane-blocked (one freshly built
-/// scheduler per lane, see [`LaneSimulation::reset_with_schedulers`]).
+/// The settle algorithm, evaluation ranks, worklist, budget, oscillation
+/// reporting and report assembly are the scalar [`crate::Simulation`]'s —
+/// both engines run on the same engine core. This engine keeps the lane
+/// word storage, the per-lane traces, the divergence map and the per-lane
+/// environments: sink back-pressure and source offer patterns vary per
+/// lane, and shared-module schedulers inject lane-blocked (one freshly
+/// built scheduler per lane, see [`LaneSimulation::reset_with_schedulers`]).
 /// Not supported in the lane engine (use the scalar engine): fault
 /// injection and streaming cycle monitors.
 pub struct LaneSimulation {
     config: LaneConfig,
-    controllers: Vec<Box<dyn LaneController>>,
-    node_ids: Vec<NodeId>,
-    node_kinds: Vec<&'static str>,
-    node_ports: Vec<(Vec<usize>, Vec<usize>)>,
+    core: EngineCore<Box<dyn LaneController>>,
     channels: LaneChannels,
-    channel_widths: Vec<u8>,
-    channel_ids: Vec<elastic_core::ChannelId>,
-    channel_producer: Vec<u32>,
-    channel_consumer: Vec<u32>,
-    reads_channels: Vec<bool>,
-    optimistic_nodes: Vec<u32>,
-    rank: Vec<u32>,
-    seed_buckets: Vec<Vec<u32>>,
-    dirty: Vec<usize>,
-    oscillating: Vec<u32>,
-    worklist: Worklist,
     traces: Vec<Trace>,
     state_scratch: Vec<ChannelState>,
     divergence: Vec<u64>,
-    cycle: u64,
-    settle_iterations: u64,
-    controller_evals: u64,
 }
 
 impl fmt::Debug for LaneSimulation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("LaneSimulation")
-            .field("nodes", &self.controllers.len())
+            .field("nodes", &self.core.controllers.len())
             .field("channels", &self.channels.channel_count())
             .field("lanes", &LANES)
-            .field("cycle", &self.cycle)
+            .field("cycle", &self.core.cycle)
             .finish()
     }
 }
@@ -1423,112 +1317,23 @@ impl LaneSimulation {
     /// simulator cannot model — the same conditions as
     /// [`crate::Simulation::new`].
     pub fn new(netlist: &Netlist, config: &LaneConfig) -> Result<Self, SimError> {
-        netlist.validate()?;
-
-        // Dense channel indexing shared with the scalar engine and trace.
-        let mut channel_index = BTreeMap::new();
-        let mut channel_widths = Vec::new();
-        let mut channel_ids = Vec::new();
-        for (index, channel) in netlist.live_channels().enumerate() {
-            channel_index.insert(channel.id, index);
-            channel_widths.push(channel.width);
-            channel_ids.push(channel.id);
-        }
-        let channel_count = channel_index.len();
-
-        let mut controllers: Vec<Box<dyn LaneController>> = Vec::new();
-        let mut node_ids = Vec::new();
-        let mut node_kinds = Vec::new();
-        let mut node_ports = Vec::new();
-        let mut channel_producer = vec![0u32; channel_count];
-        let mut channel_consumer = vec![0u32; channel_count];
-        for node in netlist.live_nodes() {
-            let controller = build_lane_controller(netlist, node, channel_count)?;
-            let node_index = controllers.len() as u32;
-
-            let inputs: Vec<usize> = (0..node.input_count())
-                .map(|port| {
-                    netlist
-                        .channel_into(elastic_core::Port::input(node.id, port))
-                        .map(|c| channel_index[&c.id])
-                        .expect("validated netlists have fully connected ports")
-                })
-                .collect();
-            let outputs: Vec<usize> = (0..node.output_count())
-                .map(|port| {
-                    netlist
-                        .channel_from(elastic_core::Port::output(node.id, port))
-                        .map(|c| channel_index[&c.id])
-                        .expect("validated netlists have fully connected ports")
-                })
-                .collect();
-            for &channel in &inputs {
-                channel_consumer[channel] = node_index;
-            }
-            for &channel in &outputs {
-                channel_producer[channel] = node_index;
-            }
-
-            controllers.push(controller);
-            node_ids.push(node.id);
-            node_kinds.push(node.kind.kind_name());
-            node_ports.push((inputs, outputs));
-        }
-
-        let reads_channels: Vec<bool> =
-            controllers.iter().map(|c| c.eval_reads_channels()).collect();
-        let optimistic_nodes: Vec<u32> = controllers
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.is_optimistic())
-            .map(|(index, _)| index as u32)
-            .collect();
-        let rank = evaluation_ranks(
-            controllers.len(),
-            &node_ports,
-            &channel_producer,
-            &channel_consumer,
-            &reads_channels,
-        );
-        let rank_count = rank.iter().map(|&r| r as usize + 1).max().unwrap_or(1);
-        let mut seed_buckets = vec![Vec::new(); rank_count];
-        for (node, &node_rank) in rank.iter().enumerate() {
-            seed_buckets[node_rank as usize].push(node as u32);
-        }
-
-        let traces: Vec<Trace> = (0..LANES).map(|_| Trace::new(netlist)).collect();
-
+        let channel_count = netlist.live_channels().count();
+        let core =
+            EngineCore::build(netlist, |node| build_lane_controller(netlist, node, channel_count))?;
         LANE_CONSTRUCTIONS.fetch_add(1, Ordering::Relaxed);
         Ok(LaneSimulation {
             config: config.clone(),
-            worklist: Worklist::new(rank_count, controllers.len()),
-            controllers,
-            node_ids,
-            node_kinds,
-            node_ports,
+            core,
             channels: LaneChannels::new(channel_count),
-            channel_widths,
-            channel_ids,
-            channel_producer,
-            channel_consumer,
-            reads_channels,
-            optimistic_nodes,
-            rank,
-            seed_buckets,
-            dirty: Vec::new(),
-            oscillating: Vec::new(),
-            traces,
+            traces: (0..LANES).map(|_| Trace::new(netlist)).collect(),
             state_scratch: vec![ChannelState::default(); channel_count],
             divergence: vec![0; channel_count],
-            cycle: 0,
-            settle_iterations: 0,
-            controller_evals: 0,
         })
     }
 
     /// Number of cycles simulated so far.
     pub fn cycle(&self) -> u64 {
-        self.cycle
+        self.core.cycle
     }
 
     /// Process-wide count of lane-simulation constructions
@@ -1553,11 +1358,7 @@ impl LaneSimulation {
     /// The per-cycle settle budget in full-sweep equivalents — the same
     /// bound as [`crate::Simulation::settle_budget`].
     pub fn settle_budget(&self) -> usize {
-        if self.config.max_settle_iterations > 0 {
-            self.config.max_settle_iterations
-        } else {
-            2 * self.channels.channel_count() + 8
-        }
+        self.core.settle_budget()
     }
 
     /// The accumulated per-channel lane-divergence map (dense channel
@@ -1576,34 +1377,12 @@ impl LaneSimulation {
     /// Rewinds every lane to cycle 0 without rebuilding (the lane analogue
     /// of [`crate::Simulation::reset`]).
     pub fn reset(&mut self) {
-        for controller in &mut self.controllers {
-            controller.reset();
-        }
+        self.core.rewind();
         self.channels.clear();
         for trace in &mut self.traces {
             trace.clear();
         }
         self.divergence.fill(0);
-        self.cycle = 0;
-        self.settle_iterations = 0;
-        self.controller_evals = 0;
-    }
-
-    /// [`LaneSimulation::reset`], additionally replacing the back-pressure
-    /// pattern of the named sinks **in every lane** (broadcast — all 64
-    /// lanes see the same environment).
-    pub fn reset_with_sink_patterns(&mut self, overrides: &[(NodeId, BackpressurePattern)]) {
-        self.reset();
-        for (node, pattern) in overrides {
-            let applied = self
-                .node_index(*node)
-                .map(|index| {
-                    let controller = &mut self.controllers[index];
-                    (0..LANES).all(|lane| controller.override_backpressure(lane, pattern))
-                })
-                .unwrap_or(false);
-            debug_assert!(applied, "node {node} is not a sink; cannot override back-pressure");
-        }
     }
 
     /// [`LaneSimulation::reset`], additionally replacing each lane's sink
@@ -1614,42 +1393,10 @@ impl LaneSimulation {
         &mut self,
         overrides: &[(NodeId, Vec<BackpressurePattern>)],
     ) {
-        self.reset();
-        for (node, patterns) in overrides {
-            if patterns.is_empty() {
-                continue;
-            }
-            let applied = self
-                .node_index(*node)
-                .map(|index| {
-                    let controller = &mut self.controllers[index];
-                    (0..LANES).all(|lane| {
-                        let pattern = &patterns[lane.min(patterns.len() - 1)];
-                        controller.override_backpressure(lane, pattern)
-                    })
-                })
-                .unwrap_or(false);
-            debug_assert!(applied, "node {node} is not a sink; cannot override back-pressure");
-        }
-    }
-
-    /// [`LaneSimulation::reset`], additionally replacing the token-offer
-    /// pattern of the named sources **in every lane** (broadcast).
-    pub fn reset_with_source_patterns(&mut self, overrides: &[(NodeId, SourcePattern)]) {
-        self.reset();
-        for (node, pattern) in overrides {
-            let applied = self
-                .node_index(*node)
-                .map(|index| {
-                    let controller = &mut self.controllers[index];
-                    (0..LANES).all(|lane| controller.override_source_pattern(lane, pattern))
-                })
-                .unwrap_or(false);
-            debug_assert!(
-                applied,
-                "node {node} is not a source; cannot override its offer pattern"
-            );
-        }
+        let overrides = overrides.iter().filter(|(_, patterns)| !patterns.is_empty());
+        self.reset_with_lane_overrides(overrides, "sink", |scalar, lane, patterns| {
+            scalar.override_backpressure(&patterns[lane.min(patterns.len() - 1)])
+        });
     }
 
     /// [`LaneSimulation::reset`], additionally replacing each lane's
@@ -1660,26 +1407,10 @@ impl LaneSimulation {
     /// lists leave the source untouched. Data streams are kept: only *when*
     /// tokens are offered varies per lane, never their values.
     pub fn reset_with_lane_source_patterns(&mut self, overrides: &[(NodeId, Vec<SourcePattern>)]) {
-        self.reset();
-        for (node, patterns) in overrides {
-            if patterns.is_empty() {
-                continue;
-            }
-            let applied = self
-                .node_index(*node)
-                .map(|index| {
-                    let controller = &mut self.controllers[index];
-                    (0..LANES).all(|lane| {
-                        let pattern = &patterns[lane.min(patterns.len() - 1)];
-                        controller.override_source_pattern(lane, pattern)
-                    })
-                })
-                .unwrap_or(false);
-            debug_assert!(
-                applied,
-                "node {node} is not a source; cannot override its offer pattern"
-            );
-        }
+        let overrides = overrides.iter().filter(|(_, patterns)| !patterns.is_empty());
+        self.reset_with_lane_overrides(overrides, "source", |scalar, lane, patterns| {
+            scalar.override_source_pattern(&patterns[lane.min(patterns.len() - 1)])
+        });
     }
 
     /// [`LaneSimulation::reset`], additionally replacing the prediction
@@ -1692,120 +1423,29 @@ impl LaneSimulation {
     /// (which rewind them via `Scheduler::reset`), exactly like the scalar
     /// engine's [`crate::Simulation::reset_with_schedulers`].
     pub fn reset_with_schedulers(&mut self, overrides: &[(NodeId, &SchedulerFactory<'_>)]) {
+        self.reset_with_lane_overrides(overrides.iter(), "shared module", |scalar, lane, make| {
+            scalar.override_scheduler(make(lane))
+        });
+    }
+
+    /// Resets, then applies `apply(scalar, lane, value)` to every lane's
+    /// scalar controller of each named node; the node must be a `role`.
+    fn reset_with_lane_overrides<'o, T: 'o>(
+        &mut self,
+        overrides: impl Iterator<Item = &'o (NodeId, T)>,
+        role: &str,
+        apply: impl Fn(&mut Box<dyn Controller>, usize, &T) -> bool,
+    ) {
         self.reset();
-        for (node, make) in overrides {
-            let applied = self
-                .node_index(*node)
-                .map(|index| {
-                    let controller = &mut self.controllers[index];
-                    (0..LANES).all(|lane| controller.override_scheduler(lane, make(lane)))
+        self.core.override_nodes(
+            overrides.map(|(node, value)| (*node, value)),
+            role,
+            |c, value| {
+                c.scalar_lanes().is_some_and(|lanes| {
+                    lanes.iter_mut().enumerate().all(|(lane, scalar)| apply(scalar, lane, value))
                 })
-                .unwrap_or(false);
-            debug_assert!(applied, "node {node} is not a shared module; cannot override scheduler");
-        }
-    }
-
-    fn node_index(&self, node: NodeId) -> Option<usize> {
-        self.node_ids.iter().position(|&id| id == node)
-    }
-
-    fn eval_and_wake(&mut self, node: usize, optimistic: bool) {
-        self.dirty.clear();
-        let (inputs, outputs) = &self.node_ports[node];
-        let mut io = LaneIo::tracked(
-            &mut self.channels,
-            inputs,
-            outputs,
-            &self.channel_widths,
-            &mut self.dirty,
+            },
         );
-        if optimistic {
-            self.controllers[node].eval_optimistic(&mut io);
-        } else {
-            self.controllers[node].eval(&mut io);
-        }
-        self.controller_evals += 1;
-        for &channel in &self.dirty {
-            let producer = self.channel_producer[channel] as usize;
-            let consumer = self.channel_consumer[channel] as usize;
-            if producer == node && consumer == node {
-                // Self-loop channel: re-enqueue the writer (see the scalar
-                // engine for the full rationale) — a stable eval stops
-                // producing changes, an oscillating one exhausts the budget.
-                if self.reads_channels[node] {
-                    self.worklist.push(node, self.rank[node] as usize);
-                }
-                continue;
-            }
-            for endpoint in [producer, consumer] {
-                if endpoint != node && self.reads_channels[endpoint] {
-                    self.worklist.push(endpoint, self.rank[endpoint] as usize);
-                }
-            }
-        }
-    }
-
-    fn seed_worklist(&mut self) {
-        for rank in 0..self.seed_buckets.len() {
-            let bucket = &self.seed_buckets[rank];
-            self.worklist.buckets[rank].extend_from_slice(bucket);
-            for &node in bucket {
-                self.worklist.queued[node as usize] = true;
-            }
-            self.worklist.len += bucket.len();
-        }
-        self.worklist.cursor = 0;
-    }
-
-    fn drain_worklist(&mut self, optimistic: bool, evals: &mut u64, eval_cap: u64) -> bool {
-        while let Some(node) = self.worklist.pop() {
-            *evals += 1;
-            self.settle_iterations += 1;
-            if *evals > eval_cap {
-                self.oscillating.clear();
-                self.oscillating.push(node as u32);
-                while let Some(pending) = self.worklist.pop() {
-                    self.oscillating.push(pending as u32);
-                }
-                return false;
-            }
-            self.eval_and_wake(node, optimistic);
-        }
-        true
-    }
-
-    fn settle_event_driven(&mut self) -> bool {
-        debug_assert_eq!(self.worklist.len, 0, "worklist drained at end of previous cycle");
-        let eval_cap =
-            (self.settle_budget() as u64).saturating_mul(self.controllers.len().max(1) as u64);
-        let mut evals_this_cycle = 0u64;
-
-        self.seed_worklist();
-        if !self.optimistic_nodes.is_empty() {
-            if !self.drain_worklist(true, &mut evals_this_cycle, eval_cap) {
-                return false;
-            }
-            for index in 0..self.optimistic_nodes.len() {
-                let node = self.optimistic_nodes[index] as usize;
-                self.worklist.push(node, self.rank[node] as usize);
-            }
-        }
-        self.drain_worklist(false, &mut evals_this_cycle, eval_cap)
-    }
-
-    fn oscillation_witness(&self) -> OscillationWitness {
-        let mut nodes: Vec<(NodeId, &'static str)> = self
-            .oscillating
-            .iter()
-            .map(|&node| (self.node_ids[node as usize], self.node_kinds[node as usize]))
-            .collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        let mut channels: Vec<elastic_core::ChannelId> =
-            self.dirty.iter().map(|&channel| self.channel_ids[channel]).collect();
-        channels.sort_unstable();
-        channels.dedup();
-        OscillationWitness { nodes, channels }
     }
 
     fn record_traces(&mut self) {
@@ -1846,11 +1486,8 @@ impl LaneSimulation {
     /// to settle.
     pub fn step(&mut self) -> Result<(), SimError> {
         self.channels.clear();
-        if !self.settle_event_driven() {
-            return Err(SimError::CombinationalLoop {
-                cycle: self.cycle,
-                witness: self.oscillation_witness(),
-            });
+        if !self.core.settle_event_driven(&mut self.channels) {
+            return Err(self.core.combinational_loop());
         }
         if self.config.record_trace {
             self.record_traces();
@@ -1858,12 +1495,7 @@ impl LaneSimulation {
         if self.config.track_divergence {
             self.accumulate_divergence();
         }
-        for (index, controller) in self.controllers.iter_mut().enumerate() {
-            let (inputs, outputs) = &self.node_ports[index];
-            let io = LaneIo::untracked(&mut self.channels, inputs, outputs, &self.channel_widths);
-            controller.commit(&io);
-        }
-        self.cycle += 1;
+        self.core.clock_edge(&mut self.channels);
         Ok(())
     }
 
@@ -1891,48 +1523,11 @@ impl LaneSimulation {
     /// When `lane >= LANES`.
     pub fn report(&self, lane: usize) -> SimulationReport {
         assert!(lane < LANES, "lane {lane} out of range");
-        let mut report = SimulationReport {
-            cycles: self.cycle,
-            settle_iterations: self.settle_iterations,
-            controller_evals: self.controller_evals,
+        SimulationReport {
             trace_bytes: self.traces[lane].heap_bytes() as u64,
             lane_divergence: self.divergence.clone(),
-            ..SimulationReport::default()
-        };
-        for (index, controller) in self.controllers.iter().enumerate() {
-            let node = self.node_ids[index];
-            let stats = controller.stats(lane);
-            report.node_stats.insert(node, stats);
-            match self.node_kinds[index] {
-                "sink" => {
-                    if let Some(stream) = controller.transfer_stream(lane) {
-                        report.sink_streams.insert(node, stream.to_vec());
-                    }
-                }
-                "source" => {
-                    report.source_kills.insert(node, stats.killed_tokens);
-                }
-                "shared" => {
-                    let (transfers_per_user, kills_per_user) =
-                        controller.per_user_stats(lane).unwrap_or_default();
-                    report.shared_stats.insert(
-                        node,
-                        SharedModuleStats {
-                            mispredictions: stats.mispredictions,
-                            transfers_per_user,
-                            kills_per_user,
-                        },
-                    );
-                }
-                "commit" => {
-                    if let Some(lane_stats) = controller.commit_stats(lane) {
-                        report.commit_stats.insert(node, lane_stats);
-                    }
-                }
-                _ => {}
-            }
+            ..self.core.report(|controller| controller.report(lane))
         }
-        report
     }
 }
 

@@ -65,6 +65,7 @@ mod compiled;
 pub mod controller;
 pub mod controllers;
 pub mod engine;
+mod engine_core;
 pub mod faults;
 pub mod lanes;
 pub mod metrics;

@@ -167,6 +167,27 @@ impl SimulationReport {
         }
     }
 
+    /// The first behavioural field in which `self` and `other` differ —
+    /// checked in the order cycle count, sink transfer streams, source kill
+    /// counts, per-node statistics, shared-module statistics, commit-stage
+    /// statistics — or `None` when they agree on all of them. This is what
+    /// two engines simulating the same scenario must agree on; effort
+    /// counters, trace size, fault counters and the lane-divergence map
+    /// describe how a run was computed and are not compared.
+    pub fn behavioural_difference(&self, other: &SimulationReport) -> Option<&'static str> {
+        [
+            ("cycle counts", self.cycles == other.cycles),
+            ("sink transfer streams", self.sink_streams == other.sink_streams),
+            ("source kill counts", self.source_kills == other.source_kills),
+            ("per-node statistics", self.node_stats == other.node_stats),
+            ("shared-module statistics", self.shared_stats == other.shared_stats),
+            ("commit-stage statistics", self.commit_stats == other.commit_stats),
+        ]
+        .into_iter()
+        .find(|&(_, equal)| !equal)
+        .map(|(field, _)| field)
+    }
+
     /// Trace memory per simulated cycle in bytes (0 when tracing was off).
     pub fn trace_bytes_per_cycle(&self) -> f64 {
         if self.cycles == 0 {
@@ -248,6 +269,19 @@ mod tests {
         assert_eq!(report.total_squashes(), 5);
         assert!((report.mean_commit_occupancy().unwrap() - 3.0).abs() < 1e-9);
         assert_eq!(SimulationReport::default().mean_commit_occupancy(), None);
+    }
+
+    #[test]
+    fn behavioural_difference_names_the_first_differing_field() {
+        let base = SimulationReport { cycles: 10, ..SimulationReport::default() };
+        let mut other = SimulationReport { settle_iterations: 99, trace_bytes: 7, ..base.clone() };
+        assert_eq!(base.behavioural_difference(&other), None, "effort and trace size ignored");
+        other.commit_stats.insert(NodeId::new(4), CommitStageStats::default());
+        assert_eq!(base.behavioural_difference(&other), Some("commit-stage statistics"));
+        other.source_kills.insert(NodeId::new(1), 2);
+        assert_eq!(base.behavioural_difference(&other), Some("source kill counts"));
+        other.cycles = 11;
+        assert_eq!(other.behavioural_difference(&base), Some("cycle counts"));
     }
 
     #[test]

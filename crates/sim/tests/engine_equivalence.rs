@@ -26,7 +26,7 @@ fn run_with(
 
 /// Runs `netlist` under all three settle strategies and asserts equivalence
 /// of everything observable: the full per-cycle per-channel trace and every
-/// report field except the engine-effort counters.
+/// behavioural report field ([`SimulationReport::behavioural_difference`]).
 fn assert_engines_equivalent(name: &str, netlist: &Netlist, cycles: u64) {
     let (event_sim, event_report) = run_with(netlist, SettleStrategy::EventDriven, cycles);
     let (sweep_sim, sweep_report) = run_with(netlist, SettleStrategy::FullSweep, cycles);
@@ -48,19 +48,10 @@ fn assert_engines_equivalent(name: &str, netlist: &Netlist, cycles: u64) {
         assert_eq!(packed, oracle, "{name}: cycle {cycle} decodes identically");
     }
     for (strategy, report) in [("full-sweep", &sweep_report), ("compiled", &compiled_report)] {
-        assert_eq!(event_report.cycles, report.cycles, "{name}/{strategy}: cycles");
         assert_eq!(
-            event_report.sink_streams, report.sink_streams,
-            "{name}/{strategy}: sink streams"
-        );
-        assert_eq!(
-            event_report.source_kills, report.source_kills,
-            "{name}/{strategy}: source kills"
-        );
-        assert_eq!(event_report.node_stats, report.node_stats, "{name}/{strategy}: node stats");
-        assert_eq!(
-            event_report.shared_stats, report.shared_stats,
-            "{name}/{strategy}: shared stats"
+            event_report.behavioural_difference(report),
+            None,
+            "{name}/{strategy}: the report differs from the event-driven engine's"
         );
     }
     assert!(
@@ -100,27 +91,10 @@ fn assert_lane_broadcast_identity(name: &str, netlist: &Netlist, cycles: u64) {
             scalar_sim.trace(),
             "{name}: lane {lane} trace must be bit-identical to the scalar engine"
         );
-        let lane_report = lane_sim.report(lane);
-        assert_eq!(lane_report.cycles, scalar_report.cycles, "{name}: lane {lane} cycles");
         assert_eq!(
-            lane_report.sink_streams, scalar_report.sink_streams,
-            "{name}: lane {lane} sink streams"
-        );
-        assert_eq!(
-            lane_report.source_kills, scalar_report.source_kills,
-            "{name}: lane {lane} source kills"
-        );
-        assert_eq!(
-            lane_report.node_stats, scalar_report.node_stats,
-            "{name}: lane {lane} node stats"
-        );
-        assert_eq!(
-            lane_report.shared_stats, scalar_report.shared_stats,
-            "{name}: lane {lane} shared stats"
-        );
-        assert_eq!(
-            lane_report.commit_stats, scalar_report.commit_stats,
-            "{name}: lane {lane} commit stats"
+            lane_sim.report(lane).behavioural_difference(&scalar_report),
+            None,
+            "{name}: lane {lane} report differs from the scalar engine's"
         );
     }
 }
@@ -352,9 +326,11 @@ fn per_lane_sink_environments_match_per_lane_scalar_runs() {
             scalar.trace(),
             "lane {lane} trace must match its scalar environment run"
         );
-        let lane_report = lane_sim.report(lane);
-        assert_eq!(lane_report.sink_streams, scalar_report.sink_streams, "lane {lane} streams");
-        assert_eq!(lane_report.node_stats, scalar_report.node_stats, "lane {lane} node stats");
+        assert_eq!(
+            lane_sim.report(lane).behavioural_difference(&scalar_report),
+            None,
+            "lane {lane} report must match its scalar environment run"
+        );
     }
     assert_ne!(
         lane_sim.divergent_lanes(),
@@ -411,9 +387,11 @@ fn per_lane_source_environments_match_per_lane_scalar_runs() {
             scalar.trace(),
             "lane {lane} trace must match its scalar offer-pattern run"
         );
-        let lane_report = lane_sim.report(lane);
-        assert_eq!(lane_report.sink_streams, scalar_report.sink_streams, "lane {lane} streams");
-        assert_eq!(lane_report.node_stats, scalar_report.node_stats, "lane {lane} node stats");
+        assert_eq!(
+            lane_sim.report(lane).behavioural_difference(&scalar_report),
+            None,
+            "lane {lane} report must match its scalar environment run"
+        );
     }
 }
 
@@ -469,8 +447,11 @@ fn lane_blocked_scheduler_injection_matches_per_lane_scalar_runs() {
             "lane {lane} trace must match its scalar scheduler run"
         );
         let lane_report = lane_sim.report(lane);
-        assert_eq!(lane_report.sink_streams, scalar_report.sink_streams, "lane {lane} streams");
-        assert_eq!(lane_report.shared_stats, scalar_report.shared_stats, "lane {lane} shared");
+        assert_eq!(
+            lane_report.behavioural_difference(&scalar_report),
+            None,
+            "lane {lane} report must match its scalar scheduler run"
+        );
         distinct_streams.insert(format!("{:?}", lane_report.sink_streams));
     }
     assert!(

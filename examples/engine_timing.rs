@@ -45,8 +45,7 @@ fn time_scalar(netlist: &Netlist, cycles: u64, repeats: u32) -> f64 {
 /// topologically-ordered micro-op plan; settling replays the plan with no
 /// worklist and no per-eval dispatch (`SettleStrategy::Compiled`).
 fn time_compiled(netlist: &Netlist, cycles: u64, repeats: u32) -> f64 {
-    let quiet =
-        SimConfig { record_trace: false, settle: SettleStrategy::Compiled, ..SimConfig::default() };
+    let quiet = SimConfig { record_trace: false, settle: SettleStrategy::Compiled };
     Simulation::new(netlist, &quiet).unwrap().run(cycles).unwrap();
     let mut best = f64::INFINITY;
     for _ in 0..repeats {
