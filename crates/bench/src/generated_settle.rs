@@ -17,120 +17,25 @@ pub fn settle_fig1a(
     channels: &mut [elastic_sim::signal::ChannelState],
     controllers: &[Box<dyn elastic_sim::controller::Controller>],
 ) {
-    for state in channels.iter_mut() {
-        *state = elastic_sim::signal::ChannelState::default();
-    }
-    let fork_5: u64 = controllers[5].as_any()
-        .and_then(|a| a.downcast_ref::<elastic_sim::controllers::fork::EagerFork>())
-        .expect("node 5 is an eager fork").pending_mask();
-    { // n0 `src0` (source): dynamic eval
-        let mut io = elastic_sim::controller::NodeIo::new(channels, &[], &[0]);
-        controllers[0].eval(&mut io);
-        channels[0].data &= 0xffu64;
-    }
-    { // n1 `src1` (source): dynamic eval
-        let mut io = elastic_sim::controller::NodeIo::new(channels, &[], &[1]);
-        controllers[1].eval(&mut io);
-        channels[1].data &= 0xffu64;
-    }
-    { // n4 `eb` (buffer): dynamic eval
-        let mut io = elastic_sim::controller::NodeIo::new(channels, &[3], &[4]);
-        controllers[4].eval(&mut io);
-        channels[4].data &= 0xffu64;
-    }
-    { // n7 `sink` (sink): dynamic eval
-        let mut io = elastic_sim::controller::NodeIo::new(channels, &[6], &[]);
-        controllers[7].eval(&mut io);
-    }
-    { // n5 `fork` (fork): forward
-        let input_valid = channels[4].forward_valid;
-        let data = channels[4].data;
-        let needs = input_valid && (fork_5 >> 0) & 1 == 1;
-        channels[5].forward_valid = needs;
-        channels[5].data = data & 0xffu64;
-        channels[5].backward_stop = !needs;
-        let needs = input_valid && (fork_5 >> 1) & 1 == 1;
-        channels[6].forward_valid = needs;
-        channels[6].data = data & 0xffu64;
-        channels[6].backward_stop = !needs;
-    }
-    { // n6 `g` (function): forward
-        let all_valid = channels[5].forward_valid;
-        let accept_kill = !channels[5].backward_stop;
-        let value = (channels[5].data) & 0x1u64;
-        channels[7].forward_valid = all_valid;
-        channels[7].data = value;
-        channels[7].backward_stop = !(all_valid || accept_kill);
-    }
-    { // n2 `mux` (mux): forward
-        let sel = channels[7];
-        let data_channels: [usize; 2] = [0, 1];
-        let selected = (sel.data as usize) % 2;
-        let valid = sel.forward_valid && channels[0].forward_valid && channels[1].forward_valid;
-        let value = channels[data_channels[selected]].data & 0xffu64;
-        channels[2].forward_valid = valid;
-        channels[2].data = value;
-        channels[2].backward_stop = true;
-    }
-    { // n3 `f` (function): forward
-        let all_valid = channels[2].forward_valid;
-        let accept_kill = !channels[2].backward_stop;
-        let value = (channels[2].data) & 0xffu64;
-        channels[3].forward_valid = all_valid;
-        channels[3].data = value;
-        channels[3].backward_stop = !(all_valid || accept_kill);
-    }
-    { // n3 `f` (function): backward
-        let out = channels[3];
-        let all_valid = channels[2].forward_valid;
-        let accept_kill = !channels[2].backward_stop;
-        let output_transfer = all_valid && !out.forward_stop && !out.backward_valid;
-        let annihilate = all_valid && out.backward_valid;
-        let fire = output_transfer || annihilate;
-        let forward_kill = out.backward_valid && !all_valid && accept_kill;
-        channels[2].forward_stop = !fire;
-        channels[2].backward_valid = forward_kill;
-    }
-    { // n2 `mux` (mux): backward
-        let sel = channels[7];
-        let data_channels: [usize; 2] = [0, 1];
-        let selected = (sel.data as usize) % 2;
-        let valid = sel.forward_valid && channels[0].forward_valid && channels[1].forward_valid;
-        let fire = valid && !channels[2].forward_stop;
-        channels[7].forward_stop = !fire;
-        for &ch in data_channels.iter() {
-            channels[ch].forward_stop = !fire;
-            channels[ch].backward_valid = false;
-        }
-    }
-    { // n6 `g` (function): backward
-        let out = channels[7];
-        let all_valid = channels[5].forward_valid;
-        let accept_kill = !channels[5].backward_stop;
-        let output_transfer = all_valid && !out.forward_stop && !out.backward_valid;
-        let annihilate = all_valid && out.backward_valid;
-        let fire = output_transfer || annihilate;
-        let forward_kill = out.backward_valid && !all_valid && accept_kill;
-        channels[5].forward_stop = !fire;
-        channels[5].backward_valid = forward_kill;
-    }
-    { // n5 `fork` (fork): backward
-        let input_valid = channels[4].forward_valid;
-        let mut done = true;
-        if (fork_5 >> 0) & 1 == 1 {
-            let out = channels[5];
-            let served = (out.backward_valid && !out.backward_stop) || (out.forward_valid && !out.forward_stop);
-            done &= input_valid && served;
-        }
-        if (fork_5 >> 1) & 1 == 1 {
-            let out = channels[6];
-            let served = (out.backward_valid && !out.backward_stop) || (out.forward_valid && !out.forward_stop);
-            done &= input_valid && served;
-        }
-        let fires = input_valid && done;
-        channels[4].forward_stop = !fires;
-        channels[4].backward_valid = false;
-    }
+    use elastic_sim::codegen::{concrete, Wires};
+    use elastic_sim::controllers::*;
+    let n2: &mux::MuxController = concrete(controllers, 2);
+    let n3: &function::FunctionBlock = concrete(controllers, 3);
+    let n5: &fork::EagerFork = concrete(controllers, 5);
+    let n6: &function::FunctionBlock = concrete(controllers, 6);
+    let mut wires = Wires::clear(channels, &[8, 8, 8, 8, 8, 8, 8, 1]);
+    controllers[0].eval(&mut wires.ports(&[], &[0])); // n0 `src0` (source)
+    controllers[1].eval(&mut wires.ports(&[], &[1])); // n1 `src1` (source)
+    controllers[4].eval(&mut wires.ports(&[3], &[4])); // n4 `eb` (buffer)
+    controllers[7].eval(&mut wires.ports(&[6], &[])); // n7 `sink` (sink)
+    n5.forward(&mut wires.ports(&[4], &[5, 6])); // n5 `fork` (fork)
+    n6.forward(&mut wires.ports(&[5], &[7])); // n6 `g` (function)
+    n2.forward(&mut wires.ports(&[7, 0, 1], &[2])); // n2 `mux` (mux)
+    n3.forward(&mut wires.ports(&[2], &[3])); // n3 `f` (function)
+    n3.backward(&mut wires.ports(&[2], &[3])); // n3 `f` (function)
+    n2.backward(&mut wires.ports(&[7, 0, 1], &[2])); // n2 `mux` (mux)
+    n6.backward(&mut wires.ports(&[5], &[7])); // n6 `g` (function)
+    n5.backward(&mut wires.ports(&[4], &[5, 6])); // n5 `fork` (fork)
 }
 
 /// Settle pass for `fig1d_speculation` (9 channels, 11 micro-ops, 5 trailing),
@@ -142,137 +47,28 @@ pub fn settle_fig1d(
     channels: &mut [elastic_sim::signal::ChannelState],
     controllers: &[Box<dyn elastic_sim::controller::Controller>],
 ) {
-    fn set_bool(slot: &mut bool, value: bool, changed: &mut bool) {
-        if *slot != value { *slot = value; *changed = true; }
-    }
-    fn set_data(slot: &mut u64, value: u64, changed: &mut bool) {
-        if *slot != value { *slot = value; *changed = true; }
-    }
-    for state in channels.iter_mut() {
-        *state = elastic_sim::signal::ChannelState::default();
-    }
-    let fork_4: u64 = controllers[4].as_any()
-        .and_then(|a| a.downcast_ref::<elastic_sim::controllers::fork::EagerFork>())
-        .expect("node 4 is an eager fork").pending_mask();
-    let mux_2: u64 = {
-        let m = controllers[2].as_any().and_then(|a| a.downcast_ref::<elastic_sim::controllers::mux::MuxController>())
-            .expect("node 2 is a mux");
-        let mut mask = 0u64;
-        for (j, &owed) in m.owed_anti_tokens().iter().take(64).enumerate() {
-            if owed > 0 { mask |= 1 << j; }
-        }
-        mask
-    };
-    { // n0 `src0` (source): dynamic eval
-        let mut io = elastic_sim::controller::NodeIo::new(channels, &[], &[0]);
-        controllers[0].eval(&mut io);
-        channels[0].data &= 0xffu64;
-    }
-    { // n1 `src1` (source): dynamic eval
-        let mut io = elastic_sim::controller::NodeIo::new(channels, &[], &[1]);
-        controllers[1].eval(&mut io);
-        channels[1].data &= 0xffu64;
-    }
-    { // n3 `eb` (buffer): dynamic eval
-        let mut io = elastic_sim::controller::NodeIo::new(channels, &[2], &[3]);
-        controllers[3].eval(&mut io);
-        channels[3].data &= 0xffu64;
-    }
-    { // n6 `sink` (sink): dynamic eval
-        let mut io = elastic_sim::controller::NodeIo::new(channels, &[5], &[]);
-        controllers[6].eval(&mut io);
-    }
-    { // n4 `fork` (fork): forward
-        let input_valid = channels[3].forward_valid;
-        let data = channels[3].data;
-        let needs = input_valid && (fork_4 >> 0) & 1 == 1;
-        channels[4].forward_valid = needs;
-        channels[4].data = data & 0xffu64;
-        channels[4].backward_stop = !needs;
-        let needs = input_valid && (fork_4 >> 1) & 1 == 1;
-        channels[5].forward_valid = needs;
-        channels[5].data = data & 0xffu64;
-        channels[5].backward_stop = !needs;
-    }
-    { // n5 `g` (function): forward
-        let all_valid = channels[4].forward_valid;
-        let accept_kill = !channels[4].backward_stop;
-        let value = (channels[4].data) & 0x1u64;
-        channels[6].forward_valid = all_valid;
-        channels[6].data = value;
-        channels[6].backward_stop = !(all_valid || accept_kill);
-    }
+    use elastic_sim::codegen::{concrete, Wires};
+    use elastic_sim::controllers::*;
+    let n2: &mux::MuxController = concrete(controllers, 2);
+    let n4: &fork::EagerFork = concrete(controllers, 4);
+    let n5: &function::FunctionBlock = concrete(controllers, 5);
+    let mut wires = Wires::clear(channels, &[8, 8, 8, 8, 8, 8, 1, 8, 8]);
+    controllers[0].eval(&mut wires.ports(&[], &[0])); // n0 `src0` (source)
+    controllers[1].eval(&mut wires.ports(&[], &[1])); // n1 `src1` (source)
+    controllers[3].eval(&mut wires.ports(&[2], &[3])); // n3 `eb` (buffer)
+    controllers[6].eval(&mut wires.ports(&[5], &[])); // n6 `sink` (sink)
+    n4.forward(&mut wires.ports(&[3], &[4, 5])); // n4 `fork` (fork)
+    n5.forward(&mut wires.ports(&[4], &[6])); // n5 `g` (function)
     // Trailing segment: ops on or downstream of combinational rail
     // cycles, relaxed in deterministic order until a sweep changes
     // nothing (settle budget 26).
-    for _ in 0..26 {
-        let mut changed = false;
-        { // n2 `mux` (mux): forward
-            let sel = channels[6];
-            let data_channels: [usize; 2] = [7, 8];
-            let selected = (sel.data as usize) % 2;
-            let valid = sel.forward_valid && channels[data_channels[selected]].forward_valid && (mux_2 >> selected) & 1 == 0;
-            let value = channels[data_channels[selected]].data & 0xffu64;
-            set_bool(&mut channels[2].forward_valid, valid, &mut changed);
-            set_data(&mut channels[2].data, value, &mut changed);
-            set_bool(&mut channels[2].backward_stop, true, &mut changed);
-        }
-        { // n2 `mux` (mux): backward
-            let sel = channels[6];
-            let data_channels: [usize; 2] = [7, 8];
-            let selected = (sel.data as usize) % 2;
-            let valid = sel.forward_valid && channels[data_channels[selected]].forward_valid && (mux_2 >> selected) & 1 == 0;
-            let fire = valid && !channels[2].forward_stop;
-            set_bool(&mut channels[6].forward_stop, !fire, &mut changed);
-            let clean = (mux_2 >> selected) & 1 == 0;
-            for (j, &ch) in data_channels.iter().enumerate() {
-                let is_selected = j == selected && sel.forward_valid;
-                let owed = (mux_2 >> j) & 1 == 1 || (fire && !is_selected);
-                let consuming = is_selected && fire && clean;
-                let kill = owed && !consuming;
-                let stop = if kill { false } else if is_selected { !fire } else { true };
-                set_bool(&mut channels[ch].forward_stop, stop, &mut changed);
-                set_bool(&mut channels[ch].backward_valid, kill, &mut changed);
-            }
-        }
-        { // n4 `fork` (fork): backward
-            let input_valid = channels[3].forward_valid;
-            let mut done = true;
-            if (fork_4 >> 0) & 1 == 1 {
-                let out = channels[4];
-                let served = (out.backward_valid && !out.backward_stop) || (out.forward_valid && !out.forward_stop);
-                done &= input_valid && served;
-            }
-            if (fork_4 >> 1) & 1 == 1 {
-                let out = channels[5];
-                let served = (out.backward_valid && !out.backward_stop) || (out.forward_valid && !out.forward_stop);
-                done &= input_valid && served;
-            }
-            let fires = input_valid && done;
-            set_bool(&mut channels[3].forward_stop, !fires, &mut changed);
-            set_bool(&mut channels[3].backward_valid, false, &mut changed);
-        }
-        { // n5 `g` (function): backward
-            let out = channels[6];
-            let all_valid = channels[4].forward_valid;
-            let accept_kill = !channels[4].backward_stop;
-            let output_transfer = all_valid && !out.forward_stop && !out.backward_valid;
-            let annihilate = all_valid && out.backward_valid;
-            let fire = output_transfer || annihilate;
-            let forward_kill = out.backward_valid && !all_valid && accept_kill;
-            set_bool(&mut channels[4].forward_stop, !fire, &mut changed);
-            set_bool(&mut channels[4].backward_valid, forward_kill, &mut changed);
-        }
-        { // n7 `f_sh0_shared` (shared): dynamic eval
-            let before = [channels[7], channels[8], channels[0], channels[1]];
-            let mut io = elastic_sim::controller::NodeIo::new(channels, &[0, 1], &[7, 8]);
-            controllers[7].eval(&mut io);
-            channels[7].data &= 0xffu64;
-            channels[8].data &= 0xffu64;
-            changed |= before != [channels[7], channels[8], channels[0], channels[1]];
-        }
-        if !changed { break; }
-    }
+    wires.relax(26, |wires| {
+        n2.forward(&mut wires.ports(&[6, 7, 8], &[2])); // n2 `mux` (mux)
+        n2.backward(&mut wires.ports(&[6, 7, 8], &[2])); // n2 `mux` (mux)
+        n4.backward(&mut wires.ports(&[3], &[4, 5])); // n4 `fork` (fork)
+        n5.backward(&mut wires.ports(&[4], &[6])); // n5 `g` (function)
+        controllers[7].eval(&mut wires.ports(&[0, 1], &[7, 8])); // n7 `f_sh0_shared` (shared)
+    });
 }
 
 /// Settle pass for `fig7b_speculative` (20 channels, 27 micro-ops, 16 trailing),
@@ -284,328 +80,50 @@ pub fn settle_fig7b(
     channels: &mut [elastic_sim::signal::ChannelState],
     controllers: &[Box<dyn elastic_sim::controller::Controller>],
 ) {
-    fn set_bool(slot: &mut bool, value: bool, changed: &mut bool) {
-        if *slot != value { *slot = value; *changed = true; }
-    }
-    fn set_data(slot: &mut u64, value: u64, changed: &mut bool) {
-        if *slot != value { *slot = value; *changed = true; }
-    }
-    for state in channels.iter_mut() {
-        *state = elastic_sim::signal::ChannelState::default();
-    }
-    let secded_7 = elastic_datapath::secded::Secded::new(32u8);
-    let secded_8 = elastic_datapath::secded::Secded::new(32u8);
-    let lut_9: &[u64] = &[0, 1, 1];
-    let secded_12 = elastic_datapath::secded::Secded::new(32u8);
-    let fork_14: u64 = controllers[14].as_any()
-        .and_then(|a| a.downcast_ref::<elastic_sim::controllers::fork::EagerFork>())
-        .expect("node 14 is an eager fork").pending_mask();
-    let fork_5: u64 = controllers[5].as_any()
-        .and_then(|a| a.downcast_ref::<elastic_sim::controllers::fork::EagerFork>())
-        .expect("node 5 is an eager fork").pending_mask();
-    let mux_10: u64 = {
-        let m = controllers[10].as_any().and_then(|a| a.downcast_ref::<elastic_sim::controllers::mux::MuxController>())
-            .expect("node 10 is a mux");
-        let mut mask = 0u64;
-        for (j, &owed) in m.owed_anti_tokens().iter().take(64).enumerate() {
-            if owed > 0 { mask |= 1 << j; }
-        }
-        mask
-    };
-    let fork_13: u64 = controllers[13].as_any()
-        .and_then(|a| a.downcast_ref::<elastic_sim::controllers::fork::EagerFork>())
-        .expect("node 13 is an eager fork").pending_mask();
-    { // n0 `state` (buffer): dynamic eval
-        let mut io = elastic_sim::controller::NodeIo::new(channels, &[14], &[0]);
-        controllers[0].eval(&mut io);
-        channels[0].data &= 0x7fffffffffu64;
-    }
-    { // n2 `fault_src` (source): dynamic eval
-        let mut io = elastic_sim::controller::NodeIo::new(channels, &[], &[1]);
-        controllers[2].eval(&mut io);
-        channels[1].data &= 0x7fffffffffu64;
-    }
-    { // n3 `operand_src` (source): dynamic eval
-        let mut io = elastic_sim::controller::NodeIo::new(channels, &[], &[10]);
-        controllers[3].eval(&mut io);
-        channels[10].data &= 0xffffffffu64;
-    }
-    { // n4 `sink` (sink): dynamic eval
-        let mut io = elastic_sim::controller::NodeIo::new(channels, &[15], &[]);
-        controllers[4].eval(&mut io);
-    }
-    { // n1 `inject_fault` (function): forward
-        let all_valid = channels[0].forward_valid && channels[1].forward_valid;
-        let accept_kill = !channels[0].backward_stop && !channels[1].backward_stop;
-        let value = ((channels[0].data ^ channels[1].data)) & 0x7fffffffffu64;
-        channels[2].forward_valid = all_valid;
-        channels[2].data = value;
-        channels[2].backward_stop = !(all_valid || accept_kill);
-    }
-    { // n14 `adder_op1_fork` (fork): forward
-        let input_valid = channels[10].forward_valid;
-        let data = channels[10].data;
-        let needs = input_valid && (fork_14 >> 0) & 1 == 1;
-        channels[16].forward_valid = needs;
-        channels[16].data = data & 0xffffffffu64;
-        channels[16].backward_stop = !needs;
-        let needs = input_valid && (fork_14 >> 1) & 1 == 1;
-        channels[17].forward_valid = needs;
-        channels[17].data = data & 0xffffffffu64;
-        channels[17].backward_stop = !needs;
-    }
-    { // n5 `check_fork` (fork): forward
-        let input_valid = channels[2].forward_valid;
-        let data = channels[2].data;
-        let needs = input_valid && (fork_5 >> 0) & 1 == 1;
-        channels[3].forward_valid = needs;
-        channels[3].data = data & 0x7fffffffffu64;
-        channels[3].backward_stop = !needs;
-        let needs = input_valid && (fork_5 >> 1) & 1 == 1;
-        channels[4].forward_valid = needs;
-        channels[4].data = data & 0x7fffffffffu64;
-        channels[4].backward_stop = !needs;
-        let needs = input_valid && (fork_5 >> 2) & 1 == 1;
-        channels[5].forward_valid = needs;
-        channels[5].data = data & 0x7fffffffffu64;
-        channels[5].backward_stop = !needs;
-    }
-    { // n6 `raw_extract` (function): forward
-        let all_valid = channels[3].forward_valid;
-        let accept_kill = !channels[3].backward_stop;
-        let value = (elastic_datapath::adder::mask(channels[3].data, 32u8)) & 0xffffffffu64;
-        channels[6].forward_valid = all_valid;
-        channels[6].data = value;
-        channels[6].backward_stop = !(all_valid || accept_kill);
-    }
-    { // n7 `secded_correct` (function): forward
-        let all_valid = channels[4].forward_valid;
-        let accept_kill = !channels[4].backward_stop;
-        let value = (secded_7.correct(channels[4].data)) & 0xffffffffu64;
-        channels[7].forward_valid = all_valid;
-        channels[7].data = value;
-        channels[7].backward_stop = !(all_valid || accept_kill);
-    }
-    { // n8 `secded_syndrome` (function): forward
-        let all_valid = channels[5].forward_valid;
-        let accept_kill = !channels[5].backward_stop;
-        let value = (secded_8.classify(channels[5].data).to_word()) & 0x3u64;
-        channels[8].forward_valid = all_valid;
-        channels[8].data = value;
-        channels[8].backward_stop = !(all_valid || accept_kill);
-    }
-    { // n9 `error_decision` (function): forward
-        let all_valid = channels[8].forward_valid;
-        let accept_kill = !channels[8].backward_stop;
-        let value = (lut_9[(channels[8].data as usize) % 3]) & 0x1u64;
-        channels[9].forward_valid = all_valid;
-        channels[9].data = value;
-        channels[9].backward_stop = !(all_valid || accept_kill);
-    }
+    use elastic_sim::codegen::{concrete, Wires};
+    use elastic_sim::controllers::*;
+    let n1: &function::FunctionBlock = concrete(controllers, 1);
+    let n5: &fork::EagerFork = concrete(controllers, 5);
+    let n6: &function::FunctionBlock = concrete(controllers, 6);
+    let n7: &function::FunctionBlock = concrete(controllers, 7);
+    let n8: &function::FunctionBlock = concrete(controllers, 8);
+    let n9: &function::FunctionBlock = concrete(controllers, 9);
+    let n10: &mux::MuxController = concrete(controllers, 10);
+    let n11: &function::FunctionBlock = concrete(controllers, 11);
+    let n12: &function::FunctionBlock = concrete(controllers, 12);
+    let n13: &fork::EagerFork = concrete(controllers, 13);
+    let n14: &fork::EagerFork = concrete(controllers, 14);
+    let mut wires = Wires::clear(channels, &[39, 39, 39, 39, 39, 39, 32, 32, 2, 1, 32, 32, 32, 39, 39, 39, 32, 32, 32, 32]);
+    controllers[0].eval(&mut wires.ports(&[14], &[0])); // n0 `state` (buffer)
+    controllers[2].eval(&mut wires.ports(&[], &[1])); // n2 `fault_src` (source)
+    controllers[3].eval(&mut wires.ports(&[], &[10])); // n3 `operand_src` (source)
+    controllers[4].eval(&mut wires.ports(&[15], &[])); // n4 `sink` (sink)
+    n1.forward(&mut wires.ports(&[0, 1], &[2])); // n1 `inject_fault` (function)
+    n14.forward(&mut wires.ports(&[10], &[16, 17])); // n14 `adder_op1_fork` (fork)
+    n5.forward(&mut wires.ports(&[2], &[3, 4, 5])); // n5 `check_fork` (fork)
+    n6.forward(&mut wires.ports(&[3], &[6])); // n6 `raw_extract` (function)
+    n7.forward(&mut wires.ports(&[4], &[7])); // n7 `secded_correct` (function)
+    n8.forward(&mut wires.ports(&[5], &[8])); // n8 `secded_syndrome` (function)
+    n9.forward(&mut wires.ports(&[8], &[9])); // n9 `error_decision` (function)
     // Trailing segment: ops on or downstream of combinational rail
     // cycles, relaxed in deterministic order until a sweep changes
     // nothing (settle budget 48).
-    for _ in 0..48 {
-        let mut changed = false;
-        { // n1 `inject_fault` (function): backward
-            let out = channels[2];
-            let all_valid = channels[0].forward_valid && channels[1].forward_valid;
-            let accept_kill = !channels[0].backward_stop && !channels[1].backward_stop;
-            let output_transfer = all_valid && !out.forward_stop && !out.backward_valid;
-            let annihilate = all_valid && out.backward_valid;
-            let fire = output_transfer || annihilate;
-            let forward_kill = out.backward_valid && !all_valid && accept_kill;
-            set_bool(&mut channels[0].forward_stop, !fire, &mut changed);
-            set_bool(&mut channels[0].backward_valid, forward_kill, &mut changed);
-            set_bool(&mut channels[1].forward_stop, !fire, &mut changed);
-            set_bool(&mut channels[1].backward_valid, forward_kill, &mut changed);
-        }
-        { // n5 `check_fork` (fork): backward
-            let input_valid = channels[2].forward_valid;
-            let mut done = true;
-            if (fork_5 >> 0) & 1 == 1 {
-                let out = channels[3];
-                let served = (out.backward_valid && !out.backward_stop) || (out.forward_valid && !out.forward_stop);
-                done &= input_valid && served;
-            }
-            if (fork_5 >> 1) & 1 == 1 {
-                let out = channels[4];
-                let served = (out.backward_valid && !out.backward_stop) || (out.forward_valid && !out.forward_stop);
-                done &= input_valid && served;
-            }
-            if (fork_5 >> 2) & 1 == 1 {
-                let out = channels[5];
-                let served = (out.backward_valid && !out.backward_stop) || (out.forward_valid && !out.forward_stop);
-                done &= input_valid && served;
-            }
-            let fires = input_valid && done;
-            set_bool(&mut channels[2].forward_stop, !fires, &mut changed);
-            set_bool(&mut channels[2].backward_valid, false, &mut changed);
-        }
-        { // n6 `raw_extract` (function): backward
-            let out = channels[6];
-            let all_valid = channels[3].forward_valid;
-            let accept_kill = !channels[3].backward_stop;
-            let output_transfer = all_valid && !out.forward_stop && !out.backward_valid;
-            let annihilate = all_valid && out.backward_valid;
-            let fire = output_transfer || annihilate;
-            let forward_kill = out.backward_valid && !all_valid && accept_kill;
-            set_bool(&mut channels[3].forward_stop, !fire, &mut changed);
-            set_bool(&mut channels[3].backward_valid, forward_kill, &mut changed);
-        }
-        { // n7 `secded_correct` (function): backward
-            let out = channels[7];
-            let all_valid = channels[4].forward_valid;
-            let accept_kill = !channels[4].backward_stop;
-            let output_transfer = all_valid && !out.forward_stop && !out.backward_valid;
-            let annihilate = all_valid && out.backward_valid;
-            let fire = output_transfer || annihilate;
-            let forward_kill = out.backward_valid && !all_valid && accept_kill;
-            set_bool(&mut channels[4].forward_stop, !fire, &mut changed);
-            set_bool(&mut channels[4].backward_valid, forward_kill, &mut changed);
-        }
-        { // n8 `secded_syndrome` (function): backward
-            let out = channels[8];
-            let all_valid = channels[5].forward_valid;
-            let accept_kill = !channels[5].backward_stop;
-            let output_transfer = all_valid && !out.forward_stop && !out.backward_valid;
-            let annihilate = all_valid && out.backward_valid;
-            let fire = output_transfer || annihilate;
-            let forward_kill = out.backward_valid && !all_valid && accept_kill;
-            set_bool(&mut channels[5].forward_stop, !fire, &mut changed);
-            set_bool(&mut channels[5].backward_valid, forward_kill, &mut changed);
-        }
-        { // n9 `error_decision` (function): backward
-            let out = channels[9];
-            let all_valid = channels[8].forward_valid;
-            let accept_kill = !channels[8].backward_stop;
-            let output_transfer = all_valid && !out.forward_stop && !out.backward_valid;
-            let annihilate = all_valid && out.backward_valid;
-            let fire = output_transfer || annihilate;
-            let forward_kill = out.backward_valid && !all_valid && accept_kill;
-            set_bool(&mut channels[8].forward_stop, !fire, &mut changed);
-            set_bool(&mut channels[8].backward_valid, forward_kill, &mut changed);
-        }
-        { // n10 `mux` (mux): forward
-            let sel = channels[9];
-            let data_channels: [usize; 2] = [18, 19];
-            let selected = (sel.data as usize) % 2;
-            let valid = sel.forward_valid && channels[data_channels[selected]].forward_valid && (mux_10 >> selected) & 1 == 0;
-            let value = channels[data_channels[selected]].data & 0xffffffffu64;
-            set_bool(&mut channels[11].forward_valid, valid, &mut changed);
-            set_data(&mut channels[11].data, value, &mut changed);
-            set_bool(&mut channels[11].backward_stop, true, &mut changed);
-        }
-        { // n10 `mux` (mux): backward
-            let sel = channels[9];
-            let data_channels: [usize; 2] = [18, 19];
-            let selected = (sel.data as usize) % 2;
-            let valid = sel.forward_valid && channels[data_channels[selected]].forward_valid && (mux_10 >> selected) & 1 == 0;
-            let fire = valid && !channels[11].forward_stop;
-            set_bool(&mut channels[9].forward_stop, !fire, &mut changed);
-            let clean = (mux_10 >> selected) & 1 == 0;
-            for (j, &ch) in data_channels.iter().enumerate() {
-                let is_selected = j == selected && sel.forward_valid;
-                let owed = (mux_10 >> j) & 1 == 1 || (fire && !is_selected);
-                let consuming = is_selected && fire && clean;
-                let kill = owed && !consuming;
-                let stop = if kill { false } else if is_selected { !fire } else { true };
-                set_bool(&mut channels[ch].forward_stop, stop, &mut changed);
-                set_bool(&mut channels[ch].backward_valid, kill, &mut changed);
-            }
-        }
-        { // n11 `wrap` (function): forward
-            let all_valid = channels[11].forward_valid;
-            let accept_kill = !channels[11].backward_stop;
-            let value = (elastic_datapath::adder::mask(channels[11].data, 32u8)) & 0xffffffffu64;
-            set_bool(&mut channels[12].forward_valid, all_valid, &mut changed);
-            set_data(&mut channels[12].data, value, &mut changed);
-            set_bool(&mut channels[12].backward_stop, !(all_valid || accept_kill), &mut changed);
-        }
-        { // n11 `wrap` (function): backward
-            let out = channels[12];
-            let all_valid = channels[11].forward_valid;
-            let accept_kill = !channels[11].backward_stop;
-            let output_transfer = all_valid && !out.forward_stop && !out.backward_valid;
-            let annihilate = all_valid && out.backward_valid;
-            let fire = output_transfer || annihilate;
-            let forward_kill = out.backward_valid && !all_valid && accept_kill;
-            set_bool(&mut channels[11].forward_stop, !fire, &mut changed);
-            set_bool(&mut channels[11].backward_valid, forward_kill, &mut changed);
-        }
-        { // n12 `secded_encode` (function): forward
-            let all_valid = channels[12].forward_valid;
-            let accept_kill = !channels[12].backward_stop;
-            let value = (secded_12.encode(channels[12].data)) & 0x7fffffffffu64;
-            set_bool(&mut channels[13].forward_valid, all_valid, &mut changed);
-            set_data(&mut channels[13].data, value, &mut changed);
-            set_bool(&mut channels[13].backward_stop, !(all_valid || accept_kill), &mut changed);
-        }
-        { // n12 `secded_encode` (function): backward
-            let out = channels[13];
-            let all_valid = channels[12].forward_valid;
-            let accept_kill = !channels[12].backward_stop;
-            let output_transfer = all_valid && !out.forward_stop && !out.backward_valid;
-            let annihilate = all_valid && out.backward_valid;
-            let fire = output_transfer || annihilate;
-            let forward_kill = out.backward_valid && !all_valid && accept_kill;
-            set_bool(&mut channels[12].forward_stop, !fire, &mut changed);
-            set_bool(&mut channels[12].backward_valid, forward_kill, &mut changed);
-        }
-        { // n13 `out_fork` (fork): forward
-            let input_valid = channels[13].forward_valid;
-            let data = channels[13].data;
-            let needs = input_valid && (fork_13 >> 0) & 1 == 1;
-            set_bool(&mut channels[14].forward_valid, needs, &mut changed);
-            set_data(&mut channels[14].data, data & 0x7fffffffffu64, &mut changed);
-            set_bool(&mut channels[14].backward_stop, !needs, &mut changed);
-            let needs = input_valid && (fork_13 >> 1) & 1 == 1;
-            set_bool(&mut channels[15].forward_valid, needs, &mut changed);
-            set_data(&mut channels[15].data, data & 0x7fffffffffu64, &mut changed);
-            set_bool(&mut channels[15].backward_stop, !needs, &mut changed);
-        }
-        { // n13 `out_fork` (fork): backward
-            let input_valid = channels[13].forward_valid;
-            let mut done = true;
-            if (fork_13 >> 0) & 1 == 1 {
-                let out = channels[14];
-                let served = (out.backward_valid && !out.backward_stop) || (out.forward_valid && !out.forward_stop);
-                done &= input_valid && served;
-            }
-            if (fork_13 >> 1) & 1 == 1 {
-                let out = channels[15];
-                let served = (out.backward_valid && !out.backward_stop) || (out.forward_valid && !out.forward_stop);
-                done &= input_valid && served;
-            }
-            let fires = input_valid && done;
-            set_bool(&mut channels[13].forward_stop, !fires, &mut changed);
-            set_bool(&mut channels[13].backward_valid, false, &mut changed);
-        }
-        { // n14 `adder_op1_fork` (fork): backward
-            let input_valid = channels[10].forward_valid;
-            let mut done = true;
-            if (fork_14 >> 0) & 1 == 1 {
-                let out = channels[16];
-                let served = (out.backward_valid && !out.backward_stop) || (out.forward_valid && !out.forward_stop);
-                done &= input_valid && served;
-            }
-            if (fork_14 >> 1) & 1 == 1 {
-                let out = channels[17];
-                let served = (out.backward_valid && !out.backward_stop) || (out.forward_valid && !out.forward_stop);
-                done &= input_valid && served;
-            }
-            let fires = input_valid && done;
-            set_bool(&mut channels[10].forward_stop, !fires, &mut changed);
-            set_bool(&mut channels[10].backward_valid, false, &mut changed);
-        }
-        { // n15 `adder_sh0_shared` (shared): dynamic eval
-            let before = [channels[18], channels[19], channels[6], channels[16], channels[7], channels[17]];
-            let mut io = elastic_sim::controller::NodeIo::new(channels, &[6, 16, 7, 17], &[18, 19]);
-            controllers[15].eval(&mut io);
-            channels[18].data &= 0xffffffffu64;
-            channels[19].data &= 0xffffffffu64;
-            changed |= before != [channels[18], channels[19], channels[6], channels[16], channels[7], channels[17]];
-        }
-        if !changed { break; }
-    }
+    wires.relax(48, |wires| {
+        n1.backward(&mut wires.ports(&[0, 1], &[2])); // n1 `inject_fault` (function)
+        n5.backward(&mut wires.ports(&[2], &[3, 4, 5])); // n5 `check_fork` (fork)
+        n6.backward(&mut wires.ports(&[3], &[6])); // n6 `raw_extract` (function)
+        n7.backward(&mut wires.ports(&[4], &[7])); // n7 `secded_correct` (function)
+        n8.backward(&mut wires.ports(&[5], &[8])); // n8 `secded_syndrome` (function)
+        n9.backward(&mut wires.ports(&[8], &[9])); // n9 `error_decision` (function)
+        n10.forward(&mut wires.ports(&[9, 18, 19], &[11])); // n10 `mux` (mux)
+        n10.backward(&mut wires.ports(&[9, 18, 19], &[11])); // n10 `mux` (mux)
+        n11.forward(&mut wires.ports(&[11], &[12])); // n11 `wrap` (function)
+        n11.backward(&mut wires.ports(&[11], &[12])); // n11 `wrap` (function)
+        n12.forward(&mut wires.ports(&[12], &[13])); // n12 `secded_encode` (function)
+        n12.backward(&mut wires.ports(&[12], &[13])); // n12 `secded_encode` (function)
+        n13.forward(&mut wires.ports(&[13], &[14, 15])); // n13 `out_fork` (fork)
+        n13.backward(&mut wires.ports(&[13], &[14, 15])); // n13 `out_fork` (fork)
+        n14.backward(&mut wires.ports(&[10], &[16, 17])); // n14 `adder_op1_fork` (fork)
+        controllers[15].eval(&mut wires.ports(&[6, 16, 7, 17], &[18, 19])); // n15 `adder_sh0_shared` (shared)
+    });
 }

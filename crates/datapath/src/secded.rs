@@ -40,9 +40,9 @@ impl Syndrome {
 }
 
 /// Number of Hamming parity bits needed for `data_width` data bits.
-pub fn parity_bits(data_width: u8) -> u8 {
+pub const fn parity_bits(data_width: u8) -> u8 {
     let mut r = 0u8;
-    while (1u64 << r) < u64::from(data_width) + u64::from(r) + 1 {
+    while (1u64 << r) < data_width as u64 + r as u64 + 1 {
         r += 1;
     }
     r
@@ -51,6 +51,82 @@ pub fn parity_bits(data_width: u8) -> u8 {
 /// Total codeword width (data + Hamming parity + overall parity).
 pub fn codeword_width(data_width: u8) -> u8 {
     data_width + parity_bits(data_width) + 1
+}
+
+/// Most Hamming parity bits either code needs: 7 for the (72,64) code, 6
+/// for [`Secded`]'s widths up to 57.
+const MAX_PARITY: usize = 7;
+
+/// The data bit stored at 1-based Hamming position `position`, or `None`
+/// for a parity position (a power of two). Data bits fill the other
+/// positions in order, so the data bit at `p` is `p - ⌊log2 p⌋ - 2`.
+fn data_bit_at(position: u32) -> Option<u32> {
+    (position >= 3 && !position.is_power_of_two()).then(|| position - position.ilog2() - 2)
+}
+
+/// Per-parity-bit coverage masks over the data word: bit `j` of
+/// `masks[p]` is set when data bit `j` sits at a Hamming position whose
+/// bit `p` is set.
+const fn coverage_masks(data_width: u32, parity: u32) -> [u64; MAX_PARITY] {
+    let mut masks = [0u64; MAX_PARITY];
+    let mut position = 3u32;
+    let mut data_bit = 0u32;
+    while data_bit < data_width {
+        if !position.is_power_of_two() {
+            let mut p = 0;
+            while p < parity {
+                if position & (1 << p) != 0 {
+                    masks[p as usize] |= 1 << data_bit;
+                }
+                p += 1;
+            }
+            data_bit += 1;
+        }
+        position += 1;
+    }
+    masks
+}
+
+/// Coverage masks of [`Secded`] for every data width `1..=57`, built once at
+/// compile time (index 0 is unused).
+const SECDED_MASKS: [[u64; MAX_PARITY]; 58] = {
+    let mut table = [[0u64; MAX_PARITY]; 58];
+    let mut width = 1u8;
+    while width <= 57 {
+        table[width as usize] = coverage_masks(width as u32, parity_bits(width) as u32);
+        width += 1;
+    }
+    table
+};
+
+/// Coverage masks of the (72,64) code.
+const SECDED72_MASKS: [u64; MAX_PARITY] = coverage_masks(64, Secded72::PARITY_BITS as u32);
+
+/// Hamming parity bits of `data`: one popcount per coverage mask.
+fn hamming_parity(data: u64, masks: &[u64]) -> u64 {
+    masks
+        .iter()
+        .enumerate()
+        .fold(0, |word, (p, &mask)| word | (u64::from((data & mask).count_ones() & 1) << p))
+}
+
+/// Shared decision of both codes' decoders: the corrected data and the
+/// syndrome class, given the raw data bits, the Hamming syndrome and
+/// whether the overall parity checks out.
+fn correct(data: u64, data_width: u32, syndrome: u64, overall_ok: bool) -> (u64, Syndrome) {
+    match (syndrome, overall_ok) {
+        (0, true) => (data, Syndrome::Clean),
+        // Only the overall parity bit was flipped; the data is intact.
+        (0, false) => (data, Syndrome::Corrected),
+        // Non-zero Hamming syndrome but overall parity matches: two flips.
+        (_, true) => (data, Syndrome::DoubleError),
+        // A single-bit error at Hamming position `syndrome`: flip it back if
+        // it is a data bit (a parity bit hit leaves the data intact).
+        (position, false) => match data_bit_at(position as u32) {
+            Some(bit) if bit < data_width => (data ^ (1 << bit), Syndrome::Corrected),
+            _ => (data, Syndrome::Corrected),
+        },
+    }
 }
 
 /// A parametric Hamming SECDED code with a systematic layout, for data widths
@@ -62,7 +138,8 @@ pub struct Secded {
 }
 
 impl Secded {
-    /// Creates the code for the given data width.
+    /// Creates the code for the given data width. The parity coverage masks
+    /// are compile-time tables, so construction does no per-width work.
     ///
     /// # Panics
     ///
@@ -86,37 +163,8 @@ impl Secded {
         self.data_width + self.parity + 1
     }
 
-    /// Position (within the classic Hamming indexing, 1-based) of the j-th
-    /// data bit: data bits are placed at the non-power-of-two positions.
-    fn hamming_position_of_data_bit(&self, data_bit: u8) -> u32 {
-        let mut position = 1u32; // 1-based Hamming position
-        let mut seen = 0u8;
-        loop {
-            if !position.is_power_of_two() {
-                if seen == data_bit {
-                    return position;
-                }
-                seen += 1;
-            }
-            position += 1;
-        }
-    }
-
-    /// Computes the Hamming parity bits of a data word.
     fn hamming_parity(&self, data: u64) -> u64 {
-        let mut parity_word = 0u64;
-        for p in 0..self.parity {
-            let parity_position = 1u32 << p;
-            let mut parity = 0u64;
-            for data_bit in 0..self.data_width {
-                let position = self.hamming_position_of_data_bit(data_bit);
-                if position & parity_position != 0 {
-                    parity ^= (data >> data_bit) & 1;
-                }
-            }
-            parity_word |= parity << p;
-        }
-        parity_word
+        hamming_parity(data, &SECDED_MASKS[self.data_width as usize][..self.parity as usize])
     }
 
     /// Encodes a data word into a codeword (data in the low bits, Hamming
@@ -141,39 +189,11 @@ impl Secded {
         let received_parity =
             (codeword >> self.data_width) & crate::adder::mask(u64::MAX, self.parity);
         let received_overall = (codeword >> (self.data_width + self.parity)) & 1;
-
-        let expected_parity = self.hamming_parity(data);
-        let syndrome = received_parity ^ expected_parity;
+        let syndrome = received_parity ^ self.hamming_parity(data);
         let without_overall =
             codeword & crate::adder::mask(u64::MAX, self.data_width + self.parity);
         let overall_ok = ((without_overall.count_ones() as u64) & 1) == received_overall;
-
-        if syndrome == 0 && overall_ok {
-            return (data, Syndrome::Clean);
-        }
-        if syndrome == 0 && !overall_ok {
-            // Only the overall parity bit was flipped; the data is intact.
-            return (data, Syndrome::Corrected);
-        }
-        if overall_ok {
-            // Non-zero Hamming syndrome but overall parity matches: two bits flipped.
-            return (data, Syndrome::DoubleError);
-        }
-        // Single-bit error at Hamming position `syndrome`.
-        let position = syndrome as u32;
-        if position.is_power_of_two() {
-            // A parity bit itself was hit; the data is intact.
-            return (data, Syndrome::Corrected);
-        }
-        // Find which data bit lives at that Hamming position.
-        let mut corrected = data;
-        for data_bit in 0..self.data_width {
-            if self.hamming_position_of_data_bit(data_bit) == position {
-                corrected ^= 1 << data_bit;
-                break;
-            }
-        }
-        (corrected, Syndrome::Corrected)
+        correct(data, u32::from(self.data_width), syndrome, overall_ok)
     }
 
     /// Convenience: corrected data only.
@@ -202,38 +222,9 @@ impl Secded72 {
     /// Codeword width: 64 data + 7 Hamming + 1 overall = 72.
     pub const CODEWORD_WIDTH: u8 = 72;
 
-    fn hamming_position_of_data_bit(data_bit: u8) -> u32 {
-        let mut position = 1u32;
-        let mut seen = 0u8;
-        loop {
-            if !position.is_power_of_two() {
-                if seen == data_bit {
-                    return position;
-                }
-                seen += 1;
-            }
-            position += 1;
-        }
-    }
-
-    fn hamming_parity(data: u64) -> u64 {
-        let mut parity_word = 0u64;
-        for p in 0..Self::PARITY_BITS {
-            let parity_position = 1u32 << p;
-            let mut parity = 0u64;
-            for data_bit in 0..64 {
-                if Self::hamming_position_of_data_bit(data_bit) & parity_position != 0 {
-                    parity ^= (data >> data_bit) & 1;
-                }
-            }
-            parity_word |= parity << p;
-        }
-        parity_word
-    }
-
     /// Encodes 64 data bits into a 72-bit codeword.
     pub fn encode(data: u64) -> u128 {
-        let parity = Self::hamming_parity(data) as u128;
+        let parity = hamming_parity(data, &SECDED72_MASKS) as u128;
         let without_overall = data as u128 | (parity << 64);
         let overall = (without_overall.count_ones() as u128) & 1;
         without_overall | (overall << 71)
@@ -244,32 +235,10 @@ impl Secded72 {
         let data = codeword as u64;
         let received_parity = ((codeword >> 64) & 0x7F) as u64;
         let received_overall = ((codeword >> 71) & 1) as u64;
-        let expected_parity = Self::hamming_parity(data);
-        let syndrome = received_parity ^ expected_parity;
+        let syndrome = received_parity ^ hamming_parity(data, &SECDED72_MASKS);
         let without_overall = codeword & ((1u128 << 71) - 1);
         let overall_ok = ((without_overall.count_ones() as u64) & 1) == received_overall;
-
-        if syndrome == 0 && overall_ok {
-            return (data, Syndrome::Clean);
-        }
-        if syndrome == 0 {
-            return (data, Syndrome::Corrected);
-        }
-        if overall_ok {
-            return (data, Syndrome::DoubleError);
-        }
-        let position = syndrome as u32;
-        if position.is_power_of_two() {
-            return (data, Syndrome::Corrected);
-        }
-        let mut corrected = data;
-        for data_bit in 0..64 {
-            if Self::hamming_position_of_data_bit(data_bit) == position {
-                corrected ^= 1 << data_bit;
-                break;
-            }
-        }
-        (corrected, Syndrome::Corrected)
+        correct(data, 64, syndrome, overall_ok)
     }
 }
 
@@ -369,6 +338,130 @@ mod tests {
         assert!(result.is_err());
     }
 
+    /// The original scan-based code, kept as the oracle of the mask tables:
+    /// every data bit's Hamming position is re-found by linear scan.
+    mod oracle {
+        use super::super::Syndrome;
+
+        fn position_of(data_bit: u32) -> u32 {
+            let mut position = 1u32;
+            let mut seen = 0u32;
+            loop {
+                if !position.is_power_of_two() {
+                    if seen == data_bit {
+                        return position;
+                    }
+                    seen += 1;
+                }
+                position += 1;
+            }
+        }
+
+        fn parity(data: u64, data_width: u32, parity_bits: u32) -> u64 {
+            let mut parity_word = 0u64;
+            for p in 0..parity_bits {
+                let mut parity = 0u64;
+                for data_bit in 0..data_width {
+                    if position_of(data_bit) & (1 << p) != 0 {
+                        parity ^= (data >> data_bit) & 1;
+                    }
+                }
+                parity_word |= parity << p;
+            }
+            parity_word
+        }
+
+        fn decide(data: u64, data_width: u32, syndrome: u64, overall_ok: bool) -> (u64, Syndrome) {
+            if syndrome == 0 && overall_ok {
+                return (data, Syndrome::Clean);
+            }
+            if syndrome == 0 {
+                return (data, Syndrome::Corrected);
+            }
+            if overall_ok {
+                return (data, Syndrome::DoubleError);
+            }
+            let position = syndrome as u32;
+            if position.is_power_of_two() {
+                return (data, Syndrome::Corrected);
+            }
+            let mut corrected = data;
+            for data_bit in 0..data_width {
+                if position_of(data_bit) == position {
+                    corrected ^= 1 << data_bit;
+                    break;
+                }
+            }
+            (corrected, Syndrome::Corrected)
+        }
+
+        fn low(bits: u32) -> u64 {
+            if bits >= 64 {
+                u64::MAX
+            } else {
+                (1u64 << bits) - 1
+            }
+        }
+
+        pub fn encode(data_width: u8, data: u64) -> u64 {
+            let (w, r) = (u32::from(data_width), u32::from(super::super::parity_bits(data_width)));
+            let data = data & low(w);
+            let without_overall = data | (parity(data, w, r) << w);
+            without_overall | (u64::from(without_overall.count_ones() & 1) << (w + r))
+        }
+
+        pub fn decode(data_width: u8, codeword: u64) -> (u64, Syndrome) {
+            let (w, r) = (u32::from(data_width), u32::from(super::super::parity_bits(data_width)));
+            let data = codeword & low(w);
+            let syndrome = ((codeword >> w) & low(r)) ^ parity(data, w, r);
+            let overall_ok =
+                u64::from((codeword & low(w + r)).count_ones() & 1) == (codeword >> (w + r)) & 1;
+            decide(data, w, syndrome, overall_ok)
+        }
+
+        pub fn encode72(data: u64) -> u128 {
+            let without_overall = data as u128 | (u128::from(parity(data, 64, 7)) << 64);
+            without_overall | (u128::from(without_overall.count_ones() & 1) << 71)
+        }
+
+        pub fn decode72(codeword: u128) -> (u64, Syndrome) {
+            let data = codeword as u64;
+            let syndrome = ((codeword >> 64) & 0x7F) as u64 ^ parity(data, 64, 7);
+            let overall_ok = u128::from((codeword & ((1u128 << 71) - 1)).count_ones() & 1)
+                == (codeword >> 71) & 1;
+            decide(data, 64, syndrome, overall_ok)
+        }
+    }
+
+    #[test]
+    fn mask_tables_match_the_scan_oracle_exhaustively_for_small_widths() {
+        for width in 1u8..=10 {
+            let code = Secded::new(width);
+            let bits = code.codeword_width();
+            for data in 0..(1u64 << width) {
+                let codeword = code.encode(data);
+                assert_eq!(codeword, oracle::encode(width, data), "width {width} data {data:#x}");
+                assert_eq!(code.decode(codeword), oracle::decode(width, codeword));
+                for first in 0..bits {
+                    let single = codeword ^ (1 << first);
+                    assert_eq!(
+                        code.decode(single),
+                        oracle::decode(width, single),
+                        "width {width} data {data:#x} flip {first}"
+                    );
+                    for second in first + 1..bits {
+                        let double = single ^ (1 << second);
+                        assert_eq!(
+                            code.decode(double),
+                            oracle::decode(width, double),
+                            "width {width} data {data:#x} flips {first},{second}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     proptest! {
         #[test]
         fn encode_decode_round_trips(data in any::<u64>(), width in 1u8..=57) {
@@ -387,6 +480,41 @@ mod tests {
             let (decoded, syndrome) = code.decode(codeword);
             prop_assert_eq!(syndrome, Syndrome::Corrected);
             prop_assert_eq!(decoded, data & crate::adder::mask(u64::MAX, width));
+        }
+
+        #[test]
+        fn mask_tables_match_the_scan_oracle(
+            data in any::<u64>(),
+            width in 1u8..=57,
+            first in 0u8..64,
+            second in 0u8..64,
+        ) {
+            let code = Secded::new(width);
+            let codeword = code.encode(data);
+            prop_assert_eq!(codeword, oracle::encode(width, data));
+            let bits = code.codeword_width();
+            for received in [
+                codeword,
+                codeword ^ (1 << (first % bits)),
+                codeword ^ (1 << (first % bits)) ^ (1 << (second % bits)),
+            ] {
+                prop_assert_eq!(code.decode(received), oracle::decode(width, received));
+            }
+        }
+
+        #[test]
+        fn full_width_masks_match_the_scan_oracle(
+            data in any::<u64>(),
+            first in 0u8..72,
+            second in 0u8..72,
+        ) {
+            let codeword = Secded72::encode(data);
+            prop_assert_eq!(codeword, oracle::encode72(data));
+            for received in
+                [codeword, codeword ^ (1 << first), codeword ^ (1 << first) ^ (1 << second)]
+            {
+                prop_assert_eq!(Secded72::decode(received), oracle::decode72(received));
+            }
         }
 
         #[test]

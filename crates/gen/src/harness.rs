@@ -650,7 +650,11 @@ pub fn run_netlist(
             Err(error) => return Err(fail("base-conservation", None, error.to_string())),
         }
     }
-    match check_netlist_protocol(netlist, options.cycles, &ProtocolOptions::default()) {
+    let protocol = ProtocolOptions {
+        starvation_window: liveness.progress_window,
+        ..ProtocolOptions::default()
+    };
+    match check_netlist_protocol(netlist, options.cycles, &protocol) {
         Ok(verdict) if verdict.passed() => report.notes.extend(verdict.notes),
         Ok(verdict) => return Err(fail("base-protocol", None, verdict.to_string())),
         Err(error) => return Err(fail("base-protocol", None, error.to_string())),
@@ -1027,6 +1031,29 @@ mod tests {
         }
         let options = HarnessOptions { compiled_differential: true, ..HarnessOptions::default() };
         run_case(1, &GenConfig::loops(), &options).unwrap_or_else(|failure| panic!("{failure}"));
+    }
+
+    #[test]
+    fn static_scheduler_loops_pass_with_one_liveness_window() {
+        // An already-speculated Figure-1(d) loop under a static scheduler:
+        // a misprediction is never corrected, so the losing user waits out
+        // the shared module's starvation limit, and an inserted buffer
+        // stretches the transfer-free run past 64 cycles. Deadlock freedom
+        // holds; the protocol checks must judge liveness by the same window.
+        use elastic_core::library::{fig1d, Fig1Config};
+        let options = HarnessOptions {
+            lane_differential: true,
+            compiled_differential: true,
+            ..HarnessOptions::default()
+        };
+        for scheduler in [SchedulerKind::Static(0), SchedulerKind::Static(1)] {
+            let config = Fig1Config { scheduler: scheduler.clone(), ..Fig1Config::default() };
+            let netlist = fig1d(&config).netlist;
+            for seed in 0..8 {
+                run_netlist(&netlist, seed, &options)
+                    .unwrap_or_else(|failure| panic!("{scheduler:?} seed {seed}: {failure}"));
+            }
+        }
     }
 
     #[test]

@@ -1,45 +1,38 @@
 //! Rust source emission for compiled settle plans.
 //!
 //! [`emit_settle_fn`] lowers a netlist through the same planner as
-//! [`SettleStrategy::Compiled`] and
-//! then prints the scheduled micro-ops as the source text of one Rust
-//! function: channel clearing, sequential-state snapshots and every fused
-//! rail-group equation appear as plain statements over `channels[i]`, with
-//! datapath operations inlined as closed-form expressions (or hoisted
-//! constructions — SECDED codecs, lookup tables) mirroring
-//! [`elastic_datapath::evaluate`] bit for bit. Controllers the planner does
-//! not specialize keep their dynamic `Controller::eval` call, so the
-//! generated function is exactly the compiled interpreter with the `match`
-//! dispatch and operand indirection constant-folded away:
+//! [`SettleStrategy::Compiled`] and then prints the scheduled micro-ops as
+//! the source text of one Rust function with one call per op: a fused op
+//! becomes a statically dispatched call of the planned controller's
+//! `forward` or `backward` equation (which run the shared equations of
+//! [`crate::handshake`] on the controller's own state, function blocks
+//! evaluating their data through [`elastic_datapath::evaluate`]); a
+//! controller the planner does not specialize keeps its dynamic
+//! `Controller::eval`. The generated function is the compiled interpreter
+//! with the `match` dispatch and the port lookups constant-folded away:
 //!
-//! * the plan's **straight-line prefix** becomes plain single-assignment
-//!   statements (each rail group is written exactly once, after all its
-//!   operand rails are final — no compare-and-set needed);
+//! * the plan's **straight-line prefix** becomes one statement per op, in
+//!   schedule order (every operand rail is final when an op runs);
 //! * the **trailing segment** (ops on or downstream of combinational rail
 //!   cycles, e.g. the speculative select loops of Figures 1(d) and 7(b))
-//!   becomes a bounded relaxation loop: compare-and-set writes under a
-//!   `changed` flag, swept in deterministic order until a sweep changes
-//!   nothing, capped at the engine's settle budget.
+//!   becomes a [`Wires::relax`] sweep, repeated in deterministic order until
+//!   a sweep changes nothing, capped at the engine's settle budget.
 //!
 //! The emitted text is self-contained — every path is fully qualified
-//! against `elastic_sim` / `elastic_datapath` — so a downstream crate checks
-//! it in as a module and calls it through [`run_generated`], which drives
-//! the ordinary engine cycle (settle → fault injection → trace → commit)
-//! with the generated function in place of the settle phase. The benchmark
-//! crate uses this for the paper designs: a golden test pins the checked-in
-//! module to what `emit_settle_fn` produces today, and a differential test
-//! pins its behaviour to the interpreted engines.
+//! against `elastic_sim` — so a downstream crate checks it in as a module
+//! and calls it through [`run_generated`], which drives the ordinary engine
+//! cycle (settle → fault injection → trace → commit) with the generated
+//! function in place of the settle phase. The benchmark crate uses this for
+//! the paper designs: a golden test pins the checked-in module to what
+//! `emit_settle_fn` produces today, and a differential test pins its
+//! behaviour to the interpreted engines.
 //!
 //! # Restrictions
 //!
-//! Emission fails (with [`CodegenError`]) when
-//!
-//! * the netlist contains **optimistic controllers** (lazy forks): they need
-//!   the event-driven two-pass seeding — the compiled strategy itself falls
-//!   back to the event-driven engine for those;
-//! * a function block uses a **datapath operation** `evaluate` would reject
-//!   (an out-of-range SECDED width) or that this emitter has no closed form
-//!   for.
+//! Emission fails (with [`CodegenError`]) when the netlist contains
+//! **optimistic controllers** (lazy forks): they need the event-driven
+//! two-pass seeding — the compiled strategy itself falls back to the
+//! event-driven engine for those.
 //!
 //! A netlist whose trailing segment fails to converge within the budget
 //! raises [`SimError::CombinationalLoop`] on the interpreted engines; the
@@ -47,12 +40,13 @@
 //! meaningful for netlists the interpreted engines settle — which the
 //! differential tests enforce.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use elastic_core::{Netlist, Node, NodeKind, Op};
+use elastic_core::Netlist;
 
 use crate::compiled::MicroOp;
-use crate::controller::Controller;
+use crate::controller::{Controller, NodeIo};
 use crate::engine::{SettleStrategy, SimConfig, SimError, Simulation};
 use crate::signal::ChannelState;
 
@@ -75,6 +69,72 @@ fn err(reason: impl Into<String>) -> CodegenError {
     CodegenError { reason: reason.into() }
 }
 
+/// The dense channel vector an emitted settle function drives.
+#[derive(Debug)]
+pub struct Wires<'a> {
+    channels: &'a mut [ChannelState],
+    widths: &'a [u8],
+    /// Channels changed in the current relaxation sweep (tracked only
+    /// inside [`Wires::relax`]).
+    dirty: Vec<usize>,
+    relaxing: bool,
+}
+
+impl<'a> Wires<'a> {
+    /// Clears every channel — the start of a settle pass. `widths` holds
+    /// each channel's declared width.
+    pub fn clear(channels: &'a mut [ChannelState], widths: &'a [u8]) -> Self {
+        channels.fill(ChannelState::default());
+        Wires { channels, widths, dirty: Vec::new(), relaxing: false }
+    }
+
+    /// A port view of one node: data writes are masked to the channel
+    /// width, and inside [`Wires::relax`] every changed signal is recorded.
+    pub fn ports<'s>(&'s mut self, inputs: &'s [usize], outputs: &'s [usize]) -> NodeIo<'s> {
+        let dirty = self.relaxing.then_some(&mut self.dirty);
+        NodeIo::masked(self.channels, inputs, outputs, self.widths, dirty)
+    }
+
+    /// Runs `sweep` until a sweep changes no signal, at most `budget` times.
+    pub fn relax(&mut self, budget: usize, mut sweep: impl FnMut(&mut Self)) {
+        self.relaxing = true;
+        for _ in 0..budget {
+            self.dirty.clear();
+            sweep(self);
+            if self.dirty.is_empty() {
+                break;
+            }
+        }
+        self.relaxing = false;
+    }
+}
+
+/// The concrete controller of node `node`: the compiled plan snapshots
+/// state through it, and emitted settle functions make their statically
+/// dispatched calls on it.
+///
+/// # Panics
+///
+/// When the controller is not a `T` — the plan or function was built for
+/// another netlist.
+pub fn concrete<T: 'static>(controllers: &[Box<dyn Controller>], node: usize) -> &T {
+    controllers[node]
+        .as_any()
+        .and_then(|any| any.downcast_ref::<T>())
+        .unwrap_or_else(|| panic!("node {node} is not a {}", std::any::type_name::<T>()))
+}
+
+/// The controller type each fused op calls, by planned op.
+fn concrete_type(op: &MicroOp) -> &'static str {
+    match op {
+        MicroOp::Eval { .. } => unreachable!("dynamic evals call through the trait"),
+        MicroOp::FnFwd { .. } | MicroOp::FnBwd { .. } => "function::FunctionBlock",
+        MicroOp::ZbFwd { .. } | MicroOp::ZbBwd { .. } => "buffer::ZeroBackwardBuffer",
+        MicroOp::ForkFwd { .. } | MicroOp::ForkBwd { .. } => "fork::EagerFork",
+        MicroOp::MuxFwd { .. } | MicroOp::MuxBwd { .. } => "mux::MuxController",
+    }
+}
+
 /// Emits the settle pass of `netlist` as the source text of one Rust
 /// function named `fn_name`:
 ///
@@ -93,9 +153,8 @@ fn err(reason: impl Into<String>) -> CodegenError {
 ///
 /// # Errors
 ///
-/// [`CodegenError`] when the netlist does not validate, needs optimistic
-/// (two-pass) settling, or uses a datapath operation without a closed
-/// emission form.
+/// [`CodegenError`] when the function name is not an identifier, the
+/// netlist does not build, or it needs optimistic (two-pass) settling.
 pub fn emit_settle_fn(netlist: &Netlist, fn_name: &str) -> Result<String, CodegenError> {
     let valid_name = !fn_name.is_empty()
         && fn_name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
@@ -112,23 +171,31 @@ pub fn emit_settle_fn(netlist: &Netlist, fn_name: &str) -> Result<String, Codege
              event-driven two-pass settle and cannot be emitted as a fixed op sequence"));
     };
 
-    let nodes: Vec<&Node> = netlist.live_nodes().collect();
-    let mut emitter = Emitter {
-        nodes: &nodes,
-        node_ports: sim.node_ports_table(),
-        widths: sim.channel_widths_table(),
-        pool: &plan.pool,
-        hoists: String::new(),
-        snapshots: String::new(),
+    let nodes: Vec<_> = netlist.live_nodes().collect();
+    let node_ports = sim.node_ports_table();
+    let widths = sim.channel_widths_table();
+    let mut planned = BTreeMap::new();
+    let mut emit = |body: &mut String, op: &MicroOp, pad: &str| {
+        let node = op.node() as usize;
+        let (inputs, outputs) = &node_ports[node];
+        let ports = format!("&mut wires.ports(&{inputs:?}, &{outputs:?})");
+        let call = match op.forward() {
+            None => format!("controllers[{node}].eval({ports})"),
+            Some(forward) => {
+                planned.insert(node, concrete_type(op));
+                format!("n{node}.{}({ports})", if forward { "forward" } else { "backward" })
+            }
+        };
+        let (name, kind) = (&nodes[node].name, nodes[node].kind.kind_name());
+        let _ = writeln!(body, "{pad}{call}; // n{node} `{name}` ({kind})");
     };
-
     let mut prefix = String::new();
     for op in &plan.ops[..plan.prefix_len] {
-        emitter.emit_op(&mut prefix, op, "    ", false)?;
+        emit(&mut prefix, op, "    ");
     }
     let mut trailing = String::new();
     for op in &plan.ops[plan.prefix_len..] {
-        emitter.emit_op(&mut trailing, op, "        ", true)?;
+        emit(&mut trailing, op, "        ");
     }
 
     let mut out = String::new();
@@ -136,7 +203,7 @@ pub fn emit_settle_fn(netlist: &Netlist, fn_name: &str) -> Result<String, Codege
         out,
         "/// Settle pass for `{}` ({} channels, {} micro-ops, {} trailing),",
         netlist.name(),
-        emitter.widths.len(),
+        widths.len(),
         plan.ops.len(),
         plan.ops.len() - plan.prefix_len,
     );
@@ -148,20 +215,12 @@ pub fn emit_settle_fn(netlist: &Netlist, fn_name: &str) -> Result<String, Codege
     let _ = writeln!(out, "    channels: &mut [elastic_sim::signal::ChannelState],");
     let _ = writeln!(out, "    controllers: &[Box<dyn elastic_sim::controller::Controller>],");
     let _ = writeln!(out, ") {{");
-    if !trailing.is_empty() {
-        let _ =
-            writeln!(out, "    fn set_bool(slot: &mut bool, value: bool, changed: &mut bool) {{");
-        let _ = writeln!(out, "        if *slot != value {{ *slot = value; *changed = true; }}");
-        let _ = writeln!(out, "    }}");
-        let _ = writeln!(out, "    fn set_data(slot: &mut u64, value: u64, changed: &mut bool) {{");
-        let _ = writeln!(out, "        if *slot != value {{ *slot = value; *changed = true; }}");
-        let _ = writeln!(out, "    }}");
+    let _ = writeln!(out, "    use elastic_sim::codegen::{{concrete, Wires}};");
+    let _ = writeln!(out, "    use elastic_sim::controllers::*;");
+    for (node, ty) in &planned {
+        let _ = writeln!(out, "    let n{node}: &{ty} = concrete(controllers, {node});");
     }
-    let _ = writeln!(out, "    for state in channels.iter_mut() {{");
-    let _ = writeln!(out, "        *state = elastic_sim::signal::ChannelState::default();");
-    let _ = writeln!(out, "    }}");
-    out.push_str(&emitter.hoists);
-    out.push_str(&emitter.snapshots);
+    let _ = writeln!(out, "    let mut wires = Wires::clear(channels, &{widths:?});");
     out.push_str(&prefix);
     if !trailing.is_empty() {
         let _ =
@@ -169,11 +228,9 @@ pub fn emit_settle_fn(netlist: &Netlist, fn_name: &str) -> Result<String, Codege
         let _ =
             writeln!(out, "    // cycles, relaxed in deterministic order until a sweep changes");
         let _ = writeln!(out, "    // nothing (settle budget {}).", sim.settle_budget());
-        let _ = writeln!(out, "    for _ in 0..{} {{", sim.settle_budget());
-        let _ = writeln!(out, "        let mut changed = false;");
+        let _ = writeln!(out, "    wires.relax({}, |wires| {{", sim.settle_budget());
         out.push_str(&trailing);
-        let _ = writeln!(out, "        if !changed {{ break; }}");
-        let _ = writeln!(out, "    }}");
+        let _ = writeln!(out, "    }});");
     }
     let _ = writeln!(out, "}}");
     Ok(out)
@@ -205,640 +262,6 @@ where
         sim.step_with_external_settle(&mut settle_fn);
     }
     Ok(sim)
-}
-
-/// `0x...u64` mask literal for a channel width, `None` for full-width
-/// channels (masking with `u64::MAX` is the identity).
-fn mask_literal(width: u8) -> Option<String> {
-    if width >= 64 {
-        None
-    } else {
-        Some(format!("{:#x}u64", (1u64 << width).wrapping_sub(1)))
-    }
-}
-
-struct Emitter<'a> {
-    nodes: &'a [&'a Node],
-    node_ports: &'a [(Vec<usize>, Vec<usize>)],
-    widths: &'a [u8],
-    pool: &'a [u32],
-    hoists: String,
-    snapshots: String,
-}
-
-impl Emitter<'_> {
-    /// One boolean rail write: plain assignment in the prefix,
-    /// compare-and-set under the `changed` flag in the trailing loop.
-    fn w_bool(&self, cas: bool, target: &str, value: &str) -> String {
-        if cas {
-            format!("set_bool(&mut {target}, {value}, &mut changed);")
-        } else {
-            format!("{target} = {value};")
-        }
-    }
-
-    fn w_data(&self, cas: bool, target: &str, value: &str) -> String {
-        if cas {
-            format!("set_data(&mut {target}, {value}, &mut changed);")
-        } else {
-            format!("{target} = {value};")
-        }
-    }
-
-    fn emit_op(
-        &mut self,
-        body: &mut String,
-        op: &MicroOp,
-        pad: &str,
-        cas: bool,
-    ) -> Result<(), CodegenError> {
-        let node = op.node() as usize;
-        let name = &self.nodes[node].name;
-        let kind = self.nodes[node].kind.kind_name();
-        match op {
-            MicroOp::Eval { .. } => {
-                let (inputs, outputs) = &self.node_ports[node];
-                let _ = writeln!(body, "{pad}{{ // n{node} `{name}` ({kind}): dynamic eval");
-                if cas {
-                    // Change detection across the rails this eval owns:
-                    // snapshot the attached channels and compare afterwards
-                    // (an eval only writes its own rail groups, so a state
-                    // difference is exactly a rail change).
-                    let watched: Vec<String> = outputs
-                        .iter()
-                        .chain(inputs.iter())
-                        .map(|&c| format!("channels[{c}]"))
-                        .collect();
-                    let _ = writeln!(body, "{pad}    let before = [{}];", watched.join(", "));
-                    self.emit_eval_call(body, pad, node, inputs, outputs);
-                    let _ =
-                        writeln!(body, "{pad}    changed |= before != [{}];", watched.join(", "));
-                } else {
-                    self.emit_eval_call(body, pad, node, inputs, outputs);
-                }
-                let _ = writeln!(body, "{pad}}}");
-            }
-            MicroOp::FnFwd { inputs, output, .. } => {
-                let NodeKind::Function(spec) = &self.nodes[node].kind else {
-                    return Err(err(format!("n{node} `{name}` planned as a function block")));
-                };
-                let inputs = inputs.slice(self.pool);
-                let out = *output as usize;
-                let operands: Vec<String> =
-                    inputs.iter().map(|&c| format!("channels[{c}].data")).collect();
-                let value = emit_data_expr(&spec.op, &operands, node, &mut self.hoists)?;
-                let value = match mask_literal(self.widths[out]) {
-                    Some(mask) => format!("({value}) & {mask}"),
-                    None => value,
-                };
-                let _ = writeln!(body, "{pad}{{ // n{node} `{name}` ({kind}): forward");
-                let _ = writeln!(body, "{pad}    let all_valid = {};", all_valid_expr(inputs));
-                let _ = writeln!(body, "{pad}    let accept_kill = {};", accept_kill_expr(inputs));
-                let _ = writeln!(body, "{pad}    let value = {value};");
-                let _ = writeln!(
-                    body,
-                    "{pad}    {}",
-                    self.w_bool(cas, &format!("channels[{out}].forward_valid"), "all_valid")
-                );
-                let _ = writeln!(
-                    body,
-                    "{pad}    {}",
-                    self.w_data(cas, &format!("channels[{out}].data"), "value")
-                );
-                let _ = writeln!(
-                    body,
-                    "{pad}    {}",
-                    self.w_bool(
-                        cas,
-                        &format!("channels[{out}].backward_stop"),
-                        "!(all_valid || accept_kill)"
-                    )
-                );
-                let _ = writeln!(body, "{pad}}}");
-            }
-            MicroOp::FnBwd { inputs, output, .. } => {
-                let inputs = inputs.slice(self.pool);
-                let out = *output as usize;
-                let _ = writeln!(body, "{pad}{{ // n{node} `{name}` ({kind}): backward");
-                let _ = writeln!(body, "{pad}    let out = channels[{out}];");
-                let _ = writeln!(body, "{pad}    let all_valid = {};", all_valid_expr(inputs));
-                let _ = writeln!(body, "{pad}    let accept_kill = {};", accept_kill_expr(inputs));
-                let _ = writeln!(
-                    body,
-                    "{pad}    let output_transfer = all_valid && !out.forward_stop && \
-                     !out.backward_valid;"
-                );
-                let _ =
-                    writeln!(body, "{pad}    let annihilate = all_valid && out.backward_valid;");
-                let _ = writeln!(body, "{pad}    let fire = output_transfer || annihilate;");
-                let _ = writeln!(
-                    body,
-                    "{pad}    let forward_kill = out.backward_valid && !all_valid && accept_kill;"
-                );
-                for &c in inputs {
-                    let _ = writeln!(
-                        body,
-                        "{pad}    {}",
-                        self.w_bool(cas, &format!("channels[{c}].forward_stop"), "!fire")
-                    );
-                    let _ = writeln!(
-                        body,
-                        "{pad}    {}",
-                        self.w_bool(cas, &format!("channels[{c}].backward_valid"), "forward_kill")
-                    );
-                }
-                let _ = writeln!(body, "{pad}}}");
-            }
-            MicroOp::ZbFwd { input, output, .. } => {
-                self.emit_zb_snapshot(node);
-                let inp = *input as usize;
-                let out = *output as usize;
-                let stored = match mask_literal(self.widths[out]) {
-                    Some(mask) => format!("zb_{node}.1 & {mask}"),
-                    None => format!("zb_{node}.1"),
-                };
-                let _ = writeln!(body, "{pad}{{ // n{node} `{name}` ({kind}): forward");
-                let _ = writeln!(
-                    body,
-                    "{pad}    let anti_stop = !zb_{node}.0 && channels[{inp}].backward_stop;"
-                );
-                let _ = writeln!(
-                    body,
-                    "{pad}    {}",
-                    self.w_bool(
-                        cas,
-                        &format!("channels[{out}].forward_valid"),
-                        &format!("zb_{node}.0")
-                    )
-                );
-                let _ = writeln!(
-                    body,
-                    "{pad}    {}",
-                    self.w_data(cas, &format!("channels[{out}].data"), &stored)
-                );
-                let _ = writeln!(
-                    body,
-                    "{pad}    {}",
-                    self.w_bool(cas, &format!("channels[{out}].backward_stop"), "anti_stop")
-                );
-                let _ = writeln!(body, "{pad}}}");
-            }
-            MicroOp::ZbBwd { input, output, .. } => {
-                self.emit_zb_snapshot(node);
-                let inp = *input as usize;
-                let out = *output as usize;
-                let _ = writeln!(body, "{pad}{{ // n{node} `{name}` ({kind}): backward");
-                let _ = writeln!(
-                    body,
-                    "{pad}    let stop = zb_{node}.0 && channels[{out}].forward_stop && \
-                     !channels[{out}].backward_valid;"
-                );
-                let _ = writeln!(
-                    body,
-                    "{pad}    let pass_through = !zb_{node}.0 && channels[{out}].backward_valid;"
-                );
-                let _ = writeln!(
-                    body,
-                    "{pad}    {}",
-                    self.w_bool(cas, &format!("channels[{inp}].forward_stop"), "stop")
-                );
-                let _ = writeln!(
-                    body,
-                    "{pad}    {}",
-                    self.w_bool(cas, &format!("channels[{inp}].backward_valid"), "pass_through")
-                );
-                let _ = writeln!(body, "{pad}}}");
-            }
-            MicroOp::ForkFwd { input, outputs, .. } => {
-                self.emit_fork_snapshot(node);
-                let inp = *input as usize;
-                let _ = writeln!(body, "{pad}{{ // n{node} `{name}` ({kind}): forward");
-                let _ = writeln!(body, "{pad}    let input_valid = channels[{inp}].forward_valid;");
-                let _ = writeln!(body, "{pad}    let data = channels[{inp}].data;");
-                for (branch, &c) in outputs.slice(self.pool).iter().enumerate() {
-                    let out = c as usize;
-                    let data = match mask_literal(self.widths[out]) {
-                        Some(mask) => format!("data & {mask}"),
-                        None => "data".to_string(),
-                    };
-                    let _ = writeln!(
-                        body,
-                        "{pad}    let needs = input_valid && (fork_{node} >> {branch}) & 1 == 1;"
-                    );
-                    let _ = writeln!(
-                        body,
-                        "{pad}    {}",
-                        self.w_bool(cas, &format!("channels[{out}].forward_valid"), "needs")
-                    );
-                    let _ = writeln!(
-                        body,
-                        "{pad}    {}",
-                        self.w_data(cas, &format!("channels[{out}].data"), &data)
-                    );
-                    let _ = writeln!(
-                        body,
-                        "{pad}    {}",
-                        self.w_bool(cas, &format!("channels[{out}].backward_stop"), "!needs")
-                    );
-                }
-                let _ = writeln!(body, "{pad}}}");
-            }
-            MicroOp::ForkBwd { input, outputs, .. } => {
-                self.emit_fork_snapshot(node);
-                let inp = *input as usize;
-                let _ = writeln!(body, "{pad}{{ // n{node} `{name}` ({kind}): backward");
-                let _ = writeln!(body, "{pad}    let input_valid = channels[{inp}].forward_valid;");
-                let _ = writeln!(body, "{pad}    let mut done = true;");
-                for (branch, &c) in outputs.slice(self.pool).iter().enumerate() {
-                    let out = c as usize;
-                    let _ = writeln!(body, "{pad}    if (fork_{node} >> {branch}) & 1 == 1 {{");
-                    let _ = writeln!(body, "{pad}        let out = channels[{out}];");
-                    let _ = writeln!(
-                        body,
-                        "{pad}        let served = (out.backward_valid && !out.backward_stop) || \
-                         (out.forward_valid && !out.forward_stop);"
-                    );
-                    let _ = writeln!(body, "{pad}        done &= input_valid && served;");
-                    let _ = writeln!(body, "{pad}    }}");
-                }
-                let _ = writeln!(body, "{pad}    let fires = input_valid && done;");
-                let _ = writeln!(
-                    body,
-                    "{pad}    {}",
-                    self.w_bool(cas, &format!("channels[{inp}].forward_stop"), "!fires")
-                );
-                let _ = writeln!(
-                    body,
-                    "{pad}    {}",
-                    self.w_bool(cas, &format!("channels[{inp}].backward_valid"), "false")
-                );
-                let _ = writeln!(body, "{pad}}}");
-            }
-            MicroOp::MuxFwd { select, data, output, early, .. } => {
-                if *early {
-                    self.emit_mux_snapshot(node);
-                }
-                let sel = *select as usize;
-                let out = *output as usize;
-                let data_channels = data.slice(self.pool);
-                let count = data_channels.len();
-                let _ = writeln!(body, "{pad}{{ // n{node} `{name}` ({kind}): forward");
-                let _ = writeln!(body, "{pad}    let sel = channels[{sel}];");
-                let _ = writeln!(
-                    body,
-                    "{pad}    let data_channels: [usize; {count}] = {data_channels:?};"
-                );
-                let _ = writeln!(body, "{pad}    let selected = (sel.data as usize) % {count};");
-                emit_mux_valid(body, pad, node, *early, data_channels);
-                let value = match mask_literal(self.widths[out]) {
-                    Some(mask) => format!("channels[data_channels[selected]].data & {mask}"),
-                    None => "channels[data_channels[selected]].data".to_string(),
-                };
-                let _ = writeln!(body, "{pad}    let value = {value};");
-                let _ = writeln!(
-                    body,
-                    "{pad}    {}",
-                    self.w_bool(cas, &format!("channels[{out}].forward_valid"), "valid")
-                );
-                let _ = writeln!(
-                    body,
-                    "{pad}    {}",
-                    self.w_data(cas, &format!("channels[{out}].data"), "value")
-                );
-                let _ = writeln!(
-                    body,
-                    "{pad}    {}",
-                    self.w_bool(cas, &format!("channels[{out}].backward_stop"), "true")
-                );
-                let _ = writeln!(body, "{pad}}}");
-            }
-            MicroOp::MuxBwd { select, data, output, early, .. } => {
-                if *early {
-                    self.emit_mux_snapshot(node);
-                }
-                let sel = *select as usize;
-                let out = *output as usize;
-                let data_channels = data.slice(self.pool);
-                let count = data_channels.len();
-                let _ = writeln!(body, "{pad}{{ // n{node} `{name}` ({kind}): backward");
-                let _ = writeln!(body, "{pad}    let sel = channels[{sel}];");
-                let _ = writeln!(
-                    body,
-                    "{pad}    let data_channels: [usize; {count}] = {data_channels:?};"
-                );
-                let _ = writeln!(body, "{pad}    let selected = (sel.data as usize) % {count};");
-                emit_mux_valid(body, pad, node, *early, data_channels);
-                let _ =
-                    writeln!(body, "{pad}    let fire = valid && !channels[{out}].forward_stop;");
-                let _ = writeln!(
-                    body,
-                    "{pad}    {}",
-                    self.w_bool(cas, &format!("channels[{sel}].forward_stop"), "!fire")
-                );
-                if *early {
-                    let _ =
-                        writeln!(body, "{pad}    let clean = (mux_{node} >> selected) & 1 == 0;");
-                    let _ = writeln!(
-                        body,
-                        "{pad}    for (j, &ch) in data_channels.iter().enumerate() {{"
-                    );
-                    let _ = writeln!(
-                        body,
-                        "{pad}        let is_selected = j == selected && sel.forward_valid;"
-                    );
-                    let _ = writeln!(
-                        body,
-                        "{pad}        let owed = (mux_{node} >> j) & 1 == 1 || (fire && \
-                         !is_selected);"
-                    );
-                    let _ = writeln!(
-                        body,
-                        "{pad}        let consuming = is_selected && fire && clean;"
-                    );
-                    let _ = writeln!(body, "{pad}        let kill = owed && !consuming;");
-                    let _ = writeln!(
-                        body,
-                        "{pad}        let stop = if kill {{ false }} else if is_selected {{ \
-                         !fire }} else {{ true }};"
-                    );
-                    let _ = writeln!(
-                        body,
-                        "{pad}        {}",
-                        self.w_bool(cas, "channels[ch].forward_stop", "stop")
-                    );
-                    let _ = writeln!(
-                        body,
-                        "{pad}        {}",
-                        self.w_bool(cas, "channels[ch].backward_valid", "kill")
-                    );
-                    let _ = writeln!(body, "{pad}    }}");
-                } else {
-                    let _ = writeln!(body, "{pad}    for &ch in data_channels.iter() {{");
-                    let _ = writeln!(
-                        body,
-                        "{pad}        {}",
-                        self.w_bool(cas, "channels[ch].forward_stop", "!fire")
-                    );
-                    let _ = writeln!(
-                        body,
-                        "{pad}        {}",
-                        self.w_bool(cas, "channels[ch].backward_valid", "false")
-                    );
-                    let _ = writeln!(body, "{pad}    }}");
-                }
-                let _ = writeln!(body, "{pad}}}");
-            }
-        }
-        Ok(())
-    }
-
-    fn emit_eval_call(
-        &self,
-        body: &mut String,
-        pad: &str,
-        node: usize,
-        inputs: &[usize],
-        outputs: &[usize],
-    ) {
-        let _ = writeln!(
-            body,
-            "{pad}    let mut io = elastic_sim::controller::NodeIo::new(channels, &{inputs:?}, \
-             &{outputs:?});"
-        );
-        let _ = writeln!(body, "{pad}    controllers[{node}].eval(&mut io);");
-        // `NodeIo::new` is the unmasked view (the engine's tracked view
-        // masks at write time); restore the wire-width invariant before any
-        // downstream op reads the data.
-        for &out in outputs {
-            if let Some(mask) = mask_literal(self.widths[out]) {
-                let _ = writeln!(body, "{pad}    channels[{out}].data &= {mask};");
-            }
-        }
-    }
-
-    fn emit_zb_snapshot(&mut self, node: usize) {
-        let marker = format!("let zb_{node}:");
-        if self.snapshots.contains(&marker) {
-            return;
-        }
-        let s = &mut self.snapshots;
-        let _ = writeln!(s, "    let zb_{node}: (bool, u64) = {{");
-        let _ = writeln!(
-            s,
-            "        let b = controllers[{node}].as_any().and_then(|a| \
-             a.downcast_ref::<elastic_sim::controllers::buffer::ZeroBackwardBuffer>())"
-        );
-        let _ = writeln!(s, "            .expect(\"node {node} is a zero-backward buffer\");");
-        let _ = writeln!(s, "        (b.is_full(), b.stored().unwrap_or(0))");
-        let _ = writeln!(s, "    }};");
-    }
-
-    fn emit_fork_snapshot(&mut self, node: usize) {
-        let marker = format!("let fork_{node}:");
-        if self.snapshots.contains(&marker) {
-            return;
-        }
-        let s = &mut self.snapshots;
-        let _ = writeln!(s, "    let fork_{node}: u64 = controllers[{node}].as_any()");
-        let _ = writeln!(
-            s,
-            "        .and_then(|a| a.downcast_ref::<elastic_sim::controllers::fork::EagerFork>())"
-        );
-        let _ = writeln!(s, "        .expect(\"node {node} is an eager fork\").pending_mask();");
-    }
-
-    fn emit_mux_snapshot(&mut self, node: usize) {
-        let marker = format!("let mux_{node}:");
-        if self.snapshots.contains(&marker) {
-            return;
-        }
-        let s = &mut self.snapshots;
-        let _ = writeln!(s, "    let mux_{node}: u64 = {{");
-        let _ = writeln!(
-            s,
-            "        let m = controllers[{node}].as_any().and_then(|a| \
-             a.downcast_ref::<elastic_sim::controllers::mux::MuxController>())"
-        );
-        let _ = writeln!(s, "            .expect(\"node {node} is a mux\");");
-        let _ = writeln!(s, "        let mut mask = 0u64;");
-        let _ = writeln!(
-            s,
-            "        for (j, &owed) in m.owed_anti_tokens().iter().take(64).enumerate() {{"
-        );
-        let _ = writeln!(s, "            if owed > 0 {{ mask |= 1 << j; }}");
-        let _ = writeln!(s, "        }}");
-        let _ = writeln!(s, "        mask");
-        let _ = writeln!(s, "    }};");
-    }
-}
-
-fn all_valid_expr(inputs: &[u32]) -> String {
-    if inputs.is_empty() {
-        return "true".to_string();
-    }
-    inputs.iter().map(|&c| format!("channels[{c}].forward_valid")).collect::<Vec<_>>().join(" && ")
-}
-
-fn accept_kill_expr(inputs: &[u32]) -> String {
-    if inputs.is_empty() {
-        return "true".to_string();
-    }
-    inputs.iter().map(|&c| format!("!channels[{c}].backward_stop")).collect::<Vec<_>>().join(" && ")
-}
-
-fn emit_mux_valid(body: &mut String, pad: &str, node: usize, early: bool, data_channels: &[u32]) {
-    if early {
-        let _ = writeln!(
-            body,
-            "{pad}    let valid = sel.forward_valid && \
-             channels[data_channels[selected]].forward_valid && (mux_{node} >> selected) & 1 == \
-             0;"
-        );
-    } else {
-        let all = data_channels
-            .iter()
-            .map(|&c| format!("channels[{c}].forward_valid"))
-            .collect::<Vec<_>>()
-            .join(" && ");
-        let _ = writeln!(body, "{pad}    let valid = sel.forward_valid && {all};");
-    }
-}
-
-/// Inlines one datapath operation over `operands` (expressions yielding
-/// `u64`), mirroring `evaluate(op, inputs).unwrap_or(0)` — the exact value
-/// the function controller drives. Operations whose evaluation would error
-/// on too few operands emit a literal `0u64`; variadic folds consume every
-/// operand, like `evaluate` does.
-fn emit_data_expr(
-    op: &Op,
-    operands: &[String],
-    node: usize,
-    hoists: &mut String,
-) -> Result<String, CodegenError> {
-    let need = |n: usize| -> Option<String> { (operands.len() < n).then(|| "0u64".to_string()) };
-    let fold = |sep: &dyn Fn(&str, &str) -> String, empty: &str| -> String {
-        match operands {
-            [] => empty.to_string(),
-            [first, rest @ ..] => {
-                let mut acc = first.clone();
-                for item in rest {
-                    acc = sep(&acc, item);
-                }
-                acc
-            }
-        }
-    };
-    let expr = match op {
-        Op::Identity | Op::Opaque { .. } => need(1).unwrap_or_else(|| operands[0].clone()),
-        Op::Const(value) => format!("{value:#x}u64"),
-        Op::Not => need(1).unwrap_or_else(|| format!("!{}", operands[0])),
-        Op::Neg => need(1).unwrap_or_else(|| format!("{}.wrapping_neg()", operands[0])),
-        Op::Add => fold(&|a, b| format!("{a}.wrapping_add({b})"), "0u64"),
-        Op::Sub => {
-            need(2).unwrap_or_else(|| format!("{}.wrapping_sub({})", operands[0], operands[1]))
-        }
-        Op::And => fold(&|a, b| format!("({a} & {b})"), "0u64"),
-        Op::Or => fold(&|a, b| format!("({a} | {b})"), "0u64"),
-        Op::Xor => fold(&|a, b| format!("({a} ^ {b})"), "0u64"),
-        Op::Shl => need(2).unwrap_or_else(|| {
-            format!("{}.wrapping_shl(({} & 63) as u32)", operands[0], operands[1])
-        }),
-        Op::Shr => need(2).unwrap_or_else(|| {
-            format!("{}.wrapping_shr(({} & 63) as u32)", operands[0], operands[1])
-        }),
-        Op::Inc => need(1).unwrap_or_else(|| format!("{}.wrapping_add(1)", operands[0])),
-        Op::Dec => need(1).unwrap_or_else(|| format!("{}.wrapping_sub(1)", operands[0])),
-        Op::Eq => {
-            need(2).unwrap_or_else(|| format!("u64::from({} == {})", operands[0], operands[1]))
-        }
-        Op::Ne => {
-            need(2).unwrap_or_else(|| format!("u64::from({} != {})", operands[0], operands[1]))
-        }
-        Op::Lt => {
-            need(2).unwrap_or_else(|| format!("u64::from({} < {})", operands[0], operands[1]))
-        }
-        Op::Alu8 => need(3).unwrap_or_else(|| {
-            format!(
-                "elastic_datapath::alu::alu8_word({}, {}, {})",
-                operands[0], operands[1], operands[2]
-            )
-        }),
-        Op::RippleAdd { width } => need(2).unwrap_or_else(|| {
-            format!(
-                "elastic_datapath::adder::ripple_add({}, {}, {width}u8)",
-                operands[0], operands[1]
-            )
-        }),
-        Op::KoggeStoneAdd { width } => need(2).unwrap_or_else(|| {
-            format!(
-                "elastic_datapath::adder::kogge_stone_add({}, {}, {width}u8)",
-                operands[0], operands[1]
-            )
-        }),
-        Op::ApproxAdd { width, spec_bits } => need(2).unwrap_or_else(|| {
-            format!(
-                "elastic_datapath::adder::approx_add({}, {}, {width}u8, {spec_bits}u8)",
-                operands[0], operands[1]
-            )
-        }),
-        Op::ApproxAddErr { width, spec_bits } => need(2).unwrap_or_else(|| {
-            format!(
-                "elastic_datapath::adder::approx_add_error({}, {}, {width}u8, {spec_bits}u8)",
-                operands[0], operands[1]
-            )
-        }),
-        Op::SecdedEncode { data_width }
-        | Op::SecdedCorrect { data_width }
-        | Op::SecdedSyndrome { data_width } => {
-            if !(1..=57).contains(data_width) {
-                return Err(err(format!(
-                    "n{node}: SECDED width {data_width} is outside 1..=57 (the interpreted \
-                     engines panic at first evaluation; there is no emission equivalent)"
-                )));
-            }
-            match need(1) {
-                Some(zero) => zero,
-                None => {
-                    let marker = format!("let secded_{node} =");
-                    if !hoists.contains(&marker) {
-                        let _ = writeln!(
-                            hoists,
-                            "    let secded_{node} = \
-                             elastic_datapath::secded::Secded::new({data_width}u8);"
-                        );
-                    }
-                    match op {
-                        Op::SecdedEncode { .. } => format!("secded_{node}.encode({})", operands[0]),
-                        Op::SecdedCorrect { .. } => {
-                            format!("secded_{node}.correct({})", operands[0])
-                        }
-                        _ => format!("secded_{node}.classify({}).to_word()", operands[0]),
-                    }
-                }
-            }
-        }
-        Op::BitSelect { bit } => {
-            need(1).unwrap_or_else(|| format!("({} >> {}) & 1", operands[0], bit & 63))
-        }
-        Op::Mask { width } => need(1).unwrap_or_else(|| {
-            format!("elastic_datapath::adder::mask({}, {width}u8)", operands[0])
-        }),
-        Op::Lut(table) => match need(1) {
-            Some(zero) => zero,
-            None if table.is_empty() => "0u64".to_string(),
-            None => {
-                let marker = format!("let lut_{node}:");
-                if !hoists.contains(&marker) {
-                    let _ = writeln!(hoists, "    let lut_{node}: &[u64] = &{table:?};");
-                }
-                format!("lut_{node}[({} as usize) % {}]", operands[0], table.len())
-            }
-        },
-        other => {
-            return Err(err(format!("n{node}: no closed emission form for datapath op {other:?}")))
-        }
-    };
-    Ok(expr)
 }
 
 #[cfg(test)]
@@ -873,7 +296,7 @@ mod tests {
             let source = emit_settle_fn(&netlist, "settle")
                 .unwrap_or_else(|error| panic!("{name}: {error}"));
             assert!(source.contains("pub fn settle("), "{name}: missing function header");
-            assert!(source.contains("ChannelState::default()"), "{name}: missing the clear phase");
+            assert!(source.contains("Wires::clear(channels"), "{name}: missing the clear phase");
         }
     }
 
@@ -886,7 +309,7 @@ mod tests {
         );
         let source = emit_settle_fn(&netlist, "settle").unwrap();
         assert!(!source.contains("Trailing segment"), "a pipeline is fully straight-line");
-        assert!(!source.contains("set_bool"), "no compare-and-set helpers without trailing ops");
+        assert!(!source.contains("wires.relax("), "no relaxation sweep without trailing ops");
     }
 
     #[test]
@@ -896,8 +319,7 @@ mod tests {
         let netlist = fig1d(&Fig1Config::default()).netlist;
         let source = emit_settle_fn(&netlist, "settle").unwrap();
         assert!(source.contains("Trailing segment"), "fig1d has trailing ops");
-        assert!(source.contains("let mut changed = false;"), "relaxation tracks changes");
-        assert!(source.contains("if !changed { break; }"), "relaxation stops at the fixpoint");
+        assert!(source.contains("wires.relax("), "trailing ops relax to a fixpoint");
     }
 
     #[test]

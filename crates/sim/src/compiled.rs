@@ -18,6 +18,13 @@
 //!   capped at the engine's settle budget (the same full-sweep-equivalent
 //!   unit the other strategies use).
 //!
+//! A fused op owns no equation: it calls the node kind's forward or
+//! backward equation in [`crate::handshake`] — the same code the scalar and
+//! lane controllers run — through a [`NodeIo`] on the node's ports,
+//! change-tracked in the trailing segment. What the plan owns is the
+//! schedule, the forward/backward split and the snapshots below. Function blocks evaluate their data through
+//! [`elastic_datapath::evaluate`], as the function controller does.
+//!
 //! Controllers the planner does not specialize (shared modules, commit
 //! stages, variable-latency units, future kinds) become [`MicroOp::Eval`]
 //! ops: a change-tracked dynamic `Controller::eval`, bit-identical to the
@@ -40,178 +47,42 @@
 //! controllers require.
 
 use elastic_core::{Netlist, NodeKind, Op};
-use elastic_datapath::evaluate;
-use elastic_datapath::secded::Secded;
 
+use crate::codegen::concrete;
 use crate::controller::{Controller, NodeIo};
 use crate::controllers::buffer::ZeroBackwardBuffer;
 use crate::controllers::fork::EagerFork;
 use crate::controllers::mux::MuxController;
+use crate::handshake::{
+    fork_backward, fork_forward, function_backward, function_forward, mux_backward, mux_forward,
+    zero_backward_backward, zero_backward_forward,
+};
 use crate::signal::ChannelState;
 
-/// A contiguous slice of the shared channel-index pool.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PoolRange {
-    start: u32,
-    len: u32,
-}
-
-impl PoolRange {
-    pub(crate) fn slice<'p>(&self, pool: &'p [u32]) -> &'p [u32] {
-        &pool[self.start as usize..(self.start + self.len) as usize]
-    }
-}
-
-/// Datapath operation of a function block, specialized at plan-build time.
-///
-/// Closed-form operations are inlined (mirroring
-/// [`elastic_datapath::evaluate`] bit for bit, including its
-/// missing-operand → 0 behaviour after the `unwrap_or(0)` the function
-/// controller applies); SECDED codes are prebuilt once instead of per
-/// evaluation; everything else falls back to `evaluate` itself.
-#[derive(Debug, Clone)]
-pub(crate) enum DataOp {
-    Identity,
-    Const(u64),
-    Not,
-    Neg,
-    Add,
-    Sub,
-    And,
-    Or,
-    Xor,
-    Shl,
-    Shr,
-    Inc,
-    Dec,
-    Eq,
-    Ne,
-    Lt,
-    SecdedEncode(Secded),
-    SecdedCorrect(Secded),
-    SecdedSyndrome(Secded),
-    General(Op),
-}
-
-impl DataOp {
-    fn from_op(op: &Op) -> DataOp {
-        match op {
-            Op::Identity => DataOp::Identity,
-            Op::Const(value) => DataOp::Const(*value),
-            Op::Not => DataOp::Not,
-            Op::Neg => DataOp::Neg,
-            Op::Add => DataOp::Add,
-            Op::Sub => DataOp::Sub,
-            Op::And => DataOp::And,
-            Op::Or => DataOp::Or,
-            Op::Xor => DataOp::Xor,
-            Op::Shl => DataOp::Shl,
-            Op::Shr => DataOp::Shr,
-            Op::Inc => DataOp::Inc,
-            Op::Dec => DataOp::Dec,
-            Op::Eq => DataOp::Eq,
-            Op::Ne => DataOp::Ne,
-            Op::Lt => DataOp::Lt,
-            // Invalid widths keep the general path so they panic at first
-            // evaluation, exactly when the interpreted engines would.
-            Op::SecdedEncode { data_width } if (1..=57).contains(data_width) => {
-                DataOp::SecdedEncode(Secded::new(*data_width))
-            }
-            Op::SecdedCorrect { data_width } if (1..=57).contains(data_width) => {
-                DataOp::SecdedCorrect(Secded::new(*data_width))
-            }
-            Op::SecdedSyndrome { data_width } if (1..=57).contains(data_width) => {
-                DataOp::SecdedSyndrome(Secded::new(*data_width))
-            }
-            other => DataOp::General(other.clone()),
-        }
-    }
-
-    /// Mirrors `evaluate(op, inputs).unwrap_or(0)` — the exact expression the
-    /// function controller computes.
-    #[inline]
-    fn eval(&self, inputs: &[u64]) -> u64 {
-        match self {
-            DataOp::Identity => inputs.first().copied().unwrap_or(0),
-            DataOp::Const(value) => *value,
-            DataOp::Not => inputs.first().map(|&a| !a).unwrap_or(0),
-            DataOp::Neg => inputs.first().map(|&a| a.wrapping_neg()).unwrap_or(0),
-            DataOp::Add => {
-                if inputs.is_empty() {
-                    0
-                } else {
-                    inputs.iter().fold(0u64, |acc, &x| acc.wrapping_add(x))
-                }
-            }
-            DataOp::Sub => match inputs {
-                [a, b, ..] => a.wrapping_sub(*b),
-                _ => 0,
-            },
-            DataOp::And => {
-                if inputs.is_empty() {
-                    0
-                } else {
-                    inputs.iter().fold(u64::MAX, |acc, &x| acc & x)
-                }
-            }
-            DataOp::Or => inputs.iter().fold(0u64, |acc, &x| acc | x),
-            DataOp::Xor => inputs.iter().fold(0u64, |acc, &x| acc ^ x),
-            DataOp::Shl => match inputs {
-                [a, b, ..] => a.wrapping_shl((*b & 63) as u32),
-                _ => 0,
-            },
-            DataOp::Shr => match inputs {
-                [a, b, ..] => a.wrapping_shr((*b & 63) as u32),
-                _ => 0,
-            },
-            DataOp::Inc => inputs.first().map(|&a| a.wrapping_add(1)).unwrap_or(0),
-            DataOp::Dec => inputs.first().map(|&a| a.wrapping_sub(1)).unwrap_or(0),
-            DataOp::Eq => match inputs {
-                [a, b, ..] => u64::from(a == b),
-                _ => 0,
-            },
-            DataOp::Ne => match inputs {
-                [a, b, ..] => u64::from(a != b),
-                _ => 0,
-            },
-            DataOp::Lt => match inputs {
-                [a, b, ..] => u64::from(a < b),
-                _ => 0,
-            },
-            DataOp::SecdedEncode(code) => inputs.first().map(|&a| code.encode(a)).unwrap_or(0),
-            DataOp::SecdedCorrect(code) => inputs.first().map(|&a| code.correct(a)).unwrap_or(0),
-            DataOp::SecdedSyndrome(code) => {
-                inputs.first().map(|&a| code.classify(a).to_word()).unwrap_or(0)
-            }
-            DataOp::General(op) => evaluate(op, inputs).unwrap_or(0),
-        }
-    }
-}
-
-/// One fused settle operation. Channel operands are dense channel indices;
-/// multi-channel operand lists live in the plan's shared pool.
+/// One fused settle operation on the ports of node `node`. `slot` indexes
+/// the node's sequential-state snapshot.
 #[derive(Debug, Clone)]
 pub(crate) enum MicroOp {
     /// Change-tracked dynamic `Controller::eval` — registered controllers
     /// (no rail reads) and every kind the planner does not specialize.
     Eval { node: u32 },
     /// Function block, forward group: join validity, datapath value, `S-`.
-    FnFwd { node: u32, inputs: PoolRange, output: u32, op: DataOp },
+    FnFwd { node: u32, op: Op },
     /// Function block, backward group: `S+`/`V-` toward every input.
-    FnBwd { node: u32, inputs: PoolRange, output: u32 },
+    FnBwd { node: u32 },
     /// Zero-backward buffer, forward group (reads the stored-word snapshot).
-    ZbFwd { node: u32, input: u32, output: u32, slot: u32 },
+    ZbFwd { node: u32, slot: u32 },
     /// Zero-backward buffer, backward group.
-    ZbBwd { node: u32, input: u32, output: u32, slot: u32 },
+    ZbBwd { node: u32, slot: u32 },
     /// Eager fork, forward group (reads the pending-branch snapshot).
-    ForkFwd { node: u32, input: u32, outputs: PoolRange, slot: u32 },
+    ForkFwd { node: u32, slot: u32 },
     /// Eager fork, backward group.
-    ForkBwd { node: u32, input: u32, outputs: PoolRange, slot: u32 },
-    /// Multiplexor, forward group. `slot` indexes the owed-anti-token
-    /// snapshot for early-evaluation muxes (`u32::MAX` for lazy ones).
-    MuxFwd { node: u32, select: u32, data: PoolRange, output: u32, early: bool, slot: u32 },
+    ForkBwd { node: u32, slot: u32 },
+    /// Multiplexor, forward group; early-evaluation muxes carry the slot of
+    /// their owed-anti-token snapshot.
+    MuxFwd { node: u32, early: Option<u32> },
     /// Multiplexor, backward group.
-    MuxBwd { node: u32, select: u32, data: PoolRange, output: u32, early: bool, slot: u32 },
+    MuxBwd { node: u32, early: Option<u32> },
 }
 
 impl MicroOp {
@@ -219,7 +90,7 @@ impl MicroOp {
         match self {
             MicroOp::Eval { node }
             | MicroOp::FnFwd { node, .. }
-            | MicroOp::FnBwd { node, .. }
+            | MicroOp::FnBwd { node }
             | MicroOp::ZbFwd { node, .. }
             | MicroOp::ZbBwd { node, .. }
             | MicroOp::ForkFwd { node, .. }
@@ -228,17 +99,31 @@ impl MicroOp {
             | MicroOp::MuxBwd { node, .. } => *node,
         }
     }
+
+    /// `Some(true)` for a forward op, `Some(false)` for a backward op and
+    /// `None` for a dynamic eval.
+    pub(crate) fn forward(&self) -> Option<bool> {
+        match self {
+            MicroOp::Eval { .. } => None,
+            MicroOp::FnFwd { .. }
+            | MicroOp::ZbFwd { .. }
+            | MicroOp::ForkFwd { .. }
+            | MicroOp::MuxFwd { .. } => Some(true),
+            _ => Some(false),
+        }
+    }
 }
 
-/// Where one snapshot slot is refreshed from at the start of every settle.
+/// Where one snapshot slot is refreshed from at the start of every settle
+/// (the slot is the index in the plan's snapshot list).
 #[derive(Debug, Clone, Copy)]
 enum SnapshotSource {
     /// `(is_full, stored_word)` of a zero-backward buffer.
-    ZeroBackward { node: u32, slot: u32 },
+    ZeroBackward(u32),
     /// Effective-pending bitmask of an eager fork.
-    Fork { node: u32, slot: u32 },
+    Fork(u32),
     /// Owed-anti-token bitmask (owed > 0 per data input) of an early mux.
-    Mux { node: u32, slot: u32 },
+    Mux(u32),
 }
 
 /// The engine state one settle pass operates on — disjoint borrows of the
@@ -264,17 +149,11 @@ pub(crate) struct CompiledPlan {
     /// `ops[prefix_len..]` the trailing (iterated) segment.
     pub(crate) ops: Vec<MicroOp>,
     pub(crate) prefix_len: usize,
-    /// Shared channel-index pool backing every [`PoolRange`].
-    pub(crate) pool: Vec<u32>,
-    /// Per-channel data mask derived from the declared width.
-    channel_masks: Vec<u64>,
     snapshots: Vec<SnapshotSource>,
-    /// Snapshot storage, refreshed once per settle.
-    zb: Vec<(bool, u64)>,
-    fork_pending: Vec<u64>,
-    mux_owed: Vec<u64>,
-    /// Reusable operand scratch for datapath evaluation.
-    operands: Vec<u64>,
+    /// Snapshot storage, refreshed once per settle: `(flag, word)` per slot
+    /// (the full flag and stored word of a zero-backward buffer, or a fork's
+    /// or mux's bitmask in the word).
+    state: Vec<(bool, u64)>,
 }
 
 /// Rail-group index: the producer-owned group `{V+, data, S-}` of channel
@@ -282,29 +161,8 @@ pub(crate) struct CompiledPlan {
 const FWD: usize = 0;
 const BWD: usize = 1;
 
-fn rail(channel: u32, group: usize) -> usize {
-    channel as usize * 2 + group
-}
-
-fn intern(pool: &mut Vec<u32>, channels: &[usize]) -> PoolRange {
-    let start = pool.len() as u32;
-    pool.extend(channels.iter().map(|&c| c as u32));
-    PoolRange { start, len: channels.len() as u32 }
-}
-
-fn mask_for(width: u8) -> u64 {
-    if width >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << width).wrapping_sub(1)
-    }
-}
-
-fn snapshot_ref<T: 'static>(controllers: &[Box<dyn Controller>], node: u32) -> &T {
-    controllers[node as usize]
-        .as_any()
-        .and_then(|any| any.downcast_ref::<T>())
-        .expect("compiled snapshot source matches the controller's concrete type")
+fn rails(channels: &[usize], group: usize) -> impl Iterator<Item = usize> + '_ {
+    channels.iter().map(move |&c| c * 2 + group)
 }
 
 impl CompiledPlan {
@@ -321,15 +179,14 @@ impl CompiledPlan {
         channel_widths: &[u8],
     ) -> CompiledPlan {
         let mut ops = Vec::new();
-        let mut pool = Vec::new();
         let mut snapshots = Vec::new();
-        let mut zb_slots = 0u32;
-        let mut fork_slots = 0u32;
-        let mut mux_slots = 0u32;
+        let mut snapshot = |source: fn(u32) -> SnapshotSource, node: u32| {
+            snapshots.push(source(node));
+            snapshots.len() as u32 - 1
+        };
 
         for (index, node) in netlist.live_nodes().enumerate() {
             let node_u32 = index as u32;
-            let (inputs, outputs) = &node_ports[index];
             if !reads_channels[index] {
                 // Fully registered: one dynamic eval, no rail reads.
                 ops.push(MicroOp::Eval { node: node_u32 });
@@ -337,92 +194,33 @@ impl CompiledPlan {
             }
             match &node.kind {
                 NodeKind::Function(spec) => {
-                    let input_range = intern(&mut pool, inputs);
-                    let output = outputs[0] as u32;
-                    ops.push(MicroOp::FnFwd {
-                        node: node_u32,
-                        inputs: input_range,
-                        output,
-                        op: DataOp::from_op(&spec.op),
-                    });
-                    ops.push(MicroOp::FnBwd { node: node_u32, inputs: input_range, output });
+                    ops.push(MicroOp::FnFwd { node: node_u32, op: spec.op.clone() });
+                    ops.push(MicroOp::FnBwd { node: node_u32 });
                 }
                 NodeKind::Buffer(spec) if spec.backward_latency == 0 => {
-                    let slot = zb_slots;
-                    zb_slots += 1;
-                    snapshots.push(SnapshotSource::ZeroBackward { node: node_u32, slot });
-                    let input = inputs[0] as u32;
-                    let output = outputs[0] as u32;
-                    ops.push(MicroOp::ZbFwd { node: node_u32, input, output, slot });
-                    ops.push(MicroOp::ZbBwd { node: node_u32, input, output, slot });
+                    let slot = snapshot(SnapshotSource::ZeroBackward, node_u32);
+                    ops.push(MicroOp::ZbFwd { node: node_u32, slot });
+                    ops.push(MicroOp::ZbBwd { node: node_u32, slot });
                 }
                 NodeKind::Fork(spec) if spec.eager && spec.outputs <= 64 => {
-                    let slot = fork_slots;
-                    fork_slots += 1;
-                    snapshots.push(SnapshotSource::Fork { node: node_u32, slot });
-                    let input = inputs[0] as u32;
-                    let output_range = intern(&mut pool, outputs);
-                    ops.push(MicroOp::ForkFwd {
-                        node: node_u32,
-                        input,
-                        outputs: output_range,
-                        slot,
-                    });
-                    ops.push(MicroOp::ForkBwd {
-                        node: node_u32,
-                        input,
-                        outputs: output_range,
-                        slot,
-                    });
+                    let slot = snapshot(SnapshotSource::Fork, node_u32);
+                    ops.push(MicroOp::ForkFwd { node: node_u32, slot });
+                    ops.push(MicroOp::ForkBwd { node: node_u32, slot });
                 }
                 NodeKind::Mux(spec)
                     if spec.data_inputs >= 1 && (!spec.early_eval || spec.data_inputs <= 64) =>
                 {
-                    let slot = if spec.early_eval {
-                        let slot = mux_slots;
-                        mux_slots += 1;
-                        snapshots.push(SnapshotSource::Mux { node: node_u32, slot });
-                        slot
-                    } else {
-                        u32::MAX
-                    };
-                    let select = inputs[0] as u32;
-                    let data_range = intern(&mut pool, &inputs[1..]);
-                    let output = outputs[0] as u32;
-                    ops.push(MicroOp::MuxFwd {
-                        node: node_u32,
-                        select,
-                        data: data_range,
-                        output,
-                        early: spec.early_eval,
-                        slot,
-                    });
-                    ops.push(MicroOp::MuxBwd {
-                        node: node_u32,
-                        select,
-                        data: data_range,
-                        output,
-                        early: spec.early_eval,
-                        slot,
-                    });
+                    let early = spec.early_eval.then(|| snapshot(SnapshotSource::Mux, node_u32));
+                    ops.push(MicroOp::MuxFwd { node: node_u32, early });
+                    ops.push(MicroOp::MuxBwd { node: node_u32, early });
                 }
                 _ => ops.push(MicroOp::Eval { node: node_u32 }),
             }
         }
 
-        let (ops, prefix_len) = schedule(ops, &pool, node_ports, reads_channels, channel_widths);
+        let (ops, prefix_len) = schedule(ops, node_ports, reads_channels, channel_widths);
 
-        CompiledPlan {
-            ops,
-            prefix_len,
-            pool,
-            channel_masks: channel_widths.iter().map(|&w| mask_for(w)).collect(),
-            snapshots,
-            zb: vec![(false, 0); zb_slots as usize],
-            fork_pending: vec![0; fork_slots as usize],
-            mux_owed: vec![0; mux_slots as usize],
-            operands: Vec::new(),
-        }
+        CompiledPlan { ops, prefix_len, state: vec![(false, 0); snapshots.len()], snapshots }
     }
 
     /// Drives the channels to their fixed point for one cycle. Returns
@@ -431,46 +229,30 @@ impl CompiledPlan {
     /// `ctx.oscillating` and the last wave's channels in `ctx.dirty`,
     /// exactly like the other strategies.
     pub(crate) fn settle(&mut self, ctx: &mut SettleCtx<'_>) -> bool {
-        let CompiledPlan {
-            ops,
-            prefix_len,
-            pool,
-            channel_masks,
-            snapshots,
-            zb,
-            fork_pending,
-            mux_owed,
-            operands,
-        } = self;
+        let CompiledPlan { ops, prefix_len, snapshots, state } = self;
 
         // Snapshot the sequential state the specialized equations read;
         // `eval` never mutates it, so once per settle is exact.
-        for source in snapshots.iter() {
-            match *source {
-                SnapshotSource::ZeroBackward { node, slot } => {
-                    let buffer: &ZeroBackwardBuffer = snapshot_ref(ctx.controllers, node);
-                    zb[slot as usize] = (buffer.is_full(), buffer.stored().unwrap_or(0));
+        for (slot, source) in state.iter_mut().zip(snapshots.iter()) {
+            *slot = match *source {
+                SnapshotSource::ZeroBackward(node) => {
+                    let buffer: &ZeroBackwardBuffer = concrete(ctx.controllers, node as usize);
+                    (buffer.is_full(), buffer.stored().unwrap_or(0))
                 }
-                SnapshotSource::Fork { node, slot } => {
-                    let fork: &EagerFork = snapshot_ref(ctx.controllers, node);
-                    fork_pending[slot as usize] = fork.pending_mask();
+                SnapshotSource::Fork(node) => {
+                    (false, concrete::<EagerFork>(ctx.controllers, node as usize).pending_mask())
                 }
-                SnapshotSource::Mux { node, slot } => {
-                    let mux: &MuxController = snapshot_ref(ctx.controllers, node);
-                    let mut mask = 0u64;
-                    for (j, &owed) in mux.owed_anti_tokens().iter().take(64).enumerate() {
-                        if owed > 0 {
-                            mask |= 1u64 << j;
-                        }
-                    }
-                    mux_owed[slot as usize] = mask;
+                SnapshotSource::Mux(node) => {
+                    let mux: &MuxController = concrete(ctx.controllers, node as usize);
+                    let owed = mux.owed_anti_tokens().iter().take(64).enumerate();
+                    (false, owed.fold(0, |mask, (j, &owed)| mask | (u64::from(owed > 0) << j)))
                 }
-            }
+            };
         }
 
         ctx.dirty.clear();
         for op in &ops[..*prefix_len] {
-            exec(op, pool, channel_masks, zb, fork_pending, mux_owed, operands, ctx, false);
+            exec(op, state, ctx, false);
         }
         *ctx.settle_iterations += *prefix_len as u64;
 
@@ -484,7 +266,7 @@ impl CompiledPlan {
             ctx.oscillating.clear();
             let mut changed = false;
             for op in trailing {
-                if exec(op, pool, channel_masks, zb, fork_pending, mux_owed, operands, ctx, true) {
+                if exec(op, state, ctx, true) {
                     changed = true;
                     ctx.oscillating.push(op.node());
                 }
@@ -504,7 +286,6 @@ impl CompiledPlan {
 /// trailing segment in original op order.
 fn schedule(
     ops: Vec<MicroOp>,
-    pool: &[u32],
     node_ports: &[(Vec<usize>, Vec<usize>)],
     reads_channels: &[bool],
     channel_widths: &[u8],
@@ -512,16 +293,15 @@ fn schedule(
     let rail_count = channel_widths.len() * 2;
     let mut writer = vec![usize::MAX; rail_count];
     for (index, op) in ops.iter().enumerate() {
-        for r in write_rails(op, pool, node_ports) {
+        for r in write_rails(op, node_ports) {
             debug_assert_eq!(writer[r], usize::MAX, "every rail group has a single writer");
             writer[r] = index;
         }
     }
-
     let mut in_degree = vec![0u32; ops.len()];
     let mut successors: Vec<Vec<u32>> = vec![Vec::new(); ops.len()];
     for (index, op) in ops.iter().enumerate() {
-        for r in read_rails(op, pool, node_ports, reads_channels) {
+        for r in read_rails(op, node_ports, reads_channels) {
             let w = writer[r];
             if w == usize::MAX {
                 continue;
@@ -568,329 +348,78 @@ fn schedule(
 }
 
 /// Rail groups written by an op (the rails its node owns, split by group).
-fn write_rails(op: &MicroOp, pool: &[u32], node_ports: &[(Vec<usize>, Vec<usize>)]) -> Vec<usize> {
-    match op {
-        MicroOp::Eval { node } => {
-            let (inputs, outputs) = &node_ports[*node as usize];
-            outputs
-                .iter()
-                .map(|&c| rail(c as u32, FWD))
-                .chain(inputs.iter().map(|&c| rail(c as u32, BWD)))
-                .collect()
-        }
-        MicroOp::FnFwd { output, .. } => vec![rail(*output, FWD)],
-        MicroOp::FnBwd { inputs, .. } => inputs.slice(pool).iter().map(|&c| rail(c, BWD)).collect(),
-        MicroOp::ZbFwd { output, .. } => vec![rail(*output, FWD)],
-        MicroOp::ZbBwd { input, .. } => vec![rail(*input, BWD)],
-        MicroOp::ForkFwd { outputs, .. } => {
-            outputs.slice(pool).iter().map(|&c| rail(c, FWD)).collect()
-        }
-        MicroOp::ForkBwd { input, .. } => vec![rail(*input, BWD)],
-        MicroOp::MuxFwd { output, .. } => vec![rail(*output, FWD)],
-        MicroOp::MuxBwd { select, data, .. } => std::iter::once(rail(*select, BWD))
-            .chain(data.slice(pool).iter().map(|&c| rail(c, BWD)))
-            .collect(),
+fn write_rails(op: &MicroOp, node_ports: &[(Vec<usize>, Vec<usize>)]) -> Vec<usize> {
+    let (inputs, outputs) = &node_ports[op.node() as usize];
+    match op.forward() {
+        None => rails(outputs, FWD).chain(rails(inputs, BWD)).collect(),
+        Some(true) => rails(outputs, FWD).collect(),
+        Some(false) => rails(inputs, BWD).collect(),
     }
 }
 
 /// Rail groups an op's equations read.
 fn read_rails(
     op: &MicroOp,
-    pool: &[u32],
     node_ports: &[(Vec<usize>, Vec<usize>)],
     reads_channels: &[bool],
 ) -> Vec<usize> {
+    let node = op.node() as usize;
+    let (inputs, outputs) = &node_ports[node];
     match op {
-        MicroOp::Eval { node } => {
-            if !reads_channels[*node as usize] {
-                return Vec::new();
-            }
-            // Unspecialized kinds: assume the eval may read every attached
-            // rail it does not own.
-            let (inputs, outputs) = &node_ports[*node as usize];
-            inputs
-                .iter()
-                .map(|&c| rail(c as u32, FWD))
-                .chain(outputs.iter().map(|&c| rail(c as u32, BWD)))
-                .collect()
+        // Registered controllers read nothing; unspecialized kinds may read
+        // every attached rail they do not own.
+        MicroOp::Eval { .. } if !reads_channels[node] => Vec::new(),
+        MicroOp::Eval { .. } | MicroOp::FnBwd { .. } | MicroOp::MuxBwd { .. } => {
+            rails(inputs, FWD).chain(rails(outputs, BWD)).collect()
         }
-        MicroOp::FnFwd { inputs, .. } => inputs.slice(pool).iter().map(|&c| rail(c, FWD)).collect(),
-        MicroOp::FnBwd { inputs, output, .. } => inputs
-            .slice(pool)
-            .iter()
-            .map(|&c| rail(c, FWD))
-            .chain(std::iter::once(rail(*output, BWD)))
+        MicroOp::ZbBwd { .. } => rails(outputs, BWD).collect(),
+        MicroOp::ForkBwd { .. } => rails(inputs, FWD)
+            .chain(outputs.iter().flat_map(|&c| [c * 2 + FWD, c * 2 + BWD]))
             .collect(),
-        MicroOp::ZbFwd { input, .. } => vec![rail(*input, FWD)],
-        MicroOp::ZbBwd { output, .. } => vec![rail(*output, BWD)],
-        MicroOp::ForkFwd { input, .. } => vec![rail(*input, FWD)],
-        MicroOp::ForkBwd { input, outputs, .. } => std::iter::once(rail(*input, FWD))
-            .chain(outputs.slice(pool).iter().flat_map(|&c| [rail(c, FWD), rail(c, BWD)]))
-            .collect(),
-        MicroOp::MuxFwd { select, data, .. } => std::iter::once(rail(*select, FWD))
-            .chain(data.slice(pool).iter().map(|&c| rail(c, FWD)))
-            .collect(),
-        MicroOp::MuxBwd { select, data, output, .. } => std::iter::once(rail(*select, FWD))
-            .chain(data.slice(pool).iter().map(|&c| rail(c, FWD)))
-            .chain(std::iter::once(rail(*output, BWD)))
-            .collect(),
+        _ => rails(inputs, FWD).collect(),
     }
 }
 
+/// Executes one micro-op on a view of its node's ports. With `track` set
+/// (the trailing sweeps) every changed channel is pushed onto `ctx.dirty`,
+/// the convergence witness, and the return value says whether any signal
+/// changed; prefix ops run untracked and return `false`.
 #[inline]
-fn set_bool(slot: &mut bool, value: bool) -> bool {
-    if *slot != value {
-        *slot = value;
-        true
-    } else {
-        false
-    }
-}
-
-#[inline]
-fn set_data(slot: &mut u64, value: u64) -> bool {
-    if *slot != value {
-        *slot = value;
-        true
-    } else {
-        false
-    }
-}
-
-/// Executes one micro-op against the current channel state. Every write is
-/// compare-and-set; returns `true` when any signal changed. With `track`
-/// set, changed channels are pushed onto `ctx.dirty` (the trailing sweeps'
-/// convergence witness).
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn exec(
-    op: &MicroOp,
-    pool: &[u32],
-    masks: &[u64],
-    zb: &[(bool, u64)],
-    fork_pending: &[u64],
-    mux_owed: &[u64],
-    operands: &mut Vec<u64>,
-    ctx: &mut SettleCtx<'_>,
-    track: bool,
-) -> bool {
+fn exec(op: &MicroOp, state: &[(bool, u64)], ctx: &mut SettleCtx<'_>, track: bool) -> bool {
+    let node = op.node() as usize;
+    let before = ctx.dirty.len();
+    let (inputs, outputs) = &ctx.node_ports[node];
+    let dirty = track.then_some(&mut *ctx.dirty);
+    let io = &mut NodeIo::masked(ctx.channels, inputs, outputs, ctx.channel_widths, dirty);
+    let pending = |slot: &u32| {
+        let mask = state[*slot as usize].1;
+        move |branch: usize| (mask >> branch) & 1 == 1
+    };
     match op {
-        MicroOp::Eval { node } => {
-            let index = *node as usize;
-            let before = ctx.dirty.len();
-            let (inputs, outputs) = &ctx.node_ports[index];
-            let mut io =
-                NodeIo::tracked(ctx.channels, inputs, outputs, ctx.channel_widths, ctx.dirty);
-            ctx.controllers[index].eval(&mut io);
+        MicroOp::Eval { .. } => {
+            ctx.controllers[node].eval(io);
             *ctx.controller_evals += 1;
-            let changed = ctx.dirty.len() > before;
-            if !track {
-                ctx.dirty.truncate(before);
-            }
-            changed
         }
-        MicroOp::FnFwd { inputs, output, op: data_op, .. } => {
-            let out = *output as usize;
-            let mut all_valid = true;
-            let mut all_accept_kill = true;
-            operands.clear();
-            for &ch in inputs.slice(pool) {
-                let c = &ctx.channels[ch as usize];
-                all_valid &= c.forward_valid;
-                all_accept_kill &= !c.backward_stop;
-                operands.push(c.data);
-            }
-            let value = data_op.eval(operands) & masks[out];
-            let anti_stop = !(all_valid || all_accept_kill);
-            let c = &mut ctx.channels[out];
-            let changed = set_bool(&mut c.forward_valid, all_valid)
-                | set_data(&mut c.data, value)
-                | set_bool(&mut c.backward_stop, anti_stop);
-            if changed && track {
-                ctx.dirty.push(out);
-            }
-            changed
+        MicroOp::FnFwd { op, .. } => function_forward(io, &io.evaluate(op)),
+        MicroOp::FnBwd { .. } => function_backward(io),
+        MicroOp::ZbFwd { slot, .. } => {
+            let (full, stored) = state[*slot as usize];
+            zero_backward_forward(io, full, &stored);
         }
-        MicroOp::FnBwd { inputs, output, .. } => {
-            let out = &ctx.channels[*output as usize];
-            let kill = out.backward_valid;
-            let output_stop = out.forward_stop;
-            let mut all_valid = true;
-            let mut all_accept_kill = true;
-            for &ch in inputs.slice(pool) {
-                let c = &ctx.channels[ch as usize];
-                all_valid &= c.forward_valid;
-                all_accept_kill &= !c.backward_stop;
-            }
-            let output_transfer = all_valid && !output_stop && !kill;
-            let annihilate = all_valid && kill;
-            let forward_kill = kill && !all_valid && all_accept_kill;
-            let fire = output_transfer || annihilate;
-            let mut changed = false;
-            for &ch in inputs.slice(pool) {
-                let c = &mut ctx.channels[ch as usize];
-                let ch_changed = set_bool(&mut c.forward_stop, !fire)
-                    | set_bool(&mut c.backward_valid, forward_kill);
-                if ch_changed {
-                    changed = true;
-                    if track {
-                        ctx.dirty.push(ch as usize);
-                    }
-                }
-            }
-            changed
-        }
-        MicroOp::ZbFwd { input, output, slot, .. } => {
-            let (full, stored) = zb[*slot as usize];
-            let out = *output as usize;
-            let anti_stop = !full && ctx.channels[*input as usize].backward_stop;
-            let c = &mut ctx.channels[out];
-            let changed = set_bool(&mut c.forward_valid, full)
-                | set_data(&mut c.data, stored & masks[out])
-                | set_bool(&mut c.backward_stop, anti_stop);
-            if changed && track {
-                ctx.dirty.push(out);
-            }
-            changed
-        }
-        MicroOp::ZbBwd { input, output, slot, .. } => {
-            let (full, _) = zb[*slot as usize];
-            let out = &ctx.channels[*output as usize];
-            let stop = full && out.forward_stop && !out.backward_valid;
-            let pass_through = !full && out.backward_valid;
-            let input_index = *input as usize;
-            let c = &mut ctx.channels[input_index];
-            let changed =
-                set_bool(&mut c.forward_stop, stop) | set_bool(&mut c.backward_valid, pass_through);
-            if changed && track {
-                ctx.dirty.push(input_index);
-            }
-            changed
-        }
-        MicroOp::ForkFwd { input, outputs, slot, .. } => {
-            let inp = ctx.channels[*input as usize];
-            let pending = fork_pending[*slot as usize];
-            let mut changed = false;
-            for (branch, &ch) in outputs.slice(pool).iter().enumerate() {
-                let needs = inp.forward_valid && (pending >> branch) & 1 == 1;
-                let out = ch as usize;
-                let c = &mut ctx.channels[out];
-                let ch_changed = set_bool(&mut c.forward_valid, needs)
-                    | set_data(&mut c.data, inp.data & masks[out])
-                    | set_bool(&mut c.backward_stop, !needs);
-                if ch_changed {
-                    changed = true;
-                    if track {
-                        ctx.dirty.push(out);
-                    }
-                }
-            }
-            changed
-        }
-        MicroOp::ForkBwd { input, outputs, slot, .. } => {
-            let input_valid = ctx.channels[*input as usize].forward_valid;
-            let pending = fork_pending[*slot as usize];
-            let mut done = true;
-            for (branch, &ch) in outputs.slice(pool).iter().enumerate() {
-                if (pending >> branch) & 1 == 0 {
-                    continue;
-                }
-                let out = &ctx.channels[ch as usize];
-                let killed = out.backward_valid && !out.backward_stop;
-                let transferred = out.forward_valid && !out.forward_stop;
-                if !(input_valid && (killed || transferred)) {
-                    done = false;
-                }
-            }
-            let input_fires = input_valid && done;
-            let input_index = *input as usize;
-            let c = &mut ctx.channels[input_index];
-            let changed = set_bool(&mut c.forward_stop, !input_fires)
-                | set_bool(&mut c.backward_valid, false);
-            if changed && track {
-                ctx.dirty.push(input_index);
-            }
-            changed
-        }
-        MicroOp::MuxFwd { select, data, output, early, slot, .. } => {
-            let sel = ctx.channels[*select as usize];
-            let data_channels = data.slice(pool);
-            let selected = (sel.data as usize) % data_channels.len();
-            let selected_channel = data_channels[selected] as usize;
-            let valid = if *early {
-                let clean = (mux_owed[*slot as usize] >> selected) & 1 == 0;
-                sel.forward_valid && ctx.channels[selected_channel].forward_valid && clean
+        MicroOp::ZbBwd { slot, .. } => zero_backward_backward(io, state[*slot as usize].0),
+        MicroOp::ForkFwd { slot, .. } => fork_forward(io, true, false, pending(slot)),
+        MicroOp::ForkBwd { slot, .. } => fork_backward(io, true, pending(slot)),
+        MicroOp::MuxFwd { early, .. } | MicroOp::MuxBwd { early, .. } => {
+            let owed = early.map_or(0, |slot| state[slot as usize].1);
+            let selected = (io.input(0).data as usize) % (inputs.len() - 1);
+            let (is_selected, clean) = (|j| j == selected, |j| (owed >> j) & 1 == 0);
+            if let MicroOp::MuxFwd { .. } = op {
+                let data = io.input(1 + selected).data;
+                mux_forward(io, early.is_some(), is_selected, clean, &data);
             } else {
-                let all_data_valid =
-                    data_channels.iter().all(|&ch| ctx.channels[ch as usize].forward_valid);
-                sel.forward_valid && all_data_valid
-            };
-            let value = ctx.channels[selected_channel].data;
-            let out = *output as usize;
-            let c = &mut ctx.channels[out];
-            let changed = set_bool(&mut c.forward_valid, valid)
-                | set_data(&mut c.data, value & masks[out])
-                | set_bool(&mut c.backward_stop, true);
-            if changed && track {
-                ctx.dirty.push(out);
+                mux_backward(io, early.is_some(), is_selected, clean);
             }
-            changed
-        }
-        MicroOp::MuxBwd { select, data, output, early, slot, .. } => {
-            let sel = ctx.channels[*select as usize];
-            let data_channels = data.slice(pool);
-            let selected = (sel.data as usize) % data_channels.len();
-            let selected_channel = data_channels[selected] as usize;
-            let owed_mask = if *early { mux_owed[*slot as usize] } else { 0 };
-            let clean = (owed_mask >> selected) & 1 == 0;
-            let valid = if *early {
-                sel.forward_valid && ctx.channels[selected_channel].forward_valid && clean
-            } else {
-                let all_data_valid =
-                    data_channels.iter().all(|&ch| ctx.channels[ch as usize].forward_valid);
-                sel.forward_valid && all_data_valid
-            };
-            let fire = valid && !ctx.channels[*output as usize].forward_stop;
-            let mut changed = false;
-            {
-                let select_index = *select as usize;
-                let c = &mut ctx.channels[select_index];
-                if set_bool(&mut c.forward_stop, !fire) {
-                    changed = true;
-                    if track {
-                        ctx.dirty.push(select_index);
-                    }
-                }
-            }
-            for (j, &ch) in data_channels.iter().enumerate() {
-                let (kill, stop) = if *early {
-                    let is_selected = j == selected && sel.forward_valid;
-                    let owed = (owed_mask >> j) & 1 == 1 || (fire && !is_selected);
-                    let consuming = is_selected && fire && clean;
-                    let kill = owed && !consuming;
-                    let stop = if kill {
-                        false
-                    } else if is_selected {
-                        !fire
-                    } else {
-                        true
-                    };
-                    (kill, stop)
-                } else {
-                    (false, !fire)
-                };
-                let index = ch as usize;
-                let c = &mut ctx.channels[index];
-                let ch_changed =
-                    set_bool(&mut c.forward_stop, stop) | set_bool(&mut c.backward_valid, kill);
-                if ch_changed {
-                    changed = true;
-                    if track {
-                        ctx.dirty.push(index);
-                    }
-                }
-            }
-            changed
         }
     }
+    ctx.dirty.len() > before
 }

@@ -21,6 +21,10 @@
 //! follow this "kill wins over transfer" convention so both endpoints agree
 //! on what happened.
 
+use elastic_core::Op;
+use elastic_datapath::evaluate;
+
+use crate::handshake::HandshakeIo;
 use crate::metrics::{CommitStageStats, SharedModuleStats};
 use crate::signal::ChannelState;
 
@@ -57,6 +61,18 @@ impl<'a> NodeIo<'a> {
         NodeIo { channels, input_channels, output_channels, channel_widths: &[], dirty: None }
     }
 
+    /// A port view masking data to `channel_widths`, change-tracked when
+    /// `dirty` is given (see [`NodeIo::tracked`]).
+    pub(crate) fn masked(
+        channels: &'a mut [ChannelState],
+        input_channels: &'a [usize],
+        output_channels: &'a [usize],
+        channel_widths: &'a [u8],
+        dirty: Option<&'a mut Vec<usize>>,
+    ) -> Self {
+        NodeIo { channels, input_channels, output_channels, channel_widths, dirty }
+    }
+
     /// Creates a change-tracked port view: every setter that changes a stored
     /// signal pushes the affected global channel index onto `dirty` (possibly
     /// more than once; consumers dedupe). `channel_widths` gives the declared
@@ -72,7 +88,7 @@ impl<'a> NodeIo<'a> {
         channel_widths: &'a [u8],
         dirty: &'a mut Vec<usize>,
     ) -> Self {
-        NodeIo { channels, input_channels, output_channels, channel_widths, dirty: Some(dirty) }
+        NodeIo::masked(channels, input_channels, output_channels, channel_widths, Some(dirty))
     }
 
     /// Number of input ports of the node.
@@ -153,9 +169,79 @@ impl<'a> NodeIo<'a> {
         (0..self.input_count()).map(|i| self.input(i).data).collect()
     }
 
+    /// `evaluate(op, inputs).unwrap_or(0)` on the data words of every input
+    /// port — the value a function block drives.
+    pub(crate) fn evaluate(&self, op: &Op) -> u64 {
+        let mut words = [0u64; 4];
+        let inputs = self.input_count();
+        let value = if inputs <= words.len() {
+            for (port, word) in words[..inputs].iter_mut().enumerate() {
+                *word = self.input(port).data;
+            }
+            evaluate(op, &words[..inputs])
+        } else {
+            evaluate(op, &self.input_data())
+        };
+        value.unwrap_or(0)
+    }
+
     /// `true` when every input port carries a valid token.
     pub fn all_inputs_valid(&self) -> bool {
         (0..self.input_count()).all(|i| self.input(i).forward_valid)
+    }
+}
+
+impl HandshakeIo for NodeIo<'_> {
+    type Rail = bool;
+    type Data = u64;
+
+    fn input_count(&self) -> usize {
+        self.input_channels.len()
+    }
+    fn output_count(&self) -> usize {
+        self.output_channels.len()
+    }
+    fn input_valid(&self, port: usize) -> bool {
+        self.input(port).forward_valid
+    }
+    fn input_stop(&self, port: usize) -> bool {
+        self.input(port).forward_stop
+    }
+    fn input_kill(&self, port: usize) -> bool {
+        self.input(port).backward_valid
+    }
+    fn input_anti_stop(&self, port: usize) -> bool {
+        self.input(port).backward_stop
+    }
+    fn output_valid(&self, port: usize) -> bool {
+        self.output(port).forward_valid
+    }
+    fn output_stop(&self, port: usize) -> bool {
+        self.output(port).forward_stop
+    }
+    fn output_kill(&self, port: usize) -> bool {
+        self.output(port).backward_valid
+    }
+    fn output_anti_stop(&self, port: usize) -> bool {
+        self.output(port).backward_stop
+    }
+    fn set_input_stop(&mut self, port: usize, stop: bool) {
+        NodeIo::set_input_stop(self, port, stop);
+    }
+    fn set_input_kill(&mut self, port: usize, kill: bool) {
+        NodeIo::set_input_kill(self, port, kill);
+    }
+    fn set_output_valid(&mut self, port: usize, valid: bool) {
+        NodeIo::set_output_valid(self, port, valid);
+    }
+    fn set_output_anti_stop(&mut self, port: usize, stop: bool) {
+        NodeIo::set_output_anti_stop(self, port, stop);
+    }
+    fn drive_data(&mut self, port: usize, data: &u64) {
+        self.set_output_data(port, *data);
+    }
+    fn copy_data(&mut self, input: usize, output: usize) {
+        self.set_output_data(output, self.input(input).data);
     }
 }
 
@@ -282,9 +368,11 @@ pub trait Controller: std::fmt::Debug {
     /// The compiled planner ([`crate::engine::SettleStrategy::Compiled`])
     /// snapshots the sequential state of a few controller kinds once per cycle
     /// (zero-backward buffers, eager forks, early-evaluation muxes) so it can
-    /// replay their `eval` equations without dynamic dispatch. Controllers
-    /// that participate override this to return `Some(self)`; everything else
-    /// keeps the `None` default and is evaluated through the trait as usual.
+    /// replay their equations without dynamic dispatch, and emitted settle
+    /// functions ([`crate::codegen`]) call the planned controllers' forward
+    /// and backward equations statically. Controllers that participate
+    /// override this to return `Some(self)`; everything else keeps the
+    /// `None` default and is evaluated through the trait as usual.
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         None
     }

@@ -20,6 +20,10 @@ use std::collections::VecDeque;
 use elastic_core::BufferSpec;
 
 use crate::controller::{Controller, NodeIo, NodeReport, NodeStats};
+use crate::handshake::{
+    standard_buffer_backward, standard_buffer_forward, zero_backward_backward,
+    zero_backward_forward, StandardBufferState,
+};
 
 const IN: usize = 0;
 const OUT: usize = 0;
@@ -63,16 +67,14 @@ impl StandardBuffer {
 
 impl Controller for StandardBuffer {
     fn eval(&self, io: &mut NodeIo<'_>) {
-        // Forward side: offer the oldest token; stop the producer when full.
-        io.set_output_valid(OUT, !self.tokens.is_empty());
-        io.set_output_data(OUT, self.tokens.front().copied().unwrap_or(0));
-        io.set_input_stop(IN, self.tokens.len() >= self.spec.capacity as usize);
-        // Backward side: propagate stored anti-tokens towards the producer;
-        // refuse new anti-tokens only when there is neither a token to cancel
-        // against nor room in the counterflow storage.
-        io.set_input_kill(IN, self.anti_tokens > 0);
-        let can_absorb_anti = !self.tokens.is_empty() || self.anti_tokens < self.spec.anti_capacity;
-        io.set_output_anti_stop(OUT, !can_absorb_anti);
+        let state = StandardBufferState {
+            has_token: !self.tokens.is_empty(),
+            full: self.tokens.len() >= self.spec.capacity as usize,
+            has_anti_token: self.anti_tokens > 0,
+            anti_full: self.anti_tokens >= self.spec.anti_capacity,
+        };
+        standard_buffer_forward(io, state, &self.tokens.front().copied().unwrap_or(0));
+        standard_buffer_backward(io, state);
     }
 
     fn commit(&mut self, io: &NodeIo<'_>) {
@@ -159,30 +161,30 @@ impl ZeroBackwardBuffer {
     }
 
     /// The stored word, if any — the only sequential state `eval` reads.
-    /// Exposed so the compiled settle backend (and codegen output) can
-    /// snapshot it once per cycle instead of dispatching through the trait.
+    /// Exposed so the compiled settle backend can snapshot it once per
+    /// cycle instead of dispatching through the trait.
     pub fn stored(&self) -> Option<u64> {
         self.stored
     }
 }
 
+impl ZeroBackwardBuffer {
+    /// The forward equation on this buffer's state — one planned op of
+    /// the compiled plan (codegen calls it per op).
+    pub fn forward(&self, io: &mut NodeIo<'_>) {
+        zero_backward_forward(io, self.stored.is_some(), &self.stored.unwrap_or(0));
+    }
+
+    /// The backward equation on this buffer's state.
+    pub fn backward(&self, io: &mut NodeIo<'_>) {
+        zero_backward_backward(io, self.stored.is_some());
+    }
+}
+
 impl Controller for ZeroBackwardBuffer {
     fn eval(&self, io: &mut NodeIo<'_>) {
-        let full = self.stored.is_some();
-        let output = io.output(OUT);
-        let input = io.input(IN);
-
-        io.set_output_valid(OUT, full);
-        io.set_output_data(OUT, self.stored.unwrap_or(0));
-        // Backward latency 0: the producer-facing stop combines the occupancy
-        // with the consumer's stop in the same cycle.
-        io.set_input_stop(IN, full && output.forward_stop && !output.backward_valid);
-        // Anti-tokens pass through combinationally when the buffer is empty;
-        // a stored token absorbs them. Stop them only when they can neither
-        // cancel here nor continue upstream.
-        let pass_through = !full && output.backward_valid;
-        io.set_input_kill(IN, pass_through);
-        io.set_output_anti_stop(OUT, !full && input.backward_stop);
+        self.forward(io);
+        self.backward(io);
     }
 
     fn commit(&mut self, io: &NodeIo<'_>) {

@@ -15,6 +15,7 @@
 use elastic_core::ForkSpec;
 
 use crate::controller::{Controller, NodeIo, NodeReport, NodeStats};
+use crate::handshake::{fork_backward, fork_delivered, fork_forward};
 
 const IN: usize = 0;
 
@@ -64,97 +65,22 @@ impl EagerFork {
         mask
     }
 
-    /// Which branches complete their delivery this cycle, given the settled
-    /// signals. A branch delivers when its (actually asserted) copy
-    /// transfers, or when the copy is cancelled by a branch anti-token —
-    /// judging by the driven `V+` matters for lazy forks, whose withheld
-    /// branches must not be marked served.
-    fn deliveries(&self, io: &NodeIo<'_>) -> Vec<bool> {
-        let input = io.input(IN);
-        (0..self.spec.outputs)
-            .map(|branch| {
-                if !input.forward_valid || !self.effective_pending(branch) {
-                    return false;
-                }
-                let out = io.output(branch);
-                let killed = out.backward_valid && !out.backward_stop;
-                let transferred = out.forward_valid && !out.forward_stop;
-                killed || transferred
-            })
-            .collect()
+    /// The forward equation on this fork's pending branches — one planned
+    /// op of the compiled plan (codegen calls it per op).
+    pub fn forward(&self, io: &mut NodeIo<'_>) {
+        fork_forward(io, self.spec.eager, false, |branch| self.effective_pending(branch));
     }
-}
 
-impl EagerFork {
-    fn eval_inner(&self, io: &mut NodeIo<'_>, optimistic: bool) {
-        let input = io.input(IN);
-        let outputs = self.spec.outputs;
-
-        // Per-branch readiness, derived from the consumer-owned signals
-        // *before* any producer-owned signal is driven: `eval` must write
-        // each signal at most once per call, because the full-sweep engine's
-        // convergence test counts every write — a transient
-        // write-then-overwrite makes it oscillate forever on a settled state
-        // (found by the elastic-gen differential fuzzer as a false
-        // CombinationalLoop report on lazy forks). A branch whose copy is
-        // being cancelled counts as ready; the kill is only accepted while
-        // the branch holds a pending copy of a real token, which is exactly
-        // `input.forward_valid` here.
-        // Eager forks never consult readiness — compute it only for lazy
-        // forks, allocation-free (this is the engine's hot path). A branch's
-        // `others_ready` holds exactly when the not-ready set is empty or is
-        // the branch itself.
-        let (not_ready_count, not_ready_branch) = if self.spec.eager {
-            (0usize, usize::MAX)
-        } else {
-            let mut count = 0usize;
-            let mut last = usize::MAX;
-            for branch in 0..outputs {
-                let ready = !self.effective_pending(branch) || {
-                    let out = io.output(branch);
-                    !out.forward_stop || (out.backward_valid && input.forward_valid)
-                };
-                if !ready {
-                    count += 1;
-                    last = branch;
-                }
-            }
-            (count, last)
-        };
-        let all_ready = not_ready_count == 0;
-
-        // Offer the token to every branch that still needs it. A lazy fork
-        // withholds a branch's copy while any *other* branch is not ready —
-        // gating a branch on its own stop would give the settle equations a
-        // second, deadlocked fixpoint (the branch waits for a stop that only
-        // clears once the branch is valid), which is also the classical
-        // combinational structure of a lazy fork.
-        for branch in 0..outputs {
-            let needs = input.forward_valid && self.effective_pending(branch);
-            // The optimistic seeding pass offers every copy as if all
-            // branches were ready, so reconverging consumers compute their
-            // real stops instead of settling into the dead circular-wait
-            // fixpoint; the honest pass re-evaluates with those stops.
-            let others_ready =
-                optimistic || all_ready || (not_ready_count == 1 && not_ready_branch == branch);
-            io.set_output_valid(branch, needs && others_ready);
-            io.set_output_data(branch, input.data);
-            // A branch kill can only be absorbed while its copy is outstanding.
-            io.set_output_anti_stop(branch, !needs);
-        }
-
-        // The input transfers when every branch has been (or is being) served.
-        let deliveries = self.deliveries(io);
-        let done = (0..outputs).all(|branch| !self.effective_pending(branch) || deliveries[branch]);
-        let input_fires = input.forward_valid && done && (self.spec.eager || all_ready);
-        io.set_input_stop(IN, !input_fires);
-        io.set_input_kill(IN, false);
+    /// The backward equation on this fork's pending branches.
+    pub fn backward(&self, io: &mut NodeIo<'_>) {
+        fork_backward(io, self.spec.eager, |branch| self.effective_pending(branch));
     }
 }
 
 impl Controller for EagerFork {
     fn eval(&self, io: &mut NodeIo<'_>) {
-        self.eval_inner(io, false);
+        self.forward(io);
+        self.backward(io);
     }
 
     fn is_optimistic(&self) -> bool {
@@ -162,7 +88,8 @@ impl Controller for EagerFork {
     }
 
     fn eval_optimistic(&self, io: &mut NodeIo<'_>) {
-        self.eval_inner(io, true);
+        fork_forward(io, self.spec.eager, true, |branch| self.effective_pending(branch));
+        self.backward(io);
     }
 
     fn commit(&mut self, io: &NodeIo<'_>) {
@@ -173,7 +100,12 @@ impl Controller for EagerFork {
             self.pending.iter_mut().for_each(|p| *p = true);
             return;
         }
-        let deliveries = self.deliveries(io);
+        // A branch delivers when its (actually asserted) copy transfers or
+        // is cancelled — judging by the driven `V+` matters for lazy forks,
+        // whose withheld branches must not be marked served.
+        let deliveries: Vec<bool> = (0..self.spec.outputs)
+            .map(|branch| fork_delivered(io, true, self.effective_pending(branch), branch))
+            .collect();
         let done = (0..self.spec.outputs)
             .all(|branch| !self.effective_pending(branch) || deliveries[branch]);
         let input_fired = !input.forward_stop;

@@ -17,9 +17,9 @@
 
 use elastic_core::FunctionSpec;
 use elastic_datapath::adder::mask;
-use elastic_datapath::evaluate;
 
 use crate::controller::{Controller, NodeIo, NodeReport, NodeStats};
+use crate::handshake::{function_backward, function_forward};
 
 const OUT: usize = 0;
 
@@ -38,37 +38,24 @@ impl FunctionBlock {
         FunctionBlock { spec, output_width, stats: NodeStats::default() }
     }
 
-    fn compute(&self, io: &NodeIo<'_>) -> u64 {
-        let operands = io.input_data();
-        let value = evaluate(&self.spec.op, &operands).unwrap_or(0);
-        mask(value, self.output_width)
+    /// The forward equation, driving the operation's result on the input
+    /// words — one planned op of the compiled plan (codegen calls it per
+    /// op).
+    pub fn forward(&self, io: &mut NodeIo<'_>) {
+        let value = mask(io.evaluate(&self.spec.op), self.output_width);
+        function_forward(io, &value);
+    }
+
+    /// The backward equation.
+    pub fn backward(&self, io: &mut NodeIo<'_>) {
+        function_backward(io);
     }
 }
 
 impl Controller for FunctionBlock {
     fn eval(&self, io: &mut NodeIo<'_>) {
-        let inputs = io.input_count();
-        let all_valid = io.all_inputs_valid();
-        let output = io.output(OUT);
-        let kill = output.backward_valid;
-
-        io.set_output_valid(OUT, all_valid);
-        io.set_output_data(OUT, self.compute(io));
-
-        // Can the block dispose of an arriving anti-token?
-        let all_producers_accept_kill = (0..inputs).all(|i| !io.input(i).backward_stop);
-        io.set_output_anti_stop(OUT, !(all_valid || all_producers_accept_kill));
-
-        // The inputs fire together: either the output transfers, or the
-        // arriving anti-token annihilates against the waiting input tokens.
-        let output_transfer = all_valid && !output.forward_stop && !kill;
-        let annihilate = all_valid && kill;
-        let forward_kill = kill && !all_valid && all_producers_accept_kill;
-        let fire = output_transfer || annihilate;
-        for i in 0..inputs {
-            io.set_input_stop(i, !fire);
-            io.set_input_kill(i, forward_kill);
-        }
+        self.forward(io);
+        self.backward(io);
     }
 
     fn commit(&mut self, io: &NodeIo<'_>) {
@@ -90,6 +77,10 @@ impl Controller for FunctionBlock {
 
     fn reset(&mut self) {
         self.stats = NodeStats::default();
+    }
+
+    fn as_any(&self) -> Option<&dyn std::any::Any> {
+        Some(self)
     }
 }
 

@@ -15,6 +15,7 @@
 use elastic_core::MuxSpec;
 
 use crate::controller::{Controller, NodeIo, NodeReport, NodeStats};
+use crate::handshake::{mux_backward, mux_forward};
 
 const SELECT: usize = 0;
 const OUT: usize = 0;
@@ -47,69 +48,27 @@ impl MuxController {
         &self.owed_anti_tokens
     }
 
-    fn eval_lazy(&self, io: &mut NodeIo<'_>) {
-        let select = io.input(SELECT);
+    /// The forward equation on this mux's select and owed anti-tokens —
+    /// one planned op of the compiled plan (codegen calls it per op).
+    pub fn forward(&self, io: &mut NodeIo<'_>) {
         let selected = self.selected(io);
-        let all_data_valid = (0..self.spec.data_inputs).all(|j| io.input(1 + j).forward_valid);
-        let valid = select.forward_valid && all_data_valid;
-        let output = io.output(OUT);
-        io.set_output_valid(OUT, valid);
-        io.set_output_data(OUT, io.input(1 + selected).data);
-        io.set_output_anti_stop(OUT, true);
-        let fire = valid && !output.forward_stop;
-        io.set_input_stop(SELECT, !fire);
-        for j in 0..self.spec.data_inputs {
-            io.set_input_stop(1 + j, !fire);
-            io.set_input_kill(1 + j, false);
-        }
+        let data = io.input(1 + selected).data;
+        let owed = &self.owed_anti_tokens;
+        mux_forward(io, self.spec.early_eval, |j| j == selected, |j| owed[j] == 0, &data);
     }
 
-    fn eval_early(&self, io: &mut NodeIo<'_>) {
-        let select = io.input(SELECT);
+    /// The backward equation on this mux's select and owed anti-tokens.
+    pub fn backward(&self, io: &mut NodeIo<'_>) {
         let selected = self.selected(io);
-        let output = io.output(OUT);
-
-        // The selected channel can only supply a usable token if no stale
-        // anti-token is owed to it.
-        let selected_clean = self.owed_anti_tokens[selected] == 0;
-        let selected_valid = io.input(1 + selected).forward_valid && selected_clean;
-        let valid = select.forward_valid && selected_valid;
-        io.set_output_valid(OUT, valid);
-        io.set_output_data(OUT, io.input(1 + selected).data);
-        io.set_output_anti_stop(OUT, true);
-
-        let fire = valid && !output.forward_stop;
-        io.set_input_stop(SELECT, !fire);
-
-        for j in 0..self.spec.data_inputs {
-            let is_selected = j == selected && select.forward_valid;
-            // An anti-token is available for channel j this cycle if one is
-            // already owed, or if the mux fires now and j is not the channel
-            // being consumed.
-            let owed = self.owed_anti_tokens[j] > 0 || (fire && !is_selected);
-            let consuming = is_selected && fire && selected_clean;
-            io.set_input_kill(1 + j, owed && !consuming);
-            // Mutual exclusion of stop and kill: a channel being killed is not
-            // stopped; the selected channel is stopped unless it fires.
-            let stop = if owed && !consuming {
-                false
-            } else if is_selected {
-                !fire
-            } else {
-                true
-            };
-            io.set_input_stop(1 + j, stop);
-        }
+        let owed = &self.owed_anti_tokens;
+        mux_backward(io, self.spec.early_eval, |j| j == selected, |j| owed[j] == 0);
     }
 }
 
 impl Controller for MuxController {
     fn eval(&self, io: &mut NodeIo<'_>) {
-        if self.spec.early_eval {
-            self.eval_early(io);
-        } else {
-            self.eval_lazy(io);
-        }
+        self.forward(io);
+        self.backward(io);
     }
 
     fn commit(&mut self, io: &NodeIo<'_>) {

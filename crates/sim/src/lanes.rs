@@ -23,8 +23,12 @@
 //!   (`data[channel * LANES + lane]`) touched only by the ops that consume
 //!   data (function evaluation, mux steering, buffered values).
 //! * The hot SELF controllers (both EB variants, function/join, eager and
-//!   lazy fork, lazy/early mux) have native branchless word
-//!   implementations. Everything with heavyweight per-scenario state
+//!   lazy fork, lazy/early mux) are native word controllers: they evaluate
+//!   the shared equations of [`crate::handshake`] at `u64` rails — the same
+//!   code the scalar controllers run at `bool` — and keep only their
+//!   per-lane sequential state, its clock-edge update and their data (token
+//!   columns, the mux's select gather, the function's datapath memo).
+//!   Everything with heavyweight per-scenario state
 //!   (source, sink, shared module, commit stage, variable-latency unit)
 //!   runs through the `ScalarLanes` fallback: 64 scalar controllers evaluated
 //!   per-lane behind the word-level compare-and-set boundary — which is
@@ -48,6 +52,11 @@ use crate::controller::{Controller, NodeIo, NodeReport, NodeStats};
 use crate::controllers::{build_controller, output_width, simulated_buffer};
 use crate::engine::SimError;
 use crate::engine_core::{CoreNode, EngineCore, Ports};
+use crate::handshake::{
+    fork_backward, fork_delivered, fork_forward, function_backward, function_forward, mux_backward,
+    mux_forward, standard_buffer_backward, standard_buffer_forward, zero_backward_backward,
+    zero_backward_forward, HandshakeIo, StandardBufferState,
+};
 use crate::metrics::SimulationReport;
 use crate::signal::ChannelState;
 use crate::trace::Trace;
@@ -199,82 +208,10 @@ impl<'a> LaneIo<'a> {
         LaneIo { channels, input_channels, output_channels, channel_widths, dirty }
     }
 
-    fn input_channel(&self, input: usize) -> usize {
-        self.input_channels[input]
-    }
-
-    fn output_channel(&self, output: usize) -> usize {
-        self.output_channels[output]
-    }
-
-    /// Forward-valid word (`V+`) of input port `input`.
-    pub fn input_forward_valid(&self, input: usize) -> u64 {
-        self.channels.forward_valid[self.input_channel(input)]
-    }
-
-    /// Forward-stop word (`S+`) of input port `input`.
-    pub fn input_forward_stop(&self, input: usize) -> u64 {
-        self.channels.forward_stop[self.input_channel(input)]
-    }
-
-    /// Backward-valid word (`V−`) of input port `input`.
-    pub fn input_backward_valid(&self, input: usize) -> u64 {
-        self.channels.backward_valid[self.input_channel(input)]
-    }
-
-    /// Backward-stop word (`S−`) of input port `input`.
-    pub fn input_backward_stop(&self, input: usize) -> u64 {
-        self.channels.backward_stop[self.input_channel(input)]
-    }
-
-    /// Forward-valid word (`V+`) of output port `output`.
-    pub fn output_forward_valid(&self, output: usize) -> u64 {
-        self.channels.forward_valid[self.output_channel(output)]
-    }
-
-    /// Forward-stop word (`S+`) of output port `output`.
-    pub fn output_forward_stop(&self, output: usize) -> u64 {
-        self.channels.forward_stop[self.output_channel(output)]
-    }
-
-    /// Backward-valid word (`V−`) of output port `output`.
-    pub fn output_backward_valid(&self, output: usize) -> u64 {
-        self.channels.backward_valid[self.output_channel(output)]
-    }
-
-    /// Backward-stop word (`S−`) of output port `output`.
-    pub fn output_backward_stop(&self, output: usize) -> u64 {
-        self.channels.backward_stop[self.output_channel(output)]
-    }
-
     /// Data column of input port `input`: one value per lane.
     pub fn input_data(&self, input: usize) -> &[u64] {
-        let channel = self.input_channel(input);
+        let channel = self.input_channels[input];
         &self.channels.data[channel * LANES..][..LANES]
-    }
-
-    /// Sets the forward-stop word of input port `input`.
-    pub fn set_input_stop(&mut self, input: usize, word: u64) {
-        let channel = self.input_channel(input);
-        set_word(&mut self.channels.forward_stop, channel, word, &mut self.dirty);
-    }
-
-    /// Sets the backward-valid (kill) word of input port `input`.
-    pub fn set_input_kill(&mut self, input: usize, word: u64) {
-        let channel = self.input_channel(input);
-        set_word(&mut self.channels.backward_valid, channel, word, &mut self.dirty);
-    }
-
-    /// Sets the forward-valid word of output port `output`.
-    pub fn set_output_valid(&mut self, output: usize, word: u64) {
-        let channel = self.output_channel(output);
-        set_word(&mut self.channels.forward_valid, channel, word, &mut self.dirty);
-    }
-
-    /// Sets the backward-stop word of output port `output`.
-    pub fn set_output_anti_stop(&mut self, output: usize, word: u64) {
-        let channel = self.output_channel(output);
-        set_word(&mut self.channels.backward_stop, channel, word, &mut self.dirty);
     }
 
     /// Marks `channel` dirty when tracking.
@@ -288,7 +225,7 @@ impl<'a> LaneIo<'a> {
     /// lane, masked to the channel width.
     pub fn set_output_data(&mut self, output: usize, lanes: &[u64]) {
         debug_assert_eq!(lanes.len(), LANES);
-        let channel = self.output_channel(output);
+        let channel = self.output_channels[output];
         let mask = width_mask(self.channel_widths.get(channel).copied().unwrap_or(64));
         let column = &mut self.channels.data[channel * LANES..][..LANES];
         let mut changed = false;
@@ -308,8 +245,8 @@ impl<'a> LaneIo<'a> {
     /// (width-preserving controllers: forks, buffers passing data through),
     /// masked to the output channel width.
     pub fn copy_data(&mut self, input: usize, output: usize) {
-        let src = self.input_channel(input);
-        let dst = self.output_channel(output);
+        let src = self.input_channels[input];
+        let dst = self.output_channels[output];
         if src == dst {
             return;
         }
@@ -375,6 +312,64 @@ fn with_lane(word: u64, lane: usize, value: bool) -> u64 {
         word | bit
     } else {
         word & !bit
+    }
+}
+
+impl HandshakeIo for LaneIo<'_> {
+    type Rail = u64;
+    type Data = [u64];
+
+    fn input_count(&self) -> usize {
+        self.input_channels.len()
+    }
+    fn output_count(&self) -> usize {
+        self.output_channels.len()
+    }
+    fn input_valid(&self, port: usize) -> u64 {
+        self.channels.forward_valid[self.input_channels[port]]
+    }
+    fn input_stop(&self, port: usize) -> u64 {
+        self.channels.forward_stop[self.input_channels[port]]
+    }
+    fn input_kill(&self, port: usize) -> u64 {
+        self.channels.backward_valid[self.input_channels[port]]
+    }
+    fn input_anti_stop(&self, port: usize) -> u64 {
+        self.channels.backward_stop[self.input_channels[port]]
+    }
+    fn output_valid(&self, port: usize) -> u64 {
+        self.channels.forward_valid[self.output_channels[port]]
+    }
+    fn output_stop(&self, port: usize) -> u64 {
+        self.channels.forward_stop[self.output_channels[port]]
+    }
+    fn output_kill(&self, port: usize) -> u64 {
+        self.channels.backward_valid[self.output_channels[port]]
+    }
+    fn output_anti_stop(&self, port: usize) -> u64 {
+        self.channels.backward_stop[self.output_channels[port]]
+    }
+    fn set_input_stop(&mut self, port: usize, stop: u64) {
+        let channel = self.input_channels[port];
+        set_word(&mut self.channels.forward_stop, channel, stop, &mut self.dirty);
+    }
+    fn set_input_kill(&mut self, port: usize, kill: u64) {
+        let channel = self.input_channels[port];
+        set_word(&mut self.channels.backward_valid, channel, kill, &mut self.dirty);
+    }
+    fn set_output_valid(&mut self, port: usize, valid: u64) {
+        let channel = self.output_channels[port];
+        set_word(&mut self.channels.forward_valid, channel, valid, &mut self.dirty);
+    }
+    fn set_output_anti_stop(&mut self, port: usize, stop: u64) {
+        let channel = self.output_channels[port];
+        set_word(&mut self.channels.backward_stop, channel, stop, &mut self.dirty);
+    }
+    fn drive_data(&mut self, port: usize, data: &[u64]) {
+        self.set_output_data(port, data);
+    }
+    fn copy_data(&mut self, input: usize, output: usize) {
+        LaneIo::copy_data(self, input, output);
     }
 }
 
@@ -498,39 +493,29 @@ impl LaneStandardBuffer {
 
 impl LaneController for LaneStandardBuffer {
     fn eval(&mut self, io: &mut LaneIo<'_>) {
-        let capacity = self.spec.capacity as usize;
-        let anti_capacity = self.spec.anti_capacity;
-        let ring = self.ring;
-        let mut valid = 0u64;
-        let mut stop = 0u64;
-        let mut kill = 0u64;
-        let mut anti_stop = 0u64;
+        let mut state =
+            StandardBufferState { has_token: 0, full: 0, has_anti_token: 0, anti_full: 0 };
         for lane in 0..LANES {
             let bit = 1u64 << lane;
             let len = self.len[lane] as usize;
-            if len > 0 {
-                valid |= bit;
-                self.data_scratch[lane] = self.data[lane * ring + self.head[lane] as usize];
+            self.data_scratch[lane] = if len > 0 {
+                state.has_token |= bit;
+                self.data[lane * self.ring + self.head[lane] as usize]
             } else {
-                self.data_scratch[lane] = 0;
-            }
-            if len >= capacity {
-                stop |= bit;
+                0
+            };
+            if len >= self.spec.capacity as usize {
+                state.full |= bit;
             }
             if self.anti_tokens[lane] > 0 {
-                kill |= bit;
+                state.has_anti_token |= bit;
             }
-            let can_absorb_anti = len > 0 || self.anti_tokens[lane] < anti_capacity;
-            if !can_absorb_anti {
-                anti_stop |= bit;
+            if self.anti_tokens[lane] >= self.spec.anti_capacity {
+                state.anti_full |= bit;
             }
         }
-        io.set_output_valid(OUT, valid);
-        let data = &self.data_scratch;
-        io.set_output_data(OUT, data);
-        io.set_input_stop(IN, stop);
-        io.set_input_kill(IN, kill);
-        io.set_output_anti_stop(OUT, anti_stop);
+        standard_buffer_forward(io, state, &self.data_scratch);
+        standard_buffer_backward(io, state);
     }
 
     fn eval_reads_channels(&self) -> bool {
@@ -538,14 +523,14 @@ impl LaneController for LaneStandardBuffer {
     }
 
     fn commit(&mut self, io: &LaneIo<'_>) {
-        let out_fv = io.output_forward_valid(OUT);
-        let out_fs = io.output_forward_stop(OUT);
-        let out_bv = io.output_backward_valid(OUT);
-        let out_bs = io.output_backward_stop(OUT);
-        let in_fv = io.input_forward_valid(IN);
-        let in_fs = io.input_forward_stop(IN);
-        let in_bv = io.input_backward_valid(IN);
-        let in_bs = io.input_backward_stop(IN);
+        let out_fv = io.output_valid(OUT);
+        let out_fs = io.output_stop(OUT);
+        let out_bv = io.output_kill(OUT);
+        let out_bs = io.output_anti_stop(OUT);
+        let in_fv = io.input_valid(IN);
+        let in_fs = io.input_stop(IN);
+        let in_bv = io.input_kill(IN);
+        let in_bs = io.input_anti_stop(IN);
         let in_data = io.input_data(IN);
 
         let out_kill = out_bv & !out_bs;
@@ -638,31 +623,19 @@ impl LaneZeroBackwardBuffer {
 
 impl LaneController for LaneZeroBackwardBuffer {
     fn eval(&mut self, io: &mut LaneIo<'_>) {
-        let full = self.full;
-        let out_fs = io.output_forward_stop(OUT);
-        let out_bv = io.output_backward_valid(OUT);
-        let in_bs = io.input_backward_stop(IN);
-        io.set_output_valid(OUT, full);
-        let values = &self.values;
-        io.set_output_data(OUT, values);
-        // Combinational stop: full and stopped downstream — unless the
-        // stored token is about to be annihilated by an incoming anti-token.
-        io.set_input_stop(IN, full & out_fs & !out_bv);
-        // Combinational kill pass-through when empty.
-        io.set_input_kill(IN, !full & out_bv);
-        // An empty buffer exposes the upstream anti-token capacity.
-        io.set_output_anti_stop(OUT, !full & in_bs);
+        zero_backward_forward(io, self.full, &self.values);
+        zero_backward_backward(io, self.full);
     }
 
     fn commit(&mut self, io: &LaneIo<'_>) {
-        let out_fv = io.output_forward_valid(OUT);
-        let out_fs = io.output_forward_stop(OUT);
-        let out_bv = io.output_backward_valid(OUT);
-        let out_bs = io.output_backward_stop(OUT);
-        let in_fv = io.input_forward_valid(IN);
-        let in_fs = io.input_forward_stop(IN);
-        let in_bv = io.input_backward_valid(IN);
-        let in_bs = io.input_backward_stop(IN);
+        let out_fv = io.output_valid(OUT);
+        let out_fs = io.output_stop(OUT);
+        let out_bv = io.output_kill(OUT);
+        let out_bs = io.output_anti_stop(OUT);
+        let in_fv = io.input_valid(IN);
+        let in_fs = io.input_stop(IN);
+        let in_bv = io.input_kill(IN);
+        let in_bs = io.input_anti_stop(IN);
         let in_data = io.input_data(IN);
 
         let was_full = self.full;
@@ -756,37 +729,16 @@ impl LaneFunction {
 
 impl LaneController for LaneFunction {
     fn eval(&mut self, io: &mut LaneIo<'_>) {
-        let inputs = self.spec.inputs;
-        let mut all_valid = u64::MAX;
-        for port in 0..inputs {
-            all_valid &= io.input_forward_valid(port);
-        }
-        let kill = io.output_backward_valid(OUT);
-        io.set_output_valid(OUT, all_valid);
         self.refresh_data(io);
-        let data = &self.out_data;
-        io.set_output_data(OUT, data);
-        let mut all_producers_accept_kill = u64::MAX;
-        for port in 0..inputs {
-            all_producers_accept_kill &= !io.input_backward_stop(port);
-        }
-        io.set_output_anti_stop(OUT, !(all_valid | all_producers_accept_kill));
-        let out_fs = io.output_forward_stop(OUT);
-        let output_transfer = all_valid & !out_fs & !kill;
-        let annihilate = all_valid & kill;
-        let forward_kill = kill & !all_valid & all_producers_accept_kill;
-        let fire = output_transfer | annihilate;
-        for port in 0..inputs {
-            io.set_input_stop(port, !fire);
-            io.set_input_kill(port, forward_kill);
-        }
+        function_forward(io, &self.out_data);
+        function_backward(io);
     }
 
     fn commit(&mut self, io: &LaneIo<'_>) {
-        let out_fv = io.output_forward_valid(OUT);
-        let out_fs = io.output_forward_stop(OUT);
-        let out_bv = io.output_backward_valid(OUT);
-        let out_bs = io.output_backward_stop(OUT);
+        let out_fv = io.output_valid(OUT);
+        let out_fs = io.output_stop(OUT);
+        let out_bv = io.output_kill(OUT);
+        let out_bs = io.output_anti_stop(OUT);
         let backward_transfer = out_bv & !out_bs;
         let forward_transfer = out_fv & !out_fs & !backward_transfer;
         let annihilation = out_fv & backward_transfer;
@@ -806,18 +758,13 @@ impl LaneController for LaneFunction {
     }
 }
 
-/// Eager/lazy fork across 64 lanes: per-branch pending words, prefix/suffix
-/// AND for the lazy all-but-me readiness, and the same single-write-per-
-/// signal discipline the scalar fork needs for full-sweep convergence.
+/// Eager/lazy fork across 64 lanes: per-branch pending words.
 #[derive(Debug)]
 struct LaneEagerFork {
     spec: ForkSpec,
     pending: Vec<u64>,
     serving: u64,
     stats: Vec<NodeStats>,
-    ready: Vec<u64>,
-    prefix: Vec<u64>,
-    suffix: Vec<u64>,
     deliver: Vec<u64>,
 }
 
@@ -829,76 +776,25 @@ impl LaneEagerFork {
             pending: vec![u64::MAX; outputs],
             serving: 0,
             stats: vec![NodeStats::default(); LANES],
-            ready: vec![0; outputs],
-            prefix: vec![0; outputs + 1],
-            suffix: vec![0; outputs + 1],
             deliver: vec![0; outputs],
         }
     }
 
-    fn eval_inner(&mut self, io: &mut LaneIo<'_>, optimistic: bool) {
-        let outputs = self.spec.outputs;
-        let eager = self.spec.eager;
-        let in_fv = io.input_forward_valid(IN);
-        let mut all_ready = u64::MAX;
-        if !eager && !optimistic {
-            // Lazy readiness per branch, then all-but-me via prefix/suffix
-            // AND (the word form of "all ready, or I am the only laggard").
-            for branch in 0..outputs {
-                let effective_pending = !self.serving | self.pending[branch];
-                let out_fs = io.output_forward_stop(branch);
-                let out_bv = io.output_backward_valid(branch);
-                let ready = !effective_pending | !out_fs | (out_bv & in_fv);
-                self.ready[branch] = ready;
-                all_ready &= ready;
-            }
-            self.prefix[0] = u64::MAX;
-            for branch in 0..outputs {
-                self.prefix[branch + 1] = self.prefix[branch] & self.ready[branch];
-            }
-            self.suffix[outputs] = u64::MAX;
-            for branch in (0..outputs).rev() {
-                self.suffix[branch] = self.suffix[branch + 1] & self.ready[branch];
-            }
-        }
-        for branch in 0..outputs {
-            let effective_pending = !self.serving | self.pending[branch];
-            let needs = in_fv & effective_pending;
-            let others_ready = if eager || optimistic {
-                u64::MAX
-            } else {
-                self.prefix[branch] & self.suffix[branch + 1]
-            };
-            io.set_output_valid(branch, needs & others_ready);
-            io.copy_data(IN, branch);
-            io.set_output_anti_stop(branch, !needs);
-        }
-        // Delivery check reads the signals just driven (plus the consumer
-        // side), exactly like the scalar fork's post-write `deliveries`.
-        let mut done = u64::MAX;
-        for branch in 0..outputs {
-            let effective_pending = !self.serving | self.pending[branch];
-            let out_fv = io.output_forward_valid(branch);
-            let out_fs = io.output_forward_stop(branch);
-            let out_bv = io.output_backward_valid(branch);
-            let out_bs = io.output_backward_stop(branch);
-            let delivered = in_fv & effective_pending & ((out_bv & !out_bs) | (out_fv & !out_fs));
-            done &= !effective_pending | delivered;
-        }
-        let gate = if eager || optimistic { u64::MAX } else { all_ready };
-        let input_fires = in_fv & done & gate;
-        io.set_input_stop(IN, !input_fires);
-        io.set_input_kill(IN, 0);
+    fn drive(&mut self, io: &mut LaneIo<'_>, optimistic: bool) {
+        let (serving, pending) = (self.serving, &self.pending);
+        let effective_pending = |branch: usize| !serving | pending[branch];
+        fork_forward(io, self.spec.eager, optimistic, effective_pending);
+        fork_backward(io, self.spec.eager, effective_pending);
     }
 }
 
 impl LaneController for LaneEagerFork {
     fn eval(&mut self, io: &mut LaneIo<'_>) {
-        self.eval_inner(io, false);
+        self.drive(io, false);
     }
 
     fn eval_optimistic(&mut self, io: &mut LaneIo<'_>) {
-        self.eval_inner(io, true);
+        self.drive(io, true);
     }
 
     fn is_optimistic(&self) -> bool {
@@ -907,20 +803,15 @@ impl LaneController for LaneEagerFork {
 
     fn commit(&mut self, io: &LaneIo<'_>) {
         let outputs = self.spec.outputs;
-        let in_fv = io.input_forward_valid(IN);
-        let in_fs = io.input_forward_stop(IN);
+        let in_fv = io.input_valid(IN);
+        let in_fs = io.input_stop(IN);
 
         // Deliveries against the *old* pending state, as in the scalar
         // commit.
         let mut done = u64::MAX;
         for branch in 0..outputs {
             let effective_pending = !self.serving | self.pending[branch];
-            let out_fv = io.output_forward_valid(branch);
-            let out_fs = io.output_forward_stop(branch);
-            let out_bv = io.output_backward_valid(branch);
-            let out_bs = io.output_backward_stop(branch);
-            self.deliver[branch] =
-                in_fv & effective_pending & ((out_bv & !out_bs) | (out_fv & !out_fs));
+            self.deliver[branch] = fork_delivered(io, in_fv, effective_pending, branch);
             done &= !effective_pending | self.deliver[branch];
         }
         let complete = in_fv & done & !in_fs;
@@ -935,11 +826,8 @@ impl LaneController for LaneEagerFork {
         // The scalar fork counts branch annihilations only on cycles where
         // a token is present (its idle path returns early).
         for branch in 0..outputs {
-            let out_bv = io.output_backward_valid(branch);
-            let out_bs = io.output_backward_stop(branch);
-            for_each_lane(in_fv & out_bv & !out_bs, |lane| {
-                self.stats[lane].killed_tokens += 1;
-            });
+            let killed = in_fv & io.output_kill(branch) & !io.output_anti_stop(branch);
+            for_each_lane(killed, |lane| self.stats[lane].killed_tokens += 1);
         }
     }
 
@@ -1006,58 +894,16 @@ impl LaneMux {
 
 impl LaneController for LaneMux {
     fn eval(&mut self, io: &mut LaneIo<'_>) {
-        let data_inputs = self.spec.data_inputs;
         self.gather_select(io);
         self.gather_out_data(io);
-        let select_valid = io.input_forward_valid(SELECT);
-        if !self.spec.early_eval {
-            // Lazy: conventional join on select plus *all* data inputs.
-            let mut all_data_valid = u64::MAX;
-            for port in 0..data_inputs {
-                all_data_valid &= io.input_forward_valid(1 + port);
-            }
-            let valid = select_valid & all_data_valid;
-            io.set_output_valid(OUT, valid);
-            let data = &self.out_data;
-            io.set_output_data(OUT, data);
-            io.set_output_anti_stop(OUT, u64::MAX);
-            let fire = valid & !io.output_forward_stop(OUT);
-            io.set_input_stop(SELECT, !fire);
-            for port in 0..data_inputs {
-                io.set_input_stop(1 + port, !fire);
-                io.set_input_kill(1 + port, 0);
-            }
-            return;
-        }
-        // Early evaluation: only the selected input must be valid (and not
-        // still owed an anti-token); non-selected inputs that fire are owed
-        // an anti-token, which is injected combinationally when possible.
-        let mut selected_valid = 0u64;
-        let mut selected_clean = 0u64;
-        for port in 0..data_inputs {
-            selected_valid |= self.sel_mask[port] & io.input_forward_valid(1 + port);
-            selected_clean |= self.sel_mask[port] & self.owed_zero[port];
-        }
-        let valid = select_valid & selected_valid & selected_clean;
-        io.set_output_valid(OUT, valid);
-        let data = &self.out_data;
-        io.set_output_data(OUT, data);
-        io.set_output_anti_stop(OUT, u64::MAX);
-        let fire = valid & !io.output_forward_stop(OUT);
-        io.set_input_stop(SELECT, !fire);
-        for port in 0..data_inputs {
-            let is_selected = self.sel_mask[port] & select_valid;
-            let owed_now = !self.owed_zero[port] | (fire & !is_selected);
-            let consuming = is_selected & fire & selected_clean;
-            let kill = owed_now & !consuming;
-            io.set_input_kill(1 + port, kill);
-            io.set_input_stop(1 + port, !kill & (!is_selected | !fire));
-        }
+        let (early, selected, clean) = (self.spec.early_eval, &self.sel_mask, &self.owed_zero);
+        mux_forward(io, early, |j| selected[j], |j| clean[j], &self.out_data);
+        mux_backward(io, early, |j| selected[j], |j| clean[j]);
     }
 
     fn commit(&mut self, io: &LaneIo<'_>) {
-        let out_fv = io.output_forward_valid(OUT);
-        let out_fs = io.output_forward_stop(OUT);
+        let out_fv = io.output_valid(OUT);
+        let out_fs = io.output_stop(OUT);
         let fire = out_fv & !out_fs;
         for_each_lane(fire, |lane| self.stats[lane].output_transfers += 1);
         for_each_lane(out_fv & out_fs, |lane| self.stats[lane].stall_cycles += 1);
@@ -1065,9 +911,9 @@ impl LaneController for LaneMux {
             return;
         }
         self.gather_select(io);
-        let select_valid = io.input_forward_valid(SELECT);
+        let select_valid = io.input_valid(SELECT);
         for port in 0..self.spec.data_inputs {
-            let delivered = io.input_backward_valid(1 + port) & !io.input_backward_stop(1 + port);
+            let delivered = io.input_kill(1 + port) & !io.input_anti_stop(1 + port);
             let incurred = fire & select_valid & !self.sel_mask[port];
             let mut zero_word = self.owed_zero[port];
             for_each_lane(incurred | delivered, |lane| {

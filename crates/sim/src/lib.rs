@@ -25,6 +25,11 @@
 //! full-sweep engine survives as [`SettleStrategy::FullSweep`], the oracle of
 //! the engine-equivalence test suite.
 //!
+//! The SELF handshake equations of the hot controllers (buffers, function
+//! blocks, forks, muxes) are written once, in [`handshake`], generic over a
+//! one-scenario `bool` rail and a 64-lane `u64` rail; every settle path —
+//! scalar, 64-lane, compiled and generated — evaluates them.
+//!
 //! Main entry points:
 //!
 //! * [`Simulation`] — build from a [`elastic_core::Netlist`], run cycles,
@@ -67,6 +72,7 @@ pub mod controllers;
 pub mod engine;
 mod engine_core;
 pub mod faults;
+pub mod handshake;
 pub mod lanes;
 pub mod metrics;
 pub mod monitor;

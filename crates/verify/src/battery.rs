@@ -95,11 +95,16 @@ pub fn check_transform_battery(
     }
 
     if options.check_protocol {
-        verdict.merge(check_netlist_protocol(
-            transformed,
-            options.cycles,
-            &ProtocolOptions::default(),
-        )?);
+        // One window for every liveness judgement of the battery: a
+        // misprediction a static scheduler never corrects starves the
+        // losing user for the shared module's starvation limit, and an
+        // inserted buffer stretches that stretch past the protocol
+        // checker's default 64 cycles while deadlock freedom still holds.
+        let protocol = ProtocolOptions {
+            starvation_window: options.liveness.progress_window,
+            ..ProtocolOptions::default()
+        };
+        verdict.merge(check_netlist_protocol(transformed, options.cycles, &protocol)?);
     } else {
         verdict.note("SELF protocol properties not checked");
     }
