@@ -17,7 +17,8 @@
 //!    ([`SettleStrategy::Compiled`]) joins too;
 //! 3. **base-design properties** — deadlock freedom, the shared-module
 //!    leads-to property, token conservation and the per-channel SELF
-//!    protocol checks on the untransformed design;
+//!    protocol checks on the untransformed design, all read from one traced
+//!    run ([`elastic_verify::check_design`]);
 //! 4. **transform equivalence** — every applicable transformation
 //!    (`insert_bubble`, buffer insertion/`split_empty_buffer`,
 //!    `make_zero_backward`, retiming, and the composite `speculate` pass on
@@ -44,14 +45,13 @@ use elastic_core::transform::{
 };
 use elastic_core::{BufferSpec, CoreError, Netlist, NodeId, SchedulerKind};
 use elastic_explore::{dominates, explore, ExploreOptions};
-use elastic_sim::{LaneConfig, LaneSimulation, SettleStrategy, SimConfig, Simulation};
+use elastic_sim::{LaneConfig, LaneSimulation, SettleStrategy, SimConfig, SimError, Simulation};
 use elastic_verify::battery::{
-    check_equivalence_across_schedulers, check_equivalence_under_environments,
+    check_design, check_equivalence_across_schedulers, check_equivalence_under_environments,
     check_transform_battery, BatteryOptions, EnvironmentOverride,
 };
-use elastic_verify::conservation::check_shared_module_conservation;
-use elastic_verify::liveness::{check_deadlock_freedom, check_leads_to, LivenessOptions};
-use elastic_verify::properties::{check_netlist_protocol, ProtocolOptions};
+use elastic_verify::liveness::LivenessOptions;
+use elastic_verify::Verdict;
 
 use crate::generate::{generate, GenConfig, GeneratedNetlist};
 use crate::rng::GenRng;
@@ -163,10 +163,6 @@ impl HarnessOptions {
             },
             check_protocol: true,
         }
-    }
-
-    fn liveness(&self) -> LivenessOptions {
-        self.battery().liveness
     }
 
     /// The (deliberately small) explorer configuration of the
@@ -630,41 +626,27 @@ pub fn run_netlist(
 
     let mut report = CaseReport { seed, ..CaseReport::default() };
 
-    // Base-design properties.
-    let liveness = options.liveness();
-    match check_deadlock_freedom(netlist, &liveness) {
-        Ok(verdict) if verdict.passed() => report.notes.extend(verdict.notes),
-        Ok(verdict) => return Err(fail("base-liveness", None, verdict.to_string())),
-        Err(error) => return Err(fail("base-liveness", None, error.to_string())),
-    }
-    let has_shared = netlist.live_nodes().any(|n| matches!(n.kind, NodeKind::Shared(_)));
-    if has_shared {
-        match check_leads_to(netlist, &liveness) {
-            Ok(verdict) if verdict.passed() => report.notes.extend(verdict.notes),
-            Ok(verdict) => return Err(fail("base-liveness", None, verdict.to_string())),
-            Err(error) => return Err(fail("base-liveness", None, error.to_string())),
+    // Base-design properties, all read from one traced run.
+    let battery = options.battery();
+    let base = check_design(netlist, &battery)
+        .map_err(|error| fail("base-liveness", None, error.to_string()))?;
+    for (stage, verdict) in [
+        ("base-liveness", Some(base.deadlock_freedom)),
+        ("base-liveness", base.leads_to),
+        ("base-conservation", base.conservation),
+        ("base-protocol", base.protocol),
+    ] {
+        let Some(verdict) = verdict else { continue };
+        if !verdict.passed() {
+            return Err(fail(stage, None, verdict.to_string()));
         }
-        match check_shared_module_conservation(netlist, options.cycles) {
-            Ok(verdict) if verdict.passed() => report.notes.extend(verdict.notes),
-            Ok(verdict) => return Err(fail("base-conservation", None, verdict.to_string())),
-            Err(error) => return Err(fail("base-conservation", None, error.to_string())),
-        }
-    }
-    let protocol = ProtocolOptions {
-        starvation_window: liveness.progress_window,
-        ..ProtocolOptions::default()
-    };
-    match check_netlist_protocol(netlist, options.cycles, &protocol) {
-        Ok(verdict) if verdict.passed() => report.notes.extend(verdict.notes),
-        Ok(verdict) => return Err(fail("base-protocol", None, verdict.to_string())),
-        Err(error) => return Err(fail("base-protocol", None, error.to_string())),
+        report.notes.extend(verdict.notes);
     }
 
     watchdog("base-properties")?;
 
     // Transformations.
     let mut rng = GenRng::new(seed ^ 0x7A61_D5A2_27F3_90C1);
-    let battery = options.battery();
     for case in transform_catalogue(netlist, &mut rng, options) {
         watchdog("transform")?;
         let mut transformed = netlist.clone();
@@ -686,88 +668,59 @@ pub fn run_netlist(
             ));
         }
 
-        match check_transform_battery(netlist, &transformed, &battery) {
-            Ok(verdict) if verdict.passed() => report.notes.extend(verdict.notes),
-            Ok(verdict) => {
-                return Err(fail("transform-equivalence", Some(case.name), verdict.to_string()))
-            }
-            Err(error) => {
-                return Err(fail("transform-simulation", Some(case.name), error.to_string()))
-            }
-        }
+        let failed = |(stage, details)| fail(stage, Some(case.name.clone()), details);
+        let verdict = check_transform_battery(netlist, &transformed, &battery);
+        report.notes.extend(
+            gate(verdict, "transform-equivalence", "transform-simulation").map_err(failed)?,
+        );
 
         // Environment injection for structural transforms: equivalence must
         // survive perturbed offer/back-pressure patterns, not just the
         // generated design's own environments (previously speculation-only —
         // the ROADMAP fuzz-scaling item).
-        if !transform_kind(&case.name).starts_with("speculate")
-            && options.structural_environment_variations > 0
-        {
+        let speculated = transform_kind(&case.name).starts_with("speculate");
+        if !speculated && options.structural_environment_variations > 0 {
             let variations = environment_variations(
                 netlist,
                 &mut rng,
                 options.structural_environment_variations,
             );
-            match check_equivalence_under_environments(
+            let verdict = check_equivalence_under_environments(
                 netlist,
                 &transformed,
                 &variations,
                 options.cycles,
-            ) {
-                Ok(verdict) if verdict.passed() => report.notes.extend(verdict.notes),
-                Ok(verdict) => {
-                    return Err(fail(
-                        "transform-environment-sweep",
-                        Some(case.name),
-                        verdict.to_string(),
-                    ))
-                }
-                Err(error) => {
-                    return Err(fail("transform-simulation", Some(case.name), error.to_string()))
-                }
-            }
+            );
+            report.notes.extend(
+                gate(verdict, "transform-environment-sweep", "transform-simulation")
+                    .map_err(failed)?,
+            );
         }
 
         // Injection sweeps for speculated designs.
-        if transform_kind(&case.name).starts_with("speculate") {
-            match check_equivalence_across_schedulers(
+        if speculated {
+            let verdict = check_equivalence_across_schedulers(
                 netlist,
                 &transformed,
                 &options.schedulers,
                 options.cycles,
-            ) {
-                Ok(verdict) if verdict.passed() => report.notes.extend(verdict.notes),
-                Ok(verdict) => {
-                    return Err(fail(
-                        "transform-scheduler-sweep",
-                        Some(case.name),
-                        verdict.to_string(),
-                    ))
-                }
-                Err(error) => {
-                    return Err(fail("transform-simulation", Some(case.name), error.to_string()))
-                }
-            }
+            );
+            report.notes.extend(
+                gate(verdict, "transform-scheduler-sweep", "transform-simulation")
+                    .map_err(failed)?,
+            );
             let variations =
                 environment_variations(netlist, &mut rng, options.environment_variations);
-            match check_equivalence_under_environments(
+            let verdict = check_equivalence_under_environments(
                 netlist,
                 &transformed,
                 &variations,
                 options.cycles,
-            ) {
-                Ok(verdict) if verdict.passed() => report.notes.extend(verdict.notes),
-                Ok(verdict) => {
-                    return Err(fail(
-                        "transform-environment-sweep",
-                        Some(case.name),
-                        verdict.to_string(),
-                    ))
-                }
-                Err(error) => {
-                    return Err(fail("transform-simulation", Some(case.name), error.to_string()))
-                }
-            }
+            );
+            report.notes.extend(
+                gate(verdict, "transform-environment-sweep", "transform-simulation")
+                    .map_err(failed)?,
+            );
         }
         report.transforms.push(case.name);
     }
@@ -778,10 +731,11 @@ pub fn run_netlist(
     if options.explorer_soundness {
         watchdog("transforms")?;
         let explorer = options.explorer(seed);
-        let search = match explore(netlist, &explorer) {
-            Ok(search) => search,
-            Err(error) => return Err(fail("explorer-search", None, error.to_string())),
+        let run_search = |explorer: &ExploreOptions| {
+            explore(netlist, explorer)
+                .map_err(|error| fail("explorer-search", None, error.to_string()))
         };
+        let search = run_search(&explorer)?;
         watchdog("explorer-search")?;
 
         // No silent truncation: the report must account for the whole grid.
@@ -837,33 +791,17 @@ pub fn run_netlist(
                     format!("re-applied netlist no longer validates: {error}"),
                 ));
             }
-            match check_transform_battery(netlist, &transformed, &battery) {
-                Ok(verdict) if verdict.passed() => report.notes.extend(verdict.notes),
-                Ok(verdict) => {
-                    return Err(fail(
-                        "explorer-front-battery",
-                        Some(point.config.label()),
-                        verdict.to_string(),
-                    ))
-                }
-                Err(error) => {
-                    return Err(fail(
-                        "explorer-front-battery",
-                        Some(point.config.label()),
-                        error.to_string(),
-                    ))
-                }
-            }
+            let verdict = check_transform_battery(netlist, &transformed, &battery);
+            report.notes.extend(
+                gate(verdict, "explorer-front-battery", "explorer-front-battery")
+                    .map_err(|(stage, details)| fail(stage, Some(point.config.label()), details))?,
+            );
             watchdog("explorer-front-battery")?;
         }
 
         // (b) continued: the report is invariant under worker count and
         // candidate enumeration order.
-        let single_threaded =
-            match explore(netlist, &ExploreOptions { sequential: true, ..explorer.clone() }) {
-                Ok(search) => search,
-                Err(error) => return Err(fail("explorer-search", None, error.to_string())),
-            };
+        let single_threaded = run_search(&ExploreOptions { sequential: true, ..explorer.clone() })?;
         if single_threaded != search {
             return Err(fail(
                 "explorer-determinism",
@@ -872,13 +810,10 @@ pub fn run_netlist(
             ));
         }
         watchdog("explorer-determinism")?;
-        let shuffled = match explore(
-            netlist,
-            &ExploreOptions { shuffle_seed: Some(seed ^ 0x0EDE_5EED), ..explorer.clone() },
-        ) {
-            Ok(search) => search,
-            Err(error) => return Err(fail("explorer-search", None, error.to_string())),
-        };
+        let shuffled = run_search(&ExploreOptions {
+            shuffle_seed: Some(seed ^ 0x0EDE_5EED),
+            ..explorer.clone()
+        })?;
         if shuffled != search {
             return Err(fail(
                 "explorer-determinism",
@@ -890,10 +825,7 @@ pub fn run_netlist(
 
         // (c) scores are reproducible bit-for-bit from the seed (PartialEq
         // on the report compares every f64 exactly).
-        let replay = match explore(netlist, &explorer) {
-            Ok(search) => search,
-            Err(error) => return Err(fail("explorer-search", None, error.to_string())),
-        };
+        let replay = run_search(&explorer)?;
         if replay != search {
             return Err(fail(
                 "explorer-reproducibility",
@@ -914,6 +846,22 @@ pub fn run_netlist(
     }
 
     Ok(report)
+}
+
+/// Gates one verdict-producing check of [`run_netlist`]: a passed verdict
+/// yields its notes for the case report, a violated one fails at
+/// `check_stage`, and a simulation error fails at `simulation_stage`, each
+/// as `(stage, details)`.
+fn gate(
+    result: Result<Verdict, SimError>,
+    check_stage: &'static str,
+    simulation_stage: &'static str,
+) -> Result<Vec<String>, (&'static str, String)> {
+    match result {
+        Ok(verdict) if verdict.passed() => Ok(verdict.notes),
+        Ok(verdict) => Err((check_stage, verdict.to_string())),
+        Err(error) => Err((simulation_stage, error.to_string())),
+    }
 }
 
 /// Generates the netlist for `seed` and runs the gauntlet on it.

@@ -11,8 +11,8 @@
 //!
 //! The trait lives in `elastic-sim` (the engine must drive it); the concrete
 //! SELF-invariant monitors — protocol, progress/deadlock, leads-to,
-//! reference-stream scoreboard — live in `elastic-verify::monitor`, next to
-//! the trace checkers they mirror.
+//! reference-stream scoreboard — live in `elastic-verify::monitor`, and share
+//! each property's per-cycle rule with that crate's trace checkers.
 
 use std::fmt;
 

@@ -17,7 +17,6 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// Number of worker threads used for a sweep of `items` independent runs:
 /// the available hardware parallelism, capped by the item count.
@@ -26,17 +25,16 @@ pub fn sweep_threads(items: usize) -> usize {
     hardware.min(items).max(1)
 }
 
-/// A panic captured from one sweep scenario by [`parallel_map_catch`] /
-/// [`parallel_map_with_catch`]: the input index that panicked plus the
-/// panic payload rendered as text. With deterministic, item-derived seeds
-/// (the convention of every sweep in this workspace) the index **is** the
-/// reproducer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScenarioPanic {
+/// A panic captured from one sweep scenario by [`parallel_map_with_catch`]:
+/// the input index that panicked plus the panic payload rendered as text.
+/// With deterministic, item-derived seeds (the convention of every sweep in
+/// this workspace) the index **is** the reproducer.
+#[derive(Debug)]
+struct ScenarioPanic {
     /// Input index of the scenario that panicked.
-    pub index: usize,
+    index: usize,
     /// The panic message (`&str`/`String` payloads; otherwise a placeholder).
-    pub message: String,
+    message: String,
 }
 
 impl fmt::Display for ScenarioPanic {
@@ -56,53 +54,13 @@ impl ScenarioPanic {
     }
 }
 
-/// Why one scenario of a deadline-bounded sweep
-/// ([`parallel_map_with_deadline`]) failed: it panicked, or it overran its
-/// per-case wall-clock budget.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ScenarioFailure {
-    /// The scenario panicked; per-scenario isolation as in
-    /// [`parallel_map_with_catch`].
-    Panic(ScenarioPanic),
-    /// The scenario ran past its wall-clock budget. The deadline is
-    /// *cooperative* — the run closure receives the deadline `Instant` and is
-    /// expected to bail out at it (the engine's
-    /// [`crate::Simulation::run_with_deadline`] polls every 64 cycles) — so
-    /// the overrun is detected when the closure returns, its result is
-    /// discarded, and the worker's scratch state is re-initialised for the
-    /// next item.
-    DeadlineExceeded {
-        /// Input index of the scenario that overran.
-        index: usize,
-        /// Wall-clock time the scenario actually took.
-        elapsed: Duration,
-        /// The per-case budget it was given.
-        budget: Duration,
-    },
-}
-
-impl fmt::Display for ScenarioFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ScenarioFailure::Panic(panic) => panic.fmt(f),
-            ScenarioFailure::DeadlineExceeded { index, elapsed, budget } => write!(
-                f,
-                "scenario {index} exceeded its {budget:?} wall-clock deadline ({elapsed:?} \
-                 elapsed)"
-            ),
-        }
-    }
-}
-
 /// Applies `run` to every index/item pair of `items` in parallel and returns
 /// the results in input order.
 ///
 /// `run` must be deterministic per item for the sweep to be reproducible —
 /// all the sweeps in this workspace derive their seeds from the item, never
 /// from global state. A panic in `run` still propagates to the caller, but
-/// only after the whole sweep has completed (see [`parallel_map_with`]);
-/// use [`parallel_map_catch`] to receive panics as per-scenario results
-/// instead.
+/// only after the whole sweep has completed (see [`parallel_map_with`]).
 pub fn parallel_map<T, R, F>(items: &[T], run: F) -> Vec<R>
 where
     T: Sync,
@@ -110,19 +68,6 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     parallel_map_with(items, || (), |(), index, item| run(index, item))
-}
-
-/// [`parallel_map`] with per-scenario panic isolation: every `run` is
-/// wrapped in [`catch_unwind`], so one panicking scenario comes back as
-/// `Err(`[`ScenarioPanic`]`)` — carrying its input index — while every other
-/// scenario's result is delivered intact.
-pub fn parallel_map_catch<T, R, F>(items: &[T], run: F) -> Vec<Result<R, ScenarioPanic>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    parallel_map_with_catch(items, || (), |(), index, item| run(index, item))
 }
 
 /// [`parallel_map`] with per-worker scratch state: every worker thread builds
@@ -143,11 +88,9 @@ where
 /// # Panics
 ///
 /// A panic in `run` is re-raised in the caller — but only **after** the
-/// whole sweep has completed: the panic is caught per scenario
-/// ([`parallel_map_with_catch`] is the engine underneath), so it cannot
-/// poison the result collection or abort the sibling scenarios mid-flight.
-/// Callers that want the surviving results alongside the failure should use
-/// [`parallel_map_with_catch`] directly.
+/// whole sweep has completed: the panic is caught per scenario, so it
+/// cannot poison the result collection or abort the sibling scenarios
+/// mid-flight.
 pub fn parallel_map_with<T, S, R, I, F>(items: &[T], init: I, run: F) -> Vec<R>
 where
     T: Sync,
@@ -174,16 +117,19 @@ where
     collected
 }
 
-/// [`parallel_map_with`] with per-scenario panic isolation.
+/// The work-stealing engine under [`parallel_map_with`], with per-scenario
+/// panic isolation.
 ///
-/// Every `run` invocation is wrapped in [`catch_unwind`]: a panicking
-/// scenario yields `Err(`[`ScenarioPanic`]`)` in its input-order slot — the
-/// index identifies the scenario (and, by the item-derived-seed convention,
-/// the seed) — and the sweep carries on. The panicking worker's scratch
-/// state is **discarded** (the unwind may have left it inconsistent) and
-/// lazily re-`init`-ed for its next item, preserving the contract that
-/// results never depend on the item→worker assignment.
-pub fn parallel_map_with_catch<T, S, R, I, F>(
+/// Workers take the next index from an atomic cursor, keep one
+/// lazily-initialised scratch state each, and results are collected in
+/// input order. Every `run` invocation is wrapped in [`catch_unwind`]: a
+/// panicking scenario yields `Err(`[`ScenarioPanic`]`)` in its input-order
+/// slot — the index identifies the scenario (and, by the item-derived-seed
+/// convention, the seed) — and the sweep carries on. The panicking worker's
+/// scratch state is **discarded** (the unwind may have left it
+/// inconsistent) and lazily re-`init`-ed for its next item, preserving the
+/// contract that results never depend on the item→worker assignment.
+fn parallel_map_with_catch<T, S, R, I, F>(
     items: &[T],
     init: I,
     run: F,
@@ -194,69 +140,54 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &T) -> R + Sync,
 {
-    parallel_drive(items, |state: &mut Option<S>, index, item| {
+    let run_one = |state: &mut Option<S>, index: usize, item: &T| {
         let outcome =
             catch_unwind(AssertUnwindSafe(|| run(state.get_or_insert_with(&init), index, item)));
         outcome.map_err(|payload| {
             *state = None;
             ScenarioPanic::from_payload(index, payload)
         })
-    })
-}
+    };
+    let threads = sweep_threads(items.len());
+    if threads <= 1 {
+        let mut state: Option<S> = None;
+        return items
+            .iter()
+            .enumerate()
+            .map(|(index, item)| run_one(&mut state, index, item))
+            .collect();
+    }
 
-/// [`parallel_map_with_catch`] with a **per-case wall-clock deadline** on top
-/// of the panic isolation: every `run` receives the `Instant` by which it
-/// must finish (case start + `budget`), and a scenario that returns after
-/// that instant comes back as
-/// `Err(`[`ScenarioFailure::DeadlineExceeded`]`)` — its result discarded,
-/// its worker's scratch state re-`init`-ed — instead of poisoning the batch.
-///
-/// The deadline is *cooperative*: this function cannot preempt a wedged
-/// closure, it bounds the damage once the closure yields. Pair it with the
-/// engine's deadline-polling entry points
-/// ([`crate::Simulation::run_with_deadline`] /
-/// [`crate::Simulation::run_monitored`]), which check the instant every 64
-/// cycles — a wedged *case* (oscillating settle, pathological netlist) then
-/// times out inside the simulator and the sweep reports it here, while the
-/// other cases of the batch complete normally.
-pub fn parallel_map_with_deadline<T, S, R, I, F>(
-    items: &[T],
-    init: I,
-    budget: Duration,
-    run: F,
-) -> Vec<Result<R, ScenarioFailure>>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T, Instant) -> R + Sync,
-{
-    parallel_drive(items, |state: &mut Option<S>, index, item| {
-        let started = Instant::now();
-        let deadline = started + budget;
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run(state.get_or_insert_with(&init), index, item, deadline)
-        }));
-        match outcome {
-            Err(payload) => {
-                *state = None;
-                Err(ScenarioFailure::Panic(ScenarioPanic::from_payload(index, payload)))
-            }
-            Ok(value) => {
-                let elapsed = started.elapsed();
-                if elapsed > budget {
-                    // The case ran long: whatever partial result it produced
-                    // is not trustworthy sweep output, and the scratch state
-                    // may have been abandoned mid-scenario by a cooperative
-                    // bail-out — discard both.
-                    *state = None;
-                    Err(ScenarioFailure::DeadlineExceeded { index, elapsed, budget })
-                } else {
-                    Ok(value)
+    let cursor = AtomicUsize::new(0);
+    let mut slots: Vec<Option<Result<R, ScenarioPanic>>> = Vec::new();
+    slots.resize_with(items.len(), || None);
+    let slots = Mutex::new(&mut slots);
+
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| {
+                let mut state: Option<S> = None;
+                loop {
+                    let index = cursor.fetch_add(1, Ordering::Relaxed);
+                    if index >= items.len() {
+                        break;
+                    }
+                    let result = run_one(&mut state, index, &items[index]);
+                    // `run_one` cannot unwind (the scenario body is caught
+                    // above), so nothing can poison the slot mutex.
+                    slots.lock().expect("no panics while holding the slot lock")[index] =
+                        Some(result);
                 }
-            }
+            });
         }
-    })
+    });
+
+    slots
+        .into_inner()
+        .expect("worker threads have exited")
+        .iter_mut()
+        .map(|slot| slot.take().expect("every index was processed"))
+        .collect()
 }
 
 /// Fans `items` across the worker pool in blocks of up to
@@ -302,59 +233,6 @@ where
         results
     });
     nested.into_iter().flatten().collect()
-}
-
-/// The work-stealing scaffold under every sweep variant: hands out indices
-/// via an atomic cursor, keeps one lazily-initialised scratch slot per
-/// worker, and collects results in input order. `run_one` must not unwind
-/// (the public wrappers catch scenario panics before they reach it).
-fn parallel_drive<T, S, R, E, F>(items: &[T], run_one: F) -> Vec<Result<R, E>>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(&mut Option<S>, usize, &T) -> Result<R, E> + Sync,
-{
-    let threads = sweep_threads(items.len());
-    if threads <= 1 {
-        let mut state: Option<S> = None;
-        return items
-            .iter()
-            .enumerate()
-            .map(|(index, item)| run_one(&mut state, index, item))
-            .collect();
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<Result<R, E>>> = Vec::new();
-    slots.resize_with(items.len(), || None);
-    let slots = Mutex::new(&mut slots);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut state: Option<S> = None;
-                loop {
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    if index >= items.len() {
-                        break;
-                    }
-                    let result = run_one(&mut state, index, &items[index]);
-                    // `run_one` cannot unwind (the scenario body is caught
-                    // above), so nothing can poison the slot mutex.
-                    slots.lock().expect("no panics while holding the slot lock")[index] =
-                        Some(result);
-                }
-            });
-        }
-    });
-
-    slots
-        .into_inner()
-        .expect("worker threads have exited")
-        .iter_mut()
-        .map(|slot| slot.take().expect("every index was processed"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -424,10 +302,14 @@ mod tests {
     #[test]
     fn a_panicking_scenario_leaves_every_other_result_intact() {
         let items: Vec<u64> = (0..64).collect();
-        let results = parallel_map_catch(&items, |_, &item| {
-            assert!(item != 17, "poisoned scenario 17");
-            item * 2
-        });
+        let results = parallel_map_with_catch(
+            &items,
+            || (),
+            |(), _, &item| {
+                assert!(item != 17, "poisoned scenario 17");
+                item * 2
+            },
+        );
         assert_eq!(results.len(), 64);
         for (index, result) in results.iter().enumerate() {
             if index == 17 {
@@ -460,67 +342,6 @@ mod tests {
             31,
             "every other scenario ran to completion despite the panic"
         );
-    }
-
-    #[test]
-    fn a_wedged_case_times_out_without_stalling_the_batch() {
-        let items: Vec<u64> = (0..8).collect();
-        let results = parallel_map_with_deadline(
-            &items,
-            || (),
-            Duration::from_millis(40),
-            |(), _, &item, deadline| {
-                if item == 3 {
-                    // A cooperative wedge: spins until past its deadline,
-                    // the way a deadline-polling simulation bails out.
-                    while Instant::now() < deadline + Duration::from_millis(5) {
-                        std::thread::yield_now();
-                    }
-                }
-                item * 2
-            },
-        );
-        assert_eq!(results.len(), 8);
-        for (index, result) in results.iter().enumerate() {
-            if index == 3 {
-                match result.as_ref().unwrap_err() {
-                    ScenarioFailure::DeadlineExceeded { index, elapsed, budget } => {
-                        assert_eq!(*index, 3);
-                        assert!(elapsed > budget, "{elapsed:?} vs {budget:?}");
-                    }
-                    other => panic!("expected a deadline failure, got {other}"),
-                }
-            } else {
-                assert_eq!(*result.as_ref().unwrap(), index as u64 * 2);
-            }
-        }
-    }
-
-    #[test]
-    fn deadline_sweeps_still_isolate_panics_and_discard_scratch() {
-        let items: Vec<u64> = (0..12).collect();
-        let results = parallel_map_with_deadline(
-            &items,
-            || false,
-            Duration::from_secs(5),
-            |poisoned: &mut bool, _, &item, _deadline| {
-                assert!(!*poisoned, "poisoned scratch state reused");
-                *poisoned = true;
-                assert!(item != 7, "die at 7");
-                *poisoned = false;
-                item
-            },
-        );
-        let failures: Vec<&ScenarioFailure> =
-            results.iter().filter_map(|r| r.as_ref().err()).collect();
-        assert_eq!(failures.len(), 1);
-        match failures[0] {
-            ScenarioFailure::Panic(panic) => {
-                assert_eq!(panic.index, 7);
-                assert!(panic.message.contains("die at 7"), "{panic}");
-            }
-            other => panic!("expected a panic failure, got {other}"),
-        }
     }
 
     #[test]

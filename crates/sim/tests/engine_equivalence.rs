@@ -459,65 +459,3 @@ fn lane_blocked_scheduler_injection_matches_per_lane_scalar_runs() {
         "the injected policies must actually change behaviour across lanes"
     );
 }
-
-#[test]
-fn a_wedged_lane_block_deadlines_without_poisoning_sibling_workers() {
-    use elastic_sim::sweep::{parallel_map_with_deadline, ScenarioFailure};
-    use std::time::{Duration, Instant};
-
-    // Four lane blocks of 64 sink environments each, swept with a per-case
-    // wall-clock budget. Block 1 wedges (cooperatively spins past its
-    // deadline, the way a pathological lane batch would); the sibling
-    // blocks must come back intact and bit-equal to an undisturbed sweep.
-    let cycles = 60;
-    let scenario = Fig1Scenario { cycles, ..Fig1Scenario::default() };
-    let handles = build_fig1(&scenario);
-    let sinks = sink_ids(&handles.netlist);
-    let blocks: Vec<usize> = (0..4).collect();
-
-    let sweep_block = |sim: &mut LaneSimulation, block: usize| -> Vec<u64> {
-        let patterns: Vec<_> =
-            (0..LANES).map(|lane| lane_pattern((block * LANES + lane) % 61)).collect();
-        let overrides: Vec<_> = sinks.iter().map(|&sink| (sink, patterns.clone())).collect();
-        sim.reset_with_lane_sink_patterns(&overrides);
-        sim.run(cycles).unwrap();
-        (0..LANES).map(|lane| sim.report(lane).sink_transfers(sinks[0])).collect()
-    };
-
-    let lane_config = LaneConfig { record_trace: false, ..LaneConfig::default() };
-    let expected: Vec<Vec<u64>> = {
-        let mut sim = LaneSimulation::new(&handles.netlist, &lane_config).unwrap();
-        blocks.iter().map(|&block| sweep_block(&mut sim, block)).collect()
-    };
-
-    let budget = Duration::from_millis(150);
-    let results = parallel_map_with_deadline(
-        &blocks,
-        || LaneSimulation::new(&handles.netlist, &lane_config).unwrap(),
-        budget,
-        |sim, _, &block, deadline| {
-            if block == 1 {
-                while Instant::now() < deadline + Duration::from_millis(5) {
-                    std::thread::yield_now();
-                }
-            }
-            sweep_block(sim, block)
-        },
-    );
-
-    assert_eq!(results.len(), 4);
-    for (block, result) in results.iter().enumerate() {
-        if block == 1 {
-            match result.as_ref().unwrap_err() {
-                ScenarioFailure::DeadlineExceeded { index, .. } => assert_eq!(*index, 1),
-                other => panic!("expected a deadline failure, got {other}"),
-            }
-        } else {
-            assert_eq!(
-                result.as_ref().unwrap(),
-                &expected[block],
-                "sibling block {block} must be unaffected by the wedged block"
-            );
-        }
-    }
-}

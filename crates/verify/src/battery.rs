@@ -6,13 +6,17 @@
 //! (Section 3.1), deadlock freedom and the scheduler leads-to property
 //! (Section 4.1.1), token conservation through speculative shared modules
 //! (Section 4.2) and the per-channel SELF protocol properties. This module
-//! packages that gauntlet behind three harness entry points:
+//! packages that gauntlet behind four harness entry points:
 //!
+//! * [`check_design`] — every single-design property (deadlock freedom,
+//!   leads-to, conservation, protocol) read from **one traced run** of the
+//!   design;
 //! * [`check_transform_battery`] — everything at once for one
-//!   reference/transformed pair, with [`Verdict::notes`] recording which
-//!   checks were vacuous for the design at hand (no shared modules → the
-//!   conservation check has nothing to say, and a passed verdict must not
-//!   pretend otherwise);
+//!   reference/transformed pair: the two transfer-equivalence runs plus
+//!   [`check_design`] on the transformed design, three simulations in all,
+//!   with [`Verdict::notes`] recording which checks were vacuous for the
+//!   design at hand (no shared modules → the conservation check has nothing
+//!   to say, and a passed verdict must not pretend otherwise);
 //! * [`check_equivalence_under_environments`] — transfer equivalence replayed
 //!   under injected environment variations (source offer patterns and sink
 //!   back-pressure patterns, matched to nodes by instance name), building
@@ -25,14 +29,17 @@
 //!   the scheduler may change performance, never the streams), injected via
 //!   [`Simulation::reset_with_schedulers`] on a single build.
 
+use std::collections::BTreeSet;
+
 use elastic_core::kind::{BackpressurePattern, SourcePattern};
-use elastic_core::{Netlist, NodeId, NodeKind, SchedulerKind};
+use elastic_core::{Netlist, NodeId, SchedulerKind};
 use elastic_sim::{SimConfig, SimError, Simulation};
 
-use crate::conservation::check_shared_module_conservation;
+use crate::conservation::conservation_on_trace;
 use crate::equivalence::{compare_transfer_streams, transfer_equivalent};
-use crate::liveness::{check_deadlock_freedom, check_leads_to, LivenessOptions};
-use crate::properties::{check_netlist_protocol, ProtocolOptions};
+use crate::exploration::shared_modules_of;
+use crate::liveness::{check_leads_to_on_trace, deadlock_freedom_on_run, LivenessOptions};
+use crate::properties::{check_trace, ProtocolOptions};
 use crate::Verdict;
 
 /// Configuration of [`check_transform_battery`].
@@ -57,18 +64,78 @@ impl Default for BatteryOptions {
     }
 }
 
-fn has_shared_modules(netlist: &Netlist) -> bool {
-    netlist.live_nodes().any(|n| matches!(n.kind, NodeKind::Shared(_)))
+/// The property verdicts of one design, all read from one traced run (see
+/// [`check_design`]).
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct DesignVerdicts {
+    /// Deadlock freedom over the first `liveness.cycles` cycles.
+    pub deadlock_freedom: Verdict,
+    /// The leads-to property over the first `liveness.cycles` cycles;
+    /// `None` when the design has no shared module.
+    pub leads_to: Option<Verdict>,
+    /// Token conservation over the first `cycles` cycles; `None` when the
+    /// design has no shared module.
+    pub conservation: Option<Verdict>,
+    /// The SELF protocol properties over the first `cycles` cycles; `None`
+    /// unless [`BatteryOptions::check_protocol`] is set.
+    pub protocol: Option<Verdict>,
+}
+
+/// Simulates a design once, traced, and returns its deadlock-freedom,
+/// leads-to, token-conservation and protocol verdicts from that trace.
+///
+/// The run lasts the longer of `options.cycles` and
+/// `options.liveness.cycles`. Each check reads the trace when the run
+/// reaches its own length; the simulation is deterministic, so that prefix
+/// is exactly the shorter run the check would make on its own.
+///
+/// The protocol check judges liveness with the liveness progress window: a
+/// misprediction a static scheduler never corrects starves the losing user
+/// for the shared module's starvation limit, and an inserted buffer
+/// lengthens that wait past the protocol checker's default 64 cycles while
+/// deadlock freedom still holds.
+///
+/// # Errors
+///
+/// Propagates simulation failures.
+pub fn check_design(
+    netlist: &Netlist,
+    options: &BatteryOptions,
+) -> Result<DesignVerdicts, SimError> {
+    let shared = !shared_modules_of(netlist).is_empty();
+    let protocol = ProtocolOptions {
+        starvation_window: options.liveness.progress_window,
+        ..ProtocolOptions::default()
+    };
+    let mut sim = Simulation::new(netlist, &SimConfig::default())?;
+    let mut verdicts = DesignVerdicts::default();
+    for length in BTreeSet::from([options.cycles, options.liveness.cycles]) {
+        let report = sim.run(length - sim.cycle())?;
+        let trace = sim.trace();
+        if length == options.liveness.cycles {
+            verdicts.deadlock_freedom =
+                deadlock_freedom_on_run(netlist, trace, &report, &options.liveness);
+            verdicts.leads_to =
+                shared.then(|| check_leads_to_on_trace(netlist, trace, &options.liveness));
+        }
+        if length == options.cycles {
+            verdicts.conservation = shared.then(|| conservation_on_trace(netlist, trace));
+            verdicts.protocol =
+                options.check_protocol.then(|| check_trace(netlist, trace, &protocol));
+        }
+    }
+    Ok(verdicts)
 }
 
 /// Runs the full battery on one reference/transformed pair.
 ///
-/// Checks, in order: transfer equivalence of the pair, deadlock freedom of
-/// the transformed design, the leads-to property and token conservation of
-/// every shared module in it, and (optionally) the SELF protocol properties
-/// on its trace. Checks that are vacuous for the design at hand — no shared
-/// module to conserve tokens through — are recorded as coverage notes on the
-/// verdict instead of silently counting as passed.
+/// Checks, in order: transfer equivalence of the pair, then — from one
+/// traced run of the transformed design ([`check_design`]) — its deadlock
+/// freedom, the leads-to property and token conservation of every shared
+/// module in it, and (optionally) the SELF protocol properties. Checks that
+/// are vacuous for the design at hand — no shared module to conserve tokens
+/// through — are recorded as coverage notes on the verdict instead of
+/// silently counting as passed.
 ///
 /// # Errors
 ///
@@ -80,35 +147,20 @@ pub fn check_transform_battery(
     transformed: &Netlist,
     options: &BatteryOptions,
 ) -> Result<Verdict, SimError> {
-    let mut verdict = Verdict::default();
-
-    let equivalence = transfer_equivalent(reference, transformed, options.cycles)?;
-    verdict.merge(equivalence.verdict);
-
-    verdict.merge(check_deadlock_freedom(transformed, &options.liveness)?);
-
-    if has_shared_modules(transformed) {
-        verdict.merge(check_leads_to(transformed, &options.liveness)?);
-        verdict.merge(check_shared_module_conservation(transformed, options.cycles)?);
-    } else {
-        verdict.note("no shared modules in the transformed design — leads-to and token-conservation checks are vacuous");
+    let mut verdict = transfer_equivalent(reference, transformed, options.cycles)?.verdict;
+    let checks = check_design(transformed, options)?;
+    verdict.merge(checks.deadlock_freedom);
+    match (checks.leads_to, checks.conservation) {
+        (Some(leads_to), Some(conservation)) => {
+            verdict.merge(leads_to);
+            verdict.merge(conservation);
+        }
+        _ => verdict.note("no shared modules in the transformed design — leads-to and token-conservation checks are vacuous"),
     }
-
-    if options.check_protocol {
-        // One window for every liveness judgement of the battery: a
-        // misprediction a static scheduler never corrects starves the
-        // losing user for the shared module's starvation limit, and an
-        // inserted buffer stretches that stretch past the protocol
-        // checker's default 64 cycles while deadlock freedom still holds.
-        let protocol = ProtocolOptions {
-            starvation_window: options.liveness.progress_window,
-            ..ProtocolOptions::default()
-        };
-        verdict.merge(check_netlist_protocol(transformed, options.cycles, &protocol)?);
-    } else {
-        verdict.note("SELF protocol properties not checked");
+    match checks.protocol {
+        Some(protocol) => verdict.merge(protocol),
+        None => verdict.note("SELF protocol properties not checked"),
     }
-
     Ok(verdict)
 }
 
@@ -211,13 +263,7 @@ pub fn check_equivalence_across_schedulers(
     cycles: u64,
 ) -> Result<Verdict, SimError> {
     let mut verdict = Verdict::default();
-    let shared: Vec<(NodeId, usize)> = transformed
-        .live_nodes()
-        .filter_map(|n| match &n.kind {
-            NodeKind::Shared(spec) => Some((n.id, spec.users)),
-            _ => None,
-        })
-        .collect();
+    let shared = shared_modules_of(transformed);
     if shared.is_empty() {
         verdict.note("no shared modules — scheduler injection is vacuous");
         return Ok(verdict);
@@ -259,6 +305,7 @@ mod tests {
     use elastic_core::kind::DataStream;
     use elastic_core::library::{fig1a, Fig1Config};
     use elastic_core::transform::{speculate, SpeculateOptions};
+    use elastic_core::NodeKind;
 
     fn config() -> Fig1Config {
         Fig1Config {
@@ -292,6 +339,43 @@ mod tests {
         assert!(verdict.passed(), "{verdict}");
         assert!(!verdict.is_exhaustive(), "no shared modules → conservation must be noted");
         assert!(verdict.to_string().contains("vacuous"));
+    }
+
+    #[test]
+    fn each_design_verdict_equals_a_run_of_its_own_length() {
+        use crate::conservation::check_shared_module_conservation;
+        use crate::liveness::{check_deadlock_freedom, check_leads_to};
+        use crate::properties::check_netlist_protocol;
+        // The stalled sink wedges fig1d. No sink ever receives a token, but
+        // only past 96 cycles do the progress window, leads-to and protocol
+        // liveness fail too, so a verdict read at the wrong length shows.
+        let netlist = crate::liveness::tests::stalled_sink_fig1d();
+        let mut seen = Vec::new();
+        for (cycles, liveness_cycles) in [(90, 200), (200, 90)] {
+            let options = BatteryOptions {
+                cycles,
+                liveness: LivenessOptions { cycles: liveness_cycles, ..LivenessOptions::default() },
+                check_protocol: true,
+            };
+            let protocol = ProtocolOptions {
+                starvation_window: options.liveness.progress_window,
+                ..ProtocolOptions::default()
+            };
+            let checks = check_design(&netlist, &options).unwrap();
+            let alone = DesignVerdicts {
+                deadlock_freedom: check_deadlock_freedom(&netlist, &options.liveness).unwrap(),
+                leads_to: Some(check_leads_to(&netlist, &options.liveness).unwrap()),
+                conservation: Some(check_shared_module_conservation(&netlist, cycles).unwrap()),
+                protocol: Some(check_netlist_protocol(&netlist, cycles, &protocol).unwrap()),
+            };
+            assert_eq!(checks, alone, "cycles {cycles}, liveness cycles {liveness_cycles}");
+            seen.push(checks);
+        }
+        let passed = |verdict: &Option<Verdict>| verdict.as_ref().is_some_and(Verdict::passed);
+        assert_eq!(seen[0].deadlock_freedom.violations.len(), 2, "{:?}", seen[0]);
+        assert_eq!(seen[1].deadlock_freedom.violations.len(), 1, "{:?}", seen[1]);
+        assert!(!passed(&seen[0].leads_to) && passed(&seen[1].leads_to));
+        assert!(passed(&seen[0].protocol) && !passed(&seen[1].protocol));
     }
 
     #[test]

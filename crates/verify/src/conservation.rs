@@ -86,9 +86,12 @@ pub fn check_shared_module_conservation(
 ) -> Result<Verdict, SimError> {
     let mut sim = Simulation::new(netlist, &SimConfig::default())?;
     sim.run(cycles)?;
-    let trace = sim.trace();
-    let mut verdict = Verdict::default();
+    Ok(conservation_on_trace(netlist, sim.trace()))
+}
 
+/// [`check_shared_module_conservation`] on a recorded trace.
+pub(crate) fn conservation_on_trace(netlist: &Netlist, trace: &Trace) -> Verdict {
+    let mut verdict = Verdict::default();
     for node in netlist.live_nodes() {
         let NodeKind::Shared(spec) = &node.kind else { continue };
         for user in 0..spec.users {
@@ -144,7 +147,7 @@ pub fn check_shared_module_conservation(
             }
         }
     }
-    Ok(verdict)
+    verdict
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ use elastic_core::kind::{BackpressurePattern, SourcePattern};
 use elastic_core::{Netlist, NodeKind, Scheduler};
 use elastic_predict::RandomScheduler;
 use elastic_sim::sweep::lane_map;
-use elastic_sim::{LaneConfig, LaneSimulation, SchedulerFactory, SimError, LANES};
+use elastic_sim::{LaneConfig, LaneSimulation, SchedulerFactory, SimError, Trace, LANES};
 
 use crate::liveness::{check_leads_to_on_trace, LivenessOptions};
 use crate::properties::{check_trace, ProtocolOptions};
@@ -89,7 +89,8 @@ fn sources_of(netlist: &Netlist) -> Vec<elastic_core::NodeId> {
     netlist.live_nodes().filter(|n| matches!(n.kind, NodeKind::Source(_))).map(|n| n.id).collect()
 }
 
-fn shared_modules_of(netlist: &Netlist) -> Vec<(elastic_core::NodeId, usize)> {
+/// Every shared module of `netlist` with its user count.
+pub(crate) fn shared_modules_of(netlist: &Netlist) -> Vec<(elastic_core::NodeId, usize)> {
     netlist
         .live_nodes()
         .filter_map(|n| match &n.kind {
@@ -149,103 +150,64 @@ pub fn explore_environments(
     let (explored, combinations) = enumeration_coverage(pattern_bits, options.max_runs);
     let runs: Vec<usize> = (0..explored).collect();
 
-    let config = LaneConfig { track_divergence: false, ..LaneConfig::default() };
     let protocol = ProtocolOptions { check_liveness: false, ..ProtocolOptions::default() };
-    let failures = lane_map(
-        &runs,
-        || LaneSimulation::new(netlist, &config),
-        |worker_sim, _, block| -> Vec<Result<Option<String>, SimError>> {
-            // A block-level failure lands in the block's first result slot
-            // (the merge loop below short-circuits on the first `Err` in
-            // combination order, so the padding `Ok(None)` slots are never
-            // reported).
-            let block_failed = |error: SimError| {
-                let mut results: Vec<Result<Option<String>, SimError>> =
-                    Vec::with_capacity(block.len());
-                results.push(Err(error));
-                results.resize_with(block.len(), || Ok(None));
-                results
-            };
-            let sim = match worker_sim {
-                Ok(sim) => sim,
-                // Construction failures depend only on the netlist, never on
-                // the combination: rebuilding reproduces the same error for
-                // this block's report (cold path, never hit by valid
-                // designs).
-                Err(_) => {
-                    return block_failed(
-                        LaneSimulation::new(netlist, &config)
-                            .expect_err("simulation build failures are deterministic"),
-                    )
-                }
-            };
-            let sink_overrides: Vec<(elastic_core::NodeId, Vec<BackpressurePattern>)> = sinks
-                .iter()
-                .enumerate()
-                .map(|(sink_index, &sink)| {
-                    let patterns = block
-                        .iter()
-                        .map(|&combination| {
-                            let mut pattern = Vec::with_capacity(options.pattern_depth);
-                            for cycle in 0..options.pattern_depth {
-                                let bit = sink_index * options.pattern_depth + cycle;
-                                pattern.push((combination >> bit) & 1 == 1);
-                            }
-                            BackpressurePattern::List(pattern)
-                        })
-                        .collect();
-                    (sink, patterns)
-                })
-                .collect();
-            let source_overrides: Vec<(elastic_core::NodeId, Vec<SourcePattern>)> = sources
-                .iter()
-                .enumerate()
-                .map(|(source_index, &source)| {
-                    let patterns = block
-                        .iter()
-                        .map(|&combination| {
-                            let mut pattern = Vec::with_capacity(options.pattern_depth);
-                            for cycle in 0..options.pattern_depth {
-                                let bit =
-                                    (sinks.len() + source_index) * options.pattern_depth + cycle;
-                                // A set source bit withholds the offer, so
-                                // combination 0 keeps the nominal
-                                // always-offering environment.
-                                pattern.push((combination >> bit) & 1 == 0);
-                            }
-                            SourcePattern::List(pattern)
-                        })
-                        .collect();
-                    (source, patterns)
-                })
-                .collect();
-            // Both overrides persist across the reset the second call
-            // performs, so the block ends up with this combination set's
-            // sink *and* source environments (depth 0 enumerates the single
-            // empty pattern — leave the specs' own patterns in force).
-            if options.pattern_depth > 0 {
-                sim.reset_with_lane_sink_patterns(&sink_overrides);
-                sim.reset_with_lane_source_patterns(&source_overrides);
-            } else {
-                sim.reset();
-            }
-            if let Err(error) = sim.run(options.cycles_per_run) {
-                return block_failed(error);
-            }
-            block
-                .iter()
-                .enumerate()
-                .map(|(lane, &combination)| {
-                    let run_verdict = check_trace(netlist, sim.trace(lane), &protocol);
-                    if run_verdict.passed() {
-                        Ok(None)
-                    } else {
-                        Ok(Some(format!("environment combination {combination}: {run_verdict}")))
-                    }
-                })
-                .collect()
-        },
-    );
+    let setup = |sim: &mut LaneSimulation, block: &[usize]| {
+        let sink_overrides: Vec<(elastic_core::NodeId, Vec<BackpressurePattern>)> = sinks
+            .iter()
+            .enumerate()
+            .map(|(sink_index, &sink)| {
+                let patterns = block
+                    .iter()
+                    .map(|&combination| {
+                        let mut pattern = Vec::with_capacity(options.pattern_depth);
+                        for cycle in 0..options.pattern_depth {
+                            let bit = sink_index * options.pattern_depth + cycle;
+                            pattern.push((combination >> bit) & 1 == 1);
+                        }
+                        BackpressurePattern::List(pattern)
+                    })
+                    .collect();
+                (sink, patterns)
+            })
+            .collect();
+        let source_overrides: Vec<(elastic_core::NodeId, Vec<SourcePattern>)> = sources
+            .iter()
+            .enumerate()
+            .map(|(source_index, &source)| {
+                let patterns = block
+                    .iter()
+                    .map(|&combination| {
+                        let mut pattern = Vec::with_capacity(options.pattern_depth);
+                        for cycle in 0..options.pattern_depth {
+                            let bit = (sinks.len() + source_index) * options.pattern_depth + cycle;
+                            // A set source bit withholds the offer, so
+                            // combination 0 keeps the nominal
+                            // always-offering environment.
+                            pattern.push((combination >> bit) & 1 == 0);
+                        }
+                        SourcePattern::List(pattern)
+                    })
+                    .collect();
+                (source, patterns)
+            })
+            .collect();
+        // Both overrides persist across the reset the second call
+        // performs, so the block ends up with this combination set's sink
+        // *and* source environments (depth 0 enumerates the single empty
+        // pattern — leave the specs' own patterns in force).
+        if options.pattern_depth > 0 {
+            sim.reset_with_lane_sink_patterns(&sink_overrides);
+            sim.reset_with_lane_source_patterns(&source_overrides);
+        } else {
+            sim.reset();
+        }
+    };
+    let failures =
+        sweep_lane_blocks(netlist, &runs, options.cycles_per_run, setup, |combination, trace| {
+            let run_verdict = check_trace(netlist, trace, &protocol);
+            (!run_verdict.passed())
+                .then(|| format!("environment combination {combination}: {run_verdict}"))
+        })?;
 
     let mut verdict = Verdict::default();
     if pattern_bits > MAX_EXHAUSTIVE_PATTERN_BITS || explored < combinations {
@@ -259,11 +221,7 @@ pub fn explore_environments(
             options.max_runs
         ));
     }
-    for failure in failures {
-        if let Some(reason) = failure? {
-            verdict.reject(reason);
-        }
-    }
+    verdict.violations.extend(failures);
     Ok(verdict)
 }
 
@@ -293,16 +251,60 @@ pub fn explore_adversarial_schedulers(
     if shared.is_empty() {
         return Ok(verdict);
     }
-    let config = LaneConfig { track_divergence: false, ..LaneConfig::default() };
     let protocol = ProtocolOptions::default();
     let liveness =
         LivenessOptions { cycles: options.cycles_per_run.max(200), ..LivenessOptions::default() };
     let scheduler_seed = |run: usize| -> u64 { options.seed ^ ((run as u64 + 1) * 0x9E37_79B9) };
     let runs: Vec<usize> = (0..options.random_scheduler_runs).collect();
+    let setup = |sim: &mut LaneSimulation, block: &[usize]| {
+        // Lane ℓ replays run `block[ℓ]`; lanes past a short final block
+        // repeat the last run's seed and are never inspected.
+        let factories: Vec<(elastic_core::NodeId, Box<SchedulerFactory<'_>>)> = shared
+            .iter()
+            .map(|&(node, users)| {
+                let make: Box<SchedulerFactory<'_>> = Box::new(move |lane| {
+                    let run = block[lane.min(block.len() - 1)];
+                    Box::new(RandomScheduler::new(users, scheduler_seed(run))) as Box<dyn Scheduler>
+                });
+                (node, make)
+            })
+            .collect();
+        let overrides: Vec<(elastic_core::NodeId, &SchedulerFactory<'_>)> =
+            factories.iter().map(|(node, make)| (*node, make.as_ref())).collect();
+        sim.reset_with_schedulers(&overrides);
+    };
+    let failures = sweep_lane_blocks(netlist, &runs, liveness.cycles, setup, |run, trace| {
+        let mut run_verdict = check_trace(netlist, trace, &protocol);
+        run_verdict.merge(check_leads_to_on_trace(netlist, trace, &liveness));
+        (!run_verdict.passed()).then(|| format!("adversarial scheduler run {run}: {run_verdict}"))
+    })?;
+    verdict.violations.extend(failures);
+    Ok(verdict)
+}
+
+/// Sweeps `runs` in [`LANES`]-wide blocks through [`lane_map`], with one
+/// [`LaneSimulation`] per worker thread: `setup` resets the simulation with
+/// one block's lane environments, the block runs for `cycles`, and `judge`
+/// checks each lane's trace, returning the run's violation, if any.
+///
+/// Returns the violations in run order. A block whose build or run fails
+/// reports its error at its first run, and the lowest such error is
+/// returned instead.
+fn sweep_lane_blocks(
+    netlist: &Netlist,
+    runs: &[usize],
+    cycles: u64,
+    setup: impl Fn(&mut LaneSimulation, &[usize]) + Sync,
+    judge: impl Fn(usize, &Trace) -> Option<String> + Sync,
+) -> Result<Vec<String>, SimError> {
+    let config = LaneConfig { track_divergence: false, ..LaneConfig::default() };
     let failures = lane_map(
-        &runs,
+        runs,
         || LaneSimulation::new(netlist, &config),
         |worker_sim, _, block| -> Vec<Result<Option<String>, SimError>> {
+            // A block-level failure lands in the block's first result slot
+            // (the merge below short-circuits on the first `Err` in run
+            // order, so the padding `Ok(None)` slots are never reported).
             let block_failed = |error: SimError| {
                 let mut results: Vec<Result<Option<String>, SimError>> =
                     Vec::with_capacity(block.len());
@@ -312,6 +314,9 @@ pub fn explore_adversarial_schedulers(
             };
             let sim = match worker_sim {
                 Ok(sim) => sim,
+                // Construction failures depend only on the netlist, never on
+                // the run: rebuilding reproduces the same error for this
+                // block's report (cold path, never hit by valid designs).
                 Err(_) => {
                     return block_failed(
                         LaneSimulation::new(netlist, &config)
@@ -319,46 +324,14 @@ pub fn explore_adversarial_schedulers(
                     )
                 }
             };
-            // Lane ℓ replays run `block[ℓ]`; lanes past a short final block
-            // repeat the last run's seed and are never inspected.
-            let factories: Vec<(elastic_core::NodeId, Box<SchedulerFactory<'_>>)> = shared
-                .iter()
-                .map(|&(node, users)| {
-                    let make: Box<SchedulerFactory<'_>> = Box::new(move |lane| {
-                        let run = block[lane.min(block.len() - 1)];
-                        Box::new(RandomScheduler::new(users, scheduler_seed(run)))
-                            as Box<dyn Scheduler>
-                    });
-                    (node, make)
-                })
-                .collect();
-            let overrides: Vec<(elastic_core::NodeId, &SchedulerFactory<'_>)> =
-                factories.iter().map(|(node, make)| (*node, make.as_ref())).collect();
-            sim.reset_with_schedulers(&overrides);
-            if let Err(error) = sim.run(liveness.cycles) {
+            setup(sim, block);
+            if let Err(error) = sim.run(cycles) {
                 return block_failed(error);
             }
-            block
-                .iter()
-                .enumerate()
-                .map(|(lane, &run)| {
-                    let mut run_verdict = check_trace(netlist, sim.trace(lane), &protocol);
-                    run_verdict.merge(check_leads_to_on_trace(netlist, sim.trace(lane), &liveness));
-                    if run_verdict.passed() {
-                        Ok(None)
-                    } else {
-                        Ok(Some(format!("adversarial scheduler run {run}: {run_verdict}")))
-                    }
-                })
-                .collect()
+            block.iter().enumerate().map(|(lane, &run)| Ok(judge(run, sim.trace(lane)))).collect()
         },
     );
-    for failure in failures {
-        if let Some(reason) = failure? {
-            verdict.reject(reason);
-        }
-    }
-    Ok(verdict)
+    failures.into_iter().filter_map(Result::transpose).collect()
 }
 
 /// Runs both exploration strategies and merges their verdicts.

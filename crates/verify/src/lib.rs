@@ -22,17 +22,27 @@
 //! * [`battery`] — the whole gauntlet behind one entry point per
 //!   reference/transformed pair, plus environment- and scheduler-injection
 //!   equivalence sweeps; this is what the `elastic-gen` differential fuzzing
-//!   harness runs on every generated netlist and transformation;
+//!   harness runs on every generated netlist and transformation. Its
+//!   [`check_design`] reads every single-design property from one traced
+//!   run, so the battery simulates the transformed design once;
 //! * [`exploration`] — bounded exhaustive exploration of environment
 //!   behaviour (all back-pressure/offer patterns up to a depth) plus
 //!   randomized adversarial schedulers, the substitute for symbolic model
 //!   checking documented in `DESIGN.md`;
-//! * [`monitor`] — streaming, fail-fast runtime counterparts of the trace
-//!   checkers ([`monitor::ProtocolMonitor`], [`monitor::ProgressMonitor`],
-//!   [`monitor::LeadsToMonitor`], [`monitor::ScoreboardMonitor`]) that plug
-//!   into [`elastic_sim::Simulation::run_monitored`] and stop a faulted run
-//!   at the violating cycle with a `(channel, cycle, invariant)` locus —
-//!   the detection layer of the fault-injection campaign in `elastic-gen`.
+//! * [`monitor`] — streaming, fail-fast runtime drivers of the same
+//!   properties ([`monitor::ProtocolMonitor`], [`monitor::ProgressMonitor`],
+//!   [`monitor::LeadsToMonitor`], plus the trace-less
+//!   [`monitor::ScoreboardMonitor`]) that plug into
+//!   [`elastic_sim::Simulation::run_monitored`] and stop a faulted run at
+//!   the violating cycle with a `(channel, cycle, invariant)` locus — the
+//!   detection layer of the fault-injection campaign in `elastic-gen`.
+//!
+//! Each runtime property — the four SELF channel rules, the sink-progress
+//! window of deadlock freedom and the leads-to wait — has its per-cycle rule
+//! written once, in a private `rules` module. The trace checkers of
+//! [`properties`] and [`liveness`] walk recorded channel columns through it
+//! and collect every violation; the monitors walk live cycle rows through
+//! it and stop at the first.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,10 +55,11 @@ pub mod exploration;
 pub mod liveness;
 pub mod monitor;
 pub mod properties;
+mod rules;
 
 pub use battery::{
-    check_equivalence_across_schedulers, check_equivalence_under_environments,
-    check_transform_battery, BatteryOptions, EnvironmentOverride,
+    check_design, check_equivalence_across_schedulers, check_equivalence_under_environments,
+    check_transform_battery, BatteryOptions, DesignVerdicts, EnvironmentOverride,
 };
 pub use equivalence::transfer_equivalent;
 pub use liveness::{diagnose_deadlock, DeadlockDiagnosis, WaitEdge, WaitReason};

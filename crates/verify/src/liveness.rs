@@ -8,19 +8,26 @@
 //! deadlock-free. The checkers here verify both obligations dynamically on
 //! recorded traces:
 //!
-//! * [`check_deadlock_freedom`] — the design keeps making progress: within
-//!   every window of the configured length at least one sink transfer
-//!   happens while the sources still have tokens to offer;
-//! * [`check_leads_to`] — every cycle in which a shared-module input carries
-//!   a valid token is followed, within a bounded horizon, by that channel
-//!   transferring or being cancelled.
+//! * [`check_deadlock_freedom`] — the design keeps making progress: no run
+//!   of more than the configured window of cycles passes without a sink
+//!   transfer, and some sink receives a token at all;
+//! * [`check_leads_to`] — no valid token at a shared-module input waits
+//!   unserved (neither transferred nor cancelled) for more than a bounded
+//!   horizon.
+//!
+//! Both are trace drivers: they walk the channel columns of a recorded run
+//! and report what they find. The per-cycle rules — the sink-progress
+//! window and the leads-to wait — live once in `rules.rs`, shared with the
+//! streaming [`crate::monitor::ProgressMonitor`] and
+//! [`crate::monitor::LeadsToMonitor`].
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use elastic_core::{ChannelId, Netlist, NodeId, NodeKind, Port};
-use elastic_sim::{ChannelState, SimConfig, SimError, Simulation, Trace};
+use elastic_core::{ChannelId, Netlist, NodeId, NodeKind};
+use elastic_sim::{ChannelState, SimConfig, SimError, Simulation, SimulationReport, Trace};
 
+use crate::rules::{shared_inputs, sink_inputs, LeadsToWait, ProgressWindow};
 use crate::Verdict;
 
 /// Options for the liveness checks.
@@ -53,53 +60,43 @@ pub fn check_deadlock_freedom(
 ) -> Result<Verdict, SimError> {
     let mut sim = Simulation::new(netlist, &SimConfig::default())?;
     let report = sim.run(options.cycles)?;
-    let trace = sim.trace();
+    Ok(deadlock_freedom_on_run(netlist, sim.trace(), &report, options))
+}
+
+/// The trace driver of the sink-progress window: checks deadlock freedom on
+/// a finished run, given its trace and its report.
+pub(crate) fn deadlock_freedom_on_run(
+    netlist: &Netlist,
+    trace: &Trace,
+    report: &SimulationReport,
+    options: &LivenessOptions,
+) -> Verdict {
     let mut verdict = Verdict::default();
-
-    // Collect the input channels of every sink.
-    let sink_channels: Vec<_> = netlist
-        .live_nodes()
-        .filter(|n| matches!(n.kind, NodeKind::Sink(_)))
-        .filter_map(|n| netlist.channel_into(Port::input(n.id, 0)).map(|c| c.id))
-        .collect();
-    if sink_channels.is_empty() {
-        verdict.reject("the design has no sinks; progress cannot be observed");
-        return Ok(verdict);
-    }
-
     // One streaming cursor per sink channel, advanced in lock-step — no
     // per-cycle map lookups, no materialised histories.
-    let mut sink_histories: Vec<_> =
-        sink_channels.iter().map(|&channel| trace.channel_iter(channel)).collect();
-    let mut idle_run = 0usize;
+    let mut sinks: Vec<_> =
+        sink_inputs(netlist).map(|(_, channel)| trace.channel_iter(channel.id)).collect();
+    if sinks.is_empty() {
+        verdict.reject("the design has no sinks; progress cannot be observed");
+        return verdict;
+    }
+    let mut window = ProgressWindow::default();
     for cycle in 0..trace.len() {
-        let mut progress = false;
-        for history in &mut sink_histories {
-            if let Some(state) = history.next() {
-                progress |= state.forward_transfer();
-            }
-        }
-        if progress {
-            idle_run = 0;
-        } else {
-            idle_run += 1;
-            if idle_run > options.progress_window {
-                let diagnosis = diagnose_deadlock_on_trace(netlist, trace, cycle);
-                verdict.reject(format!(
-                    "no sink transferred for {} consecutive cycles (deadlock or livelock \
-                     detected around cycle {cycle}); {diagnosis}",
-                    options.progress_window
-                ));
-                break;
-            }
+        if window.stalled(sinks.iter_mut().filter_map(Iterator::next), options.progress_window) {
+            let diagnosis = diagnose_deadlock_on_trace(netlist, trace, cycle);
+            verdict.reject(format!(
+                "no sink transferred for {} consecutive cycles (deadlock or livelock \
+                 detected around cycle {cycle}); {diagnosis}",
+                options.progress_window
+            ));
+            break;
         }
     }
-
     // Sanity: the run must have delivered something at all.
     if report.sink_streams.values().all(|s| s.is_empty()) {
         verdict.reject("no sink ever received a token");
     }
-    Ok(verdict)
+    verdict
 }
 
 /// Why one node is waiting on another in the stalled wait-for graph.
@@ -388,44 +385,25 @@ pub fn check_leads_to(netlist: &Netlist, options: &LivenessOptions) -> Result<Ve
     Ok(check_leads_to_on_trace(netlist, sim.trace(), options))
 }
 
-/// Trace-level leads-to check (exposed for callers that already have a trace).
+/// Trace-level leads-to check (exposed for callers that already have a trace):
+/// the trace driver of the leads-to wait, which reports every overdue wait
+/// at every shared-module user input.
 pub fn check_leads_to_on_trace(
     netlist: &Netlist,
     trace: &Trace,
     options: &LivenessOptions,
 ) -> Verdict {
     let mut verdict = Verdict::default();
-    for node in netlist.live_nodes() {
-        let NodeKind::Shared(spec) = &node.kind else { continue };
-        for user in 0..spec.users {
-            for operand in 0..spec.inputs_per_user {
-                let port = Port::input(node.id, user * spec.inputs_per_user + operand);
-                let Some(channel) = netlist.channel_into(port) else { continue };
-                let mut waiting_since: Option<usize> = None;
-                for (cycle, state) in trace.channel_iter(channel.id).enumerate() {
-                    let resolved = state.forward_transfer()
-                        || state.backward_transfer()
-                        || state.annihilation();
-                    if resolved {
-                        waiting_since = None;
-                        continue;
-                    }
-                    if state.forward_valid {
-                        let since = *waiting_since.get_or_insert(cycle);
-                        if cycle - since > options.leads_to_horizon
-                            && cycle + options.leads_to_horizon < trace.len()
-                        {
-                            verdict.reject(format!(
-                                "shared module {} starves user {user} (channel {}): a token has \
-                                 waited since cycle {since}",
-                                node.name, channel.name
-                            ));
-                            waiting_since = None;
-                        }
-                    } else {
-                        waiting_since = None;
-                    }
-                }
+    for (node, user, channel) in shared_inputs(netlist) {
+        let mut wait = LeadsToWait::default();
+        for (cycle, state) in trace.channel_iter(channel.id).enumerate() {
+            if let Some(since) = wait.overdue(cycle as u64, state, options.leads_to_horizon as u64)
+            {
+                verdict.reject(format!(
+                    "shared module {} starves user {user} (channel {}): a token has waited \
+                     since cycle {since}",
+                    node.name, channel.name
+                ));
             }
         }
     }
@@ -433,10 +411,10 @@ pub fn check_leads_to_on_trace(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use elastic_core::library::{fig1d, Fig1Config};
-    use elastic_core::SchedulerKind;
+    use elastic_core::{Port, SchedulerKind};
 
     #[test]
     fn the_speculative_fig1_design_is_deadlock_free_and_fair() {
@@ -457,9 +435,59 @@ mod tests {
         assert!(check_leads_to(&handles.netlist, &options).unwrap().passed());
     }
 
+    /// Figure 1(d) with its sink stalled forever: the loop fills up and a
+    /// token at the shared module's user-0 input waits from cycle 1 on.
+    pub(crate) fn stalled_sink_fig1d() -> Netlist {
+        use elastic_core::kind::{BackpressurePattern, SinkSpec};
+        let handles = fig1d(&Fig1Config::default());
+        let mut netlist = handles.netlist;
+        netlist.node_mut(handles.sink).unwrap().kind =
+            NodeKind::Sink(SinkSpec { backpressure: BackpressurePattern::List(vec![true]) });
+        netlist
+    }
+
     #[test]
-    fn a_token_free_loop_is_reported_as_deadlocked() {
-        // A loop with no initial token can never fire.
+    fn a_starved_shared_input_fails_leads_to_on_runs_under_twice_the_horizon() {
+        // A wait is overdue once it exceeds the horizon, wherever it falls
+        // in the run: 128 and 192 cycles (the service's and the fuzz
+        // harness's run lengths) are enough at the default horizon of 96.
+        use crate::monitor::LeadsToMonitor;
+        use elastic_sim::CycleMonitor;
+        let netlist = stalled_sink_fig1d();
+        for cycles in [128, 192] {
+            let options = LivenessOptions { cycles, ..LivenessOptions::default() };
+            let verdict = check_leads_to(&netlist, &options).unwrap();
+            assert!(!verdict.passed(), "{cycles} cycles: the starved input went unreported");
+
+            let horizon = options.leads_to_horizon as u64;
+            let mut sim = Simulation::new(&netlist, &SimConfig::default()).unwrap();
+            let mut monitors: Vec<Box<dyn CycleMonitor>> =
+                vec![Box::new(LeadsToMonitor::new(&netlist, horizon))];
+            let Err(SimError::MonitorTripped(trip)) =
+                sim.run_monitored(cycles, None, &mut monitors)
+            else {
+                panic!("{cycles} cycles: the leads-to monitor did not trip");
+            };
+            let since = trip.cycle - horizon - 1;
+            assert_eq!((trip.cycle, since), (98, 1), "{trip}");
+            let channel = &netlist.channel(trip.channel.unwrap()).unwrap().name;
+            assert!(
+                trip.details.ends_with(&format!(
+                    "({channel}): a token has waited unserved since cycle {since}"
+                )),
+                "{trip}"
+            );
+            assert!(
+                verdict.violations[0].ends_with(&format!(
+                    "(channel {channel}): a token has waited since cycle {since}"
+                )),
+                "the trace checker names the monitor's channel and wait start first: {verdict}"
+            );
+        }
+    }
+
+    /// A loop with no initial token: it can never fire.
+    pub(crate) fn token_free_loop() -> Netlist {
         let mut n = elastic_core::Netlist::new("deadlock");
         let eb = n.add_buffer("eb", elastic_core::BufferSpec::bubble());
         let f =
@@ -472,8 +500,13 @@ mod tests {
         n.connect(Port::output(f, 0), Port::input(fork, 0), 8).unwrap();
         n.connect(Port::output(fork, 0), Port::input(eb, 0), 8).unwrap();
         n.connect(Port::output(fork, 1), Port::input(sink, 0), 8).unwrap();
+        n
+    }
+
+    #[test]
+    fn a_token_free_loop_is_reported_as_deadlocked() {
         let verdict = check_deadlock_freedom(
-            &n,
+            &token_free_loop(),
             &LivenessOptions { cycles: 80, progress_window: 32, ..LivenessOptions::default() },
         )
         .unwrap();

@@ -1,9 +1,12 @@
-//! Runtime SELF monitors: streaming, fail-fast counterparts of the trace
-//! checkers.
+//! Runtime SELF monitors: streaming, fail-fast drivers of the runtime
+//! property rules.
 //!
-//! Each monitor implements [`elastic_sim::CycleMonitor`] and replicates one
-//! of this crate's end-of-run checks as a per-cycle streaming check, so a
-//! faulted or broken simulation stops **at the violating cycle** with a
+//! Each property this crate checks on a run has its per-cycle rule written
+//! once (in `rules.rs`) and two drivers: the end-of-run trace checkers of
+//! [`crate::properties`] and [`crate::liveness`], which walk a recorded trace
+//! and collect every violation, and the monitors here. Each monitor
+//! implements [`elastic_sim::CycleMonitor`], feeds every cycle row of a live
+//! run through the same rule, and stops **at the violating cycle** with a
 //! `(channel, cycle, invariant)` locus instead of producing a post-mortem
 //! verdict thousands of cycles later:
 //!
@@ -11,15 +14,15 @@
 //!   [`crate::properties`] (`Retry+`, `Retry-`, `Invariant`, bounded
 //!   `Liveness`), honouring the same retraction-exemption analysis for
 //!   speculative producer cones;
-//! * [`ProgressMonitor`] — the deadlock-freedom check of
-//!   [`crate::liveness`]; on a stall it embeds the full wait-for root-cause
-//!   analysis of [`crate::liveness::diagnose_deadlock`] in the violation;
-//! * [`LeadsToMonitor`] — the scheduler leads-to property at every shared
+//! * [`ProgressMonitor`] — the sink-progress window of deadlock freedom; on
+//!   a stall it embeds the full wait-for root-cause analysis of
+//!   [`crate::liveness::diagnose_deadlock`] in the violation;
+//! * [`LeadsToMonitor`] — the scheduler leads-to wait at every shared
 //!   module input;
 //! * [`ScoreboardMonitor`] — output-stream integrity against a clean
 //!   reference run: the detector of last resort that catches silent data
 //!   corruption (bit flips, duplicated or reordered tokens) the protocol
-//!   invariants cannot see.
+//!   invariants cannot see. It has no trace counterpart.
 //!
 //! Monitors observe the dense channel vector in `live_channels()`
 //! enumeration order — the indexing shared by the engine and the trace — and
@@ -27,88 +30,47 @@
 
 use std::collections::BTreeMap;
 
-use elastic_core::{ChannelId, Netlist, NodeId, NodeKind, Port};
+use elastic_core::{ChannelId, Netlist, NodeId};
 use elastic_sim::{ChannelState, CycleMonitor, MonitorViolation, SimulationReport};
 
 use crate::liveness::diagnose_deadlock;
 use crate::properties::{retraction_exempt_producers, ProtocolOptions};
+use crate::rules::{
+    shared_inputs, sink_inputs, ChannelRule, ChannelRules, LeadsToWait, ProgressWindow,
+};
 
-/// Dense-channel lookup table shared by the monitors: netlist channel ids
-/// and names in `live_channels()` enumeration order.
-#[derive(Debug, Clone)]
-struct ChannelTable {
-    ids: Vec<ChannelId>,
-    names: Vec<String>,
-}
-
-impl ChannelTable {
-    fn new(netlist: &Netlist) -> Self {
-        let mut ids = Vec::new();
-        let mut names = Vec::new();
-        for channel in netlist.live_channels() {
-            ids.push(channel.id);
-            names.push(channel.name.clone());
-        }
-        ChannelTable { ids, names }
-    }
-
-    fn dense_index(&self, channel: ChannelId) -> Option<usize> {
-        self.ids.iter().position(|&id| id == channel)
-    }
+/// The dense index of `channel`: its position in `live_channels()`
+/// enumeration order, the order the monitors observe channels in.
+fn dense_index(netlist: &Netlist, channel: ChannelId) -> Option<usize> {
+    netlist.live_channels().position(|candidate| candidate.id == channel)
 }
 
 /// Streaming checker of the four SELF channel properties (Section 3.1): the
-/// runtime counterpart of [`crate::properties::check_trace`], applying the
-/// same per-channel transition rules and the same retraction exemption for
-/// speculative producer cones.
+/// runtime driver of the channel rules [`crate::properties::check_trace`]
+/// applies, with the same retraction exemption for speculative producer
+/// cones.
 #[derive(Debug)]
 pub struct ProtocolMonitor {
-    channels: ChannelTable,
+    /// Id and name per dense channel.
+    channels: Vec<(ChannelId, String)>,
     /// Per dense channel: `Retry+` does not apply (speculative producer).
     exempt: Vec<bool>,
     options: ProtocolOptions,
-    prev: Vec<ChannelState>,
-    has_prev: bool,
-    /// Bounded-liveness state per channel (mirrors `check_channel`).
-    since_transfer: Vec<u32>,
-    active: Vec<bool>,
+    rules: Vec<ChannelRules>,
 }
 
 impl ProtocolMonitor {
     /// Builds the monitor for `netlist` with the given protocol options.
     pub fn new(netlist: &Netlist, options: &ProtocolOptions) -> Self {
-        let channels = ChannelTable::new(netlist);
         let exempt_producers = retraction_exempt_producers(netlist);
-        let exempt = netlist
+        let (channels, exempt): (Vec<_>, Vec<_>) = netlist
             .live_channels()
-            .map(|channel| exempt_producers.contains(&channel.from.node))
-            .collect();
-        let count = channels.ids.len();
-        ProtocolMonitor {
-            channels,
-            exempt,
-            options: *options,
-            prev: vec![ChannelState::default(); count],
-            has_prev: false,
-            since_transfer: vec![0; count],
-            active: vec![false; count],
-        }
-    }
-
-    fn violation(
-        &self,
-        invariant: &'static str,
-        index: usize,
-        cycle: u64,
-        details: String,
-    ) -> MonitorViolation {
-        MonitorViolation {
-            monitor: "protocol",
-            invariant,
-            channel: Some(self.channels.ids[index]),
-            cycle,
-            details: format!("channel \"{}\": {details}", self.channels.names[index]),
-        }
+            .map(|channel| {
+                ((channel.id, channel.name.clone()), exempt_producers.contains(&channel.from.node))
+            })
+            .unzip();
+        let rules = vec![ChannelRules::default(); channels.len()];
+        ProtocolMonitor { channels, exempt, options: *options, rules }
     }
 }
 
@@ -118,86 +80,36 @@ impl CycleMonitor for ProtocolMonitor {
     }
 
     fn observe(&mut self, cycle: u64, channels: &[ChannelState]) -> Result<(), MonitorViolation> {
-        for (index, state) in channels.iter().enumerate() {
-            // Invariant: a token cannot be killed and stopped at once.
-            if state.forward_valid
-                && state.forward_stop
-                && state.backward_valid
-                && state.backward_stop
-            {
-                return Err(self.violation(
-                    "Invariant",
-                    index,
-                    cycle,
-                    "token killed and stopped in the same cycle".into(),
-                ));
-            }
-            if self.has_prev {
-                let prev = self.prev[index];
-                // Retry+: a stopped token must persist.
-                if !self.exempt[index]
-                    && prev.forward_valid
-                    && prev.forward_stop
-                    && !prev.backward_transfer()
-                    && !state.forward_valid
-                {
-                    return Err(self.violation(
-                        "Retry+",
-                        index,
-                        cycle - 1,
-                        "a stopped token was retracted instead of held".into(),
-                    ));
+        for (index, &state) in channels.iter().enumerate() {
+            let rules = &mut self.rules[index];
+            let mut first = None;
+            rules.step(state, &self.options, !self.exempt[index], |rule| {
+                first.get_or_insert(rule);
+            });
+            let Some(rule) = first else { continue };
+            let details = match rule {
+                ChannelRule::Invariant => "token killed and stopped in the same cycle".into(),
+                ChannelRule::RetryPlus => "a stopped token was retracted instead of held".into(),
+                ChannelRule::RetryMinus => {
+                    "a stopped anti-token was retracted instead of held".into()
                 }
-                // Retry-: a stopped anti-token must persist, unless a
-                // forward transfer discharged it in the same cycle.
-                if prev.backward_valid
-                    && prev.backward_stop
-                    && !prev.forward_transfer()
-                    && !state.backward_valid
-                {
-                    return Err(self.violation(
-                        "Retry-",
-                        index,
-                        cycle - 1,
-                        "a stopped anti-token was retracted instead of held".into(),
-                    ));
+                ChannelRule::Liveness => {
+                    format!("an offered item has not transferred for {} cycles", rules.idle())
                 }
-            }
-            if self.options.check_liveness {
-                let transfer =
-                    state.forward_transfer() || state.backward_transfer() || state.annihilation();
-                if transfer {
-                    self.since_transfer[index] = 0;
-                    self.active[index] = false;
-                } else {
-                    self.active[index] |= state.forward_valid || state.backward_valid;
-                    self.since_transfer[index] += 1;
-                    if self.active[index]
-                        && self.since_transfer[index] as usize > self.options.starvation_window
-                    {
-                        return Err(self.violation(
-                            "Liveness",
-                            index,
-                            cycle,
-                            format!(
-                                "an offered item has not transferred for {} cycles",
-                                self.since_transfer[index]
-                            ),
-                        ));
-                    }
-                }
-            }
-            self.prev[index] = *state;
+            };
+            return Err(MonitorViolation {
+                monitor: "protocol",
+                invariant: rule.property(),
+                channel: Some(self.channels[index].0),
+                cycle: cycle - rule.lag() as u64,
+                details: format!("channel \"{}\": {details}", self.channels[index].1),
+            });
         }
-        self.has_prev = true;
         Ok(())
     }
 
     fn reset(&mut self) {
-        self.prev.iter_mut().for_each(|state| *state = ChannelState::default());
-        self.has_prev = false;
-        self.since_transfer.iter_mut().for_each(|count| *count = 0);
-        self.active.iter_mut().for_each(|flag| *flag = false);
+        self.rules.fill(ChannelRules::default());
     }
 }
 
@@ -208,11 +120,12 @@ impl CycleMonitor for ProtocolMonitor {
 #[derive(Debug)]
 pub struct ProgressMonitor {
     netlist: Netlist,
-    channels: ChannelTable,
+    /// Id per dense channel.
+    channels: Vec<ChannelId>,
     /// Dense indices of every sink's input channel.
     sink_channels: Vec<usize>,
     progress_window: usize,
-    idle_run: usize,
+    window: ProgressWindow,
     /// Cumulative forward transfers per dense channel (the occupancy ledger
     /// for the diagnosis).
     transfers: Vec<u64>,
@@ -222,20 +135,17 @@ impl ProgressMonitor {
     /// Builds the monitor; `progress_window` is the maximum number of
     /// consecutive sink-idle cycles tolerated.
     pub fn new(netlist: &Netlist, progress_window: usize) -> Self {
-        let channels = ChannelTable::new(netlist);
-        let sink_channels = netlist
-            .live_nodes()
-            .filter(|node| matches!(node.kind, NodeKind::Sink(_)))
-            .filter_map(|node| netlist.channel_into(Port::input(node.id, 0)))
-            .filter_map(|channel| channels.dense_index(channel.id))
+        let channels: Vec<ChannelId> = netlist.live_channels().map(|channel| channel.id).collect();
+        let sink_channels = sink_inputs(netlist)
+            .filter_map(|(_, channel)| dense_index(netlist, channel.id))
             .collect();
-        let count = channels.ids.len();
+        let count = channels.len();
         ProgressMonitor {
             netlist: netlist.clone(),
             channels,
             sink_channels,
             progress_window,
-            idle_run: 0,
+            window: ProgressWindow::default(),
             transfers: vec![0; count],
         }
     }
@@ -252,20 +162,15 @@ impl CycleMonitor for ProgressMonitor {
                 *slot += 1;
             }
         }
-        let progress = self.sink_channels.iter().any(|&index| channels[index].forward_transfer());
-        if progress {
-            self.idle_run = 0;
-            return Ok(());
-        }
-        self.idle_run += 1;
-        if self.idle_run <= self.progress_window {
+        let sink_states = self.sink_channels.iter().map(|&index| channels[index]);
+        if !self.window.stalled(sink_states, self.progress_window) {
             return Ok(());
         }
         // Stalled: run the root-cause analysis on this cycle's snapshot.
         let states: BTreeMap<ChannelId, ChannelState> =
-            self.channels.ids.iter().copied().zip(channels.iter().copied()).collect();
+            self.channels.iter().copied().zip(channels.iter().copied()).collect();
         let transfers: BTreeMap<ChannelId, u64> =
-            self.channels.ids.iter().copied().zip(self.transfers.iter().copied()).collect();
+            self.channels.iter().copied().zip(self.transfers.iter().copied()).collect();
         let diagnosis = diagnose_deadlock(&self.netlist, &states, &transfers, cycle);
         Err(MonitorViolation {
             monitor: "progress",
@@ -274,13 +179,13 @@ impl CycleMonitor for ProgressMonitor {
             cycle,
             details: format!(
                 "no sink transferred for {} consecutive cycles; {diagnosis}",
-                self.idle_run
+                self.window.idle()
             ),
         })
     }
 
     fn reset(&mut self) {
-        self.idle_run = 0;
+        self.window = ProgressWindow::default();
         self.transfers.iter_mut().for_each(|count| *count = 0);
     }
 }
@@ -298,34 +203,24 @@ struct LeadsToEntry {
     dense: usize,
     channel: ChannelId,
     label: String,
-    waiting_since: Option<u64>,
+    wait: LeadsToWait,
 }
 
 impl LeadsToMonitor {
     /// Builds the monitor over every user input channel of every shared
     /// module in `netlist`.
     pub fn new(netlist: &Netlist, horizon: u64) -> Self {
-        let channels = ChannelTable::new(netlist);
-        let mut entries = Vec::new();
-        for node in netlist.live_nodes() {
-            let NodeKind::Shared(spec) = &node.kind else { continue };
-            for user in 0..spec.users {
-                for operand in 0..spec.inputs_per_user {
-                    let port = Port::input(node.id, user * spec.inputs_per_user + operand);
-                    let Some(channel) = netlist.channel_into(port) else { continue };
-                    let Some(dense) = channels.dense_index(channel.id) else { continue };
-                    entries.push(LeadsToEntry {
-                        dense,
-                        channel: channel.id,
-                        label: format!(
-                            "shared module {} user {user} ({})",
-                            node.name, channel.name
-                        ),
-                        waiting_since: None,
-                    });
-                }
-            }
-        }
+        let entries = shared_inputs(netlist)
+            .into_iter()
+            .filter_map(|(node, user, channel)| {
+                Some(LeadsToEntry {
+                    dense: dense_index(netlist, channel.id)?,
+                    channel: channel.id,
+                    label: format!("shared module {} user {user} ({})", node.name, channel.name),
+                    wait: LeadsToWait::default(),
+                })
+            })
+            .collect();
         LeadsToMonitor { entries, horizon }
     }
 
@@ -342,15 +237,7 @@ impl CycleMonitor for LeadsToMonitor {
 
     fn observe(&mut self, cycle: u64, channels: &[ChannelState]) -> Result<(), MonitorViolation> {
         for entry in &mut self.entries {
-            let state = channels[entry.dense];
-            let resolved =
-                state.forward_transfer() || state.backward_transfer() || state.annihilation();
-            if resolved || !state.forward_valid {
-                entry.waiting_since = None;
-                continue;
-            }
-            let since = *entry.waiting_since.get_or_insert(cycle);
-            if cycle - since > self.horizon {
+            if let Some(since) = entry.wait.overdue(cycle, channels[entry.dense], self.horizon) {
                 return Err(MonitorViolation {
                     monitor: "leads-to",
                     invariant: "LeadsTo",
@@ -368,7 +255,7 @@ impl CycleMonitor for LeadsToMonitor {
 
     fn reset(&mut self) {
         for entry in &mut self.entries {
-            entry.waiting_since = None;
+            entry.wait = LeadsToWait::default();
         }
     }
 }
@@ -408,18 +295,13 @@ impl ScoreboardMonitor {
         reference: &SimulationReport,
         require_complete: bool,
     ) -> Self {
-        let channels = ChannelTable::new(netlist);
-        let lanes = netlist
-            .live_nodes()
-            .filter(|node| matches!(node.kind, NodeKind::Sink(_)))
-            .filter_map(|node| {
-                let channel = netlist.channel_into(Port::input(node.id, 0))?;
-                let dense = channels.dense_index(channel.id)?;
+        let lanes = sink_inputs(netlist)
+            .filter_map(|(sink, channel)| {
                 Some(ScoreboardLane {
-                    sink: node.id,
-                    dense,
+                    sink,
+                    dense: dense_index(netlist, channel.id)?,
                     channel: channel.id,
-                    expected: reference.sink_values(node.id),
+                    expected: reference.sink_values(sink),
                     position: 0,
                 })
             })
@@ -533,7 +415,7 @@ pub fn standard_monitors(
 mod tests {
     use super::*;
     use elastic_core::kind::{BufferSpec, SinkSpec, SourceSpec};
-    use elastic_core::Op;
+    use elastic_core::{Op, Port};
     use elastic_sim::{SimConfig, Simulation};
 
     /// src -> inc -> EB -> sink

@@ -10,13 +10,17 @@
 //! * `Invariant`: `G ¬(V- ∧ S+ ∧ V+ ∧ S-)` — a token cannot be killed and
 //!   stopped at the same time.
 //!
-//! The checkers work on the finite traces recorded by `elastic-sim`; the
-//! liveness property is interpreted over a configurable starvation window, as
-//! usual when checking liveness on bounded executions.
+//! The checkers here are the trace driver of these properties: they walk the
+//! finite traces recorded by `elastic-sim` one channel column at a time and
+//! report every violation. The per-cycle rules themselves live once in
+//! `rules.rs`, shared with the streaming [`crate::monitor::ProtocolMonitor`].
+//! The liveness property is interpreted over a configurable starvation
+//! window, as usual when checking liveness on bounded executions.
 
 use elastic_core::{ChannelId, Netlist, NodeId};
 use elastic_sim::{ChannelState, Trace};
 
+use crate::rules::{ChannelRule, ChannelRules};
 use crate::Verdict;
 
 /// One protocol violation found on a channel.
@@ -52,8 +56,10 @@ impl Default for ProtocolOptions {
 ///
 /// The history is consumed as a **stream** — one [`ChannelState`] per cycle,
 /// oldest first — so callers can feed [`Trace::channel_iter`] straight in
-/// without materialising a `Vec<ChannelState>`; the checker runs in a single
-/// pass holding only the previous state.
+/// without materialising a `Vec<ChannelState>`. Every cycle goes through the
+/// channel rules [`crate::monitor::ProtocolMonitor`] applies too; this
+/// driver collects every violation, with at most one `Liveness` per channel
+/// (the first), appended last.
 ///
 /// `require_forward_persistence` controls whether the `Retry+` check is
 /// applied: the paper (Section 4.2) explicitly allows the output channels of
@@ -68,69 +74,18 @@ pub fn check_channel(
     require_forward_persistence: bool,
 ) -> Vec<ProtocolViolation> {
     let mut violations = Vec::new();
-    // At most one liveness violation is reported per channel (the first), and
-    // it is appended after the per-cycle violations, preserving the report
-    // order of the two-pass checker this replaces.
-    let mut starvation: Option<ProtocolViolation> = None;
-    let mut prev: Option<(usize, ChannelState)> = None;
-    let mut since_transfer = 0usize;
-    let mut active = false;
+    let mut starvation = None;
+    let mut rules = ChannelRules::default();
     for (cycle, state) in history.into_iter().enumerate() {
-        // Invariant: a token cannot be killed and stopped at the same time.
-        if state.forward_valid && state.forward_stop && state.backward_valid && state.backward_stop
-        {
-            violations.push(ProtocolViolation { channel, cycle, property: "Invariant" });
-        }
-        if let Some((prev_cycle, prev_state)) = prev {
-            // Retry+: a stopped token must persist.
-            if require_forward_persistence
-                && prev_state.forward_valid
-                && prev_state.forward_stop
-                && !prev_state.backward_transfer()
-                && !state.forward_valid
-            {
-                violations.push(ProtocolViolation {
-                    channel,
-                    cycle: prev_cycle,
-                    property: "Retry+",
-                });
-            }
-            // Retry-: a stopped anti-token must persist — unless a token
-            // transferred forward through the channel in the same cycle, in
-            // which case the two cancel at the consumer's boundary (the
-            // consumer's counterflow debt is discharged by the arriving
-            // token; the producer, e.g. a lazy mux, stops anti-tokens it
-            // cannot absorb but still delivers the token that pays the
-            // debt). Found by the elastic-gen fuzzer on feed-forward
-            // speculation behind a standard buffer holding an anti-token.
-            if prev_state.backward_valid
-                && prev_state.backward_stop
-                && !prev_state.forward_transfer()
-                && !state.backward_valid
-            {
-                violations.push(ProtocolViolation {
-                    channel,
-                    cycle: prev_cycle,
-                    property: "Retry-",
-                });
-            }
-        }
-        if options.check_liveness && starvation.is_none() {
-            let transfer =
-                state.forward_transfer() || state.backward_transfer() || state.annihilation();
-            let offering = state.forward_valid || state.backward_valid;
-            if transfer {
-                since_transfer = 0;
-                active = false;
+        rules.step(state, options, require_forward_persistence, |rule| {
+            let violation =
+                ProtocolViolation { channel, cycle: cycle - rule.lag(), property: rule.property() };
+            if rule == ChannelRule::Liveness {
+                starvation.get_or_insert(violation);
             } else {
-                active |= offering;
-                since_transfer += 1;
-                if active && since_transfer > options.starvation_window {
-                    starvation = Some(ProtocolViolation { channel, cycle, property: "Liveness" });
-                }
+                violations.push(violation);
             }
-        }
-        prev = Some((cycle, state));
+        });
     }
     violations.extend(starvation);
     violations
