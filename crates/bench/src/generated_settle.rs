@@ -19,10 +19,10 @@ pub fn settle_fig1a(
 ) {
     use elastic_sim::codegen::{concrete, Wires};
     use elastic_sim::controllers::*;
-    let n2: &mux::MuxController = concrete(controllers, 2);
-    let n3: &function::FunctionBlock = concrete(controllers, 3);
-    let n5: &fork::EagerFork = concrete(controllers, 5);
-    let n6: &function::FunctionBlock = concrete(controllers, 6);
+    let n2: &mux::MuxController<bool> = concrete(controllers, 2);
+    let n3: &function::FunctionBlock<bool> = concrete(controllers, 3);
+    let n5: &fork::EagerFork<bool> = concrete(controllers, 5);
+    let n6: &function::FunctionBlock<bool> = concrete(controllers, 6);
     let mut wires = Wires::clear(channels, &[8, 8, 8, 8, 8, 8, 8, 1]);
     controllers[0].eval(&mut wires.ports(&[], &[0])); // n0 `src0` (source)
     controllers[1].eval(&mut wires.ports(&[], &[1])); // n1 `src1` (source)
@@ -49,9 +49,9 @@ pub fn settle_fig1d(
 ) {
     use elastic_sim::codegen::{concrete, Wires};
     use elastic_sim::controllers::*;
-    let n2: &mux::MuxController = concrete(controllers, 2);
-    let n4: &fork::EagerFork = concrete(controllers, 4);
-    let n5: &function::FunctionBlock = concrete(controllers, 5);
+    let n2: &mux::MuxController<bool> = concrete(controllers, 2);
+    let n4: &fork::EagerFork<bool> = concrete(controllers, 4);
+    let n5: &function::FunctionBlock<bool> = concrete(controllers, 5);
     let mut wires = Wires::clear(channels, &[8, 8, 8, 8, 8, 8, 1, 8, 8]);
     controllers[0].eval(&mut wires.ports(&[], &[0])); // n0 `src0` (source)
     controllers[1].eval(&mut wires.ports(&[], &[1])); // n1 `src1` (source)
@@ -82,17 +82,17 @@ pub fn settle_fig7b(
 ) {
     use elastic_sim::codegen::{concrete, Wires};
     use elastic_sim::controllers::*;
-    let n1: &function::FunctionBlock = concrete(controllers, 1);
-    let n5: &fork::EagerFork = concrete(controllers, 5);
-    let n6: &function::FunctionBlock = concrete(controllers, 6);
-    let n7: &function::FunctionBlock = concrete(controllers, 7);
-    let n8: &function::FunctionBlock = concrete(controllers, 8);
-    let n9: &function::FunctionBlock = concrete(controllers, 9);
-    let n10: &mux::MuxController = concrete(controllers, 10);
-    let n11: &function::FunctionBlock = concrete(controllers, 11);
-    let n12: &function::FunctionBlock = concrete(controllers, 12);
-    let n13: &fork::EagerFork = concrete(controllers, 13);
-    let n14: &fork::EagerFork = concrete(controllers, 14);
+    let n1: &function::FunctionBlock<bool> = concrete(controllers, 1);
+    let n5: &fork::EagerFork<bool> = concrete(controllers, 5);
+    let n6: &function::FunctionBlock<bool> = concrete(controllers, 6);
+    let n7: &function::FunctionBlock<bool> = concrete(controllers, 7);
+    let n8: &function::FunctionBlock<bool> = concrete(controllers, 8);
+    let n9: &function::FunctionBlock<bool> = concrete(controllers, 9);
+    let n10: &mux::MuxController<bool> = concrete(controllers, 10);
+    let n11: &function::FunctionBlock<bool> = concrete(controllers, 11);
+    let n12: &function::FunctionBlock<bool> = concrete(controllers, 12);
+    let n13: &fork::EagerFork<bool> = concrete(controllers, 13);
+    let n14: &fork::EagerFork<bool> = concrete(controllers, 14);
     let mut wires = Wires::clear(channels, &[39, 39, 39, 39, 39, 39, 32, 32, 2, 1, 32, 32, 32, 39, 39, 39, 32, 32, 32, 32]);
     controllers[0].eval(&mut wires.ports(&[14], &[0])); // n0 `state` (buffer)
     controllers[2].eval(&mut wires.ports(&[], &[1])); // n2 `fault_src` (source)

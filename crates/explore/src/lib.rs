@@ -291,19 +291,12 @@ struct Applied {
     latency: f64,
 }
 
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Fisher–Yates driven by a SplitMix64 stream: the testing hook behind
 /// [`ExploreOptions::shuffle_seed`].
 fn shuffle<T>(items: &mut [T], seed: u64) {
     let mut state = seed;
     for i in (1..items.len()).rev() {
-        state = mix(state);
+        state = score::mix(state);
         let j = (state % (i as u64 + 1)) as usize;
         items.swap(i, j);
     }

@@ -128,10 +128,10 @@ pub fn concrete<T: 'static>(controllers: &[Box<dyn Controller>], node: usize) ->
 fn concrete_type(op: &MicroOp) -> &'static str {
     match op {
         MicroOp::Eval { .. } => unreachable!("dynamic evals call through the trait"),
-        MicroOp::FnFwd { .. } | MicroOp::FnBwd { .. } => "function::FunctionBlock",
-        MicroOp::ZbFwd { .. } | MicroOp::ZbBwd { .. } => "buffer::ZeroBackwardBuffer",
-        MicroOp::ForkFwd { .. } | MicroOp::ForkBwd { .. } => "fork::EagerFork",
-        MicroOp::MuxFwd { .. } | MicroOp::MuxBwd { .. } => "mux::MuxController",
+        MicroOp::FnFwd { .. } | MicroOp::FnBwd { .. } => "function::FunctionBlock<bool>",
+        MicroOp::ZbFwd { .. } | MicroOp::ZbBwd { .. } => "buffer::ZeroBackwardBuffer<bool>",
+        MicroOp::ForkFwd { .. } | MicroOp::ForkBwd { .. } => "fork::EagerFork<bool>",
+        MicroOp::MuxFwd { .. } | MicroOp::MuxBwd { .. } => "mux::MuxController<bool>",
     }
 }
 

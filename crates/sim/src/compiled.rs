@@ -236,14 +236,16 @@ impl CompiledPlan {
         for (slot, source) in state.iter_mut().zip(snapshots.iter()) {
             *slot = match *source {
                 SnapshotSource::ZeroBackward(node) => {
-                    let buffer: &ZeroBackwardBuffer = concrete(ctx.controllers, node as usize);
-                    (buffer.is_full(), buffer.stored().unwrap_or(0))
+                    let buffer: &ZeroBackwardBuffer<bool> =
+                        concrete(ctx.controllers, node as usize);
+                    (buffer.is_full(), buffer.stored()[0])
                 }
-                SnapshotSource::Fork(node) => {
-                    (false, concrete::<EagerFork>(ctx.controllers, node as usize).pending_mask())
-                }
+                SnapshotSource::Fork(node) => (
+                    false,
+                    concrete::<EagerFork<bool>>(ctx.controllers, node as usize).pending_mask(),
+                ),
                 SnapshotSource::Mux(node) => {
-                    let mux: &MuxController = concrete(ctx.controllers, node as usize);
+                    let mux: &MuxController<bool> = concrete(ctx.controllers, node as usize);
                     let owed = mux.owed_anti_tokens().iter().take(64).enumerate();
                     (false, owed.fold(0, |mask, (j, &owed)| mask | (u64::from(owed > 0) << j)))
                 }
@@ -400,11 +402,11 @@ fn exec(op: &MicroOp, state: &[(bool, u64)], ctx: &mut SettleCtx<'_>, track: boo
             ctx.controllers[node].eval(io);
             *ctx.controller_evals += 1;
         }
-        MicroOp::FnFwd { op, .. } => function_forward(io, &io.evaluate(op)),
+        MicroOp::FnFwd { op, .. } => function_forward(io, &[io.evaluate(op)]),
         MicroOp::FnBwd { .. } => function_backward(io),
         MicroOp::ZbFwd { slot, .. } => {
             let (full, stored) = state[*slot as usize];
-            zero_backward_forward(io, full, &stored);
+            zero_backward_forward(io, full, &[stored]);
         }
         MicroOp::ZbBwd { slot, .. } => zero_backward_backward(io, state[*slot as usize].0),
         MicroOp::ForkFwd { slot, .. } => fork_forward(io, true, false, pending(slot)),
@@ -415,7 +417,7 @@ fn exec(op: &MicroOp, state: &[(bool, u64)], ctx: &mut SettleCtx<'_>, track: boo
             let (is_selected, clean) = (|j| j == selected, |j| (owed >> j) & 1 == 0);
             if let MicroOp::MuxFwd { .. } = op {
                 let data = io.input(1 + selected).data;
-                mux_forward(io, early.is_some(), is_selected, clean, &data);
+                mux_forward(io, early.is_some(), is_selected, clean, &[data]);
             } else {
                 mux_backward(io, early.is_some(), is_selected, clean);
             }

@@ -24,7 +24,8 @@
 use elastic_core::Op;
 use elastic_datapath::evaluate;
 
-use crate::handshake::HandshakeIo;
+use crate::handshake::{HandshakeIo, Rail};
+use crate::lanes::{LaneController, LaneIo};
 use crate::metrics::{CommitStageStats, SharedModuleStats};
 use crate::signal::ChannelState;
 
@@ -165,7 +166,7 @@ impl<'a> NodeIo<'a> {
     }
 
     /// Data words currently offered on all input ports (in port order).
-    pub fn input_data(&self) -> Vec<u64> {
+    pub fn input_words(&self) -> Vec<u64> {
         (0..self.input_count()).map(|i| self.input(i).data).collect()
     }
 
@@ -180,7 +181,7 @@ impl<'a> NodeIo<'a> {
             }
             evaluate(op, &words[..inputs])
         } else {
-            evaluate(op, &self.input_data())
+            evaluate(op, &self.input_words())
         };
         value.unwrap_or(0)
     }
@@ -193,7 +194,6 @@ impl<'a> NodeIo<'a> {
 
 impl HandshakeIo for NodeIo<'_> {
     type Rail = bool;
-    type Data = u64;
 
     fn input_count(&self) -> usize {
         self.input_channels.len()
@@ -237,8 +237,11 @@ impl HandshakeIo for NodeIo<'_> {
     fn set_output_anti_stop(&mut self, port: usize, stop: bool) {
         NodeIo::set_output_anti_stop(self, port, stop);
     }
-    fn drive_data(&mut self, port: usize, data: &u64) {
-        self.set_output_data(port, *data);
+    fn input_data(&self, port: usize) -> &[u64] {
+        std::slice::from_ref(&self.channels[self.input_channels[port]].data)
+    }
+    fn drive_data(&mut self, port: usize, data: &[u64]) {
+        self.set_output_data(port, data[0]);
     }
     fn copy_data(&mut self, input: usize, output: usize) {
         self.set_output_data(output, self.input(input).data);
@@ -370,9 +373,9 @@ pub trait Controller: std::fmt::Debug {
     /// (zero-backward buffers, eager forks, early-evaluation muxes) so it can
     /// replay their equations without dynamic dispatch, and emitted settle
     /// functions ([`crate::codegen`]) call the planned controllers' forward
-    /// and backward equations statically. Controllers that participate
-    /// override this to return `Some(self)`; everything else keeps the
-    /// `None` default and is evaluated through the trait as usual.
+    /// and backward equations statically. The [`WordController`] types
+    /// return `Some(self)` through their blanket impl; everything else keeps
+    /// the `None` default and is evaluated through the trait as usual.
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         None
     }
@@ -381,6 +384,98 @@ pub trait Controller: std::fmt::Debug {
     /// its statistics plus the observables only its node kind records.
     fn report(&self) -> NodeReport<'_> {
         NodeReport::Basic(NodeStats::default())
+    }
+}
+
+/// A hot SELF controller (buffer, function block, fork, multiplexor)
+/// written once over the rail word `R`: it owns its per-lane state, the
+/// clock-edge update of that state, its statistics and its reset, and
+/// drives the equations of [`crate::handshake`]. The `bool` instantiation
+/// is a [`Controller`] and the `u64` one a [`LaneController`], each through
+/// one blanket impl below.
+pub trait WordController<R: Rail>: std::fmt::Debug {
+    /// Drives the node's signals: [`Controller::eval`], or
+    /// [`Controller::eval_optimistic`] when `optimistic`.
+    fn drive<P: HandshakeIo<Rail = R>>(&self, io: &mut P, optimistic: bool);
+
+    /// Clock edge: updates every lane's state from the settled signals.
+    fn clock<P: HandshakeIo<Rail = R>>(&mut self, io: &P);
+
+    /// Rewinds every lane to its post-construction state (see
+    /// [`Controller::reset`]).
+    fn rewind(&mut self);
+
+    /// The statistics of each lane.
+    fn lane_stats(&self) -> &[NodeStats];
+
+    /// See [`Controller::is_optimistic`].
+    fn optimistic(&self) -> bool {
+        false
+    }
+
+    /// See [`Controller::eval_reads_channels`].
+    fn reads_channels(&self) -> bool {
+        true
+    }
+}
+
+impl<T: WordController<bool> + 'static> Controller for T {
+    fn eval(&self, io: &mut NodeIo<'_>) {
+        self.drive(io, false);
+    }
+
+    fn is_optimistic(&self) -> bool {
+        self.optimistic()
+    }
+
+    fn eval_optimistic(&self, io: &mut NodeIo<'_>) {
+        self.drive(io, true);
+    }
+
+    fn commit(&mut self, io: &NodeIo<'_>) {
+        self.clock(io);
+    }
+
+    fn reset(&mut self) {
+        self.rewind();
+    }
+
+    fn eval_reads_channels(&self) -> bool {
+        self.reads_channels()
+    }
+
+    fn as_any(&self) -> Option<&dyn std::any::Any> {
+        Some(self)
+    }
+
+    fn report(&self) -> NodeReport<'_> {
+        NodeReport::Basic(self.lane_stats()[0])
+    }
+}
+
+impl<T: WordController<u64>> LaneController for T {
+    fn eval(&mut self, io: &mut LaneIo<'_>, optimistic: bool) {
+        self.drive(io, optimistic);
+    }
+
+    fn is_optimistic(&self) -> bool {
+        self.optimistic()
+    }
+
+    fn eval_reads_channels(&self) -> bool {
+        self.reads_channels()
+    }
+
+    fn commit(&mut self, io: &LaneIo<'_>) {
+        self.clock(io);
+    }
+
+    fn reset(&mut self) {
+        self.rewind();
+    }
+
+    fn report(&self, lane: usize) -> NodeReport<'_> {
+        NodeReport::Basic(self.lane_stats()[lane])
     }
 }
 
@@ -400,7 +495,7 @@ mod tests {
         assert_eq!(io.input_count(), 1);
         assert_eq!(io.output_count(), 2);
         assert!(io.input(0).forward_valid);
-        assert_eq!(io.input_data(), vec![77]);
+        assert_eq!(io.input_words(), vec![77]);
         assert!(io.all_inputs_valid());
 
         io.set_output_valid(1, true);

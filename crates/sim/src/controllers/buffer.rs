@@ -13,230 +13,302 @@
 //!
 //! Both follow the abstract FIFO model of Figure 3: the buffer stores either
 //! tokens or anti-tokens (never both), and tokens/anti-tokens cancel at its
-//! boundaries.
-
-use std::collections::VecDeque;
+//! boundaries. Both are generic over the rail word: `bool` simulates one
+//! scenario, `u64` 64 lanes.
 
 use elastic_core::BufferSpec;
 
-use crate::controller::{Controller, NodeIo, NodeReport, NodeStats};
+use crate::controller::{NodeStats, WordController};
 use crate::handshake::{
     standard_buffer_backward, standard_buffer_forward, zero_backward_backward,
-    zero_backward_forward, StandardBufferState,
+    zero_backward_forward, HandshakeIo, Rail, StandardBufferState,
 };
 
 const IN: usize = 0;
 const OUT: usize = 0;
 
-/// The standard `Lf = 1`, `Lb = 1` elastic buffer.
+/// The standard `Lf = 1`, `Lb = 1` elastic buffer, per lane of the rail
+/// word `R`.
+///
+/// Token storage is one lane-major ring: lane `ℓ` owns the slots
+/// `slots[ℓ·ring .. (ℓ+1)·ring]` with a `(head, len)` cursor pair, so the
+/// whole node's tokens live in one allocation with index arithmetic only (a
+/// per-lane `VecDeque` layout capped the registered-pipeline lane win at
+/// ~4×). The ring starts at the FIFO bound and doubles when a lane
+/// overflows it: an armed fault can push tokens into a full buffer, and
+/// none may be lost. The clock edge keeps the state words and the front
+/// token column the equations read, so `eval` does no per-lane work.
 #[derive(Debug)]
-pub struct StandardBuffer {
+pub struct StandardBuffer<R: Rail> {
     spec: BufferSpec,
-    tokens: VecDeque<u64>,
-    anti_tokens: u32,
-    stats: NodeStats,
+    /// Ring slots per lane: at least `max(capacity, init_tokens, 1)`.
+    ring: usize,
+    /// Lane-major token slots: `slots[lane * ring + slot]`.
+    slots: Vec<u64>,
+    /// Ring slot of each lane's oldest token.
+    head: R::PerLane<u32>,
+    /// Tokens held per lane.
+    len: R::PerLane<u32>,
+    anti_tokens: R::PerLane<u32>,
+    /// The equations' view of the storage, one bit per lane.
+    state: StandardBufferState<R>,
+    /// Each lane's oldest token (`0` when empty): the driven data column.
+    front: R::PerLane<u64>,
+    stats: R::PerLane<NodeStats>,
 }
 
-impl StandardBuffer {
-    /// Creates the buffer with its initial occupancy.
+impl<R: Rail> StandardBuffer<R> {
+    /// Creates the buffer with its initial occupancy in every lane.
     pub fn new(spec: BufferSpec) -> Self {
-        let mut tokens = VecDeque::new();
-        for _ in 0..spec.init_tokens.max(0) {
-            tokens.push_back(spec.init_value);
-        }
-        let anti_tokens = (-spec.init_tokens).max(0) as u32;
-        StandardBuffer { spec, tokens, anti_tokens, stats: NodeStats::default() }
-    }
-
-    /// Number of tokens currently stored (diagnostic).
-    pub fn occupancy(&self) -> usize {
-        self.tokens.len()
-    }
-}
-
-impl StandardBuffer {
-    fn rewind(&mut self) {
-        self.tokens.clear();
-        for _ in 0..self.spec.init_tokens.max(0) {
-            self.tokens.push_back(self.spec.init_value);
-        }
-        self.anti_tokens = (-self.spec.init_tokens).max(0) as u32;
-        self.stats = NodeStats::default();
-    }
-}
-
-impl Controller for StandardBuffer {
-    fn eval(&self, io: &mut NodeIo<'_>) {
-        let state = StandardBufferState {
-            has_token: !self.tokens.is_empty(),
-            full: self.tokens.len() >= self.spec.capacity as usize,
-            has_anti_token: self.anti_tokens > 0,
-            anti_full: self.anti_tokens >= self.spec.anti_capacity,
+        let ring = (spec.capacity as usize).max(spec.init_tokens.max(0) as usize).max(1);
+        let mut buffer = StandardBuffer {
+            spec,
+            ring,
+            slots: vec![0; ring * R::LANES],
+            head: R::per_lane(0),
+            len: R::per_lane(0),
+            anti_tokens: R::per_lane(0),
+            state: StandardBufferState {
+                has_token: R::LOW,
+                full: R::LOW,
+                has_anti_token: R::LOW,
+                anti_full: R::LOW,
+            },
+            front: R::per_lane(0),
+            stats: R::per_lane(NodeStats::default()),
         };
-        standard_buffer_forward(io, state, &self.tokens.front().copied().unwrap_or(0));
-        standard_buffer_backward(io, state);
+        buffer.rewind();
+        buffer
     }
 
-    fn commit(&mut self, io: &NodeIo<'_>) {
-        let input = io.input(IN);
-        let output = io.output(OUT);
+    /// Number of tokens lane `lane` currently stores (diagnostic).
+    pub fn occupancy(&self, lane: usize) -> usize {
+        self.len[lane] as usize
+    }
 
-        // Output boundary: a token leaves, or is cancelled by an incoming
-        // anti-token (kill wins when both could happen).
-        let out_kill = output.backward_transfer();
-        let out_transfer = output.forward_valid && !output.forward_stop && !out_kill;
-        if out_kill {
-            if self.tokens.pop_front().is_some() {
-                self.stats.killed_tokens += 1;
-            } else {
-                self.anti_tokens = (self.anti_tokens + 1).min(self.spec.anti_capacity);
-            }
-        } else if out_transfer {
-            self.tokens.pop_front();
-            self.stats.output_transfers += 1;
-        } else if output.forward_valid && output.forward_stop {
-            self.stats.stall_cycles += 1;
+    /// Drops lane `lane`'s oldest token; `false` when it holds none.
+    fn pop_front(&mut self, lane: usize) -> bool {
+        if self.len[lane] == 0 {
+            return false;
         }
+        let head = self.head[lane] as usize + 1;
+        self.head[lane] = if head == self.ring { 0 } else { head as u32 };
+        self.len[lane] -= 1;
+        true
+    }
 
-        // Input boundary: an anti-token leaves backwards and/or a token
-        // arrives; when both meet they annihilate.
-        let anti_left = input.backward_transfer();
-        let token_arrived = input.forward_valid && !input.forward_stop;
-        match (token_arrived, anti_left) {
-            (true, true) => {
-                // The arriving token cancels against the anti-token at the boundary.
-                self.anti_tokens = self.anti_tokens.saturating_sub(1);
-                self.stats.killed_tokens += 1;
+    fn push_back(&mut self, lane: usize, value: u64) {
+        if self.len[lane] as usize == self.ring {
+            self.grow();
+        }
+        let slot = (self.head[lane] + self.len[lane]) as usize;
+        let slot = if slot >= self.ring { slot - self.ring } else { slot };
+        self.slots[lane * self.ring + slot] = value;
+        self.len[lane] += 1;
+    }
+
+    /// Doubles every lane's ring, keeping each lane's tokens in order.
+    fn grow(&mut self) {
+        let ring = self.ring * 2;
+        let mut slots = vec![0; ring * R::LANES];
+        for lane in 0..R::LANES {
+            for k in 0..self.len[lane] as usize {
+                let slot = (self.head[lane] as usize + k) % self.ring;
+                slots[lane * ring + k] = self.slots[lane * self.ring + slot];
             }
-            (true, false) => {
-                if self.anti_tokens > 0 {
-                    self.anti_tokens -= 1;
-                    self.stats.killed_tokens += 1;
+            self.head[lane] = 0;
+        }
+        (self.ring, self.slots) = (ring, slots);
+    }
+
+    /// Recomputes lane `lane`'s state bits and front token from its storage.
+    fn refresh(&mut self, lane: usize) {
+        let (len, anti_tokens) = (self.len[lane], self.anti_tokens[lane]);
+        self.front[lane] =
+            if len > 0 { self.slots[lane * self.ring + self.head[lane] as usize] } else { 0 };
+        let state = &mut self.state;
+        state.has_token = state.has_token.with_lane(lane, len > 0);
+        state.full = state.full.with_lane(lane, len >= self.spec.capacity);
+        state.has_anti_token = state.has_anti_token.with_lane(lane, anti_tokens > 0);
+        state.anti_full = state.anti_full.with_lane(lane, anti_tokens >= self.spec.anti_capacity);
+    }
+}
+
+impl<R: Rail> WordController<R> for StandardBuffer<R> {
+    fn drive<P: HandshakeIo<Rail = R>>(&self, io: &mut P, _optimistic: bool) {
+        standard_buffer_forward(io, self.state, self.front.as_ref());
+        standard_buffer_backward(io, self.state);
+    }
+
+    fn clock<P: HandshakeIo<Rail = R>>(&mut self, io: &P) {
+        let out_kill = io.output_kill(OUT) & !io.output_anti_stop(OUT);
+        let out_offered = io.output_valid(OUT) & !out_kill;
+        let out_transfer = out_offered & !io.output_stop(OUT);
+        let out_stall = out_offered & io.output_stop(OUT);
+        let token_arrived = io.input_valid(IN) & !io.input_stop(IN);
+        let anti_left = io.input_kill(IN) & !io.input_anti_stop(IN);
+        let data = io.input_data(IN);
+        for lane in (out_kill | out_offered | token_arrived | anti_left).lanes() {
+            // Output boundary: a token leaves, or is cancelled by an
+            // incoming anti-token — kill wins, then transfer, then stall.
+            if out_kill.in_lane(lane) {
+                if self.pop_front(lane) {
+                    self.stats[lane].killed_tokens += 1;
                 } else {
-                    self.tokens.push_back(input.data);
+                    let anti_tokens = &mut self.anti_tokens[lane];
+                    *anti_tokens = (*anti_tokens + 1).min(self.spec.anti_capacity);
                 }
+            } else if out_transfer.in_lane(lane) {
+                self.pop_front(lane);
+                self.stats[lane].output_transfers += 1;
+            } else if out_stall.in_lane(lane) {
+                self.stats[lane].stall_cycles += 1;
             }
-            (false, true) => {
-                self.anti_tokens = self.anti_tokens.saturating_sub(1);
+            // Input boundary: an anti-token leaves backwards and/or a token
+            // arrives; when both meet they annihilate.
+            let anti_tokens = self.anti_tokens[lane];
+            match (token_arrived.in_lane(lane), anti_left.in_lane(lane)) {
+                (true, false) if anti_tokens == 0 => self.push_back(lane, data[lane]),
+                (true, _) => {
+                    self.anti_tokens[lane] = anti_tokens.saturating_sub(1);
+                    self.stats[lane].killed_tokens += 1;
+                }
+                (false, true) => self.anti_tokens[lane] = anti_tokens.saturating_sub(1),
+                (false, false) => {}
             }
-            (false, false) => {}
+            self.refresh(lane);
         }
     }
 
-    fn report(&self) -> NodeReport<'_> {
-        NodeReport::Basic(self.stats)
+    fn rewind(&mut self) {
+        let init_tokens = self.spec.init_tokens.max(0) as u32;
+        for lane in 0..R::LANES {
+            self.head[lane] = 0;
+            self.len[lane] = init_tokens;
+            self.slots[lane * self.ring..][..init_tokens as usize].fill(self.spec.init_value);
+            self.anti_tokens[lane] = (-self.spec.init_tokens).max(0) as u32;
+            self.refresh(lane);
+        }
+        self.stats.as_mut().fill(NodeStats::default());
     }
 
-    fn reset(&mut self) {
-        self.rewind();
+    fn lane_stats(&self) -> &[NodeStats] {
+        self.stats.as_ref()
     }
 
     /// Both handshake directions are fully registered: `eval` is a function
     /// of the FIFO state alone, so the standard buffer cuts every zero-delay
     /// control path and is never re-evaluated within a cycle.
-    fn eval_reads_channels(&self) -> bool {
+    fn reads_channels(&self) -> bool {
         false
     }
 }
 
-/// The `Lf = 1`, `Lb = 0`, `C = 1` elastic buffer of Figure 5.
+/// The `Lf = 1`, `Lb = 0`, `C = 1` elastic buffer of Figure 5, per lane of
+/// the rail word `R`.
 #[derive(Debug)]
-pub struct ZeroBackwardBuffer {
-    /// The initial occupancy restored by [`Controller::reset`].
+pub struct ZeroBackwardBuffer<R: Rail> {
+    /// The initial occupancy restored by a reset.
     initial: Option<u64>,
-    stored: Option<u64>,
-    stats: NodeStats,
+    full: R,
+    /// Each lane's stored token (`0` when empty): the driven data column.
+    stored: R::PerLane<u64>,
+    stats: R::PerLane<NodeStats>,
 }
 
-impl ZeroBackwardBuffer {
+impl<R: Rail> ZeroBackwardBuffer<R> {
     /// Creates the buffer with its initial occupancy (at most one token).
     pub fn new(spec: BufferSpec) -> Self {
-        let initial = if spec.init_tokens > 0 { Some(spec.init_value) } else { None };
-        ZeroBackwardBuffer { initial, stored: initial, stats: NodeStats::default() }
+        let initial = (spec.init_tokens > 0).then_some(spec.init_value);
+        let mut buffer = ZeroBackwardBuffer {
+            initial,
+            full: R::LOW,
+            stored: R::per_lane(0),
+            stats: R::per_lane(NodeStats::default()),
+        };
+        buffer.rewind();
+        buffer
     }
 
-    /// `true` when the buffer currently stores a token (diagnostic).
-    pub fn is_full(&self) -> bool {
-        self.stored.is_some()
+    /// The lanes in which the buffer stores a token.
+    pub fn is_full(&self) -> R {
+        self.full
     }
 
-    /// The stored word, if any — the only sequential state `eval` reads.
-    /// Exposed so the compiled settle backend can snapshot it once per
-    /// cycle instead of dispatching through the trait.
-    pub fn stored(&self) -> Option<u64> {
-        self.stored
+    /// Each lane's stored word (`0` when empty). With [`Self::is_full`] it
+    /// is the only sequential state `eval` reads, so the compiled settle
+    /// backend snapshots both once per cycle.
+    pub fn stored(&self) -> &[u64] {
+        self.stored.as_ref()
     }
-}
 
-impl ZeroBackwardBuffer {
     /// The forward equation on this buffer's state — one planned op of
     /// the compiled plan (codegen calls it per op).
-    pub fn forward(&self, io: &mut NodeIo<'_>) {
-        zero_backward_forward(io, self.stored.is_some(), &self.stored.unwrap_or(0));
+    pub fn forward<P: HandshakeIo<Rail = R>>(&self, io: &mut P) {
+        zero_backward_forward(io, self.full, self.stored.as_ref());
     }
 
     /// The backward equation on this buffer's state.
-    pub fn backward(&self, io: &mut NodeIo<'_>) {
-        zero_backward_backward(io, self.stored.is_some());
+    pub fn backward<P: HandshakeIo<Rail = R>>(&self, io: &mut P) {
+        zero_backward_backward(io, self.full);
     }
 }
 
-impl Controller for ZeroBackwardBuffer {
-    fn eval(&self, io: &mut NodeIo<'_>) {
+impl<R: Rail> WordController<R> for ZeroBackwardBuffer<R> {
+    fn drive<P: HandshakeIo<Rail = R>>(&self, io: &mut P, _optimistic: bool) {
         self.forward(io);
         self.backward(io);
     }
 
-    fn commit(&mut self, io: &NodeIo<'_>) {
-        let input = io.input(IN);
-        let output = io.output(OUT);
-        let was_full = self.stored.is_some();
-
-        if was_full {
-            let killed = output.backward_transfer();
-            let left = output.forward_valid && !output.forward_stop && !killed;
-            if killed {
-                self.stored = None;
-                self.stats.killed_tokens += 1;
-            } else if left {
-                self.stored = None;
-                self.stats.output_transfers += 1;
-            } else if output.forward_stop {
-                self.stats.stall_cycles += 1;
-            }
-        }
-
+    fn clock<P: HandshakeIo<Rail = R>>(&mut self, io: &P) {
+        // Output boundary: the stored token is cancelled, leaves, or stays.
+        let killed = self.full & io.output_kill(OUT) & !io.output_anti_stop(OUT);
+        let left = self.full & !killed & io.output_valid(OUT) & !io.output_stop(OUT);
+        let kept = self.full & !killed & !left;
         // Input boundary. A token is accepted when the producer saw no stop;
-        // if an anti-token was simultaneously passing through, the two cancel
-        // at the boundary and nothing is stored.
-        let token_arrived = input.forward_valid && !input.forward_stop;
-        let anti_passed = input.backward_transfer();
-        if token_arrived {
-            if anti_passed {
-                self.stats.killed_tokens += 1;
-            } else if self.stored.is_none() {
-                self.stored = Some(input.data);
-            }
+        // if an anti-token was simultaneously passing through, the two
+        // cancel at the boundary and nothing is stored.
+        let token_arrived = io.input_valid(IN) & !io.input_stop(IN);
+        let cancelled = token_arrived & io.input_kill(IN) & !io.input_anti_stop(IN);
+        let accepted = token_arrived & !cancelled & !kept;
+        self.full = kept | accepted;
+
+        let data = io.input_data(IN);
+        for lane in (killed | left).lanes() {
+            self.stored[lane] = 0;
+        }
+        for lane in accepted.lanes() {
+            self.stored[lane] = data[lane];
+        }
+        for lane in killed.lanes() {
+            self.stats[lane].killed_tokens += 1;
+        }
+        for lane in cancelled.lanes() {
+            self.stats[lane].killed_tokens += 1;
+        }
+        for lane in left.lanes() {
+            self.stats[lane].output_transfers += 1;
+        }
+        for lane in (kept & io.output_stop(OUT)).lanes() {
+            self.stats[lane].stall_cycles += 1;
         }
     }
 
-    fn report(&self) -> NodeReport<'_> {
-        NodeReport::Basic(self.stats)
+    fn rewind(&mut self) {
+        self.full = if self.initial.is_some() { R::HIGH } else { R::LOW };
+        self.stored.as_mut().fill(self.initial.unwrap_or(0));
+        self.stats.as_mut().fill(NodeStats::default());
     }
 
-    fn reset(&mut self) {
-        self.stored = self.initial;
-        self.stats = NodeStats::default();
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+    fn lane_stats(&self) -> &[NodeStats] {
+        self.stats.as_ref()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::{Controller, NodeIo};
     use crate::signal::ChannelState;
 
     fn run_eval(controller: &dyn Controller, channels: &mut [ChannelState]) {
@@ -255,7 +327,7 @@ mod tests {
 
     #[test]
     fn standard_buffer_has_one_cycle_forward_latency() {
-        let mut eb = StandardBuffer::new(BufferSpec::bubble());
+        let mut eb = StandardBuffer::<bool>::new(BufferSpec::bubble());
         let mut channels = [ChannelState::default(), ChannelState::default()];
         // Cycle 0: a token arrives; the output is not yet valid.
         channels[0].forward_valid = true;
@@ -264,7 +336,7 @@ mod tests {
         assert!(!channels[1].forward_valid);
         assert!(!channels[0].forward_stop, "an empty buffer accepts");
         run_commit(&mut eb, &mut channels);
-        assert_eq!(eb.occupancy(), 1);
+        assert_eq!(eb.occupancy(0), 1);
         // Cycle 1: the token is visible downstream.
         channels[0].forward_valid = false;
         run_eval(&eb, &mut channels);
@@ -274,7 +346,7 @@ mod tests {
 
     #[test]
     fn standard_buffer_stops_when_full_and_backpressured() {
-        let mut eb = StandardBuffer::new(BufferSpec::standard(0));
+        let mut eb = StandardBuffer::<bool>::new(BufferSpec::standard(0));
         let mut channels = [ChannelState::default(), ChannelState::default()];
         channels[1].forward_stop = true; // downstream refuses forever
         for value in 0..4u64 {
@@ -284,27 +356,27 @@ mod tests {
             run_commit(&mut eb, &mut channels);
         }
         // Capacity 2: only the first two tokens were accepted, then stop.
-        assert_eq!(eb.occupancy(), 2);
+        assert_eq!(eb.occupancy(0), 2);
         run_eval(&eb, &mut channels);
         assert!(channels[0].forward_stop, "a full buffer must stall its producer");
     }
 
     #[test]
     fn standard_buffer_cancels_tokens_against_arriving_anti_tokens() {
-        let mut eb = StandardBuffer::new(BufferSpec::standard(1));
+        let mut eb = StandardBuffer::<bool>::new(BufferSpec::standard(1));
         let mut channels = [ChannelState::default(), ChannelState::default()];
         channels[1].forward_stop = true;
         channels[1].backward_valid = true; // the consumer kills the stored token
         run_eval(&eb, &mut channels);
         assert!(!channels[1].backward_stop, "a buffer holding a token absorbs the anti-token");
         run_commit(&mut eb, &mut channels);
-        assert_eq!(eb.occupancy(), 0);
-        assert_eq!(eb.stats.killed_tokens, 1);
+        assert_eq!(eb.occupancy(0), 0);
+        assert_eq!(eb.stats[0].killed_tokens, 1);
     }
 
     #[test]
     fn standard_buffer_stores_and_forwards_anti_tokens_when_empty() {
-        let mut eb = StandardBuffer::new(BufferSpec::bubble());
+        let mut eb = StandardBuffer::<bool>::new(BufferSpec::bubble());
         let mut channels = [ChannelState::default(), ChannelState::default()];
         // An anti-token arrives at the empty buffer: it is stored …
         channels[1].backward_valid = true;
@@ -324,7 +396,7 @@ mod tests {
 
     #[test]
     fn zero_backward_buffer_propagates_stop_combinationally() {
-        let eb = ZeroBackwardBuffer::new(BufferSpec::zero_backward(1));
+        let eb = ZeroBackwardBuffer::<bool>::new(BufferSpec::zero_backward(1));
         let mut channels = [ChannelState::default(), ChannelState::default()];
         channels[1].forward_stop = true;
         run_eval(&eb, &mut channels);
@@ -336,7 +408,7 @@ mod tests {
 
     #[test]
     fn zero_backward_buffer_passes_anti_tokens_through_when_empty() {
-        let eb = ZeroBackwardBuffer::new(BufferSpec::zero_backward(0));
+        let eb = ZeroBackwardBuffer::<bool>::new(BufferSpec::zero_backward(0));
         let mut channels = [ChannelState::default(), ChannelState::default()];
         channels[1].backward_valid = true;
         run_eval(&eb, &mut channels);
@@ -349,7 +421,7 @@ mod tests {
 
     #[test]
     fn zero_backward_buffer_absorbs_anti_tokens_into_its_stored_token() {
-        let mut eb = ZeroBackwardBuffer::new(BufferSpec::zero_backward(1));
+        let mut eb = ZeroBackwardBuffer::<bool>::new(BufferSpec::zero_backward(1));
         let mut channels = [ChannelState::default(), ChannelState::default()];
         channels[1].backward_valid = true;
         channels[1].forward_stop = true;
@@ -357,12 +429,12 @@ mod tests {
         assert!(!channels[0].backward_valid, "the stored token absorbs the kill locally");
         run_commit(&mut eb, &mut channels);
         assert!(!eb.is_full());
-        assert_eq!(eb.stats.killed_tokens, 1);
+        assert_eq!(eb.stats[0].killed_tokens, 1);
     }
 
     #[test]
     fn zero_backward_buffer_streams_at_full_rate() {
-        let mut eb = ZeroBackwardBuffer::new(BufferSpec::zero_backward(0));
+        let mut eb = ZeroBackwardBuffer::<bool>::new(BufferSpec::zero_backward(0));
         let mut channels = [ChannelState::default(), ChannelState::default()];
         let mut received = Vec::new();
         for value in 0..8u64 {

@@ -11,147 +11,123 @@
 //! stopped (this fork does not implement counterflow storage — recovery
 //! paths that need it place an elastic buffer behind the fork, as the paper's
 //! designs do).
+//!
+//! The fork is generic over the rail word: `bool` simulates one scenario,
+//! `u64` 64 lanes.
 
 use elastic_core::ForkSpec;
 
-use crate::controller::{Controller, NodeIo, NodeReport, NodeStats};
-use crate::handshake::{fork_backward, fork_delivered, fork_forward};
+use crate::controller::{NodeStats, WordController};
+use crate::handshake::{fork_backward, fork_delivered, fork_forward, HandshakeIo, Rail};
 
 const IN: usize = 0;
 
-/// Controller for a token-replicating fork.
+/// Controller for a token-replicating fork, per lane of the rail word `R`.
 #[derive(Debug)]
-pub struct EagerFork {
+pub struct EagerFork<R: Rail> {
     spec: ForkSpec,
-    /// `pending[i]` is true while branch `i` still needs the current token.
-    pending: Vec<bool>,
-    /// Whether a token is currently being served (i.e. `pending` is meaningful).
-    serving: bool,
-    stats: NodeStats,
+    /// Per branch, the lanes in which the branch still needs the current
+    /// token (meaningful only in the `serving` lanes).
+    pending: Vec<R>,
+    /// The lanes in which a token is being served.
+    serving: R,
+    stats: R::PerLane<NodeStats>,
 }
 
-impl EagerFork {
+impl<R: Rail> EagerFork<R> {
     /// Creates the controller.
     pub fn new(spec: ForkSpec) -> Self {
-        let outputs = spec.outputs;
         EagerFork {
+            pending: vec![R::HIGH; spec.outputs],
+            serving: R::LOW,
+            stats: R::per_lane(NodeStats::default()),
             spec,
-            pending: vec![true; outputs],
-            serving: false,
-            stats: NodeStats::default(),
         }
     }
 
-    fn effective_pending(&self, branch: usize) -> bool {
-        if self.serving {
-            self.pending[branch]
-        } else {
-            true
-        }
+    /// The lanes in which branch `branch` still needs its copy this cycle.
+    fn pending(&self, branch: usize) -> R {
+        !self.serving | self.pending[branch]
     }
 
-    /// Bitmask of the per-branch effective pending state for the first 64
-    /// branches:
-    /// bit `b` is set when branch `b` still needs its copy this cycle. The
-    /// compiled settle backend snapshots this once per cycle (it is pure
-    /// sequential state) and replays the eager-fork equations against it.
+    /// Bitmask of lane 0's branches that still need their copy this cycle,
+    /// bit `b` for branch `b` (first 64 branches). The compiled settle
+    /// backend snapshots this once per cycle (it is pure sequential state)
+    /// and replays the eager-fork equations against it.
     pub fn pending_mask(&self) -> u64 {
-        let mut mask = 0u64;
-        for branch in 0..self.spec.outputs.min(64) {
-            if self.effective_pending(branch) {
-                mask |= 1u64 << branch;
-            }
-        }
-        mask
+        let branches = 0..self.spec.outputs.min(64);
+        branches.filter(|&branch| self.pending(branch).in_lane(0)).fold(0, |m, b| m | 1 << b)
     }
 
     /// The forward equation on this fork's pending branches — one planned
     /// op of the compiled plan (codegen calls it per op).
-    pub fn forward(&self, io: &mut NodeIo<'_>) {
-        fork_forward(io, self.spec.eager, false, |branch| self.effective_pending(branch));
+    pub fn forward<P: HandshakeIo<Rail = R>>(&self, io: &mut P) {
+        fork_forward(io, self.spec.eager, false, |branch| self.pending(branch));
     }
 
     /// The backward equation on this fork's pending branches.
-    pub fn backward(&self, io: &mut NodeIo<'_>) {
-        fork_backward(io, self.spec.eager, |branch| self.effective_pending(branch));
+    pub fn backward<P: HandshakeIo<Rail = R>>(&self, io: &mut P) {
+        fork_backward(io, self.spec.eager, |branch| self.pending(branch));
     }
 }
 
-impl Controller for EagerFork {
-    fn eval(&self, io: &mut NodeIo<'_>) {
-        self.forward(io);
+impl<R: Rail> WordController<R> for EagerFork<R> {
+    fn drive<P: HandshakeIo<Rail = R>>(&self, io: &mut P, optimistic: bool) {
+        fork_forward(io, self.spec.eager, optimistic, |branch| self.pending(branch));
         self.backward(io);
     }
 
-    fn is_optimistic(&self) -> bool {
+    fn optimistic(&self) -> bool {
         !self.spec.eager
     }
 
-    fn eval_optimistic(&self, io: &mut NodeIo<'_>) {
-        fork_forward(io, self.spec.eager, true, |branch| self.effective_pending(branch));
-        self.backward(io);
-    }
-
-    fn commit(&mut self, io: &NodeIo<'_>) {
-        let input = io.input(IN);
-        if !input.forward_valid {
-            // Nothing in flight; reset the bookkeeping.
-            self.serving = false;
-            self.pending.iter_mut().for_each(|p| *p = true);
-            return;
-        }
+    fn clock<P: HandshakeIo<Rail = R>>(&mut self, io: &P) {
         // A branch delivers when its (actually asserted) copy transfers or
         // is cancelled — judging by the driven `V+` matters for lazy forks,
         // whose withheld branches must not be marked served.
-        let deliveries: Vec<bool> = (0..self.spec.outputs)
-            .map(|branch| fork_delivered(io, true, self.effective_pending(branch), branch))
-            .collect();
+        let valid = io.input_valid(IN);
+        let delivered =
+            |fork: &Self, branch| fork_delivered(io, valid, fork.pending(branch), branch);
         let done = (0..self.spec.outputs)
-            .all(|branch| !self.effective_pending(branch) || deliveries[branch]);
-        let input_fired = !input.forward_stop;
-        if done && input_fired {
-            self.serving = false;
-            self.pending.iter_mut().for_each(|p| *p = true);
-            self.stats.output_transfers += 1;
-        } else {
-            // Remember which branches have already been served.
-            if !self.serving {
-                self.serving = true;
-                self.pending.iter_mut().for_each(|p| *p = true);
-            }
-            for (branch, delivered) in deliveries.iter().enumerate() {
-                if *delivered {
-                    self.pending[branch] = false;
-                }
-            }
-            self.stats.stall_cycles += 1;
-        }
+            .fold(R::HIGH, |done, branch| done & (!self.pending(branch) | delivered(self, branch)));
+        let complete = valid & done & !io.input_stop(IN);
+        // Lanes still serving remember which branches have been served;
+        // every other lane starts its next token with all branches pending.
+        let holding = valid & !complete;
         for branch in 0..self.spec.outputs {
-            let out = io.output(branch);
-            if out.backward_transfer() {
-                self.stats.killed_tokens += 1;
+            let still_pending = self.pending(branch) & !delivered(self, branch);
+            self.pending[branch] = !holding | still_pending;
+        }
+        self.serving = holding;
+        for lane in complete.lanes() {
+            self.stats[lane].output_transfers += 1;
+        }
+        for lane in holding.lanes() {
+            self.stats[lane].stall_cycles += 1;
+        }
+        // Branch annihilations count only while a token is present.
+        for branch in 0..self.spec.outputs {
+            for lane in (valid & io.output_kill(branch) & !io.output_anti_stop(branch)).lanes() {
+                self.stats[lane].killed_tokens += 1;
             }
         }
     }
 
-    fn report(&self) -> NodeReport<'_> {
-        NodeReport::Basic(self.stats)
+    fn rewind(&mut self) {
+        self.pending.fill(R::HIGH);
+        self.serving = R::LOW;
+        self.stats.as_mut().fill(NodeStats::default());
     }
 
-    fn reset(&mut self) {
-        self.pending.iter_mut().for_each(|p| *p = true);
-        self.serving = false;
-        self.stats = NodeStats::default();
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+    fn lane_stats(&self) -> &[NodeStats] {
+        self.stats.as_ref()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::{Controller, NodeIo};
     use crate::signal::ChannelState;
 
     fn io<'a>(
@@ -164,7 +140,7 @@ mod tests {
 
     #[test]
     fn replicates_tokens_to_all_branches() {
-        let fork = EagerFork::new(ForkSpec::eager(2));
+        let fork = EagerFork::<bool>::new(ForkSpec::eager(2));
         let mut channels = vec![ChannelState::default(); 3];
         let inputs = [0usize];
         let outputs = [1usize, 2];
@@ -179,7 +155,7 @@ mod tests {
 
     #[test]
     fn eager_fork_delivers_branches_independently() {
-        let mut fork = EagerFork::new(ForkSpec::eager(2));
+        let mut fork = EagerFork::<bool>::new(ForkSpec::eager(2));
         let mut channels = vec![ChannelState::default(); 3];
         let inputs = [0usize];
         let outputs = [1usize, 2];
@@ -203,7 +179,7 @@ mod tests {
 
     #[test]
     fn branch_kills_count_as_deliveries() {
-        let fork = EagerFork::new(ForkSpec::eager(2));
+        let fork = EagerFork::<bool>::new(ForkSpec::eager(2));
         let mut channels = vec![ChannelState::default(); 3];
         let inputs = [0usize];
         let outputs = [1usize, 2];
@@ -217,7 +193,7 @@ mod tests {
 
     #[test]
     fn kills_without_a_token_are_stopped() {
-        let fork = EagerFork::new(ForkSpec::eager(2));
+        let fork = EagerFork::<bool>::new(ForkSpec::eager(2));
         let mut channels = vec![ChannelState::default(); 3];
         let inputs = [0usize];
         let outputs = [1usize, 2];
@@ -228,7 +204,7 @@ mod tests {
 
     #[test]
     fn lazy_fork_waits_for_all_branches() {
-        let fork = EagerFork::new(ForkSpec::lazy(2));
+        let fork = EagerFork::<bool>::new(ForkSpec::lazy(2));
         let mut channels = vec![ChannelState::default(); 3];
         let inputs = [0usize];
         let outputs = [1usize, 2];

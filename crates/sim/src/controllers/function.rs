@@ -14,79 +14,128 @@
 //!   view) and no output is produced;
 //! * otherwise the anti-token is forwarded to every input simultaneously,
 //!   provided every producer can accept it.
+//!
+//! The block is generic over the rail word: `bool` simulates one scenario,
+//! `u64` 64 lanes.
+
+use std::cell::RefCell;
 
 use elastic_core::FunctionSpec;
 use elastic_datapath::adder::mask;
+use elastic_datapath::evaluate;
 
-use crate::controller::{Controller, NodeIo, NodeReport, NodeStats};
-use crate::handshake::{function_backward, function_forward};
+use crate::controller::{NodeStats, WordController};
+use crate::handshake::{function_backward, function_forward, HandshakeIo, Rail};
 
 const OUT: usize = 0;
 
-/// Controller for a combinational function block.
+/// Controller for a combinational function block, per lane of the rail
+/// word `R`.
 #[derive(Debug)]
-pub struct FunctionBlock {
+pub struct FunctionBlock<R: Rail> {
     spec: FunctionSpec,
     output_width: u8,
-    stats: NodeStats,
+    stats: R::PerLane<NodeStats>,
+    /// The datapath memo: a settle pass re-evaluates the join several times
+    /// per cycle while the operands rarely change, so the result column is
+    /// recomputed only when an operand column did.
+    memo: RefCell<Memo<R>>,
 }
 
-impl FunctionBlock {
+/// The operands a result column was computed from.
+#[derive(Debug)]
+struct Memo<R: Rail> {
+    /// Operand words, lane-major: `operands[lane * inputs + port]`.
+    operands: Vec<u64>,
+    /// The masked result per lane.
+    results: R::PerLane<u64>,
+    valid: bool,
+}
+
+impl<R: Rail> FunctionBlock<R> {
     /// Creates the controller; `output_width` is the width of the output
     /// channel (results are masked to it).
     pub fn new(spec: FunctionSpec, output_width: u8) -> Self {
-        FunctionBlock { spec, output_width, stats: NodeStats::default() }
+        let memo = Memo {
+            operands: vec![0; spec.inputs * R::LANES],
+            results: R::per_lane(0),
+            valid: false,
+        };
+        FunctionBlock {
+            spec,
+            output_width,
+            stats: R::per_lane(NodeStats::default()),
+            memo: RefCell::new(memo),
+        }
     }
 
     /// The forward equation, driving the operation's result on the input
     /// words — one planned op of the compiled plan (codegen calls it per
     /// op).
-    pub fn forward(&self, io: &mut NodeIo<'_>) {
-        let value = mask(io.evaluate(&self.spec.op), self.output_width);
-        function_forward(io, &value);
+    pub fn forward<P: HandshakeIo<Rail = R>>(&self, io: &mut P) {
+        let mut memo = self.memo.borrow_mut();
+        let inputs = self.spec.inputs;
+        let operand = |lane: usize, port: usize| lane * inputs + port;
+        let unchanged = |memo: &Memo<R>, port: usize| {
+            let mut column = io.input_data(port).iter().enumerate();
+            column.all(|(lane, &word)| memo.operands[operand(lane, port)] == word)
+        };
+        if !memo.valid || !(0..inputs).all(|port| unchanged(&memo, port)) {
+            for port in 0..inputs {
+                for (lane, &word) in io.input_data(port).iter().enumerate() {
+                    memo.operands[operand(lane, port)] = word;
+                }
+            }
+            for lane in 0..R::LANES {
+                let operands = &memo.operands[operand(lane, 0)..][..inputs];
+                let result = evaluate(&self.spec.op, operands).unwrap_or(0);
+                memo.results[lane] = mask(result, self.output_width);
+            }
+            memo.valid = true;
+        }
+        function_forward(io, memo.results.as_ref());
     }
 
     /// The backward equation.
-    pub fn backward(&self, io: &mut NodeIo<'_>) {
+    pub fn backward<P: HandshakeIo<Rail = R>>(&self, io: &mut P) {
         function_backward(io);
     }
 }
 
-impl Controller for FunctionBlock {
-    fn eval(&self, io: &mut NodeIo<'_>) {
+impl<R: Rail> WordController<R> for FunctionBlock<R> {
+    fn drive<P: HandshakeIo<Rail = R>>(&self, io: &mut P, _optimistic: bool) {
         self.forward(io);
         self.backward(io);
     }
 
-    fn commit(&mut self, io: &NodeIo<'_>) {
-        let output = io.output(OUT);
-        if output.forward_transfer() {
-            self.stats.output_transfers += 1;
+    fn clock<P: HandshakeIo<Rail = R>>(&mut self, io: &P) {
+        let valid = io.output_valid(OUT);
+        let killed = io.output_kill(OUT) & !io.output_anti_stop(OUT);
+        for lane in (valid & !io.output_stop(OUT) & !killed).lanes() {
+            self.stats[lane].output_transfers += 1;
         }
-        if output.annihilation() {
-            self.stats.killed_tokens += 1;
+        for lane in (valid & killed).lanes() {
+            self.stats[lane].killed_tokens += 1;
         }
-        if output.forward_retry() {
-            self.stats.stall_cycles += 1;
+        for lane in (valid & io.output_stop(OUT) & !killed).lanes() {
+            self.stats[lane].stall_cycles += 1;
         }
     }
 
-    fn report(&self) -> NodeReport<'_> {
-        NodeReport::Basic(self.stats)
+    fn rewind(&mut self) {
+        self.stats.as_mut().fill(NodeStats::default());
+        self.memo.get_mut().valid = false;
     }
 
-    fn reset(&mut self) {
-        self.stats = NodeStats::default();
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+    fn lane_stats(&self) -> &[NodeStats] {
+        self.stats.as_ref()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::{Controller, NodeIo};
     use crate::signal::ChannelState;
     use elastic_core::Op;
 
@@ -100,7 +149,7 @@ mod tests {
 
     #[test]
     fn waits_for_all_inputs_then_computes() {
-        let block = FunctionBlock::new(FunctionSpec::with_inputs(Op::Add, 2), 8);
+        let block = FunctionBlock::<bool>::new(FunctionSpec::with_inputs(Op::Add, 2), 8);
         let mut channels = vec![ChannelState::default(); 3];
         let inputs = [0usize, 1];
         let outputs = [2usize];
@@ -122,7 +171,7 @@ mod tests {
 
     #[test]
     fn output_backpressure_stalls_all_inputs() {
-        let block = FunctionBlock::new(FunctionSpec::with_inputs(Op::Add, 2), 8);
+        let block = FunctionBlock::<bool>::new(FunctionSpec::with_inputs(Op::Add, 2), 8);
         let mut channels = vec![ChannelState::default(); 3];
         let inputs = [0usize, 1];
         let outputs = [2usize];
@@ -136,7 +185,7 @@ mod tests {
 
     #[test]
     fn arriving_anti_token_annihilates_waiting_operands() {
-        let block = FunctionBlock::new(FunctionSpec::with_inputs(Op::Add, 2), 8);
+        let block = FunctionBlock::<bool>::new(FunctionSpec::with_inputs(Op::Add, 2), 8);
         let mut channels = vec![ChannelState::default(); 3];
         let inputs = [0usize, 1];
         let outputs = [2usize];
@@ -155,7 +204,7 @@ mod tests {
 
     #[test]
     fn anti_token_is_forwarded_when_operands_are_missing() {
-        let block = FunctionBlock::new(FunctionSpec::with_inputs(Op::Add, 2), 8);
+        let block = FunctionBlock::<bool>::new(FunctionSpec::with_inputs(Op::Add, 2), 8);
         let mut channels = vec![ChannelState::default(); 3];
         let inputs = [0usize, 1];
         let outputs = [2usize];
@@ -170,7 +219,7 @@ mod tests {
 
     #[test]
     fn anti_token_is_stopped_when_a_producer_refuses_it() {
-        let block = FunctionBlock::new(FunctionSpec::with_inputs(Op::Add, 2), 8);
+        let block = FunctionBlock::<bool>::new(FunctionSpec::with_inputs(Op::Add, 2), 8);
         let mut channels = vec![ChannelState::default(); 3];
         let inputs = [0usize, 1];
         let outputs = [2usize];
@@ -183,7 +232,8 @@ mod tests {
 
     #[test]
     fn opaque_blocks_pass_data_through() {
-        let block = FunctionBlock::new(FunctionSpec::new(elastic_core::op::opaque("F", 6, 100)), 8);
+        let block =
+            FunctionBlock::<bool>::new(FunctionSpec::new(elastic_core::op::opaque("F", 6, 100)), 8);
         let mut channels = vec![ChannelState::default(); 2];
         let inputs = [0usize];
         let outputs = [1usize];

@@ -11,6 +11,11 @@
 //! | `Commit` | [`commit::CommitStage`] | the in-order commit stage behind a shared module |
 //! | `VarLatency` | [`varlatency::VarLatencyUnit`] | the stalling variable-latency unit of Figure 6(a) |
 //! | `Source` / `Sink` | [`environment`] | the elastic environment |
+//!
+//! The first five rows are one type each, generic over the rail word
+//! ([`crate::controller::WordController`]): [`build_controller`]
+//! instantiates them at `bool` (one scenario) and the 64-lane engine at
+//! `u64`. The other kinds are scalar; the lane engine runs one per lane.
 
 pub mod buffer;
 pub mod commit;
@@ -38,14 +43,16 @@ pub fn build_controller(netlist: &Netlist, node: &Node) -> Result<Box<dyn Contro
         NodeKind::Buffer(spec) => {
             let spec = simulated_buffer(node, spec, width)?;
             if spec.backward_latency == 0 {
-                Box::new(buffer::ZeroBackwardBuffer::new(spec))
+                Box::new(buffer::ZeroBackwardBuffer::<bool>::new(spec))
             } else {
-                Box::new(buffer::StandardBuffer::new(spec))
+                Box::new(buffer::StandardBuffer::<bool>::new(spec))
             }
         }
-        NodeKind::Function(spec) => Box::new(function::FunctionBlock::new(spec.clone(), width)),
-        NodeKind::Mux(spec) => Box::new(mux::MuxController::new(*spec)),
-        NodeKind::Fork(spec) => Box::new(fork::EagerFork::new(*spec)),
+        NodeKind::Function(spec) => {
+            Box::new(function::FunctionBlock::<bool>::new(spec.clone(), width))
+        }
+        NodeKind::Mux(spec) => Box::new(mux::MuxController::<bool>::new(*spec)),
+        NodeKind::Fork(spec) => Box::new(fork::EagerFork::<bool>::new(*spec)),
         NodeKind::Shared(spec) => {
             let scheduler = elastic_predict::from_kind(&spec.scheduler, spec.users);
             Box::new(shared::SharedModule::new(spec.clone(), scheduler, width))

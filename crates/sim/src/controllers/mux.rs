@@ -11,113 +11,157 @@
 //! until the anti-tokens have been delivered (or have cancelled in place
 //! against an arriving token). A stale token arriving on a channel that is
 //! owed an anti-token is cancelled rather than forwarded.
+//!
+//! The multiplexor is generic over the rail word: `bool` simulates one
+//! scenario, `u64` 64 lanes, each steered by its own select token.
+
+use std::cell::RefCell;
 
 use elastic_core::MuxSpec;
 
-use crate::controller::{Controller, NodeIo, NodeReport, NodeStats};
-use crate::handshake::{mux_backward, mux_forward};
+use crate::controller::{NodeStats, WordController};
+use crate::handshake::{mux_backward, mux_forward, HandshakeIo, Rail};
 
 const SELECT: usize = 0;
 const OUT: usize = 0;
 
-/// Controller for (early-evaluation) multiplexors.
+/// Controller for (early-evaluation) multiplexors, per lane of the rail
+/// word `R`.
 #[derive(Debug)]
-pub struct MuxController {
+pub struct MuxController<R: Rail> {
     spec: MuxSpec,
-    /// Anti-tokens owed to each data input (early evaluation only).
-    owed_anti_tokens: Vec<u32>,
-    stats: NodeStats,
+    /// Anti-tokens owed per data input and lane, input-major:
+    /// `owed[input * R::LANES + lane]` (early evaluation only).
+    owed: Vec<u32>,
+    /// Per data input, the lanes that owe it no anti-token.
+    clean: Vec<R>,
+    stats: R::PerLane<NodeStats>,
+    /// The select gather `eval` steers with (scratch).
+    gather: RefCell<Gather<R>>,
 }
 
-impl MuxController {
+/// Per-lane steering: which data input each lane's select token chooses.
+#[derive(Debug)]
+struct Gather<R: Rail> {
+    /// Per data input, the lanes whose select token chooses it.
+    selected: Vec<R>,
+    /// The chosen input's data per lane: the driven data column.
+    data: R::PerLane<u64>,
+}
+
+impl<R: Rail> Gather<R> {
+    /// Re-reads the select column and gathers each lane's chosen data.
+    fn refresh(&mut self, io: &impl HandshakeIo<Rail = R>) {
+        self.selected.fill(R::LOW);
+        let inputs = self.selected.len();
+        for (lane, &select) in io.input_data(SELECT).iter().enumerate() {
+            let chosen = select as usize % inputs;
+            self.selected[chosen] = self.selected[chosen] | R::lane(lane);
+            self.data[lane] = io.input_data(1 + chosen)[lane];
+        }
+    }
+}
+
+impl<R: Rail> MuxController<R> {
     /// Creates the controller.
     pub fn new(spec: MuxSpec) -> Self {
+        let inputs = spec.data_inputs;
         MuxController {
-            owed_anti_tokens: vec![0; spec.data_inputs],
             spec,
-            stats: NodeStats::default(),
+            owed: vec![0; inputs * R::LANES],
+            clean: vec![R::HIGH; inputs],
+            stats: R::per_lane(NodeStats::default()),
+            gather: RefCell::new(Gather { selected: vec![R::LOW; inputs], data: R::per_lane(0) }),
         }
     }
 
-    fn selected(&self, io: &NodeIo<'_>) -> usize {
-        (io.input(SELECT).data as usize) % self.spec.data_inputs.max(1)
-    }
-
-    /// Outstanding anti-token debt per data channel (diagnostic).
+    /// Outstanding anti-token debt per data input and lane, input-major
+    /// (one entry per data input at one lane) — diagnostic, and the
+    /// compiled settle backend's per-cycle snapshot.
     pub fn owed_anti_tokens(&self) -> &[u32] {
-        &self.owed_anti_tokens
+        &self.owed
     }
 
-    /// The forward equation on this mux's select and owed anti-tokens —
-    /// one planned op of the compiled plan (codegen calls it per op).
-    pub fn forward(&self, io: &mut NodeIo<'_>) {
-        let selected = self.selected(io);
-        let data = io.input(1 + selected).data;
-        let owed = &self.owed_anti_tokens;
-        mux_forward(io, self.spec.early_eval, |j| j == selected, |j| owed[j] == 0, &data);
+    /// Evaluates the forward and/or the backward equation on this mux's
+    /// select and owed anti-tokens.
+    fn equations<P: HandshakeIo<Rail = R>>(&self, io: &mut P, forward: bool, backward: bool) {
+        let mut gather = self.gather.borrow_mut();
+        gather.refresh(io);
+        let (early, selected, clean) = (self.spec.early_eval, &gather.selected, &self.clean);
+        if forward {
+            mux_forward(io, early, |j| selected[j], |j| clean[j], gather.data.as_ref());
+        }
+        if backward {
+            mux_backward(io, early, |j| selected[j], |j| clean[j]);
+        }
     }
 
-    /// The backward equation on this mux's select and owed anti-tokens.
-    pub fn backward(&self, io: &mut NodeIo<'_>) {
-        let selected = self.selected(io);
-        let owed = &self.owed_anti_tokens;
-        mux_backward(io, self.spec.early_eval, |j| j == selected, |j| owed[j] == 0);
+    /// The forward equation — one planned op of the compiled plan (codegen
+    /// calls it per op).
+    pub fn forward<P: HandshakeIo<Rail = R>>(&self, io: &mut P) {
+        self.equations(io, true, false);
+    }
+
+    /// The backward equation.
+    pub fn backward<P: HandshakeIo<Rail = R>>(&self, io: &mut P) {
+        self.equations(io, false, true);
     }
 }
 
-impl Controller for MuxController {
-    fn eval(&self, io: &mut NodeIo<'_>) {
-        self.forward(io);
-        self.backward(io);
+impl<R: Rail> WordController<R> for MuxController<R> {
+    fn drive<P: HandshakeIo<Rail = R>>(&self, io: &mut P, _optimistic: bool) {
+        self.equations(io, true, true);
     }
 
-    fn commit(&mut self, io: &NodeIo<'_>) {
-        let output = io.output(OUT);
-        let select = io.input(SELECT);
-        let fire = output.forward_valid && !output.forward_stop;
-        if fire {
-            self.stats.output_transfers += 1;
-        } else if output.forward_valid {
-            self.stats.stall_cycles += 1;
+    fn clock<P: HandshakeIo<Rail = R>>(&mut self, io: &P) {
+        let fire = io.output_valid(OUT) & !io.output_stop(OUT);
+        for lane in fire.lanes() {
+            self.stats[lane].output_transfers += 1;
+        }
+        for lane in (io.output_valid(OUT) & io.output_stop(OUT)).lanes() {
+            self.stats[lane].stall_cycles += 1;
         }
         if !self.spec.early_eval {
             return;
         }
-        let selected = self.selected(io);
-        for j in 0..self.spec.data_inputs {
-            let channel = io.input(1 + j);
-            // Anti-token delivered (either accepted upstream or cancelled in
-            // place against an arriving token — same thing at this boundary).
-            let delivered = channel.backward_valid && !channel.backward_stop;
-            let mut owed = self.owed_anti_tokens[j];
-            if fire && select.forward_valid && j != selected {
-                owed += 1;
+        let gather = self.gather.get_mut();
+        gather.refresh(io);
+        let fired = fire & io.input_valid(SELECT);
+        for input in 0..self.spec.data_inputs {
+            // A firing owes every non-selected input an anti-token; one is
+            // delivered when accepted upstream or cancelled in place against
+            // an arriving token — the same thing at this boundary.
+            let incurred = fired & !gather.selected[input];
+            let delivered = io.input_kill(1 + input) & !io.input_anti_stop(1 + input);
+            for lane in (incurred | delivered).lanes() {
+                let owed = &mut self.owed[input * R::LANES + lane];
+                if incurred.in_lane(lane) {
+                    *owed += 1;
+                }
+                if delivered.in_lane(lane) {
+                    *owed = owed.saturating_sub(1);
+                    self.stats[lane].killed_tokens += 1;
+                }
+                self.clean[input] = self.clean[input].with_lane(lane, *owed == 0);
             }
-            if delivered {
-                owed = owed.saturating_sub(1);
-                self.stats.killed_tokens += 1;
-            }
-            self.owed_anti_tokens[j] = owed;
         }
     }
 
-    fn report(&self) -> NodeReport<'_> {
-        NodeReport::Basic(self.stats)
+    fn rewind(&mut self) {
+        self.owed.fill(0);
+        self.clean.fill(R::HIGH);
+        self.stats.as_mut().fill(NodeStats::default());
     }
 
-    fn reset(&mut self) {
-        self.owed_anti_tokens.iter_mut().for_each(|owed| *owed = 0);
-        self.stats = NodeStats::default();
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+    fn lane_stats(&self) -> &[NodeStats] {
+        self.stats.as_ref()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::{Controller, NodeIo};
     use crate::signal::ChannelState;
 
     // Channel layout used by the tests:
@@ -126,13 +170,13 @@ mod tests {
         NodeIo::new(channels, &[0, 1, 2], &[3])
     }
 
-    fn early_mux() -> MuxController {
-        MuxController::new(MuxSpec::early(2))
+    fn early_mux() -> MuxController<bool> {
+        MuxController::<bool>::new(MuxSpec::early(2))
     }
 
     #[test]
     fn lazy_mux_waits_for_every_input() {
-        let mux = MuxController::new(MuxSpec::lazy(2));
+        let mux = MuxController::<bool>::new(MuxSpec::lazy(2));
         let mut channels = vec![ChannelState::default(); 4];
         channels[0].forward_valid = true; // select = 0
         channels[1].forward_valid = true;
@@ -195,7 +239,7 @@ mod tests {
         mux.eval(&mut io(&mut channels));
         mux.commit(&io(&mut channels));
         assert_eq!(mux.owed_anti_tokens(), &[0, 0]);
-        assert_eq!(mux.stats.killed_tokens, 1);
+        assert_eq!(mux.stats[0].killed_tokens, 1);
     }
 
     #[test]

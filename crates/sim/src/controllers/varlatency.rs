@@ -49,7 +49,7 @@ impl VarLatencyUnit {
     }
 
     fn error_detected(&self, io: &NodeIo<'_>) -> bool {
-        evaluate(&self.spec.error, &io.input_data()).unwrap_or(0) != 0
+        evaluate(&self.spec.error, &io.input_words()).unwrap_or(0) != 0
     }
 
     fn finishes_this_cycle(&self, io: &NodeIo<'_>) -> bool {
@@ -87,7 +87,7 @@ impl Controller for VarLatencyUnit {
         if !all_valid {
             return;
         }
-        let operands = io.input_data();
+        let operands = io.input_words();
         let slot_free = self.output_register.is_none();
         if self.finishes_this_cycle(io) {
             let op = if self.exact_pending || self.error_detected(io) {

@@ -1044,6 +1044,36 @@ mod tests {
     }
 
     #[test]
+    fn a_fault_that_overfills_a_standard_buffer_keeps_every_token() {
+        use crate::faults::{FaultKind, FaultPlan, FaultSpec};
+        use elastic_core::kind::BackpressurePattern;
+
+        // src -> EB (capacity 2) -> sink stopped for the first 20 cycles.
+        let mut n = Netlist::new("overfill");
+        let src = n.add_source("src", SourceSpec::always());
+        let eb = n.add_buffer("eb", BufferSpec::standard(0));
+        let stops = [vec![true; 20], vec![false; 1000]].concat();
+        let sink = n.add_sink("sink", SinkSpec { backpressure: BackpressurePattern::List(stops) });
+        let input = n.connect(Port::output(src, 0), Port::input(eb, 0), 8).unwrap();
+        n.connect(Port::output(eb, 0), Port::input(sink, 0), 8).unwrap();
+
+        // `S+` stuck low on the buffer's input: the source pushes a token
+        // every cycle into a buffer whose output is stopped.
+        let mut sim = Simulation::new(&n, &SimConfig::default()).unwrap();
+        sim.arm_faults(&FaultPlan::single(FaultSpec {
+            channel: input,
+            kind: FaultKind::StuckStop { level: false },
+            from_cycle: 0,
+            duration: 10,
+        }))
+        .unwrap();
+        let report = sim.run(60).unwrap();
+        let early = sim.trace().channel_iter(input).take(10);
+        assert_eq!(early.filter(|state| state.forward_transfer()).count(), 10);
+        assert_eq!(report.sink_values(sink), (0..40).collect::<Vec<u64>>(), "no token is lost");
+    }
+
+    #[test]
     fn fault_plans_naming_unknown_channels_are_rejected() {
         use crate::faults::{FaultKind, FaultPlan, FaultSpec};
         use elastic_core::ChannelId;

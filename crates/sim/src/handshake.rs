@@ -1,29 +1,32 @@
 //! The SELF handshake equations of the hot controllers, written once.
 //!
 //! Every settle path evaluates the same equations (Cortadella, Kishinevsky
-//! and Grundmann, DAC 2006): the scalar controllers of [`crate::controllers`],
-//! the 64-lane word controllers of [`crate::lanes`], the compiled micro-ops
-//! and, through the scalar controllers, the settle functions emitted by
-//! [`crate::codegen`]. Each node kind has a **forward** equation — the `V+`
-//! and `S−` it drives on its outputs (plus the data word, supplied by the
-//! caller) — and a **backward** equation — the `S+` and `V−` it drives on
-//! its inputs. The compiled planner schedules the two as separate ops; the
-//! controllers' `eval` calls forward, then backward.
+//! and Grundmann, DAC 2006): the controllers of [`crate::controllers`] at
+//! both rail words (the scalar engine and the 64-lane engine of
+//! [`crate::lanes`]), the compiled micro-ops and, through the controllers,
+//! the settle functions emitted by [`crate::codegen`]. Each node kind has a
+//! **forward** equation — the `V+` and `S−` it drives on its outputs (plus
+//! the data word, supplied by the caller) — and a **backward** equation —
+//! the `S+` and `V−` it drives on its inputs. The compiled planner
+//! schedules the two as separate ops; the controllers' `eval` calls
+//! forward, then backward.
 //!
 //! The equations are generic over the rail word ([`Rail`]: `bool` for one
 //! scenario, `u64` for 64 lanes, bit `ℓ` = lane `ℓ`) and over the port view
-//! ([`HandshakeIo`]: [`crate::controller::NodeIo`] or [`crate::lanes::LaneIo`]). They are pure boolean
-//! algebra, so the `u64` instance is the `bool` instance lane by lane.
-//! Sequential state comes in as words (a buffer's occupancy, a fork's
-//! pending branches, a mux's selected and owed-clean inputs); the state
-//! itself, its update at the clock edge and the data words stay with each
-//! engine.
+//! ([`HandshakeIo`]: [`crate::controller::NodeIo`] or
+//! [`crate::lanes::LaneIo`]), whose data is a column of one word per lane.
+//! They are pure boolean algebra, so the `u64` instance is the `bool`
+//! instance lane by lane. Sequential state comes in as words (a buffer's
+//! occupancy, a fork's pending branches, a mux's selected and owed-clean
+//! inputs); the state itself and its clock-edge update live once per node
+//! kind in [`crate::controllers`], generic over the same rail word.
 //!
 //! Each call writes every rail it drives exactly once: the full-sweep
 //! oracle's convergence test counts writes, so a transient
 //! write-then-overwrite would make it oscillate on a settled state.
 
-use std::ops::{BitAnd, BitOr, Not};
+use std::fmt::Debug;
+use std::ops::{BitAnd, BitOr, Index, IndexMut, Not};
 
 const IN: usize = 0;
 const OUT: usize = 0;
@@ -32,34 +35,117 @@ const SELECT: usize = 0;
 /// One handshake rail across the scenarios a port view carries: `bool` for
 /// one scenario, `u64` for 64 lanes.
 pub trait Rail:
-    Copy + PartialEq + BitAnd<Output = Self> + BitOr<Output = Self> + Not<Output = Self>
+    Copy
+    + PartialEq
+    + Debug
+    + BitAnd<Output = Self>
+    + BitOr<Output = Self>
+    + Not<Output = Self>
+    + 'static
 {
     /// The rail deasserted in every scenario.
     const LOW: Self;
     /// The rail asserted in every scenario.
     const HIGH: Self;
+    /// Number of scenarios (lanes) one rail word carries.
+    const LANES: usize;
+
+    /// One `T` per lane: inline for `bool`, so a one-scenario controller
+    /// keeps its state next to its other fields; a heap column for `u64`.
+    type PerLane<T: Copy + Debug>: Index<usize, Output = T>
+        + IndexMut<usize>
+        + AsRef<[T]>
+        + AsMut<[T]>
+        + Debug;
+
+    /// Per-lane storage holding `value` in every lane.
+    fn per_lane<T: Copy + Debug>(value: T) -> Self::PerLane<T>;
+
+    /// The rail asserted in lane `lane` alone.
+    fn lane(lane: usize) -> Self;
+
+    /// The lanes in which the rail is asserted, lowest first.
+    fn lanes(self) -> Lanes;
+
+    /// Whether the rail is asserted in lane `lane`.
+    fn in_lane(self, lane: usize) -> bool {
+        self & Self::lane(lane) != Self::LOW
+    }
+
+    /// The rail with lane `lane` asserted when `on`, deasserted otherwise.
+    fn with_lane(self, lane: usize, on: bool) -> Self {
+        if on {
+            self | Self::lane(lane)
+        } else {
+            self & !Self::lane(lane)
+        }
+    }
 }
 
 impl Rail for bool {
     const LOW: bool = false;
     const HIGH: bool = true;
+    const LANES: usize = 1;
+    type PerLane<T: Copy + Debug> = [T; 1];
+
+    fn per_lane<T: Copy + Debug>(value: T) -> [T; 1] {
+        [value]
+    }
+
+    fn lane(_lane: usize) -> bool {
+        true
+    }
+
+    fn lanes(self) -> Lanes {
+        Lanes(u64::from(self))
+    }
 }
 
 impl Rail for u64 {
     const LOW: u64 = 0;
     const HIGH: u64 = u64::MAX;
+    const LANES: usize = 64;
+    type PerLane<T: Copy + Debug> = Vec<T>;
+
+    fn per_lane<T: Copy + Debug>(value: T) -> Vec<T> {
+        vec![value; Self::LANES]
+    }
+
+    fn lane(lane: usize) -> u64 {
+        1 << lane
+    }
+
+    fn lanes(self) -> Lanes {
+        Lanes(self)
+    }
+}
+
+/// The set lanes of a rail word, lowest first (see [`Rail::lanes`]).
+#[derive(Debug, Clone)]
+pub struct Lanes(u64);
+
+impl Iterator for Lanes {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let lane = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(lane)
+    }
 }
 
 /// The channels attached to one node, as the equations read and drive them.
 ///
 /// Port indices follow [`elastic_core::NodeKind`]'s conventions. Setters are
 /// compare-and-set in both implementations, so an equation that drives an
-/// unchanged value marks nothing dirty.
+/// unchanged value marks nothing dirty. Data is a column of
+/// [`Rail::LANES`] words, one per lane.
 pub trait HandshakeIo {
     /// The rail word.
     type Rail: Rail;
-    /// The data an output port carries: one word, or one word per lane.
-    type Data: ?Sized;
 
     /// Number of input ports.
     fn input_count(&self) -> usize;
@@ -89,8 +175,10 @@ pub trait HandshakeIo {
     fn set_output_valid(&mut self, port: usize, valid: Self::Rail);
     /// Drives `S−` on output `port`.
     fn set_output_anti_stop(&mut self, port: usize, stop: Self::Rail);
-    /// Drives the data of output `port`, masked to the channel width.
-    fn drive_data(&mut self, port: usize, data: &Self::Data);
+    /// The data column of input `port`.
+    fn input_data(&self, port: usize) -> &[u64];
+    /// Drives the data column of output `port`, masked to the channel width.
+    fn drive_data(&mut self, port: usize, data: &[u64]);
     /// Drives output `output` with the data of input `input`.
     fn copy_data(&mut self, input: usize, output: usize);
 }
@@ -115,7 +203,7 @@ pub struct StandardBufferState<R> {
 pub fn standard_buffer_forward<P: HandshakeIo>(
     io: &mut P,
     state: StandardBufferState<P::Rail>,
-    data: &P::Data,
+    data: &[u64],
 ) {
     io.set_output_valid(OUT, state.has_token);
     io.drive_data(OUT, data);
@@ -131,7 +219,7 @@ pub fn standard_buffer_backward<P: HandshakeIo>(io: &mut P, state: StandardBuffe
 
 /// Zero-backward (`Lb = 0`, Figure 5) buffer, forward: offer the stored
 /// token; an empty buffer exposes the producer's anti-token stop.
-pub fn zero_backward_forward<P: HandshakeIo>(io: &mut P, full: P::Rail, data: &P::Data) {
+pub fn zero_backward_forward<P: HandshakeIo>(io: &mut P, full: P::Rail, data: &[u64]) {
     let anti_stop = !full & io.input_anti_stop(IN);
     io.set_output_valid(OUT, full);
     io.drive_data(OUT, data);
@@ -162,7 +250,7 @@ fn join<P: HandshakeIo>(io: &P) -> (P::Rail, P::Rail) {
 /// Function block (lazy join), forward: the result is valid once every
 /// operand is; an arriving anti-token is refused only while operands are
 /// missing and some producer cannot take it.
-pub fn function_forward<P: HandshakeIo>(io: &mut P, data: &P::Data) {
+pub fn function_forward<P: HandshakeIo>(io: &mut P, data: &[u64]) {
     let (all_valid, accept_kill) = join(io);
     io.set_output_valid(OUT, all_valid);
     io.drive_data(OUT, data);
@@ -305,7 +393,7 @@ pub fn mux_forward<P: HandshakeIo>(
     early: bool,
     selected: impl Fn(usize) -> P::Rail,
     clean: impl Fn(usize) -> P::Rail,
-    data: &P::Data,
+    data: &[u64],
 ) {
     let (valid, _) = mux_valid(io, early, &selected, &clean);
     io.set_output_valid(OUT, valid);
@@ -393,7 +481,6 @@ mod tests {
 
     impl<R: Rail> HandshakeIo for TestIo<R> {
         type Rail = R;
-        type Data = ();
 
         fn input_count(&self) -> usize {
             self.rails[INPUT].len()
@@ -437,7 +524,10 @@ mod tests {
         fn set_output_anti_stop(&mut self, port: usize, stop: R) {
             self.write(OUTPUT, port, S_MINUS, stop);
         }
-        fn drive_data(&mut self, _port: usize, _data: &()) {}
+        fn input_data(&self, _port: usize) -> &[u64] {
+            &[]
+        }
+        fn drive_data(&mut self, _port: usize, _data: &[u64]) {}
         fn copy_data(&mut self, _input: usize, _output: usize) {}
     }
 
@@ -528,17 +618,17 @@ mod tests {
                 has_anti_token: s[2],
                 anti_full: s[3],
             };
-            standard_buffer_forward(io, state, &());
+            standard_buffer_forward(io, state, &[]);
             standard_buffer_backward(io, state);
         });
-        lanewise!((1, 1, false, 1), |io, s| zero_backward_forward(io, s[0], &()));
+        lanewise!((1, 1, false, 1), |io, s| zero_backward_forward(io, s[0], &[]));
         lanewise!((1, 1, false, 1), |io, s| zero_backward_backward(io, s[0]));
     }
 
     #[test]
     fn function_equations_are_lane_wise() {
         for inputs in 1..=3 {
-            lanewise!((inputs, 1, false, 0), |io, _s| function_forward(io, &()));
+            lanewise!((inputs, 1, false, 0), |io, _s| function_forward(io, &[]));
             lanewise!((inputs, 1, false, 0), |io, _s| function_backward(io));
         }
     }
@@ -566,7 +656,7 @@ mod tests {
         for data in 1..=2 {
             for early in [false, true] {
                 lanewise!((1 + data, 1, false, 2 * data), |io, s| {
-                    mux_forward(io, early, |j| s[j], |j| s[data + j], &())
+                    mux_forward(io, early, |j| s[j], |j| s[data + j], &[])
                 });
                 lanewise!((1 + data, 1, false, 2 * data), |io, s| {
                     mux_backward(io, early, |j| s[j], |j| s[data + j])

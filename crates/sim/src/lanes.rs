@@ -23,17 +23,15 @@
 //!   (`data[channel * LANES + lane]`) touched only by the ops that consume
 //!   data (function evaluation, mux steering, buffered values).
 //! * The hot SELF controllers (both EB variants, function/join, eager and
-//!   lazy fork, lazy/early mux) are native word controllers: they evaluate
-//!   the shared equations of [`crate::handshake`] at `u64` rails — the same
-//!   code the scalar controllers run at `bool` — and keep only their
-//!   per-lane sequential state, its clock-edge update and their data (token
-//!   columns, the mux's select gather, the function's datapath memo).
-//!   Everything with heavyweight per-scenario state
-//!   (source, sink, shared module, commit stage, variable-latency unit)
-//!   runs through the `ScalarLanes` fallback: 64 scalar controllers evaluated
-//!   per-lane behind the word-level compare-and-set boundary — which is
-//!   also what gives every lane its own environment override and transfer
-//!   stream for free.
+//!   lazy fork, lazy/early mux) are the types of [`crate::controllers`]
+//!   instantiated at the `u64` rail: the scalar engine runs the same types
+//!   at `bool`, so their state, clock edge, statistics and reset exist
+//!   once ([`crate::controller::WordController`]). Everything with
+//!   heavyweight per-scenario state (source, sink, shared module, commit
+//!   stage, variable-latency unit) runs through the `ScalarLanes`
+//!   fallback: 64 scalar controllers evaluated per-lane behind the
+//!   word-level compare-and-set boundary — which is also what gives every
+//!   lane its own environment override and transfer stream for free.
 //!
 //! The correctness contract is **lane-0 bit-identity**: a lane simulation
 //! whose lanes all see the same environment must produce, in every lane,
@@ -46,34 +44,30 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use elastic_core::kind::{BackpressurePattern, SourcePattern};
-use elastic_core::{BufferSpec, ForkSpec, FunctionSpec, MuxSpec, Netlist, Node, NodeId, NodeKind};
+use elastic_core::{Netlist, Node, NodeId, NodeKind};
 
-use crate::controller::{Controller, NodeIo, NodeReport, NodeStats};
+use crate::controller::{Controller, NodeIo, NodeReport};
+use crate::controllers::buffer::{StandardBuffer, ZeroBackwardBuffer};
+use crate::controllers::fork::EagerFork;
+use crate::controllers::function::FunctionBlock;
+use crate::controllers::mux::MuxController;
 use crate::controllers::{build_controller, output_width, simulated_buffer};
 use crate::engine::SimError;
 use crate::engine_core::{CoreNode, EngineCore, Ports};
-use crate::handshake::{
-    fork_backward, fork_delivered, fork_forward, function_backward, function_forward, mux_backward,
-    mux_forward, standard_buffer_backward, standard_buffer_forward, zero_backward_backward,
-    zero_backward_forward, HandshakeIo, StandardBufferState,
-};
+use crate::handshake::{HandshakeIo, Rail};
 use crate::metrics::SimulationReport;
 use crate::signal::ChannelState;
 use crate::trace::Trace;
 
 /// Number of scenarios advanced per word operation: the bit width of a lane
 /// word.
-pub const LANES: usize = 64;
+pub const LANES: usize = <u64 as Rail>::LANES;
 
 /// A per-lane scheduler factory for
 /// [`LaneSimulation::reset_with_schedulers`]: invoked once per lane to
 /// build that lane's prediction policy (schedulers are stateful boxes, not
 /// clonable, so lanes get fresh instances rather than copies).
 pub type SchedulerFactory<'a> = dyn Fn(usize) -> Box<dyn elastic_core::Scheduler> + 'a;
-
-const IN: usize = 0;
-const OUT: usize = 0;
-const SELECT: usize = 0;
 
 /// Process-wide count of [`LaneSimulation`] constructions (see
 /// [`LaneSimulation::constructions`]).
@@ -112,16 +106,6 @@ fn width_mask(width: u8) -> u64 {
 #[inline]
 fn spread_lane0(word: u64) -> u64 {
     (word & 1).wrapping_neg()
-}
-
-/// Calls `f` once per set bit of `word`, lowest lane first.
-#[inline]
-fn for_each_lane(mut word: u64, mut f: impl FnMut(usize)) {
-    while word != 0 {
-        let lane = word.trailing_zeros() as usize;
-        f(lane);
-        word &= word - 1;
-    }
 }
 
 /// Structure-of-arrays signal store: one `u64` word per channel per rail
@@ -208,12 +192,6 @@ impl<'a> LaneIo<'a> {
         LaneIo { channels, input_channels, output_channels, channel_widths, dirty }
     }
 
-    /// Data column of input port `input`: one value per lane.
-    pub fn input_data(&self, input: usize) -> &[u64] {
-        let channel = self.input_channels[input];
-        &self.channels.data[channel * LANES..][..LANES]
-    }
-
     /// Marks `channel` dirty when tracking.
     fn mark_dirty(&mut self, channel: usize) {
         if let Some(dirty) = self.dirty.as_deref_mut() {
@@ -221,57 +199,13 @@ impl<'a> LaneIo<'a> {
         }
     }
 
-    /// Sets the data column of output port `output` from one value per
-    /// lane, masked to the channel width.
-    pub fn set_output_data(&mut self, output: usize, lanes: &[u64]) {
-        debug_assert_eq!(lanes.len(), LANES);
-        let channel = self.output_channels[output];
-        let mask = width_mask(self.channel_widths.get(channel).copied().unwrap_or(64));
-        let column = &mut self.channels.data[channel * LANES..][..LANES];
-        let mut changed = false;
-        for (slot, &value) in column.iter_mut().zip(lanes) {
-            let value = value & mask;
-            if *slot != value {
-                *slot = value;
-                changed = true;
-            }
-        }
-        if changed {
-            self.mark_dirty(channel);
-        }
-    }
-
-    /// Copies the data column of input `input` to output `output`
-    /// (width-preserving controllers: forks, buffers passing data through),
-    /// masked to the output channel width.
-    pub fn copy_data(&mut self, input: usize, output: usize) {
-        let src = self.input_channels[input];
-        let dst = self.output_channels[output];
-        if src == dst {
-            return;
-        }
-        let mask = width_mask(self.channel_widths.get(dst).copied().unwrap_or(64));
-        let mut changed = false;
-        for lane in 0..LANES {
-            let value = self.channels.data[src * LANES + lane] & mask;
-            let slot = &mut self.channels.data[dst * LANES + lane];
-            if *slot != value {
-                *slot = value;
-                changed = true;
-            }
-        }
-        if changed {
-            self.mark_dirty(dst);
-        }
-    }
-
     /// Scatters the consumer-driven rails (`S+`, `V−`) of one lane of a
     /// channel back from a scalar evaluation, with compare-and-set.
     fn scatter_consumer_lane(&mut self, channel: usize, lane: usize, state: ChannelState) {
         let rails = &mut *self.channels;
-        let stop = with_lane(rails.forward_stop[channel], lane, state.forward_stop);
+        let stop = rails.forward_stop[channel].with_lane(lane, state.forward_stop);
         set_word(&mut rails.forward_stop, channel, stop, &mut self.dirty);
-        let kill = with_lane(rails.backward_valid[channel], lane, state.backward_valid);
+        let kill = rails.backward_valid[channel].with_lane(lane, state.backward_valid);
         set_word(&mut rails.backward_valid, channel, kill, &mut self.dirty);
     }
 
@@ -280,9 +214,9 @@ impl<'a> LaneIo<'a> {
     /// compare-and-set. The scalar evaluation already masked the data.
     fn scatter_producer_lane(&mut self, channel: usize, lane: usize, state: ChannelState) {
         let rails = &mut *self.channels;
-        let valid = with_lane(rails.forward_valid[channel], lane, state.forward_valid);
+        let valid = rails.forward_valid[channel].with_lane(lane, state.forward_valid);
         set_word(&mut rails.forward_valid, channel, valid, &mut self.dirty);
-        let anti_stop = with_lane(rails.backward_stop[channel], lane, state.backward_stop);
+        let anti_stop = rails.backward_stop[channel].with_lane(lane, state.backward_stop);
         set_word(&mut rails.backward_stop, channel, anti_stop, &mut self.dirty);
         let slot = &mut rails.data[channel * LANES + lane];
         if *slot != state.data {
@@ -304,20 +238,8 @@ fn set_word(rail: &mut [u64], channel: usize, word: u64, dirty: &mut Option<&mut
     }
 }
 
-/// `word` with lane `lane`'s bit set to `value`.
-#[inline]
-fn with_lane(word: u64, lane: usize, value: bool) -> u64 {
-    let bit = 1u64 << lane;
-    if value {
-        word | bit
-    } else {
-        word & !bit
-    }
-}
-
 impl HandshakeIo for LaneIo<'_> {
     type Rail = u64;
-    type Data = [u64];
 
     fn input_count(&self) -> usize {
         self.input_channels.len()
@@ -365,11 +287,29 @@ impl HandshakeIo for LaneIo<'_> {
         let channel = self.output_channels[port];
         set_word(&mut self.channels.backward_stop, channel, stop, &mut self.dirty);
     }
+    fn input_data(&self, port: usize) -> &[u64] {
+        let channel = self.input_channels[port];
+        &self.channels.data[channel * LANES..][..LANES]
+    }
     fn drive_data(&mut self, port: usize, data: &[u64]) {
-        self.set_output_data(port, data);
+        let channel = self.output_channels[port];
+        let mask = width_mask(self.channel_widths.get(channel).copied().unwrap_or(64));
+        let column = &mut self.channels.data[channel * LANES..][..LANES];
+        let mut changed = false;
+        for (slot, &value) in column.iter_mut().zip(data) {
+            let value = value & mask;
+            if *slot != value {
+                *slot = value;
+                changed = true;
+            }
+        }
+        if changed {
+            self.mark_dirty(channel);
+        }
     }
     fn copy_data(&mut self, input: usize, output: usize) {
-        LaneIo::copy_data(self, input, output);
+        let column: [u64; LANES] = self.input_data(input).try_into().expect("one word per lane");
+        self.drive_data(output, &column);
     }
 }
 
@@ -377,18 +317,19 @@ impl HandshakeIo for LaneIo<'_> {
 ///
 /// Semantics mirror [`Controller`] lane-wise: `eval` must be a pure
 /// function of the channel words and the sequential state (it takes
-/// `&mut self` only to reuse scratch buffers and memo caches — re-running
-/// it with unchanged inputs must not change its writes), `commit` advances
-/// the sequential state of every lane on the settled signals.
+/// `&mut self` only so `ScalarLanes` can reuse its transpose scratch —
+/// re-running it with unchanged inputs must not change its writes), `commit`
+/// advances the sequential state of every lane on the settled signals.
+///
+/// Two implementations exist: the hot controllers of [`crate::controllers`]
+/// at the `u64` rail, through one blanket impl over
+/// [`crate::controller::WordController<u64>`], and `ScalarLanes` for every
+/// other node kind.
 pub trait LaneController: fmt::Debug {
-    /// Drives this node's output words from the current channel words.
-    fn eval(&mut self, io: &mut LaneIo<'_>);
-
-    /// Optimistic variant for multi-fixpoint controllers (lazy forks);
-    /// defaults to [`LaneController::eval`].
-    fn eval_optimistic(&mut self, io: &mut LaneIo<'_>) {
-        self.eval(io);
-    }
+    /// Drives this node's output words from the current channel words;
+    /// `optimistic` selects the seeding-pass variant of multi-fixpoint
+    /// controllers (lazy forks).
+    fn eval(&mut self, io: &mut LaneIo<'_>, optimistic: bool);
 
     /// Whether this controller needs the optimistic seeding pass.
     fn is_optimistic(&self) -> bool {
@@ -413,536 +354,10 @@ pub trait LaneController: fmt::Debug {
 
     /// The per-lane scalar controllers of a `ScalarLanes` node, where
     /// per-lane environment and scheduler overrides land; `None` for the
-    /// native word controllers (buffers, functions, forks, muxes), which
-    /// take no overrides.
+    /// word controllers (buffers, functions, forks, muxes), which take no
+    /// overrides.
     fn scalar_lanes(&mut self) -> Option<&mut [Box<dyn Controller>]> {
         None
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Native word controllers
-// ---------------------------------------------------------------------------
-
-/// The standard `Lf = 1`, `Lb = 1` elastic buffer across 64 lanes: per-lane
-/// FIFO state, word-level handshake. All driven signals are functions of
-/// the sequential state only, so `eval` runs exactly once per cycle.
-///
-/// Token storage is one lane-major fixed-capacity ring: the FIFO depth is
-/// statically known from the buffer spec, so lane `ℓ` owns the contiguous
-/// slots `data[ℓ·ring .. (ℓ+1)·ring]` with a per-lane `(head, len)` cursor
-/// pair. The former per-lane `VecDeque<u64>` layout scattered every lane's
-/// front element across 64 separately-allocated deques, and the pointer
-/// chasing in the eval/commit hot loops capped the registered-pipeline lane
-/// win at ~4×; the ring keeps the whole node's token state in one
-/// allocation with index arithmetic only.
-#[derive(Debug)]
-struct LaneStandardBuffer {
-    spec: BufferSpec,
-    /// Ring slots per lane: the static FIFO bound `max(capacity,
-    /// init_tokens, 1)` (`1` keeps the cursor arithmetic total for
-    /// zero-capacity pass-through specs, which never push).
-    ring: usize,
-    /// Lane-major token slots: `data[lane * ring + slot]`.
-    data: Vec<u64>,
-    /// Ring slot of each lane's oldest token.
-    head: Vec<u32>,
-    /// Tokens currently held per lane (`<= ring`).
-    len: Vec<u32>,
-    anti_tokens: Vec<u32>,
-    stats: Vec<NodeStats>,
-    data_scratch: Vec<u64>,
-}
-
-impl LaneStandardBuffer {
-    fn new(spec: BufferSpec) -> Self {
-        let ring = (spec.capacity as usize).max(spec.init_tokens.max(0) as usize).max(1);
-        let mut buffer = LaneStandardBuffer {
-            spec,
-            ring,
-            data: vec![0; ring * LANES],
-            head: vec![0; LANES],
-            len: vec![0; LANES],
-            anti_tokens: vec![0; LANES],
-            stats: vec![NodeStats::default(); LANES],
-            data_scratch: vec![0; LANES],
-        };
-        buffer.reset();
-        buffer
-    }
-
-    #[inline]
-    fn pop_front(&mut self, lane: usize) -> Option<u64> {
-        if self.len[lane] == 0 {
-            return None;
-        }
-        let value = self.data[lane * self.ring + self.head[lane] as usize];
-        self.head[lane] = (self.head[lane] + 1) % self.ring as u32;
-        self.len[lane] -= 1;
-        Some(value)
-    }
-
-    #[inline]
-    fn push_back(&mut self, lane: usize, value: u64) {
-        debug_assert!((self.len[lane] as usize) < self.ring, "ring bound is the FIFO bound");
-        let slot = (self.head[lane] + self.len[lane]) % self.ring as u32;
-        self.data[lane * self.ring + slot as usize] = value;
-        self.len[lane] += 1;
-    }
-}
-
-impl LaneController for LaneStandardBuffer {
-    fn eval(&mut self, io: &mut LaneIo<'_>) {
-        let mut state =
-            StandardBufferState { has_token: 0, full: 0, has_anti_token: 0, anti_full: 0 };
-        for lane in 0..LANES {
-            let bit = 1u64 << lane;
-            let len = self.len[lane] as usize;
-            self.data_scratch[lane] = if len > 0 {
-                state.has_token |= bit;
-                self.data[lane * self.ring + self.head[lane] as usize]
-            } else {
-                0
-            };
-            if len >= self.spec.capacity as usize {
-                state.full |= bit;
-            }
-            if self.anti_tokens[lane] > 0 {
-                state.has_anti_token |= bit;
-            }
-            if self.anti_tokens[lane] >= self.spec.anti_capacity {
-                state.anti_full |= bit;
-            }
-        }
-        standard_buffer_forward(io, state, &self.data_scratch);
-        standard_buffer_backward(io, state);
-    }
-
-    fn eval_reads_channels(&self) -> bool {
-        false
-    }
-
-    fn commit(&mut self, io: &LaneIo<'_>) {
-        let out_fv = io.output_valid(OUT);
-        let out_fs = io.output_stop(OUT);
-        let out_bv = io.output_kill(OUT);
-        let out_bs = io.output_anti_stop(OUT);
-        let in_fv = io.input_valid(IN);
-        let in_fs = io.input_stop(IN);
-        let in_bv = io.input_kill(IN);
-        let in_bs = io.input_anti_stop(IN);
-        let in_data = io.input_data(IN);
-
-        let out_kill = out_bv & !out_bs;
-        let out_transfer = out_fv & !out_fs & !out_kill;
-        let out_stall = out_fv & out_fs & !out_kill & !out_transfer;
-        let token_arrived = in_fv & !in_fs;
-        let anti_left = in_bv & !in_bs;
-
-        for (lane, &data) in in_data.iter().enumerate().take(LANES) {
-            let bit = 1u64 << lane;
-            // Output boundary, exactly the scalar match order: kill wins,
-            // then transfer, then stall accounting.
-            if out_kill & bit != 0 {
-                match self.pop_front(lane) {
-                    Some(_) => self.stats[lane].killed_tokens += 1,
-                    None => {
-                        self.anti_tokens[lane] =
-                            (self.anti_tokens[lane] + 1).min(self.spec.anti_capacity);
-                    }
-                }
-            } else if out_transfer & bit != 0 {
-                self.pop_front(lane);
-                self.stats[lane].output_transfers += 1;
-            } else if out_stall & bit != 0 {
-                self.stats[lane].stall_cycles += 1;
-            }
-            // Input boundary.
-            let anti = &mut self.anti_tokens[lane];
-            match (token_arrived & bit != 0, anti_left & bit != 0) {
-                (true, true) => {
-                    *anti = anti.saturating_sub(1);
-                    self.stats[lane].killed_tokens += 1;
-                }
-                (true, false) => {
-                    if *anti > 0 {
-                        *anti -= 1;
-                        self.stats[lane].killed_tokens += 1;
-                    } else {
-                        self.push_back(lane, data);
-                    }
-                }
-                (false, true) => *anti = anti.saturating_sub(1),
-                (false, false) => {}
-            }
-        }
-    }
-
-    fn reset(&mut self) {
-        let init_tokens = self.spec.init_tokens.max(0) as usize;
-        for lane in 0..LANES {
-            self.head[lane] = 0;
-            self.len[lane] = init_tokens as u32;
-            for slot in 0..init_tokens {
-                self.data[lane * self.ring + slot] = self.spec.init_value;
-            }
-            self.anti_tokens[lane] = (-self.spec.init_tokens).max(0) as u32;
-            self.stats[lane] = NodeStats::default();
-        }
-    }
-
-    fn report(&self, lane: usize) -> NodeReport<'_> {
-        NodeReport::Basic(self.stats[lane])
-    }
-}
-
-/// The `Lb = 0` (Figure-5) elastic buffer across 64 lanes: fully word-ops —
-/// occupancy is one bit per lane, values are a lane column kept `0` when
-/// empty so the column doubles as the driven data.
-#[derive(Debug)]
-struct LaneZeroBackwardBuffer {
-    initial: Option<u64>,
-    full: u64,
-    values: Vec<u64>,
-    stats: Vec<NodeStats>,
-}
-
-impl LaneZeroBackwardBuffer {
-    fn new(spec: BufferSpec) -> Self {
-        let initial = (spec.init_tokens > 0).then_some(spec.init_value);
-        let mut buffer = LaneZeroBackwardBuffer {
-            initial,
-            full: 0,
-            values: vec![0; LANES],
-            stats: vec![NodeStats::default(); LANES],
-        };
-        buffer.reset();
-        buffer
-    }
-}
-
-impl LaneController for LaneZeroBackwardBuffer {
-    fn eval(&mut self, io: &mut LaneIo<'_>) {
-        zero_backward_forward(io, self.full, &self.values);
-        zero_backward_backward(io, self.full);
-    }
-
-    fn commit(&mut self, io: &LaneIo<'_>) {
-        let out_fv = io.output_valid(OUT);
-        let out_fs = io.output_stop(OUT);
-        let out_bv = io.output_kill(OUT);
-        let out_bs = io.output_anti_stop(OUT);
-        let in_fv = io.input_valid(IN);
-        let in_fs = io.input_stop(IN);
-        let in_bv = io.input_kill(IN);
-        let in_bs = io.input_anti_stop(IN);
-        let in_data = io.input_data(IN);
-
-        let was_full = self.full;
-        let killed = was_full & out_bv & !out_bs;
-        let left = was_full & !killed & out_fv & !out_fs;
-        let stalled = was_full & !killed & !left & out_fs;
-        let full_after_out = was_full & !killed & !left;
-        let token_arrived = in_fv & !in_fs;
-        let anti_passed = in_bv & !in_bs;
-        let killed_in_flight = token_arrived & anti_passed;
-        let stored = token_arrived & !anti_passed & !full_after_out;
-        self.full = full_after_out | stored;
-
-        for_each_lane(killed | left, |lane| self.values[lane] = 0);
-        for_each_lane(stored, |lane| self.values[lane] = in_data[lane]);
-        for_each_lane(killed, |lane| self.stats[lane].killed_tokens += 1);
-        for_each_lane(left, |lane| self.stats[lane].output_transfers += 1);
-        for_each_lane(stalled, |lane| self.stats[lane].stall_cycles += 1);
-        for_each_lane(killed_in_flight, |lane| self.stats[lane].killed_tokens += 1);
-    }
-
-    fn reset(&mut self) {
-        self.full = if self.initial.is_some() { u64::MAX } else { 0 };
-        self.values.fill(self.initial.unwrap_or(0));
-        self.stats.fill(NodeStats::default());
-    }
-
-    fn report(&self, lane: usize) -> NodeReport<'_> {
-        NodeReport::Basic(self.stats[lane])
-    }
-}
-
-/// Combinational function block (lazy join + datapath) across 64 lanes.
-/// Handshake is pure word ops; the datapath evaluates per lane behind a
-/// memo cache keyed on the input data columns (settle loops re-evaluate
-/// the join several times per cycle while the data rarely changes).
-#[derive(Debug)]
-struct LaneFunction {
-    spec: FunctionSpec,
-    output_width: u8,
-    stats: Vec<NodeStats>,
-    operands: Vec<u64>,
-    out_data: Vec<u64>,
-    cached_inputs: Vec<u64>,
-    cache_valid: bool,
-}
-
-impl LaneFunction {
-    fn new(spec: FunctionSpec, output_width: u8) -> Self {
-        let inputs = spec.inputs;
-        LaneFunction {
-            spec,
-            output_width,
-            stats: vec![NodeStats::default(); LANES],
-            operands: vec![0; inputs],
-            out_data: vec![0; LANES],
-            cached_inputs: vec![0; inputs * LANES],
-            cache_valid: false,
-        }
-    }
-
-    fn refresh_data(&mut self, io: &LaneIo<'_>) {
-        let inputs = self.spec.inputs;
-        let mut fresh = self.cache_valid;
-        if fresh {
-            for port in 0..inputs {
-                if io.input_data(port) != &self.cached_inputs[port * LANES..][..LANES] {
-                    fresh = false;
-                    break;
-                }
-            }
-        }
-        if fresh {
-            return;
-        }
-        for port in 0..inputs {
-            self.cached_inputs[port * LANES..][..LANES].copy_from_slice(io.input_data(port));
-        }
-        for lane in 0..LANES {
-            for port in 0..inputs {
-                self.operands[port] = self.cached_inputs[port * LANES + lane];
-            }
-            self.out_data[lane] = elastic_datapath::adder::mask(
-                elastic_datapath::evaluate(&self.spec.op, &self.operands).unwrap_or(0),
-                self.output_width,
-            );
-        }
-        self.cache_valid = true;
-    }
-}
-
-impl LaneController for LaneFunction {
-    fn eval(&mut self, io: &mut LaneIo<'_>) {
-        self.refresh_data(io);
-        function_forward(io, &self.out_data);
-        function_backward(io);
-    }
-
-    fn commit(&mut self, io: &LaneIo<'_>) {
-        let out_fv = io.output_valid(OUT);
-        let out_fs = io.output_stop(OUT);
-        let out_bv = io.output_kill(OUT);
-        let out_bs = io.output_anti_stop(OUT);
-        let backward_transfer = out_bv & !out_bs;
-        let forward_transfer = out_fv & !out_fs & !backward_transfer;
-        let annihilation = out_fv & backward_transfer;
-        let forward_retry = out_fv & out_fs & !backward_transfer;
-        for_each_lane(forward_transfer, |lane| self.stats[lane].output_transfers += 1);
-        for_each_lane(annihilation, |lane| self.stats[lane].killed_tokens += 1);
-        for_each_lane(forward_retry, |lane| self.stats[lane].stall_cycles += 1);
-    }
-
-    fn reset(&mut self) {
-        self.stats.fill(NodeStats::default());
-        self.cache_valid = false;
-    }
-
-    fn report(&self, lane: usize) -> NodeReport<'_> {
-        NodeReport::Basic(self.stats[lane])
-    }
-}
-
-/// Eager/lazy fork across 64 lanes: per-branch pending words.
-#[derive(Debug)]
-struct LaneEagerFork {
-    spec: ForkSpec,
-    pending: Vec<u64>,
-    serving: u64,
-    stats: Vec<NodeStats>,
-    deliver: Vec<u64>,
-}
-
-impl LaneEagerFork {
-    fn new(spec: ForkSpec) -> Self {
-        let outputs = spec.outputs;
-        LaneEagerFork {
-            spec,
-            pending: vec![u64::MAX; outputs],
-            serving: 0,
-            stats: vec![NodeStats::default(); LANES],
-            deliver: vec![0; outputs],
-        }
-    }
-
-    fn drive(&mut self, io: &mut LaneIo<'_>, optimistic: bool) {
-        let (serving, pending) = (self.serving, &self.pending);
-        let effective_pending = |branch: usize| !serving | pending[branch];
-        fork_forward(io, self.spec.eager, optimistic, effective_pending);
-        fork_backward(io, self.spec.eager, effective_pending);
-    }
-}
-
-impl LaneController for LaneEagerFork {
-    fn eval(&mut self, io: &mut LaneIo<'_>) {
-        self.drive(io, false);
-    }
-
-    fn eval_optimistic(&mut self, io: &mut LaneIo<'_>) {
-        self.drive(io, true);
-    }
-
-    fn is_optimistic(&self) -> bool {
-        !self.spec.eager
-    }
-
-    fn commit(&mut self, io: &LaneIo<'_>) {
-        let outputs = self.spec.outputs;
-        let in_fv = io.input_valid(IN);
-        let in_fs = io.input_stop(IN);
-
-        // Deliveries against the *old* pending state, as in the scalar
-        // commit.
-        let mut done = u64::MAX;
-        for branch in 0..outputs {
-            let effective_pending = !self.serving | self.pending[branch];
-            self.deliver[branch] = fork_delivered(io, in_fv, effective_pending, branch);
-            done &= !effective_pending | self.deliver[branch];
-        }
-        let complete = in_fv & done & !in_fs;
-        let holding = in_fv & !complete;
-        for branch in 0..outputs {
-            let effective_pending = !self.serving | self.pending[branch];
-            self.pending[branch] = !holding | (effective_pending & !self.deliver[branch]);
-        }
-        self.serving = holding;
-        for_each_lane(complete, |lane| self.stats[lane].output_transfers += 1);
-        for_each_lane(holding, |lane| self.stats[lane].stall_cycles += 1);
-        // The scalar fork counts branch annihilations only on cycles where
-        // a token is present (its idle path returns early).
-        for branch in 0..outputs {
-            let killed = in_fv & io.output_kill(branch) & !io.output_anti_stop(branch);
-            for_each_lane(killed, |lane| self.stats[lane].killed_tokens += 1);
-        }
-    }
-
-    fn reset(&mut self) {
-        self.pending.fill(u64::MAX);
-        self.serving = 0;
-        self.stats.fill(NodeStats::default());
-    }
-
-    fn report(&self, lane: usize) -> NodeReport<'_> {
-        NodeReport::Basic(self.stats[lane])
-    }
-}
-
-/// Lazy or early-evaluation multiplexor across 64 lanes. The per-lane
-/// select value steers via gather masks (`sel_mask[j]` = lanes selecting
-/// data input `j`); owed-anti-token counters stay per lane with a cached
-/// "clean" word per data input.
-#[derive(Debug)]
-struct LaneMux {
-    spec: MuxSpec,
-    owed_anti_tokens: Vec<u32>,
-    owed_zero: Vec<u64>,
-    stats: Vec<NodeStats>,
-    sel_mask: Vec<u64>,
-    out_data: Vec<u64>,
-}
-
-impl LaneMux {
-    fn new(spec: MuxSpec) -> Self {
-        let data_inputs = spec.data_inputs;
-        LaneMux {
-            spec,
-            owed_anti_tokens: vec![0; data_inputs * LANES],
-            owed_zero: vec![u64::MAX; data_inputs],
-            stats: vec![NodeStats::default(); LANES],
-            sel_mask: vec![0; data_inputs],
-            out_data: vec![0; LANES],
-        }
-    }
-
-    /// Rebuilds `sel_mask` and the steered output column from the current
-    /// select data column.
-    fn gather_select(&mut self, io: &LaneIo<'_>) {
-        let data_inputs = self.spec.data_inputs;
-        self.sel_mask.fill(0);
-        if data_inputs == 0 {
-            return;
-        }
-        let select = io.input_data(SELECT);
-        for (lane, &sel) in select.iter().enumerate() {
-            let chosen = (sel as usize) % data_inputs;
-            self.sel_mask[chosen] |= 1u64 << lane;
-        }
-    }
-
-    fn gather_out_data(&mut self, io: &LaneIo<'_>) {
-        for (chosen, &mask) in self.sel_mask.iter().enumerate() {
-            let column = io.input_data(1 + chosen);
-            for_each_lane(mask, |lane| self.out_data[lane] = column[lane]);
-        }
-    }
-}
-
-impl LaneController for LaneMux {
-    fn eval(&mut self, io: &mut LaneIo<'_>) {
-        self.gather_select(io);
-        self.gather_out_data(io);
-        let (early, selected, clean) = (self.spec.early_eval, &self.sel_mask, &self.owed_zero);
-        mux_forward(io, early, |j| selected[j], |j| clean[j], &self.out_data);
-        mux_backward(io, early, |j| selected[j], |j| clean[j]);
-    }
-
-    fn commit(&mut self, io: &LaneIo<'_>) {
-        let out_fv = io.output_valid(OUT);
-        let out_fs = io.output_stop(OUT);
-        let fire = out_fv & !out_fs;
-        for_each_lane(fire, |lane| self.stats[lane].output_transfers += 1);
-        for_each_lane(out_fv & out_fs, |lane| self.stats[lane].stall_cycles += 1);
-        if !self.spec.early_eval {
-            return;
-        }
-        self.gather_select(io);
-        let select_valid = io.input_valid(SELECT);
-        for port in 0..self.spec.data_inputs {
-            let delivered = io.input_kill(1 + port) & !io.input_anti_stop(1 + port);
-            let incurred = fire & select_valid & !self.sel_mask[port];
-            let mut zero_word = self.owed_zero[port];
-            for_each_lane(incurred | delivered, |lane| {
-                let owed = &mut self.owed_anti_tokens[port * LANES + lane];
-                if incurred & (1u64 << lane) != 0 {
-                    *owed += 1;
-                }
-                if delivered & (1u64 << lane) != 0 {
-                    *owed = owed.saturating_sub(1);
-                    self.stats[lane].killed_tokens += 1;
-                }
-                if *owed == 0 {
-                    zero_word |= 1u64 << lane;
-                } else {
-                    zero_word &= !(1u64 << lane);
-                }
-            });
-            self.owed_zero[port] = zero_word;
-        }
-    }
-
-    fn reset(&mut self) {
-        self.owed_anti_tokens.fill(0);
-        self.owed_zero.fill(u64::MAX);
-        self.stats.fill(NodeStats::default());
-    }
-
-    fn report(&self, lane: usize) -> NodeReport<'_> {
-        NodeReport::Basic(self.stats[lane])
     }
 }
 
@@ -959,7 +374,7 @@ impl LaneController for LaneMux {
 /// streams and per-user statistics come from the scalar implementation
 /// unchanged. The gather/scatter transpose only touches this node's own
 /// channels, and the scatter is compare-and-set, so worklist semantics are
-/// identical to a native word controller.
+/// identical to a word controller's.
 struct ScalarLanes {
     lanes: Vec<Box<dyn Controller>>,
     scratch: Vec<ChannelState>,
@@ -980,8 +395,10 @@ impl ScalarLanes {
             dirty_scratch: Vec::new(),
         })
     }
+}
 
-    fn eval_mode(&mut self, io: &mut LaneIo<'_>, optimistic: bool) {
+impl LaneController for ScalarLanes {
+    fn eval(&mut self, io: &mut LaneIo<'_>, optimistic: bool) {
         let inputs = io.input_channels;
         let outputs = io.output_channels;
         let widths = io.channel_widths;
@@ -1009,16 +426,6 @@ impl ScalarLanes {
                 io.scatter_producer_lane(channel, lane, self.scratch[channel]);
             }
         }
-    }
-}
-
-impl LaneController for ScalarLanes {
-    fn eval(&mut self, io: &mut LaneIo<'_>) {
-        self.eval_mode(io, false);
-    }
-
-    fn eval_optimistic(&mut self, io: &mut LaneIo<'_>) {
-        self.eval_mode(io, true);
     }
 
     fn is_optimistic(&self) -> bool {
@@ -1056,8 +463,8 @@ impl LaneController for ScalarLanes {
     }
 }
 
-/// Builds the lane controller for one netlist node: a native word
-/// implementation for the hot SELF controllers, [`ScalarLanes`] otherwise.
+/// Builds the lane controller for one netlist node: the hot SELF
+/// controllers at the `u64` rail, [`ScalarLanes`] otherwise.
 fn build_lane_controller(
     netlist: &Netlist,
     node: &Node,
@@ -1068,14 +475,14 @@ fn build_lane_controller(
         NodeKind::Buffer(spec) => {
             let spec = simulated_buffer(node, spec, width)?;
             if spec.backward_latency == 0 {
-                Box::new(LaneZeroBackwardBuffer::new(spec))
+                Box::new(ZeroBackwardBuffer::<u64>::new(spec))
             } else {
-                Box::new(LaneStandardBuffer::new(spec))
+                Box::new(StandardBuffer::<u64>::new(spec))
             }
         }
-        NodeKind::Function(spec) => Box::new(LaneFunction::new(spec.clone(), width)),
-        NodeKind::Mux(spec) => Box::new(LaneMux::new(*spec)),
-        NodeKind::Fork(spec) => Box::new(LaneEagerFork::new(*spec)),
+        NodeKind::Function(spec) => Box::new(FunctionBlock::<u64>::new(spec.clone(), width)),
+        NodeKind::Mux(spec) => Box::new(MuxController::<u64>::new(*spec)),
+        NodeKind::Fork(spec) => Box::new(EagerFork::<u64>::new(*spec)),
         _ => Box::new(ScalarLanes::build(netlist, node, channel_count)?),
     };
     Ok(controller)
@@ -1104,12 +511,7 @@ impl CoreNode for Box<dyn LaneController> {
         dirty: &mut Vec<usize>,
         optimistic: bool,
     ) {
-        let mut io = LaneIo::new(channels, ports, widths, Some(dirty));
-        if optimistic {
-            self.eval_optimistic(&mut io);
-        } else {
-            self.eval(&mut io);
-        }
+        self.eval(&mut LaneIo::new(channels, ports, widths, Some(dirty)), optimistic);
     }
 
     fn commit_settled(&mut self, channels: &mut LaneChannels, ports: &Ports) {
@@ -1400,9 +802,11 @@ mod tests {
 
     #[test]
     fn for_each_lane_visits_set_bits_in_order() {
-        let mut seen = Vec::new();
-        for_each_lane(0b1010_0001, |lane| seen.push(lane));
-        assert_eq!(seen, vec![0, 5, 7]);
-        for_each_lane(0, |_| panic!("no bits set"));
+        assert_eq!(0b1010_0001u64.lanes().collect::<Vec<_>>(), vec![0, 5, 7]);
+        assert_eq!(0u64.lanes().next(), None, "no bits set");
+        assert_eq!(true.lanes().collect::<Vec<_>>(), vec![0]);
+        assert_eq!(false.lanes().next(), None);
+        assert_eq!(0b100u64.with_lane(0, true).with_lane(2, false), 1);
+        assert!(u64::lane(63).in_lane(63) && !u64::lane(63).in_lane(62));
     }
 }

@@ -296,53 +296,96 @@ fn lane_pattern(lane: usize) -> elastic_core::kind::BackpressurePattern {
     )
 }
 
+/// The designs the broadcast tests cover, with their cycle counts: the
+/// per-lane environment tests run each of them, since only distinct lanes
+/// can see a lane-index slip in a controller's per-lane state (a broadcast
+/// run cannot).
+fn lane_designs() -> Vec<(String, Netlist, u64)> {
+    use elastic_core::kind::{BackpressurePattern, BufferSpec};
+
+    let mut designs: Vec<(String, Netlist, u64)> = Fig1Variant::all()
+        .into_iter()
+        .map(|variant| {
+            let scenario = Fig1Scenario { variant, cycles: 400, ..Fig1Scenario::default() };
+            (variant.label().to_string(), build_fig1(&scenario).netlist, scenario.cycles)
+        })
+        .collect();
+    designs.push(("table1".into(), library::table1().netlist, 64));
+    let resilient = library::ResilientConfig {
+        data_width: 32,
+        operands: (1..200).collect(),
+        error_masks: vec![0, 0x10, 0, 0, 0x10, 0],
+    };
+    designs.push(("fig7b".into(), library::resilient_speculative(&resilient).netlist, 200));
+    let var_latency = library::VarLatencyConfig {
+        width: 8,
+        spec_bits: 4,
+        operands_a: (0..160).map(|i| i * 7 % 251).collect(),
+        operands_b: (0..160).map(|i| i * 13 % 241).collect(),
+        ..library::VarLatencyConfig::default()
+    };
+    designs.push(("fig6a".into(), library::variable_latency_stalling(&var_latency).netlist, 150));
+    designs.push((
+        "fig6b".into(),
+        library::variable_latency_speculative(&var_latency).netlist,
+        150,
+    ));
+    let zb_chain = library::deep_pipeline(
+        64,
+        BufferSpec::zero_backward(0),
+        BackpressurePattern::List(vec![true, false, false, true]),
+    );
+    designs.push(("zb-chain64".into(), zb_chain, 300));
+    designs.push(("lazy-fork-join".into(), lazy_fork_regression_netlist(), 100));
+    designs
+}
+
 #[test]
 fn per_lane_sink_environments_match_per_lane_scalar_runs() {
     // The production posture: 64 *different* environments in one
     // simulation instance. Every lane must still be bit-identical to a
     // scalar run given that lane's environment — the strong form of the
     // lane-0 contract — and the divergence map must light up.
-    let cycles = 200;
-    let scenario = Fig1Scenario { cycles, ..Fig1Scenario::default() };
-    let handles = build_fig1(&scenario);
-    let sinks = sink_ids(&handles.netlist);
-    assert!(!sinks.is_empty(), "fig1 designs have sinks");
     let patterns: Vec<_> = (0..LANES).map(lane_pattern).collect();
+    for (name, netlist, cycles) in lane_designs() {
+        let sinks = sink_ids(&netlist);
+        assert!(!sinks.is_empty(), "{name} has sinks");
 
-    let lane_config = LaneConfig { track_divergence: true, ..LaneConfig::default() };
-    let mut lane_sim = LaneSimulation::new(&handles.netlist, &lane_config).unwrap();
-    let overrides: Vec<_> = sinks.iter().map(|&sink| (sink, patterns.clone())).collect();
-    lane_sim.reset_with_lane_sink_patterns(&overrides);
-    lane_sim.run(cycles).unwrap();
+        let lane_config = LaneConfig { track_divergence: true, ..LaneConfig::default() };
+        let mut lane_sim = LaneSimulation::new(&netlist, &lane_config).unwrap();
+        let overrides: Vec<_> = sinks.iter().map(|&sink| (sink, patterns.clone())).collect();
+        lane_sim.reset_with_lane_sink_patterns(&overrides);
+        lane_sim.run(cycles).unwrap();
 
-    let mut scalar = Simulation::new(&handles.netlist, &SimConfig::default()).unwrap();
-    for lane in 0..LANES {
-        let scalar_overrides: Vec<_> =
-            sinks.iter().map(|&sink| (sink, lane_pattern(lane))).collect();
-        scalar.reset_with_sink_patterns(&scalar_overrides);
-        let scalar_report = scalar.run(cycles).unwrap();
-        assert_eq!(
-            lane_sim.trace(lane),
-            scalar.trace(),
-            "lane {lane} trace must match its scalar environment run"
+        let mut scalar = Simulation::new(&netlist, &SimConfig::default()).unwrap();
+        for lane in 0..LANES {
+            let scalar_overrides: Vec<_> =
+                sinks.iter().map(|&sink| (sink, lane_pattern(lane))).collect();
+            scalar.reset_with_sink_patterns(&scalar_overrides);
+            let scalar_report = scalar.run(cycles).unwrap();
+            assert_eq!(
+                lane_sim.trace(lane),
+                scalar.trace(),
+                "{name}: lane {lane} trace must match its scalar environment run"
+            );
+            assert_eq!(
+                lane_sim.report(lane).behavioural_difference(&scalar_report),
+                None,
+                "{name}: lane {lane} report must match its scalar environment run"
+            );
+        }
+        assert_ne!(
+            lane_sim.divergent_lanes(),
+            0,
+            "{name}: distinct environments must show up in the divergence map"
         );
         assert_eq!(
-            lane_sim.report(lane).behavioural_difference(&scalar_report),
-            None,
-            "lane {lane} report must match its scalar environment run"
+            lane_sim.divergent_lanes() & 1,
+            0,
+            "{name}: lane 0 is the divergence reference and never marks itself"
         );
+        assert_eq!(lane_sim.report(0).lane_divergence, lane_sim.divergence_map().to_vec());
     }
-    assert_ne!(
-        lane_sim.divergent_lanes(),
-        0,
-        "distinct environments must show up in the divergence map"
-    );
-    assert_eq!(
-        lane_sim.divergent_lanes() & 1,
-        0,
-        "lane 0 is the divergence reference and never marks itself"
-    );
-    assert_eq!(lane_sim.report(0).lane_divergence, lane_sim.divergence_map().to_vec());
 }
 
 /// Deterministic per-lane source offer pattern: six offer/withhold bits
@@ -364,34 +407,33 @@ fn per_lane_source_environments_match_per_lane_scalar_runs() {
     // The source-side mirror of the per-lane sink test: 64 different
     // token-offer environments in one instance, each lane bit-identical to
     // a scalar run given that lane's offer pattern.
-    let cycles = 200;
-    let scenario = Fig1Scenario { cycles, ..Fig1Scenario::default() };
-    let handles = build_fig1(&scenario);
-    let sources = source_ids(&handles.netlist);
-    assert!(!sources.is_empty(), "fig1 designs have sources");
     let patterns: Vec<_> = (0..LANES).map(lane_offer_pattern).collect();
+    for (name, netlist, cycles) in lane_designs() {
+        let sources = source_ids(&netlist);
+        assert!(!sources.is_empty(), "{name} has sources");
 
-    let mut lane_sim = LaneSimulation::new(&handles.netlist, &LaneConfig::default()).unwrap();
-    let overrides: Vec<_> = sources.iter().map(|&source| (source, patterns.clone())).collect();
-    lane_sim.reset_with_lane_source_patterns(&overrides);
-    lane_sim.run(cycles).unwrap();
+        let mut lane_sim = LaneSimulation::new(&netlist, &LaneConfig::default()).unwrap();
+        let overrides: Vec<_> = sources.iter().map(|&source| (source, patterns.clone())).collect();
+        lane_sim.reset_with_lane_source_patterns(&overrides);
+        lane_sim.run(cycles).unwrap();
 
-    let mut scalar = Simulation::new(&handles.netlist, &SimConfig::default()).unwrap();
-    for lane in 0..LANES {
-        let scalar_overrides: Vec<_> =
-            sources.iter().map(|&source| (source, lane_offer_pattern(lane))).collect();
-        scalar.reset_with_source_patterns(&scalar_overrides);
-        let scalar_report = scalar.run(cycles).unwrap();
-        assert_eq!(
-            lane_sim.trace(lane),
-            scalar.trace(),
-            "lane {lane} trace must match its scalar offer-pattern run"
-        );
-        assert_eq!(
-            lane_sim.report(lane).behavioural_difference(&scalar_report),
-            None,
-            "lane {lane} report must match its scalar environment run"
-        );
+        let mut scalar = Simulation::new(&netlist, &SimConfig::default()).unwrap();
+        for lane in 0..LANES {
+            let scalar_overrides: Vec<_> =
+                sources.iter().map(|&source| (source, lane_offer_pattern(lane))).collect();
+            scalar.reset_with_source_patterns(&scalar_overrides);
+            let scalar_report = scalar.run(cycles).unwrap();
+            assert_eq!(
+                lane_sim.trace(lane),
+                scalar.trace(),
+                "{name}: lane {lane} trace must match its scalar offer-pattern run"
+            );
+            assert_eq!(
+                lane_sim.report(lane).behavioural_difference(&scalar_report),
+                None,
+                "{name}: lane {lane} report must match its scalar environment run"
+            );
+        }
     }
 }
 

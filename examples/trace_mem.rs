@@ -12,6 +12,10 @@
 //!    (`netlist.clone()` + `Simulation::new` per combination), reproduced
 //!    inline below, on the Figure-1(d) and Figure-7(b) designs.
 //!
+//! The trace sizes are deterministic, so each case asserts that it stays at
+//! or below its recorded value; the sweep throughput depends on the host and
+//! is only printed.
+//!
 //! Run with `cargo run --release --example trace_mem`.
 
 use std::time::Instant;
@@ -26,7 +30,11 @@ use elastic_sim::{SimConfig, Simulation};
 use elastic_verify::exploration::{explore_environments, ExplorationOptions};
 use elastic_verify::properties::{check_trace, ProtocolOptions};
 
-fn trace_memory_case(name: &str, netlist: &Netlist, cycles: u64) {
+/// Measures one design's packed trace size and asserts that, at the two
+/// decimals it is printed and recorded with, it stays at or below
+/// `recorded`, its `after_bytes_per_cycle` in `BENCH_trace_mem.json` (the
+/// size is a deterministic function of the design and the cycle count).
+fn trace_memory_case(name: &str, netlist: &Netlist, cycles: u64, recorded: f64) {
     let mut sim = Simulation::new(netlist, &SimConfig::default()).unwrap();
     let report = sim.run(cycles).unwrap();
     let packed = report.trace_bytes_per_cycle();
@@ -34,6 +42,10 @@ fn trace_memory_case(name: &str, netlist: &Netlist, cycles: u64) {
     println!(
         "{name:<22} {packed:>10.2} B/cycle packed {dense:>10.2} B/cycle dense  {:>6.1}x smaller",
         dense / packed
+    );
+    assert!(
+        (packed * 100.0).round() / 100.0 <= recorded,
+        "{name}: {packed:.2} packed bytes/cycle exceeds the recorded {recorded:.2}"
     );
 }
 
@@ -138,9 +150,9 @@ fn main() {
     let pipeline = deep_pipeline(256, BufferSpec::standard(0), BackpressurePattern::Never);
 
     println!("== trace memory (512 traced cycles) ==");
-    trace_memory_case("fig1d", &fig1.netlist, 512);
-    trace_memory_case("fig7b", &fig7.netlist, 512);
-    trace_memory_case("pipeline256_standard", &pipeline, 512);
+    trace_memory_case("fig1d", &fig1.netlist, 512, 13.5);
+    trace_memory_case("fig7b", &fig7.netlist, 512, 106.0);
+    trace_memory_case("pipeline256_standard", &pipeline, 512, 892.5);
 
     println!("\n== environment-exploration sweep throughput ==");
     // The BENCH_trace_mem.json workload: a few hundred combinations of
