@@ -96,9 +96,9 @@ pub struct ExploreOptions {
     pub recovery: Vec<Option<BufferSpec>>,
     /// Starvation override pinned into every candidate.
     pub starvation_limit: Option<u32>,
-    /// Full-horizon measurement length (rung 3).
+    /// Full-horizon measurement length (rung 3; clamped to at least 1).
     pub cycles: u64,
-    /// Short-horizon measurement length (rung 2).
+    /// Short-horizon measurement length (rung 2; clamped to at least 1).
     pub short_cycles: u64,
     /// Number of sink back-pressure environments each design is scored
     /// under (clamped to at least 1; environment 0 is always the design's
@@ -334,9 +334,11 @@ pub fn explore(netlist: &Netlist, options: &ExploreOptions) -> Result<ExploreRep
     let model = CostModel::default();
     let env = environment_grid(netlist, options.environments, options.seed);
     let short_margin = options.short_margin.max(1.25);
+    let cycles = options.cycles.max(1);
+    let short_cycles = options.short_cycles.max(1);
 
     let (base_area, base_latency) = score::static_cost(netlist, &model);
-    let base = measure(netlist, &env, options.cycles).map_err(ExploreError::Baseline)?;
+    let base = measure(netlist, &env, cycles).map_err(ExploreError::Baseline)?;
     let baseline = Baseline { throughput: base.throughput, area: base_area, latency: base_latency };
 
     let mut candidates = enumerate_candidates(netlist, options);
@@ -388,7 +390,7 @@ pub fn explore(netlist: &Netlist, options: &ExploreOptions) -> Result<ExploreRep
     // the margin — a set-level rule, independent of candidate order.
     let short: Vec<Result<Measured, String>> =
         map_candidates(&survivors, options.sequential, |a: &Applied| {
-            measure(&a.netlist, &env, options.short_cycles)
+            measure(&a.netlist, &env, short_cycles)
         });
     let mut scored_short: Vec<(Applied, f64)> = Vec::new();
     for (a, result) in survivors.into_iter().zip(short) {
@@ -430,7 +432,7 @@ pub fn explore(netlist: &Netlist, options: &ExploreOptions) -> Result<ExploreRep
     // Rung 3: full-horizon confirmation of the finalists.
     let full: Vec<Result<Measured, String>> =
         map_candidates(&finalists, options.sequential, |a: &Applied| {
-            measure(&a.netlist, &env, options.cycles)
+            measure(&a.netlist, &env, cycles)
         });
     let mut points: Vec<(ParetoPoint, Netlist)> = Vec::new();
     for (a, result) in finalists.into_iter().zip(full) {
@@ -524,9 +526,55 @@ pub fn explore(netlist: &Netlist, options: &ExploreOptions) -> Result<ExploreRep
     if options.environments == 0 {
         notes.push("environments clamped from 0 to 1 (the declared environment)".to_string());
     }
+    if options.cycles == 0 {
+        notes.push("cycles clamped from 0 to 1 (a zero horizon has no throughput)".to_string());
+    }
+    if options.short_cycles == 0 {
+        notes.push(
+            "short_cycles clamped from 0 to 1 (a zero horizon has no throughput)".to_string(),
+        );
+    }
 
     let report =
         ExploreReport { baseline, front, dominated, skipped, pruned, candidates_enumerated, notes };
     debug_assert_eq!(report.accounted(), report.candidates_enumerated);
     Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use elastic_core::library::{fig1a, Fig1Config};
+
+    #[test]
+    fn zero_horizons_are_clamped_to_one_cycle_with_a_note() {
+        let handles = fig1a(&Fig1Config::default());
+        let small = ExploreOptions {
+            cycles: 256,
+            short_cycles: 64,
+            environments: 2,
+            verify: false,
+            ..ExploreOptions::default()
+        };
+        for (options, note) in [
+            (ExploreOptions { cycles: 0, ..small.clone() }, "cycles clamped from 0 to 1"),
+            (
+                ExploreOptions { short_cycles: 0, ..small.clone() },
+                "short_cycles clamped from 0 to 1",
+            ),
+        ] {
+            let report = explore(&handles.netlist, &options).unwrap();
+            assert!(report.baseline.throughput.is_finite(), "{note}: {:?}", report.baseline);
+            for point in report.front.iter().chain(&report.dominated) {
+                assert!(point.throughput.is_finite(), "{note}: {point:?}");
+            }
+            for cut in &report.pruned.short_horizon {
+                assert!(!cut.detail.contains("NaN"), "{note}: {cut:?}");
+            }
+            let clamps: Vec<&String> =
+                report.notes.iter().filter(|n| n.contains("clamped")).collect();
+            assert_eq!(clamps.len(), 1, "{note}: {:?}", report.notes);
+            assert!(clamps[0].starts_with(note), "{note}: {clamps:?}");
+        }
+    }
 }

@@ -1,4 +1,4 @@
-//! Scoring: static cost queries plus lane-blocked throughput measurement.
+//! Scoring: static cost queries plus scalar throughput measurement.
 //!
 //! The dynamic score of a candidate is its steady-state token throughput,
 //! averaged over a deterministic grid of sink back-pressure environments.
@@ -8,18 +8,19 @@
 //! clone, and a score is a pure function of `(netlist, seed, cycles)` —
 //! bit-for-bit reproducible regardless of worker count or candidate order.
 //!
-//! Measurement goes through [`elastic_sim::sweep::lane_map`]: environments
-//! are packed 64-per-block into one [`LaneSimulation`] per worker (built
-//! once, re-targeted per block through
-//! [`LaneSimulation::reset_with_lane_sink_patterns`]), so scoring `E`
-//! environments costs one word-parallel simulation, not `E` scalar ones.
+//! [`measure`] builds one scalar [`Simulation`] per call (trace off,
+//! event-driven settle) and replays every environment of the grid on that
+//! build through [`Simulation::reset_with_sink_patterns`], so scoring `E`
+//! environments costs one build and `E` runs. Grids are a handful of
+//! environments (two in the service, four by default), which is why this
+//! beats packing them into a 64-lane block: the lane engine would run every
+//! source, sink, shared module and commit stage for all 64 lanes.
 
 use elastic_analysis::cost::CostModel;
 use elastic_analysis::timing;
 use elastic_core::kind::BackpressurePattern;
 use elastic_core::{Netlist, NodeId, NodeKind};
-use elastic_sim::sweep::lane_map;
-use elastic_sim::{LaneConfig, LaneSimulation, SimulationReport};
+use elastic_sim::{SettleStrategy, SimConfig, Simulation, SimulationReport};
 
 /// The deterministic environment grid a design is scored under.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,7 +95,7 @@ pub fn static_cost(netlist: &Netlist, model: &CostModel) -> (f64, f64) {
 
 /// Aggregate commit-stage activity of one measured design (summed over
 /// stages; peak occupancy averaged), recorded from the design's own
-/// environment (grid lane 0).
+/// environment (grid environment 0).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommitSummary {
     /// Tokens committed in operand order across all stages.
@@ -136,8 +137,8 @@ pub struct Measured {
 ///
 /// # Errors
 ///
-/// Returns the (stringified) simulation failure of the first environment
-/// block that failed to build or run — callers surface it as a skipped
+/// Returns the (stringified) simulation failure of the build, or of the
+/// first environment that failed to run — callers surface it as a skipped
 /// candidate, never a panic.
 pub fn measure(netlist: &Netlist, grid: &EnvironmentGrid, cycles: u64) -> Result<Measured, String> {
     let sink_ids: Vec<NodeId> =
@@ -145,53 +146,24 @@ pub fn measure(netlist: &Netlist, grid: &EnvironmentGrid, cycles: u64) -> Result
     if sink_ids.len() != grid.sinks.len() {
         return Err("a grid sink is missing from the netlist".to_string());
     }
-    let env_indices: Vec<usize> = (0..grid.variations.len()).collect();
-    let config = LaneConfig { record_trace: false, ..LaneConfig::default() };
+    let config = SimConfig { record_trace: false, settle: SettleStrategy::EventDriven };
+    let mut sim = Simulation::new(netlist, &config).map_err(|e| e.to_string())?;
 
-    type EnvResult = Result<(f64, Option<CommitSummary>), String>;
-    let per_env: Vec<EnvResult> = lane_map(
-        &env_indices,
-        || LaneSimulation::new(netlist, &config).map_err(|e| e.to_string()),
-        |scratch, start, block| {
-            let sim = match scratch {
-                Ok(sim) => sim,
-                Err(e) => return block.iter().map(|_| Err(e.clone())).collect(),
-            };
-            let overrides: Vec<(NodeId, Vec<BackpressurePattern>)> = sink_ids
-                .iter()
-                .enumerate()
-                .map(|(s, &id)| {
-                    (id, block.iter().map(|&e| grid.variations[e][s].clone()).collect())
-                })
-                .collect();
-            sim.reset_with_lane_sink_patterns(&overrides);
-            if let Err(e) = sim.run(cycles) {
-                return block.iter().map(|_| Err(e.to_string())).collect();
-            }
-            block
-                .iter()
-                .enumerate()
-                .map(|(lane, _)| {
-                    let report = sim.report(lane);
-                    let transfers: u64 = sink_ids.iter().map(|&id| report.sink_transfers(id)).sum();
-                    let commit = if start + lane == 0 { summarize_commits(&report) } else { None };
-                    Ok((transfers as f64 / cycles as f64, commit))
-                })
-                .collect()
-        },
-    );
-
-    let mut throughputs = Vec::with_capacity(per_env.len());
+    let mut per_env = Vec::with_capacity(grid.variations.len());
     let mut commit = None;
-    for result in per_env {
-        let (throughput, env_commit) = result?;
-        throughputs.push(throughput);
-        if commit.is_none() {
-            commit = env_commit;
+    for (env, row) in grid.variations.iter().enumerate() {
+        let overrides: Vec<(NodeId, BackpressurePattern)> =
+            sink_ids.iter().copied().zip(row.iter().cloned()).collect();
+        sim.reset_with_sink_patterns(&overrides);
+        let report = sim.run(cycles).map_err(|e| e.to_string())?;
+        let transfers: u64 = sink_ids.iter().map(|&id| report.sink_transfers(id)).sum();
+        per_env.push(transfers as f64 / cycles as f64);
+        if env == 0 {
+            commit = summarize_commits(&report);
         }
     }
-    let mean = throughputs.iter().sum::<f64>() / throughputs.len() as f64;
-    Ok(Measured { throughput: mean, per_env: throughputs, commit })
+    let throughput = per_env.iter().sum::<f64>() / per_env.len() as f64;
+    Ok(Measured { throughput, per_env, commit })
 }
 
 #[cfg(test)]
@@ -231,7 +203,7 @@ mod tests {
     }
 
     #[test]
-    fn more_than_one_lane_block_still_scores_every_environment() {
+    fn a_seventy_environment_grid_scores_every_environment() {
         let handles = fig1a(&Fig1Config::default());
         let grid = environment_grid(&handles.netlist, 70, 3);
         let measured = measure(&handles.netlist, &grid, 64).unwrap();

@@ -21,8 +21,10 @@
 //!    squash fodder — the sweep shows the win collapsing while the area
 //!    still grows, which is the honest other side of the trade.
 //!
-//! Run with `cargo run --release --example commit_depth` from the repo root;
-//! it rewrites `BENCH_commit_depth.json`.
+//! The headline trends of 2 and 3 are asserted before anything is written,
+//! so a stale claim fails the run instead of persisting. Run with
+//! `cargo run --release --example commit_depth` from the repo root; it
+//! rewrites `BENCH_commit_depth.json`.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -129,6 +131,30 @@ fn sweep(select: DataStream, scheduler: SchedulerKind, label: &str) -> (f64, Vec
     (base_throughput, points)
 }
 
+/// The headline: on the biased workload depth 2 delivers more than depths 1
+/// and 4; on the adversarial one throughput is identical at every depth
+/// while total area strictly grows.
+fn assert_headline(biased: &[DepthPoint], adversarial: &[DepthPoint]) {
+    let throughputs =
+        |points: &[DepthPoint]| -> Vec<f64> { points.iter().map(|p| p.throughput).collect() };
+    let [one, two, four] = biased else { panic!("one biased point per depth") };
+    assert!(
+        two.throughput > one.throughput && two.throughput > four.throughput,
+        "biased workload: depth 2 must beat depths 1 and 4, got {:?}",
+        throughputs(biased)
+    );
+    assert!(
+        adversarial.windows(2).all(|pair| pair[0].throughput == pair[1].throughput),
+        "adversarial workload: throughput must not depend on depth, got {:?}",
+        throughputs(adversarial)
+    );
+    assert!(
+        adversarial.windows(2).all(|pair| pair[0].total_area < pair[1].total_area),
+        "adversarial workload: total area must strictly grow with depth, got {:?}",
+        adversarial.iter().map(|p| p.total_area).collect::<Vec<_>>()
+    );
+}
+
 fn json_sweep(out: &mut String, base_throughput: f64, points: &[DepthPoint]) {
     let depth1 = &points[0];
     let _ = writeln!(out, "    \"baseline_no_speculation\": {{ \"throughput_tokens_per_cycle\": {base_throughput:.4} }},");
@@ -198,6 +224,10 @@ fn main() {
     let adversarial = DataStream::Random { seed: 0xD1CE };
     let (adv_base, adv_points) =
         sweep(adversarial, SchedulerKind::Static(0), "feed-forward, adversarial static scheduler");
+    assert_headline(&pred_points, &adv_points);
+    println!(
+        "\nheadline holds: depth 2 wins when biased; adversarial throughput is flat as area grows"
+    );
 
     let mut out = String::new();
     out.push_str("{\n");

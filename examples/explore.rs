@@ -226,9 +226,9 @@ fn main() {
         "  \"description\": \"Auto-speculation design-space exploration: the explorer \
          enumerates speculation candidates (site x commit depth x scheduler, including the \
          confidence-throttled policy), applies each via the atomic speculate pass, scores \
-         steady-state throughput on the 64-lane engine against the cost model's area/cycle-time \
-         estimate, and returns a battery-verified Pareto front. Measured with `cargo run \
-         --release --example explore`. Sections: the fig1a select loop (taken rate 0.05), where \
+         steady-state throughput against the cost model's area/cycle-time estimate, and \
+         returns a battery-verified Pareto front. Measured with `cargo run --release \
+         --example explore`. Sections: the fig1a select loop (taken rate 0.05), where \
          the front must beat the baseline on effective cycle time (cycle time per token, the \
          paper's figure of merit); the commit-depth benchmark's biased feed-forward workload, \
          where the explorer pick must match or beat the hand-picked depth-2 last-taken config \
