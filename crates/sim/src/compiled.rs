@@ -51,6 +51,7 @@ use elastic_core::{Netlist, NodeKind, Op};
 use crate::codegen::concrete;
 use crate::controller::{Controller, NodeIo};
 use crate::controllers::buffer::ZeroBackwardBuffer;
+use crate::controllers::evaluate_lane;
 use crate::controllers::fork::EagerFork;
 use crate::controllers::mux::MuxController;
 use crate::handshake::{
@@ -402,7 +403,9 @@ fn exec(op: &MicroOp, state: &[(bool, u64)], ctx: &mut SettleCtx<'_>, track: boo
             ctx.controllers[node].eval(io);
             *ctx.controller_evals += 1;
         }
-        MicroOp::FnFwd { op, .. } => function_forward(io, &[io.evaluate(op)]),
+        MicroOp::FnFwd { op, .. } => {
+            function_forward(io, &[evaluate_lane(io, op, 0..io.input_count(), 0)])
+        }
         MicroOp::FnBwd { .. } => function_backward(io),
         MicroOp::ZbFwd { slot, .. } => {
             let (full, stored) = state[*slot as usize];

@@ -21,8 +21,8 @@
 //! follow this "kill wins over transfer" convention so both endpoints agree
 //! on what happened.
 
-use elastic_core::Op;
-use elastic_datapath::evaluate;
+use elastic_core::kind::{BackpressurePattern, SourcePattern};
+use elastic_core::Scheduler;
 
 use crate::handshake::{HandshakeIo, Rail};
 use crate::lanes::{LaneController, LaneIo};
@@ -164,32 +164,6 @@ impl<'a> NodeIo<'a> {
     pub fn set_output_anti_stop(&mut self, index: usize, stop: bool) {
         self.write(self.output_channels[index], |c| &mut c.backward_stop, stop);
     }
-
-    /// Data words currently offered on all input ports (in port order).
-    pub fn input_words(&self) -> Vec<u64> {
-        (0..self.input_count()).map(|i| self.input(i).data).collect()
-    }
-
-    /// `evaluate(op, inputs).unwrap_or(0)` on the data words of every input
-    /// port — the value a function block drives.
-    pub(crate) fn evaluate(&self, op: &Op) -> u64 {
-        let mut words = [0u64; 4];
-        let inputs = self.input_count();
-        let value = if inputs <= words.len() {
-            for (port, word) in words[..inputs].iter_mut().enumerate() {
-                *word = self.input(port).data;
-            }
-            evaluate(op, &words[..inputs])
-        } else {
-            evaluate(op, &self.input_words())
-        };
-        value.unwrap_or(0)
-    }
-
-    /// `true` when every input port carries a valid token.
-    pub fn all_inputs_valid(&self) -> bool {
-        (0..self.input_count()).all(|i| self.input(i).forward_valid)
-    }
 }
 
 impl HandshakeIo for NodeIo<'_> {
@@ -280,7 +254,9 @@ pub enum NodeReport<'a> {
     Commit(NodeStats, CommitStageStats),
 }
 
-/// A cycle-accurate model of one netlist node.
+/// A cycle-accurate model of one netlist node, as the scalar engine drives
+/// it. Every node kind implements it through one blanket impl over
+/// [`WordController<bool>`].
 pub trait Controller: std::fmt::Debug {
     /// Combinational evaluation: read the attached channels and drive the
     /// node-owned signals. Called repeatedly within a cycle until the channel
@@ -294,11 +270,8 @@ pub trait Controller: std::fmt::Debug {
     /// are the one such component: a branch's valid is withheld while any
     /// sibling is not ready, and a reconverging join's stop is held while
     /// the valids are missing — a circular wait with a live *and* a dead
-    /// solution. Controllers returning `true` must override
-    /// [`Controller::eval_optimistic`].
-    fn is_optimistic(&self) -> bool {
-        false
-    }
+    /// solution.
+    fn is_optimistic(&self) -> bool;
 
     /// The optimistic variant of [`Controller::eval`], used only during the
     /// engine's seeding pass: drive the signals *as if* every circular-wait
@@ -307,9 +280,7 @@ pub trait Controller: std::fmt::Debug {
     /// honest [`Controller::eval`] before the cycle settles, so optimistic
     /// assumptions never leak into the committed state — they only steer a
     /// multi-fixpoint system towards its live solution.
-    fn eval_optimistic(&self, io: &mut NodeIo<'_>) {
-        self.eval(io);
-    }
+    fn eval_optimistic(&self, io: &mut NodeIo<'_>);
 
     /// Clock edge: update the sequential state from the settled signals.
     fn commit(&mut self, io: &NodeIo<'_>);
@@ -322,35 +293,14 @@ pub trait Controller: std::fmt::Debug {
     /// constructed controller.
     fn reset(&mut self);
 
-    /// Replaces the sink's back-pressure pattern and rewinds the controller
-    /// (sinks only — every other node kind returns `false` and ignores the
-    /// pattern). The replacement is persistent: later [`Controller::reset`]
-    /// calls rewind to the *new* pattern.
-    fn override_backpressure(&mut self, pattern: &elastic_core::kind::BackpressurePattern) -> bool {
-        let _ = pattern;
-        false
-    }
+    /// [`WordController::override_sink`] on the one scenario.
+    fn override_backpressure(&mut self, pattern: &BackpressurePattern) -> bool;
 
-    /// Replaces the source's offer pattern and rewinds the controller
-    /// (sources only — every other node kind returns `false` and ignores the
-    /// pattern). The data stream is kept: only *when* tokens are offered
-    /// changes, which is what the environment-injection sweeps of the fuzzing
-    /// harness vary. The replacement is persistent: later
-    /// [`Controller::reset`] calls rewind to the *new* pattern.
-    fn override_source_pattern(&mut self, pattern: &elastic_core::kind::SourcePattern) -> bool {
-        let _ = pattern;
-        false
-    }
+    /// [`WordController::override_source`] on the one scenario.
+    fn override_source_pattern(&mut self, pattern: &SourcePattern) -> bool;
 
-    /// Replaces the shared module's prediction policy (speculative shared
-    /// modules only — every other node kind drops the box and returns
-    /// `false`). The caller provides a freshly initialised scheduler; the
-    /// replacement is persistent across later [`Controller::reset`] calls,
-    /// which rewind it via [`elastic_core::Scheduler::reset`].
-    fn override_scheduler(&mut self, scheduler: Box<dyn elastic_core::Scheduler>) -> bool {
-        let _ = scheduler;
-        false
-    }
+    /// [`WordController::override_scheduler`] on the one scenario.
+    fn override_scheduler(&mut self, scheduler: Box<dyn Scheduler>) -> bool;
 
     /// `true` when [`Controller::eval`] reads any attached channel signal.
     ///
@@ -360,11 +310,9 @@ pub trait Controller: std::fmt::Debug {
     /// them, and uses them as the cut points that break control loops when it
     /// computes the static evaluation order. Returning `true` is always safe;
     /// returning `false` for a controller that *does* read channels makes the
-    /// simulation silently miss signal updates — only override this when
-    /// `eval` is a function of `&self` alone.
-    fn eval_reads_channels(&self) -> bool {
-        true
-    }
+    /// simulation silently miss signal updates — only return it when `eval`
+    /// is a function of `&self` alone.
+    fn eval_reads_channels(&self) -> bool;
 
     /// Concrete-type escape hatch for the compiled settle backend.
     ///
@@ -373,26 +321,22 @@ pub trait Controller: std::fmt::Debug {
     /// (zero-backward buffers, eager forks, early-evaluation muxes) so it can
     /// replay their equations without dynamic dispatch, and emitted settle
     /// functions ([`crate::codegen`]) call the planned controllers' forward
-    /// and backward equations statically. The [`WordController`] types
-    /// return `Some(self)` through their blanket impl; everything else keeps
-    /// the `None` default and is evaluated through the trait as usual.
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        None
-    }
+    /// and backward equations statically. The blanket impl returns
+    /// `Some(self)`; the planner evaluates every other kind through the
+    /// trait as usual.
+    fn as_any(&self) -> Option<&dyn std::any::Any>;
 
     /// What this controller contributes to a [`crate::SimulationReport`]:
     /// its statistics plus the observables only its node kind records.
-    fn report(&self) -> NodeReport<'_> {
-        NodeReport::Basic(NodeStats::default())
-    }
+    fn report(&self) -> NodeReport<'_>;
 }
 
-/// A hot SELF controller (buffer, function block, fork, multiplexor)
-/// written once over the rail word `R`: it owns its per-lane state, the
-/// clock-edge update of that state, its statistics and its reset, and
-/// drives the equations of [`crate::handshake`]. The `bool` instantiation
-/// is a [`Controller`] and the `u64` one a [`LaneController`], each through
-/// one blanket impl below.
+/// A SELF controller written once over the rail word `R`: it owns its
+/// per-lane state, the clock-edge update of that state, its statistics,
+/// its reset and its per-lane environment, and drives the equations of
+/// [`crate::handshake`]. Every node kind is one such type: the `bool`
+/// instantiation is a [`Controller`] and the `u64` one a
+/// [`LaneController`], each through one blanket impl below.
 pub trait WordController<R: Rail>: std::fmt::Debug {
     /// Drives the node's signals: [`Controller::eval`], or
     /// [`Controller::eval_optimistic`] when `optimistic`.
@@ -405,8 +349,9 @@ pub trait WordController<R: Rail>: std::fmt::Debug {
     /// [`Controller::reset`]).
     fn rewind(&mut self);
 
-    /// The statistics of each lane.
-    fn lane_stats(&self) -> &[NodeStats];
+    /// What lane `lane` contributes to that lane's report (see
+    /// [`Controller::report`]).
+    fn report(&self, lane: usize) -> NodeReport<'_>;
 
     /// See [`Controller::is_optimistic`].
     fn optimistic(&self) -> bool {
@@ -416,6 +361,31 @@ pub trait WordController<R: Rail>: std::fmt::Debug {
     /// See [`Controller::eval_reads_channels`].
     fn reads_channels(&self) -> bool {
         true
+    }
+
+    /// Replaces lane `lane`'s back-pressure pattern and restarts that
+    /// lane's pattern (sinks only — every other node kind returns `false`).
+    /// Engines call it right after a rewind; the replacement persists, so
+    /// later rewinds restart the *new* pattern.
+    fn override_sink(&mut self, _lane: usize, _pattern: &BackpressurePattern) -> bool {
+        false
+    }
+
+    /// Replaces lane `lane`'s offer pattern and restarts it (sources only —
+    /// every other node kind returns `false`). The data stream is kept:
+    /// only *when* tokens are offered changes, which is what the
+    /// environment-injection sweeps vary. Persistent, as for
+    /// [`WordController::override_sink`].
+    fn override_source(&mut self, _lane: usize, _pattern: &SourcePattern) -> bool {
+        false
+    }
+
+    /// Replaces lane `lane`'s prediction policy with a freshly initialised
+    /// scheduler (speculative shared modules only — every other node kind
+    /// drops the box and returns `false`). The replacement persists across
+    /// later rewinds, which reset it via [`Scheduler::reset`].
+    fn override_scheduler(&mut self, _lane: usize, _scheduler: Box<dyn Scheduler>) -> bool {
+        false
     }
 }
 
@@ -440,6 +410,18 @@ impl<T: WordController<bool> + 'static> Controller for T {
         self.rewind();
     }
 
+    fn override_backpressure(&mut self, pattern: &BackpressurePattern) -> bool {
+        self.override_sink(0, pattern)
+    }
+
+    fn override_source_pattern(&mut self, pattern: &SourcePattern) -> bool {
+        self.override_source(0, pattern)
+    }
+
+    fn override_scheduler(&mut self, scheduler: Box<dyn Scheduler>) -> bool {
+        WordController::override_scheduler(self, 0, scheduler)
+    }
+
     fn eval_reads_channels(&self) -> bool {
         self.reads_channels()
     }
@@ -449,12 +431,12 @@ impl<T: WordController<bool> + 'static> Controller for T {
     }
 
     fn report(&self) -> NodeReport<'_> {
-        NodeReport::Basic(self.lane_stats()[0])
+        WordController::report(self, 0)
     }
 }
 
 impl<T: WordController<u64>> LaneController for T {
-    fn eval(&mut self, io: &mut LaneIo<'_>, optimistic: bool) {
+    fn eval(&self, io: &mut LaneIo<'_>, optimistic: bool) {
         self.drive(io, optimistic);
     }
 
@@ -475,7 +457,19 @@ impl<T: WordController<u64>> LaneController for T {
     }
 
     fn report(&self, lane: usize) -> NodeReport<'_> {
-        NodeReport::Basic(self.lane_stats()[lane])
+        WordController::report(self, lane)
+    }
+
+    fn override_sink(&mut self, lane: usize, pattern: &BackpressurePattern) -> bool {
+        WordController::override_sink(self, lane, pattern)
+    }
+
+    fn override_source(&mut self, lane: usize, pattern: &SourcePattern) -> bool {
+        WordController::override_source(self, lane, pattern)
+    }
+
+    fn override_scheduler(&mut self, lane: usize, scheduler: Box<dyn Scheduler>) -> bool {
+        WordController::override_scheduler(self, lane, scheduler)
     }
 }
 
@@ -495,8 +489,8 @@ mod tests {
         assert_eq!(io.input_count(), 1);
         assert_eq!(io.output_count(), 2);
         assert!(io.input(0).forward_valid);
-        assert_eq!(io.input_words(), vec![77]);
-        assert!(io.all_inputs_valid());
+        assert_eq!(HandshakeIo::input_data(&io, 0), &[77]);
+        assert!(HandshakeIo::input_valid(&io, 0));
 
         io.set_output_valid(1, true);
         io.set_output_data(1, 9);
@@ -513,18 +507,17 @@ mod tests {
 
     #[test]
     fn default_stats_are_zero() {
-        #[derive(Debug)]
-        struct Dummy;
-        impl Controller for Dummy {
-            fn eval(&self, _io: &mut NodeIo<'_>) {}
-            fn commit(&mut self, _io: &NodeIo<'_>) {}
-            fn reset(&mut self) {}
-        }
-        assert_eq!(Dummy.report(), NodeReport::Basic(NodeStats::default()));
-        let mut dummy = Dummy;
+        // The override hooks default to refusing: only sinks, sources and
+        // shared modules take one.
+        let spec = elastic_core::FunctionSpec::new(elastic_core::Op::Inc);
+        let mut block = crate::controllers::function::FunctionBlock::<bool>::new(spec, 8);
+        assert_eq!(Controller::report(&block), NodeReport::Basic(NodeStats::default()));
         assert!(
-            !dummy.override_backpressure(&elastic_core::kind::BackpressurePattern::Never),
+            !block.override_backpressure(&BackpressurePattern::Never),
             "only sinks support back-pressure overrides"
         );
+        assert!(!block.override_source_pattern(&SourcePattern::Always));
+        let scheduler = Box::new(elastic_core::scheduler::StaticScheduler::new(0));
+        assert!(!Controller::override_scheduler(&mut block, scheduler));
     }
 }

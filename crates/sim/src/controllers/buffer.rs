@@ -18,7 +18,7 @@
 
 use elastic_core::BufferSpec;
 
-use crate::controller::{NodeStats, WordController};
+use crate::controller::{NodeReport, NodeStats, WordController};
 use crate::handshake::{
     standard_buffer_backward, standard_buffer_forward, zero_backward_backward,
     zero_backward_forward, HandshakeIo, Rail, StandardBufferState,
@@ -27,21 +27,16 @@ use crate::handshake::{
 const IN: usize = 0;
 const OUT: usize = 0;
 
-/// The standard `Lf = 1`, `Lb = 1` elastic buffer, per lane of the rail
-/// word `R`.
-///
-/// Token storage is one lane-major ring: lane `ℓ` owns the slots
-/// `slots[ℓ·ring .. (ℓ+1)·ring]` with a `(head, len)` cursor pair, so the
-/// whole node's tokens live in one allocation with index arithmetic only (a
+/// Per-lane token FIFOs in one lane-major ring: lane `ℓ` owns the slots
+/// `slots[ℓ·ring .. (ℓ+1)·ring]` with a `(head, len)` cursor pair, so a
+/// node's tokens live in one allocation with index arithmetic only (a
 /// per-lane `VecDeque` layout capped the registered-pipeline lane win at
-/// ~4×). The ring starts at the FIFO bound and doubles when a lane
-/// overflows it: an armed fault can push tokens into a full buffer, and
-/// none may be lost. The clock edge keeps the state words and the front
-/// token column the equations read, so `eval` does no per-lane work.
+/// ~4×). The ring doubles when a lane overflows it: an armed fault can push
+/// tokens into a full buffer or commit-stage lane, and none may be lost.
+/// Each lane's oldest token is kept in a column, the data its owner drives.
 #[derive(Debug)]
-pub struct StandardBuffer<R: Rail> {
-    spec: BufferSpec,
-    /// Ring slots per lane: at least `max(capacity, init_tokens, 1)`.
+pub(crate) struct TokenRing<R: Rail> {
+    /// Ring slots per lane.
     ring: usize,
     /// Lane-major token slots: `slots[lane * ring + slot]`.
     slots: Vec<u64>,
@@ -49,55 +44,52 @@ pub struct StandardBuffer<R: Rail> {
     head: R::PerLane<u32>,
     /// Tokens held per lane.
     len: R::PerLane<u32>,
-    anti_tokens: R::PerLane<u32>,
-    /// The equations' view of the storage, one bit per lane.
-    state: StandardBufferState<R>,
-    /// Each lane's oldest token (`0` when empty): the driven data column.
+    /// Each lane's oldest token (`0` when empty).
     front: R::PerLane<u64>,
-    stats: R::PerLane<NodeStats>,
 }
 
-impl<R: Rail> StandardBuffer<R> {
-    /// Creates the buffer with its initial occupancy in every lane.
-    pub fn new(spec: BufferSpec) -> Self {
-        let ring = (spec.capacity as usize).max(spec.init_tokens.max(0) as usize).max(1);
-        let mut buffer = StandardBuffer {
-            spec,
-            ring,
-            slots: vec![0; ring * R::LANES],
-            head: R::per_lane(0),
-            len: R::per_lane(0),
-            anti_tokens: R::per_lane(0),
-            state: StandardBufferState {
-                has_token: R::LOW,
-                full: R::LOW,
-                has_anti_token: R::LOW,
-                anti_full: R::LOW,
-            },
-            front: R::per_lane(0),
-            stats: R::per_lane(NodeStats::default()),
-        };
-        buffer.rewind();
-        buffer
+impl<R: Rail> TokenRing<R> {
+    /// Empty FIFOs of `ring` slots per lane (at least one).
+    pub(crate) fn new(ring: usize) -> Self {
+        let ring = ring.max(1);
+        let slots = vec![0; ring * R::LANES];
+        let (head, len) = (R::per_lane(|_| 0), R::per_lane(|_| 0));
+        TokenRing { ring, slots, head, len, front: R::per_lane(|_| 0) }
     }
 
-    /// Number of tokens lane `lane` currently stores (diagnostic).
-    pub fn occupancy(&self, lane: usize) -> usize {
-        self.len[lane] as usize
+    /// Number of tokens lane `lane` holds.
+    pub(crate) fn len(&self, lane: usize) -> u32 {
+        self.len[lane]
+    }
+
+    /// Each lane's oldest token (`0` when empty).
+    pub(crate) fn front(&self) -> &[u64] {
+        self.front.as_ref()
+    }
+
+    /// Refills lane `lane` with `count` copies of `value`.
+    pub(crate) fn refill(&mut self, lane: usize, count: u32, value: u64) {
+        self.head[lane] = 0;
+        self.len[lane] = count;
+        self.slots[lane * self.ring..][..count as usize].fill(value);
+        self.front[lane] = if count > 0 { value } else { 0 };
     }
 
     /// Drops lane `lane`'s oldest token; `false` when it holds none.
-    fn pop_front(&mut self, lane: usize) -> bool {
+    pub(crate) fn pop_front(&mut self, lane: usize) -> bool {
         if self.len[lane] == 0 {
             return false;
         }
         let head = self.head[lane] as usize + 1;
-        self.head[lane] = if head == self.ring { 0 } else { head as u32 };
+        let head = if head == self.ring { 0 } else { head };
+        self.head[lane] = head as u32;
         self.len[lane] -= 1;
+        self.front[lane] = if self.len[lane] > 0 { self.slots[lane * self.ring + head] } else { 0 };
         true
     }
 
-    fn push_back(&mut self, lane: usize, value: u64) {
+    /// Appends `value` to lane `lane`, growing the ring when it is full.
+    pub(crate) fn push_back(&mut self, lane: usize, value: u64) {
         if self.len[lane] as usize == self.ring {
             self.grow();
         }
@@ -105,6 +97,9 @@ impl<R: Rail> StandardBuffer<R> {
         let slot = if slot >= self.ring { slot - self.ring } else { slot };
         self.slots[lane * self.ring + slot] = value;
         self.len[lane] += 1;
+        if self.len[lane] == 1 {
+            self.front[lane] = value;
+        }
     }
 
     /// Doubles every lane's ring, keeping each lane's tokens in order.
@@ -120,12 +115,52 @@ impl<R: Rail> StandardBuffer<R> {
         }
         (self.ring, self.slots) = (ring, slots);
     }
+}
 
-    /// Recomputes lane `lane`'s state bits and front token from its storage.
+/// The standard `Lf = 1`, `Lb = 1` elastic buffer, per lane of the rail
+/// word `R`.
+///
+/// Tokens live in a `TokenRing` that starts at the FIFO bound. The clock
+/// edge keeps the state words and the ring's front column, which are all
+/// the equations read, so `eval` does no per-lane work.
+#[derive(Debug)]
+pub struct StandardBuffer<R: Rail> {
+    spec: BufferSpec,
+    tokens: TokenRing<R>,
+    anti_tokens: R::PerLane<u32>,
+    /// The equations' view of the storage, one bit per lane.
+    state: StandardBufferState<R>,
+    stats: R::PerLane<NodeStats>,
+}
+
+impl<R: Rail> StandardBuffer<R> {
+    /// Creates the buffer with its initial occupancy in every lane.
+    pub fn new(spec: BufferSpec) -> Self {
+        let ring = (spec.capacity as usize).max(spec.init_tokens.max(0) as usize);
+        let mut buffer = StandardBuffer {
+            spec,
+            tokens: TokenRing::new(ring),
+            anti_tokens: R::per_lane(|_| 0),
+            state: StandardBufferState {
+                has_token: R::LOW,
+                full: R::LOW,
+                has_anti_token: R::LOW,
+                anti_full: R::LOW,
+            },
+            stats: R::per_lane(|_| NodeStats::default()),
+        };
+        buffer.rewind();
+        buffer
+    }
+
+    /// Number of tokens lane `lane` currently stores (diagnostic).
+    pub fn occupancy(&self, lane: usize) -> usize {
+        self.tokens.len(lane) as usize
+    }
+
+    /// Recomputes lane `lane`'s state bits from its storage.
     fn refresh(&mut self, lane: usize) {
-        let (len, anti_tokens) = (self.len[lane], self.anti_tokens[lane]);
-        self.front[lane] =
-            if len > 0 { self.slots[lane * self.ring + self.head[lane] as usize] } else { 0 };
+        let (len, anti_tokens) = (self.tokens.len(lane), self.anti_tokens[lane]);
         let state = &mut self.state;
         state.has_token = state.has_token.with_lane(lane, len > 0);
         state.full = state.full.with_lane(lane, len >= self.spec.capacity);
@@ -136,7 +171,7 @@ impl<R: Rail> StandardBuffer<R> {
 
 impl<R: Rail> WordController<R> for StandardBuffer<R> {
     fn drive<P: HandshakeIo<Rail = R>>(&self, io: &mut P, _optimistic: bool) {
-        standard_buffer_forward(io, self.state, self.front.as_ref());
+        standard_buffer_forward(io, self.state, self.tokens.front());
         standard_buffer_backward(io, self.state);
     }
 
@@ -152,14 +187,14 @@ impl<R: Rail> WordController<R> for StandardBuffer<R> {
             // Output boundary: a token leaves, or is cancelled by an
             // incoming anti-token — kill wins, then transfer, then stall.
             if out_kill.in_lane(lane) {
-                if self.pop_front(lane) {
+                if self.tokens.pop_front(lane) {
                     self.stats[lane].killed_tokens += 1;
                 } else {
                     let anti_tokens = &mut self.anti_tokens[lane];
                     *anti_tokens = (*anti_tokens + 1).min(self.spec.anti_capacity);
                 }
             } else if out_transfer.in_lane(lane) {
-                self.pop_front(lane);
+                self.tokens.pop_front(lane);
                 self.stats[lane].output_transfers += 1;
             } else if out_stall.in_lane(lane) {
                 self.stats[lane].stall_cycles += 1;
@@ -168,7 +203,7 @@ impl<R: Rail> WordController<R> for StandardBuffer<R> {
             // arrives; when both meet they annihilate.
             let anti_tokens = self.anti_tokens[lane];
             match (token_arrived.in_lane(lane), anti_left.in_lane(lane)) {
-                (true, false) if anti_tokens == 0 => self.push_back(lane, data[lane]),
+                (true, false) if anti_tokens == 0 => self.tokens.push_back(lane, data[lane]),
                 (true, _) => {
                     self.anti_tokens[lane] = anti_tokens.saturating_sub(1);
                     self.stats[lane].killed_tokens += 1;
@@ -183,17 +218,15 @@ impl<R: Rail> WordController<R> for StandardBuffer<R> {
     fn rewind(&mut self) {
         let init_tokens = self.spec.init_tokens.max(0) as u32;
         for lane in 0..R::LANES {
-            self.head[lane] = 0;
-            self.len[lane] = init_tokens;
-            self.slots[lane * self.ring..][..init_tokens as usize].fill(self.spec.init_value);
+            self.tokens.refill(lane, init_tokens, self.spec.init_value);
             self.anti_tokens[lane] = (-self.spec.init_tokens).max(0) as u32;
             self.refresh(lane);
         }
         self.stats.as_mut().fill(NodeStats::default());
     }
 
-    fn lane_stats(&self) -> &[NodeStats] {
-        self.stats.as_ref()
+    fn report(&self, lane: usize) -> NodeReport<'_> {
+        NodeReport::Basic(self.stats[lane])
     }
 
     /// Both handshake directions are fully registered: `eval` is a function
@@ -223,8 +256,8 @@ impl<R: Rail> ZeroBackwardBuffer<R> {
         let mut buffer = ZeroBackwardBuffer {
             initial,
             full: R::LOW,
-            stored: R::per_lane(0),
-            stats: R::per_lane(NodeStats::default()),
+            stored: R::per_lane(|_| 0),
+            stats: R::per_lane(|_| NodeStats::default()),
         };
         buffer.rewind();
         buffer
@@ -300,8 +333,8 @@ impl<R: Rail> WordController<R> for ZeroBackwardBuffer<R> {
         self.stats.as_mut().fill(NodeStats::default());
     }
 
-    fn lane_stats(&self) -> &[NodeStats] {
-        self.stats.as_ref()
+    fn report(&self, lane: usize) -> NodeReport<'_> {
+        NodeReport::Basic(self.stats[lane])
     }
 }
 

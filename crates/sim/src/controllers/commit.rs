@@ -22,158 +22,136 @@
 //! zero-backward buffer: a kill arriving at an empty lane continues towards
 //! the shared module in the same cycle, where it annihilates the waiting
 //! operand — keeping misprediction recovery single-cycle (Section 4.3).
+//!
+//! The stage is generic over the rail word. To keep the two meanings of
+//! "lane" apart, the code calls a commit-stage lane a *user* and keeps
+//! `lane` for the rail lane. Each user's FIFO is a `TokenRing`; the
+//! clock edge keeps the occupancy words and the rings' head columns, which
+//! are all [`crate::handshake::commit_lane`] reads.
 
 use elastic_core::CommitSpec;
 
-use crate::controller::{Controller, NodeIo, NodeReport, NodeStats};
+use crate::controller::{NodeReport, NodeStats, WordController};
+use crate::controllers::buffer::TokenRing;
+use crate::handshake::{commit_lane, HandshakeIo, Rail};
 use crate::metrics::CommitStageStats;
 
-/// Controller for an in-order commit stage.
+/// Controller for an in-order commit stage, per lane of the rail word `R`.
 #[derive(Debug)]
-pub struct CommitStage {
-    spec: CommitSpec,
-    /// Parked results per lane, oldest first.
-    lanes: Vec<std::collections::VecDeque<u64>>,
-    /// Results committed (delivered downstream) per lane.
-    commits: Vec<u64>,
-    /// Results squashed (killed in place) per lane.
-    squashes: Vec<u64>,
-    /// Highest occupancy each lane ever reached (run-ahead achieved).
-    peaks: Vec<u64>,
-    stats: NodeStats,
+pub struct CommitStage<R: Rail> {
+    depth: u32,
+    /// Parked results per user, oldest first.
+    fifos: Vec<TokenRing<R>>,
+    /// Per user, the lanes whose FIFO holds a result.
+    occupied: Vec<R>,
+    /// Per user, the lanes whose FIFO is at its declared depth.
+    full: Vec<R>,
+    stats: R::PerLane<NodeStats>,
+    /// Each lane's commits, squashes and peak occupancy per user.
+    summary: R::PerLane<CommitStageStats>,
 }
 
-impl CommitStage {
+impl<R: Rail> CommitStage<R> {
     /// Creates the controller with all lanes empty.
     pub fn new(spec: CommitSpec) -> Self {
-        let lanes = spec.lanes;
-        CommitStage {
-            spec,
-            lanes: (0..lanes).map(|_| std::collections::VecDeque::new()).collect(),
-            commits: vec![0; lanes],
-            squashes: vec![0; lanes],
-            peaks: vec![0; lanes],
-            stats: NodeStats::default(),
-        }
+        let users = spec.lanes;
+        let mut stage = CommitStage {
+            depth: spec.depth,
+            fifos: (0..users).map(|_| TokenRing::new(spec.depth as usize)).collect(),
+            occupied: vec![R::LOW; users],
+            full: vec![R::LOW; users],
+            stats: R::per_lane(|_| NodeStats::default()),
+            summary: R::per_lane(|_| CommitStageStats::default()),
+        };
+        stage.rewind();
+        stage
     }
 
-    /// Results committed per lane (diagnostic).
-    pub fn commits_per_lane(&self) -> &[u64] {
-        &self.commits
-    }
-
-    /// Results squashed per lane (diagnostic).
-    pub fn squashes_per_lane(&self) -> &[u64] {
-        &self.squashes
-    }
-
-    /// Highest simultaneous occupancy each lane ever reached (diagnostic).
-    pub fn peak_occupancy_per_lane(&self) -> &[u64] {
-        &self.peaks
-    }
-
-    /// Current occupancy of one lane (diagnostic).
-    pub fn occupancy(&self, lane: usize) -> usize {
-        self.lanes[lane].len()
+    /// Current occupancy of user lane `user` in rail lane `lane`
+    /// (diagnostic).
+    pub fn occupancy(&self, user: usize, lane: usize) -> usize {
+        self.fifos[user].len(lane) as usize
     }
 }
 
-impl Controller for CommitStage {
-    fn eval(&self, io: &mut NodeIo<'_>) {
-        for lane in 0..self.spec.lanes {
-            let fifo = &self.lanes[lane];
-            let full = fifo.len() >= self.spec.depth as usize;
-            let output = io.output(lane);
-            let input = io.input(lane);
-
-            // Forward side: offer the oldest parked result — persistently.
-            io.set_output_valid(lane, !fifo.is_empty());
-            io.set_output_data(lane, fifo.front().copied().unwrap_or(0));
-            // Zero backward latency: a full lane still accepts when its head
-            // leaves (transfer or squash) this very cycle.
-            io.set_input_stop(lane, full && output.forward_stop && !output.backward_valid);
-
-            // Anti-tokens squash the head in place; an empty lane passes
-            // them through combinationally towards the shared module.
-            let pass_through = fifo.is_empty() && output.backward_valid;
-            io.set_input_kill(lane, pass_through);
-            io.set_output_anti_stop(lane, fifo.is_empty() && input.backward_stop);
+impl<R: Rail> WordController<R> for CommitStage<R> {
+    fn drive<P: HandshakeIo<Rail = R>>(&self, io: &mut P, _optimistic: bool) {
+        for (user, fifo) in self.fifos.iter().enumerate() {
+            commit_lane(io, user, self.occupied[user], self.full[user], fifo.front());
         }
     }
 
-    fn commit(&mut self, io: &NodeIo<'_>) {
-        for lane in 0..self.spec.lanes {
-            let input = io.input(lane);
-            let output = io.output(lane);
-
+    fn clock<P: HandshakeIo<Rail = R>>(&mut self, io: &P) {
+        for user in 0..self.fifos.len() {
             // Output boundary: the head result commits or is squashed.
-            if !self.lanes[lane].is_empty() {
-                let squashed = output.backward_transfer();
-                let committed = output.forward_valid && !output.forward_stop && !squashed;
-                if squashed {
-                    self.lanes[lane].pop_front();
-                    self.squashes[lane] += 1;
-                    self.stats.killed_tokens += 1;
-                } else if committed {
-                    self.lanes[lane].pop_front();
-                    self.commits[lane] += 1;
-                    self.stats.output_transfers += 1;
-                } else if output.forward_stop {
-                    self.stats.stall_cycles += 1;
-                }
-            }
-
+            let occupied = self.occupied[user];
+            let squashed = occupied & io.output_kill(user) & !io.output_anti_stop(user);
+            let committed = occupied & io.output_valid(user) & !io.output_stop(user) & !squashed;
+            let stalled = occupied & io.output_stop(user) & !squashed & !committed;
             // Input boundary: a freshly computed result parks — unless an
             // anti-token was passing through, in which case the two cancel
             // at the boundary and nothing is stored.
-            let token_arrived = input.forward_valid && !input.forward_stop;
-            let anti_passed = input.backward_transfer();
-            if token_arrived {
-                if anti_passed {
-                    self.squashes[lane] += 1;
-                    self.stats.killed_tokens += 1;
-                } else {
-                    self.lanes[lane].push_back(input.data);
+            let arrived = io.input_valid(user) & !io.input_stop(user);
+            let cancelled = arrived & io.input_kill(user) & !io.input_anti_stop(user);
+            let data = io.input_data(user);
+            let fifo = &mut self.fifos[user];
+            for lane in (squashed | committed | stalled | arrived).lanes() {
+                let (stats, summary) = (&mut self.stats[lane], &mut self.summary[lane]);
+                if squashed.in_lane(lane) {
+                    fifo.pop_front(lane);
+                    summary.squashes_per_lane[user] += 1;
+                    stats.killed_tokens += 1;
+                } else if committed.in_lane(lane) {
+                    fifo.pop_front(lane);
+                    summary.commits_per_lane[user] += 1;
+                    stats.output_transfers += 1;
+                } else if stalled.in_lane(lane) {
+                    stats.stall_cycles += 1;
                 }
+                if cancelled.in_lane(lane) {
+                    summary.squashes_per_lane[user] += 1;
+                    stats.killed_tokens += 1;
+                } else if arrived.in_lane(lane) {
+                    // A fault can push a result into a full lane; the ring
+                    // grows rather than lose it.
+                    fifo.push_back(lane, data[lane]);
+                    let peak = &mut summary.peak_occupancy_per_lane[user];
+                    *peak = (*peak).max(u64::from(fifo.len(lane)));
+                }
+                let len = fifo.len(lane);
+                self.occupied[user] = self.occupied[user].with_lane(lane, len > 0);
+                self.full[user] = self.full[user].with_lane(lane, len >= self.depth);
             }
-            // The eval-side stop guarantees a lane can never exceed its
-            // declared depth: a full lane only accepts in a cycle whose head
-            // simultaneously commits or is squashed.
-            debug_assert!(
-                self.lanes[lane].len() <= self.spec.depth as usize,
-                "lane {lane} overflowed its declared depth {}",
-                self.spec.depth
-            );
-            self.peaks[lane] = self.peaks[lane].max(self.lanes[lane].len() as u64);
         }
     }
 
-    fn report(&self) -> NodeReport<'_> {
-        NodeReport::Commit(
-            self.stats,
-            CommitStageStats {
-                depth: self.spec.depth,
-                commits_per_lane: self.commits.clone(),
-                squashes_per_lane: self.squashes.clone(),
-                peak_occupancy_per_lane: self.peaks.clone(),
-            },
-        )
+    fn rewind(&mut self) {
+        let users = self.fifos.len();
+        for lane in 0..R::LANES {
+            for fifo in &mut self.fifos {
+                fifo.refill(lane, 0, 0);
+            }
+            self.summary[lane] = CommitStageStats {
+                depth: self.depth,
+                commits_per_lane: vec![0; users],
+                squashes_per_lane: vec![0; users],
+                peak_occupancy_per_lane: vec![0; users],
+            };
+        }
+        self.occupied.fill(R::LOW);
+        self.full.fill(R::LOW);
+        self.stats.as_mut().fill(NodeStats::default());
     }
 
-    fn reset(&mut self) {
-        for fifo in &mut self.lanes {
-            fifo.clear();
-        }
-        self.commits.iter_mut().for_each(|c| *c = 0);
-        self.squashes.iter_mut().for_each(|s| *s = 0);
-        self.peaks.iter_mut().for_each(|p| *p = 0);
-        self.stats = NodeStats::default();
+    fn report(&self, lane: usize) -> NodeReport<'_> {
+        NodeReport::Commit(self.stats[lane], self.summary[lane].clone())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::{Controller, NodeIo};
     use crate::signal::ChannelState;
 
     // Channel layout: inputs 0,1 (lanes 0,1), outputs 2,3.
@@ -181,7 +159,7 @@ mod tests {
         NodeIo::new(channels, &[0, 1], &[2, 3])
     }
 
-    fn stage() -> CommitStage {
+    fn stage() -> CommitStage<bool> {
         CommitStage::new(CommitSpec::new(2))
     }
 
@@ -195,15 +173,15 @@ mod tests {
         assert!(!channels[2].forward_valid, "one cycle of forward latency");
         assert!(!channels[0].forward_stop, "an empty lane accepts");
         stage.commit(&io(&mut channels));
-        assert_eq!(stage.occupancy(0), 1);
+        assert_eq!(stage.occupancy(0, 0), 1);
 
         let mut channels = vec![ChannelState::default(); 4];
         stage.eval(&mut io(&mut channels));
         assert!(channels[2].forward_valid);
         assert_eq!(channels[2].data, 0xA);
         stage.commit(&io(&mut channels));
-        assert_eq!(stage.commits_per_lane(), &[1, 0]);
-        assert_eq!(stage.occupancy(0), 0);
+        assert_eq!(stage.summary[0].commits_per_lane, &[1, 0]);
+        assert_eq!(stage.occupancy(0, 0), 0);
     }
 
     #[test]
@@ -222,7 +200,7 @@ mod tests {
             assert_eq!(channels[3].data, 7);
             stage.commit(&io(&mut channels));
         }
-        assert_eq!(stage.occupancy(1), 1);
+        assert_eq!(stage.occupancy(1, 0), 1);
     }
 
     #[test]
@@ -241,8 +219,8 @@ mod tests {
         assert!(!channels[2].backward_stop, "the lane absorbs the kill");
         assert!(!channels[0].backward_valid, "nothing passes upstream");
         stage.commit(&io(&mut channels));
-        assert_eq!(stage.squashes_per_lane(), &[1, 0]);
-        assert_eq!(stage.occupancy(0), 0);
+        assert_eq!(stage.summary[0].squashes_per_lane, &[1, 0]);
+        assert_eq!(stage.occupancy(0, 0), 0);
     }
 
     #[test]
@@ -300,14 +278,14 @@ mod tests {
         channels[0].forward_valid = true;
         stage.eval(&mut io(&mut channels));
         stage.commit(&io(&mut channels));
-        assert_eq!(stage.occupancy(0), 1);
-        assert_eq!(stage.peak_occupancy_per_lane(), &[1, 0]);
+        assert_eq!(stage.occupancy(0, 0), 1);
+        assert_eq!(stage.summary[0].peak_occupancy_per_lane, &[1, 0]);
         stage.reset();
-        assert_eq!(stage.occupancy(0), 0);
-        assert_eq!(stage.commits_per_lane(), &[0, 0]);
-        assert_eq!(stage.peak_occupancy_per_lane(), &[0, 0]);
+        assert_eq!(stage.occupancy(0, 0), 0);
+        assert_eq!(stage.summary[0].commits_per_lane, &[0, 0]);
+        assert_eq!(stage.summary[0].peak_occupancy_per_lane, &[0, 0]);
         assert_eq!(
-            stage.report(),
+            Controller::report(&stage),
             NodeReport::Commit(
                 NodeStats::default(),
                 CommitStageStats {
@@ -326,7 +304,7 @@ mod tests {
     }
 
     /// Parks `values` into lane 0 of `stage` while the consumer stalls.
-    fn park(stage: &mut CommitStage, values: &[u64]) {
+    fn park(stage: &mut CommitStage<bool>, values: &[u64]) {
         for &value in values {
             let mut channels = vec![ChannelState::default(); 2];
             channels[0].forward_valid = true;
@@ -343,9 +321,9 @@ mod tests {
         // Three wrong-path results are in flight when the mux resolves the
         // other way: each anti-token squashes exactly the oldest entry, in
         // place, without disturbing the entries behind it.
-        let mut stage = CommitStage::new(CommitSpec::new(1).with_depth(4));
+        let mut stage = CommitStage::<bool>::new(CommitSpec::new(1).with_depth(4));
         park(&mut stage, &[10, 11, 12]);
-        assert_eq!(stage.occupancy(0), 3);
+        assert_eq!(stage.occupancy(0, 0), 3);
         for expected_left in [2usize, 1, 0] {
             let mut channels = vec![ChannelState::default(); 2];
             channels[1].backward_valid = true;
@@ -354,10 +332,10 @@ mod tests {
             assert!(!channels[1].backward_stop, "an occupied lane absorbs the kill");
             assert!(!channels[0].backward_valid, "nothing passes towards the shared module");
             stage.commit(&io1(&mut channels));
-            assert_eq!(stage.occupancy(0), expected_left);
+            assert_eq!(stage.occupancy(0, 0), expected_left);
         }
-        assert_eq!(stage.squashes_per_lane(), &[3]);
-        assert_eq!(stage.commits_per_lane(), &[0]);
+        assert_eq!(stage.summary[0].squashes_per_lane, &[3]);
+        assert_eq!(stage.summary[0].commits_per_lane, &[0]);
 
         // The lane recovers: a right-path result parks and commits in order.
         park(&mut stage, &[42]);
@@ -366,14 +344,14 @@ mod tests {
         assert!(channels[1].forward_valid);
         assert_eq!(channels[1].data, 42);
         stage.commit(&io1(&mut channels));
-        assert_eq!(stage.commits_per_lane(), &[1]);
+        assert_eq!(stage.summary[0].commits_per_lane, &[1]);
     }
 
     #[test]
     fn a_full_deep_lane_accepts_while_its_head_is_squashed() {
         // Zero backward latency must hold at every depth: a full lane still
         // accepts a fresh result in the cycle its head is killed in place.
-        let mut stage = CommitStage::new(CommitSpec::new(1).with_depth(2));
+        let mut stage = CommitStage::<bool>::new(CommitSpec::new(1).with_depth(2));
         park(&mut stage, &[1, 2]);
         let mut channels = vec![ChannelState::default(); 2];
         channels[0].forward_valid = true;
@@ -383,8 +361,8 @@ mod tests {
         stage.eval(&mut io1(&mut channels));
         assert!(!channels[0].forward_stop, "the head leaves, so the lane accepts");
         stage.commit(&io1(&mut channels));
-        assert_eq!(stage.occupancy(0), 2);
-        assert_eq!(stage.squashes_per_lane(), &[1]);
+        assert_eq!(stage.occupancy(0, 0), 2);
+        assert_eq!(stage.summary[0].squashes_per_lane, &[1]);
         // Order is preserved across the squash: 2 then 3 drain.
         for expected in [2u64, 3] {
             let mut channels = vec![ChannelState::default(); 2];
@@ -393,21 +371,21 @@ mod tests {
             assert!(channels[1].forward_valid);
             stage.commit(&io1(&mut channels));
         }
-        assert_eq!(stage.commits_per_lane(), &[2]);
+        assert_eq!(stage.summary[0].commits_per_lane, &[2]);
     }
 
     #[test]
     fn peak_occupancy_records_the_run_ahead_actually_achieved() {
-        let mut stage = CommitStage::new(CommitSpec::new(1).with_depth(4));
+        let mut stage = CommitStage::<bool>::new(CommitSpec::new(1).with_depth(4));
         park(&mut stage, &[1, 2, 3]);
-        assert_eq!(stage.peak_occupancy_per_lane(), &[3]);
+        assert_eq!(stage.summary[0].peak_occupancy_per_lane, &[3]);
         // Draining does not lower the recorded peak.
         let mut channels = vec![ChannelState::default(); 2];
         stage.eval(&mut io1(&mut channels));
         stage.commit(&io1(&mut channels));
-        assert_eq!(stage.occupancy(0), 2);
-        assert_eq!(stage.peak_occupancy_per_lane(), &[3]);
-        let NodeReport::Commit(_, stats) = stage.report() else {
+        assert_eq!(stage.occupancy(0, 0), 2);
+        assert_eq!(stage.summary[0].peak_occupancy_per_lane, &[3]);
+        let NodeReport::Commit(_, stats) = Controller::report(&stage) else {
             panic!("a commit stage reports commit-stage statistics")
         };
         assert_eq!(stats.depth, 4);
@@ -417,7 +395,7 @@ mod tests {
 
     #[test]
     fn deeper_lanes_let_the_scheduler_run_ahead() {
-        let mut stage = CommitStage::new(CommitSpec::new(1).with_depth(2));
+        let mut stage = CommitStage::<bool>::new(CommitSpec::new(1).with_depth(2));
         let mut channels = vec![ChannelState::default(); 2];
         // Two results park while the consumer stalls; the third is stopped.
         for value in [1u64, 2] {

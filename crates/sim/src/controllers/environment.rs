@@ -5,278 +5,322 @@
 //! configurable back-pressure pattern and record the *transfer stream* — the
 //! sequence of accepted values — which is the observable that transfer
 //! equivalence (Section 3.1) is defined over.
+//!
+//! Both are generic over the rail word: each lane has its own pattern,
+//! random generator, stream position and transfer stream, and the clock
+//! edge computes the next cycle's offer (or stop) word, so `eval` drives
+//! one word.
 
 use elastic_core::kind::{BackpressurePattern, DataStream, SourcePattern};
 use elastic_core::{SinkSpec, SourceSpec};
 use elastic_datapath::adder::mask;
 use elastic_datapath::lfsr::Lfsr64;
 
-use crate::controller::{Controller, NodeIo, NodeReport, NodeStats};
+use crate::controller::{NodeReport, NodeStats, WordController};
+use crate::handshake::{HandshakeIo, Rail};
 
 const OUT: usize = 0;
 const IN: usize = 0;
 
-/// A token-producing environment.
-#[derive(Debug)]
-pub struct SourceController {
-    spec: SourceSpec,
-    width: u8,
-    cycle: u64,
-    /// Index of the next stream element to offer (advances on transfer or kill).
-    position: usize,
-    /// Whether a token offer is currently outstanding (persistence).
-    offering: bool,
-    pattern_rng: Lfsr64,
-    stats: NodeStats,
-    killed: u64,
+/// When an environment acts: a source's offer or a sink's stall pattern.
+trait Pattern: Clone + std::fmt::Debug {
+    /// The seed of the pattern's random generator.
+    fn seed(&self) -> u64;
+
+    /// Whether the pattern fires in `cycle`. A random pattern draws from
+    /// `rng` once per call, that is once per cycle.
+    fn fires(&self, cycle: u64, rng: &mut Lfsr64) -> bool;
 }
 
-impl SourceController {
-    /// Creates the controller for a source with the given output width.
-    pub fn new(spec: SourceSpec, width: u8) -> Self {
-        let pattern_seed = Self::pattern_seed(&spec);
-        SourceController {
-            spec,
-            width,
-            cycle: 0,
-            position: 0,
-            offering: false,
-            pattern_rng: Lfsr64::new(pattern_seed),
-            stats: NodeStats::default(),
-            killed: 0,
+impl Pattern for SourcePattern {
+    fn seed(&self) -> u64 {
+        if let SourcePattern::Random { seed, .. } = self {
+            *seed
+        } else {
+            1
         }
     }
 
-    fn wants_to_offer(&self) -> bool {
-        match &self.spec.pattern {
+    fn fires(&self, cycle: u64, rng: &mut Lfsr64) -> bool {
+        match self {
             SourcePattern::Always => true,
-            SourcePattern::Every(period) => self.cycle.is_multiple_of(u64::from((*period).max(1))),
+            SourcePattern::Every(period) => cycle.is_multiple_of(u64::from((*period).max(1))),
             SourcePattern::List(pattern) => {
-                if pattern.is_empty() {
-                    true
-                } else {
-                    pattern[(self.cycle as usize) % pattern.len()]
-                }
+                pattern.is_empty() || pattern[(cycle as usize) % pattern.len()]
             }
-            SourcePattern::Random { probability, .. } => {
-                self.pattern_rng.clone().next_bool(*probability)
-            }
+            SourcePattern::Random { probability, .. } => rng.next_bool(*probability),
             // `SourcePattern` is non-exhaustive: unknown patterns offer eagerly.
             _ => true,
         }
     }
+}
 
-    fn current_value(&self) -> u64 {
+impl Pattern for BackpressurePattern {
+    fn seed(&self) -> u64 {
+        if let BackpressurePattern::Random { seed, .. } = self {
+            *seed
+        } else {
+            3
+        }
+    }
+
+    fn fires(&self, cycle: u64, rng: &mut Lfsr64) -> bool {
+        match self {
+            BackpressurePattern::Never => false,
+            BackpressurePattern::Every(period) => {
+                *period > 0 && cycle.is_multiple_of(u64::from(*period))
+            }
+            BackpressurePattern::List(pattern) => {
+                !pattern.is_empty() && pattern[(cycle as usize) % pattern.len()]
+            }
+            BackpressurePattern::Random { probability, .. } => rng.next_bool(*probability),
+            // `BackpressurePattern` is non-exhaustive: unknown patterns never stall.
+            _ => false,
+        }
+    }
+}
+
+/// Each lane's pattern and random generator, and the word of lanes in
+/// which the pattern fires this cycle. A random generator draws each
+/// cycle's decision one cycle ahead, at the previous clock edge.
+#[derive(Debug)]
+struct Timing<R: Rail, P: Pattern> {
+    cycle: u64,
+    patterns: R::PerLane<P>,
+    rngs: R::PerLane<Lfsr64>,
+    fires: R,
+}
+
+impl<R: Rail, P: Pattern> Timing<R, P> {
+    fn new(pattern: &P) -> Self {
+        let rngs = R::per_lane(|_| Lfsr64::new(pattern.seed()));
+        Timing { cycle: 0, patterns: R::per_lane(|_| pattern.clone()), rngs, fires: R::LOW }
+    }
+
+    /// Draws lane `lane`'s decision for the current cycle.
+    fn draw(&mut self, lane: usize) {
+        let fires = self.patterns[lane].fires(self.cycle, &mut self.rngs[lane]);
+        self.fires = self.fires.with_lane(lane, fires);
+    }
+
+    /// Restarts lane `lane`'s pattern at the current cycle.
+    fn restart(&mut self, lane: usize) {
+        self.rngs[lane] = Lfsr64::new(self.patterns[lane].seed());
+        self.draw(lane);
+    }
+
+    fn rewind(&mut self) {
+        self.cycle = 0;
+        for lane in 0..R::LANES {
+            self.restart(lane);
+        }
+    }
+
+    /// Replaces lane `lane`'s pattern and restarts it.
+    fn set(&mut self, lane: usize, pattern: &P) {
+        self.patterns[lane] = pattern.clone();
+        self.restart(lane);
+    }
+
+    /// Advances every lane to the next cycle.
+    fn tick(&mut self) {
+        self.cycle += 1;
+        for lane in 0..R::LANES {
+            self.draw(lane);
+        }
+    }
+}
+
+/// A token-producing environment, per lane of the rail word `R`.
+#[derive(Debug)]
+pub struct SourceController<R: Rail> {
+    spec: SourceSpec,
+    width: u8,
+    timing: Timing<R, SourcePattern>,
+    /// Index of each lane's next stream element (advances on transfer or kill).
+    position: R::PerLane<usize>,
+    /// The lanes holding an outstanding offer (persistence).
+    offering: R,
+    /// Each lane's next stream element: the driven data column.
+    values: R::PerLane<u64>,
+    stats: R::PerLane<NodeStats>,
+}
+
+impl<R: Rail> SourceController<R> {
+    /// Creates the controller for a source with the given output width.
+    pub fn new(spec: SourceSpec, width: u8) -> Self {
+        let mut source = SourceController {
+            timing: Timing::new(&spec.pattern),
+            spec,
+            width,
+            position: R::per_lane(|_| 0),
+            offering: R::LOW,
+            values: R::per_lane(|_| 0),
+            stats: R::per_lane(|_| NodeStats::default()),
+        };
+        source.rewind();
+        source
+    }
+
+    /// Stream element `position`, masked to the output width.
+    fn value(&self, position: usize) -> u64 {
         let value = match &self.spec.data {
-            DataStream::Counter => self.position as u64,
+            DataStream::Counter => position as u64,
             DataStream::Const(value) => *value,
             DataStream::List(values) => {
                 if values.is_empty() {
                     0
                 } else {
-                    values[self.position % values.len()]
+                    values[position % values.len()]
                 }
             }
             DataStream::Random { seed } => {
-                // Derive the value from the element index so that repeated
-                // `eval` calls within a cycle (and replays of the stream) see
-                // the same value: a splitmix-style hash of (seed, position).
+                // Derive the value from the element index so that replays of
+                // the stream see the same value: a splitmix-style hash of
+                // (seed, position).
                 let mut value =
-                    seed.wrapping_add(0x9E37_79B9_7F4A_7C15).wrapping_add(self.position as u64);
+                    seed.wrapping_add(0x9E37_79B9_7F4A_7C15).wrapping_add(position as u64);
                 value = (value ^ (value >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
                 value = (value ^ (value >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
                 value ^ (value >> 31)
             }
             // `DataStream` is non-exhaustive: unknown streams count tokens.
-            _ => self.position as u64,
+            _ => position as u64,
         };
         mask(value, self.width)
     }
-
-    /// Number of tokens cancelled by anti-tokens before being produced.
-    pub fn killed_tokens(&self) -> u64 {
-        self.killed
-    }
-
-    fn pattern_seed(spec: &SourceSpec) -> u64 {
-        match spec.pattern {
-            SourcePattern::Random { seed, .. } => seed,
-            _ => 1,
-        }
-    }
 }
 
-impl Controller for SourceController {
-    fn eval(&self, io: &mut NodeIo<'_>) {
+impl<R: Rail> WordController<R> for SourceController<R> {
+    fn drive<P: HandshakeIo<Rail = R>>(&self, io: &mut P, _optimistic: bool) {
         // A pending offer persists (Retry behaviour); otherwise the pattern
         // decides whether a fresh token is offered this cycle.
-        let offering = self.offering || self.wants_to_offer();
-        io.set_output_valid(OUT, offering);
-        io.set_output_data(OUT, self.current_value());
+        io.set_output_valid(OUT, self.offering | self.timing.fires);
+        io.drive_data(OUT, self.values.as_ref());
         // Sources always accept anti-tokens: a kill simply cancels the
         // pending (or next) token.
-        io.set_output_anti_stop(OUT, false);
+        io.set_output_anti_stop(OUT, R::LOW);
     }
 
-    fn commit(&mut self, io: &NodeIo<'_>) {
-        let output = io.output(OUT);
-        let offering = output.forward_valid;
-        let killed = output.backward_transfer();
-        let transferred = offering && !output.forward_stop && !killed;
-        if killed {
-            if self.spec.consume_on_kill {
-                self.position += 1;
-            }
-            self.killed += 1;
-            self.stats.killed_tokens += 1;
-            self.offering = false;
-        } else if transferred {
-            self.position += 1;
-            self.stats.output_transfers += 1;
-            self.offering = false;
-        } else if offering {
-            self.offering = true;
-            self.stats.stall_cycles += 1;
+    fn clock<P: HandshakeIo<Rail = R>>(&mut self, io: &P) {
+        let valid = io.output_valid(OUT);
+        let killed = io.output_kill(OUT) & !io.output_anti_stop(OUT);
+        let transferred = valid & !io.output_stop(OUT) & !killed;
+        let stalled = valid & !killed & !transferred;
+        let consumed = if self.spec.consume_on_kill { killed } else { R::LOW };
+        for lane in killed.lanes() {
+            self.stats[lane].killed_tokens += 1;
         }
-        self.cycle += 1;
-        // Keep the pattern RNG advancing once per cycle regardless of outcome
-        // so random offer patterns are per-cycle, not per-token.
-        if matches!(self.spec.pattern, SourcePattern::Random { .. }) {
-            let _ = self.pattern_rng.next_word();
+        for lane in transferred.lanes() {
+            self.stats[lane].output_transfers += 1;
         }
+        for lane in stalled.lanes() {
+            self.stats[lane].stall_cycles += 1;
+        }
+        for lane in (transferred | consumed).lanes() {
+            self.position[lane] += 1;
+            self.values[lane] = self.value(self.position[lane]);
+        }
+        self.offering = (self.offering | stalled) & !(killed | transferred);
+        // The pattern advances once per cycle regardless of outcome, so
+        // random offer patterns are per-cycle, not per-token.
+        self.timing.tick();
     }
 
-    fn report(&self) -> NodeReport<'_> {
-        NodeReport::Source(self.stats)
+    fn rewind(&mut self) {
+        self.timing.rewind();
+        self.offering = R::LOW;
+        self.position.as_mut().fill(0);
+        let first = self.value(0);
+        self.values.as_mut().fill(first);
+        self.stats.as_mut().fill(NodeStats::default());
     }
 
-    fn reset(&mut self) {
-        self.cycle = 0;
-        self.position = 0;
-        self.offering = false;
-        self.pattern_rng = Lfsr64::new(Self::pattern_seed(&self.spec));
-        self.stats = NodeStats::default();
-        self.killed = 0;
-    }
-
-    fn override_source_pattern(&mut self, pattern: &SourcePattern) -> bool {
-        self.spec.pattern = pattern.clone();
-        self.reset();
-        true
+    fn report(&self, lane: usize) -> NodeReport<'_> {
+        NodeReport::Source(self.stats[lane])
     }
 
     /// The offer pattern and persistence state fully determine the driven
     /// signals; sources never react to channel signals within a cycle.
-    fn eval_reads_channels(&self) -> bool {
+    fn reads_channels(&self) -> bool {
         false
     }
+
+    fn override_source(&mut self, lane: usize, pattern: &SourcePattern) -> bool {
+        self.timing.set(lane, pattern);
+        true
+    }
 }
 
-/// A token-consuming environment that records the transfer stream.
+/// A token-consuming environment that records the transfer stream, per
+/// lane of the rail word `R`.
 #[derive(Debug)]
-pub struct SinkController {
-    spec: SinkSpec,
-    cycle: u64,
-    rng: Lfsr64,
-    received: Vec<(u64, u64)>,
-    stats: NodeStats,
+pub struct SinkController<R: Rail> {
+    timing: Timing<R, BackpressurePattern>,
+    /// Each lane's transfer stream: `(cycle, value)` pairs.
+    received: R::PerLane<Vec<(u64, u64)>>,
+    stats: R::PerLane<NodeStats>,
 }
 
-impl SinkController {
+impl<R: Rail> SinkController<R> {
     /// Creates the controller for a sink.
     pub fn new(spec: SinkSpec) -> Self {
-        let seed = Self::backpressure_seed(&spec);
-        SinkController {
-            spec,
-            cycle: 0,
-            rng: Lfsr64::new(seed),
-            received: Vec::new(),
-            stats: NodeStats::default(),
-        }
-    }
-
-    fn backpressure_seed(spec: &SinkSpec) -> u64 {
-        match spec.backpressure {
-            BackpressurePattern::Random { seed, .. } => seed,
-            _ => 3,
-        }
-    }
-
-    fn stalls_now(&self) -> bool {
-        match &self.spec.backpressure {
-            BackpressurePattern::Never => false,
-            BackpressurePattern::Every(period) => {
-                *period > 0 && self.cycle.is_multiple_of(u64::from(*period))
-            }
-            BackpressurePattern::List(pattern) => {
-                if pattern.is_empty() {
-                    false
-                } else {
-                    pattern[(self.cycle as usize) % pattern.len()]
-                }
-            }
-            BackpressurePattern::Random { probability, .. } => {
-                self.rng.clone().next_bool(*probability)
-            }
-            // `BackpressurePattern` is non-exhaustive: unknown patterns never stall.
-            _ => false,
-        }
-    }
-
-    /// The transfer stream observed so far: `(cycle, value)` pairs.
-    pub fn received(&self) -> &[(u64, u64)] {
-        &self.received
+        let mut sink = SinkController {
+            timing: Timing::new(&spec.backpressure),
+            received: R::per_lane(|_| Vec::new()),
+            stats: R::per_lane(|_| NodeStats::default()),
+        };
+        sink.rewind();
+        sink
     }
 }
 
-impl Controller for SinkController {
-    fn eval(&self, io: &mut NodeIo<'_>) {
-        io.set_input_stop(IN, self.stalls_now());
-        io.set_input_kill(IN, false);
+impl<R: Rail> WordController<R> for SinkController<R> {
+    fn drive<P: HandshakeIo<Rail = R>>(&self, io: &mut P, _optimistic: bool) {
+        io.set_input_stop(IN, self.timing.fires);
+        io.set_input_kill(IN, R::LOW);
     }
 
-    fn commit(&mut self, io: &NodeIo<'_>) {
-        let input = io.input(IN);
-        if input.forward_valid && !input.forward_stop {
-            self.received.push((self.cycle, input.data));
-            self.stats.output_transfers += 1;
-        } else if input.forward_valid {
-            self.stats.stall_cycles += 1;
+    fn clock<P: HandshakeIo<Rail = R>>(&mut self, io: &P) {
+        let (valid, stop) = (io.input_valid(IN), io.input_stop(IN));
+        let data = io.input_data(IN);
+        for lane in (valid & !stop).lanes() {
+            self.received[lane].push((self.timing.cycle, data[lane]));
+            self.stats[lane].output_transfers += 1;
         }
-        self.cycle += 1;
-        if matches!(self.spec.backpressure, BackpressurePattern::Random { .. }) {
-            let _ = self.rng.next_word();
+        for lane in (valid & stop).lanes() {
+            self.stats[lane].stall_cycles += 1;
         }
+        self.timing.tick();
     }
 
-    fn report(&self) -> NodeReport<'_> {
-        NodeReport::Sink(self.stats, &self.received)
+    fn rewind(&mut self) {
+        self.timing.rewind();
+        self.received.as_mut().iter_mut().for_each(Vec::clear);
+        self.stats.as_mut().fill(NodeStats::default());
     }
 
-    fn reset(&mut self) {
-        self.cycle = 0;
-        self.rng = Lfsr64::new(Self::backpressure_seed(&self.spec));
-        self.received.clear();
-        self.stats = NodeStats::default();
-    }
-
-    fn override_backpressure(&mut self, pattern: &BackpressurePattern) -> bool {
-        self.spec.backpressure = pattern.clone();
-        self.reset();
-        true
+    fn report(&self, lane: usize) -> NodeReport<'_> {
+        NodeReport::Sink(self.stats[lane], &self.received[lane])
     }
 
     /// The back-pressure pattern fully determines the driven signals; sinks
     /// never react to channel signals within a cycle (recording happens at
     /// the clock edge).
-    fn eval_reads_channels(&self) -> bool {
+    fn reads_channels(&self) -> bool {
         false
+    }
+
+    fn override_sink(&mut self, lane: usize, pattern: &BackpressurePattern) -> bool {
+        self.timing.set(lane, pattern);
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::{Controller, NodeIo};
     use crate::signal::ChannelState;
 
     fn source_io(channels: &mut [ChannelState]) -> NodeIo<'_> {
@@ -290,7 +334,7 @@ mod tests {
 
     #[test]
     fn list_sources_offer_values_in_order_and_repeat() {
-        let mut source = SourceController::new(SourceSpec::list(vec![10, 20, 30]), 8);
+        let mut source = SourceController::<bool>::new(SourceSpec::list(vec![10, 20, 30]), 8);
         let mut channels = [ChannelState::default()];
         let mut seen = Vec::new();
         for _ in 0..5 {
@@ -304,7 +348,7 @@ mod tests {
 
     #[test]
     fn sources_hold_their_token_under_backpressure() {
-        let mut source = SourceController::new(SourceSpec::list(vec![5, 6]), 8);
+        let mut source = SourceController::<bool>::new(SourceSpec::list(vec![5, 6]), 8);
         let mut channels = [ChannelState::default()];
         channels[0].forward_stop = true;
         for _ in 0..3 {
@@ -322,14 +366,14 @@ mod tests {
 
     #[test]
     fn anti_tokens_skip_source_tokens() {
-        let mut source = SourceController::new(SourceSpec::list(vec![1, 2, 3]), 8);
+        let mut source = SourceController::<bool>::new(SourceSpec::list(vec![1, 2, 3]), 8);
         let mut channels = [ChannelState::default()];
         channels[0].forward_stop = true;
         channels[0].backward_valid = true; // consumer kills the offered token
         source.eval(&mut source_io(&mut channels));
         assert!(!channels[0].backward_stop);
         source.commit(&source_io(&mut channels));
-        assert_eq!(source.killed_tokens(), 1);
+        assert_eq!(source.stats[0].killed_tokens, 1);
         channels[0].backward_valid = false;
         channels[0].forward_stop = false;
         source.eval(&mut source_io(&mut channels));
@@ -343,7 +387,7 @@ mod tests {
             data: DataStream::Counter,
             ..SourceSpec::default()
         };
-        let mut source = SourceController::new(spec, 8);
+        let mut source = SourceController::<bool>::new(spec, 8);
         let mut channels = [ChannelState::default()];
         let mut offers = Vec::new();
         for _ in 0..6 {
@@ -359,7 +403,7 @@ mod tests {
 
     #[test]
     fn sinks_record_the_transfer_stream() {
-        let mut sink = SinkController::new(SinkSpec::always_ready());
+        let mut sink = SinkController::<bool>::new(SinkSpec::always_ready());
         let mut channels = [ChannelState::default()];
         for value in [4u64, 5, 6] {
             channels[0].forward_valid = true;
@@ -368,15 +412,15 @@ mod tests {
             assert!(!channels[0].forward_stop);
             sink.commit(&sink_io(&mut channels));
         }
-        let values: Vec<u64> = sink.received().iter().map(|&(_, v)| v).collect();
+        let values: Vec<u64> = sink.received[0].iter().map(|&(_, v)| v).collect();
         assert_eq!(values, vec![4, 5, 6]);
-        assert_eq!(sink.stats.output_transfers, 3);
+        assert_eq!(sink.stats[0].output_transfers, 3);
     }
 
     #[test]
     fn stalling_sinks_apply_their_pattern() {
         let spec = SinkSpec { backpressure: BackpressurePattern::List(vec![true, false]) };
-        let mut sink = SinkController::new(spec);
+        let mut sink = SinkController::<bool>::new(spec);
         let mut channels = [ChannelState::default()];
         channels[0].forward_valid = true;
         channels[0].data = 1;
@@ -387,6 +431,6 @@ mod tests {
             sink.commit(&sink_io(&mut channels));
         }
         assert_eq!(stops, vec![true, false, true, false]);
-        assert_eq!(sink.received().len(), 2);
+        assert_eq!(sink.received[0].len(), 2);
     }
 }

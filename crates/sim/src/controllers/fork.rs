@@ -17,7 +17,7 @@
 
 use elastic_core::ForkSpec;
 
-use crate::controller::{NodeStats, WordController};
+use crate::controller::{NodeReport, NodeStats, WordController};
 use crate::handshake::{fork_backward, fork_delivered, fork_forward, HandshakeIo, Rail};
 
 const IN: usize = 0;
@@ -40,7 +40,7 @@ impl<R: Rail> EagerFork<R> {
         EagerFork {
             pending: vec![R::HIGH; spec.outputs],
             serving: R::LOW,
-            stats: R::per_lane(NodeStats::default()),
+            stats: R::per_lane(|_| NodeStats::default()),
             spec,
         }
     }
@@ -119,8 +119,8 @@ impl<R: Rail> WordController<R> for EagerFork<R> {
         self.stats.as_mut().fill(NodeStats::default());
     }
 
-    fn lane_stats(&self) -> &[NodeStats] {
-        self.stats.as_ref()
+    fn report(&self, lane: usize) -> NodeReport<'_> {
+        NodeReport::Basic(self.stats[lane])
     }
 }
 

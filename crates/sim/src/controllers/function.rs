@@ -24,7 +24,7 @@ use elastic_core::FunctionSpec;
 use elastic_datapath::adder::mask;
 use elastic_datapath::evaluate;
 
-use crate::controller::{NodeStats, WordController};
+use crate::controller::{NodeReport, NodeStats, WordController};
 use crate::handshake::{function_backward, function_forward, HandshakeIo, Rail};
 
 const OUT: usize = 0;
@@ -58,13 +58,13 @@ impl<R: Rail> FunctionBlock<R> {
     pub fn new(spec: FunctionSpec, output_width: u8) -> Self {
         let memo = Memo {
             operands: vec![0; spec.inputs * R::LANES],
-            results: R::per_lane(0),
+            results: R::per_lane(|_| 0),
             valid: false,
         };
         FunctionBlock {
             spec,
             output_width,
-            stats: R::per_lane(NodeStats::default()),
+            stats: R::per_lane(|_| NodeStats::default()),
             memo: RefCell::new(memo),
         }
     }
@@ -127,8 +127,8 @@ impl<R: Rail> WordController<R> for FunctionBlock<R> {
         self.memo.get_mut().valid = false;
     }
 
-    fn lane_stats(&self) -> &[NodeStats] {
-        self.stats.as_ref()
+    fn report(&self, lane: usize) -> NodeReport<'_> {
+        NodeReport::Basic(self.stats[lane])
     }
 }
 

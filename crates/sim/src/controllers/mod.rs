@@ -12,10 +12,12 @@
 //! | `VarLatency` | [`varlatency::VarLatencyUnit`] | the stalling variable-latency unit of Figure 6(a) |
 //! | `Source` / `Sink` | [`environment`] | the elastic environment |
 //!
-//! The first five rows are one type each, generic over the rail word
-//! ([`crate::controller::WordController`]): [`build_controller`]
-//! instantiates them at `bool` (one scenario) and the 64-lane engine at
-//! `u64`. The other kinds are scalar; the lane engine runs one per lane.
+//! Every row is one type, generic over the rail word
+//! ([`crate::controller::WordController`]): the scalar engine instantiates
+//! it at `bool` (one scenario) and the 64-lane engine at `u64`, so each
+//! kind's state, clock edge, statistics, reset and per-lane environment
+//! (offer and back-pressure patterns with their random generators, shared
+//! module schedulers) exist once.
 
 pub mod buffer;
 pub mod commit;
@@ -26,43 +28,42 @@ pub mod mux;
 pub mod shared;
 pub mod varlatency;
 
-use elastic_core::{BufferSpec, Netlist, Node, NodeKind};
+use std::ops::Range;
 
-use crate::controller::Controller;
+use elastic_core::{BufferSpec, Netlist, Node, NodeKind, Op};
+use elastic_datapath::evaluate;
+
 use crate::engine::SimError;
+use crate::engine_core::CoreNode;
+use crate::handshake::HandshakeIo;
 
-/// Builds the controller for one netlist node.
+/// Builds one netlist node's controller at the engine's rail word.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::UnsupportedNode`] when a node's configuration cannot
 /// be simulated (e.g. a buffer with forward latency other than 1).
-pub fn build_controller(netlist: &Netlist, node: &Node) -> Result<Box<dyn Controller>, SimError> {
+pub(crate) fn build_controller<C: CoreNode>(netlist: &Netlist, node: &Node) -> Result<C, SimError> {
     let width = output_width(netlist, node);
-    let controller: Box<dyn Controller> = match &node.kind {
+    Ok(match &node.kind {
         NodeKind::Buffer(spec) => {
             let spec = simulated_buffer(node, spec, width)?;
             if spec.backward_latency == 0 {
-                Box::new(buffer::ZeroBackwardBuffer::<bool>::new(spec))
+                C::boxed(buffer::ZeroBackwardBuffer::new(spec))
             } else {
-                Box::new(buffer::StandardBuffer::<bool>::new(spec))
+                C::boxed(buffer::StandardBuffer::new(spec))
             }
         }
-        NodeKind::Function(spec) => {
-            Box::new(function::FunctionBlock::<bool>::new(spec.clone(), width))
-        }
-        NodeKind::Mux(spec) => Box::new(mux::MuxController::<bool>::new(*spec)),
-        NodeKind::Fork(spec) => Box::new(fork::EagerFork::<bool>::new(*spec)),
-        NodeKind::Shared(spec) => {
-            let scheduler = elastic_predict::from_kind(&spec.scheduler, spec.users);
-            Box::new(shared::SharedModule::new(spec.clone(), scheduler, width))
-        }
-        NodeKind::Commit(spec) => Box::new(commit::CommitStage::new(*spec)),
+        NodeKind::Function(spec) => C::boxed(function::FunctionBlock::new(spec.clone(), width)),
+        NodeKind::Mux(spec) => C::boxed(mux::MuxController::new(*spec)),
+        NodeKind::Fork(spec) => C::boxed(fork::EagerFork::new(*spec)),
+        NodeKind::Shared(spec) => C::boxed(shared::SharedModule::new(spec.clone(), width)),
+        NodeKind::Commit(spec) => C::boxed(commit::CommitStage::new(*spec)),
         NodeKind::VarLatency(spec) => {
-            Box::new(varlatency::VarLatencyUnit::new(spec.clone(), width))
+            C::boxed(varlatency::VarLatencyUnit::new(spec.clone(), width))
         }
-        NodeKind::Source(spec) => Box::new(environment::SourceController::new(spec.clone(), width)),
-        NodeKind::Sink(spec) => Box::new(environment::SinkController::new(spec.clone())),
+        NodeKind::Source(spec) => C::boxed(environment::SourceController::new(spec.clone(), width)),
+        NodeKind::Sink(spec) => C::boxed(environment::SinkController::new(spec.clone())),
         // `NodeKind` is non-exhaustive within the workspace; reject anything
         // this simulator does not know how to model rather than mis-simulate.
         other => {
@@ -71,8 +72,28 @@ pub fn build_controller(netlist: &Netlist, node: &Node) -> Result<Box<dyn Contro
                 reason: format!("no controller for node kind `{}`", other.kind_name()),
             })
         }
+    })
+}
+
+/// `evaluate(op, operands).unwrap_or(0)` on lane `lane` of the data columns
+/// of the input ports `ports`.
+pub(crate) fn evaluate_lane<P: HandshakeIo>(
+    io: &P,
+    op: &Op,
+    ports: Range<usize>,
+    lane: usize,
+) -> u64 {
+    let mut words = [0u64; 4];
+    let value = if ports.len() <= words.len() {
+        let operands = &mut words[..ports.len()];
+        for (word, port) in operands.iter_mut().zip(ports) {
+            *word = io.input_data(port)[lane];
+        }
+        evaluate(op, operands)
+    } else {
+        evaluate(op, &ports.map(|port| io.input_data(port)[lane]).collect::<Vec<_>>())
     };
-    Ok(controller)
+    value.unwrap_or(0)
 }
 
 /// Declared width of a node's first output channel (64 when it has none).

@@ -19,7 +19,7 @@ use std::cell::RefCell;
 
 use elastic_core::MuxSpec;
 
-use crate::controller::{NodeStats, WordController};
+use crate::controller::{NodeReport, NodeStats, WordController};
 use crate::handshake::{mux_backward, mux_forward, HandshakeIo, Rail};
 
 const SELECT: usize = 0;
@@ -70,8 +70,11 @@ impl<R: Rail> MuxController<R> {
             spec,
             owed: vec![0; inputs * R::LANES],
             clean: vec![R::HIGH; inputs],
-            stats: R::per_lane(NodeStats::default()),
-            gather: RefCell::new(Gather { selected: vec![R::LOW; inputs], data: R::per_lane(0) }),
+            stats: R::per_lane(|_| NodeStats::default()),
+            gather: RefCell::new(Gather {
+                selected: vec![R::LOW; inputs],
+                data: R::per_lane(|_| 0),
+            }),
         }
     }
 
@@ -153,8 +156,8 @@ impl<R: Rail> WordController<R> for MuxController<R> {
         self.stats.as_mut().fill(NodeStats::default());
     }
 
-    fn lane_stats(&self) -> &[NodeStats] {
-        self.stats.as_ref()
+    fn report(&self, lane: usize) -> NodeReport<'_> {
+        NodeReport::Basic(self.stats[lane])
     }
 }
 

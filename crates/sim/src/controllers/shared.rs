@@ -14,63 +14,95 @@
 //! override enforces the *leads-to* property of Section 4.1.1 for any
 //! scheduler: a user whose token has waited longer than the configured limit
 //! is served regardless of the prediction.
+//!
+//! The module is generic over the rail word. Each lane owns a scheduler;
+//! the clock edge hands every lane's scheduler its feedback and refreshes
+//! one grant word per user, so `eval` drives the equations of
+//! [`crate::handshake::shared_user`] on words.
+
+use std::cell::RefCell;
 
 use elastic_core::{Scheduler, SharedFeedback, SharedSpec};
 use elastic_datapath::adder::mask;
-use elastic_datapath::evaluate;
 
-use crate::controller::{Controller, NodeIo, NodeReport, NodeStats};
+use crate::controller::{NodeReport, NodeStats, WordController};
+use crate::controllers::evaluate_lane;
+use crate::handshake::{shared_user, HandshakeIo, Rail};
 use crate::metrics::SharedModuleStats;
 
-/// Controller for a speculative shared module.
-#[derive(Debug)]
-pub struct SharedModule {
-    spec: SharedSpec,
-    scheduler: Box<dyn Scheduler>,
-    output_width: u8,
-    /// Starvation override (forces a user until its token is served or killed).
-    forced_user: Option<usize>,
-    /// Consecutive cycles each user has waited with a valid, unserved token.
-    starvation: Vec<u32>,
-    /// Feedback handed to the scheduler at the end of the previous cycle.
-    last_feedback: SharedFeedback,
-    stats: NodeStats,
-    transfers_per_user: Vec<u64>,
-    kills_per_user: Vec<u64>,
+/// What one cycle did at a user's ports, one word per condition.
+#[derive(Debug, Clone, Copy, Default)]
+struct Outcome<R> {
+    valid: R,
+    input_killed: R,
+    transferred: R,
+    retried: R,
+    killed: R,
 }
 
-impl SharedModule {
-    /// Creates the controller with the given prediction policy.
-    pub fn new(spec: SharedSpec, scheduler: Box<dyn Scheduler>, output_width: u8) -> Self {
-        let users = spec.users;
-        SharedModule {
-            scheduler,
-            output_width,
-            forced_user: None,
-            starvation: vec![0; users],
-            last_feedback: SharedFeedback::new(users),
-            stats: NodeStats::default(),
-            transfers_per_user: vec![0; users],
-            kills_per_user: vec![0; users],
-            spec,
-        }
-    }
-
-    /// The user channel granted the unit this cycle (prediction plus
+/// Controller for a speculative shared module, per lane of the rail word
+/// `R`.
+#[derive(Debug)]
+pub struct SharedModule<R: Rail> {
+    spec: SharedSpec,
+    output_width: u8,
+    /// Each lane's prediction policy.
+    schedulers: R::PerLane<Box<dyn Scheduler>>,
+    /// Each lane's starvation override (forces a user for one cycle).
+    forced: R::PerLane<Option<usize>>,
+    /// Consecutive cycles each user has waited with a valid, unserved
+    /// token, lane-major: `starvation[lane * users + user]`.
+    starvation: Vec<u32>,
+    /// Per user, the lanes granting it the unit this cycle (prediction plus
     /// starvation override).
-    pub fn granted_user(&self) -> usize {
-        let predicted = self.scheduler.prediction() % self.spec.users.max(1);
-        self.forced_user.unwrap_or(predicted)
-    }
+    grant: Vec<R>,
+    /// Each lane's feedback record, rewritten every cycle.
+    feedback: R::PerLane<SharedFeedback>,
+    /// The clock edge's per-user outcome words (scratch).
+    outcomes: Vec<Outcome<R>>,
+    stats: R::PerLane<NodeStats>,
+    shared: R::PerLane<SharedModuleStats>,
+    /// The result columns `eval` drives, with what they were computed from.
+    memo: RefCell<Memo<R>>,
+}
 
-    /// Per-user forward transfer counts on the output channels.
-    pub fn transfers_per_user(&self) -> &[u64] {
-        &self.transfers_per_user
-    }
+/// The datapath memo: a settle pass re-evaluates the module several times
+/// per cycle while its operands rarely change, so a user's result column
+/// is recomputed only when its offers or an operand column did.
+#[derive(Debug)]
+struct Memo<R> {
+    /// Per user, the lanes offering a result.
+    offers: Vec<R>,
+    /// Operand columns, port-major: `operands[port * LANES + lane]`.
+    operands: Vec<u64>,
+    /// Result columns, user-major (`0` where the user does not offer).
+    results: Vec<u64>,
+}
 
-    /// Per-user kill counts (tokens cancelled by consumer anti-tokens).
-    pub fn kills_per_user(&self) -> &[u64] {
-        &self.kills_per_user
+impl<R: Rail> SharedModule<R> {
+    /// Creates the controller, with one scheduler per lane built from the
+    /// spec's policy.
+    pub fn new(spec: SharedSpec, output_width: u8) -> Self {
+        let users = spec.users;
+        let mut module = SharedModule {
+            schedulers: R::per_lane(|_| elastic_predict::from_kind(&spec.scheduler, users)),
+            output_width,
+            forced: R::per_lane(|_| None),
+            starvation: vec![0; users * R::LANES],
+            grant: vec![R::LOW; users],
+            feedback: R::per_lane(|_| SharedFeedback::new(users)),
+            outcomes: vec![Outcome::default(); users],
+            stats: R::per_lane(|_| NodeStats::default()),
+            shared: R::per_lane(|_| SharedModuleStats::default()),
+            memo: RefCell::new(Memo {
+                offers: vec![R::LOW; users],
+                operands: vec![0; users * spec.inputs_per_user * R::LANES],
+                results: vec![0; users * R::LANES],
+            }),
+            spec,
+        };
+        module.rewind();
+        module
     }
 
     fn operand_ports(&self, user: usize) -> std::ops::Range<usize> {
@@ -78,109 +110,63 @@ impl SharedModule {
         user * m..(user + 1) * m
     }
 
-    fn user_inputs_valid(&self, io: &NodeIo<'_>, user: usize) -> bool {
-        self.operand_ports(user).all(|port| io.input(port).forward_valid)
-    }
-
-    fn user_operands(&self, io: &NodeIo<'_>, user: usize) -> Vec<u64> {
-        self.operand_ports(user).map(|port| io.input(port).data).collect()
-    }
-}
-
-impl Controller for SharedModule {
-    fn eval(&self, io: &mut NodeIo<'_>) {
-        let users = self.spec.users;
-        let granted = self.granted_user();
-
-        for user in 0..users {
-            let user_valid = self.user_inputs_valid(io, user);
-            let output = io.output(user);
-            let kill = output.backward_valid;
-            let is_granted = user == granted;
-
-            // Forward path: only the granted user's operands reach the shared logic.
-            let offers = is_granted && user_valid;
-            io.set_output_valid(user, offers);
-            let result = if offers {
-                mask(
-                    evaluate(&self.spec.op, &self.user_operands(io, user)).unwrap_or(0),
-                    self.output_width,
-                )
-            } else {
-                0
-            };
-            io.set_output_data(user, result);
-
-            // Backward path: anti-tokens from the consumer either annihilate
-            // against the user's waiting operands or are forwarded upstream.
-            let producers_accept_kill =
-                self.operand_ports(user).all(|port| !io.input(port).backward_stop);
-            io.set_output_anti_stop(user, !(user_valid || producers_accept_kill));
-
-            let output_transfer = offers && !output.forward_stop && !kill;
-            let annihilate = user_valid && kill;
-            let forward_kill = kill && !user_valid && producers_accept_kill;
-            let consume = output_transfer || annihilate;
-            for port in self.operand_ports(user) {
-                io.set_input_stop(port, !consume);
-                io.set_input_kill(port, forward_kill);
-            }
+    /// Recomputes lane `lane`'s grant: the starvation override, else the
+    /// scheduler's prediction.
+    fn regrant(&mut self, lane: usize) {
+        let predicted = self.schedulers[lane].prediction() % self.spec.users.max(1);
+        let granted = self.forced[lane].unwrap_or(predicted);
+        for (user, grant) in self.grant.iter_mut().enumerate() {
+            *grant = grant.with_lane(lane, user == granted);
         }
     }
 
-    fn commit(&mut self, io: &NodeIo<'_>) {
+    /// Closes lane `lane`'s cycle on the outcome words: statistics,
+    /// starvation accounting, the scheduler's feedback and the next grant.
+    fn close_cycle(&mut self, lane: usize) {
         let users = self.spec.users;
-        let granted = self.granted_user();
-        let predicted = self.scheduler.prediction() % users.max(1);
-
-        let mut feedback = SharedFeedback::new(users);
-        feedback.cycle = self.last_feedback.cycle + 1;
-        feedback.predicted = granted;
-
+        let predicted = self.schedulers[lane].prediction() % users.max(1);
+        let granted = self.forced[lane].unwrap_or(predicted);
+        let feedback = &mut self.feedback[lane];
+        let (stats, shared) = (&mut self.stats[lane], &mut self.shared[lane]);
+        feedback.cycle += 1;
+        feedback.resolved = None;
         let mut any_valid = false;
-        for user in 0..users {
-            let user_valid = self.user_inputs_valid(io, user);
-            let output = io.output(user);
-            let killed = output.backward_transfer();
-            let transferred = output.forward_valid && !output.forward_stop && !killed;
-            let retried = output.forward_valid && output.forward_stop && !killed;
-            let input_killed = self
-                .operand_ports(user)
-                .any(|port| io.input(port).backward_valid || (user_valid && killed));
-
-            feedback.input_valid[user] = user_valid;
+        for (user, outcome) in self.outcomes.iter().enumerate() {
+            let valid = outcome.valid.in_lane(lane);
+            let transferred = outcome.transferred.in_lane(lane);
+            let killed = outcome.killed.in_lane(lane);
+            let input_killed = outcome.input_killed.in_lane(lane);
+            feedback.input_valid[user] = valid;
             feedback.input_killed[user] = input_killed;
             feedback.output_transfer[user] = transferred;
-            feedback.output_retry[user] = retried;
+            feedback.output_retry[user] = outcome.retried.in_lane(lane);
             feedback.output_killed[user] = killed;
             if transferred {
                 feedback.resolved = Some(user);
-                self.transfers_per_user[user] += 1;
-                self.stats.output_transfers += 1;
+                shared.transfers_per_user[user] += 1;
+                stats.output_transfers += 1;
             }
             if killed {
-                self.kills_per_user[user] += 1;
-                self.stats.killed_tokens += 1;
+                shared.kills_per_user[user] += 1;
+                stats.killed_tokens += 1;
             }
-            any_valid |= user_valid;
-
+            any_valid |= valid;
             // Starvation accounting: a non-granted user with a valid token
             // that neither transferred nor was killed has waited one more
             // cycle. (The granted user is being offered the unit; if its
-            // result is stopped, it is the consumer that wants another user,
-            // which is exactly what the override must then provide.)
-            if user_valid && user != granted && !transferred && !killed && !input_killed {
-                self.starvation[user] += 1;
-            } else {
-                self.starvation[user] = 0;
-            }
+            // result is stopped, it is the consumer that wants another
+            // user, which is exactly what the override must then provide.)
+            let wait = &mut self.starvation[lane * users + user];
+            let starved = valid && user != granted && !transferred && !killed && !input_killed;
+            *wait = if starved { *wait + 1 } else { 0 };
         }
-
         if any_valid {
-            self.stats.stall_cycles += u64::from(feedback.output_retry[granted]);
+            stats.stall_cycles += u64::from(feedback.output_retry[granted]);
         }
+        feedback.predicted = granted;
         if feedback.mispredicted() {
-            self.stats.mispredictions += 1;
+            stats.mispredictions += 1;
+            shared.mispredictions += 1;
         }
 
         // Leads-to enforcement: force the longest-starved user above the
@@ -194,48 +180,94 @@ impl Controller for SharedModule {
         // 0x5eed00030012) is closed structurally by the in-order commit
         // stage: a forced result parks in its lane whether or not the
         // consumer is ready that cycle.
-        self.forced_user = None;
-        if let Some(limit) = self.spec.starvation_limit {
-            if let Some((user, _)) = self
-                .starvation
-                .iter()
-                .enumerate()
-                .filter(|(_, &wait)| wait >= limit)
-                .max_by_key(|(_, &wait)| wait)
-            {
-                self.forced_user = Some(user);
-            }
-        }
+        let waits = self.starvation[lane * users..][..users].iter().enumerate();
+        self.forced[lane] = self.spec.starvation_limit.and_then(|limit| {
+            waits.filter(|(_, &wait)| wait >= limit).max_by_key(|(_, &wait)| wait).map(|(u, _)| u)
+        });
 
         // The scheduler observes the cycle that just completed. Record the
-        // prediction it was responsible for (before the override) so accuracy
-        // statistics refer to the policy, not to the fairness fallback.
+        // prediction it was responsible for (before the override) so
+        // accuracy statistics refer to the policy, not to the fairness
+        // fallback.
         feedback.predicted = predicted;
-        self.scheduler.tick(&feedback);
-        self.last_feedback = feedback;
+        self.schedulers[lane].tick(feedback);
+        self.regrant(lane);
+    }
+}
+
+impl<R: Rail> WordController<R> for SharedModule<R> {
+    fn drive<P: HandshakeIo<Rail = R>>(&self, io: &mut P, _optimistic: bool) {
+        let memo = &mut *self.memo.borrow_mut();
+        for (user, &granted) in self.grant.iter().enumerate() {
+            // Only the granted user's operands reach the shared logic.
+            let ports = self.operand_ports(user);
+            let offers = ports.clone().fold(granted, |offers, port| offers & io.input_valid(port));
+            let operands = &mut memo.operands[ports.start * R::LANES..ports.end * R::LANES];
+            let results = &mut memo.results[user * R::LANES..][..R::LANES];
+            let column =
+                |port: usize| (port - ports.start) * R::LANES..(port + 1 - ports.start) * R::LANES;
+            if memo.offers[user] != offers
+                || ports.clone().any(|p| io.input_data(p) != &operands[column(p)])
+            {
+                for port in ports.clone() {
+                    operands[column(port)].copy_from_slice(io.input_data(port));
+                }
+                memo.offers[user] = offers;
+                results.fill(0);
+                for lane in offers.lanes() {
+                    let result = evaluate_lane(io, &self.spec.op, ports.clone(), lane);
+                    results[lane] = mask(result, self.output_width);
+                }
+            }
+            shared_user(io, user, ports, granted, results);
+        }
     }
 
-    fn report(&self) -> NodeReport<'_> {
-        let shared = SharedModuleStats {
-            mispredictions: self.stats.mispredictions,
-            transfers_per_user: self.transfers_per_user.clone(),
-            kills_per_user: self.kills_per_user.clone(),
-        };
-        NodeReport::Shared(self.stats, shared)
+    fn clock<P: HandshakeIo<Rail = R>>(&mut self, io: &P) {
+        for user in 0..self.spec.users {
+            let ports = self.operand_ports(user);
+            let valid = ports.clone().fold(R::HIGH, |valid, port| valid & io.input_valid(port));
+            let killed = io.output_kill(user) & !io.output_anti_stop(user);
+            let offered = io.output_valid(user) & !killed;
+            let input_killed =
+                ports.fold(R::LOW, |k, port| k | io.input_kill(port) | (valid & killed));
+            self.outcomes[user] = Outcome {
+                valid,
+                input_killed,
+                transferred: offered & !io.output_stop(user),
+                retried: offered & io.output_stop(user),
+                killed,
+            };
+        }
+        for lane in 0..R::LANES {
+            self.close_cycle(lane);
+        }
     }
 
-    fn reset(&mut self) {
-        self.scheduler.reset();
-        self.forced_user = None;
-        self.starvation.iter_mut().for_each(|wait| *wait = 0);
-        self.last_feedback = SharedFeedback::new(self.spec.users);
-        self.stats = NodeStats::default();
-        self.transfers_per_user.iter_mut().for_each(|count| *count = 0);
-        self.kills_per_user.iter_mut().for_each(|count| *count = 0);
+    fn rewind(&mut self) {
+        let users = self.spec.users;
+        for lane in 0..R::LANES {
+            self.schedulers[lane].reset();
+            self.forced[lane] = None;
+            self.feedback[lane] = SharedFeedback::new(users);
+            self.shared[lane] = SharedModuleStats {
+                mispredictions: 0,
+                transfers_per_user: vec![0; users],
+                kills_per_user: vec![0; users],
+            };
+            self.regrant(lane);
+        }
+        self.starvation.fill(0);
+        self.stats.as_mut().fill(NodeStats::default());
     }
 
-    fn override_scheduler(&mut self, scheduler: Box<dyn Scheduler>) -> bool {
-        self.scheduler = scheduler;
+    fn report(&self, lane: usize) -> NodeReport<'_> {
+        NodeReport::Shared(self.stats[lane], self.shared[lane].clone())
+    }
+
+    fn override_scheduler(&mut self, lane: usize, scheduler: Box<dyn Scheduler>) -> bool {
+        self.schedulers[lane] = scheduler;
+        self.regrant(lane);
         true
     }
 }
@@ -243,9 +275,9 @@ impl Controller for SharedModule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::{Controller, NodeIo};
     use crate::signal::ChannelState;
     use elastic_core::op::opaque;
-    use elastic_core::scheduler::StaticScheduler;
     use elastic_core::SchedulerKind;
 
     // Channel layout: inputs 0,1 (user 0, user 1), outputs 2,3.
@@ -253,9 +285,10 @@ mod tests {
         NodeIo::new(channels, &[0, 1], &[2, 3])
     }
 
-    fn module_with_static(channel: usize) -> SharedModule {
-        let spec = SharedSpec::new(2, opaque("F", 4, 50));
-        SharedModule::new(spec, Box::new(StaticScheduler::new(channel)), 8)
+    fn module_with_static(channel: usize) -> SharedModule<bool> {
+        let spec =
+            SharedSpec::new(2, opaque("F", 4, 50)).with_scheduler(SchedulerKind::Static(channel));
+        SharedModule::new(spec, 8)
     }
 
     #[test]
@@ -305,8 +338,8 @@ mod tests {
         channels[2].forward_stop = true; // the consumer refuses the speculated result
         module.eval(&mut io(&mut channels));
         module.commit(&io(&mut channels));
-        assert_eq!(module.stats.mispredictions, 1);
-        let feedback = &module.last_feedback;
+        assert_eq!(module.stats[0].mispredictions, 1);
+        let feedback = &module.feedback[0];
         assert!(feedback.output_retry[0]);
         assert!(feedback.mispredicted());
     }
@@ -314,18 +347,15 @@ mod tests {
     #[test]
     fn starvation_override_serves_the_neglected_user() {
         let spec = SharedSpec::new(2, opaque("F", 4, 50)).with_scheduler(SchedulerKind::Static(0));
-        let mut module = SharedModule::new(
-            SharedSpec { starvation_limit: Some(3), ..spec },
-            Box::new(StaticScheduler::new(0)),
-            8,
-        );
+        let mut module =
+            SharedModule::<bool>::new(SharedSpec { starvation_limit: Some(3), ..spec }, 8);
         let mut channels = vec![ChannelState::default(); 4];
         channels[1].forward_valid = true; // user 1 waits forever under a static-0 scheduler
         for _ in 0..3 {
             module.eval(&mut io(&mut channels));
             module.commit(&io(&mut channels));
         }
-        assert_eq!(module.granted_user(), 1, "the starvation override must kick in");
+        assert!(module.grant[1], "the starvation override must kick in");
         module.eval(&mut io(&mut channels));
         assert!(channels[3].forward_valid, "the starved user's token is finally served");
     }
@@ -337,14 +367,16 @@ mod tests {
         channels[0].forward_valid = true;
         module.eval(&mut io(&mut channels));
         module.commit(&io(&mut channels));
-        assert_eq!(module.transfers_per_user(), &[1, 0]);
-        assert_eq!(module.last_feedback.resolved, Some(0));
+        assert_eq!(module.shared[0].transfers_per_user, vec![1, 0]);
+        assert_eq!(module.feedback[0].resolved, Some(0));
     }
 
     #[test]
     fn multi_operand_users_join_their_operands() {
-        let spec = SharedSpec::new(2, elastic_core::Op::Add).with_inputs_per_user(2);
-        let mut module = SharedModule::new(spec, Box::new(StaticScheduler::new(0)), 8);
+        let spec = SharedSpec::new(2, elastic_core::Op::Add)
+            .with_inputs_per_user(2)
+            .with_scheduler(SchedulerKind::Static(0));
+        let mut module = SharedModule::<bool>::new(spec, 8);
         // inputs: 0,1 (user 0), 2,3 (user 1); outputs 4,5.
         let mut channels = vec![ChannelState::default(); 6];
         let inputs = [0usize, 1, 2, 3];
@@ -362,6 +394,6 @@ mod tests {
         assert_eq!(channels[4].data, 7);
         let node_io = NodeIo::new(&mut channels, &inputs, &outputs);
         module.commit(&node_io);
-        assert_eq!(module.transfers_per_user()[0], 1);
+        assert_eq!(module.shared[0].transfers_per_user[0], 1);
     }
 }

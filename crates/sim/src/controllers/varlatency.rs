@@ -8,120 +8,118 @@
 //! path ends up on the critical cycle; the speculative alternative of Figure
 //! 6(b) is built structurally out of ordinary primitives (see
 //! `elastic_core::library::variable_latency_speculative`).
+//!
+//! The unit is generic over the rail word: `bool` simulates one scenario,
+//! `u64` 64 lanes.
 
 use elastic_core::kind::VarLatencySpec;
 use elastic_datapath::adder::mask;
-use elastic_datapath::evaluate;
 
-use crate::controller::{Controller, NodeIo, NodeReport, NodeStats};
+use crate::controller::{NodeReport, NodeStats, WordController};
+use crate::controllers::evaluate_lane;
+use crate::handshake::{HandshakeIo, Rail};
 
 const OUT: usize = 0;
 
-/// Controller for the monolithic (stalling) variable-latency unit.
+/// Controller for the monolithic (stalling) variable-latency unit, per lane
+/// of the rail word `R`.
 #[derive(Debug)]
-pub struct VarLatencyUnit {
+pub struct VarLatencyUnit<R: Rail> {
     spec: VarLatencySpec,
     output_width: u8,
-    /// Result waiting to be delivered downstream.
-    output_register: Option<u64>,
-    /// Set while the exact computation of the current operands is pending.
-    exact_pending: bool,
-    stats: NodeStats,
-    slow_computations: u64,
+    /// The lanes holding a result waiting to be delivered downstream.
+    full: R,
+    /// Each lane's waiting result (`0` when empty): the driven data column.
+    register: R::PerLane<u64>,
+    /// The lanes whose exact computation of the current operands is pending.
+    exact_pending: R,
+    stats: R::PerLane<NodeStats>,
 }
 
-impl VarLatencyUnit {
+impl<R: Rail> VarLatencyUnit<R> {
     /// Creates the controller.
     pub fn new(spec: VarLatencySpec, output_width: u8) -> Self {
         VarLatencyUnit {
             spec,
             output_width,
-            output_register: None,
-            exact_pending: false,
-            stats: NodeStats::default(),
-            slow_computations: 0,
+            full: R::LOW,
+            register: R::per_lane(|_| 0),
+            exact_pending: R::LOW,
+            stats: R::per_lane(|_| NodeStats::default()),
         }
     }
 
-    /// Number of computations that needed the second (exact) cycle.
-    pub fn slow_computations(&self) -> u64 {
-        self.slow_computations
-    }
-
-    fn error_detected(&self, io: &NodeIo<'_>) -> bool {
-        evaluate(&self.spec.error, &io.input_words()).unwrap_or(0) != 0
-    }
-
-    fn finishes_this_cycle(&self, io: &NodeIo<'_>) -> bool {
-        let all_valid = io.all_inputs_valid();
-        let output = io.output(OUT);
-        let slot_frees =
-            self.output_register.is_none() || (output.forward_valid && !output.forward_stop);
-        all_valid && slot_frees && (self.exact_pending || !self.error_detected(io))
+    /// `(every operand valid, the lanes finishing this cycle, the lanes
+    /// whose approximation failed)` when the output register frees in the
+    /// lanes `slot_free`. The error detector runs only where it decides.
+    fn finishing<P: HandshakeIo<Rail = R>>(&self, io: &P, slot_free: R) -> (R, R, R) {
+        let all_valid = (0..io.input_count()).fold(R::HIGH, |v, port| v & io.input_valid(port));
+        let mut error = R::LOW;
+        for lane in (all_valid & slot_free & !self.exact_pending).lanes() {
+            if evaluate_lane(io, &self.spec.error, 0..io.input_count(), lane) != 0 {
+                error = error | R::lane(lane);
+            }
+        }
+        (all_valid, all_valid & slot_free & (self.exact_pending | !error), error)
     }
 }
 
-impl Controller for VarLatencyUnit {
-    fn eval(&self, io: &mut NodeIo<'_>) {
-        io.set_output_valid(OUT, self.output_register.is_some());
-        io.set_output_data(OUT, self.output_register.unwrap_or(0));
-        io.set_output_anti_stop(OUT, true);
-
-        let finish = self.finishes_this_cycle(io);
+impl<R: Rail> WordController<R> for VarLatencyUnit<R> {
+    fn drive<P: HandshakeIo<Rail = R>>(&self, io: &mut P, _optimistic: bool) {
+        io.set_output_valid(OUT, self.full);
+        io.drive_data(OUT, self.register.as_ref());
+        io.set_output_anti_stop(OUT, R::HIGH);
+        let slot_free = !self.full | (io.output_valid(OUT) & !io.output_stop(OUT));
+        let (_, finish, _) = self.finishing(io, slot_free);
         for port in 0..io.input_count() {
             io.set_input_stop(port, !finish);
-            io.set_input_kill(port, false);
+            io.set_input_kill(port, R::LOW);
         }
     }
 
-    fn commit(&mut self, io: &NodeIo<'_>) {
-        let output = io.output(OUT);
-        if output.forward_valid && !output.forward_stop {
-            self.output_register = None;
-            self.stats.output_transfers += 1;
-        } else if output.forward_valid {
-            self.stats.stall_cycles += 1;
+    fn clock<P: HandshakeIo<Rail = R>>(&mut self, io: &P) {
+        let transferred = io.output_valid(OUT) & !io.output_stop(OUT);
+        for lane in transferred.lanes() {
+            self.stats[lane].output_transfers += 1;
+            self.register[lane] = 0;
         }
-
-        let all_valid = io.all_inputs_valid();
-        if !all_valid {
-            return;
+        for lane in (io.output_valid(OUT) & io.output_stop(OUT)).lanes() {
+            self.stats[lane].stall_cycles += 1;
         }
-        let operands = io.input_words();
-        let slot_free = self.output_register.is_none();
-        if self.finishes_this_cycle(io) {
-            let op = if self.exact_pending || self.error_detected(io) {
-                &self.spec.exact
-            } else {
-                &self.spec.approx
-            };
-            let result = mask(evaluate(op, &operands).unwrap_or(0), self.output_width);
-            self.output_register = Some(result);
-            self.exact_pending = false;
-        } else if slot_free && !self.exact_pending && self.error_detected(io) {
-            // The approximation failed: spend one extra cycle, then deliver
-            // the exact result.
-            self.exact_pending = true;
-            self.slow_computations += 1;
-            self.stats.stall_cycles += 1;
+        self.full = self.full & !transferred;
+        let (all_valid, finish, error) = self.finishing(io, !self.full);
+        for lane in finish.lanes() {
+            let exact = (self.exact_pending | error).in_lane(lane);
+            let op = if exact { &self.spec.exact } else { &self.spec.approx };
+            let result = evaluate_lane(io, op, 0..io.input_count(), lane);
+            self.register[lane] = mask(result, self.output_width);
         }
+        // The approximation failed: spend one extra cycle, then deliver the
+        // exact result.
+        let slow = all_valid & !self.full & !self.exact_pending & error;
+        for lane in slow.lanes() {
+            self.stats[lane].stall_cycles += 1;
+        }
+        self.full = self.full | finish;
+        self.exact_pending = (self.exact_pending & !finish) | slow;
     }
 
-    fn report(&self) -> NodeReport<'_> {
-        NodeReport::Basic(self.stats)
+    fn rewind(&mut self) {
+        self.full = R::LOW;
+        self.register.as_mut().fill(0);
+        self.exact_pending = R::LOW;
+        self.stats.as_mut().fill(NodeStats::default());
     }
 
-    fn reset(&mut self) {
-        self.output_register = None;
-        self.exact_pending = false;
-        self.stats = NodeStats::default();
-        self.slow_computations = 0;
+    fn report(&self, lane: usize) -> NodeReport<'_> {
+        NodeReport::Basic(self.stats[lane])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::{Controller, NodeIo};
     use crate::signal::ChannelState;
     use elastic_core::Op;
 
@@ -140,7 +138,7 @@ mod tests {
 
     #[test]
     fn fast_operands_complete_in_one_cycle() {
-        let mut unit = VarLatencyUnit::new(spec(), 9);
+        let mut unit = VarLatencyUnit::<bool>::new(spec(), 9);
         let mut channels = vec![ChannelState::default(); 3];
         channels[0].forward_valid = true;
         channels[0].data = 0x03;
@@ -154,12 +152,12 @@ mod tests {
         unit.eval(&mut io(&mut channels));
         assert!(channels[2].forward_valid);
         assert_eq!(channels[2].data, 7);
-        assert_eq!(unit.slow_computations(), 0);
+        assert!(!unit.exact_pending);
     }
 
     #[test]
     fn erroneous_operands_take_two_cycles_and_deliver_the_exact_sum() {
-        let mut unit = VarLatencyUnit::new(spec(), 9);
+        let mut unit = VarLatencyUnit::<bool>::new(spec(), 9);
         let mut channels = vec![ChannelState::default(); 3];
         // 0x0F + 0x01 carries across bit 4: the approximation is wrong.
         channels[0].forward_valid = true;
@@ -171,7 +169,7 @@ mod tests {
         unit.eval(&mut io(&mut channels));
         assert!(channels[0].forward_stop);
         unit.commit(&io(&mut channels));
-        assert_eq!(unit.slow_computations(), 1);
+        assert!(unit.exact_pending, "one slow computation");
 
         // Cycle 2: the exact result is produced and the operands are consumed.
         unit.eval(&mut io(&mut channels));
@@ -188,7 +186,7 @@ mod tests {
 
     #[test]
     fn output_backpressure_holds_the_result() {
-        let mut unit = VarLatencyUnit::new(spec(), 9);
+        let mut unit = VarLatencyUnit::<bool>::new(spec(), 9);
         let mut channels = vec![ChannelState::default(); 3];
         channels[0].forward_valid = true;
         channels[0].data = 1;

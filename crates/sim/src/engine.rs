@@ -82,7 +82,7 @@ use elastic_core::kind::{BackpressurePattern, SourcePattern};
 use elastic_core::{ChannelId, CoreError, Netlist, NodeId, Scheduler};
 
 use crate::compiled::{CompiledPlan, SettleCtx};
-use crate::controller::{Controller, NodeIo};
+use crate::controller::{Controller, NodeIo, WordController};
 use crate::controllers::build_controller;
 use crate::engine_core::{CoreNode, EngineCore, Ports};
 use crate::faults::{FaultInjector, FaultPlan, ResolvedFault};
@@ -244,6 +244,11 @@ impl From<CoreError> for SimError {
 
 impl CoreNode for Box<dyn Controller> {
     type Channels = [ChannelState];
+    type Rail = bool;
+
+    fn boxed<T: WordController<bool> + 'static>(controller: T) -> Self {
+        Box::new(controller)
+    }
 
     fn optimistic(&self) -> bool {
         self.is_optimistic()
@@ -1071,6 +1076,38 @@ mod tests {
         let early = sim.trace().channel_iter(input).take(10);
         assert_eq!(early.filter(|state| state.forward_transfer()).count(), 10);
         assert_eq!(report.sink_values(sink), (0..40).collect::<Vec<u64>>(), "no token is lost");
+    }
+
+    #[test]
+    fn a_fault_that_overfills_a_commit_stage_lane_keeps_every_token() {
+        use crate::faults::{FaultKind, FaultPlan, FaultSpec};
+        use elastic_core::kind::{BackpressurePattern, CommitSpec};
+
+        // src -> commit stage (one lane of depth 1) -> sink stopped for the
+        // first 20 cycles.
+        let mut n = Netlist::new("overfill-commit");
+        let src = n.add_source("src", SourceSpec::always());
+        let stage = n.add_commit("commit", CommitSpec::new(1));
+        let stops = [vec![true; 20], vec![false; 1000]].concat();
+        let sink = n.add_sink("sink", SinkSpec { backpressure: BackpressurePattern::List(stops) });
+        let input = n.connect(Port::output(src, 0), Port::input(stage, 0), 8).unwrap();
+        n.connect(Port::output(stage, 0), Port::input(sink, 0), 8).unwrap();
+
+        // `S+` stuck low on the stage's input: the source pushes a result
+        // every cycle into a lane that is full and stopped downstream.
+        let mut sim = Simulation::new(&n, &SimConfig::default()).unwrap();
+        sim.arm_faults(&FaultPlan::single(FaultSpec {
+            channel: input,
+            kind: FaultKind::StuckStop { level: false },
+            from_cycle: 0,
+            duration: 10,
+        }))
+        .unwrap();
+        let report = sim.run(60).unwrap();
+        let early = sim.trace().channel_iter(input).take(10);
+        assert_eq!(early.filter(|state| state.forward_transfer()).count(), 10);
+        assert_eq!(report.sink_values(sink), (0..40).collect::<Vec<u64>>(), "no token is lost");
+        assert_eq!(report.commit_stats[&stage].peak_occupancy_per_lane, vec![10]);
     }
 
     #[test]

@@ -27,17 +27,24 @@ use std::collections::BTreeMap;
 
 use elastic_core::{Channel, ChannelId, Netlist, Node, NodeId, Port};
 
-use crate::controller::NodeReport;
+use crate::controller::{NodeReport, WordController};
 use crate::engine::{OscillationWitness, SimError};
+use crate::handshake::Rail;
 use crate::metrics::SimulationReport;
 
 /// Dense `(input, output)` channel indices of one node.
 pub(crate) type Ports = (Vec<usize>, Vec<usize>);
 
 /// What the engine core needs from one node controller.
-pub(crate) trait CoreNode {
+pub(crate) trait CoreNode: Sized {
     /// The engine's channel storage.
     type Channels: ?Sized;
+
+    /// The rail word the engine's controllers run at.
+    type Rail: Rail;
+
+    /// Boxes one node kind's controller as this engine's node.
+    fn boxed<T: WordController<Self::Rail> + 'static>(controller: T) -> Self;
 
     /// Whether the controller needs the optimistic seeding pass.
     fn optimistic(&self) -> bool;

@@ -1,15 +1,17 @@
-//! The SELF handshake equations of the hot controllers, written once.
+//! The SELF handshake equations of the controllers, written once.
 //!
 //! Every settle path evaluates the same equations (Cortadella, Kishinevsky
 //! and Grundmann, DAC 2006): the controllers of [`crate::controllers`] at
 //! both rail words (the scalar engine and the 64-lane engine of
 //! [`crate::lanes`]), the compiled micro-ops and, through the controllers,
-//! the settle functions emitted by [`crate::codegen`]. Each node kind has a
-//! **forward** equation — the `V+` and `S−` it drives on its outputs (plus
-//! the data word, supplied by the caller) — and a **backward** equation —
-//! the `S+` and `V−` it drives on its inputs. The compiled planner
-//! schedules the two as separate ops; the controllers' `eval` calls
-//! forward, then backward.
+//! the settle functions emitted by [`crate::codegen`]. Each hot node kind
+//! (buffer, function block, fork, mux) has a **forward** equation — the
+//! `V+` and `S−` it drives on its outputs (plus the data word, supplied by
+//! the caller) — and a **backward** equation — the `S+` and `V−` it drives
+//! on its inputs. The compiled planner schedules the two as separate ops;
+//! the controllers' `eval` calls forward, then backward. The shared module
+//! and the commit stage, which the planner leaves to their controllers,
+//! have one equation per user channel covering both directions.
 //!
 //! The equations are generic over the rail word ([`Rail`]: `bool` for one
 //! scenario, `u64` for 64 lanes, bit `ℓ` = lane `ℓ`) and over the port view
@@ -26,18 +28,19 @@
 //! write-then-overwrite would make it oscillate on a settled state.
 
 use std::fmt::Debug;
-use std::ops::{BitAnd, BitOr, Index, IndexMut, Not};
+use std::ops::{BitAnd, BitOr, Index, IndexMut, Not, Range};
 
 const IN: usize = 0;
 const OUT: usize = 0;
 const SELECT: usize = 0;
 
 /// One handshake rail across the scenarios a port view carries: `bool` for
-/// one scenario, `u64` for 64 lanes.
+/// one scenario, `u64` for 64 lanes. The default rail is [`Rail::LOW`].
 pub trait Rail:
     Copy
     + PartialEq
     + Debug
+    + Default
     + BitAnd<Output = Self>
     + BitOr<Output = Self>
     + Not<Output = Self>
@@ -52,14 +55,14 @@ pub trait Rail:
 
     /// One `T` per lane: inline for `bool`, so a one-scenario controller
     /// keeps its state next to its other fields; a heap column for `u64`.
-    type PerLane<T: Copy + Debug>: Index<usize, Output = T>
+    type PerLane<T: Debug>: Index<usize, Output = T>
         + IndexMut<usize>
         + AsRef<[T]>
         + AsMut<[T]>
         + Debug;
 
-    /// Per-lane storage holding `value` in every lane.
-    fn per_lane<T: Copy + Debug>(value: T) -> Self::PerLane<T>;
+    /// Per-lane storage holding `make(ℓ)` in lane `ℓ`.
+    fn per_lane<T: Debug>(make: impl FnMut(usize) -> T) -> Self::PerLane<T>;
 
     /// The rail asserted in lane `lane` alone.
     fn lane(lane: usize) -> Self;
@@ -86,10 +89,10 @@ impl Rail for bool {
     const LOW: bool = false;
     const HIGH: bool = true;
     const LANES: usize = 1;
-    type PerLane<T: Copy + Debug> = [T; 1];
+    type PerLane<T: Debug> = [T; 1];
 
-    fn per_lane<T: Copy + Debug>(value: T) -> [T; 1] {
-        [value]
+    fn per_lane<T: Debug>(mut make: impl FnMut(usize) -> T) -> [T; 1] {
+        [make(0)]
     }
 
     fn lane(_lane: usize) -> bool {
@@ -105,10 +108,10 @@ impl Rail for u64 {
     const LOW: u64 = 0;
     const HIGH: u64 = u64::MAX;
     const LANES: usize = 64;
-    type PerLane<T: Copy + Debug> = Vec<T>;
+    type PerLane<T: Debug> = Vec<T>;
 
-    fn per_lane<T: Copy + Debug>(value: T) -> Vec<T> {
-        vec![value; Self::LANES]
+    fn per_lane<T: Debug>(make: impl FnMut(usize) -> T) -> Vec<T> {
+        (0..Self::LANES).map(make).collect()
     }
 
     fn lane(lane: usize) -> u64 {
@@ -236,11 +239,12 @@ pub fn zero_backward_backward<P: HandshakeIo>(io: &mut P, full: P::Rail) {
     io.set_input_kill(IN, !full & kill);
 }
 
-/// `(every input valid, every producer accepts an anti-token)` of a join.
-fn join<P: HandshakeIo>(io: &P) -> (P::Rail, P::Rail) {
+/// `(every input valid, every producer accepts an anti-token)` of a join
+/// over the input ports `ports`.
+fn join<P: HandshakeIo>(io: &P, ports: Range<usize>) -> (P::Rail, P::Rail) {
     let mut all_valid = P::Rail::HIGH;
     let mut accept_kill = P::Rail::HIGH;
-    for port in 0..io.input_count() {
+    for port in ports {
         all_valid = all_valid & io.input_valid(port);
         accept_kill = accept_kill & !io.input_anti_stop(port);
     }
@@ -251,7 +255,7 @@ fn join<P: HandshakeIo>(io: &P) -> (P::Rail, P::Rail) {
 /// operand is; an arriving anti-token is refused only while operands are
 /// missing and some producer cannot take it.
 pub fn function_forward<P: HandshakeIo>(io: &mut P, data: &[u64]) {
-    let (all_valid, accept_kill) = join(io);
+    let (all_valid, accept_kill) = join(io, 0..io.input_count());
     io.set_output_valid(OUT, all_valid);
     io.drive_data(OUT, data);
     io.set_output_anti_stop(OUT, !(all_valid | accept_kill));
@@ -262,7 +266,7 @@ pub fn function_forward<P: HandshakeIo>(io: &mut P, data: &[u64]) {
 /// operands; with operands missing, the anti-token is forwarded to every
 /// input at once.
 pub fn function_backward<P: HandshakeIo>(io: &mut P) {
-    let (all_valid, accept_kill) = join(io);
+    let (all_valid, accept_kill) = join(io, 0..io.input_count());
     let kill = io.output_kill(OUT);
     let fire = (all_valid & !io.output_stop(OUT) & !kill) | (all_valid & kill);
     let forward_kill = kill & !all_valid & accept_kill;
@@ -429,6 +433,53 @@ pub fn mux_backward<P: HandshakeIo>(
             io.set_input_kill(1 + input, P::Rail::LOW);
         }
     }
+}
+
+/// Speculative shared module (Figure 4), user `user` with operand ports
+/// `ports`: only a `granted` user's joined operands reach its output (the
+/// caller supplies the result column). An anti-token from the consumer
+/// annihilates against waiting operands, or is forwarded to every operand
+/// producer at once when none waits; the operands are consumed when the
+/// result transfers or is annihilated.
+pub fn shared_user<P: HandshakeIo>(
+    io: &mut P,
+    user: usize,
+    ports: Range<usize>,
+    granted: P::Rail,
+    data: &[u64],
+) {
+    let (valid, accept_kill) = join(io, ports.clone());
+    let kill = io.output_kill(user);
+    let offers = granted & valid;
+    io.set_output_valid(user, offers);
+    io.drive_data(user, data);
+    io.set_output_anti_stop(user, !(valid | accept_kill));
+    let consume = (offers & !io.output_stop(user) & !kill) | (valid & kill);
+    let forward_kill = kill & !valid & accept_kill;
+    for port in ports {
+        io.set_input_stop(port, !consume);
+        io.set_input_kill(port, forward_kill);
+    }
+}
+
+/// In-order commit stage (Section 4.2), user lane `user`: offer the oldest
+/// parked result persistently; a full lane still accepts when its head
+/// leaves this cycle (zero backward latency); an anti-token squashes the
+/// head in place, or passes an empty lane towards the shared module.
+pub fn commit_lane<P: HandshakeIo>(
+    io: &mut P,
+    user: usize,
+    occupied: P::Rail,
+    full: P::Rail,
+    data: &[u64],
+) {
+    let stop = io.output_stop(user);
+    let kill = io.output_kill(user);
+    io.set_output_valid(user, occupied);
+    io.drive_data(user, data);
+    io.set_input_stop(user, full & stop & !kill);
+    io.set_input_kill(user, !occupied & kill);
+    io.set_output_anti_stop(user, !occupied & io.input_anti_stop(user));
 }
 
 #[cfg(test)]
@@ -661,6 +712,29 @@ mod tests {
                 lanewise!((1 + data, 1, false, 2 * data), |io, s| {
                     mux_backward(io, early, |j| s[j], |j| s[data + j])
                 });
+            }
+        }
+    }
+
+    #[test]
+    fn shared_module_equations_are_lane_wise() {
+        // Two users of one or two operands; the state bit is the grant.
+        for operands in 1..=2 {
+            for user in 0..2 {
+                let ports = user * operands..(user + 1) * operands;
+                lanewise!((2 * operands, 2, false, 1), |io, s| {
+                    shared_user(io, user, ports.clone(), s[0], &[])
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn commit_stage_equations_are_lane_wise() {
+        // Per user lane, an occupied and a full state bit.
+        for users in 1..=2 {
+            for user in 0..users {
+                lanewise!((users, users, false, 2), |io, s| commit_lane(io, user, s[0], s[1], &[]));
             }
         }
     }

@@ -22,16 +22,16 @@
 //!   per channel. Data is a lane-major column per channel
 //!   (`data[channel * LANES + lane]`) touched only by the ops that consume
 //!   data (function evaluation, mux steering, buffered values).
-//! * The hot SELF controllers (both EB variants, function/join, eager and
-//!   lazy fork, lazy/early mux) are the types of [`crate::controllers`]
-//!   instantiated at the `u64` rail: the scalar engine runs the same types
-//!   at `bool`, so their state, clock edge, statistics and reset exist
-//!   once ([`crate::controller::WordController`]). Everything with
-//!   heavyweight per-scenario state (source, sink, shared module, commit
-//!   stage, variable-latency unit) runs through the `ScalarLanes`
-//!   fallback: 64 scalar controllers evaluated per-lane behind the
-//!   word-level compare-and-set boundary — which is also what gives every
-//!   lane its own environment override and transfer stream for free.
+//! * Every node kind is one type of [`crate::controllers`], instantiated
+//!   at the `u64` rail: the scalar engine runs the same types at `bool`,
+//!   so their state, clock edge, statistics, reset and environment exist
+//!   once ([`crate::controller::WordController`]). Per-lane state lives in
+//!   per-lane stores: each lane's source offer pattern, sink back-pressure
+//!   pattern and random generator, its shared-module scheduler, its buffer
+//!   and commit-stage tokens and its transfer stream. Sources drive one
+//!   offer word per cycle and sinks one stop word, both computed at the
+//!   clock edge; the per-lane overrides of the `reset_with_*` family land
+//!   on the controllers' per-lane hooks.
 //!
 //! The correctness contract is **lane-0 bit-identity**: a lane simulation
 //! whose lanes all see the same environment must produce, in every lane,
@@ -44,14 +44,10 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use elastic_core::kind::{BackpressurePattern, SourcePattern};
-use elastic_core::{Netlist, Node, NodeId, NodeKind};
+use elastic_core::{Netlist, NodeId, Scheduler};
 
-use crate::controller::{Controller, NodeIo, NodeReport};
-use crate::controllers::buffer::{StandardBuffer, ZeroBackwardBuffer};
-use crate::controllers::fork::EagerFork;
-use crate::controllers::function::FunctionBlock;
-use crate::controllers::mux::MuxController;
-use crate::controllers::{build_controller, output_width, simulated_buffer};
+use crate::controller::{NodeReport, WordController};
+use crate::controllers::build_controller;
 use crate::engine::SimError;
 use crate::engine_core::{CoreNode, EngineCore, Ports};
 use crate::handshake::{HandshakeIo, Rail};
@@ -143,8 +139,8 @@ impl LaneChannels {
         self.data.fill(0);
     }
 
-    /// One lane's [`ChannelState`] row for `channel` (trace transpose and
-    /// the scalar-lane fallback read through this).
+    /// One lane's [`ChannelState`] row for `channel` (the trace transpose
+    /// reads through this).
     fn lane_state(&self, channel: usize, lane: usize) -> ChannelState {
         let bit = 1u64 << lane;
         ChannelState {
@@ -196,32 +192,6 @@ impl<'a> LaneIo<'a> {
     fn mark_dirty(&mut self, channel: usize) {
         if let Some(dirty) = self.dirty.as_deref_mut() {
             dirty.push(channel);
-        }
-    }
-
-    /// Scatters the consumer-driven rails (`S+`, `V−`) of one lane of a
-    /// channel back from a scalar evaluation, with compare-and-set.
-    fn scatter_consumer_lane(&mut self, channel: usize, lane: usize, state: ChannelState) {
-        let rails = &mut *self.channels;
-        let stop = rails.forward_stop[channel].with_lane(lane, state.forward_stop);
-        set_word(&mut rails.forward_stop, channel, stop, &mut self.dirty);
-        let kill = rails.backward_valid[channel].with_lane(lane, state.backward_valid);
-        set_word(&mut rails.backward_valid, channel, kill, &mut self.dirty);
-    }
-
-    /// Scatters the producer-driven rails (`V+`, `S−`) and the data value
-    /// of one lane of a channel back from a scalar evaluation, with
-    /// compare-and-set. The scalar evaluation already masked the data.
-    fn scatter_producer_lane(&mut self, channel: usize, lane: usize, state: ChannelState) {
-        let rails = &mut *self.channels;
-        let valid = rails.forward_valid[channel].with_lane(lane, state.forward_valid);
-        set_word(&mut rails.forward_valid, channel, valid, &mut self.dirty);
-        let anti_stop = rails.backward_stop[channel].with_lane(lane, state.backward_stop);
-        set_word(&mut rails.backward_stop, channel, anti_stop, &mut self.dirty);
-        let slot = &mut rails.data[channel * LANES + lane];
-        if *slot != state.data {
-            *slot = state.data;
-            self.mark_dirty(channel);
         }
     }
 }
@@ -315,32 +285,23 @@ impl HandshakeIo for LaneIo<'_> {
 
 /// One netlist node evaluated across all [`LANES`] scenarios at once.
 ///
-/// Semantics mirror [`Controller`] lane-wise: `eval` must be a pure
-/// function of the channel words and the sequential state (it takes
-/// `&mut self` only so `ScalarLanes` can reuse its transpose scratch —
-/// re-running it with unchanged inputs must not change its writes), `commit`
-/// advances the sequential state of every lane on the settled signals.
-///
-/// Two implementations exist: the hot controllers of [`crate::controllers`]
-/// at the `u64` rail, through one blanket impl over
-/// [`crate::controller::WordController<u64>`], and `ScalarLanes` for every
-/// other node kind.
+/// Semantics mirror [`crate::controller::Controller`] lane-wise: `eval`
+/// must be a pure function of the channel words and the sequential state,
+/// `commit` advances the sequential state of every lane on the settled
+/// signals. Every node kind implements it through one blanket impl over
+/// [`WordController<u64>`].
 pub trait LaneController: fmt::Debug {
     /// Drives this node's output words from the current channel words;
     /// `optimistic` selects the seeding-pass variant of multi-fixpoint
     /// controllers (lazy forks).
-    fn eval(&mut self, io: &mut LaneIo<'_>, optimistic: bool);
+    fn eval(&self, io: &mut LaneIo<'_>, optimistic: bool);
 
     /// Whether this controller needs the optimistic seeding pass.
-    fn is_optimistic(&self) -> bool {
-        false
-    }
+    fn is_optimistic(&self) -> bool;
 
     /// Whether `eval` observes channel signals (`false` cuts control loops
     /// at registered boundaries, exactly like the scalar engine).
-    fn eval_reads_channels(&self) -> bool {
-        true
-    }
+    fn eval_reads_channels(&self) -> bool;
 
     /// Advances every lane's sequential state on the settled signals.
     fn commit(&mut self, io: &LaneIo<'_>);
@@ -349,143 +310,18 @@ pub trait LaneController: fmt::Debug {
     fn reset(&mut self);
 
     /// What one lane of this node contributes to that lane's
-    /// [`SimulationReport`] — the lane analogue of [`Controller::report`].
+    /// [`SimulationReport`] — the lane analogue of
+    /// [`crate::controller::Controller::report`].
     fn report(&self, lane: usize) -> NodeReport<'_>;
 
-    /// The per-lane scalar controllers of a `ScalarLanes` node, where
-    /// per-lane environment and scheduler overrides land; `None` for the
-    /// word controllers (buffers, functions, forks, muxes), which take no
-    /// overrides.
-    fn scalar_lanes(&mut self) -> Option<&mut [Box<dyn Controller>]> {
-        None
-    }
-}
+    /// See [`WordController::override_sink`].
+    fn override_sink(&mut self, lane: usize, pattern: &BackpressurePattern) -> bool;
 
-// ---------------------------------------------------------------------------
-// Scalar fallback
-// ---------------------------------------------------------------------------
+    /// See [`WordController::override_source`].
+    fn override_source(&mut self, lane: usize, pattern: &SourcePattern) -> bool;
 
-/// 64 scalar [`Controller`]s driven per lane behind the word-level
-/// compare-and-set boundary.
-///
-/// Used for node kinds with heavyweight per-scenario state (sources, sinks,
-/// shared modules, commit stages, variable-latency units): each lane owns a
-/// full scalar controller, so per-lane environment overrides, transfer
-/// streams and per-user statistics come from the scalar implementation
-/// unchanged. The gather/scatter transpose only touches this node's own
-/// channels, and the scatter is compare-and-set, so worklist semantics are
-/// identical to a word controller's.
-struct ScalarLanes {
-    lanes: Vec<Box<dyn Controller>>,
-    scratch: Vec<ChannelState>,
-    dirty_scratch: Vec<usize>,
-}
-
-impl fmt::Debug for ScalarLanes {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ScalarLanes").field("lanes", &self.lanes.len()).finish()
-    }
-}
-
-impl ScalarLanes {
-    fn build(netlist: &Netlist, node: &Node, channel_count: usize) -> Result<Self, SimError> {
-        Ok(ScalarLanes {
-            lanes: (0..LANES).map(|_| build_controller(netlist, node)).collect::<Result<_, _>>()?,
-            scratch: vec![ChannelState::default(); channel_count],
-            dirty_scratch: Vec::new(),
-        })
-    }
-}
-
-impl LaneController for ScalarLanes {
-    fn eval(&mut self, io: &mut LaneIo<'_>, optimistic: bool) {
-        let inputs = io.input_channels;
-        let outputs = io.output_channels;
-        let widths = io.channel_widths;
-        for lane in 0..LANES {
-            for &channel in inputs.iter().chain(outputs.iter()) {
-                self.scratch[channel] = io.channels.lane_state(channel, lane);
-            }
-            self.dirty_scratch.clear();
-            let mut node_io = NodeIo::tracked(
-                &mut self.scratch,
-                inputs,
-                outputs,
-                widths,
-                &mut self.dirty_scratch,
-            );
-            if optimistic {
-                self.lanes[lane].eval_optimistic(&mut node_io);
-            } else {
-                self.lanes[lane].eval(&mut node_io);
-            }
-            for &channel in inputs {
-                io.scatter_consumer_lane(channel, lane, self.scratch[channel]);
-            }
-            for &channel in outputs {
-                io.scatter_producer_lane(channel, lane, self.scratch[channel]);
-            }
-        }
-    }
-
-    fn is_optimistic(&self) -> bool {
-        self.lanes[0].is_optimistic()
-    }
-
-    fn eval_reads_channels(&self) -> bool {
-        self.lanes[0].eval_reads_channels()
-    }
-
-    fn commit(&mut self, io: &LaneIo<'_>) {
-        let inputs = io.input_channels;
-        let outputs = io.output_channels;
-        for lane in 0..LANES {
-            for &channel in inputs.iter().chain(outputs.iter()) {
-                self.scratch[channel] = io.channels.lane_state(channel, lane);
-            }
-            let node_io = NodeIo::new(&mut self.scratch, inputs, outputs);
-            self.lanes[lane].commit(&node_io);
-        }
-    }
-
-    fn reset(&mut self) {
-        for lane in &mut self.lanes {
-            lane.reset();
-        }
-    }
-
-    fn report(&self, lane: usize) -> NodeReport<'_> {
-        self.lanes[lane].report()
-    }
-
-    fn scalar_lanes(&mut self) -> Option<&mut [Box<dyn Controller>]> {
-        Some(&mut self.lanes)
-    }
-}
-
-/// Builds the lane controller for one netlist node: the hot SELF
-/// controllers at the `u64` rail, [`ScalarLanes`] otherwise.
-fn build_lane_controller(
-    netlist: &Netlist,
-    node: &Node,
-    channel_count: usize,
-) -> Result<Box<dyn LaneController>, SimError> {
-    let width = output_width(netlist, node);
-    let controller: Box<dyn LaneController> = match &node.kind {
-        NodeKind::Buffer(spec) => {
-            let spec = simulated_buffer(node, spec, width)?;
-            if spec.backward_latency == 0 {
-                Box::new(ZeroBackwardBuffer::<u64>::new(spec))
-            } else {
-                Box::new(StandardBuffer::<u64>::new(spec))
-            }
-        }
-        NodeKind::Function(spec) => Box::new(FunctionBlock::<u64>::new(spec.clone(), width)),
-        NodeKind::Mux(spec) => Box::new(MuxController::<u64>::new(*spec)),
-        NodeKind::Fork(spec) => Box::new(EagerFork::<u64>::new(*spec)),
-        _ => Box::new(ScalarLanes::build(netlist, node, channel_count)?),
-    };
-    Ok(controller)
+    /// See [`WordController::override_scheduler`].
+    fn override_scheduler(&mut self, lane: usize, scheduler: Box<dyn Scheduler>) -> bool;
 }
 
 // ---------------------------------------------------------------------------
@@ -494,6 +330,11 @@ fn build_lane_controller(
 
 impl CoreNode for Box<dyn LaneController> {
     type Channels = LaneChannels;
+    type Rail = u64;
+
+    fn boxed<T: WordController<u64> + 'static>(controller: T) -> Self {
+        Box::new(controller)
+    }
 
     fn optimistic(&self) -> bool {
         self.is_optimistic()
@@ -566,8 +407,7 @@ impl LaneSimulation {
     /// [`crate::Simulation::new`].
     pub fn new(netlist: &Netlist, config: &LaneConfig) -> Result<Self, SimError> {
         let channel_count = netlist.live_channels().count();
-        let core =
-            EngineCore::build(netlist, |node| build_lane_controller(netlist, node, channel_count))?;
+        let core = EngineCore::build(netlist, |node| build_controller(netlist, node))?;
         LANE_CONSTRUCTIONS.fetch_add(1, Ordering::Relaxed);
         Ok(LaneSimulation {
             config: config.clone(),
@@ -642,8 +482,8 @@ impl LaneSimulation {
         overrides: &[(NodeId, Vec<BackpressurePattern>)],
     ) {
         let overrides = overrides.iter().filter(|(_, patterns)| !patterns.is_empty());
-        self.reset_with_lane_overrides(overrides, "sink", |scalar, lane, patterns| {
-            scalar.override_backpressure(&patterns[lane.min(patterns.len() - 1)])
+        self.reset_with_lane_overrides(overrides, "sink", |c, lane, patterns| {
+            c.override_sink(lane, &patterns[lane.min(patterns.len() - 1)])
         });
     }
 
@@ -656,8 +496,8 @@ impl LaneSimulation {
     /// tokens are offered varies per lane, never their values.
     pub fn reset_with_lane_source_patterns(&mut self, overrides: &[(NodeId, Vec<SourcePattern>)]) {
         let overrides = overrides.iter().filter(|(_, patterns)| !patterns.is_empty());
-        self.reset_with_lane_overrides(overrides, "source", |scalar, lane, patterns| {
-            scalar.override_source_pattern(&patterns[lane.min(patterns.len() - 1)])
+        self.reset_with_lane_overrides(overrides, "source", |c, lane, patterns| {
+            c.override_source(lane, &patterns[lane.min(patterns.len() - 1)])
         });
     }
 
@@ -671,28 +511,24 @@ impl LaneSimulation {
     /// (which rewind them via `Scheduler::reset`), exactly like the scalar
     /// engine's [`crate::Simulation::reset_with_schedulers`].
     pub fn reset_with_schedulers(&mut self, overrides: &[(NodeId, &SchedulerFactory<'_>)]) {
-        self.reset_with_lane_overrides(overrides.iter(), "shared module", |scalar, lane, make| {
-            scalar.override_scheduler(make(lane))
+        self.reset_with_lane_overrides(overrides.iter(), "shared module", |c, lane, make| {
+            c.override_scheduler(lane, make(lane))
         });
     }
 
-    /// Resets, then applies `apply(scalar, lane, value)` to every lane's
-    /// scalar controller of each named node; the node must be a `role`.
+    /// Resets, then applies `apply(controller, lane, value)` to every lane
+    /// of each named node; the node must be a `role`.
     fn reset_with_lane_overrides<'o, T: 'o>(
         &mut self,
         overrides: impl Iterator<Item = &'o (NodeId, T)>,
         role: &str,
-        apply: impl Fn(&mut Box<dyn Controller>, usize, &T) -> bool,
+        apply: impl Fn(&mut Box<dyn LaneController>, usize, &T) -> bool,
     ) {
         self.reset();
         self.core.override_nodes(
             overrides.map(|(node, value)| (*node, value)),
             role,
-            |c, value| {
-                c.scalar_lanes().is_some_and(|lanes| {
-                    lanes.iter_mut().enumerate().all(|(lane, scalar)| apply(scalar, lane, value))
-                })
-            },
+            |c, value| (0..LANES).all(|lane| apply(c, lane, value)),
         );
     }
 

@@ -25,10 +25,11 @@
 //! full-sweep engine survives as [`SettleStrategy::FullSweep`], the oracle of
 //! the engine-equivalence test suite.
 //!
-//! The SELF handshake equations of the hot controllers (buffers, function
-//! blocks, forks, muxes) are written once, in [`handshake`], generic over a
-//! one-scenario `bool` rail and a 64-lane `u64` rail; every settle path —
-//! scalar, 64-lane, compiled and generated — evaluates them.
+//! The SELF handshake equations (buffers, function blocks, forks, muxes,
+//! shared modules, commit stages) are written once, in [`handshake`],
+//! generic over a one-scenario `bool` rail and a 64-lane `u64` rail; every
+//! settle path — scalar, 64-lane, compiled and generated — evaluates them,
+//! and every node kind's controller is one type at both rail words.
 //!
 //! Main entry points:
 //!

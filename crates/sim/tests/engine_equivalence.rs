@@ -437,67 +437,124 @@ fn per_lane_source_environments_match_per_lane_scalar_runs() {
     }
 }
 
+/// A feed-forward speculated design with a commit stage: sources → lazy
+/// mux → opaque op → sink, speculated with `allow_acyclic` and commit
+/// depth 2. No paper design has a commit stage.
+fn feedforward_commit_design() -> Netlist {
+    use elastic_core::kind::{
+        BackpressurePattern, DataStream, MuxSpec, SinkSpec, SourcePattern, SourceSpec,
+    };
+    use elastic_core::transform::{speculate, SpeculateOptions};
+    use elastic_core::Port;
+
+    let mut n = Netlist::new("ff_commit");
+    let select = DataStream::List(vec![0, 1, 1, 0, 1, 1, 1, 0]);
+    let sel = n.add_source(
+        "sel",
+        SourceSpec { pattern: SourcePattern::Always, data: select, consume_on_kill: true },
+    );
+    let a = n.add_source("a", SourceSpec { data: DataStream::Counter, ..SourceSpec::always() });
+    let b = n.add_source("b", SourceSpec { data: DataStream::Const(0x5A), ..SourceSpec::always() });
+    let mux = n.add_mux("mux", MuxSpec::lazy(2));
+    let f = n.add_op("f", elastic_core::op::opaque("F", 6, 120));
+    let stalls = BackpressurePattern::List(vec![true, true, false, false, false]);
+    let sink = n.add_sink("sink", SinkSpec { backpressure: stalls });
+    n.connect(Port::output(sel, 0), Port::input(mux, 0), 1).unwrap();
+    n.connect(Port::output(a, 0), Port::input(mux, 1), 8).unwrap();
+    n.connect(Port::output(b, 0), Port::input(mux, 2), 8).unwrap();
+    n.connect(Port::output(mux, 0), Port::input(f, 0), 8).unwrap();
+    n.connect(Port::output(f, 0), Port::input(sink, 0), 8).unwrap();
+    let options = SpeculateOptions {
+        allow_acyclic: true,
+        commit_depth: 2,
+        starvation_limit: Some(8),
+        ..SpeculateOptions::default()
+    };
+    speculate(&mut n, mux, &options).unwrap();
+    assert!(n.live_nodes().any(|node| node.kind.kind_name() == "commit"), "a commit stage");
+    n
+}
+
+/// Lane `lane`'s prediction policy in the scheduler pins: a static policy
+/// on even lanes, a seeded random one on odd lanes.
+fn lane_scheduler(lane: usize, users: usize) -> Box<dyn elastic_core::Scheduler> {
+    if lane.is_multiple_of(2) {
+        Box::new(elastic_core::scheduler::StaticScheduler::new(lane / 2 % users))
+    } else {
+        Box::new(elastic_predict::RandomScheduler::new(users, 0x5eed + lane as u64))
+    }
+}
+
 #[test]
 fn lane_blocked_scheduler_injection_matches_per_lane_scalar_runs() {
     // Lane-blocked scheduler injection: every lane gets a freshly built
     // scheduler from the per-lane factory, and must be bit-identical to a
-    // scalar run overridden with the same policy. Table 1's shared module
-    // has two user channels, so the static policies genuinely differ.
-    use elastic_core::scheduler::StaticScheduler;
-    use elastic_core::Scheduler;
-
+    // scalar run overridden with the same policy — which pins each lane's
+    // scheduler feedback, starvation override and, on the feed-forward
+    // design, a commit stage behind the shared module.
+    let var_latency = library::VarLatencyConfig {
+        width: 8,
+        spec_bits: 4,
+        operands_a: (0..160).map(|i| i * 7 % 251).collect(),
+        operands_b: (0..160).map(|i| i * 13 % 241).collect(),
+        ..library::VarLatencyConfig::default()
+    };
+    let fig1d =
+        Fig1Scenario { variant: Fig1Variant::Speculation, cycles: 200, ..Fig1Scenario::default() };
+    let designs = [
+        ("table1", library::table1().netlist),
+        ("fig1d", build_fig1(&fig1d).netlist),
+        ("fig6b", library::variable_latency_speculative(&var_latency).netlist),
+        ("ff-commit", feedforward_commit_design()),
+    ];
     let cycles = 200;
-    let handles = library::table1();
-    let shared: Vec<(NodeId, usize)> = handles
-        .netlist
-        .live_nodes()
-        .filter_map(|n| match &n.kind {
-            elastic_core::NodeKind::Shared(spec) => Some((n.id, spec.users)),
-            _ => None,
-        })
-        .collect();
-    assert!(!shared.is_empty(), "table1 has a shared module");
-
-    let mut lane_sim = LaneSimulation::new(&handles.netlist, &LaneConfig::default()).unwrap();
-    let factories: Vec<(NodeId, Box<elastic_sim::SchedulerFactory<'_>>)> = shared
-        .iter()
-        .map(|&(node, users)| {
-            let make: Box<elastic_sim::SchedulerFactory<'_>> =
-                Box::new(move |lane| Box::new(StaticScheduler::new(lane % users)) as _);
-            (node, make)
-        })
-        .collect();
-    let overrides: Vec<(NodeId, &elastic_sim::SchedulerFactory<'_>)> =
-        factories.iter().map(|(node, make)| (*node, make.as_ref())).collect();
-    lane_sim.reset_with_schedulers(&overrides);
-    lane_sim.run(cycles).unwrap();
-
-    let mut scalar = Simulation::new(&handles.netlist, &SimConfig::default()).unwrap();
-    let mut distinct_streams = std::collections::BTreeSet::new();
-    for lane in 0..LANES {
-        let scalar_overrides: Vec<(NodeId, Box<dyn Scheduler>)> = shared
-            .iter()
-            .map(|&(node, users)| {
-                (node, Box::new(StaticScheduler::new(lane % users)) as Box<dyn Scheduler>)
+    for (name, netlist) in designs {
+        let shared: Vec<(NodeId, usize)> = netlist
+            .live_nodes()
+            .filter_map(|n| match &n.kind {
+                elastic_core::NodeKind::Shared(spec) => Some((n.id, spec.users)),
+                _ => None,
             })
             .collect();
-        scalar.reset_with_schedulers(scalar_overrides);
-        let scalar_report = scalar.run(cycles).unwrap();
-        assert_eq!(
-            lane_sim.trace(lane),
-            scalar.trace(),
-            "lane {lane} trace must match its scalar scheduler run"
+        assert!(!shared.is_empty(), "{name} has a shared module");
+
+        let mut lane_sim = LaneSimulation::new(&netlist, &LaneConfig::default()).unwrap();
+        let factories: Vec<(NodeId, Box<elastic_sim::SchedulerFactory<'_>>)> = shared
+            .iter()
+            .map(|&(node, users)| {
+                let make: Box<elastic_sim::SchedulerFactory<'_>> =
+                    Box::new(move |lane| lane_scheduler(lane, users));
+                (node, make)
+            })
+            .collect();
+        let overrides: Vec<(NodeId, &elastic_sim::SchedulerFactory<'_>)> =
+            factories.iter().map(|(node, make)| (*node, make.as_ref())).collect();
+        lane_sim.reset_with_schedulers(&overrides);
+        lane_sim.run(cycles).unwrap();
+
+        let mut scalar = Simulation::new(&netlist, &SimConfig::default()).unwrap();
+        let mut distinct_streams = std::collections::BTreeSet::new();
+        for lane in 0..LANES {
+            let scalar_overrides =
+                shared.iter().map(|&(node, users)| (node, lane_scheduler(lane, users))).collect();
+            scalar.reset_with_schedulers(scalar_overrides);
+            let scalar_report = scalar.run(cycles).unwrap();
+            assert_eq!(
+                lane_sim.trace(lane),
+                scalar.trace(),
+                "{name}: lane {lane} trace must match its scalar scheduler run"
+            );
+            let lane_report = lane_sim.report(lane);
+            assert_eq!(
+                lane_report.behavioural_difference(&scalar_report),
+                None,
+                "{name}: lane {lane} report must match its scalar scheduler run"
+            );
+            distinct_streams.insert(format!("{:?}", lane_report.sink_streams));
+        }
+        assert!(
+            distinct_streams.len() > 1,
+            "{name}: the injected policies must actually change behaviour across lanes"
         );
-        let lane_report = lane_sim.report(lane);
-        assert_eq!(
-            lane_report.behavioural_difference(&scalar_report),
-            None,
-            "lane {lane} report must match its scalar scheduler run"
-        );
-        distinct_streams.insert(format!("{:?}", lane_report.sink_streams));
     }
-    assert!(
-        distinct_streams.len() > 1,
-        "the injected policies must actually change behaviour across lanes"
-    );
 }

@@ -26,8 +26,10 @@ use elastic_core::library::{
 };
 use elastic_core::{Netlist, NodeKind};
 use elastic_sim::sweep::parallel_map;
-use elastic_sim::{SimConfig, Simulation};
-use elastic_verify::exploration::{explore_environments, ExplorationOptions};
+use elastic_sim::{SimConfig, Simulation, LANES};
+use elastic_verify::exploration::{
+    explore_environments, ExplorationOptions, MAX_EXHAUSTIVE_PATTERN_BITS,
+};
 use elastic_verify::properties::{check_trace, ProtocolOptions};
 
 /// Measures one design's packed trace size and asserts that, at the two
@@ -49,8 +51,19 @@ fn trace_memory_case(name: &str, netlist: &Netlist, cycles: u64, recorded: f64) 
     );
 }
 
+/// The combinations `explore_environments` enumerates on `netlist`: the
+/// whole sink and source pattern space, capped at `max_runs` lane blocks.
+fn explored_runs(netlist: &Netlist, options: &ExplorationOptions) -> usize {
+    let endpoints = netlist
+        .live_nodes()
+        .filter(|n| matches!(n.kind, NodeKind::Sink(_) | NodeKind::Source(_)))
+        .count();
+    let bits = (options.pattern_depth * endpoints).min(MAX_EXHAUSTIVE_PATTERN_BITS);
+    (1usize << bits).min(options.max_runs.saturating_mul(LANES))
+}
+
 /// The rebuild-per-run environment enumeration that `explore_environments`
-/// replaced: clone the netlist, patch the sink and source specs, build a
+/// replaced, over the same combinations: clone the netlist, patch the sink and source specs, build a
 /// fresh simulation — once per combination (same bit layout as the lane
 /// sweep: sink stop bits first, then source withhold bits). Returns the
 /// number of failing combinations (some designs legitimately fail under
@@ -66,9 +79,7 @@ fn explore_rebuild_baseline(netlist: &Netlist, options: &ExplorationOptions) -> 
         .filter(|n| matches!(n.kind, NodeKind::Source(_)))
         .map(|n| n.id)
         .collect();
-    let endpoints = sinks.len() + sources.len();
-    let combinations = 1usize << (options.pattern_depth * endpoints).min(20);
-    let runs: Vec<usize> = (0..combinations.min(options.max_runs)).collect();
+    let runs: Vec<usize> = (0..explored_runs(netlist, options)).collect();
     let protocol = ProtocolOptions { check_liveness: false, ..ProtocolOptions::default() };
     let failures = parallel_map(&runs, |_, &combination| {
         let mut variant = netlist.clone();
@@ -103,13 +114,7 @@ fn explore_rebuild_baseline(netlist: &Netlist, options: &ExplorationOptions) -> 
 }
 
 fn sweep_case(name: &str, netlist: &Netlist, options: &ExplorationOptions, repeats: u32) {
-    let runs = {
-        let endpoints = netlist
-            .live_nodes()
-            .filter(|n| matches!(n.kind, NodeKind::Sink(_) | NodeKind::Source(_)))
-            .count();
-        (1usize << (options.pattern_depth * endpoints).min(20)).min(options.max_runs)
-    };
+    let runs = explored_runs(netlist, options);
     let time = |work: &dyn Fn()| {
         work(); // warm-up
         let mut best = f64::INFINITY;
@@ -169,7 +174,7 @@ fn main() {
     };
     sweep_case("fig1d", &fig1.netlist, &fig1_options, 5);
     let fig7_options = ExplorationOptions {
-        pattern_depth: 4, // 1 sink + 1 source -> 256 combinations
+        pattern_depth: 4, // 1 sink + 2 sources -> 4096 combinations
         cycles_per_run: 16,
         max_runs: 256,
         random_scheduler_runs: 0,
