@@ -24,10 +24,10 @@ pub fn settle_fig1a(
     let n5: &fork::EagerFork<bool> = concrete(controllers, 5);
     let n6: &function::FunctionBlock<bool> = concrete(controllers, 6);
     let mut wires = Wires::clear(channels, &[8, 8, 8, 8, 8, 8, 8, 1]);
-    controllers[0].eval(&mut wires.ports(&[], &[0])); // n0 `src0` (source)
-    controllers[1].eval(&mut wires.ports(&[], &[1])); // n1 `src1` (source)
-    controllers[4].eval(&mut wires.ports(&[3], &[4])); // n4 `eb` (buffer)
-    controllers[7].eval(&mut wires.ports(&[6], &[])); // n7 `sink` (sink)
+    controllers[0].eval(&mut wires.ports(&[], &[0]), false); // n0 `src0` (source)
+    controllers[1].eval(&mut wires.ports(&[], &[1]), false); // n1 `src1` (source)
+    controllers[4].eval(&mut wires.ports(&[3], &[4]), false); // n4 `eb` (buffer)
+    controllers[7].eval(&mut wires.ports(&[6], &[]), false); // n7 `sink` (sink)
     n5.forward(&mut wires.ports(&[4], &[5, 6])); // n5 `fork` (fork)
     n6.forward(&mut wires.ports(&[5], &[7])); // n6 `g` (function)
     n2.forward(&mut wires.ports(&[7, 0, 1], &[2])); // n2 `mux` (mux)
@@ -53,10 +53,10 @@ pub fn settle_fig1d(
     let n4: &fork::EagerFork<bool> = concrete(controllers, 4);
     let n5: &function::FunctionBlock<bool> = concrete(controllers, 5);
     let mut wires = Wires::clear(channels, &[8, 8, 8, 8, 8, 8, 1, 8, 8]);
-    controllers[0].eval(&mut wires.ports(&[], &[0])); // n0 `src0` (source)
-    controllers[1].eval(&mut wires.ports(&[], &[1])); // n1 `src1` (source)
-    controllers[3].eval(&mut wires.ports(&[2], &[3])); // n3 `eb` (buffer)
-    controllers[6].eval(&mut wires.ports(&[5], &[])); // n6 `sink` (sink)
+    controllers[0].eval(&mut wires.ports(&[], &[0]), false); // n0 `src0` (source)
+    controllers[1].eval(&mut wires.ports(&[], &[1]), false); // n1 `src1` (source)
+    controllers[3].eval(&mut wires.ports(&[2], &[3]), false); // n3 `eb` (buffer)
+    controllers[6].eval(&mut wires.ports(&[5], &[]), false); // n6 `sink` (sink)
     n4.forward(&mut wires.ports(&[3], &[4, 5])); // n4 `fork` (fork)
     n5.forward(&mut wires.ports(&[4], &[6])); // n5 `g` (function)
     // Trailing segment: ops on or downstream of combinational rail
@@ -67,7 +67,7 @@ pub fn settle_fig1d(
         n2.backward(&mut wires.ports(&[6, 7, 8], &[2])); // n2 `mux` (mux)
         n4.backward(&mut wires.ports(&[3], &[4, 5])); // n4 `fork` (fork)
         n5.backward(&mut wires.ports(&[4], &[6])); // n5 `g` (function)
-        controllers[7].eval(&mut wires.ports(&[0, 1], &[7, 8])); // n7 `f_sh0_shared` (shared)
+        controllers[7].eval(&mut wires.ports(&[0, 1], &[7, 8]), false); // n7 `f_sh0_shared` (shared)
     });
 }
 
@@ -94,10 +94,10 @@ pub fn settle_fig7b(
     let n13: &fork::EagerFork<bool> = concrete(controllers, 13);
     let n14: &fork::EagerFork<bool> = concrete(controllers, 14);
     let mut wires = Wires::clear(channels, &[39, 39, 39, 39, 39, 39, 32, 32, 2, 1, 32, 32, 32, 39, 39, 39, 32, 32, 32, 32]);
-    controllers[0].eval(&mut wires.ports(&[14], &[0])); // n0 `state` (buffer)
-    controllers[2].eval(&mut wires.ports(&[], &[1])); // n2 `fault_src` (source)
-    controllers[3].eval(&mut wires.ports(&[], &[10])); // n3 `operand_src` (source)
-    controllers[4].eval(&mut wires.ports(&[15], &[])); // n4 `sink` (sink)
+    controllers[0].eval(&mut wires.ports(&[14], &[0]), false); // n0 `state` (buffer)
+    controllers[2].eval(&mut wires.ports(&[], &[1]), false); // n2 `fault_src` (source)
+    controllers[3].eval(&mut wires.ports(&[], &[10]), false); // n3 `operand_src` (source)
+    controllers[4].eval(&mut wires.ports(&[15], &[]), false); // n4 `sink` (sink)
     n1.forward(&mut wires.ports(&[0, 1], &[2])); // n1 `inject_fault` (function)
     n14.forward(&mut wires.ports(&[10], &[16, 17])); // n14 `adder_op1_fork` (fork)
     n5.forward(&mut wires.ports(&[2], &[3, 4, 5])); // n5 `check_fork` (fork)
@@ -124,6 +124,6 @@ pub fn settle_fig7b(
         n13.forward(&mut wires.ports(&[13], &[14, 15])); // n13 `out_fork` (fork)
         n13.backward(&mut wires.ports(&[13], &[14, 15])); // n13 `out_fork` (fork)
         n14.backward(&mut wires.ports(&[10], &[16, 17])); // n14 `adder_op1_fork` (fork)
-        controllers[15].eval(&mut wires.ports(&[6, 16, 7, 17], &[18, 19])); // n15 `adder_sh0_shared` (shared)
+        controllers[15].eval(&mut wires.ports(&[6, 16, 7, 17], &[18, 19]), false); // n15 `adder_sh0_shared` (shared)
     });
 }

@@ -20,7 +20,7 @@
 //! | buffer latency re-parameterisation | [`set_buffer_latencies`], [`make_zero_backward`] | §4.3, Fig. 5 |
 //! | recovery-buffer insertion | [`insert_recovery_buffers`] | §4.1 |
 //! | retraction-domain analysis + isolation placement | [`retraction_domain`], [`place_isolation_buffers`] | §4.2 |
-//! | **speculation** (the composite pass) | [`speculate`] | §4 |
+//! | **speculation** (the composite pass) | [`speculate()`] | §4 |
 //!
 //! The [`Transformer`] wrapper keeps an undo/redo history, mirroring the
 //! interactive exploration framework described in Section 5.

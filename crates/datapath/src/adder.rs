@@ -119,6 +119,15 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
+    fn width_mask_covers_the_edge_widths() {
+        assert_eq!(mask(u64::MAX, 0), 0);
+        assert_eq!(mask(u64::MAX, 1), 1);
+        assert_eq!(mask(u64::MAX, 8), 0xFF);
+        assert_eq!(mask(u64::MAX, 63), u64::MAX >> 1);
+        assert_eq!(mask(u64::MAX, 64), u64::MAX);
+    }
+
+    #[test]
     fn ripple_matches_native_addition() {
         for width in [1u8, 4, 8, 16, 32, 57] {
             for (a, b) in [(0u64, 0u64), (1, 1), (0xFF, 0x01), (u64::MAX, u64::MAX), (12345, 67890)]

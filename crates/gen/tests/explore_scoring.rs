@@ -48,7 +48,7 @@ fn lane_reference(
     assert!(grid.variations.len() <= LANES, "the oracle scores one lane block");
     let sink_ids: Vec<NodeId> =
         grid.sinks.iter().map(|name| netlist.find_node(name).expect("grid sink").id).collect();
-    let config = LaneConfig { record_trace: false, ..LaneConfig::default() };
+    let config = LaneConfig { record_trace: false };
     let mut sim = LaneSimulation::new(netlist, &config).map_err(|e| e.to_string())?;
     let overrides: Vec<(NodeId, Vec<BackpressurePattern>)> = sink_ids
         .iter()

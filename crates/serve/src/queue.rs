@@ -163,11 +163,6 @@ impl<T> JobQueue<T> {
         self.closed.store(true, Ordering::Release);
         self.idle.notify_all();
     }
-
-    /// Whether [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
-    }
 }
 
 #[cfg(test)]

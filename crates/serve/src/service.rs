@@ -1141,11 +1141,6 @@ impl Service {
         })
     }
 
-    /// Current queue depth.
-    pub fn queue_depth(&self) -> usize {
-        self.inner.queue.depth()
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> ServiceStats {
         let c = &self.inner.counters;

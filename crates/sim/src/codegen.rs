@@ -6,10 +6,11 @@
 //! becomes a statically dispatched call of the planned controller's
 //! `forward` or `backward` equation (which run the shared equations of
 //! [`crate::handshake`] on the controller's own state, function blocks
-//! evaluating their data through [`elastic_datapath::evaluate`]); a
-//! controller the planner does not specialize keeps its dynamic
-//! `Controller::eval`. The generated function is the compiled interpreter
-//! with the `match` dispatch and the port lookups constant-folded away:
+//! evaluating their data through [`elastic_datapath::evaluate`]), found
+//! with [`concrete`] as the compiled interpreter finds it; a controller the
+//! planner does not specialize keeps its dynamic [`Controller::eval`]. The
+//! generated function is the compiled interpreter with the `match`
+//! dispatch and the port lookups constant-folded away:
 //!
 //! * the plan's **straight-line prefix** becomes one statement per op, in
 //!   schedule order (every operand rail is final when an op runs);
@@ -40,6 +41,7 @@
 //! meaningful for netlists the interpreted engines settle — which the
 //! differential tests enforce.
 
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -109,18 +111,18 @@ impl<'a> Wires<'a> {
     }
 }
 
-/// The concrete controller of node `node`: the compiled plan snapshots
-/// state through it, and emitted settle functions make their statically
-/// dispatched calls on it.
+/// The concrete controller of node `node`, on which the compiled plan's
+/// fused ops and emitted settle functions make their statically dispatched
+/// `forward` and `backward` calls.
 ///
 /// # Panics
 ///
 /// When the controller is not a `T` — the plan or function was built for
 /// another netlist.
-pub fn concrete<T: 'static>(controllers: &[Box<dyn Controller>], node: usize) -> &T {
-    controllers[node]
-        .as_any()
-        .and_then(|any| any.downcast_ref::<T>())
+pub fn concrete<T: Controller>(controllers: &[Box<dyn Controller>], node: usize) -> &T {
+    let controller: &dyn Any = controllers[node].as_ref();
+    controller
+        .downcast_ref()
         .unwrap_or_else(|| panic!("node {node} is not a {}", std::any::type_name::<T>()))
 }
 
@@ -180,7 +182,7 @@ pub fn emit_settle_fn(netlist: &Netlist, fn_name: &str) -> Result<String, Codege
         let (inputs, outputs) = &node_ports[node];
         let ports = format!("&mut wires.ports(&{inputs:?}, &{outputs:?})");
         let call = match op.forward() {
-            None => format!("controllers[{node}].eval({ports})"),
+            None => format!("controllers[{node}].eval({ports}, false)"),
             Some(forward) => {
                 planned.insert(node, concrete_type(op));
                 format!("n{node}.{}({ports})", if forward { "forward" } else { "backward" })
@@ -357,6 +359,67 @@ mod tests {
 
         let error = emit_settle_fn(&n, "settle").expect_err("lazy forks need two-pass settling");
         assert!(error.reason.contains("optimistic"), "{error}");
+    }
+
+    #[test]
+    fn concrete_returns_each_planned_controller() {
+        use crate::controllers::buffer::ZeroBackwardBuffer;
+        use crate::controllers::fork::EagerFork;
+        use crate::controllers::function::FunctionBlock;
+        use crate::controllers::mux::MuxController;
+
+        let zb_chain = deep_pipeline(
+            4,
+            BufferSpec::zero_backward(0),
+            elastic_core::kind::BackpressurePattern::Never,
+        );
+        let mut found = std::collections::BTreeSet::new();
+        for netlist in [fig1d(&Fig1Config::default()).netlist, zb_chain] {
+            let config = SimConfig { settle: SettleStrategy::Compiled, ..SimConfig::default() };
+            let sim = Simulation::new(&netlist, &config).unwrap();
+            let ops = sim.compiled_plan().expect("no lazy forks, so planned").ops.clone();
+            run_generated(&netlist, 1, |_, controllers| {
+                for op in &ops {
+                    let node = op.node() as usize;
+                    let controller: &dyn Any = match op {
+                        MicroOp::Eval { .. } => continue,
+                        MicroOp::FnFwd { .. } | MicroOp::FnBwd { .. } => {
+                            concrete::<FunctionBlock<bool>>(controllers, node)
+                        }
+                        MicroOp::ZbFwd { .. } | MicroOp::ZbBwd { .. } => {
+                            concrete::<ZeroBackwardBuffer<bool>>(controllers, node)
+                        }
+                        MicroOp::ForkFwd { .. } | MicroOp::ForkBwd { .. } => {
+                            concrete::<EagerFork<bool>>(controllers, node)
+                        }
+                        MicroOp::MuxFwd { .. } | MicroOp::MuxBwd { .. } => {
+                            concrete::<MuxController<bool>>(controllers, node)
+                        }
+                    };
+                    let planned: &dyn Controller = controllers[node].as_ref();
+                    assert!(std::ptr::addr_eq(controller, planned), "node {node}: {op:?}");
+                    found.insert(concrete_type(op));
+                }
+            })
+            .unwrap();
+        }
+        assert_eq!(found.len(), 4, "every fused kind is looked up: {found:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a")]
+    fn concrete_panics_on_a_type_mismatch() {
+        use crate::controllers::function::FunctionBlock;
+
+        let netlist = deep_pipeline(
+            4,
+            BufferSpec::standard(1),
+            elastic_core::kind::BackpressurePattern::Never,
+        );
+        let _ = run_generated(&netlist, 1, |_, controllers| {
+            // Node 0 is the pipeline's source.
+            concrete::<FunctionBlock<bool>>(controllers, 0);
+        });
     }
 
     #[test]

@@ -18,86 +18,80 @@
 //!   capped at the engine's settle budget (the same full-sweep-equivalent
 //!   unit the other strategies use).
 //!
-//! A fused op owns no equation: it calls the node kind's forward or
-//! backward equation in [`crate::handshake`] — the same code the scalar and
-//! lane controllers run — through a [`NodeIo`] on the node's ports,
-//! change-tracked in the trailing segment. What the plan owns is the
-//! schedule, the forward/backward split and the snapshots below. Function blocks evaluate their data through
-//! [`elastic_datapath::evaluate`], as the function controller does.
+//! A fused op owns no equation and no state: it calls the planned
+//! controller's own `forward` or `backward` method — the node kind's
+//! equation in [`crate::handshake`] on the controller's sequential state,
+//! the code the scalar and lane controllers run in `eval` — through a
+//! [`NodeIo`] on the node's ports, change-tracked in the trailing segment.
+//! It finds the controller with [`concrete`], as the settle functions
+//! emitted by [`crate::codegen`] do. Reading the state directly is exact,
+//! because `eval` is a pure function of `&self` and the settle phase never
+//! commits state. What the plan owns is the schedule and the
+//! forward/backward split.
 //!
 //! Controllers the planner does not specialize (shared modules, commit
 //! stages, variable-latency units, future kinds) become [`MicroOp::Eval`]
-//! ops: a change-tracked dynamic `Controller::eval`, bit-identical to the
+//! ops: a change-tracked dynamic [`Controller::eval`], bit-identical to the
 //! other engines by construction. Fully registered controllers (sources,
 //! sinks, standard buffers — `eval_reads_channels() == false`) are also
 //! `Eval` ops; they have no rail reads, so they always land at the head of
 //! the prefix and run once.
 //!
-//! The few specialized controllers whose equations read *sequential* state
-//! (zero-backward buffers, eager forks, early-evaluation muxes) are handled
-//! by **snapshots**: their state is read once per cycle through
-//! [`Controller::as_any`] before any op runs — legal because `eval` is a
-//! pure function of `&self` and the settle phase never commits state.
+//! The plan holds no cross-cycle state, so `reset_*`, fault arming,
+//! monitors and deadlines work unchanged. Netlists containing optimistic
+//! controllers (lazy forks) are **not** planned; the engine transparently
+//! falls back to the event-driven strategy, which implements the optimistic
+//! two-pass seeding those controllers require.
 //!
-//! The plan holds no cross-cycle state (snapshots are refreshed every
-//! cycle), so `reset_*`, fault arming, monitors and deadlines work
-//! unchanged. Netlists containing optimistic controllers (lazy forks) are
-//! **not** planned; the engine transparently falls back to the event-driven
-//! strategy, which implements the optimistic two-pass seeding those
-//! controllers require.
+//! [`Controller::eval`]: crate::controller::Controller::eval
 
-use elastic_core::{Netlist, NodeKind, Op};
+use elastic_core::{Netlist, NodeKind};
 
 use crate::codegen::concrete;
-use crate::controller::{Controller, NodeIo};
+use crate::controller::NodeIo;
 use crate::controllers::buffer::ZeroBackwardBuffer;
-use crate::controllers::evaluate_lane;
 use crate::controllers::fork::EagerFork;
+use crate::controllers::function::FunctionBlock;
 use crate::controllers::mux::MuxController;
-use crate::handshake::{
-    fork_backward, fork_forward, function_backward, function_forward, mux_backward, mux_forward,
-    zero_backward_backward, zero_backward_forward,
-};
+use crate::engine_core::EngineCore;
 use crate::signal::ChannelState;
 
-/// One fused settle operation on the ports of node `node`. `slot` indexes
-/// the node's sequential-state snapshot.
-#[derive(Debug, Clone)]
+/// One fused settle operation on the ports of node `node`.
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum MicroOp {
     /// Change-tracked dynamic `Controller::eval` — registered controllers
     /// (no rail reads) and every kind the planner does not specialize.
     Eval { node: u32 },
     /// Function block, forward group: join validity, datapath value, `S-`.
-    FnFwd { node: u32, op: Op },
+    FnFwd { node: u32 },
     /// Function block, backward group: `S+`/`V-` toward every input.
     FnBwd { node: u32 },
-    /// Zero-backward buffer, forward group (reads the stored-word snapshot).
-    ZbFwd { node: u32, slot: u32 },
+    /// Zero-backward buffer, forward group.
+    ZbFwd { node: u32 },
     /// Zero-backward buffer, backward group.
-    ZbBwd { node: u32, slot: u32 },
-    /// Eager fork, forward group (reads the pending-branch snapshot).
-    ForkFwd { node: u32, slot: u32 },
+    ZbBwd { node: u32 },
+    /// Eager fork, forward group.
+    ForkFwd { node: u32 },
     /// Eager fork, backward group.
-    ForkBwd { node: u32, slot: u32 },
-    /// Multiplexor, forward group; early-evaluation muxes carry the slot of
-    /// their owed-anti-token snapshot.
-    MuxFwd { node: u32, early: Option<u32> },
+    ForkBwd { node: u32 },
+    /// Multiplexor (lazy or early-evaluation), forward group.
+    MuxFwd { node: u32 },
     /// Multiplexor, backward group.
-    MuxBwd { node: u32, early: Option<u32> },
+    MuxBwd { node: u32 },
 }
 
 impl MicroOp {
     pub(crate) fn node(&self) -> u32 {
-        match self {
+        match *self {
             MicroOp::Eval { node }
-            | MicroOp::FnFwd { node, .. }
+            | MicroOp::FnFwd { node }
             | MicroOp::FnBwd { node }
-            | MicroOp::ZbFwd { node, .. }
-            | MicroOp::ZbBwd { node, .. }
-            | MicroOp::ForkFwd { node, .. }
-            | MicroOp::ForkBwd { node, .. }
-            | MicroOp::MuxFwd { node, .. }
-            | MicroOp::MuxBwd { node, .. } => *node,
+            | MicroOp::ZbFwd { node }
+            | MicroOp::ZbBwd { node }
+            | MicroOp::ForkFwd { node }
+            | MicroOp::ForkBwd { node }
+            | MicroOp::MuxFwd { node }
+            | MicroOp::MuxBwd { node } => node,
         }
     }
 
@@ -115,34 +109,6 @@ impl MicroOp {
     }
 }
 
-/// Where one snapshot slot is refreshed from at the start of every settle
-/// (the slot is the index in the plan's snapshot list).
-#[derive(Debug, Clone, Copy)]
-enum SnapshotSource {
-    /// `(is_full, stored_word)` of a zero-backward buffer.
-    ZeroBackward(u32),
-    /// Effective-pending bitmask of an eager fork.
-    Fork(u32),
-    /// Owed-anti-token bitmask (owed > 0 per data input) of an early mux.
-    Mux(u32),
-}
-
-/// The engine state one settle pass operates on — disjoint borrows of the
-/// `Simulation` fields, constructed in `engine.rs` (the plan itself is taken
-/// out of the simulation for the duration of the call).
-pub(crate) struct SettleCtx<'a> {
-    pub(crate) channels: &'a mut [ChannelState],
-    pub(crate) controllers: &'a [Box<dyn Controller>],
-    pub(crate) node_ports: &'a [(Vec<usize>, Vec<usize>)],
-    pub(crate) channel_widths: &'a [u8],
-    pub(crate) dirty: &'a mut Vec<usize>,
-    pub(crate) oscillating: &'a mut Vec<u32>,
-    /// Settle budget in full-sweep equivalents (caps trailing sweeps).
-    pub(crate) budget: usize,
-    pub(crate) settle_iterations: &'a mut u64,
-    pub(crate) controller_evals: &'a mut u64,
-}
-
 /// A netlist lowered to a scheduled sequence of [`MicroOp`]s.
 #[derive(Debug)]
 pub(crate) struct CompiledPlan {
@@ -150,11 +116,6 @@ pub(crate) struct CompiledPlan {
     /// `ops[prefix_len..]` the trailing (iterated) segment.
     pub(crate) ops: Vec<MicroOp>,
     pub(crate) prefix_len: usize,
-    snapshots: Vec<SnapshotSource>,
-    /// Snapshot storage, refreshed once per settle: `(flag, word)` per slot
-    /// (the full flag and stored word of a zero-backward buffer, or a fork's
-    /// or mux's bitmask in the word).
-    state: Vec<(bool, u64)>,
 }
 
 /// Rail-group index: the producer-owned group `{V+, data, S-}` of channel
@@ -180,102 +141,68 @@ impl CompiledPlan {
         channel_widths: &[u8],
     ) -> CompiledPlan {
         let mut ops = Vec::new();
-        let mut snapshots = Vec::new();
-        let mut snapshot = |source: fn(u32) -> SnapshotSource, node: u32| {
-            snapshots.push(source(node));
-            snapshots.len() as u32 - 1
-        };
-
         for (index, node) in netlist.live_nodes().enumerate() {
-            let node_u32 = index as u32;
-            if !reads_channels[index] {
+            let n = index as u32;
+            let fused = match &node.kind {
                 // Fully registered: one dynamic eval, no rail reads.
-                ops.push(MicroOp::Eval { node: node_u32 });
-                continue;
-            }
-            match &node.kind {
-                NodeKind::Function(spec) => {
-                    ops.push(MicroOp::FnFwd { node: node_u32, op: spec.op.clone() });
-                    ops.push(MicroOp::FnBwd { node: node_u32 });
+                _ if !reads_channels[index] => None,
+                NodeKind::Function(_) => {
+                    Some((MicroOp::FnFwd { node: n }, MicroOp::FnBwd { node: n }))
                 }
                 NodeKind::Buffer(spec) if spec.backward_latency == 0 => {
-                    let slot = snapshot(SnapshotSource::ZeroBackward, node_u32);
-                    ops.push(MicroOp::ZbFwd { node: node_u32, slot });
-                    ops.push(MicroOp::ZbBwd { node: node_u32, slot });
+                    Some((MicroOp::ZbFwd { node: n }, MicroOp::ZbBwd { node: n }))
                 }
-                NodeKind::Fork(spec) if spec.eager && spec.outputs <= 64 => {
-                    let slot = snapshot(SnapshotSource::Fork, node_u32);
-                    ops.push(MicroOp::ForkFwd { node: node_u32, slot });
-                    ops.push(MicroOp::ForkBwd { node: node_u32, slot });
+                NodeKind::Fork(spec) if spec.eager => {
+                    Some((MicroOp::ForkFwd { node: n }, MicroOp::ForkBwd { node: n }))
                 }
-                NodeKind::Mux(spec)
-                    if spec.data_inputs >= 1 && (!spec.early_eval || spec.data_inputs <= 64) =>
-                {
-                    let early = spec.early_eval.then(|| snapshot(SnapshotSource::Mux, node_u32));
-                    ops.push(MicroOp::MuxFwd { node: node_u32, early });
-                    ops.push(MicroOp::MuxBwd { node: node_u32, early });
+                NodeKind::Mux(_) => {
+                    Some((MicroOp::MuxFwd { node: n }, MicroOp::MuxBwd { node: n }))
                 }
-                _ => ops.push(MicroOp::Eval { node: node_u32 }),
+                _ => None,
+            };
+            match fused {
+                Some((forward, backward)) => ops.extend([forward, backward]),
+                None => ops.push(MicroOp::Eval { node: n }),
             }
         }
 
         let (ops, prefix_len) = schedule(ops, node_ports, reads_channels, channel_widths);
-
-        CompiledPlan { ops, prefix_len, state: vec![(false, 0); snapshots.len()], snapshots }
+        CompiledPlan { ops, prefix_len }
     }
 
-    /// Drives the channels to their fixed point for one cycle. Returns
-    /// `false` when the trailing segment fails to stabilise within the
-    /// budget; the caller then finds the oscillating nodes in
-    /// `ctx.oscillating` and the last wave's channels in `ctx.dirty`,
-    /// exactly like the other strategies.
-    pub(crate) fn settle(&mut self, ctx: &mut SettleCtx<'_>) -> bool {
-        let CompiledPlan { ops, prefix_len, snapshots, state } = self;
-
-        // Snapshot the sequential state the specialized equations read;
-        // `eval` never mutates it, so once per settle is exact.
-        for (slot, source) in state.iter_mut().zip(snapshots.iter()) {
-            *slot = match *source {
-                SnapshotSource::ZeroBackward(node) => {
-                    let buffer: &ZeroBackwardBuffer<bool> =
-                        concrete(ctx.controllers, node as usize);
-                    (buffer.is_full(), buffer.stored()[0])
-                }
-                SnapshotSource::Fork(node) => (
-                    false,
-                    concrete::<EagerFork<bool>>(ctx.controllers, node as usize).pending_mask(),
-                ),
-                SnapshotSource::Mux(node) => {
-                    let mux: &MuxController<bool> = concrete(ctx.controllers, node as usize);
-                    let owed = mux.owed_anti_tokens().iter().take(64).enumerate();
-                    (false, owed.fold(0, |mask, (j, &owed)| mask | (u64::from(owed > 0) << j)))
-                }
-            };
+    /// Drives the channels to their fixed point for one cycle, counting its
+    /// micro-op executions and dynamic evals on `core`. Returns `false` when
+    /// the trailing segment fails to stabilise within the budget; the
+    /// engine then finds the oscillating nodes in `core.oscillating` and the
+    /// last wave's channels in `core.dirty`, exactly like the other
+    /// strategies.
+    pub(crate) fn settle(
+        &self,
+        core: &mut EngineCore<bool>,
+        channels: &mut [ChannelState],
+    ) -> bool {
+        let (prefix, trailing) = self.ops.split_at(self.prefix_len);
+        core.dirty.clear();
+        for op in prefix {
+            exec(op, core, channels, false);
         }
-
-        ctx.dirty.clear();
-        for op in &ops[..*prefix_len] {
-            exec(op, state, ctx, false);
-        }
-        *ctx.settle_iterations += *prefix_len as u64;
-
-        let trailing = &ops[*prefix_len..];
+        core.settle_iterations += prefix.len() as u64;
         if trailing.is_empty() {
             return true;
         }
-        for _ in 0..ctx.budget {
-            *ctx.settle_iterations += trailing.len() as u64;
-            ctx.dirty.clear();
-            ctx.oscillating.clear();
+        for _ in 0..core.settle_budget() {
+            core.settle_iterations += trailing.len() as u64;
+            core.dirty.clear();
+            core.oscillating.clear();
             let mut changed = false;
             for op in trailing {
-                if exec(op, state, ctx, true) {
+                if exec(op, core, channels, true) {
                     changed = true;
-                    ctx.oscillating.push(op.node());
+                    core.oscillating.push(op.node());
                 }
             }
             if !changed {
-                ctx.oscillating.clear();
+                core.oscillating.clear();
                 return true;
             }
         }
@@ -384,47 +311,39 @@ fn read_rails(
 }
 
 /// Executes one micro-op on a view of its node's ports. With `track` set
-/// (the trailing sweeps) every changed channel is pushed onto `ctx.dirty`,
+/// (the trailing sweeps) every changed channel is pushed onto `core.dirty`,
 /// the convergence witness, and the return value says whether any signal
 /// changed; prefix ops run untracked and return `false`.
 #[inline]
-fn exec(op: &MicroOp, state: &[(bool, u64)], ctx: &mut SettleCtx<'_>, track: bool) -> bool {
+fn exec(
+    op: &MicroOp,
+    core: &mut EngineCore<bool>,
+    channels: &mut [ChannelState],
+    track: bool,
+) -> bool {
     let node = op.node() as usize;
-    let before = ctx.dirty.len();
-    let (inputs, outputs) = &ctx.node_ports[node];
-    let dirty = track.then_some(&mut *ctx.dirty);
-    let io = &mut NodeIo::masked(ctx.channels, inputs, outputs, ctx.channel_widths, dirty);
-    let pending = |slot: &u32| {
-        let mask = state[*slot as usize].1;
-        move |branch: usize| (mask >> branch) & 1 == 1
-    };
+    let before = core.dirty.len();
+    let (inputs, outputs) = &core.node_ports[node];
+    let dirty = track.then_some(&mut core.dirty);
+    let io = &mut NodeIo::masked(channels, inputs, outputs, &core.channel_widths, dirty);
+    let controllers = &core.controllers;
     match op {
         MicroOp::Eval { .. } => {
-            ctx.controllers[node].eval(io);
-            *ctx.controller_evals += 1;
+            controllers[node].eval(io, false);
+            core.controller_evals += 1;
         }
-        MicroOp::FnFwd { op, .. } => {
-            function_forward(io, &[evaluate_lane(io, op, 0..io.input_count(), 0)])
+        MicroOp::FnFwd { .. } => concrete::<FunctionBlock<bool>>(controllers, node).forward(io),
+        MicroOp::FnBwd { .. } => concrete::<FunctionBlock<bool>>(controllers, node).backward(io),
+        MicroOp::ZbFwd { .. } => {
+            concrete::<ZeroBackwardBuffer<bool>>(controllers, node).forward(io)
         }
-        MicroOp::FnBwd { .. } => function_backward(io),
-        MicroOp::ZbFwd { slot, .. } => {
-            let (full, stored) = state[*slot as usize];
-            zero_backward_forward(io, full, &[stored]);
+        MicroOp::ZbBwd { .. } => {
+            concrete::<ZeroBackwardBuffer<bool>>(controllers, node).backward(io)
         }
-        MicroOp::ZbBwd { slot, .. } => zero_backward_backward(io, state[*slot as usize].0),
-        MicroOp::ForkFwd { slot, .. } => fork_forward(io, true, false, pending(slot)),
-        MicroOp::ForkBwd { slot, .. } => fork_backward(io, true, pending(slot)),
-        MicroOp::MuxFwd { early, .. } | MicroOp::MuxBwd { early, .. } => {
-            let owed = early.map_or(0, |slot| state[slot as usize].1);
-            let selected = (io.input(0).data as usize) % (inputs.len() - 1);
-            let (is_selected, clean) = (|j| j == selected, |j| (owed >> j) & 1 == 0);
-            if let MicroOp::MuxFwd { .. } = op {
-                let data = io.input(1 + selected).data;
-                mux_forward(io, early.is_some(), is_selected, clean, &[data]);
-            } else {
-                mux_backward(io, early.is_some(), is_selected, clean);
-            }
-        }
+        MicroOp::ForkFwd { .. } => concrete::<EagerFork<bool>>(controllers, node).forward(io),
+        MicroOp::ForkBwd { .. } => concrete::<EagerFork<bool>>(controllers, node).backward(io),
+        MicroOp::MuxFwd { .. } => concrete::<MuxController<bool>>(controllers, node).forward(io),
+        MicroOp::MuxBwd { .. } => concrete::<MuxController<bool>>(controllers, node).backward(io),
     }
-    ctx.dirty.len() > before
+    core.dirty.len() > before
 }

@@ -1,7 +1,8 @@
 //! The controller abstraction: one small SELF handshake machine per node.
 //!
-//! A [`Controller`] is the cycle-accurate model of one netlist node. Every
-//! clock cycle the engine:
+//! A [`Controller`] is the cycle-accurate model of one netlist node, written
+//! once over the rail word (`bool` for one scenario, `u64` for 64 lanes).
+//! Every clock cycle the engine:
 //!
 //! 1. repeatedly calls [`Controller::eval`] on every controller until the
 //!    channel signals reach a fixed point (the combinational phase), then
@@ -21,25 +22,29 @@
 //! follow this "kill wins over transfer" convention so both endpoints agree
 //! on what happened.
 
+use std::any::Any;
+use std::fmt::Debug;
+
 use elastic_core::kind::{BackpressurePattern, SourcePattern};
 use elastic_core::Scheduler;
+use elastic_datapath::adder::mask;
 
 use crate::handshake::{HandshakeIo, Rail};
-use crate::lanes::{LaneController, LaneIo};
 use crate::metrics::{CommitStageStats, SharedModuleStats};
 use crate::signal::ChannelState;
 
-/// Read/write access to the channels attached to one node during `eval`.
+/// The scalar engine's port view: read/write access to the channels
+/// attached to one node, one scenario per rail.
 ///
 /// Indices are port indices of the node (matching the conventions documented
 /// on [`elastic_core::NodeKind`]); the translation to global channel indices
 /// is fixed when the simulation is built.
 ///
 /// Every setter is **change-tracked**: it compares the new value against the
-/// stored one and records the channel index in the dirty list (when one is
-/// attached via [`NodeIo::tracked`]) only on an actual change. The engine's
-/// event-driven settle phase uses this to re-evaluate exactly the controllers
-/// whose observed signals changed.
+/// stored one and records the channel index in the dirty list (when the view
+/// has one) only on an actual change. The engine's event-driven settle phase
+/// uses this to re-evaluate exactly the controllers whose observed signals
+/// changed.
 #[derive(Debug)]
 pub struct NodeIo<'a> {
     channels: &'a mut [ChannelState],
@@ -52,8 +57,8 @@ pub struct NodeIo<'a> {
 }
 
 impl<'a> NodeIo<'a> {
-    /// Creates an untracked port view for one node (used for commits and in
-    /// controller unit tests).
+    /// Creates an untracked, unmasked port view for one node (controller
+    /// unit tests use it).
     pub fn new(
         channels: &'a mut [ChannelState],
         input_channels: &'a [usize],
@@ -62,8 +67,13 @@ impl<'a> NodeIo<'a> {
         NodeIo { channels, input_channels, output_channels, channel_widths: &[], dirty: None }
     }
 
-    /// A port view masking data to `channel_widths`, change-tracked when
-    /// `dirty` is given (see [`NodeIo::tracked`]).
+    /// A port view masking driven data to `channel_widths`, the declared
+    /// width of every global channel, so a channel never carries more bits
+    /// than its declaration — the invariant the structural HDL views rely on
+    /// (a Verilog wire truncates, so must we), and the reason
+    /// width-converting forks and joins are safe to generate. Every setter
+    /// that changes a stored signal pushes the channel onto `dirty`, when
+    /// given (possibly more than once; consumers dedupe).
     pub(crate) fn masked(
         channels: &'a mut [ChannelState],
         input_channels: &'a [usize],
@@ -72,34 +82,6 @@ impl<'a> NodeIo<'a> {
         dirty: Option<&'a mut Vec<usize>>,
     ) -> Self {
         NodeIo { channels, input_channels, output_channels, channel_widths, dirty }
-    }
-
-    /// Creates a change-tracked port view: every setter that changes a stored
-    /// signal pushes the affected global channel index onto `dirty` (possibly
-    /// more than once; consumers dedupe). `channel_widths` gives the declared
-    /// width of every global channel; data driven through
-    /// [`NodeIo::set_output_data`] is masked to it, so a channel never
-    /// carries more bits than its declaration — the invariant the structural
-    /// HDL views rely on (a Verilog wire truncates, so must we), and the
-    /// reason width-converting forks/joins are safe to generate.
-    pub fn tracked(
-        channels: &'a mut [ChannelState],
-        input_channels: &'a [usize],
-        output_channels: &'a [usize],
-        channel_widths: &'a [u8],
-        dirty: &'a mut Vec<usize>,
-    ) -> Self {
-        NodeIo::masked(channels, input_channels, output_channels, channel_widths, Some(dirty))
-    }
-
-    /// Number of input ports of the node.
-    pub fn input_count(&self) -> usize {
-        self.input_channels.len()
-    }
-
-    /// Number of output ports of the node.
-    pub fn output_count(&self) -> usize {
-        self.output_channels.len()
     }
 
     /// The channel state attached to input port `index`.
@@ -127,42 +109,6 @@ impl<'a> NodeIo<'a> {
                 dirty.push(channel);
             }
         }
-    }
-
-    /// Drives `S+` on input port `index` (consumer-owned signal).
-    pub fn set_input_stop(&mut self, index: usize, stop: bool) {
-        self.write(self.input_channels[index], |c| &mut c.forward_stop, stop);
-    }
-
-    /// Drives `V-` on input port `index` (consumer-owned signal).
-    pub fn set_input_kill(&mut self, index: usize, kill: bool) {
-        self.write(self.input_channels[index], |c| &mut c.backward_valid, kill);
-    }
-
-    /// Drives `V+` on output port `index` (producer-owned signal).
-    pub fn set_output_valid(&mut self, index: usize, valid: bool) {
-        self.write(self.output_channels[index], |c| &mut c.forward_valid, valid);
-    }
-
-    /// Drives the data word on output port `index` (producer-owned signal).
-    ///
-    /// The word is masked to the channel's declared width (when the view was
-    /// built with widths): every producer — including width-preserving
-    /// pass-through controllers such as forks and buffers — truncates exactly
-    /// like the wire it models, so a narrow channel fed by a wide producer
-    /// behaves identically in simulation and in the emitted HDL.
-    pub fn set_output_data(&mut self, index: usize, data: u64) {
-        let channel = self.output_channels[index];
-        let masked = match self.channel_widths.get(channel) {
-            Some(&width) if width < 64 => data & ((1u64 << width) - 1),
-            _ => data,
-        };
-        self.write(channel, |c| &mut c.data, masked);
-    }
-
-    /// Drives `S-` on output port `index` (producer-owned signal).
-    pub fn set_output_anti_stop(&mut self, index: usize, stop: bool) {
-        self.write(self.output_channels[index], |c| &mut c.backward_stop, stop);
     }
 }
 
@@ -200,25 +146,27 @@ impl HandshakeIo for NodeIo<'_> {
         self.output(port).backward_stop
     }
     fn set_input_stop(&mut self, port: usize, stop: bool) {
-        NodeIo::set_input_stop(self, port, stop);
+        self.write(self.input_channels[port], |c| &mut c.forward_stop, stop);
     }
     fn set_input_kill(&mut self, port: usize, kill: bool) {
-        NodeIo::set_input_kill(self, port, kill);
+        self.write(self.input_channels[port], |c| &mut c.backward_valid, kill);
     }
     fn set_output_valid(&mut self, port: usize, valid: bool) {
-        NodeIo::set_output_valid(self, port, valid);
+        self.write(self.output_channels[port], |c| &mut c.forward_valid, valid);
     }
     fn set_output_anti_stop(&mut self, port: usize, stop: bool) {
-        NodeIo::set_output_anti_stop(self, port, stop);
+        self.write(self.output_channels[port], |c| &mut c.backward_stop, stop);
     }
     fn input_data(&self, port: usize) -> &[u64] {
         std::slice::from_ref(&self.channels[self.input_channels[port]].data)
     }
     fn drive_data(&mut self, port: usize, data: &[u64]) {
-        self.set_output_data(port, data[0]);
+        let channel = self.output_channels[port];
+        let data = self.channel_widths.get(channel).map_or(data[0], |&width| mask(data[0], width));
+        self.write(channel, |c| &mut c.data, data);
     }
     fn copy_data(&mut self, input: usize, output: usize) {
-        self.set_output_data(output, self.input(input).data);
+        self.drive_data(output, &[self.input(input).data]);
     }
 }
 
@@ -254,15 +202,43 @@ pub enum NodeReport<'a> {
     Commit(NodeStats, CommitStageStats),
 }
 
-/// A cycle-accurate model of one netlist node, as the scalar engine drives
-/// it. Every node kind implements it through one blanket impl over
-/// [`WordController<bool>`].
-pub trait Controller: std::fmt::Debug {
+/// A cycle-accurate model of one netlist node, written once over the rail
+/// word `R`: it owns its per-lane state, the clock-edge update of that
+/// state, its statistics, its reset and its per-lane environment, and
+/// drives the equations of [`crate::handshake`] through the engine's port
+/// view [`Rail::Io`]. Every node kind is one such type. The scalar engine
+/// holds its nodes as `Box<dyn Controller>` (the `bool` rail, one
+/// scenario) and the 64-lane engine as `Box<dyn Controller<u64>>`.
+pub trait Controller<R: Rail = bool>: Debug + Any {
     /// Combinational evaluation: read the attached channels and drive the
     /// node-owned signals. Called repeatedly within a cycle until the channel
     /// signals stop changing; it must therefore be deterministic and depend
     /// only on the sequential state and the read signals.
-    fn eval(&self, io: &mut NodeIo<'_>);
+    ///
+    /// `optimistic` is set only during the engine's seeding pass (see
+    /// [`Controller::is_optimistic`]): drive the signals *as if* every
+    /// circular-wait precondition held (a lazy fork offers all branch copies
+    /// as if all branches were ready). Every signal written then is
+    /// rewritten by the honest evaluation before the cycle settles, so
+    /// optimistic assumptions never leak into the committed state — they
+    /// only steer a multi-fixpoint system towards its live solution.
+    fn eval(&self, io: &mut R::Io<'_>, optimistic: bool);
+
+    /// Clock edge: updates every lane's sequential state from the settled
+    /// signals.
+    fn commit(&mut self, io: &R::Io<'_>);
+
+    /// Rewinds every lane's sequential state (including statistics) to its
+    /// post-construction value, so a simulation can be re-run without being
+    /// rebuilt (see [`crate::Simulation::reset`]). Implementations may keep
+    /// their allocations, but every *observable* — driven signals, committed
+    /// state, statistics — must be indistinguishable from a freshly
+    /// constructed controller.
+    fn reset(&mut self);
+
+    /// What lane `lane` contributes to that lane's [`crate::SimulationReport`]:
+    /// its statistics plus the observables only its node kind records.
+    fn report(&self, lane: usize) -> NodeReport<'_>;
 
     /// `true` when this controller's settle equations have more than one
     /// fixed point and the engine must run the **optimistic seeding pass**
@@ -271,36 +247,9 @@ pub trait Controller: std::fmt::Debug {
     /// sibling is not ready, and a reconverging join's stop is held while
     /// the valids are missing — a circular wait with a live *and* a dead
     /// solution.
-    fn is_optimistic(&self) -> bool;
-
-    /// The optimistic variant of [`Controller::eval`], used only during the
-    /// engine's seeding pass: drive the signals *as if* every circular-wait
-    /// precondition held (a lazy fork offers all branch copies as if all
-    /// branches were ready). Every signal written here is rewritten by the
-    /// honest [`Controller::eval`] before the cycle settles, so optimistic
-    /// assumptions never leak into the committed state — they only steer a
-    /// multi-fixpoint system towards its live solution.
-    fn eval_optimistic(&self, io: &mut NodeIo<'_>);
-
-    /// Clock edge: update the sequential state from the settled signals.
-    fn commit(&mut self, io: &NodeIo<'_>);
-
-    /// Rewinds all sequential state (including statistics) to its
-    /// post-construction value, so a simulation can be re-run without being
-    /// rebuilt (see [`crate::Simulation::reset`]). Implementations may keep
-    /// their allocations, but every *observable* — driven signals, committed
-    /// state, statistics — must be indistinguishable from a freshly
-    /// constructed controller.
-    fn reset(&mut self);
-
-    /// [`WordController::override_sink`] on the one scenario.
-    fn override_backpressure(&mut self, pattern: &BackpressurePattern) -> bool;
-
-    /// [`WordController::override_source`] on the one scenario.
-    fn override_source_pattern(&mut self, pattern: &SourcePattern) -> bool;
-
-    /// [`WordController::override_scheduler`] on the one scenario.
-    fn override_scheduler(&mut self, scheduler: Box<dyn Scheduler>) -> bool;
+    fn is_optimistic(&self) -> bool {
+        false
+    }
 
     /// `true` when [`Controller::eval`] reads any attached channel signal.
     ///
@@ -312,61 +261,14 @@ pub trait Controller: std::fmt::Debug {
     /// returning `false` for a controller that *does* read channels makes the
     /// simulation silently miss signal updates — only return it when `eval`
     /// is a function of `&self` alone.
-    fn eval_reads_channels(&self) -> bool;
-
-    /// Concrete-type escape hatch for the compiled settle backend.
-    ///
-    /// The compiled planner ([`crate::engine::SettleStrategy::Compiled`])
-    /// snapshots the sequential state of a few controller kinds once per cycle
-    /// (zero-backward buffers, eager forks, early-evaluation muxes) so it can
-    /// replay their equations without dynamic dispatch, and emitted settle
-    /// functions ([`crate::codegen`]) call the planned controllers' forward
-    /// and backward equations statically. The blanket impl returns
-    /// `Some(self)`; the planner evaluates every other kind through the
-    /// trait as usual.
-    fn as_any(&self) -> Option<&dyn std::any::Any>;
-
-    /// What this controller contributes to a [`crate::SimulationReport`]:
-    /// its statistics plus the observables only its node kind records.
-    fn report(&self) -> NodeReport<'_>;
-}
-
-/// A SELF controller written once over the rail word `R`: it owns its
-/// per-lane state, the clock-edge update of that state, its statistics,
-/// its reset and its per-lane environment, and drives the equations of
-/// [`crate::handshake`]. Every node kind is one such type: the `bool`
-/// instantiation is a [`Controller`] and the `u64` one a
-/// [`LaneController`], each through one blanket impl below.
-pub trait WordController<R: Rail>: std::fmt::Debug {
-    /// Drives the node's signals: [`Controller::eval`], or
-    /// [`Controller::eval_optimistic`] when `optimistic`.
-    fn drive<P: HandshakeIo<Rail = R>>(&self, io: &mut P, optimistic: bool);
-
-    /// Clock edge: updates every lane's state from the settled signals.
-    fn clock<P: HandshakeIo<Rail = R>>(&mut self, io: &P);
-
-    /// Rewinds every lane to its post-construction state (see
-    /// [`Controller::reset`]).
-    fn rewind(&mut self);
-
-    /// What lane `lane` contributes to that lane's report (see
-    /// [`Controller::report`]).
-    fn report(&self, lane: usize) -> NodeReport<'_>;
-
-    /// See [`Controller::is_optimistic`].
-    fn optimistic(&self) -> bool {
-        false
-    }
-
-    /// See [`Controller::eval_reads_channels`].
-    fn reads_channels(&self) -> bool {
+    fn eval_reads_channels(&self) -> bool {
         true
     }
 
     /// Replaces lane `lane`'s back-pressure pattern and restarts that
     /// lane's pattern (sinks only — every other node kind returns `false`).
-    /// Engines call it right after a rewind; the replacement persists, so
-    /// later rewinds restart the *new* pattern.
+    /// Engines call it right after a reset; the replacement persists, so
+    /// later resets restart the *new* pattern.
     fn override_sink(&mut self, _lane: usize, _pattern: &BackpressurePattern) -> bool {
         false
     }
@@ -375,7 +277,7 @@ pub trait WordController<R: Rail>: std::fmt::Debug {
     /// every other node kind returns `false`). The data stream is kept:
     /// only *when* tokens are offered changes, which is what the
     /// environment-injection sweeps vary. Persistent, as for
-    /// [`WordController::override_sink`].
+    /// [`Controller::override_sink`].
     fn override_source(&mut self, _lane: usize, _pattern: &SourcePattern) -> bool {
         false
     }
@@ -383,93 +285,9 @@ pub trait WordController<R: Rail>: std::fmt::Debug {
     /// Replaces lane `lane`'s prediction policy with a freshly initialised
     /// scheduler (speculative shared modules only — every other node kind
     /// drops the box and returns `false`). The replacement persists across
-    /// later rewinds, which reset it via [`Scheduler::reset`].
+    /// later resets, which rewind it via [`Scheduler::reset`].
     fn override_scheduler(&mut self, _lane: usize, _scheduler: Box<dyn Scheduler>) -> bool {
         false
-    }
-}
-
-impl<T: WordController<bool> + 'static> Controller for T {
-    fn eval(&self, io: &mut NodeIo<'_>) {
-        self.drive(io, false);
-    }
-
-    fn is_optimistic(&self) -> bool {
-        self.optimistic()
-    }
-
-    fn eval_optimistic(&self, io: &mut NodeIo<'_>) {
-        self.drive(io, true);
-    }
-
-    fn commit(&mut self, io: &NodeIo<'_>) {
-        self.clock(io);
-    }
-
-    fn reset(&mut self) {
-        self.rewind();
-    }
-
-    fn override_backpressure(&mut self, pattern: &BackpressurePattern) -> bool {
-        self.override_sink(0, pattern)
-    }
-
-    fn override_source_pattern(&mut self, pattern: &SourcePattern) -> bool {
-        self.override_source(0, pattern)
-    }
-
-    fn override_scheduler(&mut self, scheduler: Box<dyn Scheduler>) -> bool {
-        WordController::override_scheduler(self, 0, scheduler)
-    }
-
-    fn eval_reads_channels(&self) -> bool {
-        self.reads_channels()
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
-    fn report(&self) -> NodeReport<'_> {
-        WordController::report(self, 0)
-    }
-}
-
-impl<T: WordController<u64>> LaneController for T {
-    fn eval(&self, io: &mut LaneIo<'_>, optimistic: bool) {
-        self.drive(io, optimistic);
-    }
-
-    fn is_optimistic(&self) -> bool {
-        self.optimistic()
-    }
-
-    fn eval_reads_channels(&self) -> bool {
-        self.reads_channels()
-    }
-
-    fn commit(&mut self, io: &LaneIo<'_>) {
-        self.clock(io);
-    }
-
-    fn reset(&mut self) {
-        self.rewind();
-    }
-
-    fn report(&self, lane: usize) -> NodeReport<'_> {
-        WordController::report(self, lane)
-    }
-
-    fn override_sink(&mut self, lane: usize, pattern: &BackpressurePattern) -> bool {
-        WordController::override_sink(self, lane, pattern)
-    }
-
-    fn override_source(&mut self, lane: usize, pattern: &SourcePattern) -> bool {
-        WordController::override_source(self, lane, pattern)
-    }
-
-    fn override_scheduler(&mut self, lane: usize, scheduler: Box<dyn Scheduler>) -> bool {
-        WordController::override_scheduler(self, lane, scheduler)
     }
 }
 
@@ -489,11 +307,11 @@ mod tests {
         assert_eq!(io.input_count(), 1);
         assert_eq!(io.output_count(), 2);
         assert!(io.input(0).forward_valid);
-        assert_eq!(HandshakeIo::input_data(&io, 0), &[77]);
-        assert!(HandshakeIo::input_valid(&io, 0));
+        assert_eq!(io.input_data(0), &[77]);
+        assert!(io.input_valid(0));
 
         io.set_output_valid(1, true);
-        io.set_output_data(1, 9);
+        io.drive_data(1, &[9]);
         io.set_input_stop(0, true);
         io.set_input_kill(0, true);
         io.set_output_anti_stop(0, true);
@@ -511,13 +329,13 @@ mod tests {
         // shared modules take one.
         let spec = elastic_core::FunctionSpec::new(elastic_core::Op::Inc);
         let mut block = crate::controllers::function::FunctionBlock::<bool>::new(spec, 8);
-        assert_eq!(Controller::report(&block), NodeReport::Basic(NodeStats::default()));
+        assert_eq!(block.report(0), NodeReport::Basic(NodeStats::default()));
         assert!(
-            !block.override_backpressure(&BackpressurePattern::Never),
+            !block.override_sink(0, &BackpressurePattern::Never),
             "only sinks support back-pressure overrides"
         );
-        assert!(!block.override_source_pattern(&SourcePattern::Always));
+        assert!(!block.override_source(0, &SourcePattern::Always));
         let scheduler = Box::new(elastic_core::scheduler::StaticScheduler::new(0));
-        assert!(!Controller::override_scheduler(&mut block, scheduler));
+        assert!(!block.override_scheduler(0, scheduler));
     }
 }

@@ -18,7 +18,7 @@
 
 use elastic_core::BufferSpec;
 
-use crate::controller::{NodeReport, NodeStats, WordController};
+use crate::controller::{Controller, NodeReport, NodeStats};
 use crate::handshake::{
     standard_buffer_backward, standard_buffer_forward, zero_backward_backward,
     zero_backward_forward, HandshakeIo, Rail, StandardBufferState,
@@ -149,7 +149,7 @@ impl<R: Rail> StandardBuffer<R> {
             },
             stats: R::per_lane(|_| NodeStats::default()),
         };
-        buffer.rewind();
+        buffer.reset();
         buffer
     }
 
@@ -169,13 +169,13 @@ impl<R: Rail> StandardBuffer<R> {
     }
 }
 
-impl<R: Rail> WordController<R> for StandardBuffer<R> {
-    fn drive<P: HandshakeIo<Rail = R>>(&self, io: &mut P, _optimistic: bool) {
+impl<R: Rail> Controller<R> for StandardBuffer<R> {
+    fn eval(&self, io: &mut R::Io<'_>, _optimistic: bool) {
         standard_buffer_forward(io, self.state, self.tokens.front());
         standard_buffer_backward(io, self.state);
     }
 
-    fn clock<P: HandshakeIo<Rail = R>>(&mut self, io: &P) {
+    fn commit(&mut self, io: &R::Io<'_>) {
         let out_kill = io.output_kill(OUT) & !io.output_anti_stop(OUT);
         let out_offered = io.output_valid(OUT) & !out_kill;
         let out_transfer = out_offered & !io.output_stop(OUT);
@@ -215,7 +215,7 @@ impl<R: Rail> WordController<R> for StandardBuffer<R> {
         }
     }
 
-    fn rewind(&mut self) {
+    fn reset(&mut self) {
         let init_tokens = self.spec.init_tokens.max(0) as u32;
         for lane in 0..R::LANES {
             self.tokens.refill(lane, init_tokens, self.spec.init_value);
@@ -232,7 +232,7 @@ impl<R: Rail> WordController<R> for StandardBuffer<R> {
     /// Both handshake directions are fully registered: `eval` is a function
     /// of the FIFO state alone, so the standard buffer cuts every zero-delay
     /// control path and is never re-evaluated within a cycle.
-    fn reads_channels(&self) -> bool {
+    fn eval_reads_channels(&self) -> bool {
         false
     }
 }
@@ -259,24 +259,12 @@ impl<R: Rail> ZeroBackwardBuffer<R> {
             stored: R::per_lane(|_| 0),
             stats: R::per_lane(|_| NodeStats::default()),
         };
-        buffer.rewind();
+        buffer.reset();
         buffer
     }
 
-    /// The lanes in which the buffer stores a token.
-    pub fn is_full(&self) -> R {
-        self.full
-    }
-
-    /// Each lane's stored word (`0` when empty). With [`Self::is_full`] it
-    /// is the only sequential state `eval` reads, so the compiled settle
-    /// backend snapshots both once per cycle.
-    pub fn stored(&self) -> &[u64] {
-        self.stored.as_ref()
-    }
-
     /// The forward equation on this buffer's state — one planned op of
-    /// the compiled plan (codegen calls it per op).
+    /// the compiled plan and of emitted settle functions.
     pub fn forward<P: HandshakeIo<Rail = R>>(&self, io: &mut P) {
         zero_backward_forward(io, self.full, self.stored.as_ref());
     }
@@ -287,13 +275,13 @@ impl<R: Rail> ZeroBackwardBuffer<R> {
     }
 }
 
-impl<R: Rail> WordController<R> for ZeroBackwardBuffer<R> {
-    fn drive<P: HandshakeIo<Rail = R>>(&self, io: &mut P, _optimistic: bool) {
+impl<R: Rail> Controller<R> for ZeroBackwardBuffer<R> {
+    fn eval(&self, io: &mut R::Io<'_>, _optimistic: bool) {
         self.forward(io);
         self.backward(io);
     }
 
-    fn clock<P: HandshakeIo<Rail = R>>(&mut self, io: &P) {
+    fn commit(&mut self, io: &R::Io<'_>) {
         // Output boundary: the stored token is cancelled, leaves, or stays.
         let killed = self.full & io.output_kill(OUT) & !io.output_anti_stop(OUT);
         let left = self.full & !killed & io.output_valid(OUT) & !io.output_stop(OUT);
@@ -327,7 +315,7 @@ impl<R: Rail> WordController<R> for ZeroBackwardBuffer<R> {
         }
     }
 
-    fn rewind(&mut self) {
+    fn reset(&mut self) {
         self.full = if self.initial.is_some() { R::HIGH } else { R::LOW };
         self.stored.as_mut().fill(self.initial.unwrap_or(0));
         self.stats.as_mut().fill(NodeStats::default());
@@ -348,7 +336,7 @@ mod tests {
         let inputs = vec![0usize];
         let outputs = vec![1usize];
         let mut io = NodeIo::new(channels, &inputs, &outputs);
-        controller.eval(&mut io);
+        controller.eval(&mut io, false);
     }
 
     fn run_commit(controller: &mut dyn Controller, channels: &mut [ChannelState]) {
@@ -461,7 +449,7 @@ mod tests {
         run_eval(&eb, &mut channels);
         assert!(!channels[0].backward_valid, "the stored token absorbs the kill locally");
         run_commit(&mut eb, &mut channels);
-        assert!(!eb.is_full());
+        assert!(!eb.full);
         assert_eq!(eb.stats[0].killed_tokens, 1);
     }
 

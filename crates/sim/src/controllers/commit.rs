@@ -31,7 +31,7 @@
 
 use elastic_core::CommitSpec;
 
-use crate::controller::{NodeReport, NodeStats, WordController};
+use crate::controller::{Controller, NodeReport, NodeStats};
 use crate::controllers::buffer::TokenRing;
 use crate::handshake::{commit_lane, HandshakeIo, Rail};
 use crate::metrics::CommitStageStats;
@@ -63,7 +63,7 @@ impl<R: Rail> CommitStage<R> {
             stats: R::per_lane(|_| NodeStats::default()),
             summary: R::per_lane(|_| CommitStageStats::default()),
         };
-        stage.rewind();
+        stage.reset();
         stage
     }
 
@@ -74,14 +74,14 @@ impl<R: Rail> CommitStage<R> {
     }
 }
 
-impl<R: Rail> WordController<R> for CommitStage<R> {
-    fn drive<P: HandshakeIo<Rail = R>>(&self, io: &mut P, _optimistic: bool) {
+impl<R: Rail> Controller<R> for CommitStage<R> {
+    fn eval(&self, io: &mut R::Io<'_>, _optimistic: bool) {
         for (user, fifo) in self.fifos.iter().enumerate() {
             commit_lane(io, user, self.occupied[user], self.full[user], fifo.front());
         }
     }
 
-    fn clock<P: HandshakeIo<Rail = R>>(&mut self, io: &P) {
+    fn commit(&mut self, io: &R::Io<'_>) {
         for user in 0..self.fifos.len() {
             // Output boundary: the head result commits or is squashed.
             let occupied = self.occupied[user];
@@ -125,7 +125,7 @@ impl<R: Rail> WordController<R> for CommitStage<R> {
         }
     }
 
-    fn rewind(&mut self) {
+    fn reset(&mut self) {
         let users = self.fifos.len();
         for lane in 0..R::LANES {
             for fifo in &mut self.fifos {
@@ -169,14 +169,14 @@ mod tests {
         let mut channels = vec![ChannelState::default(); 4];
         channels[0].forward_valid = true;
         channels[0].data = 0xA;
-        stage.eval(&mut io(&mut channels));
+        stage.eval(&mut io(&mut channels), false);
         assert!(!channels[2].forward_valid, "one cycle of forward latency");
         assert!(!channels[0].forward_stop, "an empty lane accepts");
         stage.commit(&io(&mut channels));
         assert_eq!(stage.occupancy(0, 0), 1);
 
         let mut channels = vec![ChannelState::default(); 4];
-        stage.eval(&mut io(&mut channels));
+        stage.eval(&mut io(&mut channels), false);
         assert!(channels[2].forward_valid);
         assert_eq!(channels[2].data, 0xA);
         stage.commit(&io(&mut channels));
@@ -190,12 +190,12 @@ mod tests {
         let mut channels = vec![ChannelState::default(); 4];
         channels[1].forward_valid = true;
         channels[1].data = 7;
-        stage.eval(&mut io(&mut channels));
+        stage.eval(&mut io(&mut channels), false);
         stage.commit(&io(&mut channels));
         for _ in 0..3 {
             let mut channels = vec![ChannelState::default(); 4];
             channels[3].forward_stop = true; // consumer refuses
-            stage.eval(&mut io(&mut channels));
+            stage.eval(&mut io(&mut channels), false);
             assert!(channels[3].forward_valid, "a parked result is never retracted");
             assert_eq!(channels[3].data, 7);
             stage.commit(&io(&mut channels));
@@ -209,13 +209,13 @@ mod tests {
         let mut channels = vec![ChannelState::default(); 4];
         channels[0].forward_valid = true;
         channels[0].data = 3;
-        stage.eval(&mut io(&mut channels));
+        stage.eval(&mut io(&mut channels), false);
         stage.commit(&io(&mut channels));
 
         let mut channels = vec![ChannelState::default(); 4];
         channels[2].backward_valid = true; // wrong-path result
         channels[2].forward_stop = true;
-        stage.eval(&mut io(&mut channels));
+        stage.eval(&mut io(&mut channels), false);
         assert!(!channels[2].backward_stop, "the lane absorbs the kill");
         assert!(!channels[0].backward_valid, "nothing passes upstream");
         stage.commit(&io(&mut channels));
@@ -228,7 +228,7 @@ mod tests {
         let stage = stage();
         let mut channels = vec![ChannelState::default(); 4];
         channels[2].backward_valid = true;
-        stage.eval(&mut io(&mut channels));
+        stage.eval(&mut io(&mut channels), false);
         assert!(channels[0].backward_valid, "the kill continues towards the shared module");
         assert!(!channels[2].backward_stop);
     }
@@ -238,19 +238,19 @@ mod tests {
         let mut stage = stage();
         let mut channels = vec![ChannelState::default(); 4];
         channels[0].forward_valid = true;
-        stage.eval(&mut io(&mut channels));
+        stage.eval(&mut io(&mut channels), false);
         stage.commit(&io(&mut channels));
 
         // Depth 1, occupied, consumer stalls: the producer is stopped.
         let mut channels = vec![ChannelState::default(); 4];
         channels[0].forward_valid = true;
         channels[2].forward_stop = true;
-        stage.eval(&mut io(&mut channels));
+        stage.eval(&mut io(&mut channels), false);
         assert!(channels[0].forward_stop);
         // Consumer accepts: the head leaves, so the lane accepts in the same
         // cycle (zero backward latency).
         channels[2].forward_stop = false;
-        stage.eval(&mut io(&mut channels));
+        stage.eval(&mut io(&mut channels), false);
         assert!(!channels[0].forward_stop);
     }
 
@@ -262,7 +262,7 @@ mod tests {
         for value in 0..8u64 {
             channels[0].forward_valid = true;
             channels[0].data = value;
-            stage.eval(&mut io(&mut channels));
+            stage.eval(&mut io(&mut channels), false);
             if channels[2].forward_valid {
                 received.push(channels[2].data);
             }
@@ -276,7 +276,7 @@ mod tests {
         let mut stage = stage();
         let mut channels = vec![ChannelState::default(); 4];
         channels[0].forward_valid = true;
-        stage.eval(&mut io(&mut channels));
+        stage.eval(&mut io(&mut channels), false);
         stage.commit(&io(&mut channels));
         assert_eq!(stage.occupancy(0, 0), 1);
         assert_eq!(stage.summary[0].peak_occupancy_per_lane, &[1, 0]);
@@ -285,7 +285,7 @@ mod tests {
         assert_eq!(stage.summary[0].commits_per_lane, &[0, 0]);
         assert_eq!(stage.summary[0].peak_occupancy_per_lane, &[0, 0]);
         assert_eq!(
-            Controller::report(&stage),
+            stage.report(0),
             NodeReport::Commit(
                 NodeStats::default(),
                 CommitStageStats {
@@ -310,7 +310,7 @@ mod tests {
             channels[0].forward_valid = true;
             channels[0].data = value;
             channels[1].forward_stop = true;
-            stage.eval(&mut io1(&mut channels));
+            stage.eval(&mut io1(&mut channels), false);
             assert!(!channels[0].forward_stop, "lane must have room for {value}");
             stage.commit(&io1(&mut channels));
         }
@@ -328,7 +328,7 @@ mod tests {
             let mut channels = vec![ChannelState::default(); 2];
             channels[1].backward_valid = true;
             channels[1].forward_stop = true;
-            stage.eval(&mut io1(&mut channels));
+            stage.eval(&mut io1(&mut channels), false);
             assert!(!channels[1].backward_stop, "an occupied lane absorbs the kill");
             assert!(!channels[0].backward_valid, "nothing passes towards the shared module");
             stage.commit(&io1(&mut channels));
@@ -340,7 +340,7 @@ mod tests {
         // The lane recovers: a right-path result parks and commits in order.
         park(&mut stage, &[42]);
         let mut channels = vec![ChannelState::default(); 2];
-        stage.eval(&mut io1(&mut channels));
+        stage.eval(&mut io1(&mut channels), false);
         assert!(channels[1].forward_valid);
         assert_eq!(channels[1].data, 42);
         stage.commit(&io1(&mut channels));
@@ -358,7 +358,7 @@ mod tests {
         channels[0].data = 3;
         channels[1].backward_valid = true;
         channels[1].forward_stop = true;
-        stage.eval(&mut io1(&mut channels));
+        stage.eval(&mut io1(&mut channels), false);
         assert!(!channels[0].forward_stop, "the head leaves, so the lane accepts");
         stage.commit(&io1(&mut channels));
         assert_eq!(stage.occupancy(0, 0), 2);
@@ -366,7 +366,7 @@ mod tests {
         // Order is preserved across the squash: 2 then 3 drain.
         for expected in [2u64, 3] {
             let mut channels = vec![ChannelState::default(); 2];
-            stage.eval(&mut io1(&mut channels));
+            stage.eval(&mut io1(&mut channels), false);
             assert_eq!(channels[1].data, expected);
             assert!(channels[1].forward_valid);
             stage.commit(&io1(&mut channels));
@@ -381,11 +381,11 @@ mod tests {
         assert_eq!(stage.summary[0].peak_occupancy_per_lane, &[3]);
         // Draining does not lower the recorded peak.
         let mut channels = vec![ChannelState::default(); 2];
-        stage.eval(&mut io1(&mut channels));
+        stage.eval(&mut io1(&mut channels), false);
         stage.commit(&io1(&mut channels));
         assert_eq!(stage.occupancy(0, 0), 2);
         assert_eq!(stage.summary[0].peak_occupancy_per_lane, &[3]);
-        let NodeReport::Commit(_, stats) = Controller::report(&stage) else {
+        let NodeReport::Commit(_, stats) = stage.report(0) else {
             panic!("a commit stage reports commit-stage statistics")
         };
         assert_eq!(stats.depth, 4);
@@ -402,22 +402,22 @@ mod tests {
             channels[0].forward_valid = true;
             channels[0].data = value;
             channels[1].forward_stop = true;
-            stage.eval(&mut io1(&mut channels));
+            stage.eval(&mut io1(&mut channels), false);
             assert!(!channels[0].forward_stop, "lane has room for {value}");
             stage.commit(&io1(&mut channels));
         }
         channels[0].forward_valid = true;
         channels[0].data = 3;
         channels[1].forward_stop = true;
-        stage.eval(&mut io1(&mut channels));
+        stage.eval(&mut io1(&mut channels), false);
         assert!(channels[0].forward_stop, "depth 2 exhausted");
         // Results drain oldest-first.
         channels[0].forward_valid = false;
         channels[1].forward_stop = false;
-        stage.eval(&mut io1(&mut channels));
+        stage.eval(&mut io1(&mut channels), false);
         assert_eq!(channels[1].data, 1);
         stage.commit(&io1(&mut channels));
-        stage.eval(&mut io1(&mut channels));
+        stage.eval(&mut io1(&mut channels), false);
         assert_eq!(channels[1].data, 2);
     }
 }

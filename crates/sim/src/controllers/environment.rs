@@ -16,7 +16,7 @@ use elastic_core::{SinkSpec, SourceSpec};
 use elastic_datapath::adder::mask;
 use elastic_datapath::lfsr::Lfsr64;
 
-use crate::controller::{NodeReport, NodeStats, WordController};
+use crate::controller::{Controller, NodeReport, NodeStats};
 use crate::handshake::{HandshakeIo, Rail};
 
 const OUT: usize = 0;
@@ -158,7 +158,7 @@ impl<R: Rail> SourceController<R> {
             values: R::per_lane(|_| 0),
             stats: R::per_lane(|_| NodeStats::default()),
         };
-        source.rewind();
+        source.reset();
         source
     }
 
@@ -191,8 +191,8 @@ impl<R: Rail> SourceController<R> {
     }
 }
 
-impl<R: Rail> WordController<R> for SourceController<R> {
-    fn drive<P: HandshakeIo<Rail = R>>(&self, io: &mut P, _optimistic: bool) {
+impl<R: Rail> Controller<R> for SourceController<R> {
+    fn eval(&self, io: &mut R::Io<'_>, _optimistic: bool) {
         // A pending offer persists (Retry behaviour); otherwise the pattern
         // decides whether a fresh token is offered this cycle.
         io.set_output_valid(OUT, self.offering | self.timing.fires);
@@ -202,7 +202,7 @@ impl<R: Rail> WordController<R> for SourceController<R> {
         io.set_output_anti_stop(OUT, R::LOW);
     }
 
-    fn clock<P: HandshakeIo<Rail = R>>(&mut self, io: &P) {
+    fn commit(&mut self, io: &R::Io<'_>) {
         let valid = io.output_valid(OUT);
         let killed = io.output_kill(OUT) & !io.output_anti_stop(OUT);
         let transferred = valid & !io.output_stop(OUT) & !killed;
@@ -227,7 +227,7 @@ impl<R: Rail> WordController<R> for SourceController<R> {
         self.timing.tick();
     }
 
-    fn rewind(&mut self) {
+    fn reset(&mut self) {
         self.timing.rewind();
         self.offering = R::LOW;
         self.position.as_mut().fill(0);
@@ -242,7 +242,7 @@ impl<R: Rail> WordController<R> for SourceController<R> {
 
     /// The offer pattern and persistence state fully determine the driven
     /// signals; sources never react to channel signals within a cycle.
-    fn reads_channels(&self) -> bool {
+    fn eval_reads_channels(&self) -> bool {
         false
     }
 
@@ -270,18 +270,18 @@ impl<R: Rail> SinkController<R> {
             received: R::per_lane(|_| Vec::new()),
             stats: R::per_lane(|_| NodeStats::default()),
         };
-        sink.rewind();
+        sink.reset();
         sink
     }
 }
 
-impl<R: Rail> WordController<R> for SinkController<R> {
-    fn drive<P: HandshakeIo<Rail = R>>(&self, io: &mut P, _optimistic: bool) {
+impl<R: Rail> Controller<R> for SinkController<R> {
+    fn eval(&self, io: &mut R::Io<'_>, _optimistic: bool) {
         io.set_input_stop(IN, self.timing.fires);
         io.set_input_kill(IN, R::LOW);
     }
 
-    fn clock<P: HandshakeIo<Rail = R>>(&mut self, io: &P) {
+    fn commit(&mut self, io: &R::Io<'_>) {
         let (valid, stop) = (io.input_valid(IN), io.input_stop(IN));
         let data = io.input_data(IN);
         for lane in (valid & !stop).lanes() {
@@ -294,7 +294,7 @@ impl<R: Rail> WordController<R> for SinkController<R> {
         self.timing.tick();
     }
 
-    fn rewind(&mut self) {
+    fn reset(&mut self) {
         self.timing.rewind();
         self.received.as_mut().iter_mut().for_each(Vec::clear);
         self.stats.as_mut().fill(NodeStats::default());
@@ -307,7 +307,7 @@ impl<R: Rail> WordController<R> for SinkController<R> {
     /// The back-pressure pattern fully determines the driven signals; sinks
     /// never react to channel signals within a cycle (recording happens at
     /// the clock edge).
-    fn reads_channels(&self) -> bool {
+    fn eval_reads_channels(&self) -> bool {
         false
     }
 
@@ -338,7 +338,7 @@ mod tests {
         let mut channels = [ChannelState::default()];
         let mut seen = Vec::new();
         for _ in 0..5 {
-            source.eval(&mut source_io(&mut channels));
+            source.eval(&mut source_io(&mut channels), false);
             assert!(channels[0].forward_valid);
             seen.push(channels[0].data);
             source.commit(&source_io(&mut channels));
@@ -352,15 +352,15 @@ mod tests {
         let mut channels = [ChannelState::default()];
         channels[0].forward_stop = true;
         for _ in 0..3 {
-            source.eval(&mut source_io(&mut channels));
+            source.eval(&mut source_io(&mut channels), false);
             assert_eq!(channels[0].data, 5, "Retry cycles must keep the same token (persistence)");
             source.commit(&source_io(&mut channels));
         }
         channels[0].forward_stop = false;
-        source.eval(&mut source_io(&mut channels));
+        source.eval(&mut source_io(&mut channels), false);
         assert_eq!(channels[0].data, 5);
         source.commit(&source_io(&mut channels));
-        source.eval(&mut source_io(&mut channels));
+        source.eval(&mut source_io(&mut channels), false);
         assert_eq!(channels[0].data, 6, "after the transfer the next value is offered");
     }
 
@@ -370,13 +370,13 @@ mod tests {
         let mut channels = [ChannelState::default()];
         channels[0].forward_stop = true;
         channels[0].backward_valid = true; // consumer kills the offered token
-        source.eval(&mut source_io(&mut channels));
+        source.eval(&mut source_io(&mut channels), false);
         assert!(!channels[0].backward_stop);
         source.commit(&source_io(&mut channels));
         assert_eq!(source.stats[0].killed_tokens, 1);
         channels[0].backward_valid = false;
         channels[0].forward_stop = false;
-        source.eval(&mut source_io(&mut channels));
+        source.eval(&mut source_io(&mut channels), false);
         assert_eq!(channels[0].data, 2, "the killed token is skipped");
     }
 
@@ -391,7 +391,7 @@ mod tests {
         let mut channels = [ChannelState::default()];
         let mut offers = Vec::new();
         for _ in 0..6 {
-            source.eval(&mut source_io(&mut channels));
+            source.eval(&mut source_io(&mut channels), false);
             offers.push(channels[0].forward_valid);
             source.commit(&source_io(&mut channels));
             // reset the producer-owned signal between cycles (the engine does
@@ -408,7 +408,7 @@ mod tests {
         for value in [4u64, 5, 6] {
             channels[0].forward_valid = true;
             channels[0].data = value;
-            sink.eval(&mut sink_io(&mut channels));
+            sink.eval(&mut sink_io(&mut channels), false);
             assert!(!channels[0].forward_stop);
             sink.commit(&sink_io(&mut channels));
         }
@@ -426,7 +426,7 @@ mod tests {
         channels[0].data = 1;
         let mut stops = Vec::new();
         for _ in 0..4 {
-            sink.eval(&mut sink_io(&mut channels));
+            sink.eval(&mut sink_io(&mut channels), false);
             stops.push(channels[0].forward_stop);
             sink.commit(&sink_io(&mut channels));
         }

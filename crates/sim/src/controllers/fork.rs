@@ -17,7 +17,7 @@
 
 use elastic_core::ForkSpec;
 
-use crate::controller::{NodeReport, NodeStats, WordController};
+use crate::controller::{Controller, NodeReport, NodeStats};
 use crate::handshake::{fork_backward, fork_delivered, fork_forward, HandshakeIo, Rail};
 
 const IN: usize = 0;
@@ -50,17 +50,8 @@ impl<R: Rail> EagerFork<R> {
         !self.serving | self.pending[branch]
     }
 
-    /// Bitmask of lane 0's branches that still need their copy this cycle,
-    /// bit `b` for branch `b` (first 64 branches). The compiled settle
-    /// backend snapshots this once per cycle (it is pure sequential state)
-    /// and replays the eager-fork equations against it.
-    pub fn pending_mask(&self) -> u64 {
-        let branches = 0..self.spec.outputs.min(64);
-        branches.filter(|&branch| self.pending(branch).in_lane(0)).fold(0, |m, b| m | 1 << b)
-    }
-
     /// The forward equation on this fork's pending branches — one planned
-    /// op of the compiled plan (codegen calls it per op).
+    /// op of the compiled plan and of emitted settle functions.
     pub fn forward<P: HandshakeIo<Rail = R>>(&self, io: &mut P) {
         fork_forward(io, self.spec.eager, false, |branch| self.pending(branch));
     }
@@ -71,17 +62,17 @@ impl<R: Rail> EagerFork<R> {
     }
 }
 
-impl<R: Rail> WordController<R> for EagerFork<R> {
-    fn drive<P: HandshakeIo<Rail = R>>(&self, io: &mut P, optimistic: bool) {
+impl<R: Rail> Controller<R> for EagerFork<R> {
+    fn eval(&self, io: &mut R::Io<'_>, optimistic: bool) {
         fork_forward(io, self.spec.eager, optimistic, |branch| self.pending(branch));
         self.backward(io);
     }
 
-    fn optimistic(&self) -> bool {
+    fn is_optimistic(&self) -> bool {
         !self.spec.eager
     }
 
-    fn clock<P: HandshakeIo<Rail = R>>(&mut self, io: &P) {
+    fn commit(&mut self, io: &R::Io<'_>) {
         // A branch delivers when its (actually asserted) copy transfers or
         // is cancelled — judging by the driven `V+` matters for lazy forks,
         // whose withheld branches must not be marked served.
@@ -113,7 +104,7 @@ impl<R: Rail> WordController<R> for EagerFork<R> {
         }
     }
 
-    fn rewind(&mut self) {
+    fn reset(&mut self) {
         self.pending.fill(R::HIGH);
         self.serving = R::LOW;
         self.stats.as_mut().fill(NodeStats::default());
@@ -146,7 +137,7 @@ mod tests {
         let outputs = [1usize, 2];
         channels[0].forward_valid = true;
         channels[0].data = 9;
-        fork.eval(&mut io(&mut channels, &inputs, &outputs));
+        fork.eval(&mut io(&mut channels, &inputs, &outputs), false);
         assert!(channels[1].forward_valid && channels[2].forward_valid);
         assert_eq!(channels[1].data, 9);
         assert_eq!(channels[2].data, 9);
@@ -162,18 +153,18 @@ mod tests {
         channels[0].forward_valid = true;
         channels[0].data = 5;
         channels[2].forward_stop = true; // branch 1 is blocked
-        fork.eval(&mut io(&mut channels, &inputs, &outputs));
+        fork.eval(&mut io(&mut channels, &inputs, &outputs), false);
         assert!(channels[0].forward_stop, "the input waits for the blocked branch");
         assert!(channels[1].forward_valid);
         fork.commit(&io(&mut channels, &inputs, &outputs));
 
         // Next cycle branch 0 must not receive the token again.
-        fork.eval(&mut io(&mut channels, &inputs, &outputs));
+        fork.eval(&mut io(&mut channels, &inputs, &outputs), false);
         assert!(!channels[1].forward_valid, "branch 0 already has its copy");
         assert!(channels[2].forward_valid);
         // Unblock branch 1: the input can now complete.
         channels[2].forward_stop = false;
-        fork.eval(&mut io(&mut channels, &inputs, &outputs));
+        fork.eval(&mut io(&mut channels, &inputs, &outputs), false);
         assert!(!channels[0].forward_stop);
     }
 
@@ -186,7 +177,7 @@ mod tests {
         channels[0].forward_valid = true;
         channels[1].forward_stop = true;
         channels[1].backward_valid = true; // branch 0's copy is cancelled
-        fork.eval(&mut io(&mut channels, &inputs, &outputs));
+        fork.eval(&mut io(&mut channels, &inputs, &outputs), false);
         assert!(!channels[1].backward_stop, "the kill is absorbed against the in-flight copy");
         assert!(!channels[0].forward_stop, "kill + delivery completes the input transfer");
     }
@@ -198,7 +189,7 @@ mod tests {
         let inputs = [0usize];
         let outputs = [1usize, 2];
         channels[1].backward_valid = true;
-        fork.eval(&mut io(&mut channels, &inputs, &outputs));
+        fork.eval(&mut io(&mut channels, &inputs, &outputs), false);
         assert!(channels[1].backward_stop);
     }
 
@@ -210,7 +201,7 @@ mod tests {
         let outputs = [1usize, 2];
         channels[0].forward_valid = true;
         channels[2].forward_stop = true;
-        fork.eval(&mut io(&mut channels, &inputs, &outputs));
+        fork.eval(&mut io(&mut channels, &inputs, &outputs), false);
         assert!(!channels[1].forward_valid, "a lazy fork withholds all copies until all are ready");
         assert!(channels[0].forward_stop);
     }

@@ -24,7 +24,7 @@ use elastic_core::FunctionSpec;
 use elastic_datapath::adder::mask;
 use elastic_datapath::evaluate;
 
-use crate::controller::{NodeReport, NodeStats, WordController};
+use crate::controller::{Controller, NodeReport, NodeStats};
 use crate::handshake::{function_backward, function_forward, HandshakeIo, Rail};
 
 const OUT: usize = 0;
@@ -70,8 +70,8 @@ impl<R: Rail> FunctionBlock<R> {
     }
 
     /// The forward equation, driving the operation's result on the input
-    /// words — one planned op of the compiled plan (codegen calls it per
-    /// op).
+    /// words — one planned op of the compiled plan and of emitted settle
+    /// functions.
     pub fn forward<P: HandshakeIo<Rail = R>>(&self, io: &mut P) {
         let mut memo = self.memo.borrow_mut();
         let inputs = self.spec.inputs;
@@ -102,13 +102,13 @@ impl<R: Rail> FunctionBlock<R> {
     }
 }
 
-impl<R: Rail> WordController<R> for FunctionBlock<R> {
-    fn drive<P: HandshakeIo<Rail = R>>(&self, io: &mut P, _optimistic: bool) {
+impl<R: Rail> Controller<R> for FunctionBlock<R> {
+    fn eval(&self, io: &mut R::Io<'_>, _optimistic: bool) {
         self.forward(io);
         self.backward(io);
     }
 
-    fn clock<P: HandshakeIo<Rail = R>>(&mut self, io: &P) {
+    fn commit(&mut self, io: &R::Io<'_>) {
         let valid = io.output_valid(OUT);
         let killed = io.output_kill(OUT) & !io.output_anti_stop(OUT);
         for lane in (valid & !io.output_stop(OUT) & !killed).lanes() {
@@ -122,7 +122,7 @@ impl<R: Rail> WordController<R> for FunctionBlock<R> {
         }
     }
 
-    fn rewind(&mut self) {
+    fn reset(&mut self) {
         self.stats.as_mut().fill(NodeStats::default());
         self.memo.get_mut().valid = false;
     }
@@ -156,13 +156,13 @@ mod tests {
 
         channels[0].forward_valid = true;
         channels[0].data = 3;
-        block.eval(&mut io(&mut channels, &inputs, &outputs));
+        block.eval(&mut io(&mut channels, &inputs, &outputs), false);
         assert!(!channels[2].forward_valid, "a join waits for all operands");
         assert!(channels[0].forward_stop, "the early operand is stalled");
 
         channels[1].forward_valid = true;
         channels[1].data = 4;
-        block.eval(&mut io(&mut channels, &inputs, &outputs));
+        block.eval(&mut io(&mut channels, &inputs, &outputs), false);
         assert!(channels[2].forward_valid);
         assert_eq!(channels[2].data, 7);
         assert!(!channels[0].forward_stop);
@@ -178,7 +178,7 @@ mod tests {
         channels[0].forward_valid = true;
         channels[1].forward_valid = true;
         channels[2].forward_stop = true;
-        block.eval(&mut io(&mut channels, &inputs, &outputs));
+        block.eval(&mut io(&mut channels, &inputs, &outputs), false);
         assert!(channels[0].forward_stop);
         assert!(channels[1].forward_stop);
     }
@@ -193,7 +193,7 @@ mod tests {
         channels[1].forward_valid = true;
         channels[2].backward_valid = true; // the consumer does not need the result
         channels[2].forward_stop = true;
-        block.eval(&mut io(&mut channels, &inputs, &outputs));
+        block.eval(&mut io(&mut channels, &inputs, &outputs), false);
         // The operands are consumed (transfer) without forwarding the kill upstream.
         assert!(!channels[0].forward_stop);
         assert!(!channels[1].forward_stop);
@@ -209,7 +209,7 @@ mod tests {
         let inputs = [0usize, 1];
         let outputs = [2usize];
         channels[2].backward_valid = true;
-        block.eval(&mut io(&mut channels, &inputs, &outputs));
+        block.eval(&mut io(&mut channels, &inputs, &outputs), false);
         assert!(channels[0].backward_valid);
         assert!(channels[1].backward_valid);
         assert!(!channels[2].backward_stop);
@@ -225,7 +225,7 @@ mod tests {
         let outputs = [2usize];
         channels[2].backward_valid = true;
         channels[1].backward_stop = true; // producer of operand 1 cannot take kills
-        block.eval(&mut io(&mut channels, &inputs, &outputs));
+        block.eval(&mut io(&mut channels, &inputs, &outputs), false);
         assert!(channels[2].backward_stop, "the kill must wait");
         assert!(!channels[0].backward_valid, "no partial kills");
     }
@@ -239,7 +239,7 @@ mod tests {
         let outputs = [1usize];
         channels[0].forward_valid = true;
         channels[0].data = 0x5A;
-        block.eval(&mut io(&mut channels, &inputs, &outputs));
+        block.eval(&mut io(&mut channels, &inputs, &outputs), false);
         assert_eq!(channels[1].data, 0x5A);
     }
 }

@@ -12,12 +12,12 @@
 //! | `VarLatency` | [`varlatency::VarLatencyUnit`] | the stalling variable-latency unit of Figure 6(a) |
 //! | `Source` / `Sink` | [`environment`] | the elastic environment |
 //!
-//! Every row is one type, generic over the rail word
-//! ([`crate::controller::WordController`]): the scalar engine instantiates
-//! it at `bool` (one scenario) and the 64-lane engine at `u64`, so each
-//! kind's state, clock edge, statistics, reset and per-lane environment
-//! (offer and back-pressure patterns with their random generators, shared
-//! module schedulers) exist once.
+//! Every row is one type, generic over the rail word, implementing
+//! [`Controller`]: the scalar engine instantiates it at `bool` (one
+//! scenario) and the 64-lane engine at `u64`, so each kind's state, clock
+//! edge, statistics, reset and per-lane environment (offer and
+//! back-pressure patterns with their random generators, shared module
+//! schedulers) exist once.
 
 pub mod buffer;
 pub mod commit;
@@ -33,9 +33,9 @@ use std::ops::Range;
 use elastic_core::{BufferSpec, Netlist, Node, NodeKind, Op};
 use elastic_datapath::evaluate;
 
+use crate::controller::Controller;
 use crate::engine::SimError;
-use crate::engine_core::CoreNode;
-use crate::handshake::HandshakeIo;
+use crate::handshake::{HandshakeIo, Rail};
 
 /// Builds one netlist node's controller at the engine's rail word.
 ///
@@ -43,27 +43,30 @@ use crate::handshake::HandshakeIo;
 ///
 /// Returns [`SimError::UnsupportedNode`] when a node's configuration cannot
 /// be simulated (e.g. a buffer with forward latency other than 1).
-pub(crate) fn build_controller<C: CoreNode>(netlist: &Netlist, node: &Node) -> Result<C, SimError> {
+pub(crate) fn build_controller<R: Rail>(
+    netlist: &Netlist,
+    node: &Node,
+) -> Result<Box<dyn Controller<R>>, SimError> {
     let width = output_width(netlist, node);
-    Ok(match &node.kind {
+    let controller: Box<dyn Controller<R>> = match &node.kind {
         NodeKind::Buffer(spec) => {
             let spec = simulated_buffer(node, spec, width)?;
             if spec.backward_latency == 0 {
-                C::boxed(buffer::ZeroBackwardBuffer::new(spec))
+                Box::new(buffer::ZeroBackwardBuffer::new(spec))
             } else {
-                C::boxed(buffer::StandardBuffer::new(spec))
+                Box::new(buffer::StandardBuffer::new(spec))
             }
         }
-        NodeKind::Function(spec) => C::boxed(function::FunctionBlock::new(spec.clone(), width)),
-        NodeKind::Mux(spec) => C::boxed(mux::MuxController::new(*spec)),
-        NodeKind::Fork(spec) => C::boxed(fork::EagerFork::new(*spec)),
-        NodeKind::Shared(spec) => C::boxed(shared::SharedModule::new(spec.clone(), width)),
-        NodeKind::Commit(spec) => C::boxed(commit::CommitStage::new(*spec)),
+        NodeKind::Function(spec) => Box::new(function::FunctionBlock::new(spec.clone(), width)),
+        NodeKind::Mux(spec) => Box::new(mux::MuxController::new(*spec)),
+        NodeKind::Fork(spec) => Box::new(fork::EagerFork::new(*spec)),
+        NodeKind::Shared(spec) => Box::new(shared::SharedModule::new(spec.clone(), width)),
+        NodeKind::Commit(spec) => Box::new(commit::CommitStage::new(*spec)),
         NodeKind::VarLatency(spec) => {
-            C::boxed(varlatency::VarLatencyUnit::new(spec.clone(), width))
+            Box::new(varlatency::VarLatencyUnit::new(spec.clone(), width))
         }
-        NodeKind::Source(spec) => C::boxed(environment::SourceController::new(spec.clone(), width)),
-        NodeKind::Sink(spec) => C::boxed(environment::SinkController::new(spec.clone())),
+        NodeKind::Source(spec) => Box::new(environment::SourceController::new(spec.clone(), width)),
+        NodeKind::Sink(spec) => Box::new(environment::SinkController::new(spec.clone())),
         // `NodeKind` is non-exhaustive within the workspace; reject anything
         // this simulator does not know how to model rather than mis-simulate.
         other => {
@@ -72,7 +75,8 @@ pub(crate) fn build_controller<C: CoreNode>(netlist: &Netlist, node: &Node) -> R
                 reason: format!("no controller for node kind `{}`", other.kind_name()),
             })
         }
-    })
+    };
+    Ok(controller)
 }
 
 /// `evaluate(op, operands).unwrap_or(0)` on lane `lane` of the data columns

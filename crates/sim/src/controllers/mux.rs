@@ -19,7 +19,7 @@ use std::cell::RefCell;
 
 use elastic_core::MuxSpec;
 
-use crate::controller::{NodeReport, NodeStats, WordController};
+use crate::controller::{Controller, NodeReport, NodeStats};
 use crate::handshake::{mux_backward, mux_forward, HandshakeIo, Rail};
 
 const SELECT: usize = 0;
@@ -78,13 +78,6 @@ impl<R: Rail> MuxController<R> {
         }
     }
 
-    /// Outstanding anti-token debt per data input and lane, input-major
-    /// (one entry per data input at one lane) — diagnostic, and the
-    /// compiled settle backend's per-cycle snapshot.
-    pub fn owed_anti_tokens(&self) -> &[u32] {
-        &self.owed
-    }
-
     /// Evaluates the forward and/or the backward equation on this mux's
     /// select and owed anti-tokens.
     fn equations<P: HandshakeIo<Rail = R>>(&self, io: &mut P, forward: bool, backward: bool) {
@@ -99,8 +92,8 @@ impl<R: Rail> MuxController<R> {
         }
     }
 
-    /// The forward equation — one planned op of the compiled plan (codegen
-    /// calls it per op).
+    /// The forward equation — one planned op of the compiled plan and of
+    /// emitted settle functions.
     pub fn forward<P: HandshakeIo<Rail = R>>(&self, io: &mut P) {
         self.equations(io, true, false);
     }
@@ -111,12 +104,12 @@ impl<R: Rail> MuxController<R> {
     }
 }
 
-impl<R: Rail> WordController<R> for MuxController<R> {
-    fn drive<P: HandshakeIo<Rail = R>>(&self, io: &mut P, _optimistic: bool) {
+impl<R: Rail> Controller<R> for MuxController<R> {
+    fn eval(&self, io: &mut R::Io<'_>, _optimistic: bool) {
         self.equations(io, true, true);
     }
 
-    fn clock<P: HandshakeIo<Rail = R>>(&mut self, io: &P) {
+    fn commit(&mut self, io: &R::Io<'_>) {
         let fire = io.output_valid(OUT) & !io.output_stop(OUT);
         for lane in fire.lanes() {
             self.stats[lane].output_transfers += 1;
@@ -150,7 +143,7 @@ impl<R: Rail> WordController<R> for MuxController<R> {
         }
     }
 
-    fn rewind(&mut self) {
+    fn reset(&mut self) {
         self.owed.fill(0);
         self.clean.fill(R::HIGH);
         self.stats.as_mut().fill(NodeStats::default());
@@ -184,10 +177,10 @@ mod tests {
         channels[0].forward_valid = true; // select = 0
         channels[1].forward_valid = true;
         channels[1].data = 0xAA;
-        mux.eval(&mut io(&mut channels));
+        mux.eval(&mut io(&mut channels), false);
         assert!(!channels[3].forward_valid, "the non-selected input is still missing");
         channels[2].forward_valid = true;
-        mux.eval(&mut io(&mut channels));
+        mux.eval(&mut io(&mut channels), false);
         assert!(channels[3].forward_valid);
         assert_eq!(channels[3].data, 0xAA);
         assert!(!channels[1].forward_stop && !channels[2].forward_stop);
@@ -200,7 +193,7 @@ mod tests {
         channels[0].forward_valid = true; // select = 0
         channels[1].forward_valid = true;
         channels[1].data = 0x11;
-        mux.eval(&mut io(&mut channels));
+        mux.eval(&mut io(&mut channels), false);
         assert!(channels[3].forward_valid, "early evaluation fires on the selected data alone");
         assert_eq!(channels[3].data, 0x11);
         assert!(!channels[1].forward_stop);
@@ -215,7 +208,7 @@ mod tests {
         channels[0].forward_valid = true;
         channels[0].data = 1; // select channel 1
         channels[1].forward_valid = true; // only channel 0 has data
-        mux.eval(&mut io(&mut channels));
+        mux.eval(&mut io(&mut channels), false);
         assert!(!channels[3].forward_valid);
         assert!(channels[0].forward_stop, "the select token is held");
         assert!(channels[1].forward_stop, "the wrong-channel token is stalled, not killed");
@@ -229,19 +222,19 @@ mod tests {
         channels[0].forward_valid = true; // select 0
         channels[1].forward_valid = true;
         channels[2].backward_stop = true; // the other producer cannot take the kill yet
-        mux.eval(&mut io(&mut channels));
+        mux.eval(&mut io(&mut channels), false);
         mux.commit(&io(&mut channels));
-        assert_eq!(mux.owed_anti_tokens(), &[0, 1]);
+        assert_eq!(mux.owed, [0, 1]);
 
         // Next cycle: nothing new fires, but the owed anti-token is still offered.
         let mut channels = vec![ChannelState::default(); 4];
-        mux.eval(&mut io(&mut channels));
+        mux.eval(&mut io(&mut channels), false);
         assert!(channels[2].backward_valid);
         // Now the producer accepts it.
         channels[2].backward_stop = false;
-        mux.eval(&mut io(&mut channels));
+        mux.eval(&mut io(&mut channels), false);
         mux.commit(&io(&mut channels));
-        assert_eq!(mux.owed_anti_tokens(), &[0, 0]);
+        assert_eq!(mux.owed, [0, 0]);
         assert_eq!(mux.stats[0].killed_tokens, 1);
     }
 
@@ -253,9 +246,9 @@ mod tests {
         channels[0].forward_valid = true;
         channels[1].forward_valid = true;
         channels[2].backward_stop = true;
-        mux.eval(&mut io(&mut channels));
+        mux.eval(&mut io(&mut channels), false);
         mux.commit(&io(&mut channels));
-        assert_eq!(mux.owed_anti_tokens(), &[0, 1]);
+        assert_eq!(mux.owed, [0, 1]);
 
         // Cycle 2: the select now points at channel 1, whose arriving token is
         // stale (it corresponds to the previous, already-resolved decision).
@@ -264,11 +257,11 @@ mod tests {
         channels[0].data = 1;
         channels[2].forward_valid = true;
         channels[2].data = 0x22;
-        mux.eval(&mut io(&mut channels));
+        mux.eval(&mut io(&mut channels), false);
         assert!(!channels[3].forward_valid, "a stale token must not be forwarded");
         assert!(channels[2].backward_valid, "it is cancelled by the owed anti-token instead");
         mux.commit(&io(&mut channels));
-        assert_eq!(mux.owed_anti_tokens(), &[0, 0]);
+        assert_eq!(mux.owed, [0, 0]);
     }
 
     #[test]
@@ -279,7 +272,7 @@ mod tests {
         channels[1].forward_valid = true;
         channels[2].forward_valid = true;
         channels[3].forward_stop = true; // downstream refuses
-        mux.eval(&mut io(&mut channels));
+        mux.eval(&mut io(&mut channels), false);
         assert!(!channels[2].backward_valid, "no firing, so no anti-token is owed yet");
         assert!(channels[0].forward_stop);
     }

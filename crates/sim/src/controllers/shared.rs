@@ -25,7 +25,7 @@ use std::cell::RefCell;
 use elastic_core::{Scheduler, SharedFeedback, SharedSpec};
 use elastic_datapath::adder::mask;
 
-use crate::controller::{NodeReport, NodeStats, WordController};
+use crate::controller::{Controller, NodeReport, NodeStats};
 use crate::controllers::evaluate_lane;
 use crate::handshake::{shared_user, HandshakeIo, Rail};
 use crate::metrics::SharedModuleStats;
@@ -101,7 +101,7 @@ impl<R: Rail> SharedModule<R> {
             }),
             spec,
         };
-        module.rewind();
+        module.reset();
         module
     }
 
@@ -195,8 +195,8 @@ impl<R: Rail> SharedModule<R> {
     }
 }
 
-impl<R: Rail> WordController<R> for SharedModule<R> {
-    fn drive<P: HandshakeIo<Rail = R>>(&self, io: &mut P, _optimistic: bool) {
+impl<R: Rail> Controller<R> for SharedModule<R> {
+    fn eval(&self, io: &mut R::Io<'_>, _optimistic: bool) {
         let memo = &mut *self.memo.borrow_mut();
         for (user, &granted) in self.grant.iter().enumerate() {
             // Only the granted user's operands reach the shared logic.
@@ -223,7 +223,7 @@ impl<R: Rail> WordController<R> for SharedModule<R> {
         }
     }
 
-    fn clock<P: HandshakeIo<Rail = R>>(&mut self, io: &P) {
+    fn commit(&mut self, io: &R::Io<'_>) {
         for user in 0..self.spec.users {
             let ports = self.operand_ports(user);
             let valid = ports.clone().fold(R::HIGH, |valid, port| valid & io.input_valid(port));
@@ -244,7 +244,7 @@ impl<R: Rail> WordController<R> for SharedModule<R> {
         }
     }
 
-    fn rewind(&mut self) {
+    fn reset(&mut self) {
         let users = self.spec.users;
         for lane in 0..R::LANES {
             self.schedulers[lane].reset();
@@ -299,7 +299,7 @@ mod tests {
         channels[0].data = 0x3C;
         channels[1].forward_valid = true;
         channels[1].data = 0x55;
-        module.eval(&mut io(&mut channels));
+        module.eval(&mut io(&mut channels), false);
         assert!(channels[2].forward_valid);
         assert_eq!(channels[2].data, 0x3C);
         assert!(!channels[3].forward_valid);
@@ -314,7 +314,7 @@ mod tests {
         let mut channels = vec![ChannelState::default(); 4];
         channels[1].forward_valid = true; // user 1 has a waiting operand
         channels[3].backward_valid = true; // the consumer does not need user 1's result
-        module.eval(&mut io(&mut channels));
+        module.eval(&mut io(&mut channels), false);
         assert!(!channels[3].backward_stop, "the kill is accepted");
         assert!(!channels[1].forward_stop, "the waiting operand is consumed by annihilation");
         assert!(!channels[1].backward_valid, "annihilation does not forward the kill upstream");
@@ -325,7 +325,7 @@ mod tests {
         let module = module_with_static(0);
         let mut channels = vec![ChannelState::default(); 4];
         channels[3].backward_valid = true;
-        module.eval(&mut io(&mut channels));
+        module.eval(&mut io(&mut channels), false);
         assert!(channels[1].backward_valid, "the kill continues towards the producer");
         assert!(!channels[3].backward_stop);
     }
@@ -336,7 +336,7 @@ mod tests {
         let mut channels = vec![ChannelState::default(); 4];
         channels[0].forward_valid = true;
         channels[2].forward_stop = true; // the consumer refuses the speculated result
-        module.eval(&mut io(&mut channels));
+        module.eval(&mut io(&mut channels), false);
         module.commit(&io(&mut channels));
         assert_eq!(module.stats[0].mispredictions, 1);
         let feedback = &module.feedback[0];
@@ -352,11 +352,11 @@ mod tests {
         let mut channels = vec![ChannelState::default(); 4];
         channels[1].forward_valid = true; // user 1 waits forever under a static-0 scheduler
         for _ in 0..3 {
-            module.eval(&mut io(&mut channels));
+            module.eval(&mut io(&mut channels), false);
             module.commit(&io(&mut channels));
         }
         assert!(module.grant[1], "the starvation override must kick in");
-        module.eval(&mut io(&mut channels));
+        module.eval(&mut io(&mut channels), false);
         assert!(channels[3].forward_valid, "the starved user's token is finally served");
     }
 
@@ -365,7 +365,7 @@ mod tests {
         let mut module = module_with_static(0);
         let mut channels = vec![ChannelState::default(); 4];
         channels[0].forward_valid = true;
-        module.eval(&mut io(&mut channels));
+        module.eval(&mut io(&mut channels), false);
         module.commit(&io(&mut channels));
         assert_eq!(module.shared[0].transfers_per_user, vec![1, 0]);
         assert_eq!(module.feedback[0].resolved, Some(0));
@@ -384,12 +384,12 @@ mod tests {
         channels[0].forward_valid = true;
         channels[0].data = 3;
         let mut node_io = NodeIo::new(&mut channels, &inputs, &outputs);
-        module.eval(&mut node_io);
+        module.eval(&mut node_io, false);
         assert!(!channels[4].forward_valid, "user 0 is missing its second operand");
         channels[1].forward_valid = true;
         channels[1].data = 4;
         let mut node_io = NodeIo::new(&mut channels, &inputs, &outputs);
-        module.eval(&mut node_io);
+        module.eval(&mut node_io, false);
         assert!(channels[4].forward_valid);
         assert_eq!(channels[4].data, 7);
         let node_io = NodeIo::new(&mut channels, &inputs, &outputs);

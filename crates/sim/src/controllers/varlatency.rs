@@ -15,7 +15,7 @@
 use elastic_core::kind::VarLatencySpec;
 use elastic_datapath::adder::mask;
 
-use crate::controller::{NodeReport, NodeStats, WordController};
+use crate::controller::{Controller, NodeReport, NodeStats};
 use crate::controllers::evaluate_lane;
 use crate::handshake::{HandshakeIo, Rail};
 
@@ -64,8 +64,8 @@ impl<R: Rail> VarLatencyUnit<R> {
     }
 }
 
-impl<R: Rail> WordController<R> for VarLatencyUnit<R> {
-    fn drive<P: HandshakeIo<Rail = R>>(&self, io: &mut P, _optimistic: bool) {
+impl<R: Rail> Controller<R> for VarLatencyUnit<R> {
+    fn eval(&self, io: &mut R::Io<'_>, _optimistic: bool) {
         io.set_output_valid(OUT, self.full);
         io.drive_data(OUT, self.register.as_ref());
         io.set_output_anti_stop(OUT, R::HIGH);
@@ -77,7 +77,7 @@ impl<R: Rail> WordController<R> for VarLatencyUnit<R> {
         }
     }
 
-    fn clock<P: HandshakeIo<Rail = R>>(&mut self, io: &P) {
+    fn commit(&mut self, io: &R::Io<'_>) {
         let transferred = io.output_valid(OUT) & !io.output_stop(OUT);
         for lane in transferred.lanes() {
             self.stats[lane].output_transfers += 1;
@@ -104,7 +104,7 @@ impl<R: Rail> WordController<R> for VarLatencyUnit<R> {
         self.exact_pending = (self.exact_pending & !finish) | slow;
     }
 
-    fn rewind(&mut self) {
+    fn reset(&mut self) {
         self.full = R::LOW;
         self.register.as_mut().fill(0);
         self.exact_pending = R::LOW;
@@ -144,12 +144,12 @@ mod tests {
         channels[0].data = 0x03;
         channels[1].forward_valid = true;
         channels[1].data = 0x04;
-        unit.eval(&mut io(&mut channels));
+        unit.eval(&mut io(&mut channels), false);
         assert!(!channels[0].forward_stop, "no carry across the boundary: single-cycle");
         unit.commit(&io(&mut channels));
         channels[0].forward_valid = false;
         channels[1].forward_valid = false;
-        unit.eval(&mut io(&mut channels));
+        unit.eval(&mut io(&mut channels), false);
         assert!(channels[2].forward_valid);
         assert_eq!(channels[2].data, 7);
         assert!(!unit.exact_pending);
@@ -166,20 +166,20 @@ mod tests {
         channels[1].data = 0x01;
 
         // Cycle 1: the unit stalls its inputs.
-        unit.eval(&mut io(&mut channels));
+        unit.eval(&mut io(&mut channels), false);
         assert!(channels[0].forward_stop);
         unit.commit(&io(&mut channels));
         assert!(unit.exact_pending, "one slow computation");
 
         // Cycle 2: the exact result is produced and the operands are consumed.
-        unit.eval(&mut io(&mut channels));
+        unit.eval(&mut io(&mut channels), false);
         assert!(!channels[0].forward_stop);
         unit.commit(&io(&mut channels));
         channels[0].forward_valid = false;
         channels[1].forward_valid = false;
 
         // Cycle 3: the exact result is visible downstream.
-        unit.eval(&mut io(&mut channels));
+        unit.eval(&mut io(&mut channels), false);
         assert!(channels[2].forward_valid);
         assert_eq!(channels[2].data, 0x10);
     }
@@ -192,22 +192,22 @@ mod tests {
         channels[0].data = 1;
         channels[1].forward_valid = true;
         channels[1].data = 1;
-        unit.eval(&mut io(&mut channels));
+        unit.eval(&mut io(&mut channels), false);
         unit.commit(&io(&mut channels));
         // Result is latched; downstream refuses it for a while.
         channels[0].forward_valid = false;
         channels[1].forward_valid = false;
         channels[2].forward_stop = true;
         for _ in 0..3 {
-            unit.eval(&mut io(&mut channels));
+            unit.eval(&mut io(&mut channels), false);
             assert!(channels[2].forward_valid);
             assert_eq!(channels[2].data, 2);
             unit.commit(&io(&mut channels));
         }
         channels[2].forward_stop = false;
-        unit.eval(&mut io(&mut channels));
+        unit.eval(&mut io(&mut channels), false);
         unit.commit(&io(&mut channels));
-        unit.eval(&mut io(&mut channels));
+        unit.eval(&mut io(&mut channels), false);
         assert!(!channels[2].forward_valid, "the register empties after the transfer");
     }
 }

@@ -10,13 +10,14 @@
 //! 4. commits all sequential state simultaneously (the clock edge).
 //!
 //! [`Simulation`] and the 64-lane [`crate::LaneSimulation`] run on one
-//! private engine core, generic over the node controller: the dense
-//! topology and ranks, the event-driven settle with its optimistic pass,
-//! the settle budget, the oscillation witness, override lookup, the clock
-//! edge and report assembly from each controller's
-//! [`crate::controller::NodeReport`] are written once. `Simulation` keeps
-//! its [`ChannelState`] storage, fault injection, monitors, the deadline,
-//! the [`SettleStrategy::FullSweep`] oracle and the compiled plan.
+//! private engine core over the same [`Controller`] trait, at the `bool`
+//! and the `u64` rail: the dense topology and ranks, the event-driven
+//! settle with its optimistic pass, the settle budget, the oscillation
+//! witness, override lookup, the clock edge and report assembly from each
+//! controller's [`crate::controller::NodeReport`] are written once.
+//! `Simulation` keeps its [`ChannelState`] storage, fault injection,
+//! monitors, the deadline, the [`SettleStrategy::FullSweep`] oracle and the
+//! compiled plan.
 //!
 //! # The event-driven settle phase
 //!
@@ -28,10 +29,10 @@
 //!   read `S+`/`V-`), and a **static evaluation rank**: a topological order
 //!   over the zero-delay control dependency graph in which fully registered
 //!   controllers (standard elastic buffers, sources, sinks — see
-//!   [`crate::controller::Controller::eval_reads_channels`]) cut the edges;
+//!   [`Controller::eval_reads_channels`]) cut the edges;
 //! * each cycle, every controller is seeded into a rank-ordered worklist
 //!   once. Controllers are popped in rank order; every signal write is
-//!   compare-and-set ([`NodeIo::tracked`]), and an actual change re-enqueues
+//!   compare-and-set ([`NodeIo`]), and an actual change re-enqueues
 //!   exactly the other endpoint of the changed channel (if it reads
 //!   channels). The phase ends when the worklist drains — no full-vector
 //!   snapshot, no `Vec<ChannelState>` clone, no re-evaluation of unaffected
@@ -60,10 +61,10 @@
 //! even though a live solution exists. When any controller reports
 //! [`Controller::is_optimistic`], both settle strategies therefore run a
 //! two-pass fixpoint each cycle: first the whole network settles with
-//! those controllers evaluating via [`Controller::eval_optimistic`] (a
-//! lazy fork offers all copies as if every branch were ready), then the
-//! honest equations re-settle from
-//! that state. Signals only step *down* from the optimistic solution
+//! those controllers evaluating optimistically (the `optimistic` argument
+//! of [`Controller::eval`]: a lazy fork offers all copies as if every
+//! branch were ready), then the honest equations re-settle from that
+//! state. Signals only step *down* from the optimistic solution
 //! (valids fall, stops rise), so the second pass converges onto the
 //! greatest — maximal-progress — fixpoint when one exists, and genuine
 //! blockers (real back-pressure) still win. Netlists without optimistic
@@ -80,11 +81,11 @@ use std::time::Instant;
 
 use elastic_core::kind::{BackpressurePattern, SourcePattern};
 use elastic_core::{ChannelId, CoreError, Netlist, NodeId, Scheduler};
+use elastic_datapath::adder::mask;
 
-use crate::compiled::{CompiledPlan, SettleCtx};
-use crate::controller::{Controller, NodeIo, WordController};
-use crate::controllers::build_controller;
-use crate::engine_core::{CoreNode, EngineCore, Ports};
+use crate::compiled::CompiledPlan;
+use crate::controller::{Controller, NodeIo};
+use crate::engine_core::{EngineCore, EngineRail, Ports};
 use crate::faults::{FaultInjector, FaultPlan, ResolvedFault};
 use crate::metrics::SimulationReport;
 use crate::monitor::{CycleMonitor, MonitorViolation};
@@ -114,7 +115,7 @@ pub enum SettleStrategy {
     /// [`SimulationReport::settle_iterations`] counts **micro-op
     /// executions** (each scheduled op once per cycle, plus once per
     /// trailing sweep), and [`SimulationReport::controller_evals`] counts
-    /// only the remaining *dynamic* `Controller::eval` calls (registered
+    /// only the remaining *dynamic* [`Controller::eval`] calls (registered
     /// controllers and unspecialized kinds) — fused ops evaluate no
     /// controller at all.
     Compiled,
@@ -122,8 +123,8 @@ pub enum SettleStrategy {
 
 /// A settle-phase replacement for
 /// [`Simulation::step_with_external_settle`]: clears and settles the dense
-/// channel vector in place, reading controller state only for the per-cycle
-/// sequential-state snapshots (see [`crate::codegen`]).
+/// channel vector in place, calling the controllers' equations (see
+/// [`crate::codegen`]).
 pub(crate) type ExternalSettleFn<'a> = dyn FnMut(&mut [ChannelState], &[Box<dyn Controller>]) + 'a;
 
 /// Configuration of a simulation run.
@@ -242,44 +243,16 @@ impl From<CoreError> for SimError {
     }
 }
 
-impl CoreNode for Box<dyn Controller> {
+impl EngineRail for bool {
     type Channels = [ChannelState];
-    type Rail = bool;
 
-    fn boxed<T: WordController<bool> + 'static>(controller: T) -> Self {
-        Box::new(controller)
-    }
-
-    fn optimistic(&self) -> bool {
-        self.is_optimistic()
-    }
-
-    fn reads_channels(&self) -> bool {
-        self.eval_reads_channels()
-    }
-
-    fn eval_tracked(
-        &mut self,
-        channels: &mut [ChannelState],
-        (inputs, outputs): &Ports,
-        widths: &[u8],
-        dirty: &mut Vec<usize>,
-        optimistic: bool,
-    ) {
-        let mut io = NodeIo::tracked(channels, inputs, outputs, widths, dirty);
-        if optimistic {
-            self.eval_optimistic(&mut io);
-        } else {
-            self.eval(&mut io);
-        }
-    }
-
-    fn commit_settled(&mut self, channels: &mut [ChannelState], (inputs, outputs): &Ports) {
-        self.commit(&NodeIo::new(channels, inputs, outputs));
-    }
-
-    fn rewind(&mut self) {
-        self.reset();
+    fn io<'a>(
+        channels: &'a mut [ChannelState],
+        (inputs, outputs): &'a Ports,
+        widths: &'a [u8],
+        dirty: Option<&'a mut Vec<usize>>,
+    ) -> NodeIo<'a> {
+        NodeIo::masked(channels, inputs, outputs, widths, dirty)
     }
 }
 
@@ -290,7 +263,7 @@ static CONSTRUCTIONS: AtomicU64 = AtomicU64::new(0);
 /// A cycle-accurate simulation of one elastic netlist.
 pub struct Simulation {
     config: SimConfig,
-    core: EngineCore<Box<dyn Controller>>,
+    core: EngineCore<bool>,
     channels: Vec<ChannelState>,
     /// The lowered settle plan when [`SettleStrategy::Compiled`] is active
     /// and the netlist has no optimistic controllers; `None` otherwise (the
@@ -325,7 +298,7 @@ impl Simulation {
     /// simulator cannot model.
     pub fn new(netlist: &Netlist, config: &SimConfig) -> Result<Self, SimError> {
         CONSTRUCTIONS.fetch_add(1, Ordering::Relaxed);
-        let core = EngineCore::build(netlist, |node| build_controller(netlist, node))?;
+        let core = EngineCore::build(netlist)?;
 
         // Lower the netlist to the fused micro-op plan only when the compiled
         // strategy will actually use it: optimistic controllers (lazy forks)
@@ -423,8 +396,7 @@ impl Simulation {
                 .iter()
                 .position(|&id| id == spec.channel)
                 .ok_or(SimError::UnknownChannel { channel: spec.channel })?;
-            let width = self.core.channel_widths[index];
-            let width_mask = if width >= 64 { u64::MAX } else { (1u64 << width).wrapping_sub(1) };
+            let width_mask = mask(u64::MAX, self.core.channel_widths[index]);
             resolved.push(ResolvedFault { channel: index, width_mask, spec: *spec });
         }
         self.injector = Some(FaultInjector::new(resolved, self.channels.len()));
@@ -446,7 +418,7 @@ impl Simulation {
     pub fn reset_with_sink_patterns(&mut self, overrides: &[(NodeId, BackpressurePattern)]) {
         self.reset();
         self.core.override_nodes(overrides.iter().map(|(node, p)| (*node, p)), "sink", |c, p| {
-            c.override_backpressure(p)
+            c.override_sink(0, p)
         });
     }
 
@@ -461,7 +433,7 @@ impl Simulation {
     pub fn reset_with_source_patterns(&mut self, overrides: &[(NodeId, SourcePattern)]) {
         self.reset();
         self.core.override_nodes(overrides.iter().map(|(node, p)| (*node, p)), "source", |c, p| {
-            c.override_source_pattern(p)
+            c.override_source(0, p)
         });
     }
 
@@ -476,7 +448,7 @@ impl Simulation {
     pub fn reset_with_schedulers(&mut self, overrides: Vec<(NodeId, Box<dyn Scheduler>)>) {
         self.reset();
         self.core.override_nodes(overrides, "shared module", |c, scheduler| {
-            c.override_scheduler(scheduler)
+            c.override_scheduler(0, scheduler)
         });
     }
 
@@ -512,25 +484,10 @@ impl Simulation {
     /// then an alias with identical results. Returns `false` when the
     /// trailing segment fails to stabilise (combinational loop).
     fn settle_compiled(&mut self) -> bool {
-        let Some(mut plan) = self.compiled.take() else {
-            return self.core.settle_event_driven(&mut self.channels);
-        };
-        let budget = self.core.settle_budget();
-        let core = &mut self.core;
-        let mut ctx = SettleCtx {
-            channels: &mut self.channels,
-            controllers: &core.controllers,
-            node_ports: &core.node_ports,
-            channel_widths: &core.channel_widths,
-            dirty: &mut core.dirty,
-            oscillating: &mut core.oscillating,
-            budget,
-            settle_iterations: &mut core.settle_iterations,
-            controller_evals: &mut core.controller_evals,
-        };
-        let settled = plan.settle(&mut ctx);
-        self.compiled = Some(plan);
-        settled
+        match &self.compiled {
+            Some(plan) => plan.settle(&mut self.core, &mut self.channels),
+            None => self.core.settle_event_driven(&mut self.channels),
+        }
     }
 
     /// Reference settle: Jacobi iteration in node order (the pre-worklist
@@ -697,7 +654,7 @@ impl Simulation {
             trace_bytes: self.trace.heap_bytes() as u64,
             faults: self.injector.as_ref().map(|i| i.stats().clone()).unwrap_or_default(),
             deadline_exceeded: self.deadline_exceeded,
-            ..self.core.report(|controller| controller.report())
+            ..self.core.report(0)
         }
     }
 }

@@ -2,11 +2,13 @@
 //! [`crate::LaneSimulation`].
 //!
 //! Both engines settle the same SELF handshake network by the same
-//! algorithm; they differ in what a channel is (one [`ChannelState`] row,
+//! algorithm; they differ in the rail word (one scenario as `bool`, or 64
+//! lanes as `u64`), and so in what a channel is (one [`ChannelState`] row,
 //! or four 64-lane words plus a data column) and in what runs around the
 //! settle phase. [`EngineCore`] holds everything that does not depend on
-//! that difference, generic over the node controller ([`CoreNode`]) so each
-//! engine's hot loop stays monomorphic:
+//! that difference, over `Box<dyn Controller<R>>` nodes; only building a
+//! port view on the engine's channel storage is width-specific
+//! ([`EngineRail`]):
 //!
 //! * the dense topology built from the netlist — channel ids and widths,
 //!   per-node ports, the producer and consumer of every channel — and the
@@ -25,9 +27,10 @@
 
 use std::collections::BTreeMap;
 
-use elastic_core::{Channel, ChannelId, Netlist, Node, NodeId, Port};
+use elastic_core::{Channel, ChannelId, Netlist, NodeId, Port};
 
-use crate::controller::{NodeReport, WordController};
+use crate::controller::{Controller, NodeReport};
+use crate::controllers::build_controller;
 use crate::engine::{OscillationWitness, SimError};
 use crate::handshake::Rail;
 use crate::metrics::SimulationReport;
@@ -35,39 +38,21 @@ use crate::metrics::SimulationReport;
 /// Dense `(input, output)` channel indices of one node.
 pub(crate) type Ports = (Vec<usize>, Vec<usize>);
 
-/// What the engine core needs from one node controller.
-pub(crate) trait CoreNode: Sized {
+/// A rail word an engine runs at: its channel storage, and the port view
+/// of one node on it.
+pub(crate) trait EngineRail: Rail {
     /// The engine's channel storage.
     type Channels: ?Sized;
 
-    /// The rail word the engine's controllers run at.
-    type Rail: Rail;
-
-    /// Boxes one node kind's controller as this engine's node.
-    fn boxed<T: WordController<Self::Rail> + 'static>(controller: T) -> Self;
-
-    /// Whether the controller needs the optimistic seeding pass.
-    fn optimistic(&self) -> bool;
-
-    /// Whether the controller's eval observes channel signals.
-    fn reads_channels(&self) -> bool;
-
-    /// Evaluates the controller with compare-and-set writes, pushing every
-    /// channel it changed onto `dirty`.
-    fn eval_tracked(
-        &mut self,
-        channels: &mut Self::Channels,
-        ports: &Ports,
-        widths: &[u8],
-        dirty: &mut Vec<usize>,
-        optimistic: bool,
-    );
-
-    /// Clock edge: commits the controller on the settled signals.
-    fn commit_settled(&mut self, channels: &mut Self::Channels, ports: &Ports);
-
-    /// Rewinds the controller to its post-construction state.
-    fn rewind(&mut self);
+    /// A port view on the node with `ports`, masking driven data to
+    /// `widths` and pushing every channel it changes onto `dirty`, when
+    /// given.
+    fn io<'a>(
+        channels: &'a mut Self::Channels,
+        ports: &'a Ports,
+        widths: &'a [u8],
+        dirty: Option<&'a mut Vec<usize>>,
+    ) -> Self::Io<'a>;
 }
 
 /// A rank-ordered worklist of controller indices with O(1) dedupe.
@@ -120,8 +105,8 @@ impl Worklist {
 }
 
 /// The netlist-derived state and settle machinery both engines share.
-pub(crate) struct EngineCore<C> {
-    pub(crate) controllers: Vec<C>,
+pub(crate) struct EngineCore<R: Rail> {
+    pub(crate) controllers: Vec<Box<dyn Controller<R>>>,
     pub(crate) node_ids: Vec<NodeId>,
     pub(crate) node_kinds: Vec<&'static str>,
     pub(crate) node_ports: Vec<Ports>,
@@ -159,14 +144,10 @@ pub(crate) struct EngineCore<C> {
     pub(crate) controller_evals: u64,
 }
 
-impl<C: CoreNode> EngineCore<C> {
+impl<R: EngineRail> EngineCore<R> {
     /// Validates `netlist`, indexes its live channels densely, builds one
-    /// controller per live node with `make`, and derives the evaluation
-    /// ranks.
-    pub(crate) fn build(
-        netlist: &Netlist,
-        mut make: impl FnMut(&Node) -> Result<C, SimError>,
-    ) -> Result<Self, SimError> {
+    /// controller per live node, and derives the evaluation ranks.
+    pub(crate) fn build(netlist: &Netlist) -> Result<Self, SimError> {
         netlist.validate()?;
 
         let mut channel_index = BTreeMap::new();
@@ -185,7 +166,7 @@ impl<C: CoreNode> EngineCore<C> {
         let mut channel_producer = vec![0u32; channel_index.len()];
         let mut channel_consumer = vec![0u32; channel_index.len()];
         for node in netlist.live_nodes() {
-            let controller = make(node)?;
+            let controller = build_controller(netlist, node)?;
             let node_index = controllers.len() as u32;
             let dense = |channel: Option<&Channel>| {
                 channel_index[&channel.expect("validated netlists have fully connected ports").id]
@@ -208,11 +189,12 @@ impl<C: CoreNode> EngineCore<C> {
             node_ports.push((inputs, outputs));
         }
 
-        let reads_channels: Vec<bool> = controllers.iter().map(C::reads_channels).collect();
+        let reads_channels: Vec<bool> =
+            controllers.iter().map(|c| c.eval_reads_channels()).collect();
         let optimistic_nodes: Vec<u32> = controllers
             .iter()
             .enumerate()
-            .filter(|(_, c)| c.optimistic())
+            .filter(|(_, c)| c.is_optimistic())
             .map(|(index, _)| index as u32)
             .collect();
         let rank = evaluation_ranks(
@@ -265,7 +247,7 @@ impl<C: CoreNode> EngineCore<C> {
     /// Rewinds every controller and restarts the cycle and effort counters.
     pub(crate) fn rewind(&mut self) {
         for controller in &mut self.controllers {
-            controller.rewind();
+            controller.reset();
         }
         self.cycle = 0;
         self.settle_iterations = 0;
@@ -280,7 +262,7 @@ impl<C: CoreNode> EngineCore<C> {
         &mut self,
         overrides: impl IntoIterator<Item = (NodeId, T)>,
         role: &str,
-        mut apply: impl FnMut(&mut C, T) -> bool,
+        mut apply: impl FnMut(&mut Box<dyn Controller<R>>, T) -> bool,
     ) {
         for (node, value) in overrides {
             let applied = self
@@ -294,21 +276,17 @@ impl<C: CoreNode> EngineCore<C> {
 
     /// Evaluates controller `node` with change tracking; the channels it
     /// changed are left in `dirty`.
-    pub(crate) fn eval(&mut self, node: usize, channels: &mut C::Channels, optimistic: bool) {
+    pub(crate) fn eval(&mut self, node: usize, channels: &mut R::Channels, optimistic: bool) {
         self.dirty.clear();
-        self.controllers[node].eval_tracked(
-            channels,
-            &self.node_ports[node],
-            &self.channel_widths,
-            &mut self.dirty,
-            optimistic,
-        );
+        let ports = &self.node_ports[node];
+        let io = &mut R::io(channels, ports, &self.channel_widths, Some(&mut self.dirty));
+        self.controllers[node].eval(io, optimistic);
         self.controller_evals += 1;
     }
 
     /// Evaluates controller `node` with change tracking and wakes the
     /// controllers observing any channel the evaluation changed.
-    fn eval_and_wake(&mut self, node: usize, channels: &mut C::Channels, optimistic: bool) {
+    fn eval_and_wake(&mut self, node: usize, channels: &mut R::Channels, optimistic: bool) {
         self.eval(node, channels, optimistic);
         for &channel in &self.dirty {
             let producer = self.channel_producer[channel] as usize;
@@ -357,7 +335,7 @@ impl<C: CoreNode> EngineCore<C> {
     /// Returns `false` when the shared evaluation budget is exhausted.
     fn drain_worklist(
         &mut self,
-        channels: &mut C::Channels,
+        channels: &mut R::Channels,
         optimistic: bool,
         evals: &mut u64,
         eval_cap: u64,
@@ -387,7 +365,7 @@ impl<C: CoreNode> EngineCore<C> {
     /// netlist has lazy forks (see the [`crate::engine`] module docs).
     /// Returns `false` when the evaluation budget is exhausted
     /// (combinational loop).
-    pub(crate) fn settle_event_driven(&mut self, channels: &mut C::Channels) -> bool {
+    pub(crate) fn settle_event_driven(&mut self, channels: &mut R::Channels) -> bool {
         debug_assert_eq!(self.worklist.len, 0, "worklist drained at end of previous cycle");
         let eval_cap =
             (self.settle_budget() as u64).saturating_mul(self.controllers.len().max(1) as u64);
@@ -431,20 +409,18 @@ impl<C: CoreNode> EngineCore<C> {
 
     /// Clock edge: commits every controller on the settled signals and
     /// advances the cycle.
-    pub(crate) fn clock_edge(&mut self, channels: &mut C::Channels) {
+    pub(crate) fn clock_edge(&mut self, channels: &mut R::Channels) {
         for (controller, ports) in self.controllers.iter_mut().zip(&self.node_ports) {
-            controller.commit_settled(channels, ports);
+            // Commits only read the settled signals: no widths, no tracking.
+            controller.commit(&R::io(channels, ports, &[], None));
         }
         self.cycle += 1;
     }
 
-    /// Assembles the report of every cycle simulated so far from each
-    /// controller's [`NodeReport`]; the engine adds what only it tracks
-    /// (trace size, faults, deadline, divergence).
-    pub(crate) fn report<'s>(
-        &'s self,
-        node_report: impl Fn(&'s C) -> NodeReport<'s>,
-    ) -> SimulationReport {
+    /// Assembles lane `lane`'s report of every cycle simulated so far from
+    /// each controller's [`NodeReport`]; the engine adds what only it
+    /// tracks (trace size, faults, deadline).
+    pub(crate) fn report(&self, lane: usize) -> SimulationReport {
         let mut report = SimulationReport {
             cycles: self.cycle,
             settle_iterations: self.settle_iterations,
@@ -452,7 +428,7 @@ impl<C: CoreNode> EngineCore<C> {
             ..SimulationReport::default()
         };
         for (controller, &node) in self.controllers.iter().zip(&self.node_ids) {
-            let stats = match node_report(controller) {
+            let stats = match controller.report(lane) {
                 NodeReport::Basic(stats) => stats,
                 NodeReport::Source(stats) => {
                     report.source_kills.insert(node, stats.killed_tokens);

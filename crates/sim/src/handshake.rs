@@ -3,25 +3,28 @@
 //! Every settle path evaluates the same equations (Cortadella, Kishinevsky
 //! and Grundmann, DAC 2006): the controllers of [`crate::controllers`] at
 //! both rail words (the scalar engine and the 64-lane engine of
-//! [`crate::lanes`]), the compiled micro-ops and, through the controllers,
-//! the settle functions emitted by [`crate::codegen`]. Each hot node kind
-//! (buffer, function block, fork, mux) has a **forward** equation — the
-//! `V+` and `S−` it drives on its outputs (plus the data word, supplied by
-//! the caller) — and a **backward** equation — the `S+` and `V−` it drives
-//! on its inputs. The compiled planner schedules the two as separate ops;
-//! the controllers' `eval` calls forward, then backward. The shared module
-//! and the commit stage, which the planner leaves to their controllers,
-//! have one equation per user channel covering both directions.
+//! [`crate::lanes`]) and, through those controllers' `forward` and
+//! `backward` methods, the compiled micro-ops and the settle functions
+//! emitted by [`crate::codegen`]. Each hot node kind (buffer, function
+//! block, fork, mux) has a **forward** equation — the `V+` and `S−` it
+//! drives on its outputs (plus the data word, supplied by the caller) — and
+//! a **backward** equation — the `S+` and `V−` it drives on its inputs. The
+//! compiled planner schedules the two as separate ops; the controllers'
+//! `eval` calls forward, then backward. The shared module and the commit
+//! stage, which the planner leaves to their controllers, have one equation
+//! per user channel covering both directions.
 //!
 //! The equations are generic over the rail word ([`Rail`]: `bool` for one
 //! scenario, `u64` for 64 lanes, bit `ℓ` = lane `ℓ`) and over the port view
-//! ([`HandshakeIo`]: [`crate::controller::NodeIo`] or
-//! [`crate::lanes::LaneIo`]), whose data is a column of one word per lane.
-//! They are pure boolean algebra, so the `u64` instance is the `bool`
-//! instance lane by lane. Sequential state comes in as words (a buffer's
-//! occupancy, a fork's pending branches, a mux's selected and owed-clean
-//! inputs); the state itself and its clock-edge update live once per node
-//! kind in [`crate::controllers`], generic over the same rail word.
+//! ([`HandshakeIo`]), whose data is a column of one word per lane. Each
+//! rail word names its engine's port view as [`Rail::Io`]
+//! ([`crate::controller::NodeIo`] or [`crate::lanes::LaneIo`]), which is
+//! what [`crate::controller::Controller`] takes. The equations are pure
+//! boolean algebra, so the `u64` instance is the `bool` instance lane by
+//! lane. Sequential state comes in as words (a buffer's occupancy, a fork's
+//! pending branches, a mux's selected and owed-clean inputs); the state
+//! itself and its clock-edge update live once per node kind in
+//! [`crate::controllers`], generic over the same rail word.
 //!
 //! Each call writes every rail it drives exactly once: the full-sweep
 //! oracle's convergence test counts writes, so a transient
@@ -52,6 +55,10 @@ pub trait Rail:
     const HIGH: Self;
     /// Number of scenarios (lanes) one rail word carries.
     const LANES: usize;
+
+    /// The engine's port view at this rail word: [`crate::controller::NodeIo`]
+    /// at `bool`, [`crate::lanes::LaneIo`] at `u64`.
+    type Io<'a>: HandshakeIo<Rail = Self>;
 
     /// One `T` per lane: inline for `bool`, so a one-scenario controller
     /// keeps its state next to its other fields; a heap column for `u64`.
@@ -89,6 +96,7 @@ impl Rail for bool {
     const LOW: bool = false;
     const HIGH: bool = true;
     const LANES: usize = 1;
+    type Io<'a> = crate::controller::NodeIo<'a>;
     type PerLane<T: Debug> = [T; 1];
 
     fn per_lane<T: Debug>(mut make: impl FnMut(usize) -> T) -> [T; 1] {
@@ -108,6 +116,7 @@ impl Rail for u64 {
     const LOW: u64 = 0;
     const HIGH: u64 = u64::MAX;
     const LANES: usize = 64;
+    type Io<'a> = crate::lanes::LaneIo<'a>;
     type PerLane<T: Debug> = Vec<T>;
 
     fn per_lane<T: Debug>(make: impl FnMut(usize) -> T) -> Vec<T> {

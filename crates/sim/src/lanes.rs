@@ -13,19 +13,18 @@
 //!   [`crate::Simulation`]: dense channel indexing, topological ranks, the
 //!   rank-bucketed worklist with its optimistic two-pass for lazy forks,
 //!   the settle budget and oscillation witness, override lookup, the clock
-//!   edge and report assembly (from [`LaneController::report`]) are the
-//!   same code. Compare-and-set dirty tracking is word-wide: a channel
-//!   re-enters the worklist when *any* lane changed. The lane engine keeps
-//!   the word storage, the per-lane traces, the divergence map and the
-//!   per-lane environments.
+//!   edge and report assembly (from [`Controller::report`]) are the same
+//!   code. Compare-and-set dirty tracking is word-wide: a channel re-enters
+//!   the worklist when *any* lane changed. The lane engine keeps the word
+//!   storage, the per-lane traces and the per-lane environments.
 //! * Rails are stored structure-of-arrays: `Vec<u64>` per rail, one word
 //!   per channel. Data is a lane-major column per channel
 //!   (`data[channel * LANES + lane]`) touched only by the ops that consume
 //!   data (function evaluation, mux steering, buffered values).
-//! * Every node kind is one type of [`crate::controllers`], instantiated
-//!   at the `u64` rail: the scalar engine runs the same types at `bool`,
-//!   so their state, clock edge, statistics, reset and environment exist
-//!   once ([`crate::controller::WordController`]). Per-lane state lives in
+//! * Every node kind is one type of [`crate::controllers`], a
+//!   [`Controller<u64>`] with [`LaneIo`] as its port view: the scalar
+//!   engine runs the same types at `bool`, so their state, clock edge,
+//!   statistics, reset and environment exist once. Per-lane state lives in
 //!   per-lane stores: each lane's source offer pattern, sink back-pressure
 //!   pattern and random generator, its shared-module scheduler, its buffer
 //!   and commit-stage tokens and its transfer stream. Sources drive one
@@ -44,12 +43,12 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use elastic_core::kind::{BackpressurePattern, SourcePattern};
-use elastic_core::{Netlist, NodeId, Scheduler};
+use elastic_core::{Netlist, NodeId};
+use elastic_datapath::adder::mask;
 
-use crate::controller::{NodeReport, WordController};
-use crate::controllers::build_controller;
+use crate::controller::Controller;
 use crate::engine::SimError;
-use crate::engine_core::{CoreNode, EngineCore, Ports};
+use crate::engine_core::{EngineCore, EngineRail, Ports};
 use crate::handshake::{HandshakeIo, Rail};
 use crate::metrics::SimulationReport;
 use crate::signal::ChannelState;
@@ -76,32 +75,12 @@ pub struct LaneConfig {
     /// per-cycle transpose from lane words to [`ChannelState`] rows; switch
     /// it off for throughput sweeps.
     pub record_trace: bool,
-    /// Accumulate a per-channel lane-divergence map: bit `ℓ` of word `c`
-    /// is set once lane `ℓ` ever differed from lane 0 on channel `c` (any
-    /// rail or the data column). Costs a per-cycle scan; off by default.
-    pub track_divergence: bool,
 }
 
 impl Default for LaneConfig {
     fn default() -> Self {
-        LaneConfig { record_trace: true, track_divergence: false }
+        LaneConfig { record_trace: true }
     }
-}
-
-/// Mask selecting the live bits of a channel of the given width.
-#[inline]
-fn width_mask(width: u8) -> u64 {
-    if width >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << width).wrapping_sub(1)
-    }
-}
-
-/// Broadcasts bit 0 of `word` into every lane (all-ones when lane 0 is set).
-#[inline]
-fn spread_lane0(word: u64) -> u64 {
-    (word & 1).wrapping_neg()
 }
 
 /// Structure-of-arrays signal store: one `u64` word per channel per rail
@@ -153,8 +132,8 @@ impl LaneChannels {
     }
 }
 
-/// Word-level controller I/O view: the lane analogue of
-/// [`crate::controller::NodeIo`].
+/// The 64-lane engine's port view, [`Controller<u64>`]'s: the lane
+/// analogue of [`crate::controller::NodeIo`].
 ///
 /// Reads return whole lane words (or data columns); writes are
 /// compare-and-set — a write that changes **any** lane marks the channel
@@ -175,24 +154,6 @@ impl fmt::Debug for LaneIo<'_> {
             .field("inputs", &self.input_channels)
             .field("outputs", &self.output_channels)
             .finish()
-    }
-}
-
-impl<'a> LaneIo<'a> {
-    fn new(
-        channels: &'a mut LaneChannels,
-        (input_channels, output_channels): &'a Ports,
-        channel_widths: &'a [u8],
-        dirty: Option<&'a mut Vec<usize>>,
-    ) -> Self {
-        LaneIo { channels, input_channels, output_channels, channel_widths, dirty }
-    }
-
-    /// Marks `channel` dirty when tracking.
-    fn mark_dirty(&mut self, channel: usize) {
-        if let Some(dirty) = self.dirty.as_deref_mut() {
-            dirty.push(channel);
-        }
     }
 }
 
@@ -263,18 +224,20 @@ impl HandshakeIo for LaneIo<'_> {
     }
     fn drive_data(&mut self, port: usize, data: &[u64]) {
         let channel = self.output_channels[port];
-        let mask = width_mask(self.channel_widths.get(channel).copied().unwrap_or(64));
+        let width = self.channel_widths.get(channel).copied().unwrap_or(64);
         let column = &mut self.channels.data[channel * LANES..][..LANES];
         let mut changed = false;
         for (slot, &value) in column.iter_mut().zip(data) {
-            let value = value & mask;
+            let value = mask(value, width);
             if *slot != value {
                 *slot = value;
                 changed = true;
             }
         }
         if changed {
-            self.mark_dirty(channel);
+            if let Some(dirty) = self.dirty.as_deref_mut() {
+                dirty.push(channel);
+            }
         }
     }
     fn copy_data(&mut self, input: usize, output: usize) {
@@ -283,85 +246,20 @@ impl HandshakeIo for LaneIo<'_> {
     }
 }
 
-/// One netlist node evaluated across all [`LANES`] scenarios at once.
-///
-/// Semantics mirror [`crate::controller::Controller`] lane-wise: `eval`
-/// must be a pure function of the channel words and the sequential state,
-/// `commit` advances the sequential state of every lane on the settled
-/// signals. Every node kind implements it through one blanket impl over
-/// [`WordController<u64>`].
-pub trait LaneController: fmt::Debug {
-    /// Drives this node's output words from the current channel words;
-    /// `optimistic` selects the seeding-pass variant of multi-fixpoint
-    /// controllers (lazy forks).
-    fn eval(&self, io: &mut LaneIo<'_>, optimistic: bool);
-
-    /// Whether this controller needs the optimistic seeding pass.
-    fn is_optimistic(&self) -> bool;
-
-    /// Whether `eval` observes channel signals (`false` cuts control loops
-    /// at registered boundaries, exactly like the scalar engine).
-    fn eval_reads_channels(&self) -> bool;
-
-    /// Advances every lane's sequential state on the settled signals.
-    fn commit(&mut self, io: &LaneIo<'_>);
-
-    /// Rewinds every lane to its post-construction state.
-    fn reset(&mut self);
-
-    /// What one lane of this node contributes to that lane's
-    /// [`SimulationReport`] — the lane analogue of
-    /// [`crate::controller::Controller::report`].
-    fn report(&self, lane: usize) -> NodeReport<'_>;
-
-    /// See [`WordController::override_sink`].
-    fn override_sink(&mut self, lane: usize, pattern: &BackpressurePattern) -> bool;
-
-    /// See [`WordController::override_source`].
-    fn override_source(&mut self, lane: usize, pattern: &SourcePattern) -> bool;
-
-    /// See [`WordController::override_scheduler`].
-    fn override_scheduler(&mut self, lane: usize, scheduler: Box<dyn Scheduler>) -> bool;
-}
-
 // ---------------------------------------------------------------------------
 // The engine
 // ---------------------------------------------------------------------------
 
-impl CoreNode for Box<dyn LaneController> {
+impl EngineRail for u64 {
     type Channels = LaneChannels;
-    type Rail = u64;
 
-    fn boxed<T: WordController<u64> + 'static>(controller: T) -> Self {
-        Box::new(controller)
-    }
-
-    fn optimistic(&self) -> bool {
-        self.is_optimistic()
-    }
-
-    fn reads_channels(&self) -> bool {
-        self.eval_reads_channels()
-    }
-
-    fn eval_tracked(
-        &mut self,
-        channels: &mut LaneChannels,
-        ports: &Ports,
-        widths: &[u8],
-        dirty: &mut Vec<usize>,
-        optimistic: bool,
-    ) {
-        self.eval(&mut LaneIo::new(channels, ports, widths, Some(dirty)), optimistic);
-    }
-
-    fn commit_settled(&mut self, channels: &mut LaneChannels, ports: &Ports) {
-        // Commits only read the settled words, so no widths are needed.
-        self.commit(&LaneIo::new(channels, ports, &[], None));
-    }
-
-    fn rewind(&mut self) {
-        self.reset();
+    fn io<'a>(
+        channels: &'a mut LaneChannels,
+        (input_channels, output_channels): &'a Ports,
+        channel_widths: &'a [u8],
+        dirty: Option<&'a mut Vec<usize>>,
+    ) -> LaneIo<'a> {
+        LaneIo { channels, input_channels, output_channels, channel_widths, dirty }
     }
 }
 
@@ -371,19 +269,18 @@ impl CoreNode for Box<dyn LaneController> {
 /// The settle algorithm, evaluation ranks, worklist, budget, oscillation
 /// reporting and report assembly are the scalar [`crate::Simulation`]'s —
 /// both engines run on the same engine core. This engine keeps the lane
-/// word storage, the per-lane traces, the divergence map and the per-lane
-/// environments: sink back-pressure and source offer patterns vary per
-/// lane, and shared-module schedulers inject lane-blocked (one freshly
-/// built scheduler per lane, see [`LaneSimulation::reset_with_schedulers`]).
+/// word storage, the per-lane traces and the per-lane environments: sink
+/// back-pressure and source offer patterns vary per lane, and
+/// shared-module schedulers inject lane-blocked (one freshly built
+/// scheduler per lane, see [`LaneSimulation::reset_with_schedulers`]).
 /// Not supported in the lane engine (use the scalar engine): fault
 /// injection and streaming cycle monitors.
 pub struct LaneSimulation {
     config: LaneConfig,
-    core: EngineCore<Box<dyn LaneController>>,
+    core: EngineCore<u64>,
     channels: LaneChannels,
     traces: Vec<Trace>,
     state_scratch: Vec<ChannelState>,
-    divergence: Vec<u64>,
 }
 
 impl fmt::Debug for LaneSimulation {
@@ -407,7 +304,7 @@ impl LaneSimulation {
     /// [`crate::Simulation::new`].
     pub fn new(netlist: &Netlist, config: &LaneConfig) -> Result<Self, SimError> {
         let channel_count = netlist.live_channels().count();
-        let core = EngineCore::build(netlist, |node| build_controller(netlist, node))?;
+        let core = EngineCore::build(netlist)?;
         LANE_CONSTRUCTIONS.fetch_add(1, Ordering::Relaxed);
         Ok(LaneSimulation {
             config: config.clone(),
@@ -415,7 +312,6 @@ impl LaneSimulation {
             channels: LaneChannels::new(channel_count),
             traces: (0..LANES).map(|_| Trace::new(netlist)).collect(),
             state_scratch: vec![ChannelState::default(); channel_count],
-            divergence: vec![0; channel_count],
         })
     }
 
@@ -449,19 +345,6 @@ impl LaneSimulation {
         self.core.settle_budget()
     }
 
-    /// The accumulated per-channel lane-divergence map (dense channel
-    /// order): bit `ℓ` of word `c` is set once lane `ℓ` differed from
-    /// lane 0 on channel `c`. All zeros unless
-    /// [`LaneConfig::track_divergence`] is set.
-    pub fn divergence_map(&self) -> &[u64] {
-        &self.divergence
-    }
-
-    /// Lanes that ever diverged from lane 0 on any channel, as a bit mask.
-    pub fn divergent_lanes(&self) -> u64 {
-        self.divergence.iter().fold(0, |acc, &word| acc | word)
-    }
-
     /// Rewinds every lane to cycle 0 without rebuilding (the lane analogue
     /// of [`crate::Simulation::reset`]).
     pub fn reset(&mut self) {
@@ -470,7 +353,6 @@ impl LaneSimulation {
         for trace in &mut self.traces {
             trace.clear();
         }
-        self.divergence.fill(0);
     }
 
     /// [`LaneSimulation::reset`], additionally replacing each lane's sink
@@ -522,7 +404,7 @@ impl LaneSimulation {
         &mut self,
         overrides: impl Iterator<Item = &'o (NodeId, T)>,
         role: &str,
-        apply: impl Fn(&mut Box<dyn LaneController>, usize, &T) -> bool,
+        apply: impl Fn(&mut Box<dyn Controller<u64>>, usize, &T) -> bool,
     ) {
         self.reset();
         self.core.override_nodes(
@@ -541,27 +423,6 @@ impl LaneSimulation {
         }
     }
 
-    fn accumulate_divergence(&mut self) {
-        for channel in 0..self.channels.channel_count() {
-            let fv = self.channels.forward_valid[channel];
-            let fs = self.channels.forward_stop[channel];
-            let bv = self.channels.backward_valid[channel];
-            let bs = self.channels.backward_stop[channel];
-            let mut diff = (fv ^ spread_lane0(fv))
-                | (fs ^ spread_lane0(fs))
-                | (bv ^ spread_lane0(bv))
-                | (bs ^ spread_lane0(bs));
-            let column = &self.channels.data[channel * LANES..][..LANES];
-            let lane0 = column[0];
-            for (lane, &value) in column.iter().enumerate().skip(1) {
-                if value != lane0 {
-                    diff |= 1u64 << lane;
-                }
-            }
-            self.divergence[channel] |= diff;
-        }
-    }
-
     /// Simulates one clock cycle across all lanes.
     ///
     /// # Errors
@@ -575,9 +436,6 @@ impl LaneSimulation {
         }
         if self.config.record_trace {
             self.record_traces();
-        }
-        if self.config.track_divergence {
-            self.accumulate_divergence();
         }
         self.core.clock_edge(&mut self.channels);
         Ok(())
@@ -598,9 +456,7 @@ impl LaneSimulation {
     /// One lane's accumulated report — field-for-field what the scalar
     /// engine's [`crate::Simulation::report`] returns for that lane's
     /// scenario, except that `settle_iterations` / `controller_evals`
-    /// count **word** evaluations (shared across lanes) and
-    /// [`SimulationReport::lane_divergence`] carries the whole divergence
-    /// map.
+    /// count **word** evaluations (shared across lanes).
     ///
     /// # Panics
     ///
@@ -609,8 +465,7 @@ impl LaneSimulation {
         assert!(lane < LANES, "lane {lane} out of range");
         SimulationReport {
             trace_bytes: self.traces[lane].heap_bytes() as u64,
-            lane_divergence: self.divergence.clone(),
-            ..self.core.report(|controller| controller.report(lane))
+            ..self.core.report(lane)
         }
     }
 }
@@ -618,23 +473,6 @@ impl LaneSimulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn width_mask_covers_the_edge_widths() {
-        assert_eq!(width_mask(0), 0);
-        assert_eq!(width_mask(1), 1);
-        assert_eq!(width_mask(8), 0xFF);
-        assert_eq!(width_mask(63), u64::MAX >> 1);
-        assert_eq!(width_mask(64), u64::MAX);
-    }
-
-    #[test]
-    fn spread_lane0_broadcasts_bit_zero() {
-        assert_eq!(spread_lane0(0), 0);
-        assert_eq!(spread_lane0(1), u64::MAX);
-        assert_eq!(spread_lane0(0b10), 0);
-        assert_eq!(spread_lane0(u64::MAX), u64::MAX);
-    }
 
     #[test]
     fn for_each_lane_visits_set_bits_in_order() {

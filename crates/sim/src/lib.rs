@@ -29,7 +29,8 @@
 //! shared modules, commit stages) are written once, in [`handshake`],
 //! generic over a one-scenario `bool` rail and a 64-lane `u64` rail; every
 //! settle path — scalar, 64-lane, compiled and generated — evaluates them,
-//! and every node kind's controller is one type at both rail words.
+//! and every node kind's controller is one type at both rail words, behind
+//! the one [`controller::Controller`] trait both engines drive.
 //!
 //! Main entry points:
 //!
@@ -44,8 +45,8 @@
 //!   ([`Trace::channel_iter`], [`Trace::states_at`],
 //!   [`Trace::transfer_stream`]), used to reproduce Table 1 and by
 //!   `elastic-verify`;
-//! * [`scenarios`] — ready-to-run experiment setups for every figure/table of
-//!   the paper, combining the netlist library of `elastic-core`, the
+//! * [`scenarios`] — ready-to-run experiment setups for the paper's
+//!   figures, combining the netlist library of `elastic-core`, the
 //!   workload generators of `elastic-datapath` and the schedulers of
 //!   `elastic-predict`; the `*_sweep` variants fan independent runs across
 //!   threads deterministically via [`sweep::parallel_map`], and per-worker

@@ -89,7 +89,8 @@ pub struct SimulationReport {
     /// event-driven engine, full sweeps for the reference engine. Exposed so
     /// that the asymptotic win of the worklist settle phase is observable.
     pub settle_iterations: u64,
-    /// `Controller::eval` invocations accumulated over all cycles.
+    /// [`crate::controller::Controller::eval`] invocations accumulated over
+    /// all cycles.
     pub controller_evals: u64,
     /// Heap bytes held by the recorded trace (bit-planes plus data columns;
     /// 0 when tracing is disabled). Together with
@@ -113,12 +114,6 @@ pub struct SimulationReport {
     /// [`crate::Simulation::run_with_deadline`]; the report then covers only
     /// the cycles that completed.
     pub deadline_exceeded: bool,
-    /// Per-channel lane-divergence map from the 64-lane engine
-    /// ([`crate::LaneSimulation::report`]), in dense channel order: bit `ℓ`
-    /// of word `c` is set when lane `ℓ` ever differed from lane 0 on
-    /// channel `c` (any control rail or the data column). Empty for the
-    /// scalar engines and when divergence tracking is off.
-    pub lane_divergence: Vec<u64>,
 }
 
 impl SimulationReport {
@@ -172,8 +167,8 @@ impl SimulationReport {
     /// counts, per-node statistics, shared-module statistics, commit-stage
     /// statistics — or `None` when they agree on all of them. This is what
     /// two engines simulating the same scenario must agree on; effort
-    /// counters, trace size, fault counters and the lane-divergence map
-    /// describe how a run was computed and are not compared.
+    /// counters, trace size and fault counters describe how a run was
+    /// computed and are not compared.
     pub fn behavioural_difference(&self, other: &SimulationReport) -> Option<&'static str> {
         [
             ("cycle counts", self.cycles == other.cycles),

@@ -1,4 +1,4 @@
-//! Ready-to-run experiment scenarios for the paper's figures and tables.
+//! Ready-to-run experiment scenarios for the paper's figures.
 //!
 //! Each function combines a netlist from `elastic_core::library`, workloads
 //! from `elastic_datapath::workload` and (where relevant) a scheduler from
@@ -8,16 +8,13 @@
 //! `EXPERIMENTS.md` can be regenerated from library code alone.
 
 use elastic_core::kind::DataStream;
-use elastic_core::library::{
-    self, Fig1Config, Fig1Handles, ResilientConfig, Table1Handles, VarLatencyConfig,
-};
-use elastic_core::{NodeId, SchedulerKind};
+use elastic_core::library::{self, Fig1Config, Fig1Handles, ResilientConfig, VarLatencyConfig};
+use elastic_core::SchedulerKind;
 use elastic_datapath::workload;
 
 use crate::engine::{SimConfig, SimError, Simulation};
 use crate::metrics::SimulationReport;
 use crate::sweep::parallel_map;
-use crate::trace::Trace;
 
 /// The four Figure-1 design points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -185,26 +182,6 @@ pub fn run_resilient_sweep(
         .collect()
 }
 
-/// Runs the Table-1 reproduction: the Figure-1(d) structure with the paper's
-/// pinned select and schedule streams, traced cycle by cycle.
-///
-/// Returns the netlist handles, the recorded trace and the simulation report.
-/// The returned [`Trace`] is the columnar bit-packed store — cloning it out
-/// of the simulation costs a few plane words and data columns, not
-/// `16 · channels` bytes per cycle — and is consumed through its streaming
-/// accessors ([`Trace::channel_iter`], [`Trace::symbol_row`],
-/// [`Trace::render_table`]).
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn run_table1(cycles: u64) -> Result<(Table1Handles, Trace, SimulationReport), SimError> {
-    let handles = library::table1();
-    let mut sim = Simulation::new(&handles.netlist, &SimConfig::default())?;
-    let report = sim.run(cycles)?;
-    Ok((handles, sim.trace().clone(), report))
-}
-
 /// Outcome of the variable-latency comparison (Figure 6).
 #[derive(Debug, Clone)]
 pub struct VarLatencyOutcome {
@@ -328,12 +305,6 @@ pub fn run_resilient(
         replays: speculative_report.total_mispredictions(),
         designs: ResilientDesigns { unprotected, nonspeculative, speculative },
     })
-}
-
-/// Sink node of the handles produced by [`build_fig1`] (convenience for
-/// callers that only keep the netlist).
-pub fn fig1_sink(handles: &Fig1Handles) -> NodeId {
-    handles.sink
 }
 
 #[cfg(test)]

@@ -72,19 +72,13 @@ fn assert_engines_equivalent(name: &str, netlist: &Netlist, cycles: u64) {
 
 /// The lane-0 contract, broadcast form: a 64-lane simulation whose lanes
 /// all see the default environment must reproduce the scalar EventDriven
-/// engine bit-identically **in every lane** — trace and report — and its
-/// divergence map must stay empty.
+/// engine bit-identically **in every lane** — trace and report.
 fn assert_lane_broadcast_identity(name: &str, netlist: &Netlist, cycles: u64) {
     let (scalar_sim, scalar_report) = run_with(netlist, SettleStrategy::EventDriven, cycles);
-    let lane_config = LaneConfig { track_divergence: true, ..LaneConfig::default() };
-    let mut lane_sim = LaneSimulation::new(netlist, &lane_config).expect("paper netlists simulate");
+    let mut lane_sim =
+        LaneSimulation::new(netlist, &LaneConfig::default()).expect("paper netlists simulate");
     lane_sim.run(cycles).expect("paper netlists settle");
 
-    assert_eq!(
-        lane_sim.divergent_lanes(),
-        0,
-        "{name}: broadcast lanes must never diverge from lane 0"
-    );
     for lane in 0..LANES {
         assert_eq!(
             lane_sim.trace(lane),
@@ -287,8 +281,8 @@ fn structural_stress_designs_are_lane_broadcast_identical() {
 }
 
 /// Deterministic per-lane sink pattern: six stop/go bits derived from the
-/// lane index (lane 0 keeps the default always-ready environment so the
-/// divergence map's reference lane is the unperturbed run).
+/// lane index (lane 0 keeps the default always-ready environment, so the
+/// lane every other lane is compared with is the unperturbed run).
 fn lane_pattern(lane: usize) -> elastic_core::kind::BackpressurePattern {
     let bits = (lane as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58;
     elastic_core::kind::BackpressurePattern::List(
@@ -345,14 +339,13 @@ fn per_lane_sink_environments_match_per_lane_scalar_runs() {
     // The production posture: 64 *different* environments in one
     // simulation instance. Every lane must still be bit-identical to a
     // scalar run given that lane's environment — the strong form of the
-    // lane-0 contract — and the divergence map must light up.
+    // lane-0 contract — and the environments must make some lane diverge.
     let patterns: Vec<_> = (0..LANES).map(lane_pattern).collect();
     for (name, netlist, cycles) in lane_designs() {
         let sinks = sink_ids(&netlist);
         assert!(!sinks.is_empty(), "{name} has sinks");
 
-        let lane_config = LaneConfig { track_divergence: true, ..LaneConfig::default() };
-        let mut lane_sim = LaneSimulation::new(&netlist, &lane_config).unwrap();
+        let mut lane_sim = LaneSimulation::new(&netlist, &LaneConfig::default()).unwrap();
         let overrides: Vec<_> = sinks.iter().map(|&sink| (sink, patterns.clone())).collect();
         lane_sim.reset_with_lane_sink_patterns(&overrides);
         lane_sim.run(cycles).unwrap();
@@ -374,17 +367,10 @@ fn per_lane_sink_environments_match_per_lane_scalar_runs() {
                 "{name}: lane {lane} report must match its scalar environment run"
             );
         }
-        assert_ne!(
-            lane_sim.divergent_lanes(),
-            0,
-            "{name}: distinct environments must show up in the divergence map"
+        assert!(
+            (1..LANES).any(|lane| lane_sim.trace(lane) != lane_sim.trace(0)),
+            "{name}: distinct environments must make some lane's trace differ from lane 0's"
         );
-        assert_eq!(
-            lane_sim.divergent_lanes() & 1,
-            0,
-            "{name}: lane 0 is the divergence reference and never marks itself"
-        );
-        assert_eq!(lane_sim.report(0).lane_divergence, lane_sim.divergence_map().to_vec());
     }
 }
 

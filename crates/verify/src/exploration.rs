@@ -36,7 +36,7 @@ pub struct ExplorationOptions {
     /// token-offer patterns.
     pub pattern_depth: usize,
     /// Number of cycles to simulate per enumerated pattern (the pattern
-    /// repeats cyclically).
+    /// repeats cyclically; clamped to at least 1, with a coverage note).
     pub cycles_per_run: u64,
     /// Cap on the number of simulation runs. Each run is one 64-lane block
     /// covering [`LANES`] environment combinations, so up to
@@ -132,7 +132,9 @@ pub(crate) fn shared_modules_of(netlist: &Netlist) -> Vec<(elastic_core::NodeId,
 /// combinations than [`ExplorationOptions::max_runs`] lane blocks cover —
 /// the verdict carries an explicit coverage [`note`](Verdict::note), so a
 /// "passed" result cannot masquerade as exhaustive
-/// (see [`Verdict::is_exhaustive`]).
+/// (see [`Verdict::is_exhaustive`]). So does a zero
+/// [`ExplorationOptions::cycles_per_run`], which is clamped to one cycle:
+/// a run of no cycles would check nothing.
 ///
 /// # Errors
 ///
@@ -202,14 +204,17 @@ pub fn explore_environments(
             sim.reset();
         }
     };
-    let failures =
-        sweep_lane_blocks(netlist, &runs, options.cycles_per_run, setup, |combination, trace| {
-            let run_verdict = check_trace(netlist, trace, &protocol);
-            (!run_verdict.passed())
-                .then(|| format!("environment combination {combination}: {run_verdict}"))
-        })?;
+    let cycles = options.cycles_per_run.max(1);
+    let failures = sweep_lane_blocks(netlist, &runs, cycles, setup, |combination, trace| {
+        let run_verdict = check_trace(netlist, trace, &protocol);
+        (!run_verdict.passed())
+            .then(|| format!("environment combination {combination}: {run_verdict}"))
+    })?;
 
     let mut verdict = Verdict::default();
+    if options.cycles_per_run == 0 {
+        verdict.note("cycles_per_run clamped from 0 to 1 (a run of no cycles checks nothing)");
+    }
     if pattern_bits > MAX_EXHAUSTIVE_PATTERN_BITS || explored < combinations {
         verdict.note(format!(
             "coverage truncated: explored {explored} of 2^{pattern_bits} environment \
@@ -297,7 +302,7 @@ fn sweep_lane_blocks(
     setup: impl Fn(&mut LaneSimulation, &[usize]) + Sync,
     judge: impl Fn(usize, &Trace) -> Option<String> + Sync,
 ) -> Result<Vec<String>, SimError> {
-    let config = LaneConfig { track_divergence: false, ..LaneConfig::default() };
+    let config = LaneConfig::default();
     let failures = lane_map(
         runs,
         || LaneSimulation::new(netlist, &config),
@@ -410,6 +415,25 @@ mod tests {
         let verdict = explore_environments(&handles.netlist, &full).unwrap();
         assert!(verdict.passed(), "{verdict}");
         assert!(verdict.is_exhaustive(), "{verdict}");
+    }
+
+    #[test]
+    fn a_zero_cycle_run_is_clamped_to_one_cycle_with_a_note() {
+        // A run of no cycles checks nothing, so it must not pass as an
+        // exhaustive sweep.
+        let handles = table1();
+        let options = ExplorationOptions {
+            pattern_depth: 1,
+            cycles_per_run: 0,
+            max_runs: 64,
+            random_scheduler_runs: 0,
+            seed: 1,
+        };
+        let verdict = explore_environments(&handles.netlist, &options).unwrap();
+        assert!(verdict.passed(), "{verdict}");
+        assert!(!verdict.is_exhaustive(), "{verdict}");
+        assert_eq!(verdict.notes.len(), 1, "{verdict}");
+        assert!(verdict.notes[0].contains("cycles_per_run clamped from 0 to 1"), "{verdict}");
     }
 
     #[test]

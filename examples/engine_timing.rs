@@ -54,7 +54,7 @@ fn time_case(netlist: &Netlist, cycles: u64, repeats: u32) -> [f64; 4] {
         let config = SimConfig { record_trace: false, settle };
         Box::new(move || drop(Simulation::new(netlist, &config).unwrap().run(cycles).unwrap()))
     };
-    let quiet = LaneConfig { record_trace: false, ..LaneConfig::default() };
+    let quiet = LaneConfig { record_trace: false };
     let lanes = move || LaneSimulation::new(netlist, &quiet).unwrap().run(cycles).unwrap();
     let times = best_times(
         repeats,
@@ -124,7 +124,7 @@ fn time_sweep_lanes(
     repeats: u32,
     scalar_checksum: u64,
 ) -> f64 {
-    let quiet = LaneConfig { record_trace: false, ..LaneConfig::default() };
+    let quiet = LaneConfig { record_trace: false };
     let sink = sink_of(netlist);
     let indices: Vec<usize> = (0..scenarios).collect();
     let sweep = || {
