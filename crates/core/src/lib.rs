@@ -22,7 +22,9 @@
 //!   duplicated logic behind a speculative shared module, buffer latency
 //!   re-parameterisation, and the composite [`transform::speculate`] pass,
 //! * the abstract [`scheduler::Scheduler`] interface used by speculative
-//!   shared modules,
+//!   shared modules, with the static and the seeded random scheduler,
+//! * the [`mix`] primitives behind every seeded stream and persisted digest
+//!   (SplitMix64's output function and FNV-1a),
 //! * an [`shell::ExplorationShell`] command interpreter mirroring the
 //!   interactive exploration toolkit described in Section 5 of the paper,
 //! * a [`library`] of prebuilt netlists for every example the paper
@@ -56,6 +58,7 @@ pub mod error;
 pub mod id;
 pub mod kind;
 pub mod library;
+pub mod mix;
 pub mod netlist;
 pub mod op;
 pub mod scheduler;

@@ -272,12 +272,18 @@ impl std::fmt::Display for Op {
 /// assert_eq!(elastic_core::op::secded_codeword_width(57), 64);
 /// assert_eq!(elastic_core::op::secded_codeword_width(32), 39);
 /// ```
-pub fn secded_codeword_width(data_width: u8) -> u8 {
+pub const fn secded_codeword_width(data_width: u8) -> u8 {
+    data_width + secded_parity_bits(data_width) + 1
+}
+
+/// Number of Hamming parity bits a SECDED code needs for `data_width` data
+/// bits (the smallest `r` with `2^r ≥ data_width + r + 1`).
+pub const fn secded_parity_bits(data_width: u8) -> u8 {
     let mut parity = 0u8;
-    while (1u64 << parity) < u64::from(data_width) + u64::from(parity) + 1 {
+    while (1u64 << parity) < data_width as u64 + parity as u64 + 1 {
         parity += 1;
     }
-    data_width + parity + 1
+    parity
 }
 
 /// Convenience constructor for opaque blocks with a delay/area budget.
@@ -335,6 +341,8 @@ mod tests {
         assert_eq!(secded_codeword_width(8), 13);
         assert_eq!(secded_codeword_width(32), 39);
         assert_eq!(secded_codeword_width(57), 64);
+        assert_eq!(secded_parity_bits(57), 6);
+        assert_eq!(secded_parity_bits(64), 7, "the (72,64) code");
     }
 
     #[test]

@@ -8,12 +8,17 @@
 //! any channel — formalised as the *leads-to* property
 //! `G (V+_in_i  =>  F (V-_out_i  \/  (sel = i /\ S+_out_i)))`.
 //!
-//! Concrete prediction policies live in the `elastic-predict` crate; the
-//! simulator additionally enforces the leads-to property through the
-//! `starvation_limit` of [`crate::SharedSpec`], so even an adversarial
-//! scheduler cannot deadlock a well-formed netlist.
+//! This module holds the two policies every layer needs: the
+//! [`StaticScheduler`] and the seeded, adversarial [`RandomScheduler`] that
+//! the verifier's sweeps and the fault campaign use. The learned prediction
+//! policies live in the `elastic-predict` crate. The simulator enforces the
+//! leads-to property through the `starvation_limit` of
+//! [`crate::SharedSpec`], so even an adversarial scheduler cannot deadlock a
+//! well-formed netlist.
 
 use std::fmt;
+
+use crate::mix::SPLITMIX64_GAMMA;
 
 /// End-of-cycle observation handed to a [`Scheduler`] so it can update its
 /// prediction for the next cycle.
@@ -138,9 +143,102 @@ impl Scheduler for StaticScheduler {
     }
 }
 
+/// An adversarial scheduler that predicts a pseudo-random channel each
+/// cycle, ignoring all feedback.
+///
+/// On its own this policy does not satisfy the leads-to (no-starvation)
+/// property; it exists to stress the shared-module controller, whose
+/// starvation override must keep the system live and its output streams
+/// bit-identical regardless (Section 4.1.1 only requires leads-to). The
+/// grant sequence is a pure function of the seed (xorshift64*), so runs are
+/// replayable.
+#[derive(Debug, Clone)]
+pub struct RandomScheduler {
+    users: usize,
+    state: u64,
+    seed: u64,
+    current: usize,
+}
+
+impl RandomScheduler {
+    /// Creates a random scheduler over `users` channels with a deterministic
+    /// seed. The first grant is channel 0.
+    pub fn new(users: usize, seed: u64) -> Self {
+        // xorshift never leaves state 0, so a fixed non-zero word stands in.
+        let seed = if seed == 0 { SPLITMIX64_GAMMA } else { seed };
+        RandomScheduler { users: users.max(1), state: seed, seed, current: 0 }
+    }
+
+    fn advance(&mut self) -> u64 {
+        // xorshift64* — deterministic, seedable, good enough for fuzzing.
+        self.state ^= self.state >> 12;
+        self.state ^= self.state << 25;
+        self.state ^= self.state >> 27;
+        self.state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+}
+
+impl Scheduler for RandomScheduler {
+    fn prediction(&self) -> usize {
+        self.current
+    }
+
+    fn tick(&mut self, _feedback: &SharedFeedback) {
+        let draw = self.advance();
+        self.current = (draw % self.users as u64) as usize;
+    }
+
+    fn reset(&mut self) {
+        self.state = self.seed;
+        self.current = 0;
+    }
+
+    fn name(&self) -> &str {
+        "random"
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn grants(scheduler: &mut impl Scheduler, users: usize, cycles: usize) -> Vec<usize> {
+        let feedback = SharedFeedback::new(users);
+        (0..cycles)
+            .map(|_| {
+                let grant = scheduler.prediction();
+                scheduler.tick(&feedback);
+                grant
+            })
+            .collect()
+    }
+
+    #[test]
+    fn random_scheduler_is_deterministic_and_in_range() {
+        let mut a = RandomScheduler::new(3, 7);
+        let mut b = RandomScheduler::new(3, 7);
+        let sequence = grants(&mut a, 3, 100);
+        assert!(sequence.iter().all(|&grant| grant < 3));
+        assert!(sequence.windows(2).any(|w| w[0] != w[1]), "the grants must actually move");
+        assert_eq!(sequence, grants(&mut b, 3, 100), "same seed, same grant sequence");
+        a.reset();
+        assert_eq!(grants(&mut a, 3, 10), sequence[..10], "reset rewinds to the first grant");
+        assert_eq!(a.name(), "random");
+        for users in [0, 1] {
+            let mut single = RandomScheduler::new(users, 0xDEAD);
+            assert!(grants(&mut single, 1, 32).iter().all(|&grant| grant == 0), "{users} user(s)");
+        }
+    }
+
+    #[test]
+    fn random_scheduler_stream_is_pinned() {
+        // The verifier's adversarial sweeps and the fault campaign replay
+        // runs from their seeds, so the grant sequence must never drift.
+        assert_eq!(
+            grants(&mut RandomScheduler::new(3, 7), 3, 16),
+            [0, 1, 2, 0, 0, 2, 1, 2, 1, 1, 2, 2, 2, 0, 1, 1]
+        );
+    }
 
     #[test]
     fn static_scheduler_never_changes_its_mind() {

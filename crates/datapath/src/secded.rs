@@ -17,6 +17,8 @@
 //! read the (unchecked) data with a plain mask while SECDED verifies the
 //! codeword in parallel.
 
+use elastic_core::op::secded_parity_bits;
+
 /// Classification of a received codeword.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Syndrome {
@@ -37,20 +39,6 @@ impl Syndrome {
             Syndrome::DoubleError => 2,
         }
     }
-}
-
-/// Number of Hamming parity bits needed for `data_width` data bits.
-pub const fn parity_bits(data_width: u8) -> u8 {
-    let mut r = 0u8;
-    while (1u64 << r) < data_width as u64 + r as u64 + 1 {
-        r += 1;
-    }
-    r
-}
-
-/// Total codeword width (data + Hamming parity + overall parity).
-pub fn codeword_width(data_width: u8) -> u8 {
-    data_width + parity_bits(data_width) + 1
 }
 
 /// Most Hamming parity bits either code needs: 7 for the (72,64) code, 6
@@ -93,7 +81,7 @@ const SECDED_MASKS: [[u64; MAX_PARITY]; 58] = {
     let mut table = [[0u64; MAX_PARITY]; 58];
     let mut width = 1u8;
     while width <= 57 {
-        table[width as usize] = coverage_masks(width as u32, parity_bits(width) as u32);
+        table[width as usize] = coverage_masks(width as u32, secded_parity_bits(width) as u32);
         width += 1;
     }
     table
@@ -150,7 +138,7 @@ impl Secded {
             (1..=57).contains(&data_width),
             "SECDED data width must be between 1 and 57 bits, got {data_width}"
         );
-        Secded { data_width, parity: parity_bits(data_width) }
+        Secded { data_width, parity: secded_parity_bits(data_width) }
     }
 
     /// Protected data width in bits.
@@ -291,7 +279,7 @@ mod tests {
     fn codeword_widths_match_core_helper() {
         for width in [4u8, 8, 16, 32, 57] {
             assert_eq!(
-                codeword_width(width),
+                Secded::new(width).codeword_width(),
                 elastic_core::op::secded_codeword_width(width),
                 "width {width}"
             );
@@ -342,6 +330,7 @@ mod tests {
     /// every data bit's Hamming position is re-found by linear scan.
     mod oracle {
         use super::super::Syndrome;
+        use elastic_core::op::secded_parity_bits;
 
         fn position_of(data_bit: u32) -> u32 {
             let mut position = 1u32;
@@ -404,14 +393,14 @@ mod tests {
         }
 
         pub fn encode(data_width: u8, data: u64) -> u64 {
-            let (w, r) = (u32::from(data_width), u32::from(super::super::parity_bits(data_width)));
+            let (w, r) = (u32::from(data_width), u32::from(secded_parity_bits(data_width)));
             let data = data & low(w);
             let without_overall = data | (parity(data, w, r) << w);
             without_overall | (u64::from(without_overall.count_ones() & 1) << (w + r))
         }
 
         pub fn decode(data_width: u8, codeword: u64) -> (u64, Syndrome) {
-            let (w, r) = (u32::from(data_width), u32::from(super::super::parity_bits(data_width)));
+            let (w, r) = (u32::from(data_width), u32::from(secded_parity_bits(data_width)));
             let data = codeword & low(w);
             let syndrome = ((codeword >> w) & low(r)) ^ parity(data, w, r);
             let overall_ok =

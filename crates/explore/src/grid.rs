@@ -17,6 +17,10 @@ use elastic_core::{Netlist, NodeId, NodeKind, Result as CoreResult};
 
 use crate::ExploreOptions;
 
+/// Starvation override pinned into every candidate: the shared module grants
+/// a user that has waited this many cycles, whatever the scheduler predicts.
+const STARVATION_LIMIT: Option<u32> = Some(8);
+
 /// What kind of speculation site a multiplexor is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SiteKind {
@@ -127,8 +131,7 @@ impl SpecConfig {
 ///
 /// Sites come from two detectors: [`critical::speculation_candidates`]
 /// (multiplexors whose select closes a cycle) and a sweep over the remaining
-/// live multiplexors (feed-forward sites, included only when
-/// [`ExploreOptions::include_acyclic`] is set). Multiplexors the transform
+/// live multiplexors (feed-forward sites). Multiplexors the transform
 /// will reject — already-speculated designs, rendezvous conflicts — are
 /// *kept in the grid*: the explorer surfaces them as skipped candidates with
 /// the transform's own reason, never as silent holes.
@@ -144,10 +147,8 @@ pub fn enumerate_candidates(netlist: &Netlist, options: &ExploreOptions) -> Vec<
         }
         let site = if loop_sites.contains(&node.id) {
             SiteKind::SelectLoop
-        } else if options.include_acyclic {
-            SiteKind::FeedForward
         } else {
-            continue;
+            SiteKind::FeedForward
         };
         sites.push((node.id, node.name.clone(), site));
     }
@@ -172,7 +173,7 @@ pub fn enumerate_candidates(netlist: &Netlist, options: &ExploreOptions) -> Vec<
                         scheduler: scheduler.clone(),
                         commit_depth,
                         recovery_buffer: *recovery_buffer,
-                        starvation_limit: options.starvation_limit,
+                        starvation_limit: STARVATION_LIMIT,
                     });
                 }
             }

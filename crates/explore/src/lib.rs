@@ -22,7 +22,7 @@
 //! 2. **short-horizon sim** — survivors are measured for
 //!    [`ExploreOptions::short_cycles`]; a candidate is dropped only when
 //!    another candidate that costs no more area *and* no more cycle time
-//!    out-scores it by [`ExploreOptions::short_margin`]×;
+//!    out-scores it by 2×;
 //! 3. **full-horizon confirm** — the remainder is measured for
 //!    [`ExploreOptions::cycles`] and Pareto-partitioned.
 //!
@@ -75,6 +75,7 @@ pub mod score;
 
 use elastic_analysis::cost::CostModel;
 use elastic_core::kind::{BufferSpec, SchedulerKind};
+use elastic_core::mix::splitmix64;
 use elastic_core::{CoreError, Netlist};
 use elastic_sim::sweep::parallel_map;
 use elastic_verify::liveness::LivenessOptions;
@@ -94,8 +95,6 @@ pub struct ExploreOptions {
     /// Recovery-buffer placements enumerated per site (`None` = direct
     /// connection).
     pub recovery: Vec<Option<BufferSpec>>,
-    /// Starvation override pinned into every candidate.
-    pub starvation_limit: Option<u32>,
     /// Full-horizon measurement length (rung 3; clamped to at least 1).
     pub cycles: u64,
     /// Short-horizon measurement length (rung 2; clamped to at least 1).
@@ -109,18 +108,11 @@ pub struct ExploreOptions {
     /// Rung-1 bound: candidates whose area exceeds this multiple of the
     /// baseline area are pruned statically.
     pub max_area_ratio: f64,
-    /// Rung-2 margin: a candidate is pruned only when a no-costlier
-    /// candidate out-scores it by this factor at the short horizon (clamped
-    /// to at least 1.25).
-    pub short_margin: f64,
     /// Run [`elastic_verify::check_transform_battery`] on every front
     /// member, evicting failures from the front.
     pub verify: bool,
     /// Simulation length of the verification battery.
     pub verify_cycles: u64,
-    /// Also enumerate feed-forward multiplexors (sites without a select
-    /// cycle, speculated with `allow_acyclic`).
-    pub include_acyclic: bool,
     /// Force single-threaded scoring. The result must be identical to the
     /// parallel search — the property tests compare the two.
     pub sequential: bool,
@@ -140,16 +132,13 @@ impl Default for ExploreOptions {
                 SchedulerKind::Confidence { max_confidence: 2 },
             ],
             recovery: vec![None],
-            starvation_limit: Some(8),
             cycles: 4096,
             short_cycles: 512,
             environments: 4,
             seed: 0,
             max_area_ratio: 4.0,
-            short_margin: 2.0,
             verify: true,
             verify_cycles: 192,
-            include_acyclic: true,
             sequential: false,
             shuffle_seed: None,
         }
@@ -291,12 +280,16 @@ struct Applied {
     latency: f64,
 }
 
+/// Rung-2 margin: a candidate is pruned only when a no-costlier candidate
+/// out-scores it by this factor at the short horizon.
+const SHORT_MARGIN: f64 = 2.0;
+
 /// Fisher–Yates driven by a SplitMix64 stream: the testing hook behind
 /// [`ExploreOptions::shuffle_seed`].
 fn shuffle<T>(items: &mut [T], seed: u64) {
     let mut state = seed;
     for i in (1..items.len()).rev() {
-        state = score::mix(state);
+        state = splitmix64(state);
         let j = (state % (i as u64 + 1)) as usize;
         items.swap(i, j);
     }
@@ -333,7 +326,6 @@ pub fn explore(netlist: &Netlist, options: &ExploreOptions) -> Result<ExploreRep
     netlist.validate().map_err(ExploreError::InvalidNetlist)?;
     let model = CostModel::default();
     let env = environment_grid(netlist, options.environments, options.seed);
-    let short_margin = options.short_margin.max(1.25);
     let cycles = options.cycles.max(1);
     let short_cycles = options.short_cycles.max(1);
 
@@ -410,7 +402,7 @@ pub fn explore(netlist: &Netlist, options: &ExploreOptions) -> Result<ExploreRep
                     && b.area <= a.area
                     && b.latency <= a.latency
                     && *bt > 0.0
-                    && *bt >= short_margin * t
+                    && *bt >= SHORT_MARGIN * t
             })
         })
         .collect();
@@ -422,7 +414,7 @@ pub fn explore(netlist: &Netlist, options: &ExploreOptions) -> Result<ExploreRep
             pruned.short_horizon.push(PrunedCandidate {
                 config: a.config,
                 detail: format!(
-                    "short-horizon throughput {t:.4} tok/cyc out-scored {short_margin}x by a \
+                    "short-horizon throughput {t:.4} tok/cyc out-scored {SHORT_MARGIN}x by a \
                      no-costlier candidate"
                 ),
             });

@@ -19,6 +19,7 @@
 use elastic_analysis::cost::CostModel;
 use elastic_analysis::timing;
 use elastic_core::kind::BackpressurePattern;
+use elastic_core::mix::{fnv, splitmix64};
 use elastic_core::{Netlist, NodeId, NodeKind};
 use elastic_sim::{SettleStrategy, SimConfig, Simulation, SimulationReport};
 
@@ -31,25 +32,6 @@ pub struct EnvironmentGrid {
     /// `variations[e][s]` is the back-pressure pattern of sink `s` in
     /// environment `e`. Environment 0 keeps every sink's declared pattern.
     pub variations: Vec<Vec<BackpressurePattern>>,
-}
-
-/// SplitMix64: the deterministic seed expander used throughout the
-/// workspace's sweeps.
-pub(crate) fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// FNV-1a over a name, for id-independent per-sink seeds.
-fn fnv(name: &str) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for byte in name.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
 }
 
 /// Builds the scoring grid of `netlist`: `environments` sink back-pressure
@@ -72,7 +54,7 @@ pub fn environment_grid(netlist: &Netlist, environments: usize, seed: u64) -> En
         let row = sinks
             .iter()
             .map(|(name, _)| {
-                let h = mix(seed ^ mix(fnv(name)) ^ e as u64);
+                let h = splitmix64(seed ^ splitmix64(fnv(name.as_bytes())) ^ e as u64);
                 if e % 2 == 1 {
                     BackpressurePattern::Every(2 + (h % 4) as u32)
                 } else {
@@ -170,6 +152,28 @@ pub fn measure(netlist: &Netlist, grid: &EnvironmentGrid, cycles: u64) -> Result
 mod tests {
     use super::*;
     use elastic_core::library::{fig1a, Fig1Config};
+
+    #[test]
+    fn the_fig1a_grid_is_pinned() {
+        // Explorer scores and the service's cached explore reports depend on
+        // the grid a seed derives: it must never drift.
+        let grid = environment_grid(&fig1a(&Fig1Config::default()).netlist, 4, 7);
+        assert_eq!(
+            grid,
+            EnvironmentGrid {
+                sinks: vec!["sink".to_string()],
+                variations: vec![
+                    vec![BackpressurePattern::Never],
+                    vec![BackpressurePattern::Every(4)],
+                    vec![BackpressurePattern::Random {
+                        probability: 0.16411764705882353,
+                        seed: 0xf8c9_fcef_12e6_08e9,
+                    }],
+                    vec![BackpressurePattern::Every(2)],
+                ],
+            }
+        );
+    }
 
     #[test]
     fn the_grid_keeps_the_declared_environment_first_and_is_seed_deterministic() {

@@ -29,9 +29,10 @@
 //!    firing outside its bounded window, a non-monitor simulation error — is
 //!    a [`CampaignFailure`] carrying the seeded [`FaultSpec`] reproducer.
 //! 4. designs with shared modules additionally face a **byzantine scheduler
-//!    sub-campaign**: feedback-ignoring random grants must leave the output
-//!    streams bit-identical (the controller enforces the leads-to discipline,
-//!    Section 4.1.1) or trip a monitor.
+//!    sub-campaign**: the feedback-ignoring grants of a seeded
+//!    [`RandomScheduler`] must leave the output streams bit-identical (the
+//!    controller enforces the leads-to discipline, Section 4.1.1) or trip a
+//!    monitor.
 //!
 //! [`run_stall_storm_recovery`] is the strict transient variant used for the
 //! paper designs: environment stall storms only, and every one must be
@@ -47,11 +48,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use elastic_core::kind::BackpressurePattern;
+use elastic_core::scheduler::RandomScheduler;
 use elastic_core::transform::place_isolation_buffers;
 use elastic_core::{ChannelId, Netlist, NodeId, NodeKind, Port, Scheduler};
+use elastic_sim::sweep::panic_message;
 use elastic_sim::{
-    ByzantineScheduler, CycleMonitor, FaultKind, FaultPlan, FaultSpec, SimConfig, SimError,
-    Simulation, SimulationReport,
+    CycleMonitor, FaultKind, FaultPlan, FaultSpec, SimConfig, SimError, Simulation,
+    SimulationReport,
 };
 use elastic_verify::{standard_monitors, MonitorOptions, ScoreboardMonitor};
 
@@ -323,14 +326,7 @@ fn run_injection(
     sim.disarm_faults();
 
     let (outcome, vacuous) = match run {
-        Err(payload) => {
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
-            (FaultOutcome::Trapped { message }, false)
-        }
+        Err(payload) => (FaultOutcome::Trapped { message: panic_message(payload) }, false),
         Ok(Err(SimError::MonitorTripped(violation))) => {
             // The locus must fall inside the bounded detection window:
             // never before the fault window opens (Retry+ reports at the
@@ -376,7 +372,17 @@ fn run_injection(
     Ok(InjectionRecord { index, fault, outcome, vacuous })
 }
 
-fn campaign_core(
+/// Runs the full fault-injection campaign on one netlist.
+///
+/// Every injection must end **detected** (a monitor trip with a bounded
+/// locus), **trapped** (fail-stop assertion) or **provably masked**
+/// (bit-identical reference streams); anything else is a [`CampaignFailure`]
+/// carrying the seeded reproducer. See the module docs for the protocol.
+///
+/// # Errors
+///
+/// The first injection (or setup stage) violating the campaign contract.
+pub fn run_fault_campaign(
     netlist: &Netlist,
     seed: u64,
     options: &CampaignOptions,
@@ -434,11 +440,7 @@ fn campaign_core(
                 shared
                     .iter()
                     .map(|&(id, users)| {
-                        (
-                            id,
-                            Box::new(ByzantineScheduler::new(users, byz_seed))
-                                as Box<dyn Scheduler>,
-                        )
+                        (id, Box::new(RandomScheduler::new(users, byz_seed)) as Box<dyn Scheduler>)
                     })
                     .collect(),
             );
@@ -466,24 +468,6 @@ fn campaign_core(
         }
     }
     Ok(report)
-}
-
-/// Runs the full fault-injection campaign on one netlist.
-///
-/// Every injection must end **detected** (a monitor trip with a bounded
-/// locus), **trapped** (fail-stop assertion) or **provably masked**
-/// (bit-identical reference streams); anything else is a [`CampaignFailure`]
-/// carrying the seeded reproducer. See the module docs for the protocol.
-///
-/// # Errors
-///
-/// The first injection (or setup stage) violating the campaign contract.
-pub fn run_fault_campaign(
-    netlist: &Netlist,
-    seed: u64,
-    options: &CampaignOptions,
-) -> Result<CampaignReport, CampaignFailure> {
-    campaign_core(netlist, seed, options)
 }
 
 /// The strict transient variant for the paper designs: every storm must be

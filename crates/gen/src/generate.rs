@@ -158,6 +158,19 @@ impl GenConfig {
             ..GenConfig::default()
         }
     }
+
+    /// The preset named `name` (`default`, `pipelines`, `loops` or
+    /// `small`), the names corpus entries and seeded service jobs use;
+    /// `None` for any other name.
+    pub fn preset(name: &str) -> Option<GenConfig> {
+        match name {
+            "default" => Some(GenConfig::default()),
+            "pipelines" => Some(GenConfig::pipelines()),
+            "loops" => Some(GenConfig::loops()),
+            "small" => Some(GenConfig::small()),
+            _ => None,
+        }
+    }
 }
 
 /// What the generator built, beyond the netlist itself.

@@ -22,9 +22,9 @@
 //! 4. **transform equivalence** — every applicable transformation
 //!    (`insert_bubble`, buffer insertion/`split_empty_buffer`,
 //!    `make_zero_backward`, retiming, and the composite `speculate` pass on
-//!    every eligible mux — select loops *and*, by default, feed-forward
-//!    muxes) is applied to a clone and checked behaviorally equivalent,
-//!    live and token-conserving versus the original via
+//!    every eligible mux — select loops *and* feed-forward muxes) is
+//!    applied to a clone and checked behaviorally equivalent, live and
+//!    token-conserving versus the original via
 //!    [`elastic_verify::battery`]; speculated designs are additionally
 //!    swept across schedulers and injected environment variations, and
 //!    structural transforms get their own environment-injection sweep, all
@@ -46,7 +46,7 @@ use elastic_core::transform::{
 use elastic_core::{BufferSpec, CoreError, Netlist, NodeId, SchedulerKind};
 use elastic_explore::{dominates, explore, ExploreOptions};
 use elastic_sim::{
-    LaneConfig, LaneSimulation, SettleStrategy, SimConfig, SimError, Simulation, LANES,
+    LaneConfig, LaneSimulation, SettleStrategy, SimConfig, SimError, Simulation, Trace, LANES,
 };
 use elastic_verify::battery::{
     check_design, check_equivalence_across_schedulers, check_equivalence_under_environments,
@@ -104,17 +104,6 @@ pub struct HarnessOptions {
     /// same reason as the lane leg; the fuzz smoke test switches it on via
     /// `ELASTIC_FUZZ_COMPILED`.
     pub compiled_differential: bool,
-    /// Also exercise `speculate` with `allow_acyclic` on feed-forward muxes.
-    ///
-    /// On by default since the feed-forward soundness work landed: the
-    /// in-order commit stage keeps shared results observable strictly in
-    /// program order under any scheduler, and the retraction-domain
-    /// analysis places isolation buffers exactly where a stallable fork
-    /// could commit a phantom token. (Historically off: the blanket
-    /// isolation bubble alone left generated feed-forward cases reordering
-    /// results and livelocking under adversarial static schedulers aligned
-    /// with sink back-pressure — see `crates/gen/corpus/0009…0011`.)
-    pub include_acyclic_speculation: bool,
     /// Also run the auto-speculation design-space explorer
     /// ([`elastic_explore::explore`]) on every case and hold it to its three
     /// contracts: every front config re-applies cleanly on a fresh clone and
@@ -148,7 +137,6 @@ impl Default for HarnessOptions {
             case_deadline: Duration::from_secs(30),
             lane_differential: false,
             compiled_differential: false,
-            include_acyclic_speculation: true,
             explorer_soundness: false,
         }
     }
@@ -187,7 +175,6 @@ impl HarnessOptions {
             environments: 2,
             seed,
             verify: false,
-            include_acyclic: self.include_acyclic_speculation,
             ..ExploreOptions::default()
         }
     }
@@ -284,13 +271,7 @@ fn strategies_agree(
     let (sweep_sim, sweep_report) = run(candidate)?;
 
     if event_sim.trace() != sweep_sim.trace() {
-        let divergence = (0..event_sim.trace().len())
-            .find(|&cycle| {
-                let event: Option<Vec<_>> = event_sim.trace().states_at(cycle).map(|s| s.collect());
-                let sweep: Option<Vec<_>> = sweep_sim.trace().states_at(cycle).map(|s| s.collect());
-                event != sweep
-            })
-            .unwrap_or(0);
+        let divergence = first_divergence(event_sim.trace(), sweep_sim.trace());
         return Err(format!(
             "{reference_name} and {candidate_name} traces diverge at cycle {divergence} of \
              {cycles}"
@@ -302,6 +283,17 @@ fn strategies_agree(
         ));
     }
     Ok(())
+}
+
+/// The first cycle at which `observed` records other channel states than
+/// `reference` (0 when the two differ only in length).
+fn first_divergence(reference: &Trace, observed: &Trace) -> usize {
+    (0..reference.len())
+        .find(|&cycle| {
+            let expected: Option<Vec<_>> = reference.states_at(cycle).map(|s| s.collect());
+            expected != observed.states_at(cycle).map(|s| s.collect())
+        })
+        .unwrap_or(0)
 }
 
 /// Runs the scalar event-driven engine against the 64-lane bit-parallel
@@ -326,15 +318,7 @@ pub fn lanes_agree(netlist: &Netlist, cycles: u64) -> Result<(), String> {
     lanes.run(cycles).map_err(|error| format!("lane run failed: {error}"))?;
 
     if let Some(lane) = (0..LANES).find(|&lane| lanes.trace(lane) != scalar.trace()) {
-        let divergence = (0..scalar.trace().len())
-            .find(|&cycle| {
-                let observed: Option<Vec<_>> =
-                    lanes.trace(lane).states_at(cycle).map(|s| s.collect());
-                let reference: Option<Vec<_>> =
-                    scalar.trace().states_at(cycle).map(|s| s.collect());
-                observed != reference
-            })
-            .unwrap_or(0);
+        let divergence = first_divergence(scalar.trace(), lanes.trace(lane));
         return Err(format!(
             "lane-{lane} trace diverges from the scalar engine at cycle {divergence} of {cycles}"
         ));
@@ -380,9 +364,6 @@ fn transform_catalogue(
         }
         let mux = node.id;
         let on_cycle = find_select_cycles(netlist, mux).map(|c| !c.is_empty()).unwrap_or(false);
-        if !on_cycle && !options.include_acyclic_speculation {
-            continue;
-        }
         let scheduler = options
             .schedulers
             .get(rng.below(options.schedulers.len().max(1) as u64) as usize)

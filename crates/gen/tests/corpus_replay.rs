@@ -33,16 +33,6 @@ fn parse_seed(value: &str) -> u64 {
     }
 }
 
-fn preset(name: &str) -> GenConfig {
-    match name {
-        "default" => GenConfig::default(),
-        "pipelines" => GenConfig::pipelines(),
-        "loops" => GenConfig::loops(),
-        "small" => GenConfig::small(),
-        other => panic!("unknown generation preset `{other}`"),
-    }
-}
-
 fn load_corpus() -> Vec<CorpusEntry> {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("corpus");
     let mut entries = Vec::new();
@@ -66,7 +56,11 @@ fn load_corpus() -> Vec<CorpusEntry> {
             };
             match key.trim() {
                 "seed" => seed = Some(parse_seed(value.trim())),
-                "preset" => config = Some(preset(value.trim())),
+                "preset" => {
+                    config = Some(GenConfig::preset(value.trim()).unwrap_or_else(|| {
+                        panic!("{}: unknown generation preset `{}`", path.display(), value.trim())
+                    }))
+                }
                 other => panic!("{}: unknown key `{other}`", path.display()),
             }
         }
@@ -157,10 +151,10 @@ fn corpus_0004_buffer_init_values_are_masked() {
 
 #[test]
 fn corpus_0009_0010_acyclic_speculation_is_sound_and_exercised() {
-    // Pre-fix, these seeds (with `include_acyclic_speculation` forced on)
+    // Pre-fix, these seeds (with feed-forward speculation switched on)
     // reordered shared results resp. livelocked under a static scheduler;
-    // the flag is the default now, so the plain gauntlet must both pass and
-    // actually attempt feed-forward speculation on them.
+    // the gauntlet always speculates feed-forward muxes now, so it must
+    // both pass and actually attempt feed-forward speculation on them.
     for (seed, config) in
         [(0x5eed_0000_004d, GenConfig::default()), (0x5eed_0003_0012, GenConfig::small())]
     {

@@ -23,16 +23,6 @@ fn parse_seed(value: &str) -> u64 {
     }
 }
 
-fn preset(name: &str) -> GenConfig {
-    match name {
-        "default" => GenConfig::default(),
-        "pipelines" => GenConfig::pipelines(),
-        "loops" => GenConfig::loops(),
-        "small" => GenConfig::small(),
-        other => panic!("unknown generation preset `{other}`"),
-    }
-}
-
 fn load_corpus() -> Vec<CorpusEntry> {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("corpus");
     let mut paths: Vec<_> = std::fs::read_dir(&dir)
@@ -54,7 +44,11 @@ fn load_corpus() -> Vec<CorpusEntry> {
             let (key, value) = line.split_once('=').expect("key = value line");
             match key.trim() {
                 "seed" => seed = Some(parse_seed(value.trim())),
-                "preset" => config = Some(preset(value.trim())),
+                "preset" => {
+                    config = Some(GenConfig::preset(value.trim()).unwrap_or_else(|| {
+                        panic!("{}: unknown generation preset `{}`", path.display(), value.trim())
+                    }))
+                }
                 other => panic!("{}: unknown key `{other}`", path.display()),
             }
         }

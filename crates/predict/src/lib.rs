@@ -18,7 +18,7 @@
 //! | fixed sequence | [`SequenceScheduler`] | the `Sched` row of Table 1 |
 //! | error-driven replay | [`ErrorReplayScheduler`] | Sections 5.1 / 5.2 ("listen to the outcome of the SECDED unit") |
 //! | confidence-throttled run-ahead | [`ConfidenceScheduler`] | adaptive run-ahead throttling with hedged mispredict recovery |
-//! | adversarial random | [`RandomScheduler`] | verification fuzzing (leads-to is enforced by the controller) |
+//! | adversarial random | [`elastic_core::scheduler::RandomScheduler`] | verification fuzzing (leads-to is enforced by the controller) |
 //!
 //! All schedulers implement [`elastic_core::Scheduler`]; [`from_kind`] builds
 //! the policy named by a netlist's [`elastic_core::SchedulerKind`].
@@ -28,10 +28,8 @@
 #![warn(missing_debug_implementations)]
 
 mod policies;
-mod stats;
 
 pub use policies::{
     from_kind, ConfidenceScheduler, CorrelatingScheduler, ErrorReplayScheduler, LastTakenScheduler,
-    RandomScheduler, RoundRobinScheduler, SequenceScheduler, TwoBitScheduler,
+    RoundRobinScheduler, SequenceScheduler, TwoBitScheduler,
 };
-pub use stats::{Instrumented, PredictionStats};

@@ -408,56 +408,6 @@ impl Scheduler for ConfidenceScheduler {
     }
 }
 
-/// An adversarial scheduler that predicts a pseudo-random channel each cycle.
-///
-/// On its own this policy does not satisfy the leads-to (no-starvation)
-/// property; it exists to stress the shared-module controller, whose
-/// starvation override must keep the system live regardless (verified by the
-/// `elastic-verify` crate).
-#[derive(Debug, Clone)]
-pub struct RandomScheduler {
-    users: usize,
-    state: u64,
-    seed: u64,
-    current: usize,
-}
-
-impl RandomScheduler {
-    /// Creates a random scheduler over `users` channels with a deterministic seed.
-    pub fn new(users: usize, seed: u64) -> Self {
-        let seed = if seed == 0 { 0x9E37_79B9_7F4A_7C15 } else { seed };
-        RandomScheduler { users: users.max(1), state: seed, seed, current: 0 }
-    }
-
-    fn advance(&mut self) -> u64 {
-        // xorshift64* — deterministic, seedable, good enough for fuzzing.
-        self.state ^= self.state >> 12;
-        self.state ^= self.state << 25;
-        self.state ^= self.state >> 27;
-        self.state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-}
-
-impl Scheduler for RandomScheduler {
-    fn prediction(&self) -> usize {
-        self.current
-    }
-
-    fn tick(&mut self, _feedback: &SharedFeedback) {
-        let draw = self.advance();
-        self.current = (draw % self.users as u64) as usize;
-    }
-
-    fn reset(&mut self) {
-        self.state = self.seed;
-        self.current = 0;
-    }
-
-    fn name(&self) -> &str {
-        "random"
-    }
-}
-
 /// Instantiates the scheduler named by a netlist's [`SchedulerKind`].
 ///
 /// `users` is the number of user channels of the shared module the policy
@@ -621,26 +571,6 @@ mod tests {
         assert_eq!(s.prediction(), 1);
         s.tick(&feedback_with_resolution(2, 1, 0));
         assert_eq!(s.prediction(), 0, "a resolved transfer re-arms the fast path");
-    }
-
-    #[test]
-    fn random_scheduler_is_deterministic_and_in_range() {
-        let mut a = RandomScheduler::new(3, 7);
-        let mut b = RandomScheduler::new(3, 7);
-        let fb = SharedFeedback::new(3);
-        for _ in 0..100 {
-            assert_eq!(a.prediction(), b.prediction());
-            assert!(a.prediction() < 3);
-            a.tick(&fb);
-            b.tick(&fb);
-        }
-        a.reset();
-        let mut c = RandomScheduler::new(3, 7);
-        for _ in 0..10 {
-            assert_eq!(a.prediction(), c.prediction());
-            a.tick(&fb);
-            c.tick(&fb);
-        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::hash::fnv;
+use elastic_core::mix::{fnv, splitmix64};
 
 /// Content address of a pipeline result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -35,12 +35,8 @@ impl CacheKey {
     fn shard(self, shards: usize) -> usize {
         // Mix both halves so keys differing only in `pipeline` spread too.
         let mixed = self.structural ^ self.pipeline.rotate_left(32);
-        // splitmix-style finalizer: the structural hash is already uniform,
-        // but don't rely on it.
-        let mut z = mixed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        (z ^ (z >> 31)) as usize % shards
+        // The structural hash is already uniform, but don't rely on it.
+        splitmix64(mixed) as usize % shards
     }
 }
 

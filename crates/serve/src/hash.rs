@@ -20,10 +20,10 @@
 //!    hash folds the sorted multiset of final node colours together with the
 //!    sorted multiset of fully-annotated channel signatures.
 //!
-//! Everything bottoms out in FNV-1a — deterministic across runs, processes
-//! and platforms (unlike `std`'s keyed `DefaultHasher` there is no
-//! per-process seed), which is what lets the journal and a restarted service
-//! agree on keys.
+//! Everything bottoms out in FNV-1a ([`elastic_core::mix::Fnv`]) —
+//! deterministic across runs, processes and platforms (unlike `std`'s keyed
+//! `DefaultHasher` there is no per-process seed), which is what lets the
+//! journal and a restarted service agree on keys.
 //!
 //! **Collision posture.** This is attributed WL, not full canonical
 //! labelling: non-isomorphic designs that WL cannot distinguish would
@@ -36,52 +36,8 @@
 
 use std::collections::HashMap;
 
+use elastic_core::mix::{fnv, Fnv};
 use elastic_core::{Netlist, NodeId};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// A tiny FNV-1a accumulator; the only hasher in this crate, so cache keys
-/// and journal checksums are stable across processes.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv(u64);
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Fnv(FNV_OFFSET)
-    }
-}
-
-impl Fnv {
-    /// Starts a fresh accumulator.
-    pub fn new() -> Self {
-        Fnv::default()
-    }
-
-    /// Feeds raw bytes.
-    pub fn write(&mut self, bytes: &[u8]) -> &mut Self {
-        for &byte in bytes {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-        self
-    }
-
-    /// Feeds a little-endian `u64`.
-    pub fn write_u64(&mut self, value: u64) -> &mut Self {
-        self.write(&value.to_le_bytes())
-    }
-
-    /// Final digest.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// FNV-1a digest of a byte string.
-pub fn fnv(bytes: &[u8]) -> u64 {
-    Fnv::new().write(bytes).finish()
-}
 
 /// How many refinement rounds information needs to cross the graph: the
 /// node count bounds the diameter, and small designs are cheap enough that
@@ -287,10 +243,70 @@ mod tests {
     }
 
     #[test]
-    fn fnv_is_stable() {
-        // Pinned digest: journal checksums and cache keys persist across
-        // restarts, so the hasher must never drift.
-        assert_eq!(fnv(b""), FNV_OFFSET);
-        assert_eq!(fnv(b"elastic"), Fnv::new().write(b"elastic").finish());
+    fn generated_designs_hash_to_pinned_digests() {
+        // Cache keys and journal records persist across restarts, and a
+        // seeded job is keyed by the hash of the design its recipe
+        // regenerates: the generator stream and the hash must never drift.
+        let pinned: [(&str, [u64; 8]); 4] = [
+            (
+                "default",
+                [
+                    0x9a40_aff7_a74b_b4e6,
+                    0x79e9_7e29_31a6_b108,
+                    0x9241_2dae_b877_21de,
+                    0xb033_b7de_9371_11ef,
+                    0xb442_97fb_56d5_60de,
+                    0x9271_a59c_40e1_e5bb,
+                    0x732d_7319_e84b_579c,
+                    0x3ae5_cd48_7720_91bb,
+                ],
+            ),
+            (
+                "pipelines",
+                [
+                    0xbc38_4947_d886_3c17,
+                    0x0028_bea6_dffb_e0f7,
+                    0x765f_c846_2143_4639,
+                    0x2892_f642_ce2c_00da,
+                    0xf019_45d4_b593_6a41,
+                    0x2d98_24c2_894b_d4e8,
+                    0x12f6_ee3a_cd30_bef6,
+                    0x108d_ed32_eedb_3acd,
+                ],
+            ),
+            (
+                "loops",
+                [
+                    0xd9d0_1411_cc67_d12d,
+                    0x66f7_d7ab_f0c4_7132,
+                    0x319c_afe6_81d7_ec7f,
+                    0x54c1_8b60_9919_a798,
+                    0xb050_fd72_a4d4_a38c,
+                    0x97f3_dd0b_f2ad_a72f,
+                    0x59bb_4004_bd6d_6374,
+                    0x8114_525e_3d46_5b83,
+                ],
+            ),
+            (
+                "small",
+                [
+                    0x95b8_1112_6204_3fdf,
+                    0xb8d8_8f37_10fa_d883,
+                    0xc11c_9c87_156b_7189,
+                    0x0362_b5c6_6adc_e5c3,
+                    0x58af_81d0_8556_f999,
+                    0x85c1_7b95_2bd0_eb8b,
+                    0xcea1_7b93_a94f_4072,
+                    0xe531_c475_137f_26be,
+                ],
+            ),
+        ];
+        for (preset, digests) in pinned {
+            let config = elastic_gen::GenConfig::preset(preset).unwrap();
+            let observed: Vec<u64> = (0..8)
+                .map(|seed| structural_hash(&elastic_gen::generate(seed, &config).netlist))
+                .collect();
+            assert_eq!(observed, digests, "preset {preset}");
+        }
     }
 }

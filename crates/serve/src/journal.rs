@@ -42,7 +42,7 @@ use std::io::{BufWriter, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use crate::hash::fnv;
+use elastic_core::mix::fnv;
 
 /// One journalled lifecycle event.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -30,11 +30,10 @@ pub mod report;
 pub mod service;
 
 pub use cache::{CacheAudit, CacheKey, CacheStats, ResultCache};
-pub use hash::{fnv, structural_hash, Fnv};
+pub use hash::structural_hash;
 pub use journal::{replay, Journal, PendingJob, Record, Recovery};
 pub use queue::{Admission, JobQueue};
 pub use report::{decode, JobReport};
 pub use service::{
-    preset_config, JobOutcome, JobSource, JobSpec, PipelineKind, SelfTest, Service, ServiceConfig,
-    ServiceStats,
+    JobOutcome, JobSource, JobSpec, PipelineKind, SelfTest, Service, ServiceConfig, ServiceStats,
 };

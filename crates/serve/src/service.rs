@@ -39,9 +39,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use elastic_core::kind::{BackpressurePattern, NodeKind};
+use elastic_core::mix::fnv;
 use elastic_core::Netlist;
 use elastic_explore::{explore, ExploreOptions};
 use elastic_gen::{generate, run_netlist, GenConfig, GenRng, HarnessOptions};
+use elastic_sim::sweep::panic_message;
 use elastic_sim::{FaultKind, FaultPlan, FaultSpec, SimConfig, Simulation};
 use elastic_verify::exploration::{explore_environments, ExplorationOptions};
 use elastic_verify::liveness::{
@@ -49,7 +51,7 @@ use elastic_verify::liveness::{
 };
 
 use crate::cache::{CacheKey, ResultCache};
-use crate::hash::{structural_hash, Fnv};
+use crate::hash::structural_hash;
 use crate::journal::{Journal, Record, Recovery};
 use crate::queue::{Admission, JobQueue};
 use crate::report::{decode, JobReport};
@@ -330,6 +332,9 @@ struct Inner {
     next_job: AtomicU64,
     counters: Counters,
     workers: Mutex<Vec<Option<JoinHandle<()>>>>,
+    /// Cache-key discriminant of each pipeline, indexed by
+    /// `[PipelineKind as usize][degraded as usize]`.
+    pipeline_keys: [[u64; 2]; 3],
 }
 
 /// Handle to a running service. Dropping it without calling
@@ -340,72 +345,30 @@ pub struct Service {
     supervisor: Option<JoinHandle<()>>,
 }
 
-/// Maps a preset name to its generator configuration.
-pub fn preset_config(name: &str) -> Option<GenConfig> {
-    match name {
-        "default" => Some(GenConfig::default()),
-        "pipelines" => Some(GenConfig::pipelines()),
-        "loops" => Some(GenConfig::loops()),
-        "small" => Some(GenConfig::small()),
-        _ => None,
-    }
-}
-
-fn pipeline_hash(config: &ServiceConfig, pipeline: PipelineKind, degraded: bool) -> u64 {
-    // Everything that changes what a pipeline *means* must be in the key:
-    // a cached result computed under different coverage options must not
-    // shadow a rerun under stricter ones.
-    let mut f = Fnv::new();
-    f.write(pipeline.name().as_bytes()).write_u64(u64::from(degraded));
-    match pipeline {
+/// The cache-key discriminant of `pipeline` under `config`: an FNV digest
+/// of the `Debug` text of every option the pipeline runs with, the service
+/// seed that is folded into every job's seed, and the fidelity. Everything
+/// that changes what a pipeline *means* must be in the key, or a result
+/// computed under other options would shadow a rerun under these. The
+/// harness's `case_deadline` (overridden by the service's) and the explore
+/// seed (set per job) are zeroed.
+fn pipeline_key(config: &ServiceConfig, pipeline: PipelineKind, degraded: bool) -> u64 {
+    let options = match pipeline {
         PipelineKind::Gauntlet => {
-            let h = &config.harness;
-            f.write_u64(h.cycles)
-                .write_u64(h.environment_variations as u64)
-                .write_u64(h.structural_environment_variations as u64)
-                .write_u64(h.max_structural_transforms as u64)
-                .write_u64(u64::from(h.max_commit_depth))
-                .write_u64(u64::from(h.include_acyclic_speculation));
+            format!(
+                "{:?}",
+                HarnessOptions { case_deadline: Duration::ZERO, ..config.harness.clone() }
+            )
         }
         PipelineKind::Verify => {
-            let v = if degraded { &config.degraded_verify } else { &config.verify };
-            f.write_u64(v.pattern_depth as u64)
-                .write_u64(v.cycles_per_run)
-                .write_u64(v.max_runs as u64)
-                .write_u64(v.random_scheduler_runs as u64)
-                .write_u64(v.seed)
-                .write_u64(u64::from(config.sweep_scenarios))
-                .write_u64(config.sweep_cycles);
+            let verify = if degraded { &config.degraded_verify } else { &config.verify };
+            format!("{verify:?} {} {}", config.sweep_scenarios, config.sweep_cycles)
         }
         PipelineKind::Explore => {
-            let e = &config.explore;
-            for &depth in &e.depths {
-                f.write_u64(u64::from(depth));
-            }
-            // Scheduler/recovery grids are enum-valued; their debug form is
-            // stable and canonical enough for a cache key.
-            f.write(format!("{:?}{:?}", e.schedulers, e.recovery).as_bytes())
-                .write_u64(e.cycles)
-                .write_u64(e.short_cycles)
-                .write_u64(e.environments as u64)
-                .write_u64(e.max_area_ratio.to_bits())
-                .write_u64(e.short_margin.to_bits())
-                .write_u64(u64::from(e.verify))
-                .write_u64(e.verify_cycles)
-                .write_u64(u64::from(e.include_acyclic));
+            format!("{:?}", ExploreOptions { seed: 0, ..config.explore.clone() })
         }
-    }
-    f.finish()
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(message) = payload.downcast_ref::<&str>() {
-        (*message).to_string()
-    } else if let Some(message) = payload.downcast_ref::<String>() {
-        message.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+    };
+    fnv(format!("{} {degraded} {} {options}", pipeline.name(), config.seed).as_bytes())
 }
 
 impl Inner {
@@ -439,11 +402,12 @@ impl Inner {
         self.outcome_signal.notify_all();
     }
 
+    fn pipeline_key(&self, pipeline: PipelineKind, degraded: bool) -> u64 {
+        self.pipeline_keys[pipeline as usize][usize::from(degraded)]
+    }
+
     fn key(&self, job: &QueuedJob, degraded: bool) -> CacheKey {
-        CacheKey {
-            structural: job.structural,
-            pipeline: pipeline_hash(&self.config, job.pipeline, degraded),
-        }
+        CacheKey { structural: job.structural, pipeline: self.pipeline_key(job.pipeline, degraded) }
     }
 
     /// Cache lookup honouring the full-⊇-degraded ordering: a degraded job
@@ -483,6 +447,23 @@ impl Inner {
     ) {
         self.journal(&Record::Done { job: job.id, outcome: "failed-permanent".into() });
         self.record_outcome(job.id, JobOutcome::FailedPermanent { reason, diagnosis, attempts });
+    }
+
+    /// Handles a transient failure of `job`: counts a retry and returns
+    /// `true`, or, once the retry budget is spent, fails the job permanently
+    /// and returns `false`.
+    fn retry(&self, job: &mut QueuedJob, failure: &str) -> bool {
+        if job.attempt >= self.config.retry_budget {
+            let attempts = job.attempt + 1;
+            let reason = format!(
+                "retry budget exhausted after {attempts} attempts; last transient failure: {failure}"
+            );
+            self.fail_permanent(job, reason, None, attempts);
+            return false;
+        }
+        self.counters.retries.fetch_add(1, Ordering::Relaxed);
+        job.attempt += 1;
+        true
     }
 }
 
@@ -768,20 +749,9 @@ fn worker_main(inner: Arc<Inner>, worker: usize) {
                     break;
                 }
                 Err(AttemptError::Transient(reason)) => {
-                    if job.attempt >= inner.config.retry_budget {
-                        inner.fail_permanent(
-                            &job,
-                            format!(
-                                "retry budget exhausted after {} attempts; last transient failure: {reason}",
-                                job.attempt + 1
-                            ),
-                            None,
-                            job.attempt + 1,
-                        );
+                    if !inner.retry(&mut job, &reason) {
                         break;
                     }
-                    inner.counters.retries.fetch_add(1, Ordering::Relaxed);
-                    job.attempt += 1;
                     std::thread::sleep(backoff_delay(&inner.config, job.attempt, &mut rng));
                 }
             }
@@ -823,19 +793,7 @@ fn supervisor_main(inner: Arc<Inner>) {
                 let orphan = inner.in_flight.lock().expect("in-flight map poisoned").remove(&index);
                 if let Some(mut job) = orphan {
                     inner.counters.worker_deaths.fetch_add(1, Ordering::Relaxed);
-                    if job.attempt >= inner.config.retry_budget {
-                        inner.fail_permanent(
-                            &job,
-                            format!(
-                                "retry budget exhausted after {} attempts; last transient failure: worker died mid-job",
-                                job.attempt + 1
-                            ),
-                            None,
-                            job.attempt + 1,
-                        );
-                    } else {
-                        inner.counters.retries.fetch_add(1, Ordering::Relaxed);
-                        job.attempt += 1;
+                    if inner.retry(&mut job, "worker died mid-job") {
                         inner.queue.requeue(job.structural, job);
                     }
                 }
@@ -891,6 +849,10 @@ impl Service {
             next_job: AtomicU64::new(0),
             counters: Counters::default(),
             workers: Mutex::new(Vec::new()),
+            pipeline_keys: [PipelineKind::Gauntlet, PipelineKind::Verify, PipelineKind::Explore]
+                .map(|pipeline| {
+                    [false, true].map(|degraded| pipeline_key(&config, pipeline, degraded))
+                }),
             config,
         });
         {
@@ -905,13 +867,6 @@ impl Service {
                 .expect("spawn supervisor thread")
         };
         Ok(Service { inner, supervisor: Some(supervisor) })
-    }
-
-    /// Replays the configured journal path of a *previous* run. Call before
-    /// [`start`](Service::start) (or on its config) to learn what completed
-    /// and what needs resubmission.
-    pub fn recover(journal_path: &std::path::Path) -> std::io::Result<Recovery> {
-        crate::journal::replay(journal_path)
     }
 
     /// Resubmits the pending seeded jobs of a recovery, skipping any whose
@@ -932,12 +887,11 @@ impl Service {
             // Re-derive the key the old submission journalled; a pending job
             // whose design+pipeline already completed (in either fidelity)
             // is closed as served-from-history, not redone.
-            if let Some(config) = preset_config(&pending.preset) {
+            if let Some(config) = GenConfig::preset(&pending.preset) {
                 let netlist = generate(pending.seed, &config).netlist;
                 let structural = structural_hash(&netlist);
                 let done = [false, true].iter().any(|&degraded| {
-                    completed
-                        .contains(&(structural, pipeline_hash(&self.inner.config, kind, degraded)))
+                    completed.contains(&(structural, self.inner.pipeline_key(kind, degraded)))
                 });
                 if done {
                     self.inner
@@ -966,7 +920,7 @@ impl Service {
         inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
 
         let (netlist, seeded) = match spec.source {
-            JobSource::Seeded { seed, preset } => match preset_config(&preset) {
+            JobSource::Seeded { seed, preset } => match GenConfig::preset(&preset) {
                 Some(config) => (Arc::new(generate(seed, &config).netlist), Some((seed, preset))),
                 None => {
                     inner.record_outcome(
@@ -996,6 +950,13 @@ impl Service {
             }
         };
         let structural = structural_hash(&netlist);
+        let submit_record = |degraded: bool| Record::Submit {
+            job: id,
+            structural,
+            pipeline: inner.pipeline_key(spec.pipeline, degraded),
+            kind: spec.pipeline.name().into(),
+            seeded: seeded.clone(),
+        };
 
         // Submit-time fast path: a full-fidelity result for this design is
         // already cached.
@@ -1008,13 +969,7 @@ impl Service {
             attempt: 0,
         };
         if let Some(report) = inner.cached_report(&probe) {
-            inner.journal(&Record::Submit {
-                job: id,
-                structural,
-                pipeline: pipeline_hash(&inner.config, spec.pipeline, false),
-                kind: spec.pipeline.name().into(),
-                seeded,
-            });
+            inner.journal(&submit_record(false));
             inner.journal(&Record::Done { job: id, outcome: "ok-cached".into() });
             inner
                 .record_outcome(id, JobOutcome::Completed { report, cache_hit: true, attempts: 0 });
@@ -1026,13 +981,7 @@ impl Service {
             // must reach the journal before the job becomes visible to any
             // worker, or a fast worker's start/done records could precede
             // it and replay would mis-read the job as forever pending.
-            inner.journal(&Record::Submit {
-                job: id,
-                structural,
-                pipeline: pipeline_hash(&inner.config, spec.pipeline, degraded),
-                kind: spec.pipeline.name().into(),
-                seeded: seeded.clone(),
-            });
+            inner.journal(&submit_record(degraded));
             QueuedJob {
                 id,
                 netlist: Arc::clone(&netlist),
@@ -1043,13 +992,7 @@ impl Service {
             }
         });
         if admission == Admission::Shed {
-            inner.journal(&Record::Submit {
-                job: id,
-                structural,
-                pipeline: pipeline_hash(&inner.config, spec.pipeline, false),
-                kind: spec.pipeline.name().into(),
-                seeded,
-            });
+            inner.journal(&submit_record(false));
             inner.journal(&Record::Shed { job: id });
             inner.record_outcome(id, JobOutcome::Shed);
         }
@@ -1131,14 +1074,11 @@ impl Service {
     pub fn cache_key(&self, spec: &JobSpec, degraded: bool) -> Option<CacheKey> {
         let structural = match &spec.source {
             JobSource::Seeded { seed, preset } => {
-                structural_hash(&generate(*seed, &preset_config(preset)?).netlist)
+                structural_hash(&generate(*seed, &GenConfig::preset(preset)?).netlist)
             }
             JobSource::Inline(netlist) => structural_hash(netlist),
         };
-        Some(CacheKey {
-            structural,
-            pipeline: pipeline_hash(&self.inner.config, spec.pipeline, degraded),
-        })
+        Some(CacheKey { structural, pipeline: self.inner.pipeline_key(spec.pipeline, degraded) })
     }
 
     /// Counter snapshot.
@@ -1159,26 +1099,24 @@ impl Service {
     /// Graceful shutdown: stops admission, drains the backlog, joins every
     /// thread, and returns the final counters.
     pub fn shutdown(mut self) -> ServiceStats {
-        self.inner.shutting_down.store(true, Ordering::Release);
-        self.inner.queue.close();
-        if let Some(supervisor) = self.supervisor.take() {
-            let _ = supervisor.join();
-        }
-        let handles: Vec<_> =
-            self.inner.workers.lock().expect("worker table poisoned").drain(..).collect();
-        for handle in handles.into_iter().flatten() {
-            let _ = handle.join();
-        }
+        self.stop(false);
         self.stats()
     }
 
     /// Simulated crash: workers stop at the next job boundary, the backlog
     /// is abandoned *in memory*, and nothing further is journalled — the
     /// journal on disk is exactly what a real crash would leave. Use
-    /// [`recover`](Service::recover) + [`resume`](Service::resume) on the
-    /// next service to pick the work back up.
+    /// [`replay`](crate::replay) + [`resume`](Service::resume) on the next
+    /// service to pick the work back up.
     pub fn halt(mut self) {
-        self.inner.halted.store(true, Ordering::Release);
+        self.stop(true);
+    }
+
+    /// Closes the queue and joins the supervisor and every worker. Halting
+    /// abandons the backlog; otherwise the workers drain it first.
+    fn stop(&mut self, halt: bool) {
+        let flag = if halt { &self.inner.halted } else { &self.inner.shutting_down };
+        flag.store(true, Ordering::Release);
         self.inner.queue.close();
         if let Some(supervisor) = self.supervisor.take() {
             let _ = supervisor.join();
@@ -1194,16 +1132,75 @@ impl Service {
 impl Drop for Service {
     fn drop(&mut self) {
         if self.supervisor.is_some() {
-            self.inner.shutting_down.store(true, Ordering::Release);
-            self.inner.queue.close();
-            if let Some(supervisor) = self.supervisor.take() {
-                let _ = supervisor.join();
-            }
-            let handles: Vec<_> =
-                self.inner.workers.lock().expect("worker table poisoned").drain(..).collect();
-            for handle in handles.into_iter().flatten() {
-                let _ = handle.join();
-            }
+            self.stop(false);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use elastic_core::SchedulerKind;
+
+    /// The cache key the service started with `config` gives a small
+    /// seeded job of `pipeline`.
+    fn key(config: ServiceConfig, pipeline: PipelineKind, degraded: bool) -> CacheKey {
+        let service = Service::start(ServiceConfig { workers: 1, ..config }).unwrap();
+        service.cache_key(&JobSpec::seeded(3, "small", pipeline), degraded).unwrap()
+    }
+
+    #[test]
+    fn cache_keys_cover_every_option_that_changes_a_result() {
+        let base = ServiceConfig::default();
+        let harness = |options: HarnessOptions| ServiceConfig { harness: options, ..base.clone() };
+        let gauntlet = key(base.clone(), PipelineKind::Gauntlet, false);
+        let changed = [
+            (
+                "schedulers",
+                harness(HarnessOptions {
+                    schedulers: vec![SchedulerKind::RoundRobin],
+                    ..base.harness.clone()
+                }),
+            ),
+            (
+                "lane_differential",
+                harness(HarnessOptions { lane_differential: true, ..base.harness.clone() }),
+            ),
+            (
+                "compiled_differential",
+                harness(HarnessOptions { compiled_differential: true, ..base.harness.clone() }),
+            ),
+            (
+                "explorer_soundness",
+                harness(HarnessOptions { explorer_soundness: true, ..base.harness.clone() }),
+            ),
+            ("seed", ServiceConfig { seed: base.seed ^ 1, ..base.clone() }),
+        ];
+        for (field, config) in changed {
+            assert_ne!(key(config, PipelineKind::Gauntlet, false), gauntlet, "{field}");
+        }
+        assert_ne!(key(base.clone(), PipelineKind::Gauntlet, true), gauntlet, "fidelity");
+        let explore = key(base.clone(), PipelineKind::Explore, false);
+        assert_ne!(
+            key(
+                ServiceConfig { seed: base.seed ^ 1, ..base.clone() },
+                PipelineKind::Explore,
+                false
+            ),
+            explore,
+            "the service seed is folded into every explore job's seed"
+        );
+
+        // The service overrides the harness deadline with its own, and a
+        // deadline decides whether a run finishes, not what it reports.
+        let deadlines = ServiceConfig {
+            case_deadline: base.case_deadline * 2,
+            harness: HarnessOptions {
+                case_deadline: base.harness.case_deadline * 2,
+                ..base.harness.clone()
+            },
+            ..base.clone()
+        };
+        assert_eq!(key(deadlines, PipelineKind::Gauntlet, false), gauntlet, "case_deadline");
     }
 }

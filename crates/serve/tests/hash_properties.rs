@@ -113,8 +113,8 @@ proptest! {
         let mut rotted = payload.clone();
         rotted[bit / 8] ^= 1 << (bit % 8);
         prop_assert_ne!(
-            elastic_serve::fnv(&payload),
-            elastic_serve::fnv(&rotted),
+            elastic_core::mix::fnv(&payload),
+            elastic_core::mix::fnv(&rotted),
             "FNV must separate single-bit rot"
         );
 

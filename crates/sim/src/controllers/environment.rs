@@ -12,6 +12,7 @@
 //! one word.
 
 use elastic_core::kind::{BackpressurePattern, DataStream, SourcePattern};
+use elastic_core::mix::splitmix64;
 use elastic_core::{SinkSpec, SourceSpec};
 use elastic_datapath::adder::mask;
 use elastic_datapath::lfsr::Lfsr64;
@@ -174,16 +175,9 @@ impl<R: Rail> SourceController<R> {
                     values[position % values.len()]
                 }
             }
-            DataStream::Random { seed } => {
-                // Derive the value from the element index so that replays of
-                // the stream see the same value: a splitmix-style hash of
-                // (seed, position).
-                let mut value =
-                    seed.wrapping_add(0x9E37_79B9_7F4A_7C15).wrapping_add(position as u64);
-                value = (value ^ (value >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                value = (value ^ (value >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                value ^ (value >> 31)
-            }
+            // Derived from the element index, so replays of the stream see
+            // the same value.
+            DataStream::Random { seed } => splitmix64(seed.wrapping_add(position as u64)),
             // `DataStream` is non-exhaustive: unknown streams count tokens.
             _ => position as u64,
         };
@@ -344,6 +338,34 @@ mod tests {
             source.commit(&source_io(&mut channels));
         }
         assert_eq!(seen, vec![10, 20, 30, 10, 20]);
+    }
+
+    #[test]
+    fn random_source_data_is_pinned() {
+        // Random source streams feed every generated design's reference
+        // outputs and corpus seeds: the values must never drift.
+        let spec = SourceSpec { data: DataStream::Random { seed: 5 }, ..SourceSpec::always() };
+        let mut source = SourceController::<bool>::new(spec, 64);
+        let mut channels = [ChannelState::default()];
+        let mut seen = Vec::new();
+        for _ in 0..8 {
+            source.eval(&mut source_io(&mut channels), false);
+            seen.push(channels[0].data);
+            source.commit(&source_io(&mut channels));
+        }
+        assert_eq!(
+            seen,
+            [
+                0x6303_3b0c_a389_c35a,
+                0xbd64_a5d9_adef_e000,
+                0x63cb_e1e4_5932_0dd7,
+                0x9e56_51b0_ef95_3636,
+                0xaeaf_52fe_be70_6064,
+                0x0887_12be_8a58_2fca,
+                0x50f5_647d_2380_309d,
+                0x943f_f9fc_99de_8f03,
+            ]
+        );
     }
 
     #[test]

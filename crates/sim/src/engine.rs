@@ -701,21 +701,40 @@ mod tests {
 
     #[test]
     fn combinational_loops_are_detected() {
-        // inc -> inc2 -> back to inc: a control loop with no buffer.
+        // inc -> inc2 -> back to inc: a loop with no buffer. Its data words
+        // keep incrementing around the ring, so every engine must exhaust
+        // its settle budget in cycle 0 and name a function node.
+        use crate::lanes::{LaneConfig, LaneSimulation};
+
         let mut n = Netlist::new("loop");
         let a = n.add_op("a", Op::Inc);
         let b = n.add_op("b", Op::Inc);
         n.connect(Port::output(a, 0), Port::input(b, 0), 8).unwrap();
         n.connect(Port::output(b, 0), Port::input(a, 0), 8).unwrap();
-        let mut sim = Simulation::new(&n, &SimConfig::default()).unwrap();
-        // The valid/stop signals oscillate? They actually settle (no token can
-        // ever appear), so instead check a loop with a source feeding it is
-        // caught or the run simply produces nothing. Accept either behaviour
-        // but never a panic.
-        match sim.run(5) {
-            Ok(report) => assert_eq!(report.cycles, 5),
-            Err(SimError::CombinationalLoop { .. }) => {}
-            Err(other) => panic!("unexpected error: {other}"),
+        let mut outcomes: Vec<(String, Result<(), SimError>)> =
+            [SettleStrategy::EventDriven, SettleStrategy::FullSweep, SettleStrategy::Compiled]
+                .into_iter()
+                .map(|settle| {
+                    let config = SimConfig { settle, ..SimConfig::default() };
+                    let outcome = Simulation::new(&n, &config).unwrap().run(5).map(drop);
+                    (format!("{settle:?}"), outcome)
+                })
+                .collect();
+        let mut lanes = LaneSimulation::new(&n, &LaneConfig::default()).unwrap();
+        outcomes.push(("lanes".into(), lanes.run(5)));
+        for (engine, outcome) in outcomes {
+            match outcome {
+                Err(SimError::CombinationalLoop { cycle: 0, witness }) => {
+                    assert!(
+                        witness
+                            .nodes
+                            .iter()
+                            .any(|(node, kind)| [a, b].contains(node) && *kind == "function"),
+                        "{engine} witness must name a node of the loop: {witness}"
+                    );
+                }
+                other => panic!("{engine} must reject the loop, got {other:?}"),
+            }
         }
     }
 

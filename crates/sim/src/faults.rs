@@ -28,15 +28,15 @@
 //!   forced high for a bounded window), the fault the paper's elastic
 //!   designs must absorb bit-identically.
 //!
-//! Scheduler-level chaos — byzantine grants — is modelled separately by
-//! [`ByzantineScheduler`], which implements [`elastic_core::Scheduler`] with
-//! seeded, feedback-ignoring predictions and plugs into
-//! [`crate::Simulation::reset_with_schedulers`].
+//! Scheduler-level chaos (byzantine grants) needs no fault class: the seeded,
+//! feedback-ignoring [`elastic_core::scheduler::RandomScheduler`] plugs into
+//! [`crate::Simulation::reset_with_schedulers`], and the fault campaign of
+//! `elastic-gen` drives it.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use elastic_core::{ChannelId, Scheduler, SharedFeedback};
+use elastic_core::ChannelId;
 
 use crate::signal::ChannelState;
 
@@ -264,69 +264,6 @@ impl FaultInjector {
     }
 }
 
-/// A chaotic, seeded prediction policy: every cycle it grants the shared
-/// unit to a pseudo-random user, ignoring all feedback.
-///
-/// This is the byzantine end of the scheduler spectrum the paper argues
-/// against having to trust: Section 4.1.1 only requires the *leads-to*
-/// property, which the shared-module controller enforces itself through its
-/// starvation override — so even these grants must leave the output streams
-/// bit-identical. The sequence is a pure function of the seed
-/// (splitmix64), so runs are replayable.
-#[derive(Debug, Clone)]
-pub struct ByzantineScheduler {
-    users: usize,
-    seed: u64,
-    state: u64,
-    current: usize,
-}
-
-impl ByzantineScheduler {
-    /// A byzantine scheduler over `users` channels, driven by `seed`.
-    pub fn new(users: usize, seed: u64) -> Self {
-        let mut scheduler =
-            ByzantineScheduler { users: users.max(1), seed, state: seed, current: 0 };
-        scheduler.current = scheduler.next_grant();
-        scheduler
-    }
-
-    fn next_grant(&mut self) -> usize {
-        // splitmix64: tiny, well distributed, dependency-free.
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        if self.users <= 1 {
-            return 0;
-        }
-        // Widening multiply (Lemire) instead of `z % users`: the modulo
-        // over-weights the low residues whenever `users` does not divide
-        // 2^64, while `(z * users) >> 64` maps the uniform word onto
-        // `0..users` bias-free — and cannot panic on a degenerate count.
-        ((z as u128 * self.users as u128) >> 64) as usize
-    }
-}
-
-impl Scheduler for ByzantineScheduler {
-    fn prediction(&self) -> usize {
-        self.current
-    }
-
-    fn tick(&mut self, _feedback: &SharedFeedback) {
-        self.current = self.next_grant();
-    }
-
-    fn reset(&mut self) {
-        self.state = self.seed;
-        self.current = self.next_grant();
-    }
-
-    fn name(&self) -> &str {
-        "byzantine"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,68 +344,5 @@ mod tests {
         let mut state = [ChannelState { forward_valid: true, data: 2, ..ChannelState::default() }];
         injector.apply(0, &mut state);
         assert_eq!(state[0].data, 3, "only in-width bits flip");
-    }
-
-    #[test]
-    fn byzantine_schedulers_are_seeded_and_in_range() {
-        let mut a = ByzantineScheduler::new(3, 7);
-        let mut b = ByzantineScheduler::new(3, 7);
-        let feedback = SharedFeedback::new(3);
-        let grants: Vec<usize> = (0..64)
-            .map(|_| {
-                let grant = a.prediction();
-                a.tick(&feedback);
-                grant
-            })
-            .collect();
-        assert!(grants.iter().all(|&g| g < 3));
-        assert!(grants.windows(2).any(|w| w[0] != w[1]), "the grants must actually move");
-        let replay: Vec<usize> = (0..64)
-            .map(|_| {
-                let grant = b.prediction();
-                b.tick(&feedback);
-                grant
-            })
-            .collect();
-        assert_eq!(grants, replay, "same seed, same grant sequence");
-        b.reset();
-        assert_eq!(b.prediction(), grants[0], "reset rewinds to the first grant");
-        assert_eq!(b.name(), "byzantine");
-        // Pin the exact sequence: replayability claims in DESIGN.md and the
-        // seeded fault-campaign expectations both ride on it.
-        assert_eq!(&grants[..12], &[1, 0, 2, 1, 1, 0, 1, 0, 0, 1, 0, 2]);
-    }
-
-    #[test]
-    fn byzantine_grant_selection_is_unbiased_and_total() {
-        // Degenerate user counts never divide by zero and always grant 0.
-        let feedback = SharedFeedback::new(1);
-        for users in [0usize, 1] {
-            let mut scheduler = ByzantineScheduler::new(users, 0xDEAD);
-            for _ in 0..32 {
-                assert_eq!(scheduler.prediction(), 0, "{users} user(s) always grant user 0");
-                scheduler.tick(&feedback);
-            }
-        }
-
-        // The widening multiply stays in range even for user counts where
-        // `z % users` would visibly over-weight the low residues
-        // (2^64 mod users is astronomically large here).
-        let huge = (1usize << 63) + 3;
-        let mut scheduler = ByzantineScheduler::new(huge, 9);
-        for _ in 0..256 {
-            assert!(scheduler.prediction() < huge);
-            scheduler.tick(&feedback);
-        }
-
-        // Small user counts get each user's fair share: ±15% of uniform
-        // over 3000 draws.
-        let mut scheduler = ByzantineScheduler::new(3, 0xE1A5);
-        let mut counts = [0u32; 3];
-        for _ in 0..3000 {
-            counts[scheduler.prediction()] += 1;
-            scheduler.tick(&feedback);
-        }
-        assert!(counts.iter().all(|&count| (850..=1150).contains(&count)), "skewed: {counts:?}");
     }
 }

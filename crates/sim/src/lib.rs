@@ -84,9 +84,9 @@ pub mod sweep;
 pub mod trace;
 
 pub use engine::{OscillationWitness, SettleStrategy, SimConfig, SimError, Simulation};
-pub use faults::{ByzantineScheduler, FaultKind, FaultPlan, FaultSpec, FaultStats};
+pub use faults::{FaultKind, FaultPlan, FaultSpec, FaultStats};
 pub use lanes::{LaneConfig, LaneSimulation, SchedulerFactory, LANES};
 pub use metrics::{SharedModuleStats, SimulationReport};
 pub use monitor::{CycleMonitor, MonitorViolation};
-pub use signal::{ChannelPhase, ChannelState, TraceSymbol};
+pub use signal::{ChannelState, TraceSymbol};
 pub use trace::Trace;

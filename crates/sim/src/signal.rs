@@ -45,28 +45,6 @@ impl ChannelState {
         self.forward_valid && self.forward_stop && !self.backward_transfer()
     }
 
-    /// Classification of the forward handshake for this cycle.
-    pub fn forward_phase(&self) -> ChannelPhase {
-        if self.forward_transfer() || self.annihilation() {
-            ChannelPhase::Transfer
-        } else if self.forward_retry() {
-            ChannelPhase::Retry
-        } else {
-            ChannelPhase::Idle
-        }
-    }
-
-    /// Classification of the backward (anti-token) handshake for this cycle.
-    pub fn backward_phase(&self) -> ChannelPhase {
-        if self.backward_transfer() {
-            ChannelPhase::Transfer
-        } else if self.backward_valid {
-            ChannelPhase::Retry
-        } else {
-            ChannelPhase::Idle
-        }
-    }
-
     /// The symbol used in Table-1 style traces: a data token, an anti-token
     /// (`-` in the paper), or a bubble (`*`).
     pub fn symbol(&self) -> TraceSymbol {
@@ -78,18 +56,6 @@ impl ChannelState {
             TraceSymbol::Bubble
         }
     }
-}
-
-/// Phase of one direction of the SELF handshake, following the protocol's
-/// `(I*R*T)*` language: Idle, Retry or Transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ChannelPhase {
-    /// No valid item offered.
-    Idle,
-    /// A valid item is offered but stopped.
-    Retry,
-    /// A valid item is accepted (or cancels against its dual).
-    Transfer,
 }
 
 /// The per-cycle channel content as printed in Table 1 of the paper.
@@ -121,14 +87,13 @@ mod tests {
     fn transfer_requires_valid_and_not_stop() {
         let state = ChannelState { forward_valid: true, ..ChannelState::default() };
         assert!(state.forward_transfer());
-        assert_eq!(state.forward_phase(), ChannelPhase::Transfer);
 
         let stopped = ChannelState { forward_valid: true, forward_stop: true, ..state };
         assert!(!stopped.forward_transfer());
-        assert_eq!(stopped.forward_phase(), ChannelPhase::Retry);
+        assert!(stopped.forward_retry());
 
         let idle = ChannelState::default();
-        assert_eq!(idle.forward_phase(), ChannelPhase::Idle);
+        assert!(!idle.forward_transfer() && !idle.forward_retry());
     }
 
     #[test]
@@ -138,15 +103,15 @@ mod tests {
         assert!(state.annihilation());
         assert!(!state.forward_transfer(), "an annihilated token is not delivered downstream");
         assert!(state.backward_transfer());
-        assert_eq!(state.forward_phase(), ChannelPhase::Transfer);
+        assert!(!state.forward_retry(), "an annihilated token is not a retry either");
     }
 
     #[test]
     fn stopped_anti_tokens_are_backward_retries() {
         let state =
             ChannelState { backward_valid: true, backward_stop: true, ..ChannelState::default() };
-        assert_eq!(state.backward_phase(), ChannelPhase::Retry);
         assert!(!state.backward_transfer());
+        assert!(!state.annihilation(), "a stopped anti-token cancels nothing");
     }
 
     #[test]

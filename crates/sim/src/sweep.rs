@@ -13,6 +13,7 @@
 //! whenever they finish one — imbalanced run lengths (e.g. exploration
 //! patterns that deadlock early) do not serialize the sweep.
 
+use std::any::Any;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -43,14 +44,15 @@ impl fmt::Display for ScenarioPanic {
     }
 }
 
-impl ScenarioPanic {
-    fn from_payload(index: usize, payload: Box<dyn std::any::Any + Send>) -> Self {
-        let message = payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        ScenarioPanic { index, message }
+/// Renders a caught panic payload as text: the message of a `&str` or
+/// `String` payload (what `panic!` produces), otherwise a placeholder.
+pub fn panic_message(payload: Box<dyn Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => match payload.downcast_ref::<&str>() {
+            Some(message) => (*message).to_string(),
+            None => "non-string panic payload".to_string(),
+        },
     }
 }
 
@@ -145,7 +147,7 @@ where
             catch_unwind(AssertUnwindSafe(|| run(state.get_or_insert_with(&init), index, item)));
         outcome.map_err(|payload| {
             *state = None;
-            ScenarioPanic::from_payload(index, payload)
+            ScenarioPanic { index, message: panic_message(payload) }
         })
     };
     let threads = sweep_threads(items.len());
@@ -297,6 +299,13 @@ mod tests {
         assert_eq!(sweep_threads(0), 1);
         assert_eq!(sweep_threads(1), 1);
         assert!(sweep_threads(1_000_000) >= 1);
+    }
+
+    #[test]
+    fn panic_messages_render_str_and_string_payloads() {
+        assert_eq!(panic_message(Box::new("static")), "static");
+        assert_eq!(panic_message(Box::new(format!("formatted {}", 7))), "formatted 7");
+        assert_eq!(panic_message(Box::new(7u8)), "non-string panic payload");
     }
 
     #[test]

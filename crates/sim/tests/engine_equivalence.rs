@@ -467,7 +467,7 @@ fn lane_scheduler(lane: usize, users: usize) -> Box<dyn elastic_core::Scheduler>
     if lane.is_multiple_of(2) {
         Box::new(elastic_core::scheduler::StaticScheduler::new(lane / 2 % users))
     } else {
-        Box::new(elastic_predict::RandomScheduler::new(users, 0x5eed + lane as u64))
+        Box::new(elastic_core::scheduler::RandomScheduler::new(users, 0x5eed + lane as u64))
     }
 }
 

@@ -20,8 +20,8 @@
 //!   scheduler injection, one seeded scheduler per lane.
 
 use elastic_core::kind::{BackpressurePattern, SourcePattern};
+use elastic_core::scheduler::RandomScheduler;
 use elastic_core::{Netlist, NodeKind, Scheduler};
-use elastic_predict::RandomScheduler;
 use elastic_sim::sweep::lane_map;
 use elastic_sim::{LaneConfig, LaneSimulation, SchedulerFactory, SimError, Trace, LANES};
 

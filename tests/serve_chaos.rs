@@ -22,7 +22,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use elastic_gen::HarnessOptions;
-use elastic_serve::{JobOutcome, JobSpec, PipelineKind, SelfTest, Service, ServiceConfig};
+use elastic_serve::{replay, JobOutcome, JobSpec, PipelineKind, SelfTest, Service, ServiceConfig};
 use elastic_verify::exploration::ExplorationOptions;
 
 fn chaos_jobs() -> u64 {
@@ -215,7 +215,7 @@ fn cold_restart_resumes_pending_work_without_redoing_completed_work() {
     service.halt(); // simulated crash: backlog abandoned, no farewell records
 
     // Phase 2: replay the journal and resume on a fresh service.
-    let recovery = Service::recover(&journal).unwrap();
+    let recovery = replay(&journal).unwrap();
     assert_eq!(recovery.rejected_lines, 0, "the torn-tail guard keeps the prefix intact");
     assert!(
         !recovery.completed.is_empty() && !recovery.pending.is_empty(),
