@@ -214,26 +214,11 @@ mod tests {
     }
 
     #[test]
-    fn random_scheduler_is_deterministic_and_in_range() {
-        let mut a = RandomScheduler::new(3, 7);
-        let mut b = RandomScheduler::new(3, 7);
-        let sequence = grants(&mut a, 3, 100);
-        assert!(sequence.iter().all(|&grant| grant < 3));
-        assert!(sequence.windows(2).any(|w| w[0] != w[1]), "the grants must actually move");
-        assert_eq!(sequence, grants(&mut b, 3, 100), "same seed, same grant sequence");
-        a.reset();
-        assert_eq!(grants(&mut a, 3, 10), sequence[..10], "reset rewinds to the first grant");
-        assert_eq!(a.name(), "random");
-        for users in [0, 1] {
-            let mut single = RandomScheduler::new(users, 0xDEAD);
-            assert!(grants(&mut single, 1, 32).iter().all(|&grant| grant == 0), "{users} user(s)");
-        }
-    }
-
-    #[test]
     fn random_scheduler_stream_is_pinned() {
         // The verifier's adversarial sweeps and the fault campaign replay
         // runs from their seeds, so the grant sequence must never drift.
+        // Determinism, `reset` and the one-user case are tested in
+        // `elastic_predict::policies` and `elastic_sim::faults`.
         assert_eq!(
             grants(&mut RandomScheduler::new(3, 7), 3, 16),
             [0, 1, 2, 0, 0, 2, 1, 2, 1, 1, 2, 2, 2, 0, 1, 1]

@@ -574,6 +574,28 @@ mod tests {
     }
 
     #[test]
+    fn random_scheduler_is_deterministic_and_in_range() {
+        // The adversarial policy of the table in `lib.rs` lives in core.
+        use elastic_core::scheduler::RandomScheduler;
+        let mut a = RandomScheduler::new(3, 7);
+        let mut b = RandomScheduler::new(3, 7);
+        let fb = SharedFeedback::new(3);
+        for _ in 0..100 {
+            assert_eq!(a.prediction(), b.prediction());
+            assert!(a.prediction() < 3);
+            a.tick(&fb);
+            b.tick(&fb);
+        }
+        a.reset();
+        let mut c = RandomScheduler::new(3, 7);
+        for _ in 0..10 {
+            assert_eq!(a.prediction(), c.prediction());
+            a.tick(&fb);
+            c.tick(&fb);
+        }
+    }
+
+    #[test]
     fn factory_builds_every_kind() {
         let kinds = vec![
             SchedulerKind::Static(1),

@@ -345,4 +345,36 @@ mod tests {
         injector.apply(0, &mut state);
         assert_eq!(state[0].data, 3, "only in-width bits flip");
     }
+
+    #[test]
+    fn byzantine_schedulers_are_seeded_and_in_range() {
+        // Byzantine grants come from core's `RandomScheduler` (module docs);
+        // the fault campaign replays a run only if they are a pure function
+        // of the seed.
+        use elastic_core::scheduler::RandomScheduler;
+        use elastic_core::{Scheduler, SharedFeedback};
+        fn grants(scheduler: &mut RandomScheduler, users: usize, cycles: usize) -> Vec<usize> {
+            let feedback = SharedFeedback::new(users);
+            (0..cycles)
+                .map(|_| {
+                    let grant = scheduler.prediction();
+                    scheduler.tick(&feedback);
+                    grant
+                })
+                .collect()
+        }
+        let mut a = RandomScheduler::new(3, 7);
+        let mut b = RandomScheduler::new(3, 7);
+        let sequence = grants(&mut a, 3, 64);
+        assert!(sequence.iter().all(|&grant| grant < 3));
+        assert!(sequence.windows(2).any(|w| w[0] != w[1]), "the grants must actually move");
+        assert_eq!(sequence, grants(&mut b, 3, 64), "same seed, same grant sequence");
+        b.reset();
+        assert_eq!(grants(&mut b, 3, 10), sequence[..10], "reset rewinds to the first grant");
+        assert_eq!(b.name(), "random");
+        for users in [0, 1] {
+            let mut single = RandomScheduler::new(users, 0xDEAD);
+            assert!(grants(&mut single, 1, 32).iter().all(|&grant| grant == 0), "{users} user(s)");
+        }
+    }
 }
