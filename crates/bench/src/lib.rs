@@ -1,9 +1,10 @@
 //! Shared helpers for the benchmark harness.
 //!
 //! Every bench target regenerates one table or figure of the paper's
-//! evaluation: it first prints the paper-style rows (so `cargo bench` output
-//! doubles as the data behind `EXPERIMENTS.md`), then measures the simulation
-//! cost of the corresponding design points with Criterion.
+//! evaluation: it first prints the paper-style rows (the same tables the
+//! examples print, e.g. `cargo run --release --example resilient_adder`),
+//! then measures the simulation cost of the corresponding design points with
+//! Criterion.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

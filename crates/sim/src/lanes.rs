@@ -132,6 +132,21 @@ impl LaneChannels {
     }
 }
 
+/// The settled rail words of one cycle, one word per live channel in
+/// `live_channels()` order (bit `ℓ` = lane `ℓ`): a read-only view into a
+/// [`LaneSimulation`], see [`LaneSimulation::rails`].
+#[derive(Debug, Clone, Copy)]
+pub struct LaneRails<'a> {
+    /// `V+` per channel.
+    pub forward_valid: &'a [u64],
+    /// `S+` per channel.
+    pub forward_stop: &'a [u64],
+    /// `V-` per channel.
+    pub backward_valid: &'a [u64],
+    /// `S-` per channel.
+    pub backward_stop: &'a [u64],
+}
+
 /// The 64-lane engine's port view, [`Controller<u64>`]'s: the lane
 /// analogue of [`crate::controller::NodeIo`].
 ///
@@ -273,8 +288,9 @@ impl EngineRail for u64 {
 /// back-pressure and source offer patterns vary per lane, and
 /// shared-module schedulers inject lane-blocked (one freshly built
 /// scheduler per lane, see [`LaneSimulation::reset_with_schedulers`]).
-/// Not supported in the lane engine (use the scalar engine): fault
-/// injection and streaming cycle monitors.
+/// Fault injection and [`crate::CycleMonitor`]s are scalar-only; a lane
+/// sweep judges its runs by reading [`LaneSimulation::rails`] after each
+/// [`LaneSimulation::step`].
 pub struct LaneSimulation {
     config: LaneConfig,
     core: EngineCore<u64>,
@@ -337,6 +353,19 @@ impl LaneSimulation {
     /// When `lane >= LANES`.
     pub fn trace(&self, lane: usize) -> &Trace {
         &self.traces[lane]
+    }
+
+    /// The settled rail words of the last stepped cycle (all zero after a
+    /// reset, before the first step). The clock edge only reads them, so
+    /// between two steps they are the cycle's settled handshake: what a
+    /// lane trace would have recorded, without the per-lane transpose.
+    pub fn rails(&self) -> LaneRails<'_> {
+        LaneRails {
+            forward_valid: &self.channels.forward_valid,
+            forward_stop: &self.channels.forward_stop,
+            backward_valid: &self.channels.backward_valid,
+            backward_stop: &self.channels.backward_stop,
+        }
     }
 
     /// The per-cycle settle budget in full-sweep equivalents — the same

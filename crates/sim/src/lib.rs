@@ -85,7 +85,7 @@ pub mod trace;
 
 pub use engine::{OscillationWitness, SettleStrategy, SimConfig, SimError, Simulation};
 pub use faults::{FaultKind, FaultPlan, FaultSpec, FaultStats};
-pub use lanes::{LaneConfig, LaneSimulation, SchedulerFactory, LANES};
+pub use lanes::{LaneConfig, LaneRails, LaneSimulation, SchedulerFactory, LANES};
 pub use metrics::{SharedModuleStats, SimulationReport};
 pub use monitor::{CycleMonitor, MonitorViolation};
 pub use signal::{ChannelState, TraceSymbol};

@@ -4,8 +4,10 @@
 //! from `elastic_datapath::workload` and (where relevant) a scheduler from
 //! `elastic-predict`, runs the cycle-accurate simulation and returns the
 //! metrics the paper reports. The benchmark harness (`crates/bench`) and the
-//! runnable examples are thin wrappers over this module, so every number in
-//! `EXPERIMENTS.md` can be regenerated from library code alone.
+//! runnable examples are thin wrappers over this module, so every figure
+//! table they print (`cargo run --release --example branch_speculation`,
+//! `resilient_adder`, `variable_latency_alu`) can be regenerated from
+//! library code alone.
 
 use elastic_core::kind::DataStream;
 use elastic_core::library::{self, Fig1Config, Fig1Handles, ResilientConfig, VarLatencyConfig};

@@ -56,7 +56,8 @@ pub fn feedforward_mux_design(
     (n, mux, sink)
 }
 
-/// Formats a throughput figure the way the reports in `EXPERIMENTS.md` do.
+/// Formats a throughput figure as the example reports print it (for
+/// instance `cargo run --example quickstart`).
 pub fn format_throughput(throughput: f64) -> String {
     format!("{throughput:.3} tokens/cycle")
 }

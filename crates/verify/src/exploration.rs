@@ -1,32 +1,45 @@
 //! Bounded exhaustive and randomized exploration of environment behaviour.
 //!
 //! The paper verifies its controllers with NuSMV over *all* environment
-//! behaviours. This reproduction substitutes two dynamic techniques
-//! (documented in `DESIGN.md`):
+//! behaviours. This reproduction substitutes two dynamic techniques (see
+//! the Verification and 64-lane engine sections of `docs/ARCHITECTURE.md`):
 //!
 //! * **bounded exhaustive exploration** — for a small depth `d`, every
 //!   combination of per-cycle sink back-pressure *and* source token-offer
 //!   patterns is enumerated (2^(d·(sinks+sources)) combinations, simulated
-//!   64 at a time by the bit-parallel lane engine) and the SELF protocol
-//!   plus deadlock-freedom are checked on each run. For the small
-//!   controller compositions the paper verifies, this covers the same
-//!   environment nondeterminism the model checker explores, up to the
+//!   64 at a time by the bit-parallel lane engine) and the SELF channel
+//!   rules `Invariant`, `Retry+` and `Retry-` are checked on each run. For
+//!   the small controller compositions the paper verifies, this covers the
+//!   same environment nondeterminism the model checker explores, up to the
 //!   bound;
 //! * **randomized adversarial scheduling** — shared modules are driven by
 //!   seeded random schedulers (which on their own do not satisfy leads-to) to
 //!   confirm that the controller's starvation override keeps the system live
-//!   regardless of the prediction policy, as claimed in Section 4.2. The
-//!   runs are packed into lane blocks via the engine's lane-blocked
-//!   scheduler injection, one seeded scheduler per lane.
+//!   regardless of the prediction policy, as claimed in Section 4.2: all
+//!   four channel rules, bounded liveness included, plus the leads-to wait
+//!   at every shared-module input. The runs are packed into lane blocks via
+//!   the engine's lane-blocked scheduler injection, one seeded scheduler
+//!   per lane.
+//!
+//! Both sweeps judge their runs as they happen. A lane judge, the third
+//! driver of the per-cycle rules of `rules.rs` (beside the trace checkers
+//! and the monitors), reads the settled rail words of every cycle
+//! ([`LaneSimulation::rails`]) one bit per lane and writes each failing
+//! lane's violations in the words and order the trace checkers would use
+//! on that lane's trace. No lane trace is recorded.
+
+use std::collections::BTreeSet;
 
 use elastic_core::kind::{BackpressurePattern, SourcePattern};
 use elastic_core::scheduler::RandomScheduler;
-use elastic_core::{Netlist, NodeKind, Scheduler};
+use elastic_core::{Channel, Netlist, Node, NodeId, NodeKind, Scheduler};
+use elastic_sim::handshake::Rail;
 use elastic_sim::sweep::lane_map;
-use elastic_sim::{LaneConfig, LaneSimulation, SchedulerFactory, SimError, Trace, LANES};
+use elastic_sim::{LaneConfig, LaneRails, LaneSimulation, SchedulerFactory, SimError, LANES};
 
-use crate::liveness::{check_leads_to_on_trace, LivenessOptions};
-use crate::properties::{check_trace, ProtocolOptions};
+use crate::liveness::{starved_user, LivenessOptions};
+use crate::properties::{channel_violation, retraction_exempt_producers, ProtocolOptions};
+use crate::rules::{shared_inputs, ChannelRule, ChannelRules, LeadsToWait, Rails};
 use crate::Verdict;
 
 /// Options for the bounded exploration.
@@ -81,16 +94,16 @@ fn enumeration_coverage(pattern_bits: usize, max_runs: usize) -> (usize, usize) 
     (explored, combinations)
 }
 
-fn sinks_of(netlist: &Netlist) -> Vec<elastic_core::NodeId> {
+pub(crate) fn sinks_of(netlist: &Netlist) -> Vec<NodeId> {
     netlist.live_nodes().filter(|n| matches!(n.kind, NodeKind::Sink(_))).map(|n| n.id).collect()
 }
 
-fn sources_of(netlist: &Netlist) -> Vec<elastic_core::NodeId> {
+pub(crate) fn sources_of(netlist: &Netlist) -> Vec<NodeId> {
     netlist.live_nodes().filter(|n| matches!(n.kind, NodeKind::Source(_))).map(|n| n.id).collect()
 }
 
 /// Every shared module of `netlist` with its user count.
-pub(crate) fn shared_modules_of(netlist: &Netlist) -> Vec<(elastic_core::NodeId, usize)> {
+pub(crate) fn shared_modules_of(netlist: &Netlist) -> Vec<(NodeId, usize)> {
     netlist
         .live_nodes()
         .filter_map(|n| match &n.kind {
@@ -101,8 +114,9 @@ pub(crate) fn shared_modules_of(netlist: &Netlist) -> Vec<(elastic_core::NodeId,
 }
 
 /// Exhaustively enumerates sink back-pressure and source token-offer
-/// patterns up to the configured depth and checks protocol compliance and
-/// progress on every run.
+/// patterns up to the configured depth and checks the SELF channel rules
+/// `Invariant`, `Retry+` and `Retry-` on every run (bounded liveness is
+/// off: an enumerated environment may stall a run on purpose).
 ///
 /// The combination index packs one bit per enumerated cycle per
 /// environment endpoint: sink `s` owns bits `s·d .. s·d+d` (a set bit
@@ -122,10 +136,10 @@ pub(crate) fn shared_modules_of(netlist: &Netlist) -> Vec<(elastic_core::NodeId,
 /// and replays every block assigned to it via
 /// [`LaneSimulation::reset_with_lane_sink_patterns`] and
 /// [`LaneSimulation::reset_with_lane_source_patterns`], simulating 64
-/// environment combinations per run. Results are collected in combination
-/// order, making the merged verdict (and the first counterexample reported
-/// for a failing design) identical to the sequential rebuild-per-run
-/// enumeration this replaces.
+/// environment combinations per run, judged as they run by the lane judge.
+/// Results are collected in combination order, making the merged verdict
+/// (and the first counterexample reported for a failing design) identical
+/// to the sequential rebuild-per-run enumeration this replaces.
 ///
 /// When the enumeration is truncated — more than
 /// 2^[`MAX_EXHAUSTIVE_PATTERN_BITS`] theoretical combinations, or more
@@ -154,61 +168,11 @@ pub fn explore_environments(
 
     let protocol = ProtocolOptions { check_liveness: false, ..ProtocolOptions::default() };
     let setup = |sim: &mut LaneSimulation, block: &[usize]| {
-        let sink_overrides: Vec<(elastic_core::NodeId, Vec<BackpressurePattern>)> = sinks
-            .iter()
-            .enumerate()
-            .map(|(sink_index, &sink)| {
-                let patterns = block
-                    .iter()
-                    .map(|&combination| {
-                        let mut pattern = Vec::with_capacity(options.pattern_depth);
-                        for cycle in 0..options.pattern_depth {
-                            let bit = sink_index * options.pattern_depth + cycle;
-                            pattern.push((combination >> bit) & 1 == 1);
-                        }
-                        BackpressurePattern::List(pattern)
-                    })
-                    .collect();
-                (sink, patterns)
-            })
-            .collect();
-        let source_overrides: Vec<(elastic_core::NodeId, Vec<SourcePattern>)> = sources
-            .iter()
-            .enumerate()
-            .map(|(source_index, &source)| {
-                let patterns = block
-                    .iter()
-                    .map(|&combination| {
-                        let mut pattern = Vec::with_capacity(options.pattern_depth);
-                        for cycle in 0..options.pattern_depth {
-                            let bit = (sinks.len() + source_index) * options.pattern_depth + cycle;
-                            // A set source bit withholds the offer, so
-                            // combination 0 keeps the nominal
-                            // always-offering environment.
-                            pattern.push((combination >> bit) & 1 == 0);
-                        }
-                        SourcePattern::List(pattern)
-                    })
-                    .collect();
-                (source, patterns)
-            })
-            .collect();
-        // Both overrides persist across the reset the second call
-        // performs, so the block ends up with this combination set's sink
-        // *and* source environments (depth 0 enumerates the single empty
-        // pattern — leave the specs' own patterns in force).
-        if options.pattern_depth > 0 {
-            sim.reset_with_lane_sink_patterns(&sink_overrides);
-            sim.reset_with_lane_source_patterns(&source_overrides);
-        } else {
-            sim.reset();
-        }
+        reset_with_environments(sim, &sinks, &sources, options.pattern_depth, block);
     };
     let cycles = options.cycles_per_run.max(1);
-    let failures = sweep_lane_blocks(netlist, &runs, cycles, setup, |combination, trace| {
-        let run_verdict = check_trace(netlist, trace, &protocol);
-        (!run_verdict.passed())
-            .then(|| format!("environment combination {combination}: {run_verdict}"))
+    let failures = sweep_lane_blocks(netlist, &runs, cycles, &protocol, None, setup, |run| {
+        format!("environment combination {run}")
     })?;
 
     let mut verdict = Verdict::default();
@@ -228,6 +192,58 @@ pub fn explore_environments(
     }
     verdict.violations.extend(failures);
     Ok(verdict)
+}
+
+/// Bit `bit` of an environment combination. Bits at or past `usize::BITS`
+/// read as 0, the nominal environment: no enumerated combination reaches
+/// them.
+fn pattern_bit(combination: usize, bit: usize) -> bool {
+    u32::try_from(bit).ok().and_then(|bit| combination.checked_shr(bit)).is_some_and(|c| c & 1 == 1)
+}
+
+/// Resets `sim` with one block of environment combinations, lane `ℓ`
+/// running combination `block[ℓ]` (lanes past a short block repeat its
+/// last combination), in the bit layout [`explore_environments`] documents.
+pub(crate) fn reset_with_environments(
+    sim: &mut LaneSimulation,
+    sinks: &[NodeId],
+    sources: &[NodeId],
+    depth: usize,
+    block: &[usize],
+) {
+    // Depth 0 enumerates the single empty pattern: leave the specs' own
+    // patterns in force.
+    if depth == 0 {
+        sim.reset();
+        return;
+    }
+    // Endpoint `e` owns bits `e·depth .. e·depth + depth`, sinks first.
+    let patterns = |endpoint: usize| {
+        block.iter().map(move |&combination| {
+            (0..depth).map(move |cycle| pattern_bit(combination, endpoint * depth + cycle))
+        })
+    };
+    let sink_overrides: Vec<(NodeId, Vec<BackpressurePattern>)> = sinks
+        .iter()
+        .enumerate()
+        .map(|(s, &sink)| {
+            (sink, patterns(s).map(|bits| BackpressurePattern::List(bits.collect())).collect())
+        })
+        .collect();
+    // A set source bit withholds the offer, so combination 0 keeps the
+    // nominal always-offering environment.
+    let source_overrides: Vec<(NodeId, Vec<SourcePattern>)> = sources
+        .iter()
+        .enumerate()
+        .map(|(j, &source)| {
+            let offers = patterns(sinks.len() + j);
+            (source, offers.map(|bits| SourcePattern::List(bits.map(|b| !b).collect())).collect())
+        })
+        .collect();
+    // Both overrides persist across the reset the second call performs, so
+    // the block ends up with its sink *and* source environments.
+    sim.reset_with_lane_sink_patterns(&sink_overrides);
+    sim.reset_with_lane_source_patterns(&source_overrides);
 }
 
 /// Drives every shared module with seeded adversarial random schedulers and
@@ -256,41 +272,194 @@ pub fn explore_adversarial_schedulers(
     if shared.is_empty() {
         return Ok(verdict);
     }
-    let protocol = ProtocolOptions::default();
     let liveness =
         LivenessOptions { cycles: options.cycles_per_run.max(200), ..LivenessOptions::default() };
-    let scheduler_seed = |run: usize| -> u64 { options.seed ^ ((run as u64 + 1) * 0x9E37_79B9) };
     let runs: Vec<usize> = (0..options.random_scheduler_runs).collect();
     let setup = |sim: &mut LaneSimulation, block: &[usize]| {
-        // Lane ℓ replays run `block[ℓ]`; lanes past a short final block
-        // repeat the last run's seed and are never inspected.
-        let factories: Vec<(elastic_core::NodeId, Box<SchedulerFactory<'_>>)> = shared
-            .iter()
-            .map(|&(node, users)| {
-                let make: Box<SchedulerFactory<'_>> = Box::new(move |lane| {
-                    let run = block[lane.min(block.len() - 1)];
-                    Box::new(RandomScheduler::new(users, scheduler_seed(run))) as Box<dyn Scheduler>
-                });
-                (node, make)
-            })
-            .collect();
-        let overrides: Vec<(elastic_core::NodeId, &SchedulerFactory<'_>)> =
-            factories.iter().map(|(node, make)| (*node, make.as_ref())).collect();
-        sim.reset_with_schedulers(&overrides);
+        reset_with_random_schedulers(sim, &shared, options.seed, block);
     };
-    let failures = sweep_lane_blocks(netlist, &runs, liveness.cycles, setup, |run, trace| {
-        let mut run_verdict = check_trace(netlist, trace, &protocol);
-        run_verdict.merge(check_leads_to_on_trace(netlist, trace, &liveness));
-        (!run_verdict.passed()).then(|| format!("adversarial scheduler run {run}: {run_verdict}"))
-    })?;
+    let horizon = Some(liveness.leads_to_horizon as u64);
+    let failures = sweep_lane_blocks(
+        netlist,
+        &runs,
+        liveness.cycles,
+        &ProtocolOptions::default(),
+        horizon,
+        setup,
+        |run| format!("adversarial scheduler run {run}"),
+    )?;
     verdict.violations.extend(failures);
     Ok(verdict)
 }
 
+/// The adversarial scheduler seed of run `run` of a sweep seeded `seed`.
+fn scheduler_seed(seed: u64, run: usize) -> u64 {
+    seed ^ ((run as u64 + 1) * 0x9E37_79B9)
+}
+
+/// Resets `sim` with one block of adversarial scheduler runs: lane `ℓ`
+/// drives every shared module of `shared` with the [`RandomScheduler`] of
+/// run `block[ℓ]` (lanes past a short block repeat its last run).
+pub(crate) fn reset_with_random_schedulers(
+    sim: &mut LaneSimulation,
+    shared: &[(NodeId, usize)],
+    seed: u64,
+    block: &[usize],
+) {
+    let factories: Vec<(NodeId, Box<SchedulerFactory<'_>>)> = shared
+        .iter()
+        .map(|&(node, users)| {
+            let make: Box<SchedulerFactory<'_>> = Box::new(move |lane| {
+                let run = block[lane.min(block.len() - 1)];
+                Box::new(RandomScheduler::new(users, scheduler_seed(seed, run)))
+                    as Box<dyn Scheduler>
+            });
+            (node, make)
+        })
+        .collect();
+    let overrides: Vec<(NodeId, &SchedulerFactory<'_>)> =
+        factories.iter().map(|(node, make)| (*node, make.as_ref())).collect();
+    sim.reset_with_schedulers(&overrides);
+}
+
+/// The lane driver of the runtime property rules: judges every lane of a
+/// 64-lane run as it happens, reading the settled rail words of each cycle
+/// ([`LaneSimulation::rails`]) one bit per lane, and writes each lane's
+/// violations exactly as the trace checkers would on that lane's trace:
+/// [`check_trace`](crate::properties::check_trace)'s channel lines (per
+/// channel in `live_channels()` order, its first `Liveness` last), then
+/// [`check_leads_to_on_trace`](crate::liveness::check_leads_to_on_trace)'s
+/// lines when a leads-to horizon is set.
+#[derive(Debug)]
+pub(crate) struct LaneJudge<'n> {
+    channels: Vec<&'n Channel>,
+    /// Per channel: `Retry+` applies (its producer is not exempt).
+    persistent: Vec<bool>,
+    protocol: ProtocolOptions,
+    /// The shared-module inputs under the leads-to wait, with the dense
+    /// index of their channel; empty without a horizon.
+    inputs: Vec<(&'n Node, usize, &'n Channel, usize)>,
+    horizon: u64,
+    rules: Vec<ChannelRules<u64>>,
+    waits: Vec<LeadsToWait<u64>>,
+    /// Per channel, the lanes that reported their first `Liveness`.
+    starved: Vec<u64>,
+    /// The lanes judged; the others read as idle.
+    live: u64,
+    cycle: usize,
+    /// Per lane, every violation so far with its position in the report.
+    found: Vec<Vec<(usize, String)>>,
+}
+
+impl<'n> LaneJudge<'n> {
+    /// A judge of `netlist`'s runs under `protocol`, with `Retry+` waived on
+    /// the outputs of the `exempt` producers, plus the leads-to wait at
+    /// every shared-module input when `leads_to_horizon` is set.
+    pub(crate) fn new(
+        netlist: &'n Netlist,
+        exempt: &BTreeSet<NodeId>,
+        protocol: ProtocolOptions,
+        leads_to_horizon: Option<u64>,
+    ) -> Self {
+        let channels: Vec<&Channel> = netlist.live_channels().collect();
+        let persistent = channels.iter().map(|c| !exempt.contains(&c.from.node)).collect();
+        let inputs: Vec<_> = match leads_to_horizon {
+            Some(_) => shared_inputs(netlist)
+                .into_iter()
+                .map(|(node, user, channel)| {
+                    let dense = channels.iter().position(|c| c.id == channel.id);
+                    (node, user, channel, dense.expect("a live channel"))
+                })
+                .collect(),
+            None => Vec::new(),
+        };
+        LaneJudge {
+            persistent,
+            protocol,
+            horizon: leads_to_horizon.unwrap_or(0),
+            rules: channels.iter().map(|_| ChannelRules::default()).collect(),
+            waits: inputs.iter().map(|_| LeadsToWait::default()).collect(),
+            starved: vec![0; channels.len()],
+            live: 0,
+            cycle: 0,
+            found: (0..LANES).map(|_| Vec::new()).collect(),
+            channels,
+            inputs,
+        }
+    }
+
+    /// Starts judging a new run in the first `lanes` lanes.
+    pub(crate) fn start(&mut self, lanes: usize) {
+        self.rules.iter_mut().for_each(|rules| *rules = ChannelRules::default());
+        self.waits.iter_mut().for_each(|wait| *wait = LeadsToWait::default());
+        self.starved.fill(0);
+        self.found.iter_mut().for_each(Vec::clear);
+        self.live = u64::MAX >> (LANES - lanes.clamp(1, LANES));
+        self.cycle = 0;
+    }
+
+    /// Judges the run's next cycle from its settled rail words.
+    pub(crate) fn observe(&mut self, rails: LaneRails<'_>) {
+        let LaneJudge {
+            channels,
+            persistent,
+            protocol,
+            inputs,
+            horizon,
+            rules,
+            waits,
+            starved,
+            live,
+            cycle,
+            found,
+        } = self;
+        let (live, cycle) = (*live, *cycle);
+        let state = |index: usize| Rails {
+            forward_valid: rails.forward_valid[index] & live,
+            forward_stop: rails.forward_stop[index] & live,
+            backward_valid: rails.backward_valid[index] & live,
+            backward_stop: rails.backward_stop[index] & live,
+        };
+        for (index, rules) in rules.iter_mut().enumerate() {
+            rules.step(state(index), protocol, persistent[index], |rule, mut lanes| {
+                let liveness = rule == ChannelRule::Liveness;
+                if liveness {
+                    lanes &= !starved[index];
+                    starved[index] |= lanes;
+                }
+                for lane in lanes.lanes() {
+                    let violation =
+                        channel_violation(channels[index], rule.property(), cycle - rule.lag());
+                    found[lane].push((2 * index + usize::from(liveness), violation));
+                }
+            });
+        }
+        let leads_to = 2 * channels.len();
+        for (input, (&(node, user, channel, dense), wait)) in inputs.iter().zip(waits).enumerate() {
+            wait.overdue(cycle as u64, state(dense), *horizon, |lane, since| {
+                found[lane].push((leads_to + input, starved_user(node, user, channel, since)));
+            });
+        }
+        self.cycle += 1;
+    }
+
+    /// Lane `lane`'s violations, in report order; takes them, so a second
+    /// call returns none.
+    pub(crate) fn violations(&mut self, lane: usize) -> Vec<String> {
+        let mut found = std::mem::take(&mut self.found[lane]);
+        // Stable: each channel's and each input's lines stay in run order.
+        found.sort_by_key(|&(position, _)| position);
+        found.into_iter().map(|(_, violation)| violation).collect()
+    }
+}
+
 /// Sweeps `runs` in [`LANES`]-wide blocks through [`lane_map`], with one
-/// [`LaneSimulation`] per worker thread: `setup` resets the simulation with
-/// one block's lane environments, the block runs for `cycles`, and `judge`
-/// checks each lane's trace, returning the run's violation, if any.
+/// [`LaneSimulation`] (trace off) and one [`LaneJudge`] per worker thread:
+/// `setup` resets the simulation with one block's lane environments, and
+/// the block steps for `cycles` while the judge reads each cycle's rail
+/// words under `protocol` (plus the leads-to wait when `leads_to_horizon`
+/// is set). A run that breaks a rule reports
+/// `"{name(run)}: {verdict}"`, its verdict holding the judge's lines.
 ///
 /// Returns the violations in run order. A block whose build or run fails
 /// reports its error at its first run, and the lowest such error is
@@ -299,14 +468,20 @@ fn sweep_lane_blocks(
     netlist: &Netlist,
     runs: &[usize],
     cycles: u64,
+    protocol: &ProtocolOptions,
+    leads_to_horizon: Option<u64>,
     setup: impl Fn(&mut LaneSimulation, &[usize]) + Sync,
-    judge: impl Fn(usize, &Trace) -> Option<String> + Sync,
+    name: impl Fn(usize) -> String + Sync,
 ) -> Result<Vec<String>, SimError> {
-    let config = LaneConfig::default();
+    let config = LaneConfig { record_trace: false };
+    let exempt = retraction_exempt_producers(netlist);
     let failures = lane_map(
         runs,
-        || LaneSimulation::new(netlist, &config),
-        |worker_sim, _, block| -> Vec<Result<Option<String>, SimError>> {
+        || {
+            let judge = LaneJudge::new(netlist, &exempt, *protocol, leads_to_horizon);
+            (LaneSimulation::new(netlist, &config), judge)
+        },
+        |(worker_sim, judge), _, block| -> Vec<Result<Option<String>, SimError>> {
             // A block-level failure lands in the block's first result slot
             // (the merge below short-circuits on the first `Err` in run
             // order, so the padding `Ok(None)` slots are never reported).
@@ -330,10 +505,22 @@ fn sweep_lane_blocks(
                 }
             };
             setup(sim, block);
-            if let Err(error) = sim.run(cycles) {
-                return block_failed(error);
+            judge.start(block.len());
+            for _ in 0..cycles {
+                if let Err(error) = sim.step() {
+                    return block_failed(error);
+                }
+                judge.observe(sim.rails());
             }
-            block.iter().enumerate().map(|(lane, &run)| Ok(judge(run, sim.trace(lane)))).collect()
+            block
+                .iter()
+                .enumerate()
+                .map(|(lane, &run)| {
+                    let violations = judge.violations(lane);
+                    let verdict = Verdict { violations, notes: Vec::new() };
+                    Ok((!verdict.passed()).then(|| format!("{}: {verdict}", name(run))))
+                })
+                .collect()
         },
     );
     failures.into_iter().filter_map(Result::transpose).collect()
@@ -353,6 +540,8 @@ pub fn explore(netlist: &Netlist, options: &ExplorationOptions) -> Result<Verdic
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::liveness::check_leads_to_on_trace;
+    use crate::properties::check_trace;
     use elastic_core::library::{fig1d, table1, Fig1Config};
     use elastic_sim::{SimConfig, Simulation};
 
@@ -674,6 +863,32 @@ mod tests {
             lane_verdict, scalar_verdict,
             "lane-blocked and scalar scheduler sweeps must return identical verdicts"
         );
+    }
+
+    #[test]
+    fn pattern_bits_past_the_word_read_as_the_nominal_environment() {
+        // 11 source→sink pairs at depth 3 span 66 pattern bits, so the last
+        // source owns bits 63, 64 and 65: past a `usize`, they read as 0.
+        assert!(pattern_bit(1 << 63, 63));
+        assert!(!pattern_bit(usize::MAX, 64));
+        assert!(!pattern_bit(usize::MAX, usize::MAX));
+        let mut n = elastic_core::Netlist::new("pairs");
+        for pair in 0..11 {
+            let src = n.add_source(format!("src{pair}"), elastic_core::SourceSpec::always());
+            let sink = n.add_sink(format!("sink{pair}"), elastic_core::SinkSpec::always_ready());
+            n.connect(elastic_core::Port::output(src, 0), elastic_core::Port::input(sink, 0), 8)
+                .unwrap();
+        }
+        let options = ExplorationOptions {
+            pattern_depth: 3,
+            cycles_per_run: 8,
+            max_runs: 1,
+            random_scheduler_runs: 0,
+            seed: 1,
+        };
+        let verdict = explore_environments(&n, &options).unwrap();
+        assert!(verdict.passed(), "{verdict}");
+        assert!(verdict.notes[0].contains("explored 64 of 2^66"), "{verdict}");
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! * [`exploration`] — bounded exhaustive exploration of environment
 //!   behaviour (all back-pressure/offer patterns up to a depth) plus
 //!   randomized adversarial schedulers, the substitute for symbolic model
-//!   checking documented in `DESIGN.md`;
+//!   checking described in `docs/ARCHITECTURE.md`;
 //! * [`monitor`] — streaming, fail-fast runtime drivers of the same
 //!   properties ([`monitor::ProtocolMonitor`], [`monitor::ProgressMonitor`],
 //!   [`monitor::LeadsToMonitor`], plus the trace-less
@@ -42,7 +42,9 @@
 //! written once, in a private `rules` module. The trace checkers of
 //! [`properties`] and [`liveness`] walk recorded channel columns through it
 //! and collect every violation; the monitors walk live cycle rows through
-//! it and stop at the first.
+//! it and stop at the first; the exploration sweeps read the rail words of
+//! their 64-lane runs through it, one bit per lane, and collect every
+//! violation of every lane without recording a trace.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -19,12 +19,13 @@
 //! and report what they find. The per-cycle rules — the sink-progress
 //! window and the leads-to wait — live once in `rules.rs`, shared with the
 //! streaming [`crate::monitor::ProgressMonitor`] and
-//! [`crate::monitor::LeadsToMonitor`].
+//! [`crate::monitor::LeadsToMonitor`]; the leads-to wait also with the lane
+//! judge of [`crate::exploration`].
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use elastic_core::{ChannelId, Netlist, NodeId, NodeKind};
+use elastic_core::{Channel, ChannelId, Netlist, Node, NodeId, NodeKind};
 use elastic_sim::{ChannelState, SimConfig, SimError, Simulation, SimulationReport, Trace};
 
 use crate::rules::{shared_inputs, sink_inputs, LeadsToWait, ProgressWindow};
@@ -395,19 +396,25 @@ pub fn check_leads_to_on_trace(
 ) -> Verdict {
     let mut verdict = Verdict::default();
     for (node, user, channel) in shared_inputs(netlist) {
-        let mut wait = LeadsToWait::default();
+        let mut wait = LeadsToWait::<bool>::default();
         for (cycle, state) in trace.channel_iter(channel.id).enumerate() {
-            if let Some(since) = wait.overdue(cycle as u64, state, options.leads_to_horizon as u64)
-            {
-                verdict.reject(format!(
-                    "shared module {} starves user {user} (channel {}): a token has waited \
-                     since cycle {since}",
-                    node.name, channel.name
-                ));
-            }
+            let horizon = options.leads_to_horizon as u64;
+            wait.overdue(cycle as u64, state.into(), horizon, |_, since| {
+                verdict.reject(starved_user(node, user, channel, since));
+            });
         }
     }
     verdict
+}
+
+/// How [`check_leads_to_on_trace`] and the exploration sweeps report a
+/// shared-module input whose token has waited unserved since cycle `since`.
+pub(crate) fn starved_user(node: &Node, user: usize, channel: &Channel, since: u64) -> String {
+    format!(
+        "shared module {} starves user {user} (channel {}): a token has waited since cycle \
+         {since}",
+        node.name, channel.name
+    )
 }
 
 #[cfg(test)]

@@ -2,9 +2,11 @@
 //! property rules.
 //!
 //! Each property this crate checks on a run has its per-cycle rule written
-//! once (in `rules.rs`) and two drivers: the end-of-run trace checkers of
-//! [`crate::properties`] and [`crate::liveness`], which walk a recorded trace
-//! and collect every violation, and the monitors here. Each monitor
+//! once (in `rules.rs`) and up to three drivers: the end-of-run trace
+//! checkers of [`crate::properties`] and [`crate::liveness`], which walk a
+//! recorded trace and collect every violation, the lane judge of
+//! [`crate::exploration`], which does the same on the rail words of a
+//! 64-lane run as it happens, and the monitors here. Each monitor
 //! implements [`elastic_sim::CycleMonitor`], feeds every cycle row of a live
 //! run through the same rule, and stops **at the violating cycle** with a
 //! `(channel, cycle, invariant)` locus instead of producing a post-mortem
@@ -69,7 +71,7 @@ impl ProtocolMonitor {
                 ((channel.id, channel.name.clone()), exempt_producers.contains(&channel.from.node))
             })
             .unzip();
-        let rules = vec![ChannelRules::default(); channels.len()];
+        let rules = channels.iter().map(|_| ChannelRules::default()).collect();
         ProtocolMonitor { channels, exempt, options: *options, rules }
     }
 }
@@ -83,7 +85,7 @@ impl CycleMonitor for ProtocolMonitor {
         for (index, &state) in channels.iter().enumerate() {
             let rules = &mut self.rules[index];
             let mut first = None;
-            rules.step(state, &self.options, !self.exempt[index], |rule| {
+            rules.step(state.into(), &self.options, !self.exempt[index], |rule, _| {
                 first.get_or_insert(rule);
             });
             let Some(rule) = first else { continue };
@@ -94,7 +96,7 @@ impl CycleMonitor for ProtocolMonitor {
                     "a stopped anti-token was retracted instead of held".into()
                 }
                 ChannelRule::Liveness => {
-                    format!("an offered item has not transferred for {} cycles", rules.idle())
+                    format!("an offered item has not transferred for {} cycles", rules.idle(0))
                 }
             };
             return Err(MonitorViolation {
@@ -109,7 +111,7 @@ impl CycleMonitor for ProtocolMonitor {
     }
 
     fn reset(&mut self) {
-        self.rules.fill(ChannelRules::default());
+        self.rules.iter_mut().for_each(|rules| *rules = ChannelRules::default());
     }
 }
 
@@ -237,7 +239,11 @@ impl CycleMonitor for LeadsToMonitor {
 
     fn observe(&mut self, cycle: u64, channels: &[ChannelState]) -> Result<(), MonitorViolation> {
         for entry in &mut self.entries {
-            if let Some(since) = entry.wait.overdue(cycle, channels[entry.dense], self.horizon) {
+            let mut overdue = None;
+            entry.wait.overdue(cycle, channels[entry.dense].into(), self.horizon, |_, since| {
+                overdue = Some(since);
+            });
+            if let Some(since) = overdue {
                 return Err(MonitorViolation {
                     monitor: "leads-to",
                     invariant: "LeadsTo",

@@ -13,11 +13,12 @@
 //! The checkers here are the trace driver of these properties: they walk the
 //! finite traces recorded by `elastic-sim` one channel column at a time and
 //! report every violation. The per-cycle rules themselves live once in
-//! `rules.rs`, shared with the streaming [`crate::monitor::ProtocolMonitor`].
+//! `rules.rs`, shared with the streaming [`crate::monitor::ProtocolMonitor`]
+//! and with the lane judge of [`crate::exploration`].
 //! The liveness property is interpreted over a configurable starvation
 //! window, as usual when checking liveness on bounded executions.
 
-use elastic_core::{ChannelId, Netlist, NodeId};
+use elastic_core::{Channel, ChannelId, Netlist, NodeId};
 use elastic_sim::{ChannelState, Trace};
 
 use crate::rules::{ChannelRule, ChannelRules};
@@ -77,7 +78,7 @@ pub fn check_channel(
     let mut starvation = None;
     let mut rules = ChannelRules::default();
     for (cycle, state) in history.into_iter().enumerate() {
-        rules.step(state, options, require_forward_persistence, |rule| {
+        rules.step(state.into(), options, require_forward_persistence, |rule, _| {
             let violation =
                 ProtocolViolation { channel, cycle: cycle - rule.lag(), property: rule.property() };
             if rule == ChannelRule::Liveness {
@@ -144,13 +145,16 @@ pub fn check_trace(netlist: &Netlist, trace: &Trace, options: &ProtocolOptions) 
         for violation in
             check_channel(channel.id, trace.channel_iter(channel.id), options, !producer_exempt)
         {
-            verdict.reject(format!(
-                "channel {} ({}) violates {} at cycle {}",
-                channel.id, channel.name, violation.property, violation.cycle
-            ));
+            verdict.reject(channel_violation(channel, violation.property, violation.cycle));
         }
     }
     verdict
+}
+
+/// How [`check_trace`] and the exploration sweeps report a broken channel
+/// rule.
+pub(crate) fn channel_violation(channel: &Channel, property: &str, cycle: usize) -> String {
+    format!("channel {} ({}) violates {property} at cycle {cycle}", channel.id, channel.name)
 }
 
 /// Simulates a netlist and checks the SELF properties on the resulting trace.

@@ -1,11 +1,20 @@
 //! The per-cycle rule of every runtime property, written once.
 //!
-//! Each property this crate checks on a run has two drivers: a trace checker
-//! that walks a recorded run channel column by channel column and collects
-//! every violation ([`crate::properties`], [`crate::liveness`]), and a
-//! streaming monitor that walks the cycle rows of a live run and stops at the
-//! first violation ([`crate::monitor`]). Both feed one cycle at a time into
-//! the rules here, so the two can only differ in how they walk and report:
+//! Each property this crate checks on a run has up to three drivers, and all
+//! of them feed one cycle at a time into the rules here, so they can only
+//! differ in how they walk and report:
+//!
+//! * the trace checkers ([`crate::properties`], [`crate::liveness`]) walk a
+//!   recorded run channel column by channel column and collect every
+//!   violation;
+//! * the streaming monitors ([`crate::monitor`]) walk the cycle rows of a
+//!   live run and stop at the first violation;
+//! * the lane judge of the exploration sweeps
+//!   ([`crate::exploration::LaneJudge`]) reads the settled rail words of a
+//!   64-lane run after every cycle and collects every violation of every
+//!   lane.
+//!
+//! The rules:
 //!
 //! * [`ChannelRules`] — the four SELF channel properties of Section 3.1
 //!   (`Invariant`, `Retry+`, `Retry-` and bounded `Liveness`);
@@ -13,14 +22,71 @@
 //! * [`LeadsToWait`] — the scheduler leads-to obligation of Section 4.1.1 at
 //!   one shared-module input.
 //!
-//! The channel selections both drivers walk live here too: every sink's
+//! The channel rules and the leads-to wait are generic over the rail word
+//! ([`Rail`]): the trace checkers and the monitors run them at `bool`, the
+//! lane judge at `u64`, one bit per lane, with the per-lane counters of
+//! bounded liveness and of the leads-to wait in [`Rail::PerLane`] stores.
+//! The progress window only has the one-scenario drivers, so it stays at
+//! [`ChannelState`].
+//!
+//! The channel selections the drivers walk live here too: every sink's
 //! input ([`sink_inputs`]) and every shared-module user input
 //! ([`shared_inputs`]).
 
 use elastic_core::{Channel, Netlist, Node, NodeId, NodeKind, Port};
+use elastic_sim::handshake::Rail;
 use elastic_sim::ChannelState;
 
 use crate::properties::ProtocolOptions;
+
+/// One channel's four handshake rails in one cycle, across the scenarios of
+/// a rail word: [`ChannelState`] without the data, which no rule reads.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Rails<R> {
+    /// `V+`.
+    pub(crate) forward_valid: R,
+    /// `S+`.
+    pub(crate) forward_stop: R,
+    /// `V-`.
+    pub(crate) backward_valid: R,
+    /// `S-`.
+    pub(crate) backward_stop: R,
+}
+
+impl<R: Rail> Rails<R> {
+    /// [`ChannelState::backward_transfer`], lane-wise.
+    #[inline]
+    fn backward_transfer(self) -> R {
+        self.backward_valid & !self.backward_stop
+    }
+
+    /// [`ChannelState::forward_transfer`], lane-wise.
+    #[inline]
+    fn forward_transfer(self) -> R {
+        self.forward_valid & !self.forward_stop & !self.backward_transfer()
+    }
+
+    /// Whether the channel resolved an item this cycle: a forward or
+    /// backward transfer, or a token and an anti-token cancelling.
+    #[inline]
+    fn resolved(self) -> R {
+        // A token transfers, an anti-token transfers, or both meet: with
+        // `bt = V- ∧ ¬S-`, `ft ∨ bt ∨ (V+ ∧ bt)` is `(V+ ∧ ¬S+) ∨ bt`.
+        (self.forward_valid & !self.forward_stop) | self.backward_transfer()
+    }
+}
+
+impl From<ChannelState> for Rails<bool> {
+    #[inline]
+    fn from(state: ChannelState) -> Self {
+        Rails {
+            forward_valid: state.forward_valid,
+            forward_stop: state.forward_stop,
+            backward_valid: state.backward_valid,
+            backward_stop: state.backward_stop,
+        }
+    }
+}
 
 /// One SELF channel property, in the order [`ChannelRules::step`] checks
 /// them.
@@ -55,43 +121,68 @@ impl ChannelRule {
     }
 }
 
-/// The four SELF channel rules on one channel: the previous cycle's state
-/// for the persistence rules and the transfer-free run for bounded liveness.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ChannelRules {
-    prev: Option<ChannelState>,
-    /// Cycles since the channel last transferred.
-    idle: usize,
-    /// Whether the channel offered a token or an anti-token since then.
-    offered: bool,
+/// The four SELF channel rules on one channel, in every scenario of the rail
+/// word `R`: the previous cycle's rails for the persistence rules and each
+/// lane's transfer-free run for bounded liveness.
+#[derive(Debug)]
+pub(crate) struct ChannelRules<R: Rail = bool> {
+    prev: Option<Rails<R>>,
+    /// Cycles fed so far, counted when liveness is checked.
+    cycles: usize,
+    /// Per lane, the first cycle since the channel last resolved an item.
+    since: R::PerLane<usize>,
+    /// The lanes in which the channel resolved an item in the last cycle
+    /// (all before the first), so `since` only moves when a run begins.
+    resolved: R,
+    /// The lanes whose channel offered a token or an anti-token since then.
+    offered: R,
 }
 
-impl ChannelRules {
-    /// Feeds the channel's state in its next cycle and calls `broken` with
-    /// every rule that state breaks, in [`ChannelRule`] order.
+impl<R: Rail> Default for ChannelRules<R> {
+    fn default() -> Self {
+        ChannelRules {
+            prev: None,
+            cycles: 0,
+            since: R::per_lane(|_| 0),
+            resolved: R::HIGH,
+            offered: R::LOW,
+        }
+    }
+}
+
+impl<R: Rail> ChannelRules<R> {
+    /// Feeds the channel's rails in its next cycle and calls `broken` with
+    /// every rule they break, in [`ChannelRule`] order, together with the
+    /// lanes that break it (never none).
     ///
     /// `forward_persistence` applies `Retry+`; the outputs of speculative
     /// producers are exempt from it (see [`crate::properties::check_channel`]).
     #[inline]
     pub(crate) fn step(
         &mut self,
-        state: ChannelState,
+        state: Rails<R>,
         options: &ProtocolOptions,
         forward_persistence: bool,
-        mut broken: impl FnMut(ChannelRule),
+        mut broken: impl FnMut(ChannelRule, R),
     ) {
-        if state.forward_valid && state.forward_stop && state.backward_valid && state.backward_stop
-        {
-            broken(ChannelRule::Invariant);
-        }
+        let mut check = |rule, lanes: R| {
+            if lanes != R::LOW {
+                broken(rule, lanes);
+            }
+        };
+        check(
+            ChannelRule::Invariant,
+            state.forward_valid & state.forward_stop & state.backward_valid & state.backward_stop,
+        );
         if let Some(prev) = self.prev {
-            if forward_persistence
-                && prev.forward_valid
-                && prev.forward_stop
-                && !prev.backward_transfer()
-                && !state.forward_valid
-            {
-                broken(ChannelRule::RetryPlus);
+            if forward_persistence {
+                check(
+                    ChannelRule::RetryPlus,
+                    prev.forward_valid
+                        & prev.forward_stop
+                        & !prev.backward_transfer()
+                        & !state.forward_valid,
+                );
             }
             // A stopped anti-token may also vanish when a token transferred
             // forward in the same cycle: the two cancel at the consumer's
@@ -99,32 +190,40 @@ impl ChannelRules {
             // cannot absorb but still delivers the token that pays the
             // debt). Found by the elastic-gen fuzzer on feed-forward
             // speculation behind a standard buffer holding an anti-token.
-            if prev.backward_valid
-                && prev.backward_stop
-                && !prev.forward_transfer()
-                && !state.backward_valid
-            {
-                broken(ChannelRule::RetryMinus);
-            }
+            check(
+                ChannelRule::RetryMinus,
+                prev.backward_valid
+                    & prev.backward_stop
+                    & !prev.forward_transfer()
+                    & !state.backward_valid,
+            );
         }
         if options.check_liveness {
-            if state.forward_transfer() || state.backward_transfer() || state.annihilation() {
-                self.idle = 0;
-                self.offered = false;
-            } else {
-                self.offered |= state.forward_valid || state.backward_valid;
-                self.idle += 1;
-                if self.offered && self.idle > options.starvation_window {
-                    broken(ChannelRule::Liveness);
+            let cycle = self.cycles;
+            self.cycles += 1;
+            let resolved = state.resolved();
+            for lane in (!resolved & self.resolved).lanes() {
+                self.since[lane] = cycle;
+            }
+            self.resolved = resolved;
+            self.offered = (self.offered | state.forward_valid | state.backward_valid) & !resolved;
+            // A lane's idle run is at most `cycle + 1` long.
+            if cycle >= options.starvation_window {
+                let mut starved = R::LOW;
+                for lane in self.offered.lanes() {
+                    if self.idle(lane) > options.starvation_window {
+                        starved = starved | R::lane(lane);
+                    }
                 }
+                check(ChannelRule::Liveness, starved);
             }
         }
         self.prev = Some(state);
     }
 
-    /// Cycles since the channel last transferred.
-    pub(crate) fn idle(&self) -> usize {
-        self.idle
+    /// Cycles since the channel last resolved an item in lane `lane`.
+    pub(crate) fn idle(&self, lane: usize) -> usize {
+        self.cycles - self.since[lane]
     }
 }
 
@@ -159,30 +258,53 @@ impl ProgressWindow {
     }
 }
 
-/// The leads-to obligation at one shared-module input: a waiting token must
-/// be served (transfer) or cancelled within the horizon.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct LeadsToWait {
-    since: Option<u64>,
+/// The leads-to obligation at one shared-module input, in every scenario of
+/// the rail word `R`: a waiting token must be served (transfer) or
+/// cancelled within the horizon.
+#[derive(Debug)]
+pub(crate) struct LeadsToWait<R: Rail = bool> {
+    /// The lanes in which a token is waiting.
+    waiting: R,
+    /// Per waiting lane, the cycle its wait began.
+    since: R::PerLane<u64>,
 }
 
-impl LeadsToWait {
-    /// Feeds the input's state in `cycle`; returns the cycle the wait began
-    /// once a token has waited unserved for more than `horizon` cycles. The
-    /// wait then starts over, so a token that stays unserved is reported
-    /// once per `horizon + 1` cycles.
-    pub(crate) fn overdue(&mut self, cycle: u64, state: ChannelState, horizon: u64) -> Option<u64> {
-        let resolved =
-            state.forward_transfer() || state.backward_transfer() || state.annihilation();
-        if resolved || !state.forward_valid {
-            self.since = None;
-            return None;
+impl<R: Rail> Default for LeadsToWait<R> {
+    fn default() -> Self {
+        LeadsToWait { waiting: R::LOW, since: R::per_lane(|_| 0) }
+    }
+}
+
+impl<R: Rail> LeadsToWait<R> {
+    /// Feeds the input's rails in `cycle` and calls `overdue(lane, since)`,
+    /// lowest lane first, for every lane in which a token has waited
+    /// unserved since cycle `since`, more than `horizon` cycles ago. That
+    /// lane's wait then starts over, so a token that stays unserved is
+    /// reported once per `horizon + 1` cycles.
+    #[inline]
+    pub(crate) fn overdue(
+        &mut self,
+        cycle: u64,
+        state: Rails<R>,
+        horizon: u64,
+        mut overdue: impl FnMut(usize, u64),
+    ) {
+        let waiting = state.forward_valid & !state.resolved();
+        for lane in (waiting & !self.waiting).lanes() {
+            self.since[lane] = cycle;
         }
-        let since = *self.since.get_or_insert(cycle);
-        (cycle - since > horizon).then(|| {
-            self.since = None;
-            since
-        })
+        self.waiting = waiting;
+        // A wait that began at cycle 0 is overdue from cycle `horizon + 1`.
+        if cycle <= horizon {
+            return;
+        }
+        for lane in waiting.lanes() {
+            let since = self.since[lane];
+            if cycle - since > horizon {
+                self.waiting = self.waiting.with_lane(lane, false);
+                overdue(lane, since);
+            }
+        }
     }
 }
 
@@ -214,22 +336,41 @@ pub(crate) fn shared_inputs(netlist: &Netlist) -> Vec<(&Node, usize, &Channel)> 
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use elastic_core::library::{fig1d, resilient_speculative, Fig1Config, ResilientConfig};
-    use elastic_core::{ChannelId, Netlist};
+    use elastic_core::mix::splitmix64;
+    use elastic_core::{ChannelId, Netlist, NodeId};
+    use elastic_explore::{enumerate_candidates, ExploreOptions};
+    use elastic_gen::{generate, GenConfig};
     use elastic_sim::{
-        CycleMonitor, FaultKind, FaultPlan, FaultSpec, MonitorViolation, SimConfig, SimError,
-        Simulation,
+        ChannelState, CycleMonitor, FaultKind, FaultPlan, FaultSpec, LaneConfig, LaneRails,
+        LaneSimulation, MonitorViolation, SimConfig, SimError, Simulation, Trace, LANES,
     };
 
+    use crate::exploration::{
+        reset_with_environments, reset_with_random_schedulers, shared_modules_of, sinks_of,
+        sources_of, LaneJudge,
+    };
     use crate::liveness::tests::{stalled_sink_fig1d, token_free_loop};
     use crate::liveness::{check_leads_to_on_trace, deadlock_freedom_on_run, LivenessOptions};
     use crate::monitor::{LeadsToMonitor, MonitorOptions, ProgressMonitor, ProtocolMonitor};
-    use crate::properties::check_trace;
+    use crate::properties::{
+        channel_violation, check_channel, check_trace, retraction_exempt_producers, ProtocolOptions,
+    };
 
     const CYCLES: u64 = 256;
 
     /// How many runs tripped each monitor: protocol, progress, leads-to.
     type Trips = [usize; 3];
+
+    /// How many failing-lane lines the lane driver wrote for each rule:
+    /// `Invariant`, `Retry+`, `Retry-`, `Liveness`, leads-to.
+    type LaneTrips = [usize; 5];
+
+    /// Cycles per lane run: past the starvation window and the leads-to
+    /// horizon, so both can trip.
+    const LANE_CYCLES: u64 = 160;
 
     /// Judges one recorded run with each trace checker, then replays the
     /// same run (the reset simulation keeps any armed faults) under the
@@ -329,6 +470,70 @@ mod tests {
         faults
     }
 
+    /// A lane judge of `netlist` with the checks of the scheduler sweep, all
+    /// 64 lanes live.
+    fn lane_judge<'n>(netlist: &'n Netlist, exempt: &BTreeSet<NodeId>) -> LaneJudge<'n> {
+        let horizon = LivenessOptions::default().leads_to_horizon as u64;
+        let mut judge = LaneJudge::new(netlist, exempt, ProtocolOptions::default(), Some(horizon));
+        judge.start(LANES);
+        judge
+    }
+
+    /// Judges every lane of a run a second time, with the trace checkers
+    /// (`check_channel` per channel, then the leads-to checker) on the lane's
+    /// trace: they must write the lines `judge` wrote as the run happened, in
+    /// the same order.
+    fn assert_lane_driver_agrees<'t>(
+        netlist: &Netlist,
+        exempt: &BTreeSet<NodeId>,
+        judge: &mut LaneJudge<'_>,
+        trace: impl Fn(usize) -> &'t Trace,
+        trips: &mut LaneTrips,
+    ) {
+        let protocol = ProtocolOptions::default();
+        let liveness = LivenessOptions::default();
+        for lane in 0..LANES {
+            let trace = trace(lane);
+            let mut expected: Vec<String> = Vec::new();
+            for channel in netlist.live_channels() {
+                let persistent = !exempt.contains(&channel.from.node);
+                let history = trace.channel_iter(channel.id);
+                for violation in check_channel(channel.id, history, &protocol, persistent) {
+                    expected.push(channel_violation(channel, violation.property, violation.cycle));
+                }
+            }
+            expected.extend(check_leads_to_on_trace(netlist, trace, &liveness).violations);
+            let judged = judge.violations(lane);
+            assert_eq!(judged, expected, "{}: lane {lane}", netlist.name());
+            for line in &judged {
+                let rule = ["Invariant", "Retry+", "Retry-", "Liveness"]
+                    .iter()
+                    .position(|property| line.contains(&format!(" violates {property} at")))
+                    .unwrap_or(4);
+                trips[rule] += 1;
+            }
+        }
+    }
+
+    /// Runs a lane block already reset with its lane environments for
+    /// [`LANE_CYCLES`] under the lane judge, then checks it against the
+    /// trace checkers on the recorded lane traces.
+    fn assert_lane_block_agrees(
+        netlist: &Netlist,
+        sim: &mut LaneSimulation,
+        exempt: &BTreeSet<NodeId>,
+        trips: &mut LaneTrips,
+    ) {
+        let mut judge = lane_judge(netlist, exempt);
+        for _ in 0..LANE_CYCLES {
+            if sim.step().is_err() {
+                return; // a wedged block has no runs to judge
+            }
+            judge.observe(sim.rails());
+        }
+        assert_lane_driver_agrees(netlist, exempt, &mut judge, |lane| sim.trace(lane), trips);
+    }
+
     #[test]
     fn the_trace_checkers_and_the_monitors_report_the_same_violations() {
         let mut trips = Trips::default();
@@ -350,6 +555,80 @@ mod tests {
         assert!(
             trips.iter().all(|&count| count > 0),
             "every monitor must trip at least once: {trips:?}"
+        );
+
+        // The lane driver, on blocks recorded with their traces. Generated
+        // designs and explorer candidates under 64 enumerated environments,
+        // with no retraction exemption, so every channel is held to `Retry+`
+        // and speculative ones break it...
+        let config = LaneConfig { record_trace: true };
+        let mut lane_trips = LaneTrips::default();
+        let presets = [GenConfig::default(), GenConfig::loops(), GenConfig::pipelines()];
+        for (preset, gen) in presets.iter().enumerate() {
+            for seed in 0..2 {
+                let netlist = generate(seed, gen).netlist;
+                let mut designs = vec![netlist.clone()];
+                for candidate in enumerate_candidates(&netlist, &ExploreOptions::default()) {
+                    let mut transformed = netlist.clone();
+                    if candidate.apply(&mut transformed).is_ok() {
+                        designs.push(transformed);
+                    }
+                }
+                for design in &designs {
+                    let Ok(mut sim) = LaneSimulation::new(design, &config) else { continue };
+                    let (sinks, sources) = (sinks_of(design), sources_of(design));
+                    let block: Vec<usize> =
+                        (0..LANES).map(|lane| lane * (2 * preset + 1) + seed as usize).collect();
+                    reset_with_environments(&mut sim, &sinks, &sources, 3, &block);
+                    assert_lane_block_agrees(design, &mut sim, &BTreeSet::new(), &mut lane_trips);
+                }
+            }
+        }
+        // ...and the stalled-sink Figure 1(d) under 64 seeded random
+        // schedulers, with the exemption the sweeps apply, for `Liveness`
+        // and leads-to.
+        let netlist = stalled_sink_fig1d();
+        let mut sim = LaneSimulation::new(&netlist, &config).unwrap();
+        let runs: Vec<usize> = (0..LANES).collect();
+        reset_with_random_schedulers(&mut sim, &shared_modules_of(&netlist), 0xBAD, &runs);
+        let exempt = retraction_exempt_producers(&netlist);
+        assert_lane_block_agrees(&netlist, &mut sim, &exempt, &mut lane_trips);
+        // No controller breaks `Invariant` or `Retry-`, so the last run feeds
+        // seeded random rail words over the same netlist's channels, one
+        // lane trace recorded from them per lane.
+        let channels = netlist.live_channels().count();
+        let mut traces: Vec<Trace> = (0..LANES).map(|_| Trace::new(&netlist)).collect();
+        let mut judge = lane_judge(&netlist, &exempt);
+        let mut stream = 0u64;
+        let mut word = || {
+            stream += 1;
+            splitmix64(stream)
+        };
+        for _ in 0..LANE_CYCLES {
+            let mut rails: [Vec<u64>; 4] = Default::default();
+            for rail in &mut rails {
+                *rail = (0..channels).map(|_| word()).collect();
+            }
+            let [forward_valid, forward_stop, backward_valid, backward_stop] = &rails;
+            judge.observe(LaneRails { forward_valid, forward_stop, backward_valid, backward_stop });
+            for (lane, trace) in traces.iter_mut().enumerate() {
+                let bit = |rail: &[u64], channel: usize| rail[channel] >> lane & 1 == 1;
+                let states: Vec<ChannelState> = (0..channels)
+                    .map(|c| ChannelState {
+                        forward_valid: bit(forward_valid, c),
+                        forward_stop: bit(forward_stop, c),
+                        backward_valid: bit(backward_valid, c),
+                        backward_stop: bit(backward_stop, c),
+                        data: 0,
+                    })
+                    .collect();
+                trace.record(&states);
+            }
+        }
+        assert_lane_driver_agrees(&netlist, &exempt, &mut judge, |l| &traces[l], &mut lane_trips);
+        assert!(
+            lane_trips.iter().all(|&count| count > 0),
+            "every rule must trip in some lane: {lane_trips:?}"
         );
     }
 }

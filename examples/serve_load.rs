@@ -30,8 +30,9 @@ use elastic_verify::exploration::ExplorationOptions;
 
 const LATENCY_DESIGNS: u64 = 24;
 /// Floor of the cold over cached p50 latency: half the lowest of five runs
-/// on a 2-vCPU container (159x to 304x).
-const P50_SPEEDUP_FLOOR: f64 = 80.0;
+/// on a 2-vCPU container (28x to 89x; the cached p50 is 57 to 195 us, and a
+/// cold job spends most of its time in the exploration sweep).
+const P50_SPEEDUP_FLOOR: f64 = 14.0;
 const BATCH_JOBS: u64 = 200;
 const BATCH_SEED_POOL: u64 = 40;
 

@@ -1,4 +1,5 @@
-//! Reproduction of Table 1 of the paper (experiment `E2-table1` in DESIGN.md).
+//! Reproduction of Table 1 of the paper, as `cargo run --example
+//! branch_speculation` prints it.
 //!
 //! Table 1 traces the speculative design of Figure 1(d) for seven cycles with
 //! the per-cycle select values `0 1 1 1 0 0 0` and the schedule
@@ -12,8 +13,7 @@
 //! * `EBin` row: tokens enter the output buffer in cycles 0, 1, 3, 4 and 6
 //!   with bubbles in the two misprediction cycles (the paper prints `G` in
 //!   the last cycle; with `Sel = 0` at cycle 6 the fired channel is input 0,
-//!   so this reproduction delivers `F` there and cancels `G` — see the note
-//!   in `EXPERIMENTS.md`);
+//!   so this reproduction delivers `F` there and cancels `G`);
 //! * exactly two mispredictions are observed by the shared module.
 
 use elastic_core::library::{self, TABLE1_SELECT, TABLE1_VALUES};
