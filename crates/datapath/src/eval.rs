@@ -2,8 +2,12 @@
 //!
 //! The netlist model (`elastic-core`) treats operations as opaque
 //! descriptions; this module gives each of them its meaning on `u64` channel
-//! words. The cycle-accurate simulator calls [`evaluate`] for every function
-//! block, shared module and variable-latency unit each clock cycle.
+//! words, once, in [`evaluate_columns`]: it evaluates an operation lane by
+//! lane over operand columns into a result column, matching the operation
+//! once per column. The cycle-accurate simulator calls it with one column
+//! word per lane of its rail (64 in the lane engine) whenever a function
+//! block's, shared module's or variable-latency unit's operands change;
+//! [`evaluate`] is the one-lane call of the same code.
 
 use std::fmt;
 
@@ -36,11 +40,40 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-fn require(op: &Op, inputs: &[u64], required: usize) -> Result<(), EvalError> {
-    if inputs.len() >= required {
-        Ok(())
-    } else {
-        Err(EvalError { op: op.mnemonic(), supplied: inputs.len(), required })
+/// The fewest operands `op` evaluates with: its arity, `1` for the
+/// variadic operations, `0` for constants and operations this evaluator
+/// does not know.
+fn required_operands(op: &Op) -> usize {
+    match op {
+        Op::Const(_) => 0,
+        Op::Alu8 => 3,
+        Op::Sub
+        | Op::Shl
+        | Op::Shr
+        | Op::Eq
+        | Op::Ne
+        | Op::Lt
+        | Op::RippleAdd { .. }
+        | Op::KoggeStoneAdd { .. }
+        | Op::ApproxAdd { .. }
+        | Op::ApproxAddErr { .. } => 2,
+        Op::Identity
+        | Op::Not
+        | Op::Neg
+        | Op::Add
+        | Op::And
+        | Op::Or
+        | Op::Xor
+        | Op::Inc
+        | Op::Dec
+        | Op::SecdedEncode { .. }
+        | Op::SecdedCorrect { .. }
+        | Op::SecdedSyndrome { .. }
+        | Op::BitSelect { .. }
+        | Op::Mask { .. }
+        | Op::Lut(_)
+        | Op::Opaque { .. } => 1,
+        _ => 0,
     }
 }
 
@@ -55,128 +88,128 @@ fn require(op: &Op, inputs: &[u64], required: usize) -> Result<(), EvalError> {
 /// Returns [`EvalError`] when fewer operands than the operation's arity are
 /// supplied.
 pub fn evaluate(op: &Op, inputs: &[u64]) -> Result<u64, EvalError> {
-    let value = match op {
-        Op::Identity => {
-            require(op, inputs, 1)?;
-            inputs[0]
-        }
-        Op::Const(value) => *value,
-        Op::Not => {
-            require(op, inputs, 1)?;
-            !inputs[0]
-        }
-        Op::Neg => {
-            require(op, inputs, 1)?;
-            inputs[0].wrapping_neg()
-        }
-        Op::Add => {
-            require(op, inputs, 1)?;
-            inputs.iter().fold(0u64, |acc, &x| acc.wrapping_add(x))
-        }
-        Op::Sub => {
-            require(op, inputs, 2)?;
-            inputs[0].wrapping_sub(inputs[1])
-        }
-        Op::And => {
-            require(op, inputs, 1)?;
-            inputs.iter().fold(u64::MAX, |acc, &x| acc & x)
-        }
-        Op::Or => {
-            require(op, inputs, 1)?;
-            inputs.iter().fold(0u64, |acc, &x| acc | x)
-        }
-        Op::Xor => {
-            require(op, inputs, 1)?;
-            inputs.iter().fold(0u64, |acc, &x| acc ^ x)
-        }
-        Op::Shl => {
-            require(op, inputs, 2)?;
-            inputs[0].wrapping_shl((inputs[1] & 63) as u32)
-        }
-        Op::Shr => {
-            require(op, inputs, 2)?;
-            inputs[0].wrapping_shr((inputs[1] & 63) as u32)
-        }
-        Op::Inc => {
-            require(op, inputs, 1)?;
-            inputs[0].wrapping_add(1)
-        }
-        Op::Dec => {
-            require(op, inputs, 1)?;
-            inputs[0].wrapping_sub(1)
-        }
-        Op::Eq => {
-            require(op, inputs, 2)?;
-            u64::from(inputs[0] == inputs[1])
-        }
-        Op::Ne => {
-            require(op, inputs, 2)?;
-            u64::from(inputs[0] != inputs[1])
-        }
-        Op::Lt => {
-            require(op, inputs, 2)?;
-            u64::from(inputs[0] < inputs[1])
-        }
+    let required = required_operands(op);
+    if inputs.len() < required {
+        return Err(EvalError { op: op.mnemonic(), supplied: inputs.len(), required });
+    }
+    let mut result = [0];
+    evaluate_columns(op, inputs.len(), |port| std::slice::from_ref(&inputs[port]), &mut result);
+    Ok(result[0])
+}
+
+/// Evaluates `op` over operand columns into the result column `results`,
+/// one lane per word: lane `ℓ` of the result is
+/// `evaluate(op, &[column(0)[ℓ], …, column(ports - 1)[ℓ]]).unwrap_or(0)`.
+///
+/// `column(port)` is operand `port`'s column, at least `results.len()`
+/// words long. The operation is matched once; each operation then runs one
+/// loop over the lanes, so a 64-lane column costs one dispatch, not 64.
+/// Fewer operands than the operation's arity give a zero column.
+pub fn evaluate_columns<'a>(
+    op: &Op,
+    ports: usize,
+    column: impl Fn(usize) -> &'a [u64],
+    results: &mut [u64],
+) {
+    if ports < required_operands(op) {
+        results.fill(0);
+        return;
+    }
+    let lanes = results.len();
+    let operand = |port: usize| &column(port)[..lanes];
+    match op {
+        // Opaque blocks are timing/area placeholders; functionally they
+        // pass their first operand through so transfer-equivalence checks
+        // remain meaningful.
+        Op::Identity | Op::Opaque { .. } => results.copy_from_slice(operand(0)),
+        Op::Const(value) => results.fill(*value),
+        Op::Not => unary(results, operand(0), |a| !a),
+        Op::Neg => unary(results, operand(0), u64::wrapping_neg),
+        Op::Add => fold(results, ports, operand, u64::wrapping_add),
+        Op::Sub => binary(results, operand(0), operand(1), u64::wrapping_sub),
+        Op::And => fold(results, ports, operand, |a, b| a & b),
+        Op::Or => fold(results, ports, operand, |a, b| a | b),
+        Op::Xor => fold(results, ports, operand, |a, b| a ^ b),
+        Op::Shl => binary(results, operand(0), operand(1), |a, b| a.wrapping_shl((b & 63) as u32)),
+        Op::Shr => binary(results, operand(0), operand(1), |a, b| a.wrapping_shr((b & 63) as u32)),
+        Op::Inc => unary(results, operand(0), |a| a.wrapping_add(1)),
+        Op::Dec => unary(results, operand(0), |a| a.wrapping_sub(1)),
+        Op::Eq => binary(results, operand(0), operand(1), |a, b| u64::from(a == b)),
+        Op::Ne => binary(results, operand(0), operand(1), |a, b| u64::from(a != b)),
+        Op::Lt => binary(results, operand(0), operand(1), |a, b| u64::from(a < b)),
         Op::Alu8 => {
-            require(op, inputs, 3)?;
-            alu8_word(inputs[0], inputs[1], inputs[2])
-        }
-        Op::RippleAdd { width } => {
-            require(op, inputs, 2)?;
-            ripple_add(inputs[0], inputs[1], *width)
-        }
-        Op::KoggeStoneAdd { width } => {
-            require(op, inputs, 2)?;
-            kogge_stone_add(inputs[0], inputs[1], *width)
-        }
-        Op::ApproxAdd { width, spec_bits } => {
-            require(op, inputs, 2)?;
-            approx_add(inputs[0], inputs[1], *width, *spec_bits)
-        }
-        Op::ApproxAddErr { width, spec_bits } => {
-            require(op, inputs, 2)?;
-            approx_add_error(inputs[0], inputs[1], *width, *spec_bits)
-        }
-        Op::SecdedEncode { data_width } => {
-            require(op, inputs, 1)?;
-            Secded::new(*data_width).encode(inputs[0])
-        }
-        Op::SecdedCorrect { data_width } => {
-            require(op, inputs, 1)?;
-            Secded::new(*data_width).correct(inputs[0])
-        }
-        Op::SecdedSyndrome { data_width } => {
-            require(op, inputs, 1)?;
-            Secded::new(*data_width).classify(inputs[0]).to_word()
-        }
-        Op::BitSelect { bit } => {
-            require(op, inputs, 1)?;
-            (inputs[0] >> (bit & 63)) & 1
-        }
-        Op::Mask { width } => {
-            require(op, inputs, 1)?;
-            mask(inputs[0], *width)
-        }
-        Op::Lut(table) => {
-            require(op, inputs, 1)?;
-            if table.is_empty() {
-                0
-            } else {
-                table[(inputs[0] as usize) % table.len()]
+            let (opcode, a, b) = (operand(0), operand(1), operand(2));
+            for (((result, &opcode), &a), &b) in results.iter_mut().zip(opcode).zip(a).zip(b) {
+                *result = alu8_word(opcode, a, b);
             }
         }
-        Op::Opaque { .. } => {
-            require(op, inputs, 1)?;
-            // Opaque blocks are timing/area placeholders; functionally they
-            // pass their first operand through so transfer-equivalence checks
-            // remain meaningful.
-            inputs[0]
+        &Op::RippleAdd { width } => {
+            binary(results, operand(0), operand(1), |a, b| ripple_add(a, b, width));
         }
+        &Op::KoggeStoneAdd { width } => {
+            binary(results, operand(0), operand(1), |a, b| kogge_stone_add(a, b, width));
+        }
+        &Op::ApproxAdd { width, spec_bits } => {
+            binary(results, operand(0), operand(1), |a, b| approx_add(a, b, width, spec_bits));
+        }
+        &Op::ApproxAddErr { width, spec_bits } => {
+            let error = |a, b| approx_add_error(a, b, width, spec_bits);
+            binary(results, operand(0), operand(1), error);
+        }
+        &Op::SecdedEncode { data_width } => {
+            let code = Secded::new(data_width);
+            unary(results, operand(0), |word| code.encode(word));
+        }
+        &Op::SecdedCorrect { data_width } => {
+            let code = Secded::new(data_width);
+            unary(results, operand(0), |word| code.correct(word));
+        }
+        &Op::SecdedSyndrome { data_width } => {
+            let code = Secded::new(data_width);
+            unary(results, operand(0), |word| code.classify(word).to_word());
+        }
+        &Op::BitSelect { bit } => unary(results, operand(0), |a| (a >> (bit & 63)) & 1),
+        &Op::Mask { width } => unary(results, operand(0), |a| mask(a, width)),
+        Op::Lut(table) if table.is_empty() => results.fill(0),
+        Op::Lut(table) => unary(results, operand(0), |a| table[(a as usize) % table.len()]),
         // `Op` is non-exhaustive: future operations default to passing the
         // first operand through (or zero when there is none).
-        _ => inputs.first().copied().unwrap_or(0),
-    };
-    Ok(value)
+        _ if ports == 0 => results.fill(0),
+        _ => results.copy_from_slice(operand(0)),
+    }
+}
+
+/// `results[ℓ] = f(a[ℓ])`.
+#[inline(always)]
+fn unary(results: &mut [u64], a: &[u64], f: impl Fn(u64) -> u64) {
+    for (result, &a) in results.iter_mut().zip(a) {
+        *result = f(a);
+    }
+}
+
+/// `results[ℓ] = f(a[ℓ], b[ℓ])`.
+#[inline(always)]
+fn binary(results: &mut [u64], a: &[u64], b: &[u64], f: impl Fn(u64, u64) -> u64) {
+    for ((result, &a), &b) in results.iter_mut().zip(a).zip(b) {
+        *result = f(a, b);
+    }
+}
+
+/// Folds the operand columns `0..ports` into `results` with `f`, first
+/// column first.
+#[inline(always)]
+fn fold<'a>(
+    results: &mut [u64],
+    ports: usize,
+    operand: impl Fn(usize) -> &'a [u64],
+    f: impl Fn(u64, u64) -> u64,
+) {
+    results.copy_from_slice(operand(0));
+    for port in 1..ports {
+        for (result, &b) in results.iter_mut().zip(operand(port)) {
+            *result = f(*result, b);
+        }
+    }
 }
 
 #[cfg(test)]

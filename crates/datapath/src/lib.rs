@@ -32,4 +32,4 @@ pub mod lfsr;
 pub mod secded;
 pub mod workload;
 
-pub use eval::{evaluate, EvalError};
+pub use eval::{evaluate, evaluate_columns, EvalError};

@@ -6,7 +6,7 @@
 //! becomes a statically dispatched call of the planned controller's
 //! `forward` or `backward` equation (which run the shared equations of
 //! [`crate::handshake`] on the controller's own state, function blocks
-//! evaluating their data through [`elastic_datapath::evaluate`]), found
+//! evaluating their data through [`elastic_datapath::evaluate_columns`]), found
 //! with [`concrete`] as the compiled interpreter finds it; a controller the
 //! planner does not specialize keeps its dynamic [`Controller::eval`]. The
 //! generated function is the compiled interpreter with the `match`

@@ -9,7 +9,11 @@
 //! Both are generic over the rail word: each lane has its own pattern,
 //! random generator, stream position and transfer stream, and the clock
 //! edge computes the next cycle's offer (or stop) word, so `eval` drives
-//! one word.
+//! one word. The clock edge computes that word by word where it can: the
+//! lanes whose patterns are deterministic (`Always`, `Never`, `Every`,
+//! `List`) are grouped by period into tables of per-phase lane words, so
+//! advancing them is one lookup per period; only random patterns (and
+//! periods past a fixed bound) are drawn lane by lane.
 
 use elastic_core::kind::{BackpressurePattern, DataStream, SourcePattern};
 use elastic_core::mix::splitmix64;
@@ -23,6 +27,10 @@ use crate::handshake::{HandshakeIo, Rail};
 const OUT: usize = 0;
 const IN: usize = 0;
 
+/// Longest period for which a deterministic pattern is tabulated; lanes
+/// with a longer one are drawn lane by lane, like random patterns.
+const MAX_TABULATED_PERIOD: usize = 1024;
+
 /// When an environment acts: a source's offer or a sink's stall pattern.
 trait Pattern: Clone + std::fmt::Debug {
     /// The seed of the pattern's random generator.
@@ -31,6 +39,11 @@ trait Pattern: Clone + std::fmt::Debug {
     /// Whether the pattern fires in `cycle`. A random pattern draws from
     /// `rng` once per call, that is once per cycle.
     fn fires(&self, cycle: u64, rng: &mut Lfsr64) -> bool;
+
+    /// The period of a deterministic pattern, which never draws from its
+    /// generator and fires in `cycle` exactly when it fires in
+    /// `cycle % period`; `None` for a random pattern.
+    fn period(&self) -> Option<usize>;
 }
 
 impl Pattern for SourcePattern {
@@ -52,6 +65,15 @@ impl Pattern for SourcePattern {
             SourcePattern::Random { probability, .. } => rng.next_bool(*probability),
             // `SourcePattern` is non-exhaustive: unknown patterns offer eagerly.
             _ => true,
+        }
+    }
+
+    fn period(&self) -> Option<usize> {
+        match self {
+            SourcePattern::Every(period) => Some((*period).max(1) as usize),
+            SourcePattern::List(pattern) => Some(pattern.len().max(1)),
+            SourcePattern::Random { .. } => None,
+            _ => Some(1),
         }
     }
 }
@@ -79,23 +101,93 @@ impl Pattern for BackpressurePattern {
             _ => false,
         }
     }
+
+    fn period(&self) -> Option<usize> {
+        match self {
+            BackpressurePattern::Every(period) => Some((*period).max(1) as usize),
+            BackpressurePattern::List(pattern) => Some(pattern.len().max(1)),
+            BackpressurePattern::Random { .. } => None,
+            _ => Some(1),
+        }
+    }
+}
+
+/// The lanes whose deterministic patterns share one period, tabulated:
+/// `table[phase]` holds the lanes that fire when `cycle % period == phase`.
+#[derive(Debug)]
+struct PhaseTable<R> {
+    lanes: R,
+    table: Vec<R>,
+    /// The current cycle's phase.
+    phase: usize,
 }
 
 /// Each lane's pattern and random generator, and the word of lanes in
-/// which the pattern fires this cycle. A random generator draws each
-/// cycle's decision one cycle ahead, at the previous clock edge.
+/// which the pattern fires this cycle. Deterministic patterns are
+/// tabulated by period, so a cycle costs one table lookup per period in
+/// use; random patterns (and periods past [`MAX_TABULATED_PERIOD`]) are
+/// drawn lane by lane, each cycle's decision one cycle ahead, at the
+/// previous clock edge.
 #[derive(Debug)]
 struct Timing<R: Rail, P: Pattern> {
     cycle: u64,
     patterns: R::PerLane<P>,
     rngs: R::PerLane<Lfsr64>,
+    /// The tabulated lanes, one table per period.
+    tables: Vec<PhaseTable<R>>,
+    /// The lanes drawn one by one.
+    drawn: R,
     fires: R,
 }
 
 impl<R: Rail, P: Pattern> Timing<R, P> {
     fn new(pattern: &P) -> Self {
         let rngs = R::per_lane(|_| Lfsr64::new(pattern.seed()));
-        Timing { cycle: 0, patterns: R::per_lane(|_| pattern.clone()), rngs, fires: R::LOW }
+        let patterns = R::per_lane(|_| pattern.clone());
+        let mut timing =
+            Timing { cycle: 0, patterns, rngs, tables: Vec::new(), drawn: R::LOW, fires: R::LOW };
+        for lane in 0..R::LANES {
+            timing.file(lane);
+        }
+        timing
+    }
+
+    /// Files lane `lane` under its pattern's period table, or among the
+    /// drawn lanes.
+    fn file(&mut self, lane: usize) {
+        let bit = R::lane(lane);
+        let pattern = &self.patterns[lane];
+        let Some(period) = pattern.period().filter(|&period| period <= MAX_TABULATED_PERIOD) else {
+            self.drawn = self.drawn | bit;
+            return;
+        };
+        let at = self.tables.iter().position(|t| t.table.len() == period).unwrap_or_else(|| {
+            let phase = (self.cycle % period as u64) as usize;
+            self.tables.push(PhaseTable { lanes: R::LOW, table: vec![R::LOW; period], phase });
+            self.tables.len() - 1
+        });
+        let table = &mut self.tables[at];
+        table.lanes = table.lanes | bit;
+        for (phase, word) in table.table.iter_mut().enumerate() {
+            if pattern.fires(phase as u64, &mut self.rngs[lane]) {
+                *word = *word | bit;
+            }
+        }
+    }
+
+    /// Takes lane `lane` out of its period table or the drawn lanes.
+    fn unfile(&mut self, lane: usize) {
+        let bit = R::lane(lane);
+        self.drawn = self.drawn & !bit;
+        if let Some(at) = self.tables.iter().position(|t| t.lanes.in_lane(lane)) {
+            let table = &mut self.tables[at];
+            table.lanes = table.lanes & !bit;
+            if table.lanes == R::LOW {
+                self.tables.swap_remove(at);
+            } else {
+                table.table.iter_mut().for_each(|word| *word = *word & !bit);
+            }
+        }
     }
 
     /// Draws lane `lane`'s decision for the current cycle.
@@ -112,21 +204,36 @@ impl<R: Rail, P: Pattern> Timing<R, P> {
 
     fn rewind(&mut self) {
         self.cycle = 0;
-        for lane in 0..R::LANES {
+        self.fires = R::LOW;
+        for table in &mut self.tables {
+            table.phase = 0;
+            self.fires = self.fires | table.table[0];
+        }
+        for lane in self.drawn.lanes() {
             self.restart(lane);
         }
     }
 
     /// Replaces lane `lane`'s pattern and restarts it.
     fn set(&mut self, lane: usize, pattern: &P) {
+        self.unfile(lane);
         self.patterns[lane] = pattern.clone();
+        self.file(lane);
         self.restart(lane);
     }
 
     /// Advances every lane to the next cycle.
     fn tick(&mut self) {
         self.cycle += 1;
-        for lane in 0..R::LANES {
+        self.fires = R::LOW;
+        for table in &mut self.tables {
+            table.phase += 1;
+            if table.phase == table.table.len() {
+                table.phase = 0;
+            }
+            self.fires = self.fires | table.table[table.phase];
+        }
+        for lane in self.drawn.lanes() {
             self.draw(lane);
         }
     }

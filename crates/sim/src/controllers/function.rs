@@ -16,15 +16,19 @@
 //!   provided every producer can accept it.
 //!
 //! The block is generic over the rail word: `bool` simulates one scenario,
-//! `u64` 64 lanes.
+//! `u64` 64 lanes. Its datapath runs by column: the operands are memoised
+//! as port-major columns, compared whole, and a changed column recomputes
+//! the result column with one call of [`evaluate_columns`], masked to the
+//! output width in one pass.
 
 use std::cell::RefCell;
 
 use elastic_core::FunctionSpec;
 use elastic_datapath::adder::mask;
-use elastic_datapath::evaluate;
+use elastic_datapath::evaluate_columns;
 
 use crate::controller::{Controller, NodeReport, NodeStats};
+use crate::controllers::same_column;
 use crate::handshake::{function_backward, function_forward, HandshakeIo, Rail};
 
 const OUT: usize = 0;
@@ -45,9 +49,9 @@ pub struct FunctionBlock<R: Rail> {
 /// The operands a result column was computed from.
 #[derive(Debug)]
 struct Memo<R: Rail> {
-    /// Operand words, lane-major: `operands[lane * inputs + port]`.
+    /// Operand columns, port-major: `operands[port * R::LANES + lane]`.
     operands: Vec<u64>,
-    /// The masked result per lane.
+    /// The masked result column.
     results: R::PerLane<u64>,
     valid: bool,
 }
@@ -73,27 +77,21 @@ impl<R: Rail> FunctionBlock<R> {
     /// words — one planned op of the compiled plan and of emitted settle
     /// functions.
     pub fn forward<P: HandshakeIo<Rail = R>>(&self, io: &mut P) {
-        let mut memo = self.memo.borrow_mut();
-        let inputs = self.spec.inputs;
-        let operand = |lane: usize, port: usize| lane * inputs + port;
-        let unchanged = |memo: &Memo<R>, port: usize| {
-            let mut column = io.input_data(port).iter().enumerate();
-            column.all(|(lane, &word)| memo.operands[operand(lane, port)] == word)
-        };
-        if !memo.valid || !(0..inputs).all(|port| unchanged(&memo, port)) {
-            for port in 0..inputs {
-                for (lane, &word) in io.input_data(port).iter().enumerate() {
-                    memo.operands[operand(lane, port)] = word;
-                }
+        let Memo { operands, results, valid } = &mut *self.memo.borrow_mut();
+        let column = |port: usize| port * R::LANES..(port + 1) * R::LANES;
+        let ports = 0..self.spec.inputs;
+        if !*valid || ports.clone().any(|port| !same_column(&operands[column(port)], io, port)) {
+            for port in ports.clone() {
+                operands[column(port)].copy_from_slice(io.input_data(port));
             }
-            for lane in 0..R::LANES {
-                let operands = &memo.operands[operand(lane, 0)..][..inputs];
-                let result = evaluate(&self.spec.op, operands).unwrap_or(0);
-                memo.results[lane] = mask(result, self.output_width);
-            }
-            memo.valid = true;
+            let operands = &*operands;
+            let op = &self.spec.op;
+            evaluate_columns(op, ports.len(), |port| &operands[column(port)], results.as_mut());
+            let keep = mask(u64::MAX, self.output_width);
+            results.as_mut().iter_mut().for_each(|result| *result &= keep);
+            *valid = true;
         }
-        function_forward(io, memo.results.as_ref());
+        function_forward(io, results.as_ref());
     }
 
     /// The backward equation.

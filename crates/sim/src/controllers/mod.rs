@@ -28,10 +28,7 @@ pub mod mux;
 pub mod shared;
 pub mod varlatency;
 
-use std::ops::Range;
-
-use elastic_core::{BufferSpec, Netlist, Node, NodeKind, Op};
-use elastic_datapath::evaluate;
+use elastic_core::{BufferSpec, Netlist, Node, NodeKind};
 
 use crate::controller::Controller;
 use crate::engine::SimError;
@@ -79,25 +76,11 @@ pub(crate) fn build_controller<R: Rail>(
     Ok(controller)
 }
 
-/// `evaluate(op, operands).unwrap_or(0)` on lane `lane` of the data columns
-/// of the input ports `ports`.
-pub(crate) fn evaluate_lane<P: HandshakeIo>(
-    io: &P,
-    op: &Op,
-    ports: Range<usize>,
-    lane: usize,
-) -> u64 {
-    let mut words = [0u64; 4];
-    let value = if ports.len() <= words.len() {
-        let operands = &mut words[..ports.len()];
-        for (word, port) in operands.iter_mut().zip(ports) {
-            *word = io.input_data(port)[lane];
-        }
-        evaluate(op, operands)
-    } else {
-        evaluate(op, &ports.map(|port| io.input_data(port)[lane]).collect::<Vec<_>>())
-    };
-    value.unwrap_or(0)
+/// Whether `memo` holds input `port`'s data column, compared whole: the
+/// lanes' differences accumulate into one word.
+#[inline]
+pub(crate) fn same_column<P: HandshakeIo>(memo: &[u64], io: &P, port: usize) -> bool {
+    memo.iter().zip(io.input_data(port)).fold(0, |diff, (held, now)| diff | (held ^ now)) == 0
 }
 
 /// Declared width of a node's first output channel (64 when it has none).

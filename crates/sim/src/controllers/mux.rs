@@ -55,7 +55,9 @@ impl<R: Rail> Gather<R> {
         self.selected.fill(R::LOW);
         let inputs = self.selected.len();
         for (lane, &select) in io.input_data(SELECT).iter().enumerate() {
-            let chosen = select as usize % inputs;
+            // Divide only for an out-of-range select value.
+            let select = select as usize;
+            let chosen = if select < inputs { select } else { select % inputs };
             self.selected[chosen] = self.selected[chosen] | R::lane(lane);
             self.data[lane] = io.input_data(1 + chosen)[lane];
         }

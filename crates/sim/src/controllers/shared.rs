@@ -24,9 +24,10 @@ use std::cell::RefCell;
 
 use elastic_core::{Scheduler, SharedFeedback, SharedSpec};
 use elastic_datapath::adder::mask;
+use elastic_datapath::evaluate_columns;
 
 use crate::controller::{Controller, NodeReport, NodeStats};
-use crate::controllers::evaluate_lane;
+use crate::controllers::same_column;
 use crate::handshake::{shared_user, HandshakeIo, Rail};
 use crate::metrics::SharedModuleStats;
 
@@ -204,19 +205,25 @@ impl<R: Rail> Controller<R> for SharedModule<R> {
             let offers = ports.clone().fold(granted, |offers, port| offers & io.input_valid(port));
             let operands = &mut memo.operands[ports.start * R::LANES..ports.end * R::LANES];
             let results = &mut memo.results[user * R::LANES..][..R::LANES];
-            let column =
-                |port: usize| (port - ports.start) * R::LANES..(port + 1 - ports.start) * R::LANES;
+            let column = |port: usize| port * R::LANES..(port + 1) * R::LANES;
+            let local = |port: usize| column(port - ports.start);
             if memo.offers[user] != offers
-                || ports.clone().any(|p| io.input_data(p) != &operands[column(p)])
+                || ports.clone().any(|p| !same_column(&operands[local(p)], io, p))
             {
                 for port in ports.clone() {
-                    operands[column(port)].copy_from_slice(io.input_data(port));
+                    operands[local(port)].copy_from_slice(io.input_data(port));
                 }
                 memo.offers[user] = offers;
-                results.fill(0);
-                for lane in offers.lanes() {
-                    let result = evaluate_lane(io, &self.spec.op, ports.clone(), lane);
-                    results[lane] = mask(result, self.output_width);
+                if offers == R::LOW {
+                    results.fill(0);
+                } else {
+                    let operands = &*operands;
+                    evaluate_columns(&self.spec.op, ports.len(), |k| &operands[column(k)], results);
+                    // The lanes that offer nothing drive zero.
+                    let keep = mask(u64::MAX, self.output_width);
+                    for (lane, result) in results.iter_mut().enumerate() {
+                        *result &= if offers.in_lane(lane) { keep } else { 0 };
+                    }
                 }
             }
             shared_user(io, user, ports, granted, results);

@@ -12,11 +12,13 @@
 //! The unit is generic over the rail word: `bool` simulates one scenario,
 //! `u64` 64 lanes.
 
+use std::cell::RefCell;
+
 use elastic_core::kind::VarLatencySpec;
 use elastic_datapath::adder::mask;
+use elastic_datapath::evaluate_columns;
 
 use crate::controller::{Controller, NodeReport, NodeStats};
-use crate::controllers::evaluate_lane;
 use crate::handshake::{HandshakeIo, Rail};
 
 const OUT: usize = 0;
@@ -34,6 +36,8 @@ pub struct VarLatencyUnit<R: Rail> {
     /// The lanes whose exact computation of the current operands is pending.
     exact_pending: R,
     stats: R::PerLane<NodeStats>,
+    /// The result column of the last datapath evaluation (scratch).
+    column: RefCell<R::PerLane<u64>>,
 }
 
 impl<R: Rail> VarLatencyUnit<R> {
@@ -46,19 +50,26 @@ impl<R: Rail> VarLatencyUnit<R> {
             register: R::per_lane(|_| 0),
             exact_pending: R::LOW,
             stats: R::per_lane(|_| NodeStats::default()),
+            column: RefCell::new(R::per_lane(|_| 0)),
         }
     }
 
     /// `(every operand valid, the lanes finishing this cycle, the lanes
     /// whose approximation failed)` when the output register frees in the
-    /// lanes `slot_free`. The error detector runs only where it decides.
+    /// lanes `slot_free`. The error detector's column is evaluated only when
+    /// some lane decides.
     fn finishing<P: HandshakeIo<Rail = R>>(&self, io: &P, slot_free: R) -> (R, R, R) {
         let all_valid = (0..io.input_count()).fold(R::HIGH, |v, port| v & io.input_valid(port));
+        let deciding = all_valid & slot_free & !self.exact_pending;
         let mut error = R::LOW;
-        for lane in (all_valid & slot_free & !self.exact_pending).lanes() {
-            if evaluate_lane(io, &self.spec.error, 0..io.input_count(), lane) != 0 {
-                error = error | R::lane(lane);
+        if deciding != R::LOW {
+            let mut column = self.column.borrow_mut();
+            let (error_op, inputs) = (&self.spec.error, io.input_count());
+            evaluate_columns(error_op, inputs, |port| io.input_data(port), column.as_mut());
+            for (lane, &word) in column.as_ref().iter().enumerate() {
+                error = error.with_lane(lane, word != 0);
             }
+            error = error & deciding;
         }
         (all_valid, all_valid & slot_free & (self.exact_pending | !error), error)
     }
@@ -88,11 +99,15 @@ impl<R: Rail> Controller<R> for VarLatencyUnit<R> {
         }
         self.full = self.full & !transferred;
         let (all_valid, finish, error) = self.finishing(io, !self.full);
-        for lane in finish.lanes() {
-            let exact = (self.exact_pending | error).in_lane(lane);
-            let op = if exact { &self.spec.exact } else { &self.spec.approx };
-            let result = evaluate_lane(io, op, 0..io.input_count(), lane);
-            self.register[lane] = mask(result, self.output_width);
+        let exact = finish & (self.exact_pending | error);
+        for (op, lanes) in [(&self.spec.exact, exact), (&self.spec.approx, finish & !exact)] {
+            if lanes != R::LOW {
+                let results = self.column.get_mut().as_mut();
+                evaluate_columns(op, io.input_count(), |port| io.input_data(port), results);
+                for lane in lanes.lanes() {
+                    self.register[lane] = mask(results[lane], self.output_width);
+                }
+            }
         }
         // The approximation failed: spend one extra cycle, then deliver the
         // exact result.

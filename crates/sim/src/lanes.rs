@@ -29,8 +29,11 @@
 //!   pattern and random generator, its shared-module scheduler, its buffer
 //!   and commit-stage tokens and its transfer stream. Sources drive one
 //!   offer word per cycle and sinks one stop word, both computed at the
-//!   clock edge; the per-lane overrides of the `reset_with_*` family land
-//!   on the controllers' per-lane hooks.
+//!   clock edge, from per-period tables of lane words for deterministic
+//!   patterns; function blocks, shared modules and variable-latency units
+//!   evaluate their datapath over whole 64-lane columns. The per-lane
+//!   overrides of the `reset_with_*` family land on the controllers'
+//!   per-lane hooks.
 //!
 //! The correctness contract is **lane-0 bit-identity**: a lane simulation
 //! whose lanes all see the same environment must produce, in every lane,
@@ -239,17 +242,17 @@ impl HandshakeIo for LaneIo<'_> {
     }
     fn drive_data(&mut self, port: usize, data: &[u64]) {
         let channel = self.output_channels[port];
-        let width = self.channel_widths.get(channel).copied().unwrap_or(64);
+        let keep = mask(u64::MAX, self.channel_widths.get(channel).copied().unwrap_or(64));
         let column = &mut self.channels.data[channel * LANES..][..LANES];
-        let mut changed = false;
-        for (slot, &value) in column.iter_mut().zip(data) {
-            let value = mask(value, width);
-            if *slot != value {
-                *slot = value;
-                changed = true;
-            }
+        // A branchless masked store; any lane's change shows in the
+        // accumulated XOR of old and new words.
+        let mut changed = 0;
+        for (slot, &value) in column.iter_mut().zip(&data[..LANES]) {
+            let value = value & keep;
+            changed |= *slot ^ value;
+            *slot = value;
         }
-        if changed {
+        if changed != 0 {
             if let Some(dirty) = self.dirty.as_deref_mut() {
                 dirty.push(channel);
             }

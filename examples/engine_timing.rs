@@ -12,7 +12,9 @@
 //! the scalar `sweep::parallel_map_with` path and once through
 //! `sweep::lane_map` with 64 scenarios per lane block — the ratio of those
 //! two aggregate numbers is the headline lane-engine win recorded in
-//! `BENCH_sim_speed.json`.
+//! `BENCH_sim_speed.json`. A generated-netlist case times the scalar and
+//! 64-lane engines over a few designs of each `elastic-gen` preset, the
+//! datapath-heavy mix the service verifies.
 //!
 //! Run with `cargo run --release --example engine_timing`; pass `--write`
 //! (or set `ELASTIC_BENCH_WRITE=1`) to rewrite `BENCH_sim_speed.json` in
@@ -25,6 +27,7 @@ use elastic_core::library::{
     deep_pipeline, fig1d, resilient_speculative, Fig1Config, ResilientConfig,
 };
 use elastic_core::{Netlist, NodeId};
+use elastic_gen::{generate, GenConfig};
 use elastic_sim::sweep::{lane_map, parallel_map_with};
 use elastic_sim::{LaneConfig, LaneSimulation, SettleStrategy, SimConfig, Simulation, LANES};
 
@@ -67,6 +70,31 @@ fn time_case(netlist: &Netlist, cycles: u64, repeats: u32) -> [f64; 4] {
     );
     let scenario_cycles = [1, 1, 1, LANES as u64].map(|lanes| (cycles * lanes) as f64);
     std::array::from_fn(|k| scenario_cycles[k] / times[k])
+}
+
+/// Aggregate cycles/second of the scalar event-driven engine and aggregate
+/// scenario-cycles/second of the 64-lane engine over `netlists`, each
+/// design built and run for `cycles` cycles per round.
+fn time_designs(netlists: &[Netlist], cycles: u64, repeats: u32) -> [f64; 2] {
+    let config = SimConfig { record_trace: false, settle: SettleStrategy::EventDriven };
+    let quiet = LaneConfig { record_trace: false };
+    let times = best_times(
+        repeats,
+        &mut [
+            Box::new(|| {
+                for netlist in netlists {
+                    Simulation::new(netlist, &config).unwrap().run(cycles).unwrap();
+                }
+            }),
+            Box::new(|| {
+                for netlist in netlists {
+                    LaneSimulation::new(netlist, &quiet).unwrap().run(cycles).unwrap();
+                }
+            }),
+        ],
+    );
+    let scenario_cycles = [1, LANES as u64].map(|lanes| (cycles * lanes) as f64);
+    std::array::from_fn(|k| scenario_cycles[k] * netlists.len() as f64 / times[k])
 }
 
 fn sink_of(netlist: &Netlist) -> NodeId {
@@ -159,15 +187,23 @@ fn time_sweep_lanes(
 /// this engine on a 2-vCPU container (the second is the one recorded in
 /// `BENCH_sim_speed.json`). The fig7b/fig1d floor is 7x the value the
 /// quadratic SECDED parity loop allowed (0.02). The paper designs' lane
-/// floors are the lane engine's 4x target over scalar: every node kind runs
-/// on lane words, and interleaved timing keeps the ratios steady.
-const SWEEP_LANES_FLOOR: f64 = 4.7;
+/// floors are the lane engine's 4x target over scalar or half their lower
+/// measurement, whichever is higher: with the datapath evaluated by column
+/// and the environments by word, fig1d measured 8.3x and 9.1x (floor 4.1),
+/// fig7b 7.9x and 11.7x (half of 7.9 is below the target, so 4.0 stays).
+const SWEEP_LANES_FLOOR: f64 = 8.8;
 const CHAIN_COMPILED_FLOOR: f64 = 0.95;
 const PIPELINE_LANES_FLOOR: f64 = 1.95;
 const CHAIN_LANES_FLOOR: f64 = 4.1;
 const FIG7B_OVER_FIG1D_FLOOR: f64 = 0.14;
-const FIG1D_LANES_FLOOR: f64 = 4.0;
+const FIG1D_LANES_FLOOR: f64 = 4.1;
 const FIG7B_LANES_FLOOR: f64 = 4.0;
+const GENERATED_LANES_FLOOR: f64 = 4.8;
+
+/// Generator seeds per preset, and cycles per design, of the
+/// generated-netlist case.
+const GENERATED_SEEDS: u64 = 4;
+const GENERATED_CYCLES: u64 = 192;
 
 struct Case {
     key: &'static str,
@@ -232,6 +268,24 @@ fn main() {
         cases.push(Case { key, design, before, scalar, compiled, lanes });
     }
 
+    // Generated netlists: the first seeds of the default, loops and
+    // pipelines presets — function blocks with real datapaths, joins,
+    // shared modules and seeded environments rather than the paper
+    // designs' control loops.
+    let generated: Vec<Netlist> = ["default", "loops", "pipelines"]
+        .into_iter()
+        .flat_map(|preset| {
+            let config = GenConfig::preset(preset).expect("known preset");
+            (0..GENERATED_SEEDS).map(move |seed| generate(seed, &config).netlist)
+        })
+        .collect();
+    let [generated_scalar, generated_lanes] = time_designs(&generated, GENERATED_CYCLES, 7);
+    let generated_ratio = generated_lanes / generated_scalar;
+    println!(
+        "generated_netlists           scalar {generated_scalar:>10.0} cycles/s   lanes \
+         {generated_lanes:>11.0} scenario-cycles/s ({generated_ratio:.1}x aggregate)"
+    );
+
     // Environment sweep: 2048 enumerated sink back-pressure scenarios on the
     // zero-backward chain (the all-word-native controller path), scalar
     // parallel_map_with vs 64-wide lane_map. Both sides use every worker
@@ -281,6 +335,7 @@ fn main() {
         ("fig7b/fig1d scalar cycles/s", fig7b.scalar / fig1d.scalar, FIG7B_OVER_FIG1D_FLOOR),
         ("fig1d lanes/scalar", fig1d.lanes / fig1d.scalar, FIG1D_LANES_FLOOR),
         ("fig7b lanes/scalar", fig7b.lanes / fig7b.scalar, FIG7B_LANES_FLOOR),
+        ("generated_netlists lanes/scalar", generated_ratio, GENERATED_LANES_FLOOR),
     ];
     for (what, ratio, floor) in floors {
         assert!(ratio >= floor, "{what} is {ratio:.2}, below its floor {floor}");
@@ -328,8 +383,8 @@ fn main() {
              ratio at half its measured value.\",\n",
         );
         json.push_str("  \"cases\": {\n");
-        // Every scalar case is followed by the environment_sweep entry, so
-        // the separator is unconditional.
+        // Every scalar case is followed by the generated_netlists and
+        // environment_sweep entries, so the separator is unconditional.
         for case in &cases {
             json.push_str(&format!(
                 "    \"{}\": {{\n      \"design\": \"{}\",\n      \
@@ -350,6 +405,14 @@ fn main() {
                 case.lanes / case.scalar,
             ));
         }
+        json.push_str(&format!(
+            "    \"generated_netlists\": {{\n      \"design\": \"seeds 0-{} of the default, loops \
+             and pipelines generator presets, {GENERATED_CYCLES} cycles each, builds \
+             included\",\n      \"scalar_cycles_per_sec\": {generated_scalar:.0},\n      \
+             \"lane_scenario_cycles_per_sec\": {generated_lanes:.0},\n      \
+             \"lane_aggregate_vs_scalar\": {generated_ratio:.2}\n    }},\n",
+            GENERATED_SEEDS - 1
+        ));
         json.push_str(&format!(
             "    \"environment_sweep\": {{\n      \"design\": \"2048 enumerated sink \
              back-pressure scenarios x {sweep_cycles} cycles on the 256-stage zero-backward \
