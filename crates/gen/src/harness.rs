@@ -8,7 +8,8 @@
 //!    `validate()` is a generator bug, reported as its own stage;
 //! 2. **engine differential** — the event-driven worklist engine against the
 //!    [`SettleStrategy::FullSweep`] oracle, cycle for cycle: bit-identical
-//!    traces, identical sink streams, kills and node statistics; with
+//!    traces, identical sink streams and shared-module and commit-stage
+//!    statistics; with
 //!    [`HarnessOptions::lane_differential`] set (the `ELASTIC_FUZZ_LANES`
 //!    smoke leg), the 64-lane bit-parallel engine joins the differential —
 //!    all broadcast lanes must match the scalar run bit-for-bit; with

@@ -170,41 +170,23 @@ impl HandshakeIo for NodeIo<'_> {
     }
 }
 
-/// Per-node statistics exposed by a controller after simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct NodeStats {
-    /// Forward transfers completed on the node's (first) output.
-    pub output_transfers: u64,
-    /// Tokens cancelled by anti-tokens at this node.
-    pub killed_tokens: u64,
-    /// Cycles in which the node stalled a valid input.
-    pub stall_cycles: u64,
-    /// Mispredictions observed (speculative shared modules only).
-    pub mispredictions: u64,
-}
-
-/// One controller's contribution to a [`crate::SimulationReport`]: its
-/// [`NodeStats`] plus the observables only its node kind records. Both
+/// What a controller contributes to a [`crate::SimulationReport`] beyond the
+/// engine's own counters: the observables only its node kind records. Both
 /// engines assemble their reports with one match over this enum.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NodeReport<'a> {
-    /// Buffers, function blocks, forks, multiplexors and variable-latency
-    /// units: statistics only.
-    Basic(NodeStats),
-    /// A source; its `killed_tokens` are the report's source kills.
-    Source(NodeStats),
-    /// A sink and its `(cycle, value)` transfer stream, in transfer order.
-    Sink(NodeStats, &'a [(u64, u64)]),
-    /// A speculative shared module and its speculation statistics.
-    Shared(NodeStats, SharedModuleStats),
-    /// An in-order commit stage and its per-lane counters — the observable
-    /// behind the depth sweeps of `BENCH_commit_depth.json`.
-    Commit(NodeStats, CommitStageStats),
+    /// A sink's `(cycle, value)` transfer stream, in transfer order.
+    Sink(&'a [(u64, u64)]),
+    /// A speculative shared module's misprediction count.
+    Shared(SharedModuleStats),
+    /// An in-order commit stage's per-lane counters — the observable behind
+    /// the depth sweeps of `BENCH_commit_depth.json`.
+    Commit(CommitStageStats),
 }
 
 /// A cycle-accurate model of one netlist node, written once over the rail
 /// word `R`: it owns its per-lane state, the clock-edge update of that
-/// state, its statistics, its reset and its per-lane environment, and
+/// state, its reset, its observables and its per-lane environment, and
 /// drives the equations of [`crate::handshake`] through the engine's port
 /// view [`Rail::Io`]. Every node kind is one such type. The scalar engine
 /// holds its nodes as `Box<dyn Controller>` (the `bool` rail, one
@@ -225,20 +207,22 @@ pub trait Controller<R: Rail = bool>: Debug + Any {
     fn eval(&self, io: &mut R::Io<'_>, optimistic: bool);
 
     /// Clock edge: updates every lane's sequential state from the settled
-    /// signals.
-    fn commit(&mut self, io: &R::Io<'_>);
+    /// signals. Purely combinational nodes keep none and take the default.
+    fn commit(&mut self, _io: &R::Io<'_>) {}
 
-    /// Rewinds every lane's sequential state (including statistics) to its
-    /// post-construction value, so a simulation can be re-run without being
-    /// rebuilt (see [`crate::Simulation::reset`]). Implementations may keep
-    /// their allocations, but every *observable* — driven signals, committed
-    /// state, statistics — must be indistinguishable from a freshly
-    /// constructed controller.
+    /// Rewinds every lane's sequential state (including recorded
+    /// observables) to its post-construction value, so a simulation can be
+    /// re-run without being rebuilt (see [`crate::Simulation::reset`]).
+    /// Implementations may keep their allocations, but every *observable* —
+    /// driven signals, committed state, reported observables — must be
+    /// indistinguishable from a freshly constructed controller.
     fn reset(&mut self);
 
     /// What lane `lane` contributes to that lane's [`crate::SimulationReport`]:
-    /// its statistics plus the observables only its node kind records.
-    fn report(&self, lane: usize) -> NodeReport<'_>;
+    /// the observable only its node kind records, if any.
+    fn report(&self, _lane: usize) -> Option<NodeReport<'_>> {
+        None
+    }
 
     /// `true` when this controller's settle equations have more than one
     /// fixed point and the engine must run the **optimistic seeding pass**
@@ -324,12 +308,12 @@ mod tests {
     }
 
     #[test]
-    fn default_stats_are_zero() {
-        // The override hooks default to refusing: only sinks, sources and
-        // shared modules take one.
+    fn default_hooks_report_nothing_and_refuse_overrides() {
+        // A function block records no observable, and the override hooks
+        // default to refusing: only sinks, sources and shared modules take one.
         let spec = elastic_core::FunctionSpec::new(elastic_core::Op::Inc);
         let mut block = crate::controllers::function::FunctionBlock::<bool>::new(spec, 8);
-        assert_eq!(block.report(0), NodeReport::Basic(NodeStats::default()));
+        assert_eq!(block.report(0), None);
         assert!(
             !block.override_sink(0, &BackpressurePattern::Never),
             "only sinks support back-pressure overrides"

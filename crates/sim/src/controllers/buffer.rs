@@ -18,7 +18,7 @@
 
 use elastic_core::BufferSpec;
 
-use crate::controller::{Controller, NodeReport, NodeStats};
+use crate::controller::Controller;
 use crate::handshake::{
     standard_buffer_backward, standard_buffer_forward, zero_backward_backward,
     zero_backward_forward, HandshakeIo, Rail, StandardBufferState,
@@ -130,7 +130,6 @@ pub struct StandardBuffer<R: Rail> {
     anti_tokens: R::PerLane<u32>,
     /// The equations' view of the storage, one bit per lane.
     state: StandardBufferState<R>,
-    stats: R::PerLane<NodeStats>,
 }
 
 impl<R: Rail> StandardBuffer<R> {
@@ -147,7 +146,6 @@ impl<R: Rail> StandardBuffer<R> {
                 has_anti_token: R::LOW,
                 anti_full: R::LOW,
             },
-            stats: R::per_lane(|_| NodeStats::default()),
         };
         buffer.reset();
         buffer
@@ -177,38 +175,29 @@ impl<R: Rail> Controller<R> for StandardBuffer<R> {
 
     fn commit(&mut self, io: &R::Io<'_>) {
         let out_kill = io.output_kill(OUT) & !io.output_anti_stop(OUT);
-        let out_offered = io.output_valid(OUT) & !out_kill;
-        let out_transfer = out_offered & !io.output_stop(OUT);
-        let out_stall = out_offered & io.output_stop(OUT);
+        let out_transfer = io.output_valid(OUT) & !out_kill & !io.output_stop(OUT);
         let token_arrived = io.input_valid(IN) & !io.input_stop(IN);
         let anti_left = io.input_kill(IN) & !io.input_anti_stop(IN);
         let data = io.input_data(IN);
-        for lane in (out_kill | out_offered | token_arrived | anti_left).lanes() {
+        for lane in (out_kill | out_transfer | token_arrived | anti_left).lanes() {
             // Output boundary: a token leaves, or is cancelled by an
-            // incoming anti-token — kill wins, then transfer, then stall.
+            // incoming anti-token — kill wins over transfer.
             if out_kill.in_lane(lane) {
-                if self.tokens.pop_front(lane) {
-                    self.stats[lane].killed_tokens += 1;
-                } else {
+                if !self.tokens.pop_front(lane) {
                     let anti_tokens = &mut self.anti_tokens[lane];
                     *anti_tokens = (*anti_tokens + 1).min(self.spec.anti_capacity);
                 }
             } else if out_transfer.in_lane(lane) {
                 self.tokens.pop_front(lane);
-                self.stats[lane].output_transfers += 1;
-            } else if out_stall.in_lane(lane) {
-                self.stats[lane].stall_cycles += 1;
             }
             // Input boundary: an anti-token leaves backwards and/or a token
             // arrives; when both meet they annihilate.
             let anti_tokens = self.anti_tokens[lane];
             match (token_arrived.in_lane(lane), anti_left.in_lane(lane)) {
                 (true, false) if anti_tokens == 0 => self.tokens.push_back(lane, data[lane]),
-                (true, _) => {
+                (true, _) | (false, true) => {
                     self.anti_tokens[lane] = anti_tokens.saturating_sub(1);
-                    self.stats[lane].killed_tokens += 1;
                 }
-                (false, true) => self.anti_tokens[lane] = anti_tokens.saturating_sub(1),
                 (false, false) => {}
             }
             self.refresh(lane);
@@ -222,11 +211,6 @@ impl<R: Rail> Controller<R> for StandardBuffer<R> {
             self.anti_tokens[lane] = (-self.spec.init_tokens).max(0) as u32;
             self.refresh(lane);
         }
-        self.stats.as_mut().fill(NodeStats::default());
-    }
-
-    fn report(&self, lane: usize) -> NodeReport<'_> {
-        NodeReport::Basic(self.stats[lane])
     }
 
     /// Both handshake directions are fully registered: `eval` is a function
@@ -246,19 +230,13 @@ pub struct ZeroBackwardBuffer<R: Rail> {
     full: R,
     /// Each lane's stored token (`0` when empty): the driven data column.
     stored: R::PerLane<u64>,
-    stats: R::PerLane<NodeStats>,
 }
 
 impl<R: Rail> ZeroBackwardBuffer<R> {
     /// Creates the buffer with its initial occupancy (at most one token).
     pub fn new(spec: BufferSpec) -> Self {
         let initial = (spec.init_tokens > 0).then_some(spec.init_value);
-        let mut buffer = ZeroBackwardBuffer {
-            initial,
-            full: R::LOW,
-            stored: R::per_lane(|_| 0),
-            stats: R::per_lane(|_| NodeStats::default()),
-        };
+        let mut buffer = ZeroBackwardBuffer { initial, full: R::LOW, stored: R::per_lane(|_| 0) };
         buffer.reset();
         buffer
     }
@@ -301,28 +279,11 @@ impl<R: Rail> Controller<R> for ZeroBackwardBuffer<R> {
         for lane in accepted.lanes() {
             self.stored[lane] = data[lane];
         }
-        for lane in killed.lanes() {
-            self.stats[lane].killed_tokens += 1;
-        }
-        for lane in cancelled.lanes() {
-            self.stats[lane].killed_tokens += 1;
-        }
-        for lane in left.lanes() {
-            self.stats[lane].output_transfers += 1;
-        }
-        for lane in (kept & io.output_stop(OUT)).lanes() {
-            self.stats[lane].stall_cycles += 1;
-        }
     }
 
     fn reset(&mut self) {
         self.full = if self.initial.is_some() { R::HIGH } else { R::LOW };
         self.stored.as_mut().fill(self.initial.unwrap_or(0));
-        self.stats.as_mut().fill(NodeStats::default());
-    }
-
-    fn report(&self, lane: usize) -> NodeReport<'_> {
-        NodeReport::Basic(self.stats[lane])
     }
 }
 
@@ -392,7 +353,6 @@ mod tests {
         assert!(!channels[1].backward_stop, "a buffer holding a token absorbs the anti-token");
         run_commit(&mut eb, &mut channels);
         assert_eq!(eb.occupancy(0), 0);
-        assert_eq!(eb.stats[0].killed_tokens, 1);
     }
 
     #[test]
@@ -450,7 +410,6 @@ mod tests {
         assert!(!channels[0].backward_valid, "the stored token absorbs the kill locally");
         run_commit(&mut eb, &mut channels);
         assert!(!eb.full);
-        assert_eq!(eb.stats[0].killed_tokens, 1);
     }
 
     #[test]

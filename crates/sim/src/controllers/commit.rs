@@ -31,7 +31,7 @@
 
 use elastic_core::CommitSpec;
 
-use crate::controller::{Controller, NodeReport, NodeStats};
+use crate::controller::{Controller, NodeReport};
 use crate::controllers::buffer::TokenRing;
 use crate::handshake::{commit_lane, HandshakeIo, Rail};
 use crate::metrics::CommitStageStats;
@@ -46,7 +46,6 @@ pub struct CommitStage<R: Rail> {
     occupied: Vec<R>,
     /// Per user, the lanes whose FIFO is at its declared depth.
     full: Vec<R>,
-    stats: R::PerLane<NodeStats>,
     /// Each lane's commits, squashes and peak occupancy per user.
     summary: R::PerLane<CommitStageStats>,
 }
@@ -60,7 +59,6 @@ impl<R: Rail> CommitStage<R> {
             fifos: (0..users).map(|_| TokenRing::new(spec.depth as usize)).collect(),
             occupied: vec![R::LOW; users],
             full: vec![R::LOW; users],
-            stats: R::per_lane(|_| NodeStats::default()),
             summary: R::per_lane(|_| CommitStageStats::default()),
         };
         stage.reset();
@@ -87,7 +85,6 @@ impl<R: Rail> Controller<R> for CommitStage<R> {
             let occupied = self.occupied[user];
             let squashed = occupied & io.output_kill(user) & !io.output_anti_stop(user);
             let committed = occupied & io.output_valid(user) & !io.output_stop(user) & !squashed;
-            let stalled = occupied & io.output_stop(user) & !squashed & !committed;
             // Input boundary: a freshly computed result parks — unless an
             // anti-token was passing through, in which case the two cancel
             // at the boundary and nothing is stored.
@@ -95,22 +92,17 @@ impl<R: Rail> Controller<R> for CommitStage<R> {
             let cancelled = arrived & io.input_kill(user) & !io.input_anti_stop(user);
             let data = io.input_data(user);
             let fifo = &mut self.fifos[user];
-            for lane in (squashed | committed | stalled | arrived).lanes() {
-                let (stats, summary) = (&mut self.stats[lane], &mut self.summary[lane]);
+            for lane in (squashed | committed | arrived).lanes() {
+                let summary = &mut self.summary[lane];
                 if squashed.in_lane(lane) {
                     fifo.pop_front(lane);
                     summary.squashes_per_lane[user] += 1;
-                    stats.killed_tokens += 1;
                 } else if committed.in_lane(lane) {
                     fifo.pop_front(lane);
                     summary.commits_per_lane[user] += 1;
-                    stats.output_transfers += 1;
-                } else if stalled.in_lane(lane) {
-                    stats.stall_cycles += 1;
                 }
                 if cancelled.in_lane(lane) {
                     summary.squashes_per_lane[user] += 1;
-                    stats.killed_tokens += 1;
                 } else if arrived.in_lane(lane) {
                     // A fault can push a result into a full lane; the ring
                     // grows rather than lose it.
@@ -140,11 +132,10 @@ impl<R: Rail> Controller<R> for CommitStage<R> {
         }
         self.occupied.fill(R::LOW);
         self.full.fill(R::LOW);
-        self.stats.as_mut().fill(NodeStats::default());
     }
 
-    fn report(&self, lane: usize) -> NodeReport<'_> {
-        NodeReport::Commit(self.stats[lane], self.summary[lane].clone())
+    fn report(&self, lane: usize) -> Option<NodeReport<'_>> {
+        Some(NodeReport::Commit(self.summary[lane].clone()))
     }
 }
 
@@ -286,15 +277,12 @@ mod tests {
         assert_eq!(stage.summary[0].peak_occupancy_per_lane, &[0, 0]);
         assert_eq!(
             stage.report(0),
-            NodeReport::Commit(
-                NodeStats::default(),
-                CommitStageStats {
-                    depth: 1,
-                    commits_per_lane: vec![0, 0],
-                    squashes_per_lane: vec![0, 0],
-                    peak_occupancy_per_lane: vec![0, 0],
-                }
-            )
+            Some(NodeReport::Commit(CommitStageStats {
+                depth: 1,
+                commits_per_lane: vec![0, 0],
+                squashes_per_lane: vec![0, 0],
+                peak_occupancy_per_lane: vec![0, 0],
+            }))
         );
     }
 
@@ -385,7 +373,7 @@ mod tests {
         stage.commit(&io1(&mut channels));
         assert_eq!(stage.occupancy(0, 0), 2);
         assert_eq!(stage.summary[0].peak_occupancy_per_lane, &[3]);
-        let NodeReport::Commit(_, stats) = stage.report(0) else {
+        let Some(NodeReport::Commit(stats)) = stage.report(0) else {
             panic!("a commit stage reports commit-stage statistics")
         };
         assert_eq!(stats.depth, 4);

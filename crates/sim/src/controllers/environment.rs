@@ -21,7 +21,7 @@ use elastic_core::{SinkSpec, SourceSpec};
 use elastic_datapath::adder::mask;
 use elastic_datapath::lfsr::Lfsr64;
 
-use crate::controller::{Controller, NodeReport, NodeStats};
+use crate::controller::{Controller, NodeReport};
 use crate::handshake::{HandshakeIo, Rail};
 
 const OUT: usize = 0;
@@ -251,7 +251,6 @@ pub struct SourceController<R: Rail> {
     offering: R,
     /// Each lane's next stream element: the driven data column.
     values: R::PerLane<u64>,
-    stats: R::PerLane<NodeStats>,
 }
 
 impl<R: Rail> SourceController<R> {
@@ -264,7 +263,6 @@ impl<R: Rail> SourceController<R> {
             position: R::per_lane(|_| 0),
             offering: R::LOW,
             values: R::per_lane(|_| 0),
-            stats: R::per_lane(|_| NodeStats::default()),
         };
         source.reset();
         source
@@ -309,15 +307,6 @@ impl<R: Rail> Controller<R> for SourceController<R> {
         let transferred = valid & !io.output_stop(OUT) & !killed;
         let stalled = valid & !killed & !transferred;
         let consumed = if self.spec.consume_on_kill { killed } else { R::LOW };
-        for lane in killed.lanes() {
-            self.stats[lane].killed_tokens += 1;
-        }
-        for lane in transferred.lanes() {
-            self.stats[lane].output_transfers += 1;
-        }
-        for lane in stalled.lanes() {
-            self.stats[lane].stall_cycles += 1;
-        }
         for lane in (transferred | consumed).lanes() {
             self.position[lane] += 1;
             self.values[lane] = self.value(self.position[lane]);
@@ -334,11 +323,6 @@ impl<R: Rail> Controller<R> for SourceController<R> {
         self.position.as_mut().fill(0);
         let first = self.value(0);
         self.values.as_mut().fill(first);
-        self.stats.as_mut().fill(NodeStats::default());
-    }
-
-    fn report(&self, lane: usize) -> NodeReport<'_> {
-        NodeReport::Source(self.stats[lane])
     }
 
     /// The offer pattern and persistence state fully determine the driven
@@ -360,7 +344,6 @@ pub struct SinkController<R: Rail> {
     timing: Timing<R, BackpressurePattern>,
     /// Each lane's transfer stream: `(cycle, value)` pairs.
     received: R::PerLane<Vec<(u64, u64)>>,
-    stats: R::PerLane<NodeStats>,
 }
 
 impl<R: Rail> SinkController<R> {
@@ -369,7 +352,6 @@ impl<R: Rail> SinkController<R> {
         let mut sink = SinkController {
             timing: Timing::new(&spec.backpressure),
             received: R::per_lane(|_| Vec::new()),
-            stats: R::per_lane(|_| NodeStats::default()),
         };
         sink.reset();
         sink
@@ -387,10 +369,6 @@ impl<R: Rail> Controller<R> for SinkController<R> {
         let data = io.input_data(IN);
         for lane in (valid & !stop).lanes() {
             self.received[lane].push((self.timing.cycle, data[lane]));
-            self.stats[lane].output_transfers += 1;
-        }
-        for lane in (valid & stop).lanes() {
-            self.stats[lane].stall_cycles += 1;
         }
         self.timing.tick();
     }
@@ -398,11 +376,10 @@ impl<R: Rail> Controller<R> for SinkController<R> {
     fn reset(&mut self) {
         self.timing.rewind();
         self.received.as_mut().iter_mut().for_each(Vec::clear);
-        self.stats.as_mut().fill(NodeStats::default());
     }
 
-    fn report(&self, lane: usize) -> NodeReport<'_> {
-        NodeReport::Sink(self.stats[lane], &self.received[lane])
+    fn report(&self, lane: usize) -> Option<NodeReport<'_>> {
+        Some(NodeReport::Sink(&self.received[lane]))
     }
 
     /// The back-pressure pattern fully determines the driven signals; sinks
@@ -502,7 +479,6 @@ mod tests {
         source.eval(&mut source_io(&mut channels), false);
         assert!(!channels[0].backward_stop);
         source.commit(&source_io(&mut channels));
-        assert_eq!(source.stats[0].killed_tokens, 1);
         channels[0].backward_valid = false;
         channels[0].forward_stop = false;
         source.eval(&mut source_io(&mut channels), false);
@@ -543,7 +519,7 @@ mod tests {
         }
         let values: Vec<u64> = sink.received[0].iter().map(|&(_, v)| v).collect();
         assert_eq!(values, vec![4, 5, 6]);
-        assert_eq!(sink.stats[0].output_transfers, 3);
+        assert_eq!(sink.report(0), Some(NodeReport::Sink(&[(0, 4), (1, 5), (2, 6)])));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use elastic_core::ForkSpec;
 
-use crate::controller::{Controller, NodeReport, NodeStats};
+use crate::controller::Controller;
 use crate::handshake::{fork_backward, fork_delivered, fork_forward, HandshakeIo, Rail};
 
 const IN: usize = 0;
@@ -31,18 +31,12 @@ pub struct EagerFork<R: Rail> {
     pending: Vec<R>,
     /// The lanes in which a token is being served.
     serving: R,
-    stats: R::PerLane<NodeStats>,
 }
 
 impl<R: Rail> EagerFork<R> {
     /// Creates the controller.
     pub fn new(spec: ForkSpec) -> Self {
-        EagerFork {
-            pending: vec![R::HIGH; spec.outputs],
-            serving: R::LOW,
-            stats: R::per_lane(|_| NodeStats::default()),
-            spec,
-        }
+        EagerFork { pending: vec![R::HIGH; spec.outputs], serving: R::LOW, spec }
     }
 
     /// The lanes in which branch `branch` still needs its copy this cycle.
@@ -90,28 +84,11 @@ impl<R: Rail> Controller<R> for EagerFork<R> {
             self.pending[branch] = !holding | still_pending;
         }
         self.serving = holding;
-        for lane in complete.lanes() {
-            self.stats[lane].output_transfers += 1;
-        }
-        for lane in holding.lanes() {
-            self.stats[lane].stall_cycles += 1;
-        }
-        // Branch annihilations count only while a token is present.
-        for branch in 0..self.spec.outputs {
-            for lane in (valid & io.output_kill(branch) & !io.output_anti_stop(branch)).lanes() {
-                self.stats[lane].killed_tokens += 1;
-            }
-        }
     }
 
     fn reset(&mut self) {
         self.pending.fill(R::HIGH);
         self.serving = R::LOW;
-        self.stats.as_mut().fill(NodeStats::default());
-    }
-
-    fn report(&self, lane: usize) -> NodeReport<'_> {
-        NodeReport::Basic(self.stats[lane])
     }
 }
 

@@ -27,11 +27,9 @@ use elastic_core::FunctionSpec;
 use elastic_datapath::adder::mask;
 use elastic_datapath::evaluate_columns;
 
-use crate::controller::{Controller, NodeReport, NodeStats};
+use crate::controller::Controller;
 use crate::controllers::same_column;
 use crate::handshake::{function_backward, function_forward, HandshakeIo, Rail};
-
-const OUT: usize = 0;
 
 /// Controller for a combinational function block, per lane of the rail
 /// word `R`.
@@ -39,7 +37,6 @@ const OUT: usize = 0;
 pub struct FunctionBlock<R: Rail> {
     spec: FunctionSpec,
     output_width: u8,
-    stats: R::PerLane<NodeStats>,
     /// The datapath memo: a settle pass re-evaluates the join several times
     /// per cycle while the operands rarely change, so the result column is
     /// recomputed only when an operand column did.
@@ -65,12 +62,7 @@ impl<R: Rail> FunctionBlock<R> {
             results: R::per_lane(|_| 0),
             valid: false,
         };
-        FunctionBlock {
-            spec,
-            output_width,
-            stats: R::per_lane(|_| NodeStats::default()),
-            memo: RefCell::new(memo),
-        }
+        FunctionBlock { spec, output_width, memo: RefCell::new(memo) }
     }
 
     /// The forward equation, driving the operation's result on the input
@@ -106,27 +98,8 @@ impl<R: Rail> Controller<R> for FunctionBlock<R> {
         self.backward(io);
     }
 
-    fn commit(&mut self, io: &R::Io<'_>) {
-        let valid = io.output_valid(OUT);
-        let killed = io.output_kill(OUT) & !io.output_anti_stop(OUT);
-        for lane in (valid & !io.output_stop(OUT) & !killed).lanes() {
-            self.stats[lane].output_transfers += 1;
-        }
-        for lane in (valid & killed).lanes() {
-            self.stats[lane].killed_tokens += 1;
-        }
-        for lane in (valid & io.output_stop(OUT) & !killed).lanes() {
-            self.stats[lane].stall_cycles += 1;
-        }
-    }
-
     fn reset(&mut self) {
-        self.stats.as_mut().fill(NodeStats::default());
         self.memo.get_mut().valid = false;
-    }
-
-    fn report(&self, lane: usize) -> NodeReport<'_> {
-        NodeReport::Basic(self.stats[lane])
     }
 }
 

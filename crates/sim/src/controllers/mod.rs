@@ -15,7 +15,7 @@
 //! Every row is one type, generic over the rail word, implementing
 //! [`Controller`]: the scalar engine instantiates it at `bool` (one
 //! scenario) and the 64-lane engine at `u64`, so each kind's state, clock
-//! edge, statistics, reset and per-lane environment (offer and
+//! edge, observables, reset and per-lane environment (offer and
 //! back-pressure patterns with their random generators, shared module
 //! schedulers) exist once.
 

@@ -19,7 +19,7 @@ use std::cell::RefCell;
 
 use elastic_core::MuxSpec;
 
-use crate::controller::{Controller, NodeReport, NodeStats};
+use crate::controller::Controller;
 use crate::handshake::{mux_backward, mux_forward, HandshakeIo, Rail};
 
 const SELECT: usize = 0;
@@ -35,7 +35,6 @@ pub struct MuxController<R: Rail> {
     owed: Vec<u32>,
     /// Per data input, the lanes that owe it no anti-token.
     clean: Vec<R>,
-    stats: R::PerLane<NodeStats>,
     /// The select gather `eval` steers with (scratch).
     gather: RefCell<Gather<R>>,
 }
@@ -72,7 +71,6 @@ impl<R: Rail> MuxController<R> {
             spec,
             owed: vec![0; inputs * R::LANES],
             clean: vec![R::HIGH; inputs],
-            stats: R::per_lane(|_| NodeStats::default()),
             gather: RefCell::new(Gather {
                 selected: vec![R::LOW; inputs],
                 data: R::per_lane(|_| 0),
@@ -112,19 +110,12 @@ impl<R: Rail> Controller<R> for MuxController<R> {
     }
 
     fn commit(&mut self, io: &R::Io<'_>) {
-        let fire = io.output_valid(OUT) & !io.output_stop(OUT);
-        for lane in fire.lanes() {
-            self.stats[lane].output_transfers += 1;
-        }
-        for lane in (io.output_valid(OUT) & io.output_stop(OUT)).lanes() {
-            self.stats[lane].stall_cycles += 1;
-        }
         if !self.spec.early_eval {
             return;
         }
         let gather = self.gather.get_mut();
         gather.refresh(io);
-        let fired = fire & io.input_valid(SELECT);
+        let fired = io.output_valid(OUT) & !io.output_stop(OUT) & io.input_valid(SELECT);
         for input in 0..self.spec.data_inputs {
             // A firing owes every non-selected input an anti-token; one is
             // delivered when accepted upstream or cancelled in place against
@@ -138,7 +129,6 @@ impl<R: Rail> Controller<R> for MuxController<R> {
                 }
                 if delivered.in_lane(lane) {
                     *owed = owed.saturating_sub(1);
-                    self.stats[lane].killed_tokens += 1;
                 }
                 self.clean[input] = self.clean[input].with_lane(lane, *owed == 0);
             }
@@ -148,11 +138,6 @@ impl<R: Rail> Controller<R> for MuxController<R> {
     fn reset(&mut self) {
         self.owed.fill(0);
         self.clean.fill(R::HIGH);
-        self.stats.as_mut().fill(NodeStats::default());
-    }
-
-    fn report(&self, lane: usize) -> NodeReport<'_> {
-        NodeReport::Basic(self.stats[lane])
     }
 }
 
@@ -237,7 +222,6 @@ mod tests {
         mux.eval(&mut io(&mut channels), false);
         mux.commit(&io(&mut channels));
         assert_eq!(mux.owed, [0, 0]);
-        assert_eq!(mux.stats[0].killed_tokens, 1);
     }
 
     #[test]

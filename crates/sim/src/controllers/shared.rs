@@ -26,7 +26,7 @@ use elastic_core::{Scheduler, SharedFeedback, SharedSpec};
 use elastic_datapath::adder::mask;
 use elastic_datapath::evaluate_columns;
 
-use crate::controller::{Controller, NodeReport, NodeStats};
+use crate::controller::{Controller, NodeReport};
 use crate::controllers::same_column;
 use crate::handshake::{shared_user, HandshakeIo, Rail};
 use crate::metrics::SharedModuleStats;
@@ -61,7 +61,7 @@ pub struct SharedModule<R: Rail> {
     feedback: R::PerLane<SharedFeedback>,
     /// The clock edge's per-user outcome words (scratch).
     outcomes: Vec<Outcome<R>>,
-    stats: R::PerLane<NodeStats>,
+    /// Each lane's misprediction count.
     shared: R::PerLane<SharedModuleStats>,
     /// The result columns `eval` drives, with what they were computed from.
     memo: RefCell<Memo<R>>,
@@ -93,7 +93,6 @@ impl<R: Rail> SharedModule<R> {
             grant: vec![R::LOW; users],
             feedback: R::per_lane(|_| SharedFeedback::new(users)),
             outcomes: vec![Outcome::default(); users],
-            stats: R::per_lane(|_| NodeStats::default()),
             shared: R::per_lane(|_| SharedModuleStats::default()),
             memo: RefCell::new(Memo {
                 offers: vec![R::LOW; users],
@@ -121,17 +120,16 @@ impl<R: Rail> SharedModule<R> {
         }
     }
 
-    /// Closes lane `lane`'s cycle on the outcome words: statistics,
-    /// starvation accounting, the scheduler's feedback and the next grant.
+    /// Closes lane `lane`'s cycle on the outcome words: starvation
+    /// accounting, the scheduler's feedback, the misprediction count and the
+    /// next grant.
     fn close_cycle(&mut self, lane: usize) {
         let users = self.spec.users;
         let predicted = self.schedulers[lane].prediction() % users.max(1);
         let granted = self.forced[lane].unwrap_or(predicted);
         let feedback = &mut self.feedback[lane];
-        let (stats, shared) = (&mut self.stats[lane], &mut self.shared[lane]);
         feedback.cycle += 1;
         feedback.resolved = None;
-        let mut any_valid = false;
         for (user, outcome) in self.outcomes.iter().enumerate() {
             let valid = outcome.valid.in_lane(lane);
             let transferred = outcome.transferred.in_lane(lane);
@@ -144,14 +142,7 @@ impl<R: Rail> SharedModule<R> {
             feedback.output_killed[user] = killed;
             if transferred {
                 feedback.resolved = Some(user);
-                shared.transfers_per_user[user] += 1;
-                stats.output_transfers += 1;
             }
-            if killed {
-                shared.kills_per_user[user] += 1;
-                stats.killed_tokens += 1;
-            }
-            any_valid |= valid;
             // Starvation accounting: a non-granted user with a valid token
             // that neither transferred nor was killed has waited one more
             // cycle. (The granted user is being offered the unit; if its
@@ -161,13 +152,9 @@ impl<R: Rail> SharedModule<R> {
             let starved = valid && user != granted && !transferred && !killed && !input_killed;
             *wait = if starved { *wait + 1 } else { 0 };
         }
-        if any_valid {
-            stats.stall_cycles += u64::from(feedback.output_retry[granted]);
-        }
         feedback.predicted = granted;
         if feedback.mispredicted() {
-            stats.mispredictions += 1;
-            shared.mispredictions += 1;
+            self.shared[lane].mispredictions += 1;
         }
 
         // Leads-to enforcement: force the longest-starved user above the
@@ -257,19 +244,14 @@ impl<R: Rail> Controller<R> for SharedModule<R> {
             self.schedulers[lane].reset();
             self.forced[lane] = None;
             self.feedback[lane] = SharedFeedback::new(users);
-            self.shared[lane] = SharedModuleStats {
-                mispredictions: 0,
-                transfers_per_user: vec![0; users],
-                kills_per_user: vec![0; users],
-            };
+            self.shared[lane] = SharedModuleStats::default();
             self.regrant(lane);
         }
         self.starvation.fill(0);
-        self.stats.as_mut().fill(NodeStats::default());
     }
 
-    fn report(&self, lane: usize) -> NodeReport<'_> {
-        NodeReport::Shared(self.stats[lane], self.shared[lane].clone())
+    fn report(&self, lane: usize) -> Option<NodeReport<'_>> {
+        Some(NodeReport::Shared(self.shared[lane]))
     }
 
     fn override_scheduler(&mut self, lane: usize, scheduler: Box<dyn Scheduler>) -> bool {
@@ -345,7 +327,7 @@ mod tests {
         channels[2].forward_stop = true; // the consumer refuses the speculated result
         module.eval(&mut io(&mut channels), false);
         module.commit(&io(&mut channels));
-        assert_eq!(module.stats[0].mispredictions, 1);
+        assert_eq!(module.shared[0].mispredictions, 1);
         let feedback = &module.feedback[0];
         assert!(feedback.output_retry[0]);
         assert!(feedback.mispredicted());
@@ -374,7 +356,7 @@ mod tests {
         channels[0].forward_valid = true;
         module.eval(&mut io(&mut channels), false);
         module.commit(&io(&mut channels));
-        assert_eq!(module.shared[0].transfers_per_user, vec![1, 0]);
+        assert_eq!(module.feedback[0].output_transfer, vec![true, false]);
         assert_eq!(module.feedback[0].resolved, Some(0));
     }
 
@@ -401,6 +383,7 @@ mod tests {
         assert_eq!(channels[4].data, 7);
         let node_io = NodeIo::new(&mut channels, &inputs, &outputs);
         module.commit(&node_io);
-        assert_eq!(module.shared[0].transfers_per_user[0], 1);
+        assert_eq!(module.feedback[0].output_transfer, vec![true, false]);
+        assert_eq!(module.feedback[0].resolved, Some(0));
     }
 }

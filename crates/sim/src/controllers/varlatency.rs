@@ -18,7 +18,7 @@ use elastic_core::kind::VarLatencySpec;
 use elastic_datapath::adder::mask;
 use elastic_datapath::evaluate_columns;
 
-use crate::controller::{Controller, NodeReport, NodeStats};
+use crate::controller::Controller;
 use crate::handshake::{HandshakeIo, Rail};
 
 const OUT: usize = 0;
@@ -35,7 +35,6 @@ pub struct VarLatencyUnit<R: Rail> {
     register: R::PerLane<u64>,
     /// The lanes whose exact computation of the current operands is pending.
     exact_pending: R,
-    stats: R::PerLane<NodeStats>,
     /// The result column of the last datapath evaluation (scratch).
     column: RefCell<R::PerLane<u64>>,
 }
@@ -49,7 +48,6 @@ impl<R: Rail> VarLatencyUnit<R> {
             full: R::LOW,
             register: R::per_lane(|_| 0),
             exact_pending: R::LOW,
-            stats: R::per_lane(|_| NodeStats::default()),
             column: RefCell::new(R::per_lane(|_| 0)),
         }
     }
@@ -91,11 +89,7 @@ impl<R: Rail> Controller<R> for VarLatencyUnit<R> {
     fn commit(&mut self, io: &R::Io<'_>) {
         let transferred = io.output_valid(OUT) & !io.output_stop(OUT);
         for lane in transferred.lanes() {
-            self.stats[lane].output_transfers += 1;
             self.register[lane] = 0;
-        }
-        for lane in (io.output_valid(OUT) & io.output_stop(OUT)).lanes() {
-            self.stats[lane].stall_cycles += 1;
         }
         self.full = self.full & !transferred;
         let (all_valid, finish, error) = self.finishing(io, !self.full);
@@ -112,9 +106,6 @@ impl<R: Rail> Controller<R> for VarLatencyUnit<R> {
         // The approximation failed: spend one extra cycle, then deliver the
         // exact result.
         let slow = all_valid & !self.full & !self.exact_pending & error;
-        for lane in slow.lanes() {
-            self.stats[lane].stall_cycles += 1;
-        }
         self.full = self.full | finish;
         self.exact_pending = (self.exact_pending & !finish) | slow;
     }
@@ -123,11 +114,6 @@ impl<R: Rail> Controller<R> for VarLatencyUnit<R> {
         self.full = R::LOW;
         self.register.as_mut().fill(0);
         self.exact_pending = R::LOW;
-        self.stats.as_mut().fill(NodeStats::default());
-    }
-
-    fn report(&self, lane: usize) -> NodeReport<'_> {
-        NodeReport::Basic(self.stats[lane])
     }
 }
 

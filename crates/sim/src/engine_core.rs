@@ -428,26 +428,18 @@ impl<R: EngineRail> EngineCore<R> {
             ..SimulationReport::default()
         };
         for (controller, &node) in self.controllers.iter().zip(&self.node_ids) {
-            let stats = match controller.report(lane) {
-                NodeReport::Basic(stats) => stats,
-                NodeReport::Source(stats) => {
-                    report.source_kills.insert(node, stats.killed_tokens);
-                    stats
-                }
-                NodeReport::Sink(stats, stream) => {
+            match controller.report(lane) {
+                Some(NodeReport::Sink(stream)) => {
                     report.sink_streams.insert(node, stream.to_vec());
-                    stats
                 }
-                NodeReport::Shared(stats, shared) => {
+                Some(NodeReport::Shared(shared)) => {
                     report.shared_stats.insert(node, shared);
-                    stats
                 }
-                NodeReport::Commit(stats, lanes) => {
+                Some(NodeReport::Commit(lanes)) => {
                     report.commit_stats.insert(node, lanes);
-                    stats
                 }
-            };
-            report.node_stats.insert(node, stats);
+                None => {}
+            }
         }
         report
     }

@@ -24,7 +24,7 @@
 //! * Every node kind is one type of [`crate::controllers`], a
 //!   [`Controller<u64>`] with [`LaneIo`] as its port view: the scalar
 //!   engine runs the same types at `bool`, so their state, clock edge,
-//!   statistics, reset and environment exist once. Per-lane state lives in
+//!   observables, reset and environment exist once. Per-lane state lives in
 //!   per-lane stores: each lane's source offer pattern, sink back-pressure
 //!   pattern and random generator, its shared-module scheduler, its buffer
 //!   and commit-stage tokens and its transfer stream. Sources drive one

@@ -4,37 +4,13 @@ use std::collections::BTreeMap;
 
 use elastic_core::NodeId;
 
-use crate::controller::NodeStats;
 use crate::faults::FaultStats;
 
 /// Statistics of one speculative shared module over a simulation run.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SharedModuleStats {
     /// Cycles in which a misprediction was detected.
     pub mispredictions: u64,
-    /// Forward transfers per user channel (how often each user actually got
-    /// the unit *and* the consumer used the result).
-    pub transfers_per_user: Vec<u64>,
-    /// Tokens per user channel that were cancelled by consumer anti-tokens.
-    pub kills_per_user: Vec<u64>,
-}
-
-impl SharedModuleStats {
-    /// Total useful transfers through the shared module.
-    pub fn total_transfers(&self) -> u64 {
-        self.transfers_per_user.iter().sum()
-    }
-
-    /// Fraction of decided outcomes (transfers plus kills) that were
-    /// mispredicted; `None` when nothing was decided.
-    pub fn misprediction_rate(&self) -> Option<f64> {
-        let decided = self.total_transfers() + self.kills_per_user.iter().sum::<u64>();
-        if decided == 0 {
-            None
-        } else {
-            Some(self.mispredictions as f64 / decided as f64)
-        }
-    }
 }
 
 /// Statistics of one in-order commit stage over a simulation run.
@@ -99,10 +75,6 @@ pub struct SimulationReport {
     pub trace_bytes: u64,
     /// Transfer streams observed at each sink: `(cycle, value)` pairs.
     pub sink_streams: BTreeMap<NodeId, Vec<(u64, u64)>>,
-    /// Tokens cancelled at each source by anti-tokens (speculation discards).
-    pub source_kills: BTreeMap<NodeId, u64>,
-    /// Per-node controller statistics.
-    pub node_stats: BTreeMap<NodeId, NodeStats>,
     /// Per-shared-module speculation statistics.
     pub shared_stats: BTreeMap<NodeId, SharedModuleStats>,
     /// Per-commit-stage lane statistics (commits, squashes, peak occupancy).
@@ -149,34 +121,31 @@ impl SimulationReport {
         self.commit_stats.values().map(|s| s.total_squashes()).sum()
     }
 
-    /// Mean peak lane occupancy across all commit stages — how far ahead of
-    /// the resolution point the schedulers actually ran; `None` when the
-    /// design has no commit stage.
-    pub fn mean_commit_occupancy(&self) -> Option<f64> {
-        let peaks: Vec<f64> =
-            self.commit_stats.values().filter_map(|s| s.mean_peak_occupancy()).collect();
-        if peaks.is_empty() {
-            None
-        } else {
-            Some(peaks.iter().sum::<f64>() / peaks.len() as f64)
-        }
-    }
-
     /// The first behavioural field in which `self` and `other` differ —
-    /// checked in the order cycle count, sink transfer streams, source kill
-    /// counts, per-node statistics, shared-module statistics, commit-stage
-    /// statistics — or `None` when they agree on all of them. This is what
-    /// two engines simulating the same scenario must agree on; effort
-    /// counters, trace size and fault counters describe how a run was
-    /// computed and are not compared.
+    /// checked in the order cycle count, sink transfer streams,
+    /// shared-module statistics, commit-stage statistics — or `None` when
+    /// they agree on all of them. This is what two engines simulating the
+    /// same scenario must agree on; effort counters, trace size, fault
+    /// counters and the deadline flag describe how a run was computed and
+    /// are not compared. Every field is named here as one or the other, so
+    /// a new field does not compile until it is classified.
     pub fn behavioural_difference(&self, other: &SimulationReport) -> Option<&'static str> {
+        let SimulationReport {
+            cycles,
+            sink_streams,
+            shared_stats,
+            commit_stats,
+            settle_iterations: _,
+            controller_evals: _,
+            trace_bytes: _,
+            faults: _,
+            deadline_exceeded: _,
+        } = self;
         [
-            ("cycle counts", self.cycles == other.cycles),
-            ("sink transfer streams", self.sink_streams == other.sink_streams),
-            ("source kill counts", self.source_kills == other.source_kills),
-            ("per-node statistics", self.node_stats == other.node_stats),
-            ("shared-module statistics", self.shared_stats == other.shared_stats),
-            ("commit-stage statistics", self.commit_stats == other.commit_stats),
+            ("cycle counts", *cycles == other.cycles),
+            ("sink transfer streams", *sink_streams == other.sink_streams),
+            ("shared-module statistics", *shared_stats == other.shared_stats),
+            ("commit-stage statistics", *commit_stats == other.commit_stats),
         ]
         .into_iter()
         .find(|&(_, equal)| !equal)
@@ -234,19 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_stats_compute_misprediction_rate() {
-        let stats = SharedModuleStats {
-            mispredictions: 5,
-            transfers_per_user: vec![40, 5],
-            kills_per_user: vec![5, 50],
-        };
-        assert_eq!(stats.total_transfers(), 45);
-        let rate = stats.misprediction_rate().unwrap();
-        assert!((rate - 0.05).abs() < 1e-9);
-        assert_eq!(SharedModuleStats::default().misprediction_rate(), None);
-    }
-
-    #[test]
     fn commit_stats_aggregate_lanes() {
         let stats = CommitStageStats {
             depth: 4,
@@ -262,19 +218,32 @@ mod tests {
         let mut report = SimulationReport::default();
         report.commit_stats.insert(NodeId::new(7), stats);
         assert_eq!(report.total_squashes(), 5);
-        assert!((report.mean_commit_occupancy().unwrap() - 3.0).abs() < 1e-9);
-        assert_eq!(SimulationReport::default().mean_commit_occupancy(), None);
     }
 
     #[test]
     fn behavioural_difference_names_the_first_differing_field() {
         let base = SimulationReport { cycles: 10, ..SimulationReport::default() };
-        let mut other = SimulationReport { settle_iterations: 99, trace_bytes: 7, ..base.clone() };
-        assert_eq!(base.behavioural_difference(&other), None, "effort and trace size ignored");
+        let mut other = SimulationReport {
+            settle_iterations: 99,
+            controller_evals: 42,
+            trace_bytes: 7,
+            deadline_exceeded: true,
+            ..base.clone()
+        };
+        other.faults.armed = 1;
+        assert_eq!(
+            base.behavioural_difference(&other),
+            None,
+            "effort, trace size, faults and the deadline are ignored"
+        );
+        // Each compared field, set from the last to the first: every step
+        // names the newly differing field, which comes first in the order.
         other.commit_stats.insert(NodeId::new(4), CommitStageStats::default());
         assert_eq!(base.behavioural_difference(&other), Some("commit-stage statistics"));
-        other.source_kills.insert(NodeId::new(1), 2);
-        assert_eq!(base.behavioural_difference(&other), Some("source kill counts"));
+        other.shared_stats.insert(NodeId::new(3), SharedModuleStats { mispredictions: 1 });
+        assert_eq!(base.behavioural_difference(&other), Some("shared-module statistics"));
+        other.sink_streams.insert(NodeId::new(2), vec![(0, 5)]);
+        assert_eq!(base.behavioural_difference(&other), Some("sink transfer streams"));
         other.cycles = 11;
         assert_eq!(other.behavioural_difference(&base), Some("cycle counts"));
     }
@@ -283,10 +252,7 @@ mod tests {
     fn summary_mentions_sinks_and_mispredictions() {
         let mut report = SimulationReport { cycles: 10, ..SimulationReport::default() };
         report.sink_streams.insert(NodeId::new(1), vec![(0, 1)]);
-        report.shared_stats.insert(
-            NodeId::new(2),
-            SharedModuleStats { mispredictions: 2, ..SharedModuleStats::default() },
-        );
+        report.shared_stats.insert(NodeId::new(2), SharedModuleStats { mispredictions: 2 });
         let text = report.summary();
         assert!(text.contains("10 cycles"));
         assert!(text.contains("misprediction"));
