@@ -928,6 +928,16 @@ mod tests {
     }
 
     #[test]
+    fn the_event_driven_effort_on_a_generated_design_is_pinned() {
+        // The ranks order each channel-reading controller after the
+        // producers of its inputs only; the count repeats exactly, so a
+        // change to the ranks or the wake rule moves it.
+        let generated = generate(0, &GenConfig::loops());
+        let mut sim = Simulation::new(&generated.netlist, &SimConfig::default()).unwrap();
+        assert_eq!(sim.run(192).unwrap().controller_evals, 7_606);
+    }
+
+    #[test]
     fn engine_differential_is_part_of_every_case() {
         // A direct call on a generated netlist, for the error-path shape.
         let generated = generate(3, &GenConfig::default());

@@ -17,7 +17,9 @@
 //! * the **trailing segment** (ops on or downstream of combinational rail
 //!   cycles, e.g. the speculative select loops of Figures 1(d) and 7(b))
 //!   becomes a [`Wires::relax`] sweep, repeated in deterministic order until
-//!   a sweep changes nothing, capped at the engine's settle budget.
+//!   a sweep changes nothing, capped at the engine's settle budget — whole
+//!   sweeps, where the interpreter re-runs only the trailing ops whose
+//!   operands changed; both reach the same fixed point.
 //!
 //! The emitted text is self-contained — every path is fully qualified
 //! against `elastic_sim` — so a downstream crate checks it in as a module
@@ -50,6 +52,7 @@ use elastic_core::Netlist;
 use crate::compiled::MicroOp;
 use crate::controller::{Controller, NodeIo};
 use crate::engine::{SettleStrategy, SimConfig, SimError, Simulation};
+use crate::handshake::Rail;
 use crate::signal::ChannelState;
 
 /// Why a netlist could not be emitted as a settle function.
@@ -112,14 +115,17 @@ impl<'a> Wires<'a> {
 }
 
 /// The concrete controller of node `node`, on which the compiled plan's
-/// fused ops and emitted settle functions make their statically dispatched
-/// `forward` and `backward` calls.
+/// fused ops (at either rail word `R`) and emitted settle functions make
+/// their statically dispatched `forward` and `backward` calls.
 ///
 /// # Panics
 ///
 /// When the controller is not a `T` — the plan or function was built for
 /// another netlist.
-pub fn concrete<T: Controller>(controllers: &[Box<dyn Controller>], node: usize) -> &T {
+pub fn concrete<T: Controller<R>, R: Rail>(
+    controllers: &[Box<dyn Controller<R>>],
+    node: usize,
+) -> &T {
     let controller: &dyn Any = controllers[node].as_ref();
     controller
         .downcast_ref()
@@ -384,16 +390,16 @@ mod tests {
                     let controller: &dyn Any = match op {
                         MicroOp::Eval { .. } => continue,
                         MicroOp::FnFwd { .. } | MicroOp::FnBwd { .. } => {
-                            concrete::<FunctionBlock<bool>>(controllers, node)
+                            concrete::<FunctionBlock<bool>, _>(controllers, node)
                         }
                         MicroOp::ZbFwd { .. } | MicroOp::ZbBwd { .. } => {
-                            concrete::<ZeroBackwardBuffer<bool>>(controllers, node)
+                            concrete::<ZeroBackwardBuffer<bool>, _>(controllers, node)
                         }
                         MicroOp::ForkFwd { .. } | MicroOp::ForkBwd { .. } => {
-                            concrete::<EagerFork<bool>>(controllers, node)
+                            concrete::<EagerFork<bool>, _>(controllers, node)
                         }
                         MicroOp::MuxFwd { .. } | MicroOp::MuxBwd { .. } => {
-                            concrete::<MuxController<bool>>(controllers, node)
+                            concrete::<MuxController<bool>, _>(controllers, node)
                         }
                     };
                     let planned: &dyn Controller = controllers[node].as_ref();
@@ -418,7 +424,7 @@ mod tests {
         );
         let _ = run_generated(&netlist, 1, |_, controllers| {
             // Node 0 is the pipeline's source.
-            concrete::<FunctionBlock<bool>>(controllers, 0);
+            concrete::<FunctionBlock<bool>, _>(controllers, 0);
         });
     }
 

@@ -1,8 +1,7 @@
 //! Compiled settle backend: a netlist lowered to fused, monomorphic micro-ops.
 //!
-//! [`SettleStrategy::Compiled`](crate::engine::SettleStrategy::Compiled)
-//! replaces the event-driven worklist fixpoint with a **plan** built once per
-//! simulation: every controller whose `eval` equations are statically known
+//! A **plan** built once per simulation replaces the event-driven worklist
+//! fixpoint: every controller whose `eval` equations are statically known
 //! is decomposed into one or two [`MicroOp`]s — a *forward* op driving the
 //! producer-owned rail group `{V+, data, S-}` and a *backward* op driving the
 //! consumer-owned group `{S+, V-}` — dispatched through a plain `match`
@@ -14,20 +13,30 @@
 //!   combinational wavefront needs no worklist: every operand rail is final
 //!   when an op runs), and
 //! * a **trailing segment** of ops on or downstream of rail cycles, settled
-//!   by Jacobi sweeps in deterministic order until a sweep changes nothing,
-//!   capped at the engine's settle budget (the same full-sweep-equivalent
-//!   unit the other strategies use).
+//!   by an op-level worklist: every trailing op runs once in schedule order,
+//!   and an op that changes a rail group queues again the trailing ops that
+//!   read it (itself only when it reads a group it writes), until the queue
+//!   drains. The budget is the engine's settle budget in full-sweep
+//!   equivalents, `settle_budget() × trailing ops` executions; an overrun
+//!   names the op that overran plus the ops still queued, as the
+//!   event-driven worklist does.
+//!
+//! The plan is generic over the rail word: the scalar engine settles on it
+//! under [`SettleStrategy::Compiled`](crate::engine::SettleStrategy::Compiled),
+//! and the 64-lane [`crate::LaneSimulation`] settles every step on it. Both
+//! build it only for netlists without optimistic controllers.
 //!
 //! A fused op owns no equation and no state: it calls the planned
 //! controller's own `forward` or `backward` method — the node kind's
 //! equation in [`crate::handshake`] on the controller's sequential state,
-//! the code the scalar and lane controllers run in `eval` — through a
-//! [`NodeIo`] on the node's ports, change-tracked in the trailing segment.
-//! It finds the controller with [`concrete`], as the settle functions
-//! emitted by [`crate::codegen`] do. Reading the state directly is exact,
-//! because `eval` is a pure function of `&self` and the settle phase never
-//! commits state. What the plan owns is the schedule and the
-//! forward/backward split.
+//! the code the scalar and lane controllers run in `eval` — through the
+//! engine's port view on the node's ports (`NodeIo` or `LaneIo`),
+//! change-tracked in the trailing segment. It finds the controller with
+//! [`concrete`] at either rail word, as the settle functions emitted by
+//! [`crate::codegen`] do. Reading the state directly is exact, because
+//! `eval` is a pure function of `&self` and the settle phase never commits
+//! state. What the plan owns is the schedule and the forward/backward
+//! split.
 //!
 //! Controllers the planner does not specialize (shared modules, commit
 //! stages, variable-latency units, future kinds) become [`MicroOp::Eval`]
@@ -37,24 +46,22 @@
 //! `Eval` ops; they have no rail reads, so they always land at the head of
 //! the prefix and run once.
 //!
-//! The plan holds no cross-cycle state, so `reset_*`, fault arming,
-//! monitors and deadlines work unchanged. Netlists containing optimistic
-//! controllers (lazy forks) are **not** planned; the engine transparently
-//! falls back to the event-driven strategy, which implements the optimistic
-//! two-pass seeding those controllers require.
+//! The plan holds no cross-cycle state (its queue is settle scratch of the
+//! engine core), so `reset_*`, fault arming, monitors and deadlines work
+//! unchanged. Netlists containing optimistic controllers (lazy forks) are
+//! **not** planned; both engines then settle event-driven, which implements
+//! the optimistic two-pass seeding those controllers require.
 //!
 //! [`Controller::eval`]: crate::controller::Controller::eval
 
 use elastic_core::{Netlist, NodeKind};
 
 use crate::codegen::concrete;
-use crate::controller::NodeIo;
 use crate::controllers::buffer::ZeroBackwardBuffer;
 use crate::controllers::fork::EagerFork;
 use crate::controllers::function::FunctionBlock;
 use crate::controllers::mux::MuxController;
-use crate::engine_core::EngineCore;
-use crate::signal::ChannelState;
+use crate::engine_core::{EngineCore, EngineRail, OpQueue, Ports};
 
 /// One fused settle operation on the ports of node `node`.
 #[derive(Debug, Clone, Copy)]
@@ -116,6 +123,11 @@ pub(crate) struct CompiledPlan {
     /// `ops[prefix_len..]` the trailing (iterated) segment.
     pub(crate) ops: Vec<MicroOp>,
     pub(crate) prefix_len: usize,
+    /// Per rail group, the trailing ops reading it (indices into the
+    /// trailing segment).
+    readers: Vec<Vec<u32>>,
+    /// Per trailing op, whether it reads a rail group it writes.
+    self_reading: Vec<bool>,
 }
 
 /// Rail-group index: the producer-owned group `{V+, data, S-}` of channel
@@ -128,18 +140,17 @@ fn rails(channels: &[usize], group: usize) -> impl Iterator<Item = usize> + '_ {
 }
 
 impl CompiledPlan {
-    /// Lowers a validated netlist into a scheduled plan. `node_ports`,
-    /// `reads_channels` and `channel_widths` are the engine's dense tables;
-    /// dense node order is the `live_nodes()` order they were built in.
+    /// Lowers a validated netlist into a scheduled plan over `core`'s
+    /// dense tables (dense node order is the `live_nodes()` order they were
+    /// built in), and sizes `core`'s trailing-segment queue for it.
     ///
     /// Must not be called for netlists with optimistic controllers (the
-    /// engine falls back to the event-driven strategy for those).
-    pub(crate) fn build(
+    /// engines settle those event-driven).
+    pub(crate) fn build<R: EngineRail>(
         netlist: &Netlist,
-        node_ports: &[(Vec<usize>, Vec<usize>)],
-        reads_channels: &[bool],
-        channel_widths: &[u8],
+        core: &mut EngineCore<R>,
     ) -> CompiledPlan {
+        let (node_ports, reads_channels) = (&core.node_ports, &core.reads_channels);
         let mut ops = Vec::new();
         for (index, node) in netlist.live_nodes().enumerate() {
             let n = index as u32;
@@ -166,20 +177,34 @@ impl CompiledPlan {
             }
         }
 
-        let (ops, prefix_len) = schedule(ops, node_ports, reads_channels, channel_widths);
-        CompiledPlan { ops, prefix_len }
+        let rail_count = core.channel_count() * 2;
+        let (ops, prefix_len) = schedule(ops, node_ports, reads_channels, rail_count);
+
+        let trailing = &ops[prefix_len..];
+        let mut readers = vec![Vec::new(); rail_count];
+        let mut self_reading = Vec::with_capacity(trailing.len());
+        for (index, op) in trailing.iter().enumerate() {
+            let reads = read_rails(op, node_ports, reads_channels);
+            self_reading.push(write_rails(op, node_ports).iter().any(|r| reads.contains(r)));
+            for rail in reads {
+                readers[rail].push(index as u32);
+            }
+        }
+
+        core.tail = OpQueue::new(trailing.len());
+        CompiledPlan { ops, prefix_len, readers, self_reading }
     }
 
     /// Drives the channels to their fixed point for one cycle, counting its
     /// micro-op executions and dynamic evals on `core`. Returns `false` when
     /// the trailing segment fails to stabilise within the budget; the
-    /// engine then finds the oscillating nodes in `core.oscillating` and the
-    /// last wave's channels in `core.dirty`, exactly like the other
-    /// strategies.
-    pub(crate) fn settle(
+    /// engine then finds the op that overran and the ops still queued in
+    /// `core.oscillating`, and the channels of the last execution in
+    /// `core.dirty`, exactly like the event-driven worklist.
+    pub(crate) fn settle<R: EngineRail>(
         &self,
-        core: &mut EngineCore<bool>,
-        channels: &mut [ChannelState],
+        core: &mut EngineCore<R>,
+        channels: &mut R::Channels,
     ) -> bool {
         let (prefix, trailing) = self.ops.split_at(self.prefix_len);
         core.dirty.clear();
@@ -187,26 +212,49 @@ impl CompiledPlan {
             exec(op, core, channels, false);
         }
         core.settle_iterations += prefix.len() as u64;
-        if trailing.is_empty() {
-            return true;
-        }
-        for _ in 0..core.settle_budget() {
-            core.settle_iterations += trailing.len() as u64;
+
+        (0..trailing.len()).for_each(|index| core.tail.push(index));
+        let cap = core.settle_budget() * trailing.len();
+        let mut executions = 0;
+        while let Some(index) = core.tail.pop() {
+            let op = &trailing[index];
+            core.settle_iterations += 1;
+            executions += 1;
+            if executions > cap {
+                core.oscillating.clear();
+                core.oscillating.push(op.node());
+                while let Some(pending) = core.tail.pop() {
+                    core.oscillating.push(trailing[pending].node());
+                }
+                return false;
+            }
             core.dirty.clear();
-            core.oscillating.clear();
-            let mut changed = false;
-            for op in trailing {
-                if exec(op, core, channels, true) {
-                    changed = true;
-                    core.oscillating.push(op.node());
+            if exec(op, core, channels, true) {
+                self.wake(index, op, core);
+            }
+        }
+        true
+    }
+
+    /// Queues the trailing ops reading the rail groups trailing op `index`
+    /// just changed — the groups of `core.dirty`'s channels on its side.
+    fn wake<R: EngineRail>(&self, index: usize, op: &MicroOp, core: &mut EngineCore<R>) {
+        let groups: &[usize] = match op.forward() {
+            Some(true) => &[FWD],
+            Some(false) => &[BWD],
+            None => &[FWD, BWD],
+        };
+        for &channel in &core.dirty {
+            for &group in groups {
+                for &reader in &self.readers[channel * 2 + group] {
+                    // A dynamic eval's groups are approximate: it re-runs
+                    // itself only when it reads a group it writes.
+                    if reader as usize != index || self.self_reading[index] {
+                        core.tail.push(reader as usize);
+                    }
                 }
             }
-            if !changed {
-                core.oscillating.clear();
-                return true;
-            }
         }
-        false
     }
 }
 
@@ -216,11 +264,10 @@ impl CompiledPlan {
 /// trailing segment in original op order.
 fn schedule(
     ops: Vec<MicroOp>,
-    node_ports: &[(Vec<usize>, Vec<usize>)],
+    node_ports: &[Ports],
     reads_channels: &[bool],
-    channel_widths: &[u8],
+    rail_count: usize,
 ) -> (Vec<MicroOp>, usize) {
-    let rail_count = channel_widths.len() * 2;
     let mut writer = vec![usize::MAX; rail_count];
     for (index, op) in ops.iter().enumerate() {
         for r in write_rails(op, node_ports) {
@@ -278,7 +325,7 @@ fn schedule(
 }
 
 /// Rail groups written by an op (the rails its node owns, split by group).
-fn write_rails(op: &MicroOp, node_ports: &[(Vec<usize>, Vec<usize>)]) -> Vec<usize> {
+fn write_rails(op: &MicroOp, node_ports: &[Ports]) -> Vec<usize> {
     let (inputs, outputs) = &node_ports[op.node() as usize];
     match op.forward() {
         None => rails(outputs, FWD).chain(rails(inputs, BWD)).collect(),
@@ -288,11 +335,7 @@ fn write_rails(op: &MicroOp, node_ports: &[(Vec<usize>, Vec<usize>)]) -> Vec<usi
 }
 
 /// Rail groups an op's equations read.
-fn read_rails(
-    op: &MicroOp,
-    node_ports: &[(Vec<usize>, Vec<usize>)],
-    reads_channels: &[bool],
-) -> Vec<usize> {
+fn read_rails(op: &MicroOp, node_ports: &[Ports], reads_channels: &[bool]) -> Vec<usize> {
     let node = op.node() as usize;
     let (inputs, outputs) = &node_ports[node];
     match op {
@@ -311,39 +354,40 @@ fn read_rails(
 }
 
 /// Executes one micro-op on a view of its node's ports. With `track` set
-/// (the trailing sweeps) every changed channel is pushed onto `core.dirty`,
-/// the convergence witness, and the return value says whether any signal
-/// changed; prefix ops run untracked and return `false`.
+/// (the trailing segment) every changed channel is pushed onto
+/// `core.dirty`, and the return value says whether any signal changed;
+/// prefix ops run untracked and return `false`.
 #[inline]
-fn exec(
+fn exec<R: EngineRail>(
     op: &MicroOp,
-    core: &mut EngineCore<bool>,
-    channels: &mut [ChannelState],
+    core: &mut EngineCore<R>,
+    channels: &mut R::Channels,
     track: bool,
 ) -> bool {
     let node = op.node() as usize;
     let before = core.dirty.len();
-    let (inputs, outputs) = &core.node_ports[node];
     let dirty = track.then_some(&mut core.dirty);
-    let io = &mut NodeIo::masked(channels, inputs, outputs, &core.channel_widths, dirty);
-    let controllers = &core.controllers;
+    let mut view = R::io(channels, &core.node_ports[node], &core.channel_widths, dirty);
+    let (io, controllers) = (&mut view, &core.controllers);
     match op {
         MicroOp::Eval { .. } => {
             controllers[node].eval(io, false);
             core.controller_evals += 1;
         }
-        MicroOp::FnFwd { .. } => concrete::<FunctionBlock<bool>>(controllers, node).forward(io),
-        MicroOp::FnBwd { .. } => concrete::<FunctionBlock<bool>>(controllers, node).backward(io),
+        MicroOp::FnFwd { .. } => concrete::<FunctionBlock<R>, R>(controllers, node).forward(io),
+        MicroOp::FnBwd { .. } => concrete::<FunctionBlock<R>, R>(controllers, node).backward(io),
         MicroOp::ZbFwd { .. } => {
-            concrete::<ZeroBackwardBuffer<bool>>(controllers, node).forward(io)
+            concrete::<ZeroBackwardBuffer<R>, R>(controllers, node).forward(io)
         }
         MicroOp::ZbBwd { .. } => {
-            concrete::<ZeroBackwardBuffer<bool>>(controllers, node).backward(io)
+            concrete::<ZeroBackwardBuffer<R>, R>(controllers, node).backward(io)
         }
-        MicroOp::ForkFwd { .. } => concrete::<EagerFork<bool>>(controllers, node).forward(io),
-        MicroOp::ForkBwd { .. } => concrete::<EagerFork<bool>>(controllers, node).backward(io),
-        MicroOp::MuxFwd { .. } => concrete::<MuxController<bool>>(controllers, node).forward(io),
-        MicroOp::MuxBwd { .. } => concrete::<MuxController<bool>>(controllers, node).backward(io),
+        MicroOp::ForkFwd { .. } => concrete::<EagerFork<R>, R>(controllers, node).forward(io),
+        MicroOp::ForkBwd { .. } => concrete::<EagerFork<R>, R>(controllers, node).backward(io),
+        MicroOp::MuxFwd { .. } => concrete::<MuxController<R>, R>(controllers, node).forward(io),
+        MicroOp::MuxBwd { .. } => concrete::<MuxController<R>, R>(controllers, node).backward(io),
     }
+    // The view borrows `core.dirty`; release it before counting.
+    drop(view);
     core.dirty.len() > before
 }

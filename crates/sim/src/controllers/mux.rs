@@ -49,8 +49,9 @@ struct Gather<R: Rail> {
 }
 
 impl<R: Rail> Gather<R> {
-    /// Re-reads the select column and gathers each lane's chosen data.
-    fn refresh(&mut self, io: &impl HandshakeIo<Rail = R>) {
+    /// Re-reads the select column and, with `data` set, gathers each lane's
+    /// chosen data; only the forward equation drives it.
+    fn refresh(&mut self, io: &impl HandshakeIo<Rail = R>, data: bool) {
         self.selected.fill(R::LOW);
         let inputs = self.selected.len();
         for (lane, &select) in io.input_data(SELECT).iter().enumerate() {
@@ -58,7 +59,9 @@ impl<R: Rail> Gather<R> {
             let select = select as usize;
             let chosen = if select < inputs { select } else { select % inputs };
             self.selected[chosen] = self.selected[chosen] | R::lane(lane);
-            self.data[lane] = io.input_data(1 + chosen)[lane];
+            if data {
+                self.data[lane] = io.input_data(1 + chosen)[lane];
+            }
         }
     }
 }
@@ -82,7 +85,7 @@ impl<R: Rail> MuxController<R> {
     /// select and owed anti-tokens.
     fn equations<P: HandshakeIo<Rail = R>>(&self, io: &mut P, forward: bool, backward: bool) {
         let mut gather = self.gather.borrow_mut();
-        gather.refresh(io);
+        gather.refresh(io, forward);
         let (early, selected, clean) = (self.spec.early_eval, &gather.selected, &self.clean);
         if forward {
             mux_forward(io, early, |j| selected[j], |j| clean[j], gather.data.as_ref());
@@ -114,7 +117,7 @@ impl<R: Rail> Controller<R> for MuxController<R> {
             return;
         }
         let gather = self.gather.get_mut();
-        gather.refresh(io);
+        gather.refresh(io, false);
         let fired = io.output_valid(OUT) & !io.output_stop(OUT) & io.input_valid(SELECT);
         for input in 0..self.spec.data_inputs {
             // A firing owes every non-selected input an anti-token; one is

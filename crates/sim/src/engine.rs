@@ -12,12 +12,12 @@
 //! [`Simulation`] and the 64-lane [`crate::LaneSimulation`] run on one
 //! private engine core over the same [`Controller`] trait, at the `bool`
 //! and the `u64` rail: the dense topology and ranks, the event-driven
-//! settle with its optimistic pass, the settle budget, the oscillation
-//! witness, override lookup, the clock edge and report assembly from each
-//! controller's [`crate::controller::NodeReport`] are written once.
-//! `Simulation` keeps its [`ChannelState`] storage, fault injection,
-//! monitors, the deadline, the [`SettleStrategy::FullSweep`] oracle and the
-//! compiled plan.
+//! settle with its optimistic pass, the dispatch to the compiled plan, the
+//! settle budget, the oscillation witness, override lookup, the clock edge
+//! and report assembly from each controller's
+//! [`crate::controller::NodeReport`] are written once. `Simulation` keeps
+//! its [`ChannelState`] storage, fault injection, monitors, the deadline,
+//! the [`SettleStrategy::FullSweep`] oracle and the choice of strategy.
 //!
 //! # The event-driven settle phase
 //!
@@ -27,8 +27,9 @@
 //! * at build time the engine derives, for every channel, which controllers
 //!   observe it (both endpoints — consumers read `V+`/data/`S-`, producers
 //!   read `S+`/`V-`), and a **static evaluation rank**: a topological order
-//!   over the zero-delay control dependency graph in which fully registered
-//!   controllers (standard elastic buffers, sources, sinks — see
+//!   over the zero-delay dataflow graph, in which a controller that reads
+//!   channels is ranked after the producer of each of its inputs and fully
+//!   registered controllers (standard elastic buffers, sources, sinks — see
 //!   [`Controller::eval_reads_channels`]) cut the edges;
 //! * each cycle, every controller is seeded into a rank-ordered worklist
 //!   once. Controllers are popped in rank order; every signal write is
@@ -37,13 +38,11 @@
 //!   channels). The phase ends when the worklist drains — no full-vector
 //!   snapshot, no `Vec<ChannelState>` clone, no re-evaluation of unaffected
 //!   controllers;
-//! * regions whose combinational nodes are fed by registered controllers
-//!   settle in a single pass (the rank graph is node-granular, so mutually
-//!   observing neighbours — e.g. a function-block chain, where `V+` flows
-//!   forward while `S+` flows backward — share one trailing rank and settle
-//!   by a couple of re-wake waves instead), and the total work per cycle is
-//!   proportional to the number of signal *changes*, not to
-//!   `iterations × nodes`.
+//! * valids and data settle in one rank-ordered pass; a stop or kill that
+//!   a consumer raises wakes its producer against the ranks, and only
+//!   controllers on a combinational dataflow ring share the trailing rank
+//!   and settle by re-wake waves. The total work per cycle is proportional
+//!   to the number of signal *changes*, not to `iterations × nodes`.
 //!
 //! A per-cycle evaluation budget (see [`Simulation::settle_budget`]) remains
 //! as a safety valve: if the signals fail to settle, the netlist contains a
@@ -106,15 +105,17 @@ pub enum SettleStrategy {
     /// Compiled plan: the netlist is lowered once into a topologically
     /// ordered sequence of fused, monomorphic micro-ops (see the
     /// `compiled` module); the acyclic part of the control network settles
-    /// in one straight-line pass with no dynamic dispatch and no worklist.
-    /// Netlists with optimistic controllers (lazy forks) transparently fall
-    /// back to [`SettleStrategy::EventDriven`], which implements the
-    /// two-pass seeding they need.
+    /// in one straight-line pass with no dynamic dispatch and no worklist,
+    /// and the ops on or behind rail cycles settle by an op-level worklist.
+    /// The 64-lane [`crate::LaneSimulation`] always settles on this plan
+    /// when it can. Netlists with optimistic controllers (lazy forks)
+    /// transparently fall back to [`SettleStrategy::EventDriven`], which
+    /// implements the two-pass seeding they need.
     ///
     /// Effort counters under this strategy:
     /// [`SimulationReport::settle_iterations`] counts **micro-op
-    /// executions** (each scheduled op once per cycle, plus once per
-    /// trailing sweep), and [`SimulationReport::controller_evals`] counts
+    /// executions** (each scheduled op once per cycle, plus every re-run
+    /// of a trailing op), and [`SimulationReport::controller_evals`] counts
     /// only the remaining *dynamic* [`Controller::eval`] calls (registered
     /// controllers and unspecialized kinds) — fused ops evaluate no
     /// controller at all.
@@ -298,7 +299,7 @@ impl Simulation {
     /// simulator cannot model.
     pub fn new(netlist: &Netlist, config: &SimConfig) -> Result<Self, SimError> {
         CONSTRUCTIONS.fetch_add(1, Ordering::Relaxed);
-        let core = EngineCore::build(netlist)?;
+        let mut core = EngineCore::build(netlist)?;
 
         // Lower the netlist to the fused micro-op plan only when the compiled
         // strategy will actually use it: optimistic controllers (lazy forks)
@@ -306,14 +307,7 @@ impl Simulation {
         // run uncompiled.
         let compiled = (config.settle == SettleStrategy::Compiled
             && core.optimistic_nodes.is_empty())
-        .then(|| {
-            Box::new(CompiledPlan::build(
-                netlist,
-                &core.node_ports,
-                &core.reads_channels,
-                &core.channel_widths,
-            ))
-        });
+        .then(|| Box::new(CompiledPlan::build(netlist, &mut core)));
 
         Ok(Simulation {
             config: config.clone(),
@@ -477,19 +471,6 @@ impl Simulation {
         false
     }
 
-    /// Compiled settle: run the lowered micro-op plan (see
-    /// [`crate::compiled`]) — straight-line prefix once, trailing segment by
-    /// budget-capped sweeps. Netlists that could not be planned (optimistic
-    /// controllers present) settle event-driven instead; the strategy is
-    /// then an alias with identical results. Returns `false` when the
-    /// trailing segment fails to stabilise (combinational loop).
-    fn settle_compiled(&mut self) -> bool {
-        match &self.compiled {
-            Some(plan) => plan.settle(&mut self.core, &mut self.channels),
-            None => self.core.settle_event_driven(&mut self.channels),
-        }
-    }
-
     /// Reference settle: Jacobi iteration in node order (the pre-worklist
     /// engine behaviour), with the same optimistic seeding pass as the
     /// event-driven engine when lazy forks are present — node-order sweeps
@@ -517,7 +498,9 @@ impl Simulation {
         let settled = match self.config.settle {
             SettleStrategy::EventDriven => self.core.settle_event_driven(&mut self.channels),
             SettleStrategy::FullSweep => self.settle_full_sweep(),
-            SettleStrategy::Compiled => self.settle_compiled(),
+            SettleStrategy::Compiled => {
+                self.core.settle(self.compiled.as_deref(), &mut self.channels)
+            }
         };
         if !settled {
             return Err(self.core.combinational_loop());

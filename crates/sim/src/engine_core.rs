@@ -15,6 +15,8 @@
 //!   static evaluation ranks;
 //! * the event-driven settle: rank-ordered seeding, the worklist drain with
 //!   its wake rule, and the optimistic pass for lazy forks;
+//! * the dispatch to the [`CompiledPlan`] when the engine has one, and the
+//!   queue its trailing segment settles with;
 //! * the settle budget and the [`OscillationWitness`] when it runs out;
 //! * override lookup for the `reset_with_*` family, the clock edge, the
 //!   cycle and effort counters, and report assembly from each controller's
@@ -25,10 +27,11 @@
 //!
 //! [`ChannelState`]: crate::signal::ChannelState
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use elastic_core::{Channel, ChannelId, Netlist, NodeId, Port};
 
+use crate::compiled::CompiledPlan;
 use crate::controller::{Controller, NodeReport};
 use crate::controllers::build_controller;
 use crate::engine::{OscillationWitness, SimError};
@@ -58,11 +61,11 @@ pub(crate) trait EngineRail: Rail {
 /// A rank-ordered worklist of controller indices with O(1) dedupe.
 ///
 /// Controllers are bucketed by their static evaluation rank; `pop` always
-/// returns a controller of the lowest dirty rank, so rank-ordered regions
-/// are evaluated producers-before-consumers. A signal change travelling
-/// against the ranks (or within the shared trailing rank of mutually
-/// observing controllers) simply moves the cursor back to the affected
-/// bucket and settles by re-wake waves.
+/// returns a controller of the lowest dirty rank, so valids and data are
+/// evaluated producers-before-consumers. A signal change travelling
+/// against the ranks (a stop or kill waking a producer, or a change within
+/// the shared trailing rank of a combinational ring) simply moves the
+/// cursor back to the affected bucket and settles by re-wake waves.
 #[derive(Debug)]
 struct Worklist {
     buckets: Vec<Vec<u32>>,
@@ -104,6 +107,36 @@ impl Worklist {
     }
 }
 
+/// A first-in first-out queue of op indices with O(1) dedupe: the queue
+/// the compiled plan's trailing segment settles with.
+#[derive(Debug, Default)]
+pub(crate) struct OpQueue {
+    queue: VecDeque<u32>,
+    queued: Vec<bool>,
+}
+
+impl OpQueue {
+    /// An empty queue over `ops` op indices.
+    pub(crate) fn new(ops: usize) -> Self {
+        OpQueue { queue: VecDeque::with_capacity(ops), queued: vec![false; ops] }
+    }
+
+    /// Queues `op` unless it is already queued.
+    pub(crate) fn push(&mut self, op: usize) {
+        if !self.queued[op] {
+            self.queued[op] = true;
+            self.queue.push_back(op as u32);
+        }
+    }
+
+    /// The longest-queued op.
+    pub(crate) fn pop(&mut self) -> Option<usize> {
+        let op = self.queue.pop_front()? as usize;
+        self.queued[op] = false;
+        Some(op)
+    }
+}
+
 /// The netlist-derived state and settle machinery both engines share.
 pub(crate) struct EngineCore<R: Rail> {
     pub(crate) controllers: Vec<Box<dyn Controller<R>>>,
@@ -130,6 +163,9 @@ pub(crate) struct EngineCore<R: Rail> {
     /// Controller indices grouped by rank — the per-cycle seed layout.
     seed_buckets: Vec<Vec<u32>>,
     worklist: Worklist,
+    /// The compiled plan's trailing-segment queue, sized by
+    /// [`CompiledPlan::build`]; empty when the engine has no plan.
+    pub(crate) tail: OpQueue,
     /// Scratch buffer receiving the channels dirtied by one eval.
     pub(crate) dirty: Vec<usize>,
     /// Controllers still queued (event-driven) or still changing (full
@@ -138,7 +174,7 @@ pub(crate) struct EngineCore<R: Rail> {
     pub(crate) oscillating: Vec<u32>,
     pub(crate) cycle: u64,
     /// Total settle iterations: worklist pops (event-driven), full sweeps
-    /// (reference) or micro-op executions (compiled), over all cycles.
+    /// (reference) or micro-op executions (compiled plan), over all cycles.
     pub(crate) settle_iterations: u64,
     /// Total controller evaluations over all cycles.
     pub(crate) controller_evals: u64,
@@ -197,13 +233,8 @@ impl<R: EngineRail> EngineCore<R> {
             .filter(|(_, c)| c.is_optimistic())
             .map(|(index, _)| index as u32)
             .collect();
-        let rank = evaluation_ranks(
-            controllers.len(),
-            &node_ports,
-            &channel_producer,
-            &channel_consumer,
-            &reads_channels,
-        );
+        let rank =
+            evaluation_ranks(controllers.len(), &node_ports, &channel_producer, &reads_channels);
         let rank_count = rank.iter().map(|&r| r as usize + 1).max().unwrap_or(1);
         let mut seed_buckets = vec![Vec::new(); rank_count];
         for (node, &node_rank) in rank.iter().enumerate() {
@@ -224,6 +255,7 @@ impl<R: EngineRail> EngineCore<R> {
             optimistic_nodes,
             rank,
             seed_buckets,
+            tail: OpQueue::default(),
             dirty: Vec::new(),
             oscillating: Vec::new(),
             cycle: 0,
@@ -385,6 +417,20 @@ impl<R: EngineRail> EngineCore<R> {
         self.drain_worklist(channels, false, &mut evals_this_cycle, eval_cap)
     }
 
+    /// Settles one cycle on `plan` when the engine has one, event-driven
+    /// otherwise. Returns `false` when the budget is exhausted
+    /// (combinational loop).
+    pub(crate) fn settle(
+        &mut self,
+        plan: Option<&CompiledPlan>,
+        channels: &mut R::Channels,
+    ) -> bool {
+        match plan {
+            Some(plan) => plan.settle(self, channels),
+            None => self.settle_event_driven(channels),
+        }
+    }
+
     /// Builds the [`OscillationWitness`] from the controllers collected by
     /// the failing settle pass and the channels of the final evaluation.
     fn oscillation_witness(&self) -> OscillationWitness {
@@ -446,33 +492,32 @@ impl<R: EngineRail> EngineCore<R> {
 }
 
 /// Computes the static evaluation rank of every controller: a topological
-/// order over the zero-delay control dependency graph.
+/// order over the zero-delay dataflow graph.
 ///
-/// There is an edge `a → b` for every channel between `a` and `b` whose
-/// signals `b`'s `eval` observes (`reads_channels[b]`); controllers whose
-/// `eval` reads nothing have no incoming edges and thereby cut every control
-/// loop that crosses a registered boundary. Controllers caught in genuinely
-/// combinational cycles are assigned one shared trailing rank — the worklist
-/// still settles them by iteration (or hits the budget and reports the loop).
+/// A controller whose `eval` reads channels (`reads_channels`) has one edge
+/// from the producer of each of its input channels, and no other edges:
+/// valids and data flow from producer to consumer, so a rank-ordered pass
+/// evaluates every consumer after its inputs' producers. Stops and kills
+/// flow the other way; a consumer that changes one wakes the producer
+/// through the worklist, against the ranks. Controllers whose `eval` reads
+/// nothing have no incoming edges and thereby cut every loop that crosses
+/// a registered boundary. Controllers on a combinational dataflow ring are
+/// assigned one shared trailing rank — the worklist still settles them by
+/// iteration (or hits the budget and reports the loop).
 fn evaluation_ranks(
     node_count: usize,
     node_ports: &[Ports],
     channel_producer: &[u32],
-    channel_consumer: &[u32],
     reads_channels: &[bool],
 ) -> Vec<u32> {
-    // Successor lists and in-degrees of the dependency graph.
+    // Successor lists and in-degrees of the dataflow graph.
     let mut successors: Vec<Vec<u32>> = vec![Vec::new(); node_count];
     let mut in_degree: Vec<u32> = vec![0; node_count];
-    for (node, (inputs, outputs)) in node_ports.iter().enumerate() {
+    for (node, (inputs, _)) in node_ports.iter().enumerate() {
         if !reads_channels[node] {
             continue;
         }
-        // `node` observes all of its attached channels: the other endpoint of
-        // each must be evaluated first.
-        let producers = inputs.iter().map(|&channel| channel_producer[channel]);
-        let consumers = outputs.iter().map(|&channel| channel_consumer[channel]);
-        for from in producers.chain(consumers).map(|from| from as usize) {
+        for from in inputs.iter().map(|&channel| channel_producer[channel] as usize) {
             if from != node {
                 successors[from].push(node as u32);
                 in_degree[node] += 1;
@@ -482,7 +527,7 @@ fn evaluation_ranks(
 
     // Kahn's algorithm, longest-path ranks; node order keeps it deterministic.
     let mut rank = vec![0u32; node_count];
-    let mut ready: std::collections::VecDeque<u32> =
+    let mut ready: VecDeque<u32> =
         (0..node_count as u32).filter(|&n| in_degree[n as usize] == 0).collect();
     let mut max_rank = 0u32;
     while let Some(node) = ready.pop_front() {
@@ -496,7 +541,7 @@ fn evaluation_ranks(
             }
         }
     }
-    // Combinational cycles: everything not topologically ordered shares the
+    // Combinational rings: everything not topologically ordered shares the
     // trailing rank.
     for (node, degree) in in_degree.iter().enumerate() {
         if *degree > 0 {

@@ -10,13 +10,18 @@
 //! Layout:
 //!
 //! * [`LaneSimulation`] runs on the same private engine core as
-//!   [`crate::Simulation`]: dense channel indexing, topological ranks, the
-//!   rank-bucketed worklist with its optimistic two-pass for lazy forks,
-//!   the settle budget and oscillation witness, override lookup, the clock
+//!   [`crate::Simulation`]: dense channel indexing, the settle paths, the
+//!   settle budget and oscillation witness, override lookup, the clock
 //!   edge and report assembly (from [`Controller::report`]) are the same
-//!   code. Compare-and-set dirty tracking is word-wide: a channel re-enters
-//!   the worklist when *any* lane changed. The lane engine keeps the word
-//!   storage, the per-lane traces and the per-lane environments.
+//!   code. A netlist without optimistic controllers settles every step on
+//!   the compiled plan (`compiled.rs`), the one the scalar `Compiled`
+//!   strategy runs, at the `u64` rail word: a straight-line
+//!   prefix in dataflow order and an op-level worklist for the ops on or
+//!   behind rail cycles. A netlist with lazy forks settles on the
+//!   rank-bucketed event-driven worklist with its optimistic two-pass.
+//!   Compare-and-set dirty tracking is word-wide: a channel re-enters
+//!   either worklist when *any* lane changed. The lane engine keeps the
+//!   word storage, the per-lane traces and the per-lane environments.
 //! * Rails are stored structure-of-arrays: `Vec<u64>` per rail, one word
 //!   per channel. Data is a lane-major column per channel
 //!   (`data[channel * LANES + lane]`) touched only by the ops that consume
@@ -37,10 +42,10 @@
 //!
 //! The correctness contract is **lane-0 bit-identity**: a lane simulation
 //! whose lanes all see the same environment must produce, in every lane,
-//! exactly the trace and report of the scalar `EventDriven` engine. The
-//! `engine_equivalence` suite and the `ELASTIC_FUZZ_LANES` differential
-//! fuzz leg pin this the same way the FullSweep oracle pinned the PR-1
-//! engine swap.
+//! exactly the trace and report of the scalar `EventDriven` engine (effort
+//! counters aside). The `engine_equivalence` suite and the
+//! `ELASTIC_FUZZ_LANES` differential fuzz leg pin this the same way the
+//! FullSweep oracle pinned the event-driven engine.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,6 +54,7 @@ use elastic_core::kind::{BackpressurePattern, SourcePattern};
 use elastic_core::{Netlist, NodeId};
 use elastic_datapath::adder::mask;
 
+use crate::compiled::CompiledPlan;
 use crate::controller::Controller;
 use crate::engine::SimError;
 use crate::engine_core::{EngineCore, EngineRail, Ports};
@@ -284,9 +290,12 @@ impl EngineRail for u64 {
 /// A cycle-accurate SELF simulation advancing [`LANES`] independent
 /// scenarios per word operation.
 ///
-/// The settle algorithm, evaluation ranks, worklist, budget, oscillation
-/// reporting and report assembly are the scalar [`crate::Simulation`]'s —
-/// both engines run on the same engine core. This engine keeps the lane
+/// The settle paths, budget, oscillation reporting and report assembly are
+/// the scalar [`crate::Simulation`]'s — both engines run on the same engine
+/// core. A netlist without optimistic controllers settles on the compiled
+/// plan (what the scalar engine runs under `SettleStrategy::Compiled`); one
+/// with lazy forks settles on the event-driven worklist (the scalar
+/// default). This engine keeps the lane
 /// word storage, the per-lane traces and the per-lane environments: sink
 /// back-pressure and source offer patterns vary per lane, and
 /// shared-module schedulers inject lane-blocked (one freshly built
@@ -298,6 +307,11 @@ pub struct LaneSimulation {
     config: LaneConfig,
     core: EngineCore<u64>,
     channels: LaneChannels,
+    /// The plan every step settles on; `None` when the netlist has
+    /// optimistic controllers, which settle event-driven.
+    plan: Option<Box<CompiledPlan>>,
+    /// One trace per lane when recording; otherwise the one empty trace
+    /// every lane reports.
     traces: Vec<Trace>,
     state_scratch: Vec<ChannelState>,
 }
@@ -322,15 +336,20 @@ impl LaneSimulation {
     /// simulator cannot model — the same conditions as
     /// [`crate::Simulation::new`].
     pub fn new(netlist: &Netlist, config: &LaneConfig) -> Result<Self, SimError> {
-        let channel_count = netlist.live_channels().count();
-        let core = EngineCore::build(netlist)?;
+        let mut core = EngineCore::build(netlist)?;
         LANE_CONSTRUCTIONS.fetch_add(1, Ordering::Relaxed);
+        let plan = core
+            .optimistic_nodes
+            .is_empty()
+            .then(|| Box::new(CompiledPlan::build(netlist, &mut core)));
+        let traces = if config.record_trace { LANES } else { 1 };
         Ok(LaneSimulation {
             config: config.clone(),
+            channels: LaneChannels::new(core.channel_count()),
+            plan,
+            traces: (0..traces).map(|_| Trace::new(netlist)).collect(),
+            state_scratch: vec![ChannelState::default(); core.channel_count()],
             core,
-            channels: LaneChannels::new(channel_count),
-            traces: (0..LANES).map(|_| Trace::new(netlist)).collect(),
-            state_scratch: vec![ChannelState::default(); channel_count],
         })
     }
 
@@ -348,14 +367,15 @@ impl LaneSimulation {
         LANE_CONSTRUCTIONS.load(Ordering::Relaxed)
     }
 
-    /// One lane's recorded trace (empty unless [`LaneConfig::record_trace`]
-    /// is set).
+    /// One lane's recorded trace (an empty trace over the netlist's
+    /// channels unless [`LaneConfig::record_trace`] is set).
     ///
     /// # Panics
     ///
     /// When `lane >= LANES`.
     pub fn trace(&self, lane: usize) -> &Trace {
-        &self.traces[lane]
+        assert!(lane < LANES, "lane {lane} out of range");
+        &self.traces[if self.config.record_trace { lane } else { 0 }]
     }
 
     /// The settled rail words of the last stepped cycle (all zero after a
@@ -463,7 +483,7 @@ impl LaneSimulation {
     /// to settle.
     pub fn step(&mut self) -> Result<(), SimError> {
         self.channels.clear();
-        if !self.core.settle_event_driven(&mut self.channels) {
+        if !self.core.settle(self.plan.as_deref(), &mut self.channels) {
             return Err(self.core.combinational_loop());
         }
         if self.config.record_trace {
@@ -487,16 +507,19 @@ impl LaneSimulation {
 
     /// One lane's accumulated report — field-for-field what the scalar
     /// engine's [`crate::Simulation::report`] returns for that lane's
-    /// scenario, except that `settle_iterations` / `controller_evals`
-    /// count **word** evaluations (shared across lanes).
+    /// scenario, except for the effort counters, which are shared across
+    /// lanes and count what the scalar engine counts on the same settle
+    /// path: on the compiled plan `settle_iterations` counts micro-op
+    /// executions and `controller_evals` the dynamic evals among them (as
+    /// under `SettleStrategy::Compiled`), on the event-driven worklist they
+    /// count worklist pops and word evaluations.
     ///
     /// # Panics
     ///
     /// When `lane >= LANES`.
     pub fn report(&self, lane: usize) -> SimulationReport {
-        assert!(lane < LANES, "lane {lane} out of range");
         SimulationReport {
-            trace_bytes: self.traces[lane].heap_bytes() as u64,
+            trace_bytes: self.trace(lane).heap_bytes() as u64,
             ..self.core.report(lane)
         }
     }
@@ -505,6 +528,75 @@ impl LaneSimulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{SettleStrategy, SimConfig, Simulation};
+    use elastic_core::kind::{BufferSpec, ForkSpec, SinkSpec, SourceSpec};
+    use elastic_core::library::deep_pipeline;
+    use elastic_core::Port;
+
+    /// src -> inc -> EB -> sink.
+    fn pipeline() -> Netlist {
+        deep_pipeline(1, BufferSpec::standard(0), BackpressurePattern::Never)
+    }
+
+    /// src -> lazy fork -> two sinks.
+    fn lazy_fork() -> Netlist {
+        let mut n = Netlist::new("lazy-fork");
+        let src = n.add_source("src", SourceSpec::always());
+        let fork = n.add_fork("fork", ForkSpec::lazy(2));
+        n.connect(Port::output(src, 0), Port::input(fork, 0), 8).unwrap();
+        for branch in 0..2 {
+            let sink = n.add_sink(format!("sink{branch}"), SinkSpec::always_ready());
+            n.connect(Port::output(fork, branch), Port::input(sink, 0), 8).unwrap();
+        }
+        n
+    }
+
+    /// `(settle_iterations, controller_evals)` of 10 cycles on the lane
+    /// engine and on the scalar engine under `settle`.
+    fn effort(netlist: &Netlist, settle: SettleStrategy) -> [(u64, u64); 2] {
+        let mut lanes = LaneSimulation::new(netlist, &LaneConfig::default()).unwrap();
+        lanes.run(10).unwrap();
+        let lane = lanes.report(0);
+        let config = SimConfig { settle, ..SimConfig::default() };
+        let scalar = Simulation::new(netlist, &config).unwrap().run(10).unwrap();
+        [
+            (lane.settle_iterations, lane.controller_evals),
+            (scalar.settle_iterations, scalar.controller_evals),
+        ]
+    }
+
+    #[test]
+    fn lanes_settle_on_the_plan_without_optimistic_controllers() {
+        let netlist = pipeline();
+        assert!(LaneSimulation::new(&netlist, &LaneConfig::default()).unwrap().plan.is_some());
+        // Five micro-ops per cycle, three of them the registered
+        // controllers' dynamic evals: what the scalar Compiled strategy
+        // counts, where the worklist would count four evals.
+        let [lanes, compiled] = effort(&netlist, SettleStrategy::Compiled);
+        assert_eq!(lanes, (10 * 5, 10 * 3));
+        assert_eq!(lanes, compiled);
+    }
+
+    #[test]
+    fn lanes_settle_a_lazy_fork_on_the_worklist() {
+        let netlist = lazy_fork();
+        assert!(LaneSimulation::new(&netlist, &LaneConfig::default()).unwrap().plan.is_none());
+        // Every worklist pop evaluates a controller, in both passes.
+        let [lanes, event_driven] = effort(&netlist, SettleStrategy::EventDriven);
+        assert_eq!(lanes.0, lanes.1);
+        assert_eq!(lanes, event_driven);
+    }
+
+    #[test]
+    fn lanes_without_recording_report_one_empty_trace() {
+        let netlist = pipeline();
+        let mut lanes = LaneSimulation::new(&netlist, &LaneConfig { record_trace: false }).unwrap();
+        lanes.run(10).unwrap();
+        for lane in [0, LANES - 1] {
+            assert_eq!(lanes.trace(lane), &Trace::new(&netlist), "lane {lane}");
+            assert_eq!(lanes.report(lane).trace_bytes, 0, "lane {lane}");
+        }
+    }
 
     #[test]
     fn for_each_lane_visits_set_bits_in_order() {

@@ -14,16 +14,20 @@
 //! cycle is simulated by driving the combinational controllers to a fixed
 //! point and then committing all sequential state at once.
 //!
-//! The fixed point is reached **event-driven**: controllers are seeded into a
-//! worklist ordered by a static topological rank of the zero-delay control
-//! dependency graph, every signal write is compare-and-set, and only the
-//! controllers observing a changed channel are re-evaluated (see
+//! The scalar engine reaches the fixed point **event-driven** by default:
+//! controllers are seeded into a worklist ordered by a static topological
+//! rank of the zero-delay dataflow graph (each controller after the
+//! producers of its inputs), every signal write is compare-and-set, and
+//! only the controllers observing a changed channel are re-evaluated (see
 //! [`engine`] for the algorithm and `README.md` for the design notes).
-//! Registered-fed regions settle in one pass, mutually observing chains in a
+//! Valids and data settle in one rank-ordered pass, stops and kills in a
 //! few re-wake waves; the per-cycle work is proportional to the number of
-//! signal changes, not `iterations × nodes`. The naive
-//! full-sweep engine survives as [`SettleStrategy::FullSweep`], the oracle of
-//! the engine-equivalence test suite.
+//! signal changes, not `iterations × nodes`. [`SettleStrategy::Compiled`]
+//! settles on a compiled plan of forward and backward ops in dataflow
+//! order, which the 64-lane engine settles on whenever the netlist has no
+//! lazy forks. The naive full-sweep engine survives as
+//! [`SettleStrategy::FullSweep`], the oracle of the engine-equivalence test
+//! suite.
 //!
 //! The SELF handshake equations (buffers, function blocks, forks, muxes,
 //! shared modules, commit stages) are written once, in [`handshake`],

@@ -374,6 +374,54 @@ fn per_lane_sink_environments_match_per_lane_scalar_runs() {
     }
 }
 
+#[test]
+fn trailing_segment_designs_match_every_scalar_strategy_lane_by_lane() {
+    // The speculative select loops of fig1d and fig7b put part of their
+    // compiled plans in the trailing segment (the emitted settle function
+    // relaxes it), which the scalar Compiled strategy and the lane engine
+    // settle by the op-level worklist. Under 64 distinct sink environments,
+    // every lane must equal the FullSweep oracle, the EventDriven engine
+    // and the Compiled strategy given that lane's environment.
+    let patterns: Vec<_> = (0..LANES).map(lane_pattern).collect();
+    let designs: Vec<_> = lane_designs()
+        .into_iter()
+        .filter(|(name, ..)| ["fig1d-speculation", "fig7b"].contains(&name.as_str()))
+        .collect();
+    assert_eq!(designs.len(), 2);
+    for (name, netlist, cycles) in designs {
+        let settle = elastic_sim::codegen::emit_settle_fn(&netlist, "settle").unwrap();
+        assert!(settle.contains("wires.relax("), "{name}: the plan has a trailing segment");
+        let sinks = sink_ids(&netlist);
+        let mut lane_sim = LaneSimulation::new(&netlist, &LaneConfig::default()).unwrap();
+        let overrides: Vec<_> = sinks.iter().map(|&sink| (sink, patterns.clone())).collect();
+        lane_sim.reset_with_lane_sink_patterns(&overrides);
+        lane_sim.run(cycles).unwrap();
+
+        for strategy in
+            [SettleStrategy::FullSweep, SettleStrategy::EventDriven, SettleStrategy::Compiled]
+        {
+            let config = SimConfig { settle: strategy, ..SimConfig::default() };
+            let mut scalar = Simulation::new(&netlist, &config).unwrap();
+            for lane in 0..LANES {
+                let scalar_overrides: Vec<_> =
+                    sinks.iter().map(|&sink| (sink, lane_pattern(lane))).collect();
+                scalar.reset_with_sink_patterns(&scalar_overrides);
+                let scalar_report = scalar.run(cycles).unwrap();
+                assert_eq!(
+                    lane_sim.trace(lane),
+                    scalar.trace(),
+                    "{name}: lane {lane} trace must match its {strategy:?} run"
+                );
+                assert_eq!(
+                    lane_sim.report(lane).behavioural_difference(&scalar_report),
+                    None,
+                    "{name}: lane {lane} report must match its {strategy:?} run"
+                );
+            }
+        }
+    }
+}
+
 /// Deterministic per-lane source offer pattern: six offer/withhold bits
 /// derived from the lane index (lane 0 keeps offering every cycle so the
 /// unperturbed environment stays in the block).

@@ -50,8 +50,8 @@ fn best_times(repeats: u32, runs: &mut [Box<dyn FnMut() + '_>]) -> Vec<f64> {
 
 /// One case's cycles/second: full sweep, event-driven and compiled scalar
 /// engines (`SettleStrategy::Compiled` lowers the netlist once into a fused
-/// micro-op plan and replays it with no worklist and no per-eval dispatch),
-/// and the aggregate scenario-cycles/second of the 64-lane engine.
+/// micro-op plan and replays it with no per-eval dispatch), and the
+/// aggregate scenario-cycles/second of the 64-lane engine.
 fn time_case(netlist: &Netlist, cycles: u64, repeats: u32) -> [f64; 4] {
     let scalar = |settle| -> Box<dyn FnMut() + '_> {
         let config = SimConfig { record_trace: false, settle };
@@ -352,9 +352,9 @@ fn main() {
              every controller per settle iteration, kept as the oracle), measured in the same \
              run; 'scalar' is the event-driven worklist engine; 'compiled' is the fused compiled \
              settle backend (SettleStrategy::Compiled: one monomorphic micro-op plan replayed \
-             per cycle, no worklist, no per-eval dispatch); 'lanes' is the 64-lane bit-parallel \
-             engine in aggregate scenario-cycles/second (cycles x 64 lanes / wall time), with \
-             every node kind running on lane words. The \
+             per cycle, no per-eval dispatch, an op-level worklist only behind rail cycles); \
+             'lanes' is the 64-lane bit-parallel engine in aggregate scenario-cycles/second \
+             (cycles x 64 lanes / wall time), settling on the same plan. The \
              environment_sweep case runs 2048 enumerated sink back-pressure scenarios through \
              sweep::parallel_map_with (one scenario per run) vs sweep::lane_map (64 scenarios \
              per lane block), transfer-checksum-verified to compute identical results.\",\n",
@@ -368,19 +368,18 @@ fn main() {
              handshake_control seed 1): fig7b's ceiling was SECDED evaluation, not dispatch — \
              encode, correct and syndrome each took 3-5.5 us per token \
              (datapath.secded_*_ns) with the quadratic parity loop and take 25-55 ns with \
-             the mask tables, which moved \
-             fig7b from 0.02x to 0.3-0.45x of fig1d's scalar cycles/s across runs (about 0.22x \
-             once fig1d's scalar cycles/s rose by a quarter when the shared module became a \
-             word controller). With the \
-             datapath cheap, the compiled plan's trailing Jacobi sweeps re-run every op of \
-             fig7b's 16-op rail-cycle segment (SECDED function blocks included) on every \
-             sweep, where the event-driven engine re-evaluates only woken controllers, and \
-             its fused ops call the shared handshake equations through a port view on the \
-             node's ports; together that puts compiled at 0.7-0.8x of scalar on both paper \
-             designs. The chain cases, whose settle time is fused rail work in an acyclic \
-             prefix, keep a ~2x gain over the worklist engine. For throughput on many \
-             scenarios the 64-lane engine stacks on top; engine_timing asserts each headline \
-             ratio at half its measured value.\",\n",
+             the mask tables. The compiled plan settles its trailing segment (the ops on or \
+             behind fig1d's and fig7b's speculative select loops, SECDED function blocks \
+             included) with an op-level worklist that re-runs only the trailing ops whose \
+             operand rails changed, and its fused ops call the shared handshake equations \
+             through a port view on the node's ports. The event-driven engine ranks each \
+             controller after the producers of its inputs only, which settles fig7b about 2x \
+             faster than ranking it after both neighbours did; that puts compiled at about \
+             0.7x of scalar on fig7b and 0.9-1.1x on fig1d. The chain cases, whose settle time \
+             is fused rail work in an acyclic prefix, keep a 1.1-1.5x gain over the worklist \
+             engine. The 64-lane engine settles on the same plan whenever the netlist has no \
+             lazy forks, and for throughput on many scenarios it stacks on top; \
+             engine_timing asserts each headline ratio at a floor.\",\n",
         );
         json.push_str("  \"cases\": {\n");
         // Every scalar case is followed by the generated_netlists and
