@@ -9,6 +9,11 @@
 //! assumption is wrong. The exact adders come in two flavours with identical
 //! function but different cost-model figures: a ripple-carry adder and a
 //! Kogge-Stone prefix adder (the 64-bit prefix adder of Section 5.2).
+//!
+//! The ripple-carry and carry-speculating adders model their hardware in
+//! cost only: they compute with native addition and masks in constant time,
+//! bit-exact against the bit-serial carry loop the tests keep as their
+//! oracle.
 
 /// Masks a value to `width` bits (`width <= 64`).
 #[inline]
@@ -20,24 +25,18 @@ pub fn mask(value: u64, width: u8) -> u64 {
     }
 }
 
-/// Exact addition of two `width`-bit operands, returning a `width + 1`-bit
-/// sum (the extra bit is the carry out).
+/// Exact addition of two `width`-bit operands (`width <= 64`), returning a
+/// `width + 1`-bit sum (the extra bit is the carry out). A 64-bit sum has no
+/// bit for its carry, which is ORed into bit 63.
 ///
-/// This models the ripple-carry adder: the result is computed bit by bit so
-/// the implementation doubles as a reference for the prefix adder below.
+/// This models the ripple-carry adder, and is the reference the prefix
+/// adder below is checked against.
 pub fn ripple_add(a: u64, b: u64, width: u8) -> u64 {
-    let a = mask(a, width);
-    let b = mask(b, width);
-    let mut carry = 0u64;
-    let mut sum = 0u64;
-    for bit in 0..width {
-        let ab = (a >> bit) & 1;
-        let bb = (b >> bit) & 1;
-        let s = ab ^ bb ^ carry;
-        carry = (ab & bb) | (ab & carry) | (bb & carry);
-        sum |= s << bit;
+    if width >= 64 {
+        let (sum, carry) = a.overflowing_add(b);
+        return sum | (u64::from(carry) << 63);
     }
-    sum | (carry << width.min(63))
+    mask(a, width) + mask(b, width)
 }
 
 /// Exact addition of two `width`-bit operands using a Kogge-Stone parallel
@@ -93,10 +92,10 @@ pub fn approx_add(a: u64, b: u64, width: u8, spec_bits: u8) -> u64 {
     }
     let a = mask(a, width);
     let b = mask(b, width);
-    let low = ripple_add(a, b, spec_bits);
-    let low_sum = mask(low, spec_bits);
-    let high_width = width - spec_bits;
-    let high = ripple_add(a >> spec_bits, b >> spec_bits, high_width);
+    // `spec_bits < width <= 64`: the low sum fits a word; its carry is the
+    // one speculated away.
+    let low_sum = mask(mask(a, spec_bits) + mask(b, spec_bits), spec_bits);
+    let high = ripple_add(a >> spec_bits, b >> spec_bits, width - spec_bits);
     low_sum | (high << spec_bits)
 }
 
@@ -108,15 +107,81 @@ pub fn approx_add_error(a: u64, b: u64, width: u8, spec_bits: u8) -> u64 {
     if spec_bits == width {
         return 0;
     }
-    let low = ripple_add(mask(a, width), mask(b, width), spec_bits);
-
-    (low >> spec_bits) & 1
+    // The carry out of the low part: bit `spec_bits` (< 64) of its sum.
+    ((mask(a, spec_bits) + mask(b, spec_bits)) >> spec_bits) & 1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use elastic_core::mix::splitmix64;
     use proptest::prelude::*;
+
+    /// The bit-serial ripple-carry loop the native adders replaced: the
+    /// oracle they are pinned against.
+    fn ripple_add_bits(a: u64, b: u64, width: u8) -> u64 {
+        let a = mask(a, width);
+        let b = mask(b, width);
+        let mut carry = 0u64;
+        let mut sum = 0u64;
+        for bit in 0..width {
+            let ab = (a >> bit) & 1;
+            let bb = (b >> bit) & 1;
+            let s = ab ^ bb ^ carry;
+            carry = (ab & bb) | (ab & carry) | (bb & carry);
+            sum |= s << bit;
+        }
+        sum | (carry << width.min(63))
+    }
+
+    /// [`approx_add`] on the bit-serial oracle.
+    fn approx_add_bits(a: u64, b: u64, width: u8, spec_bits: u8) -> u64 {
+        if spec_bits >= width {
+            return ripple_add_bits(a, b, width);
+        }
+        let (a, b) = (mask(a, width), mask(b, width));
+        let low_sum = mask(ripple_add_bits(a, b, spec_bits), spec_bits);
+        let high = ripple_add_bits(a >> spec_bits, b >> spec_bits, width - spec_bits);
+        low_sum | (high << spec_bits)
+    }
+
+    /// [`approx_add_error`] on the bit-serial oracle.
+    fn approx_add_error_bits(a: u64, b: u64, width: u8, spec_bits: u8) -> u64 {
+        let spec_bits = spec_bits.min(width);
+        if spec_bits == width {
+            return 0;
+        }
+        (ripple_add_bits(mask(a, width), mask(b, width), spec_bits) >> spec_bits) & 1
+    }
+
+    #[test]
+    fn native_adders_match_the_bit_serial_oracle_at_every_width_and_boundary() {
+        // Seeded operands plus the carry-chain corner cases, at every width
+        // 0..=64 and every boundary 0..=width + 2 (past the width included).
+        let mut operands = vec![(0, 0), (u64::MAX, u64::MAX), (u64::MAX, 1), (1 << 63, 1 << 63)];
+        operands.extend((0..24u64).map(|i| (splitmix64(2 * i), splitmix64(2 * i + 1))));
+        // Operands whose low bits all propagate, so a carry crosses each
+        // boundary.
+        operands.extend((0..64).map(|bit| ((1u64 << bit) - 1, 1)));
+        for width in 0..=64u8 {
+            for &(a, b) in &operands {
+                let exact = ripple_add_bits(a, b, width);
+                assert_eq!(ripple_add(a, b, width), exact, "ripple width {width} {a:#x}+{b:#x}");
+                for spec_bits in 0..=width + 2 {
+                    assert_eq!(
+                        approx_add(a, b, width, spec_bits),
+                        approx_add_bits(a, b, width, spec_bits),
+                        "approx width {width} spec {spec_bits} {a:#x}+{b:#x}"
+                    );
+                    assert_eq!(
+                        approx_add_error(a, b, width, spec_bits),
+                        approx_add_error_bits(a, b, width, spec_bits),
+                        "error width {width} spec {spec_bits} {a:#x}+{b:#x}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn width_mask_covers_the_edge_widths() {

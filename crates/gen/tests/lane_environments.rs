@@ -8,7 +8,11 @@
 //! `List`s of lengths 0–7, `Every(0..5)`, one period above the table bound,
 //! `Always`, `Never` and seeded `Random` patterns, on seeds 0–3 of the
 //! `default`, `loops` and `pipelines` presets. Every lane's trace and
-//! report must equal a scalar run given that lane's patterns.
+//! report must equal a scalar run given that lane's patterns. A second
+//! block on the same simulation then keeps a third of the lanes' patterns
+//! (random ones included), changes the others and broadcasts one pattern
+//! to every lane of the first source: the overrides refile only the lanes
+//! that changed, and every lane must still match its scalar run.
 
 use elastic_core::kind::{BackpressurePattern, NodeKind, SourcePattern};
 use elastic_core::mix::splitmix64;
@@ -67,8 +71,29 @@ fn endpoints(netlist: &Netlist, sink: bool) -> Vec<NodeId> {
         .collect()
 }
 
-fn assert_lanes_match_scalar_runs(name: &str, netlist: &Netlist) {
+/// Lane `lane`'s patterns of one block: `(sink pattern, source pattern)`
+/// per endpoint number.
+type Environment<'a> =
+    (&'a dyn Fn(usize, usize) -> BackpressurePattern, &'a dyn Fn(usize, usize) -> SourcePattern);
+
+/// Resets `lanes` with one block of `environment` (the first source's list
+/// holding one broadcast pattern when `broadcast`), runs it, and checks
+/// every lane against a scalar run given that lane's patterns.
+fn assert_block_matches_scalar_runs(
+    name: &str,
+    netlist: &Netlist,
+    lanes: &mut LaneSimulation,
+    (sink_pattern, source_pattern): Environment<'_>,
+    broadcast: bool,
+) {
     let (sinks, sources) = (endpoints(netlist, true), endpoints(netlist, false));
+    let source_pattern = |lane: usize, e: usize| {
+        if broadcast && e == 0 {
+            source_pattern(0, 0)
+        } else {
+            source_pattern(lane, e)
+        }
+    };
     let sink_overrides: Vec<(NodeId, Vec<BackpressurePattern>)> = sinks
         .iter()
         .enumerate()
@@ -77,9 +102,11 @@ fn assert_lanes_match_scalar_runs(name: &str, netlist: &Netlist) {
     let source_overrides: Vec<(NodeId, Vec<SourcePattern>)> = sources
         .iter()
         .enumerate()
-        .map(|(e, &source)| (source, (0..LANES).map(|lane| source_pattern(lane, e)).collect()))
+        .map(|(e, &source)| {
+            let lanes = if broadcast && e == 0 { 1 } else { LANES };
+            (source, (0..lanes).map(|lane| source_pattern(lane, e)).collect())
+        })
         .collect();
-    let mut lanes = LaneSimulation::new(netlist, &LaneConfig::default()).unwrap();
     // Both overrides persist across the reset the second call performs.
     lanes.reset_with_lane_sink_patterns(&sink_overrides);
     lanes.reset_with_lane_source_patterns(&source_overrides);
@@ -108,6 +135,36 @@ fn assert_lanes_match_scalar_runs(name: &str, netlist: &Netlist) {
     assert!(
         (1..LANES).any(|lane| lanes.trace(lane) != lanes.trace(0)),
         "{name}: distinct environments must make some lane's trace differ from lane 0's"
+    );
+}
+
+/// Lane `lane`'s pattern of the second block: the first block's for every
+/// third lane, another lane's first-block pattern for the others.
+fn rekeyed(lane: usize) -> usize {
+    if lane.is_multiple_of(3) {
+        lane
+    } else {
+        (lane + 5) % LANES
+    }
+}
+
+fn assert_lanes_match_scalar_runs(name: &str, netlist: &Netlist) {
+    let mut lanes = LaneSimulation::new(netlist, &LaneConfig::default()).unwrap();
+    assert_block_matches_scalar_runs(
+        name,
+        netlist,
+        &mut lanes,
+        (&sink_pattern, &source_pattern),
+        false,
+    );
+    let second: Environment<'_> =
+        (&|lane, e| sink_pattern(rekeyed(lane), e), &|lane, e| source_pattern(rekeyed(lane), e));
+    assert_block_matches_scalar_runs(
+        &format!("{name}, second block"),
+        netlist,
+        &mut lanes,
+        second,
+        true,
     );
 }
 

@@ -249,20 +249,23 @@ pub trait Controller<R: Rail = bool>: Debug + Any {
         true
     }
 
-    /// Replaces lane `lane`'s back-pressure pattern and restarts that
-    /// lane's pattern (sinks only — every other node kind returns `false`).
-    /// Engines call it right after a reset; the replacement persists, so
-    /// later resets restart the *new* pattern.
-    fn override_sink(&mut self, _lane: usize, _pattern: &BackpressurePattern) -> bool {
+    /// Replaces every lane's back-pressure pattern, lane `ℓ` taking
+    /// `patterns[min(ℓ, patterns.len() - 1)]` (so one pattern broadcasts to
+    /// every lane), and restarts the lanes whose pattern changed (sinks
+    /// only — every other node kind returns `false`). Engines call it right
+    /// after a reset, with a non-empty list, so a lane whose pattern is
+    /// unchanged is already at its start; the replacement persists, so later
+    /// resets restart the *new* patterns.
+    fn override_sink(&mut self, _patterns: &[BackpressurePattern]) -> bool {
         false
     }
 
-    /// Replaces lane `lane`'s offer pattern and restarts it (sources only —
-    /// every other node kind returns `false`). The data stream is kept:
-    /// only *when* tokens are offered changes, which is what the
-    /// environment-injection sweeps vary. Persistent, as for
-    /// [`Controller::override_sink`].
-    fn override_source(&mut self, _lane: usize, _pattern: &SourcePattern) -> bool {
+    /// Replaces every lane's offer pattern as [`Controller::override_sink`]
+    /// replaces back-pressure patterns (sources only — every other node kind
+    /// returns `false`). The data stream is kept: only *when* tokens are
+    /// offered changes, which is what the environment-injection sweeps
+    /// vary. Persistent, as for [`Controller::override_sink`].
+    fn override_source(&mut self, _patterns: &[SourcePattern]) -> bool {
         false
     }
 
@@ -315,10 +318,10 @@ mod tests {
         let mut block = crate::controllers::function::FunctionBlock::<bool>::new(spec, 8);
         assert_eq!(block.report(0), None);
         assert!(
-            !block.override_sink(0, &BackpressurePattern::Never),
+            !block.override_sink(&[BackpressurePattern::Never]),
             "only sinks support back-pressure overrides"
         );
-        assert!(!block.override_source(0, &SourcePattern::Always));
+        assert!(!block.override_source(&[SourcePattern::Always]));
         let scheduler = Box::new(elastic_core::scheduler::StaticScheduler::new(0));
         assert!(!block.override_scheduler(0, scheduler));
     }

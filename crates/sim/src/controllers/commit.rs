@@ -25,14 +25,16 @@
 //!
 //! The stage is generic over the rail word. To keep the two meanings of
 //! "lane" apart, the code calls a commit-stage lane a *user* and keeps
-//! `lane` for the rail lane. Each user's FIFO is a `TokenRing`; the
-//! clock edge keeps the occupancy words and the rings' head columns, which
-//! are all [`crate::handshake::commit_lane`] reads.
+//! `lane` for the rail lane. Each user's FIFO is a `TokenFifo` of slot
+//! columns, whose thermometer words are the occupancy words
+//! [`crate::handshake::commit_lane`] reads, so the clock edge moves tokens
+//! by word and column. Only the per-lane counters behind
+//! [`CommitStageStats`] visit lanes, the set lanes of the event words.
 
 use elastic_core::CommitSpec;
 
 use crate::controller::{Controller, NodeReport};
-use crate::controllers::buffer::TokenRing;
+use crate::controllers::buffer::TokenFifo;
 use crate::handshake::{commit_lane, HandshakeIo, Rail};
 use crate::metrics::CommitStageStats;
 
@@ -41,13 +43,12 @@ use crate::metrics::CommitStageStats;
 pub struct CommitStage<R: Rail> {
     depth: u32,
     /// Parked results per user, oldest first.
-    fifos: Vec<TokenRing<R>>,
-    /// Per user, the lanes whose FIFO holds a result.
-    occupied: Vec<R>,
-    /// Per user, the lanes whose FIFO is at its declared depth.
-    full: Vec<R>,
-    /// Each lane's commits, squashes and peak occupancy per user.
-    summary: R::PerLane<CommitStageStats>,
+    fifos: Vec<TokenFifo<R>>,
+    /// Commits, squashes and peak occupancy per rail lane and user,
+    /// lane-major: `commits[lane * users + user]`.
+    commits: Vec<u64>,
+    squashes: Vec<u64>,
+    peaks: Vec<u64>,
 }
 
 impl<R: Rail> CommitStage<R> {
@@ -56,10 +57,10 @@ impl<R: Rail> CommitStage<R> {
         let users = spec.lanes;
         let mut stage = CommitStage {
             depth: spec.depth,
-            fifos: (0..users).map(|_| TokenRing::new(spec.depth as usize)).collect(),
-            occupied: vec![R::LOW; users],
-            full: vec![R::LOW; users],
-            summary: R::per_lane(|_| CommitStageStats::default()),
+            fifos: (0..users).map(|_| TokenFifo::new(spec.depth as usize)).collect(),
+            commits: vec![0; users * R::LANES],
+            squashes: vec![0; users * R::LANES],
+            peaks: vec![0; users * R::LANES],
         };
         stage.reset();
         stage
@@ -68,47 +69,141 @@ impl<R: Rail> CommitStage<R> {
     /// Current occupancy of user lane `user` in rail lane `lane`
     /// (diagnostic).
     pub fn occupancy(&self, user: usize, lane: usize) -> usize {
-        self.fifos[user].len(lane) as usize
+        self.fifos[user].len(lane)
+    }
+
+    /// User `user`'s clock edge on the cycle's boundary events, one word
+    /// each: the consumer's anti-token accepted (`kill`), the offered result
+    /// taken (`transfer`), a result arrived, and an anti-token passing it at
+    /// the input (`cancel`); `data` is the input column.
+    fn clock(&mut self, user: usize, kill: R, transfer: R, arrived: R, cancel: R, data: &[u64]) {
+        let users = self.fifos.len();
+        let fifo = &mut self.fifos[user];
+        // Output boundary: the head result commits or is squashed.
+        let occupied = fifo.at_least(1);
+        let squashed = occupied & kill;
+        let committed = occupied & transfer & !squashed;
+        fifo.pop(squashed | committed);
+        // Input boundary: a freshly computed result parks — unless an
+        // anti-token was passing through, in which case the two cancel at
+        // the boundary and nothing is stored. A fault can push a result
+        // into a full lane; the FIFO grows rather than lose it.
+        let cancelled = arrived & cancel;
+        let parked = arrived & !cancelled;
+        fifo.push(parked, data);
+        for lane in committed.lanes() {
+            self.commits[lane * users + user] += 1;
+        }
+        for lane in squashed.lanes() {
+            self.squashes[lane * users + user] += 1;
+        }
+        for lane in cancelled.lanes() {
+            self.squashes[lane * users + user] += 1;
+        }
+        for lane in parked.lanes() {
+            let peak = &mut self.peaks[lane * users + user];
+            *peak = (*peak).max(fifo.len(lane) as u64);
+        }
     }
 }
 
 impl<R: Rail> Controller<R> for CommitStage<R> {
     fn eval(&self, io: &mut R::Io<'_>, _optimistic: bool) {
+        let depth = self.depth as usize;
         for (user, fifo) in self.fifos.iter().enumerate() {
-            commit_lane(io, user, self.occupied[user], self.full[user], fifo.front());
+            commit_lane(io, user, fifo.at_least(1), fifo.at_least(depth), fifo.front());
         }
     }
 
     fn commit(&mut self, io: &R::Io<'_>) {
         for user in 0..self.fifos.len() {
-            // Output boundary: the head result commits or is squashed.
-            let occupied = self.occupied[user];
-            let squashed = occupied & io.output_kill(user) & !io.output_anti_stop(user);
-            let committed = occupied & io.output_valid(user) & !io.output_stop(user) & !squashed;
-            // Input boundary: a freshly computed result parks — unless an
-            // anti-token was passing through, in which case the two cancel
-            // at the boundary and nothing is stored.
+            let kill = io.output_kill(user) & !io.output_anti_stop(user);
+            let transfer = io.output_valid(user) & !io.output_stop(user);
             let arrived = io.input_valid(user) & !io.input_stop(user);
-            let cancelled = arrived & io.input_kill(user) & !io.input_anti_stop(user);
-            let data = io.input_data(user);
+            let cancel = io.input_kill(user) & !io.input_anti_stop(user);
+            self.clock(user, kill, transfer, arrived, cancel, io.input_data(user));
+        }
+    }
+
+    fn reset(&mut self) {
+        for fifo in &mut self.fifos {
+            fifo.refill(0, 0);
+        }
+        self.commits.fill(0);
+        self.squashes.fill(0);
+        self.peaks.fill(0);
+    }
+
+    fn report(&self, lane: usize) -> Option<NodeReport<'_>> {
+        let users = self.fifos.len();
+        let row = |counts: &[u64]| counts[lane * users..][..users].to_vec();
+        Some(NodeReport::Commit(CommitStageStats {
+            depth: self.depth,
+            commits_per_lane: row(&self.commits),
+            squashes_per_lane: row(&self.squashes),
+            peak_occupancy_per_lane: row(&self.peaks),
+        }))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::controller::{Controller, NodeIo};
+    use crate::controllers::buffer::oracle::TokenRing;
+    use crate::signal::ChannelState;
+    use elastic_core::mix::splitmix64;
+
+    /// The stage as it was: a token ring per user and the counters, clocked
+    /// lane by lane.
+    struct RingStage<R: Rail> {
+        depth: u32,
+        fifos: Vec<TokenRing<R>>,
+        occupied: Vec<R>,
+        full: Vec<R>,
+        /// `[commits, squashes, peaks][lane][user]`.
+        counts: [Vec<Vec<u64>>; 3],
+    }
+
+    impl<R: Rail> RingStage<R> {
+        fn new(users: usize, depth: u32) -> Self {
+            RingStage {
+                depth,
+                fifos: (0..users).map(|_| TokenRing::new(depth as usize)).collect(),
+                occupied: vec![R::LOW; users],
+                full: vec![R::LOW; users],
+                counts: std::array::from_fn(|_| vec![vec![0; users]; R::LANES]),
+            }
+        }
+
+        fn clock(
+            &mut self,
+            user: usize,
+            kill: R,
+            transfer: R,
+            arrived: R,
+            cancel: R,
+            data: &[u64],
+        ) {
+            let occupied = self.occupied[user];
+            let squashed = occupied & kill;
+            let committed = occupied & transfer & !squashed;
+            let cancelled = arrived & cancel;
             let fifo = &mut self.fifos[user];
+            let [commits, squashes, peaks] = &mut self.counts;
             for lane in (squashed | committed | arrived).lanes() {
-                let summary = &mut self.summary[lane];
                 if squashed.in_lane(lane) {
                     fifo.pop_front(lane);
-                    summary.squashes_per_lane[user] += 1;
+                    squashes[lane][user] += 1;
                 } else if committed.in_lane(lane) {
                     fifo.pop_front(lane);
-                    summary.commits_per_lane[user] += 1;
+                    commits[lane][user] += 1;
                 }
                 if cancelled.in_lane(lane) {
-                    summary.squashes_per_lane[user] += 1;
+                    squashes[lane][user] += 1;
                 } else if arrived.in_lane(lane) {
-                    // A fault can push a result into a full lane; the ring
-                    // grows rather than lose it.
                     fifo.push_back(lane, data[lane]);
-                    let peak = &mut summary.peak_occupancy_per_lane[user];
-                    *peak = (*peak).max(u64::from(fifo.len(lane)));
+                    peaks[lane][user] = peaks[lane][user].max(u64::from(fifo.len(lane)));
                 }
                 let len = fifo.len(lane);
                 self.occupied[user] = self.occupied[user].with_lane(lane, len > 0);
@@ -117,33 +212,59 @@ impl<R: Rail> Controller<R> for CommitStage<R> {
         }
     }
 
-    fn reset(&mut self) {
-        let users = self.fifos.len();
-        for lane in 0..R::LANES {
-            for fifo in &mut self.fifos {
-                fifo.refill(lane, 0, 0);
+    /// Clocks the word stage and the ring stage on the same seeded event
+    /// words and data columns, filling, draining and overfilling their
+    /// users, and compares the occupancy words, the driven columns, every
+    /// lane's occupancy and every lane's counters after each step.
+    fn assert_stage_matches_rings<R: Rail>(users: usize, depth: u32, seed: u64) {
+        let mut word = CommitStage::<R>::new(CommitSpec::new(users).with_depth(depth));
+        let mut ring = RingStage::<R>::new(users, depth);
+        let mut stream = seed << 32;
+        let mut next = || {
+            stream += 1;
+            splitmix64(stream)
+        };
+        for step in 0..400 {
+            let phase = step / 30 % 3;
+            for user in 0..users {
+                let mut event = |dense: bool| {
+                    let (a, b) = (next(), next());
+                    R::from_word(if dense { a | b } else { a & b })
+                };
+                let (kill, transfer) = (event(phase == 1), event(phase != 0));
+                let (arrived, cancel) = (event(phase != 1), event(false));
+                let data: Vec<u64> = (0..R::LANES).map(|_| next()).collect();
+                word.clock(user, kill, transfer, arrived, cancel, &data);
+                ring.clock(user, kill, transfer, arrived, cancel, &data);
+                let at = format!("users {users} depth {depth} seed {seed} step {step} user {user}");
+                let fifo = &word.fifos[user];
+                assert_eq!(fifo.at_least(1), ring.occupied[user], "occupied, {at}");
+                assert_eq!(fifo.at_least(depth as usize), ring.full[user], "full, {at}");
+                assert_eq!(fifo.front(), ring.fifos[user].front(), "driven column, {at}");
+                for lane in 0..R::LANES {
+                    let len = ring.fifos[user].len(lane) as usize;
+                    assert_eq!(word.occupancy(user, lane), len, "lane {lane}, {at}");
+                }
             }
-            self.summary[lane] = CommitStageStats {
-                depth: self.depth,
-                commits_per_lane: vec![0; users],
-                squashes_per_lane: vec![0; users],
-                peak_occupancy_per_lane: vec![0; users],
-            };
+            for lane in 0..R::LANES {
+                let Some(NodeReport::Commit(stats)) = word.report(lane) else { unreachable!() };
+                let [commits, squashes, peaks] = &ring.counts;
+                assert_eq!(stats.commits_per_lane, commits[lane], "commits, lane {lane}");
+                assert_eq!(stats.squashes_per_lane, squashes[lane], "squashes, lane {lane}");
+                assert_eq!(stats.peak_occupancy_per_lane, peaks[lane], "peaks, lane {lane}");
+            }
         }
-        self.occupied.fill(R::LOW);
-        self.full.fill(R::LOW);
     }
 
-    fn report(&self, lane: usize) -> Option<NodeReport<'_>> {
-        Some(NodeReport::Commit(self.summary[lane].clone()))
+    #[test]
+    fn the_word_fifos_match_the_per_lane_token_rings_at_both_rail_words() {
+        for (users, depth) in [(1, 1), (2, 1), (2, 3), (3, 2)] {
+            for seed in 0..2 {
+                assert_stage_matches_rings::<u64>(users, depth, seed);
+                assert_stage_matches_rings::<bool>(users, depth, seed);
+            }
+        }
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::controller::{Controller, NodeIo};
-    use crate::signal::ChannelState;
 
     // Channel layout: inputs 0,1 (lanes 0,1), outputs 2,3.
     fn io(channels: &mut [ChannelState]) -> NodeIo<'_> {
@@ -152,6 +273,14 @@ mod tests {
 
     fn stage() -> CommitStage<bool> {
         CommitStage::new(CommitSpec::new(2))
+    }
+
+    /// The stage's counters, as it reports them.
+    fn stats(stage: &CommitStage<bool>) -> CommitStageStats {
+        let Some(NodeReport::Commit(stats)) = stage.report(0) else {
+            panic!("a commit stage reports commit-stage statistics")
+        };
+        stats
     }
 
     #[test]
@@ -171,7 +300,7 @@ mod tests {
         assert!(channels[2].forward_valid);
         assert_eq!(channels[2].data, 0xA);
         stage.commit(&io(&mut channels));
-        assert_eq!(stage.summary[0].commits_per_lane, &[1, 0]);
+        assert_eq!(stats(&stage).commits_per_lane, &[1, 0]);
         assert_eq!(stage.occupancy(0, 0), 0);
     }
 
@@ -210,7 +339,7 @@ mod tests {
         assert!(!channels[2].backward_stop, "the lane absorbs the kill");
         assert!(!channels[0].backward_valid, "nothing passes upstream");
         stage.commit(&io(&mut channels));
-        assert_eq!(stage.summary[0].squashes_per_lane, &[1, 0]);
+        assert_eq!(stats(&stage).squashes_per_lane, &[1, 0]);
         assert_eq!(stage.occupancy(0, 0), 0);
     }
 
@@ -270,11 +399,11 @@ mod tests {
         stage.eval(&mut io(&mut channels), false);
         stage.commit(&io(&mut channels));
         assert_eq!(stage.occupancy(0, 0), 1);
-        assert_eq!(stage.summary[0].peak_occupancy_per_lane, &[1, 0]);
+        assert_eq!(stats(&stage).peak_occupancy_per_lane, &[1, 0]);
         stage.reset();
         assert_eq!(stage.occupancy(0, 0), 0);
-        assert_eq!(stage.summary[0].commits_per_lane, &[0, 0]);
-        assert_eq!(stage.summary[0].peak_occupancy_per_lane, &[0, 0]);
+        assert_eq!(stats(&stage).commits_per_lane, &[0, 0]);
+        assert_eq!(stats(&stage).peak_occupancy_per_lane, &[0, 0]);
         assert_eq!(
             stage.report(0),
             Some(NodeReport::Commit(CommitStageStats {
@@ -322,8 +451,8 @@ mod tests {
             stage.commit(&io1(&mut channels));
             assert_eq!(stage.occupancy(0, 0), expected_left);
         }
-        assert_eq!(stage.summary[0].squashes_per_lane, &[3]);
-        assert_eq!(stage.summary[0].commits_per_lane, &[0]);
+        assert_eq!(stats(&stage).squashes_per_lane, &[3]);
+        assert_eq!(stats(&stage).commits_per_lane, &[0]);
 
         // The lane recovers: a right-path result parks and commits in order.
         park(&mut stage, &[42]);
@@ -332,7 +461,7 @@ mod tests {
         assert!(channels[1].forward_valid);
         assert_eq!(channels[1].data, 42);
         stage.commit(&io1(&mut channels));
-        assert_eq!(stage.summary[0].commits_per_lane, &[1]);
+        assert_eq!(stats(&stage).commits_per_lane, &[1]);
     }
 
     #[test]
@@ -350,7 +479,7 @@ mod tests {
         assert!(!channels[0].forward_stop, "the head leaves, so the lane accepts");
         stage.commit(&io1(&mut channels));
         assert_eq!(stage.occupancy(0, 0), 2);
-        assert_eq!(stage.summary[0].squashes_per_lane, &[1]);
+        assert_eq!(stats(&stage).squashes_per_lane, &[1]);
         // Order is preserved across the squash: 2 then 3 drain.
         for expected in [2u64, 3] {
             let mut channels = vec![ChannelState::default(); 2];
@@ -359,20 +488,20 @@ mod tests {
             assert!(channels[1].forward_valid);
             stage.commit(&io1(&mut channels));
         }
-        assert_eq!(stage.summary[0].commits_per_lane, &[2]);
+        assert_eq!(stats(&stage).commits_per_lane, &[2]);
     }
 
     #[test]
     fn peak_occupancy_records_the_run_ahead_actually_achieved() {
         let mut stage = CommitStage::<bool>::new(CommitSpec::new(1).with_depth(4));
         park(&mut stage, &[1, 2, 3]);
-        assert_eq!(stage.summary[0].peak_occupancy_per_lane, &[3]);
+        assert_eq!(stats(&stage).peak_occupancy_per_lane, &[3]);
         // Draining does not lower the recorded peak.
         let mut channels = vec![ChannelState::default(); 2];
         stage.eval(&mut io1(&mut channels), false);
         stage.commit(&io1(&mut channels));
         assert_eq!(stage.occupancy(0, 0), 2);
-        assert_eq!(stage.summary[0].peak_occupancy_per_lane, &[3]);
+        assert_eq!(stats(&stage).peak_occupancy_per_lane, &[3]);
         let Some(NodeReport::Commit(stats)) = stage.report(0) else {
             panic!("a commit stage reports commit-stage statistics")
         };

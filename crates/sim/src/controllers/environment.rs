@@ -7,13 +7,23 @@
 //! equivalence (Section 3.1) is defined over.
 //!
 //! Both are generic over the rail word: each lane has its own pattern,
-//! random generator, stream position and transfer stream, and the clock
+//! random generator, stream cursor and transfer stream, and the clock
 //! edge computes the next cycle's offer (or stop) word, so `eval` drives
 //! one word. The clock edge computes that word by word where it can: the
 //! lanes whose patterns are deterministic (`Always`, `Never`, `Every`,
 //! `List`) are grouped by period into tables of per-phase lane words, so
 //! advancing them is one lookup per period; only random patterns (and
-//! periods past a fixed bound) are drawn lane by lane.
+//! periods past a fixed bound) are drawn lane by lane. A source matches its
+//! data stream once per clock edge and then steps the cursor and the driven
+//! value of each transferred lane in one pass over those lanes; a list
+//! stream's cursor wraps at the list length, so no lane divides.
+//!
+//! The per-lane environment hooks take every lane's pattern in one call
+//! (one pattern broadcasts to all lanes). Lanes whose pattern is unchanged
+//! are left alone, and the period tables are rebuilt in one pass only when
+//! some lane's pattern changed, filing each run of lanes sharing a pattern
+//! at once; a `List` pattern is copied into the lane's existing one, so a
+//! repeated override allocates nothing.
 
 use elastic_core::kind::{BackpressurePattern, DataStream, SourcePattern};
 use elastic_core::mix::splitmix64;
@@ -32,7 +42,7 @@ const IN: usize = 0;
 const MAX_TABULATED_PERIOD: usize = 1024;
 
 /// When an environment acts: a source's offer or a sink's stall pattern.
-trait Pattern: Clone + std::fmt::Debug {
+trait Pattern: Clone + PartialEq + std::fmt::Debug {
     /// The seed of the pattern's random generator.
     fn seed(&self) -> u64;
 
@@ -44,6 +54,9 @@ trait Pattern: Clone + std::fmt::Debug {
     /// generator and fires in `cycle` exactly when it fires in
     /// `cycle % period`; `None` for a random pattern.
     fn period(&self) -> Option<usize>;
+
+    /// Makes the pattern equal to `other`, reusing a `List`'s allocation.
+    fn assign(&mut self, other: &Self);
 }
 
 impl Pattern for SourcePattern {
@@ -74,6 +87,13 @@ impl Pattern for SourcePattern {
             SourcePattern::List(pattern) => Some(pattern.len().max(1)),
             SourcePattern::Random { .. } => None,
             _ => Some(1),
+        }
+    }
+
+    fn assign(&mut self, other: &Self) {
+        match (self, other) {
+            (SourcePattern::List(into), SourcePattern::List(from)) => into.clone_from(from),
+            (into, from) => *into = from.clone(),
         }
     }
 }
@@ -108,6 +128,15 @@ impl Pattern for BackpressurePattern {
             BackpressurePattern::List(pattern) => Some(pattern.len().max(1)),
             BackpressurePattern::Random { .. } => None,
             _ => Some(1),
+        }
+    }
+
+    fn assign(&mut self, other: &Self) {
+        match (self, other) {
+            (BackpressurePattern::List(into), BackpressurePattern::List(from)) => {
+                into.clone_from(from)
+            }
+            (into, from) => *into = from.clone(),
         }
     }
 }
@@ -146,47 +175,53 @@ impl<R: Rail, P: Pattern> Timing<R, P> {
         let patterns = R::per_lane(|_| pattern.clone());
         let mut timing =
             Timing { cycle: 0, patterns, rngs, tables: Vec::new(), drawn: R::LOW, fires: R::LOW };
-        for lane in 0..R::LANES {
-            timing.file(lane);
-        }
+        timing.refile();
         timing
     }
 
-    /// Files lane `lane` under its pattern's period table, or among the
-    /// drawn lanes.
-    fn file(&mut self, lane: usize) {
-        let bit = R::lane(lane);
-        let pattern = &self.patterns[lane];
-        let Some(period) = pattern.period().filter(|&period| period <= MAX_TABULATED_PERIOD) else {
-            self.drawn = self.drawn | bit;
-            return;
-        };
-        let at = self.tables.iter().position(|t| t.table.len() == period).unwrap_or_else(|| {
-            let phase = (self.cycle % period as u64) as usize;
-            self.tables.push(PhaseTable { lanes: R::LOW, table: vec![R::LOW; period], phase });
-            self.tables.len() - 1
-        });
-        let table = &mut self.tables[at];
-        table.lanes = table.lanes | bit;
-        for (phase, word) in table.table.iter_mut().enumerate() {
-            if pattern.fires(phase as u64, &mut self.rngs[lane]) {
-                *word = *word | bit;
-            }
+    /// Files every lane under its pattern's period table, or among the
+    /// drawn lanes, in one pass: each run of consecutive lanes sharing a
+    /// pattern is tabulated at once. The tables keep their allocations.
+    fn refile(&mut self) {
+        let Timing { cycle, patterns, rngs, tables, drawn, .. } = self;
+        for table in tables.iter_mut() {
+            table.lanes = R::LOW;
+            table.table.fill(R::LOW);
         }
-    }
-
-    /// Takes lane `lane` out of its period table or the drawn lanes.
-    fn unfile(&mut self, lane: usize) {
-        let bit = R::lane(lane);
-        self.drawn = self.drawn & !bit;
-        if let Some(at) = self.tables.iter().position(|t| t.lanes.in_lane(lane)) {
-            let table = &mut self.tables[at];
-            table.lanes = table.lanes & !bit;
-            if table.lanes == R::LOW {
-                self.tables.swap_remove(at);
-            } else {
-                table.table.iter_mut().for_each(|word| *word = *word & !bit);
+        *drawn = R::LOW;
+        let patterns = patterns.as_ref();
+        let mut file = |first: usize, run: R| {
+            let pattern = &patterns[first];
+            let Some(period) = pattern.period().filter(|&period| period <= MAX_TABULATED_PERIOD)
+            else {
+                *drawn = *drawn | run;
+                return;
+            };
+            let at = tables.iter().position(|t| t.table.len() == period).unwrap_or_else(|| {
+                tables.push(PhaseTable { lanes: R::LOW, table: vec![R::LOW; period], phase: 0 });
+                tables.len() - 1
+            });
+            let table = &mut tables[at];
+            table.lanes = table.lanes | run;
+            for (phase, word) in table.table.iter_mut().enumerate() {
+                if pattern.fires(phase as u64, &mut rngs[first]) {
+                    *word = *word | run;
+                }
             }
+        };
+        let mut first = 0;
+        let mut run = R::LOW;
+        for lane in 0..R::LANES {
+            if lane > first && patterns[lane] != patterns[first] {
+                file(first, run);
+                (first, run) = (lane, R::LOW);
+            }
+            run = run | R::lane(lane);
+        }
+        file(first, run);
+        tables.retain(|table| table.lanes != R::LOW);
+        for table in tables.iter_mut() {
+            table.phase = (*cycle % table.table.len() as u64) as usize;
         }
     }
 
@@ -214,12 +249,34 @@ impl<R: Rail, P: Pattern> Timing<R, P> {
         }
     }
 
-    /// Replaces lane `lane`'s pattern and restarts it.
-    fn set(&mut self, lane: usize, pattern: &P) {
-        self.unfile(lane);
-        self.patterns[lane] = pattern.clone();
-        self.file(lane);
-        self.restart(lane);
+    /// Gives lane `ℓ` the pattern `patterns[min(ℓ, len − 1)]` (an empty
+    /// list changes nothing). The lanes whose pattern changed restart at the
+    /// current cycle, and the period tables are rebuilt once if any did; a
+    /// lane whose pattern is unchanged keeps its generator and decision.
+    fn set(&mut self, patterns: &[P]) {
+        let Some(last) = patterns.len().checked_sub(1) else { return };
+        let mut changed = R::LOW;
+        for (lane, pattern) in self.patterns.as_mut().iter_mut().enumerate() {
+            let new = &patterns[lane.min(last)];
+            if pattern != new {
+                pattern.assign(new);
+                changed = changed | R::lane(lane);
+            }
+        }
+        if changed == R::LOW {
+            return;
+        }
+        self.refile();
+        // Tabulated lanes read their tables; drawn lanes keep their decision
+        // unless they restart.
+        let mut fires = self.fires & self.drawn & !changed;
+        for table in &self.tables {
+            fires = fires | table.table[table.phase];
+        }
+        self.fires = fires;
+        for lane in (changed & self.drawn).lanes() {
+            self.restart(lane);
+        }
     }
 
     /// Advances every lane to the next cycle.
@@ -245,8 +302,11 @@ pub struct SourceController<R: Rail> {
     spec: SourceSpec,
     width: u8,
     timing: Timing<R, SourcePattern>,
-    /// Index of each lane's next stream element (advances on transfer or kill).
-    position: R::PerLane<usize>,
+    /// Each lane's stream cursor, the index of its next element (advances
+    /// on transfer or kill); a `List` stream's cursor wraps at `wrap`, its
+    /// length, so reading the element needs no division.
+    cursor: R::PerLane<usize>,
+    wrap: usize,
     /// The lanes holding an outstanding offer (persistence).
     offering: R,
     /// Each lane's next stream element: the driven data column.
@@ -256,11 +316,16 @@ pub struct SourceController<R: Rail> {
 impl<R: Rail> SourceController<R> {
     /// Creates the controller for a source with the given output width.
     pub fn new(spec: SourceSpec, width: u8) -> Self {
+        let wrap = match &spec.data {
+            DataStream::List(list) if !list.is_empty() => list.len(),
+            _ => usize::MAX,
+        };
         let mut source = SourceController {
             timing: Timing::new(&spec.pattern),
             spec,
             width,
-            position: R::per_lane(|_| 0),
+            cursor: R::per_lane(|_| 0),
+            wrap,
             offering: R::LOW,
             values: R::per_lane(|_| 0),
         };
@@ -268,25 +333,41 @@ impl<R: Rail> SourceController<R> {
         source
     }
 
-    /// Stream element `position`, masked to the output width.
-    fn value(&self, position: usize) -> u64 {
-        let value = match &self.spec.data {
-            DataStream::Counter => position as u64,
-            DataStream::Const(value) => *value,
-            DataStream::List(values) => {
-                if values.is_empty() {
-                    0
-                } else {
-                    values[position % values.len()]
-                }
-            }
+    /// Moves the stream cursors of `lanes` on by `step` (0 or 1) and
+    /// recomputes their driven values, with the data stream matched once for
+    /// all of them.
+    fn move_cursors(&mut self, lanes: R, step: usize) {
+        let keep = mask(u64::MAX, self.width);
+        let at = (self.cursor.as_mut(), self.values.as_mut(), self.wrap, keep);
+        match &self.spec.data {
+            DataStream::Const(value) => move_lanes(at, lanes, step, |_| *value),
+            DataStream::List(list) if list.is_empty() => move_lanes(at, lanes, step, |_| 0),
+            DataStream::List(list) => move_lanes(at, lanes, step, |cursor| list[cursor]),
             // Derived from the element index, so replays of the stream see
             // the same value.
-            DataStream::Random { seed } => splitmix64(seed.wrapping_add(position as u64)),
-            // `DataStream` is non-exhaustive: unknown streams count tokens.
-            _ => position as u64,
-        };
-        mask(value, self.width)
+            DataStream::Random { seed } => {
+                move_lanes(at, lanes, step, |cursor| splitmix64(seed.wrapping_add(cursor as u64)))
+            }
+            // A counter; `DataStream` is non-exhaustive, and unknown streams
+            // count tokens too.
+            _ => move_lanes(at, lanes, step, |cursor| cursor as u64),
+        }
+    }
+}
+
+/// Moves each lane of `lanes` on by `step` along its stream, `cursors`
+/// wrapping at `wrap`, and drives `element(cursor)`, masked by `keep`.
+fn move_lanes<R: Rail>(
+    (cursors, values, wrap, keep): (&mut [usize], &mut [u64], usize, u64),
+    lanes: R,
+    step: usize,
+    element: impl Fn(usize) -> u64,
+) {
+    for lane in lanes.lanes() {
+        let cursor = cursors[lane] + step;
+        let cursor = if cursor == wrap { 0 } else { cursor };
+        cursors[lane] = cursor;
+        values[lane] = element(cursor) & keep;
     }
 }
 
@@ -307,10 +388,7 @@ impl<R: Rail> Controller<R> for SourceController<R> {
         let transferred = valid & !io.output_stop(OUT) & !killed;
         let stalled = valid & !killed & !transferred;
         let consumed = if self.spec.consume_on_kill { killed } else { R::LOW };
-        for lane in (transferred | consumed).lanes() {
-            self.position[lane] += 1;
-            self.values[lane] = self.value(self.position[lane]);
-        }
+        self.move_cursors(transferred | consumed, 1);
         self.offering = (self.offering | stalled) & !(killed | transferred);
         // The pattern advances once per cycle regardless of outcome, so
         // random offer patterns are per-cycle, not per-token.
@@ -320,9 +398,8 @@ impl<R: Rail> Controller<R> for SourceController<R> {
     fn reset(&mut self) {
         self.timing.rewind();
         self.offering = R::LOW;
-        self.position.as_mut().fill(0);
-        let first = self.value(0);
-        self.values.as_mut().fill(first);
+        self.cursor.as_mut().fill(0);
+        self.move_cursors(R::HIGH, 0);
     }
 
     /// The offer pattern and persistence state fully determine the driven
@@ -331,8 +408,8 @@ impl<R: Rail> Controller<R> for SourceController<R> {
         false
     }
 
-    fn override_source(&mut self, lane: usize, pattern: &SourcePattern) -> bool {
-        self.timing.set(lane, pattern);
+    fn override_source(&mut self, patterns: &[SourcePattern]) -> bool {
+        self.timing.set(patterns);
         true
     }
 }
@@ -389,8 +466,8 @@ impl<R: Rail> Controller<R> for SinkController<R> {
         false
     }
 
-    fn override_sink(&mut self, lane: usize, pattern: &BackpressurePattern) -> bool {
-        self.timing.set(lane, pattern);
+    fn override_sink(&mut self, patterns: &[BackpressurePattern]) -> bool {
+        self.timing.set(patterns);
         true
     }
 }

@@ -13,13 +13,19 @@
 //! owed an anti-token is cancelled rather than forwarded.
 //!
 //! The multiplexor is generic over the rail word: `bool` simulates one
-//! scenario, `u64` 64 lanes, each steered by its own select token.
+//! scenario, `u64` 64 lanes, each steered by its own select token. The
+//! steering is computed by word: one comparison pass over the select column
+//! per data input yields the lanes choosing it, and the forward data column
+//! is gathered as one masked copy per data input. The selection is memoised
+//! on the select column, compared whole, so the backward equation and the
+//! clock edge reuse the forward equation's words while the column holds.
 
 use std::cell::RefCell;
 
 use elastic_core::MuxSpec;
 
 use crate::controller::Controller;
+use crate::controllers::{blend, lanes_where, same_column};
 use crate::handshake::{mux_backward, mux_forward, HandshakeIo, Rail};
 
 const SELECT: usize = 0;
@@ -35,32 +41,53 @@ pub struct MuxController<R: Rail> {
     owed: Vec<u32>,
     /// Per data input, the lanes that owe it no anti-token.
     clean: Vec<R>,
-    /// The select gather `eval` steers with (scratch).
-    gather: RefCell<Gather<R>>,
+    /// The steering the equations read (scratch, memoised).
+    steering: RefCell<Steering<R>>,
 }
 
 /// Per-lane steering: which data input each lane's select token chooses.
 #[derive(Debug)]
-struct Gather<R: Rail> {
+struct Steering<R: Rail> {
+    /// The select column `selected` was computed from.
+    select: R::PerLane<u64>,
+    /// Whether `selected` holds the steering of `select`.
+    valid: bool,
     /// Per data input, the lanes whose select token chooses it.
     selected: Vec<R>,
     /// The chosen input's data per lane: the driven data column.
     data: R::PerLane<u64>,
 }
 
-impl<R: Rail> Gather<R> {
-    /// Re-reads the select column and, with `data` set, gathers each lane's
-    /// chosen data; only the forward equation drives it.
-    fn refresh(&mut self, io: &impl HandshakeIo<Rail = R>, data: bool) {
-        self.selected.fill(R::LOW);
-        let inputs = self.selected.len();
-        for (lane, &select) in io.input_data(SELECT).iter().enumerate() {
-            // Divide only for an out-of-range select value.
-            let select = select as usize;
-            let chosen = if select < inputs { select } else { select % inputs };
-            self.selected[chosen] = self.selected[chosen] | R::lane(lane);
-            if data {
-                self.data[lane] = io.input_data(1 + chosen)[lane];
+impl<R: Rail> Steering<R> {
+    /// Brings `selected` up to date with the select column: kept while the
+    /// column is the one it was computed from, recomputed by comparison
+    /// otherwise. Only an out-of-range select value divides.
+    fn select(&mut self, io: &impl HandshakeIo<Rail = R>) {
+        if self.valid && same_column(self.select.as_ref(), io, SELECT) {
+            return;
+        }
+        let column = io.input_data(SELECT);
+        self.select.as_mut().copy_from_slice(column);
+        self.valid = true;
+        let mut chosen = 0;
+        for (input, selected) in self.selected.iter_mut().enumerate() {
+            let word = lanes_where(column, |select| select == input as u64);
+            *selected = R::from_word(word);
+            chosen |= word;
+        }
+        let inputs = self.selected.len() as u64;
+        for lane in R::from_word(!chosen).lanes() {
+            let input = (column[lane] % inputs) as usize;
+            self.selected[input] = self.selected[input] | R::lane(lane);
+        }
+    }
+
+    /// Gathers each lane's chosen data column: one masked copy per data
+    /// input that some lane chooses.
+    fn gather(&mut self, io: &impl HandshakeIo<Rail = R>) {
+        for (input, &selected) in self.selected.iter().enumerate() {
+            if selected != R::LOW {
+                blend(self.data.as_mut(), io.input_data(1 + input), selected.word());
             }
         }
     }
@@ -74,7 +101,9 @@ impl<R: Rail> MuxController<R> {
             spec,
             owed: vec![0; inputs * R::LANES],
             clean: vec![R::HIGH; inputs],
-            gather: RefCell::new(Gather {
+            steering: RefCell::new(Steering {
+                select: R::per_lane(|_| 0),
+                valid: false,
                 selected: vec![R::LOW; inputs],
                 data: R::per_lane(|_| 0),
             }),
@@ -84,11 +113,14 @@ impl<R: Rail> MuxController<R> {
     /// Evaluates the forward and/or the backward equation on this mux's
     /// select and owed anti-tokens.
     fn equations<P: HandshakeIo<Rail = R>>(&self, io: &mut P, forward: bool, backward: bool) {
-        let mut gather = self.gather.borrow_mut();
-        gather.refresh(io, forward);
-        let (early, selected, clean) = (self.spec.early_eval, &gather.selected, &self.clean);
+        let mut steering = self.steering.borrow_mut();
+        steering.select(io);
         if forward {
-            mux_forward(io, early, |j| selected[j], |j| clean[j], gather.data.as_ref());
+            steering.gather(io);
+        }
+        let (early, selected, clean) = (self.spec.early_eval, &steering.selected, &self.clean);
+        if forward {
+            mux_forward(io, early, |j| selected[j], |j| clean[j], steering.data.as_ref());
         }
         if backward {
             mux_backward(io, early, |j| selected[j], |j| clean[j]);
@@ -113,17 +145,30 @@ impl<R: Rail> Controller<R> for MuxController<R> {
     }
 
     fn commit(&mut self, io: &R::Io<'_>) {
+        self.clock(io);
+    }
+
+    fn reset(&mut self) {
+        self.owed.fill(0);
+        self.clean.fill(R::HIGH);
+    }
+}
+
+impl<R: Rail> MuxController<R> {
+    /// The clock edge: an early mux's owed anti-tokens, counted lane by lane
+    /// on the steering of the settled select column.
+    fn clock<P: HandshakeIo<Rail = R>>(&mut self, io: &P) {
         if !self.spec.early_eval {
             return;
         }
-        let gather = self.gather.get_mut();
-        gather.refresh(io, false);
+        let steering = self.steering.get_mut();
+        steering.select(io);
         let fired = io.output_valid(OUT) & !io.output_stop(OUT) & io.input_valid(SELECT);
         for input in 0..self.spec.data_inputs {
             // A firing owes every non-selected input an anti-token; one is
             // delivered when accepted upstream or cancelled in place against
             // an arriving token — the same thing at this boundary.
-            let incurred = fired & !gather.selected[input];
+            let incurred = fired & !steering.selected[input];
             let delivered = io.input_kill(1 + input) & !io.input_anti_stop(1 + input);
             for lane in (incurred | delivered).lanes() {
                 let owed = &mut self.owed[input * R::LANES + lane];
@@ -137,11 +182,6 @@ impl<R: Rail> Controller<R> for MuxController<R> {
             }
         }
     }
-
-    fn reset(&mut self) {
-        self.owed.fill(0);
-        self.clean.fill(R::HIGH);
-    }
 }
 
 #[cfg(test)]
@@ -149,6 +189,179 @@ mod tests {
     use super::*;
     use crate::controller::{Controller, NodeIo};
     use crate::signal::ChannelState;
+    use elastic_core::mix::splitmix64;
+
+    /// A port view over plain rail words and data columns at either rail
+    /// word: input 0 is the select, inputs 1.. the data, one output.
+    struct ColumnIo<R: Rail> {
+        /// `[V+, S+, V−, S−]` per input port, then the output port.
+        rails: Vec<[R; 4]>,
+        /// One data column per input port, then the output's.
+        data: Vec<Vec<u64>>,
+    }
+
+    impl<R: Rail> ColumnIo<R> {
+        fn output(&self) -> usize {
+            self.rails.len() - 1
+        }
+    }
+
+    impl<R: Rail> HandshakeIo for ColumnIo<R> {
+        type Rail = R;
+        fn input_count(&self) -> usize {
+            self.rails.len() - 1
+        }
+        fn output_count(&self) -> usize {
+            1
+        }
+        fn input_valid(&self, port: usize) -> R {
+            self.rails[port][0]
+        }
+        fn input_stop(&self, port: usize) -> R {
+            self.rails[port][1]
+        }
+        fn input_kill(&self, port: usize) -> R {
+            self.rails[port][2]
+        }
+        fn input_anti_stop(&self, port: usize) -> R {
+            self.rails[port][3]
+        }
+        fn output_valid(&self, _port: usize) -> R {
+            self.rails[self.output()][0]
+        }
+        fn output_stop(&self, _port: usize) -> R {
+            self.rails[self.output()][1]
+        }
+        fn output_kill(&self, _port: usize) -> R {
+            self.rails[self.output()][2]
+        }
+        fn output_anti_stop(&self, _port: usize) -> R {
+            self.rails[self.output()][3]
+        }
+        fn set_input_stop(&mut self, port: usize, stop: R) {
+            self.rails[port][1] = stop;
+        }
+        fn set_input_kill(&mut self, port: usize, kill: R) {
+            self.rails[port][2] = kill;
+        }
+        fn set_output_valid(&mut self, _port: usize, valid: R) {
+            let output = self.output();
+            self.rails[output][0] = valid;
+        }
+        fn set_output_anti_stop(&mut self, _port: usize, stop: R) {
+            let output = self.output();
+            self.rails[output][3] = stop;
+        }
+        fn input_data(&self, port: usize) -> &[u64] {
+            &self.data[port]
+        }
+        fn drive_data(&mut self, _port: usize, data: &[u64]) {
+            let output = self.output();
+            self.data[output].copy_from_slice(data);
+        }
+        fn copy_data(&mut self, input: usize, _output: usize) {
+            let output = self.output();
+            self.data[output] = self.data[input].clone();
+        }
+    }
+
+    /// Draws a fresh select column, out-of-range values included, two times
+    /// in three; keeps the current one otherwise.
+    fn reselect<R: Rail>(io: &mut ColumnIo<R>, inputs: usize, next: &mut impl FnMut() -> u64) {
+        if !next().is_multiple_of(3) {
+            io.data[0] = (0..R::LANES).map(|_| next() % (inputs as u64 + 3)).collect();
+        }
+    }
+
+    /// The per-lane gather: each lane's chosen input, `select mod inputs`.
+    fn chosen(select: u64, inputs: usize) -> usize {
+        (select % inputs as u64) as usize
+    }
+
+    /// Drives a mux with seeded rails, data columns and select columns
+    /// (out-of-range values included), changing the select column between
+    /// the forward op, the backward op and the clock edge, or keeping it
+    /// so the memo is reused; after each op the steering, the driven data
+    /// column and the owed anti-tokens must equal a per-lane gather's.
+    fn assert_steering_matches_per_lane_gather<R: Rail>(spec: MuxSpec, seed: u64) {
+        let inputs = spec.data_inputs;
+        let mut mux = MuxController::<R>::new(spec);
+        let mut owed = vec![vec![0u32; R::LANES]; inputs];
+        let mut stream = seed << 32;
+        let mut next = || {
+            stream += 1;
+            splitmix64(stream)
+        };
+        let mut io = ColumnIo::<R> {
+            rails: vec![[R::LOW; 4]; inputs + 2],
+            data: vec![vec![0; R::LANES]; inputs + 2],
+        };
+        for step in 0..300 {
+            for port in 0..=inputs + 1 {
+                io.rails[port] = std::array::from_fn(|_| R::from_word(next()));
+            }
+            for port in 1..=inputs {
+                io.data[port] = (0..R::LANES).map(|_| next()).collect();
+            }
+            let check = |mux: &MuxController<R>, io: &ColumnIo<R>, what: &str| {
+                let steering = mux.steering.borrow();
+                for (input, &selected) in steering.selected.iter().enumerate() {
+                    let expected = (0..R::LANES).fold(R::LOW, |word, lane| {
+                        word.with_lane(lane, chosen(io.data[0][lane], inputs) == input)
+                    });
+                    assert_eq!(
+                        selected, expected,
+                        "{what} selection of input {input}, step {step}"
+                    );
+                }
+            };
+            reselect(&mut io, inputs, &mut next);
+            mux.forward(&mut io);
+            check(&mux, &io, "forward");
+            let gathered: Vec<u64> = (0..R::LANES)
+                .map(|lane| io.data[1 + chosen(io.data[0][lane], inputs)][lane])
+                .collect();
+            assert_eq!(io.data[inputs + 1], gathered, "forward data column, step {step}");
+            reselect(&mut io, inputs, &mut next);
+            mux.backward(&mut io);
+            check(&mux, &io, "backward");
+            reselect(&mut io, inputs, &mut next);
+            let fired = io.output_valid(OUT) & !io.output_stop(OUT) & io.input_valid(SELECT);
+            mux.clock(&io);
+            if spec.early_eval {
+                check(&mux, &io, "clock edge");
+            }
+            for (input, owed) in owed.iter_mut().enumerate() {
+                let delivered = io.input_kill(1 + input) & !io.input_anti_stop(1 + input);
+                for (lane, owed) in owed.iter_mut().enumerate() {
+                    if !spec.early_eval {
+                        continue;
+                    }
+                    let selected = chosen(io.data[0][lane], inputs) == input;
+                    *owed += u32::from(fired.in_lane(lane) && !selected);
+                    if delivered.in_lane(lane) {
+                        *owed = owed.saturating_sub(1);
+                    }
+                }
+                let clean =
+                    (0..R::LANES).fold(R::LOW, |w, lane| w.with_lane(lane, owed[lane] == 0));
+                assert_eq!(
+                    mux.clean[input], clean,
+                    "owed anti-tokens of input {input}, step {step}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn word_steering_matches_a_per_lane_gather_at_both_rail_words() {
+        for spec in [MuxSpec::early(2), MuxSpec::early(3), MuxSpec::lazy(2), MuxSpec::early(1)] {
+            for seed in 0..3 {
+                assert_steering_matches_per_lane_gather::<u64>(spec, seed);
+                assert_steering_matches_per_lane_gather::<bool>(spec, seed);
+            }
+        }
+    }
 
     // Channel layout used by the tests:
     // 0 = select, 1 = data0, 2 = data1, 3 = output.

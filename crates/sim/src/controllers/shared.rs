@@ -239,11 +239,21 @@ impl<R: Rail> Controller<R> for SharedModule<R> {
     }
 
     fn reset(&mut self) {
-        let users = self.spec.users;
         for lane in 0..R::LANES {
             self.schedulers[lane].reset();
             self.forced[lane] = None;
-            self.feedback[lane] = SharedFeedback::new(users);
+            // Refilled in place: a reset allocates nothing.
+            let feedback = &mut self.feedback[lane];
+            (feedback.cycle, feedback.predicted, feedback.resolved) = (0, 0, None);
+            for flags in [
+                &mut feedback.input_valid,
+                &mut feedback.input_killed,
+                &mut feedback.output_transfer,
+                &mut feedback.output_retry,
+                &mut feedback.output_killed,
+            ] {
+                flags.fill(false);
+            }
             self.shared[lane] = SharedModuleStats::default();
             self.regrant(lane);
         }

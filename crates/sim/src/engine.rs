@@ -412,7 +412,7 @@ impl Simulation {
     pub fn reset_with_sink_patterns(&mut self, overrides: &[(NodeId, BackpressurePattern)]) {
         self.reset();
         self.core.override_nodes(overrides.iter().map(|(node, p)| (*node, p)), "sink", |c, p| {
-            c.override_sink(0, p)
+            c.override_sink(std::slice::from_ref(p))
         });
     }
 
@@ -427,7 +427,7 @@ impl Simulation {
     pub fn reset_with_source_patterns(&mut self, overrides: &[(NodeId, SourcePattern)]) {
         self.reset();
         self.core.override_nodes(overrides.iter().map(|(node, p)| (*node, p)), "source", |c, p| {
-            c.override_source(0, p)
+            c.override_source(std::slice::from_ref(p))
         });
     }
 

@@ -74,8 +74,17 @@ pub trait Rail:
     /// The rail asserted in lane `lane` alone.
     fn lane(lane: usize) -> Self;
 
+    /// The rail as a lane word: bit `ℓ` is lane `ℓ`.
+    fn word(self) -> u64;
+
+    /// The rail asserted in the lanes set in `word` (bits past
+    /// [`Rail::LANES`] are ignored).
+    fn from_word(word: u64) -> Self;
+
     /// The lanes in which the rail is asserted, lowest first.
-    fn lanes(self) -> Lanes;
+    fn lanes(self) -> Lanes {
+        Lanes(self.word())
+    }
 
     /// Whether the rail is asserted in lane `lane`.
     fn in_lane(self, lane: usize) -> bool {
@@ -107,8 +116,12 @@ impl Rail for bool {
         true
     }
 
-    fn lanes(self) -> Lanes {
-        Lanes(u64::from(self))
+    fn word(self) -> u64 {
+        u64::from(self)
+    }
+
+    fn from_word(word: u64) -> bool {
+        word & 1 != 0
     }
 }
 
@@ -127,8 +140,12 @@ impl Rail for u64 {
         1 << lane
     }
 
-    fn lanes(self) -> Lanes {
-        Lanes(self)
+    fn word(self) -> u64 {
+        self
+    }
+
+    fn from_word(word: u64) -> u64 {
+        word
     }
 }
 

@@ -12,7 +12,7 @@
 //! * [`LaneSimulation`] runs on the same private engine core as
 //!   [`crate::Simulation`]: dense channel indexing, the settle paths, the
 //!   settle budget and oscillation witness, override lookup, the clock
-//!   edge and report assembly (from [`Controller::report`]) are the same
+//!   edge and report assembly (from `Controller::report`) are the same
 //!   code. A netlist without optimistic controllers settles every step on
 //!   the compiled plan (`compiled.rs`), the one the scalar `Compiled`
 //!   strategy runs, at the `u64` rail word: a straight-line
@@ -27,18 +27,24 @@
 //!   (`data[channel * LANES + lane]`) touched only by the ops that consume
 //!   data (function evaluation, mux steering, buffered values).
 //! * Every node kind is one type of [`crate::controllers`], a
-//!   [`Controller<u64>`] with [`LaneIo`] as its port view: the scalar
-//!   engine runs the same types at `bool`, so their state, clock edge,
-//!   observables, reset and environment exist once. Per-lane state lives in
-//!   per-lane stores: each lane's source offer pattern, sink back-pressure
-//!   pattern and random generator, its shared-module scheduler, its buffer
-//!   and commit-stage tokens and its transfer stream. Sources drive one
-//!   offer word per cycle and sinks one stop word, both computed at the
-//!   clock edge, from per-period tables of lane words for deterministic
-//!   patterns; function blocks, shared modules and variable-latency units
-//!   evaluate their datapath over whole 64-lane columns. The per-lane
-//!   overrides of the `reset_with_*` family land on the controllers'
-//!   per-lane hooks.
+//!   [`Controller<u64>`](crate::controller::Controller) with [`LaneIo`] as
+//!   its port view: the scalar engine runs the same types at `bool`, so
+//!   their state, clock edge, observables, reset and environment exist
+//!   once. Their clock edges and
+//!   datapaths work by word and by column: the standard buffer and the
+//!   commit stage keep tokens in slot columns under thermometer occupancy
+//!   words, the mux steers by word, function blocks, shared modules and
+//!   variable-latency units evaluate their datapath over whole 64-lane
+//!   columns, and sources drive one offer word per cycle and sinks one stop
+//!   word, from per-period tables of lane words for deterministic patterns.
+//!   Per-lane stores hold what is left per lane: random patterns and their
+//!   generators, shared-module schedulers, source stream cursors and sink
+//!   transfer streams.
+//! * The per-lane overrides of the `reset_with_*` family land on the
+//!   controllers' hooks, which take a node's 64 lane patterns at once (a
+//!   one-pattern list broadcasts); a lane whose pattern did not change is
+//!   left alone, so replaying blocks on one simulation refiles only the
+//!   lanes that changed. Resets allocate nothing.
 //!
 //! The correctness contract is **lane-0 bit-identity**: a lane simulation
 //! whose lanes all see the same environment must produce, in every lane,
@@ -55,7 +61,6 @@ use elastic_core::{Netlist, NodeId};
 use elastic_datapath::adder::mask;
 
 use crate::compiled::CompiledPlan;
-use crate::controller::Controller;
 use crate::engine::SimError;
 use crate::engine_core::{EngineCore, EngineRail, Ports};
 use crate::handshake::{HandshakeIo, Rail};
@@ -156,7 +161,7 @@ pub struct LaneRails<'a> {
     pub backward_stop: &'a [u64],
 }
 
-/// The 64-lane engine's port view, [`Controller<u64>`]'s: the lane
+/// The 64-lane engine's port view, `Controller<u64>`'s: the lane
 /// analogue of [`crate::controller::NodeIo`].
 ///
 /// Reads return whole lane words (or data columns); writes are
@@ -410,15 +415,22 @@ impl LaneSimulation {
     /// [`LaneSimulation::reset`], additionally replacing each lane's sink
     /// back-pressure pattern individually: lane `ℓ` of a named sink gets
     /// `patterns[min(ℓ, patterns.len() - 1)]` — 64 environments per
-    /// simulation instance. Empty pattern lists leave the sink untouched.
+    /// simulation instance, and a one-pattern list broadcasts to every lane.
+    /// Empty pattern lists leave the sink untouched. A lane whose pattern is
+    /// unchanged since the previous override is left as the reset left it,
+    /// so a sweep replaying blocks on one simulation refiles only the lanes
+    /// that changed.
     pub fn reset_with_lane_sink_patterns(
         &mut self,
         overrides: &[(NodeId, Vec<BackpressurePattern>)],
     ) {
+        self.reset();
         let overrides = overrides.iter().filter(|(_, patterns)| !patterns.is_empty());
-        self.reset_with_lane_overrides(overrides, "sink", |c, lane, patterns| {
-            c.override_sink(lane, &patterns[lane.min(patterns.len() - 1)])
-        });
+        self.core.override_nodes(
+            overrides.map(|(node, patterns)| (*node, patterns)),
+            "sink",
+            |c, patterns| c.override_sink(patterns),
+        );
     }
 
     /// [`LaneSimulation::reset`], additionally replacing each lane's
@@ -429,10 +441,13 @@ impl LaneSimulation {
     /// lists leave the source untouched. Data streams are kept: only *when*
     /// tokens are offered varies per lane, never their values.
     pub fn reset_with_lane_source_patterns(&mut self, overrides: &[(NodeId, Vec<SourcePattern>)]) {
+        self.reset();
         let overrides = overrides.iter().filter(|(_, patterns)| !patterns.is_empty());
-        self.reset_with_lane_overrides(overrides, "source", |c, lane, patterns| {
-            c.override_source(lane, &patterns[lane.min(patterns.len() - 1)])
-        });
+        self.core.override_nodes(
+            overrides.map(|(node, patterns)| (*node, patterns)),
+            "source",
+            |c, patterns| c.override_source(patterns),
+        );
     }
 
     /// [`LaneSimulation::reset`], additionally replacing the prediction
@@ -445,24 +460,11 @@ impl LaneSimulation {
     /// (which rewind them via `Scheduler::reset`), exactly like the scalar
     /// engine's [`crate::Simulation::reset_with_schedulers`].
     pub fn reset_with_schedulers(&mut self, overrides: &[(NodeId, &SchedulerFactory<'_>)]) {
-        self.reset_with_lane_overrides(overrides.iter(), "shared module", |c, lane, make| {
-            c.override_scheduler(lane, make(lane))
-        });
-    }
-
-    /// Resets, then applies `apply(controller, lane, value)` to every lane
-    /// of each named node; the node must be a `role`.
-    fn reset_with_lane_overrides<'o, T: 'o>(
-        &mut self,
-        overrides: impl Iterator<Item = &'o (NodeId, T)>,
-        role: &str,
-        apply: impl Fn(&mut Box<dyn Controller<u64>>, usize, &T) -> bool,
-    ) {
         self.reset();
         self.core.override_nodes(
-            overrides.map(|(node, value)| (*node, value)),
-            role,
-            |c, value| (0..LANES).all(|lane| apply(c, lane, value)),
+            overrides.iter().map(|(node, make)| (*node, make)),
+            "shared module",
+            |c, make| (0..LANES).all(|lane| c.override_scheduler(lane, make(lane))),
         );
     }
 

@@ -204,6 +204,12 @@ fn pattern_bit(combination: usize, bit: usize) -> bool {
 /// Resets `sim` with one block of environment combinations, lane `ℓ`
 /// running combination `block[ℓ]` (lanes past a short block repeat its
 /// last combination), in the bit layout [`explore_environments`] documents.
+///
+/// An endpoint whose bits agree across the block gets one pattern,
+/// broadcast to every lane. The sweep's blocks are 64-aligned runs of
+/// consecutive combinations, so only the endpoints owning a bit below bit 6
+/// get a pattern per lane; and those repeat from block to block, so the
+/// simulation refiles only the broadcast endpoints' lanes.
 pub(crate) fn reset_with_environments(
     sim: &mut LaneSimulation,
     sinks: &[NodeId],
@@ -217,11 +223,17 @@ pub(crate) fn reset_with_environments(
         sim.reset();
         return;
     }
+    // The bits in which the block's combinations differ.
+    let first = block.first().copied().unwrap_or(0);
+    let varying = block.iter().fold(0, |bits, &combination| bits | (combination ^ first));
     // Endpoint `e` owns bits `e·depth .. e·depth + depth`, sinks first.
     let patterns = |endpoint: usize| {
-        block.iter().map(move |&combination| {
-            (0..depth).map(move |cycle| pattern_bit(combination, endpoint * depth + cycle))
-        })
+        let bits = endpoint * depth..(endpoint + 1) * depth;
+        let shared = bits.clone().all(|bit| !pattern_bit(varying, bit));
+        let lanes = if shared { &block[..block.len().min(1)] } else { block };
+        lanes
+            .iter()
+            .map(move |&combination| bits.clone().map(move |bit| pattern_bit(combination, bit)))
     };
     let sink_overrides: Vec<(NodeId, Vec<BackpressurePattern>)> = sinks
         .iter()
@@ -543,6 +555,7 @@ mod tests {
     use crate::liveness::check_leads_to_on_trace;
     use crate::properties::check_trace;
     use elastic_core::library::{fig1d, table1, Fig1Config};
+    use elastic_gen::{generate, GenConfig};
     use elastic_sim::{SimConfig, Simulation};
 
     #[test]
@@ -863,6 +876,80 @@ mod tests {
             lane_verdict, scalar_verdict,
             "lane-blocked and scalar scheduler sweeps must return identical verdicts"
         );
+    }
+
+    #[test]
+    fn the_broadcast_environment_setup_matches_per_lane_patterns_on_generated_designs() {
+        // Consecutive blocks replayed on one simulation — broadcast patterns
+        // for the endpoints whose bits agree across a block, overrides that
+        // refile only the lanes that changed, and a short last block — must
+        // run every lane exactly as a fresh simulation given each lane's
+        // pattern one by one.
+        let depth = 3;
+        let runs: Vec<usize> = (0..2 * LANES + 23).collect();
+        let config = LaneConfig { record_trace: false };
+        let mut broadcast = 0;
+        for preset in ["default", "loops", "pipelines"] {
+            let gen = GenConfig::preset(preset).expect("known preset");
+            for seed in 0..2 {
+                let netlist = generate(seed, &gen).netlist;
+                let (sinks, sources) = (sinks_of(&netlist), sources_of(&netlist));
+                // Endpoints 2 and up own only bits 6 and up.
+                broadcast += (sinks.len() + sources.len()).saturating_sub(2);
+                let mut reused = LaneSimulation::new(&netlist, &config).unwrap();
+                for block in runs.chunks(LANES) {
+                    reset_with_environments(&mut reused, &sinks, &sources, depth, block);
+                    let bits = |endpoint: usize, lane: usize| -> Vec<bool> {
+                        let combination = block[lane.min(block.len() - 1)];
+                        (0..depth)
+                            .map(|cycle| pattern_bit(combination, endpoint * depth + cycle))
+                            .collect()
+                    };
+                    let sink_overrides: Vec<(NodeId, Vec<BackpressurePattern>)> = sinks
+                        .iter()
+                        .enumerate()
+                        .map(|(s, &sink)| {
+                            (
+                                sink,
+                                (0..LANES)
+                                    .map(|lane| BackpressurePattern::List(bits(s, lane)))
+                                    .collect(),
+                            )
+                        })
+                        .collect();
+                    let source_overrides: Vec<(NodeId, Vec<SourcePattern>)> = sources
+                        .iter()
+                        .enumerate()
+                        .map(|(j, &source)| {
+                            let offers =
+                                |lane| bits(sinks.len() + j, lane).iter().map(|b| !b).collect();
+                            (
+                                source,
+                                (0..LANES).map(|lane| SourcePattern::List(offers(lane))).collect(),
+                            )
+                        })
+                        .collect();
+                    let mut fresh = LaneSimulation::new(&netlist, &config).unwrap();
+                    fresh.reset_with_lane_sink_patterns(&sink_overrides);
+                    fresh.reset_with_lane_source_patterns(&source_overrides);
+                    for cycle in 0..48 {
+                        reused.step().unwrap();
+                        fresh.step().unwrap();
+                        let (a, b) = (reused.rails(), fresh.rails());
+                        let at = format!("{preset} seed {seed} block {} cycle {cycle}", block[0]);
+                        assert_eq!(a.forward_valid, b.forward_valid, "V+, {at}");
+                        assert_eq!(a.forward_stop, b.forward_stop, "S+, {at}");
+                        assert_eq!(a.backward_valid, b.backward_valid, "V-, {at}");
+                        assert_eq!(a.backward_stop, b.backward_stop, "S-, {at}");
+                    }
+                    for lane in 0..LANES {
+                        let (a, b) = (reused.report(lane), fresh.report(lane));
+                        assert_eq!(a.behavioural_difference(&b), None, "lane {lane}");
+                    }
+                }
+            }
+        }
+        assert!(broadcast > 0, "some endpoint must own only bits past the lane bits");
     }
 
     #[test]

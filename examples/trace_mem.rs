@@ -15,8 +15,9 @@
 //!
 //! The trace sizes are deterministic, so each case asserts that it stays at
 //! or below its recorded value. The sweep throughput depends on the host, so
-//! each case only asserts the headline: the reset path beats the rebuild
-//! baseline.
+//! the two paths are timed in interleaved rounds (each round runs both, so
+//! their ratio compares runs made in the same host phase), and each case
+//! only asserts the headline: the reset path beats the rebuild baseline.
 //!
 //! Run with `cargo run --release --example trace_mem`.
 
@@ -115,30 +116,36 @@ fn explore_rebuild_baseline(netlist: &Netlist, options: &ExplorationOptions) -> 
     failures.into_iter().filter(|passed| !passed).count()
 }
 
+/// Best wall time of the rebuild baseline and of the reset sweep over
+/// `repeats` rounds, after a warm-up round. The two run in turn within each
+/// round, so their ratio compares runs made in the same host phase.
+fn best_times(netlist: &Netlist, options: &ExplorationOptions, repeats: u32) -> [f64; 2] {
+    let mut best = [f64::INFINITY; 2];
+    for round in 0..=repeats {
+        for (path, best) in best.iter_mut().enumerate() {
+            let start = Instant::now();
+            if path == 0 {
+                explore_rebuild_baseline(netlist, options);
+            } else {
+                explore_environments(netlist, options).unwrap();
+            }
+            if round > 0 {
+                *best = best.min(start.elapsed().as_secs_f64());
+            }
+        }
+    }
+    best
+}
+
 fn sweep_case(name: &str, netlist: &Netlist, options: &ExplorationOptions, repeats: u32) {
     let runs = explored_runs(netlist, options);
-    let time = |work: &dyn Fn()| {
-        work(); // warm-up
-        let mut best = f64::INFINITY;
-        for _ in 0..repeats {
-            let start = Instant::now();
-            work();
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        best
-    };
     // Sanity: the reset path reports exactly the counterexamples the
     // rebuild-per-run path finds.
     let baseline_failures = explore_rebuild_baseline(netlist, options);
     let verdict = explore_environments(netlist, options).unwrap();
     assert_eq!(baseline_failures, verdict.violations.len(), "paths must agree on {name}");
 
-    let rebuild = time(&|| {
-        explore_rebuild_baseline(netlist, options);
-    });
-    let reset = time(&|| {
-        explore_environments(netlist, options).unwrap();
-    });
+    let [rebuild, reset] = best_times(netlist, options, repeats);
     println!(
         "{name:<22} {:>10.0} runs/s rebuild {:>10.0} runs/s reset  {:>6.2}x faster",
         runs as f64 / rebuild,
