@@ -1,10 +1,14 @@
 //! Shared helpers for the benchmark harness.
 //!
-//! Every bench target regenerates one table or figure of the paper's
-//! evaluation: it first prints the paper-style rows (the same tables the
-//! examples print, e.g. `cargo run --release --example resilient_adder`),
-//! then measures the simulation cost of the corresponding design points with
-//! Criterion.
+//! Four bench targets remain. Each prints one table, then times the runs
+//! behind it with Criterion: `fig1_designs` the Figure-1 design points
+//! (throughput, cycle time, effective cycle time, area), `accuracy_sweep`
+//! speculation throughput against select bias and predictor, `eb_latency`
+//! the recovery-buffer variants after the shared module, and `verify_cost`
+//! the verification campaign on the speculative Figure-1 design. The
+//! Figure 6, Figure 7 and Table 1 tables are printed by the
+//! `variable_latency_alu`, `resilient_adder` and `branch_speculation`
+//! examples, and engine speed by `engine_timing`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -200,8 +200,8 @@ pub enum SchedulerKind {
     /// confirming evidence (saturating at `max_confidence`) and resets — with
     /// an immediate hedge — on contrary evidence. Deep commit lanes stop
     /// paying a recovery penalty on periodic mispredicts because the demanded
-    /// result is already parked in the hedged lane (the ROADMAP
-    /// "confidence-adaptive commit scheduling" carry-over).
+    /// result is already parked in the hedged lane (pinned by
+    /// `crates/explore/tests/confidence_pin.rs`).
     Confidence {
         /// Ceiling of the confidence counter; the run-ahead window between
         /// hedges is at most `2 + max_confidence` cycles.
@@ -520,7 +520,7 @@ impl NodeKind {
         !self.is_sequential() && !self.is_environment()
     }
 
-    /// Short kind name used in reports and emitted HDL.
+    /// Short kind name used in reports.
     pub fn kind_name(&self) -> &'static str {
         match self {
             NodeKind::Buffer(_) => "buffer",

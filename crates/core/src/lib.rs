@@ -32,8 +32,8 @@
 //!   Figure 6 and the SECDED resilient adder of Figure 7).
 //!
 //! Cycle-accurate simulation lives in the `elastic-sim` crate, performance
-//! and cost analysis in `elastic-analysis`, verification in `elastic-verify`
-//! and HDL emission in `elastic-hdl`.
+//! and cost analysis in `elastic-analysis`, and verification in
+//! `elastic-verify`.
 //!
 //! # Quick example
 //!

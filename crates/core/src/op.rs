@@ -138,7 +138,7 @@ pub enum Op {
 }
 
 impl Op {
-    /// Short lower-case mnemonic used in reports, traces and emitted HDL.
+    /// Short lower-case mnemonic used in reports and traces.
     pub fn mnemonic(&self) -> String {
         match self {
             Op::Identity => "id".into(),

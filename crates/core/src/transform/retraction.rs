@@ -31,9 +31,8 @@
 //! and derives a *placed* isolation-buffer set: one bubble on the entry
 //! channel of each hazardous fork — nothing anywhere else. On cyclic designs
 //! the placement therefore only taxes the loop when the loop's own cone
-//! actually escapes into a stallable fork (the ROADMAP's "cyclic speculation
-//! into a stallable fork cone" corner); Figure 1(d) and Figure 7(b) receive
-//! no buffer at all.
+//! actually escapes into a stallable fork; Figure 1(d) and Figure 7(b)
+//! receive no buffer at all.
 //!
 //! ## Stallability, and its limits
 //!
@@ -303,10 +302,9 @@ pub fn lazy_tainted_nodes(netlist: &Netlist) -> BTreeSet<NodeId> {
 /// consumer waits for the buffered token, the buffered token waits for the
 /// fork to fire, and the fork waits for the combinational branch's consumer
 /// — the same consumer. No settle-seed policy can save this composition;
-/// its dead fixpoint is the *only* fixpoint. This is the structural lint
-/// the ROADMAP's lazy-to-lazy item called for: generators (and designers)
-/// demote such forks to eager, whose per-branch delivery tolerates the
-/// skew.
+/// its dead fixpoint is the *only* fixpoint. This lint finds such forks:
+/// generators (and designers) demote them to eager, whose per-branch
+/// delivery tolerates the skew.
 pub fn ill_formed_lazy_forks(netlist: &Netlist) -> Vec<NodeId> {
     let combinational = |start: NodeId| -> BTreeSet<NodeId> {
         let mut seen = BTreeSet::new();

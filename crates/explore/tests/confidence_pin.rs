@@ -1,7 +1,7 @@
-//! Regression pin for confidence-adaptive commit scheduling (the ROADMAP
-//! carry-over from the commit-depth benchmark).
+//! Regression pin for confidence-adaptive commit scheduling on the
+//! commit-depth benchmark's workload.
 //!
-//! On the PR-5 biased-consumer workload, unthrottled run-ahead *loses*
+//! On the biased-consumer workload, unthrottled run-ahead *loses*
 //! throughput at commit depth 4 versus depth 2 (deep lanes fill with
 //! wrong-path results that each cost a squash round-trip). The
 //! confidence-throttled scheduler (`SchedulerKind::Confidence`) recovers

@@ -65,23 +65,23 @@ pub struct GenConfig {
     pub varlatency_chance: f64,
     /// Probability that a fork growth step emits a *lazy* fork. Lazy forks
     /// reconverging at joins have a live and a dead settle fixpoint; the
-    /// engines resolve them with the optimistic seeding pass (ROADMAP
-    /// lazy-to-lazy item), so they are back in the generation space.
+    /// engines resolve them with the optimistic seeding pass, so they are
+    /// back in the generation space.
     pub lazy_fork_chance: f64,
     /// Probability that a select-loop gadget places its fork *before* the
     /// loop's elastic buffer — putting the fork inside the speculative mux's
-    /// combinational cone, with the continuation branch free to stall (the
-    /// ROADMAP "cyclic speculation into a stallable fork cone" corner).
+    /// combinational cone, with the continuation branch free to stall, so
+    /// speculating the mux must isolate that fork with a bubble.
     pub stallable_loop_fork_chance: f64,
     /// Probability that a fork branch or a join operand **mutates its
     /// channel width** — the branch/operand channel is declared at a freshly
     /// drawn width instead of inheriting the producer's. Every producer
     /// masks its data to the channel it drives (the simulator's signal layer
-    /// truncates exactly like the Verilog wire the channel emits to), so
+    /// never lets a channel carry more bits than it declares), so
     /// width-converting forks and joins are valid designs; what the knob
     /// buys is fuzz coverage of that masking — transforms that re-site
     /// producers (retiming, speculation's shared module) must preserve the
-    /// conversion points (the PR-3/PR-4 fuzz-scaling leftover).
+    /// conversion points.
     pub width_mutation_chance: f64,
     /// Probability that a mux gadget (select-loop or feed-forward) declares
     /// its **output wire narrower than its data inputs** — a width-converting
@@ -191,7 +191,8 @@ pub struct GenProfile {
     /// Lazy forks emitted by fork growth steps.
     pub lazy_forks: Vec<NodeId>,
     /// Loop-gadget forks placed *before* the loop buffer — inside the
-    /// speculative mux's combinational cone (ROADMAP stallable-cone corner).
+    /// speculative mux's combinational cone, where speculation must isolate
+    /// them.
     pub stallable_loop_forks: Vec<NodeId>,
     /// Forks with at least one branch whose channel width differs from the
     /// input channel's (the branch wire narrows or widens the token).
@@ -437,9 +438,9 @@ impl<'a> Builder<'a> {
         let width = input.width;
         self.connect(input, Port::input(fork, 0));
         // Width mutation: a branch may re-declare its channel width — the
-        // fork masks each branch's copy to the wire it drives (like the
-        // per-branch assigns of the emitted Verilog), so branches of one
-        // token may legitimately carry different truncations of it.
+        // fork masks each branch's copy to the channel it drives, so
+        // branches of one token may legitimately carry different
+        // truncations of it.
         let mut mutated = false;
         for branch in 0..outputs {
             let (open, branch_mutated, _narrowed) =
@@ -565,9 +566,8 @@ impl<'a> Builder<'a> {
     /// ```
     ///
     /// which puts an eager fork with a stallable branch inside the
-    /// speculative mux's combinational cone — the ROADMAP's second
-    /// unverified corner. The retraction-domain analysis must then isolate
-    /// exactly that fork when the mux is speculated.
+    /// speculative mux's combinational cone. The retraction-domain analysis
+    /// must then isolate exactly that fork when the mux is speculated.
     fn select_loop_gadget(&mut self) {
         let width = self.data_width();
         let src0 = {
@@ -751,7 +751,7 @@ pub fn generate(seed: u64, config: &GenConfig) -> GeneratedNetlist {
     builder.grow();
     builder.close();
 
-    // Structural lint (ROADMAP lazy-to-lazy item): a lazy fork whose
+    // Structural lint (`ill_formed_lazy_forks`): a lazy fork whose
     // branches reconverge with unequal storage, or whose rendezvous region
     // contains a memory-keeping consumer, is dead by construction — no
     // settle policy can revive it. The frontier wires branches wherever the

@@ -657,8 +657,8 @@ pub fn run_netlist(
 
         // Environment injection for structural transforms: equivalence must
         // survive perturbed offer/back-pressure patterns, not just the
-        // generated design's own environments (previously speculation-only —
-        // the ROADMAP fuzz-scaling item).
+        // generated design's own environments. Speculated cases get their
+        // environment and scheduler sweeps below.
         let speculated = transform_kind(&case.name).starts_with("speculate");
         if !speculated && options.structural_environment_variations > 0 {
             let variations = environment_variations(

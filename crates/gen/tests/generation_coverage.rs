@@ -193,7 +193,7 @@ fn the_loop_space_emits_stallable_cone_gadgets() {
     );
     assert!(
         histogram.stallable_loop_forks >= 25,
-        "the fork-before-EB loop variant (ROADMAP stallable-cone corner) is \
-         barely emitted: {histogram:?}"
+        "the fork-before-EB loop variant (a stallable fork inside the speculative \
+         cone) is barely emitted: {histogram:?}"
     );
 }

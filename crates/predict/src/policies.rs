@@ -305,8 +305,7 @@ impl Scheduler for ErrorReplayScheduler {
 /// channel, so a genuinely inverted bias is re-learned rather than hedged
 /// against forever.
 ///
-/// This is the ROADMAP "confidence-adaptive commit scheduling" carry-over:
-/// with this policy a depth-4 commit stage matches or beats the depth-2
+/// With this policy a depth-4 commit stage matches or beats the depth-2
 /// sweet spot on the biased bursty-consumer workload of
 /// `BENCH_commit_depth.json` (pinned by the explorer regression tests),
 /// because deeper lanes keep their burst-absorbing head-room without paying

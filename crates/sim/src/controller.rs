@@ -69,11 +69,10 @@ impl<'a> NodeIo<'a> {
 
     /// A port view masking driven data to `channel_widths`, the declared
     /// width of every global channel, so a channel never carries more bits
-    /// than its declaration — the invariant the structural HDL views rely on
-    /// (a Verilog wire truncates, so must we), and the reason
-    /// width-converting forks and joins are safe to generate. Every setter
-    /// that changes a stored signal pushes the channel onto `dirty`, when
-    /// given (possibly more than once; consumers dedupe).
+    /// than it declares. Width-converting forks and joins rely on that
+    /// truncation, and so do the transforms that re-site nodes across them.
+    /// Every setter that changes a stored signal pushes the channel onto
+    /// `dirty`, when given (possibly more than once; consumers dedupe).
     pub(crate) fn masked(
         channels: &'a mut [ChannelState],
         input_channels: &'a [usize],

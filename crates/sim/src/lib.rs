@@ -52,8 +52,8 @@
 //! * [`scenarios`] — ready-to-run experiment setups for the paper's
 //!   figures, combining the netlist library of `elastic-core`, the
 //!   workload generators of `elastic-datapath` and the schedulers of
-//!   `elastic-predict`; the `*_sweep` variants fan independent runs across
-//!   threads deterministically via [`sweep::parallel_map`], and per-worker
+//!   `elastic-predict`; [`scenarios::run_fig1_sweep`] fans independent runs
+//!   across threads deterministically via [`sweep::parallel_map`], and per-worker
 //!   state (one resettable simulation per thread) rides along via
 //!   [`sweep::parallel_map_with`].
 //!

@@ -3,11 +3,10 @@
 //! Each function combines a netlist from `elastic_core::library`, workloads
 //! from `elastic_datapath::workload` and (where relevant) a scheduler from
 //! `elastic-predict`, runs the cycle-accurate simulation and returns the
-//! metrics the paper reports. The benchmark harness (`crates/bench`) and the
-//! runnable examples are thin wrappers over this module, so every figure
-//! table they print (`cargo run --release --example branch_speculation`,
-//! `resilient_adder`, `variable_latency_alu`) can be regenerated from
-//! library code alone.
+//! metrics the paper reports. The runnable examples are thin wrappers over
+//! this module, so every figure table they print (`cargo run --release
+//! --example branch_speculation`, `resilient_adder`, `variable_latency_alu`)
+//! can be regenerated from library code alone.
 
 use elastic_core::kind::DataStream;
 use elastic_core::library::{self, Fig1Config, Fig1Handles, ResilientConfig, VarLatencyConfig};
@@ -151,44 +150,9 @@ pub fn run_fig1_sweep(scenarios: &[Fig1Scenario]) -> Result<Vec<Fig1Outcome>, Si
     parallel_map(scenarios, |_, scenario| run_fig1(scenario)).into_iter().collect()
 }
 
-/// Runs the Figure-6 comparison at several error rates in parallel, results
-/// in input order (the parallel counterpart of mapping [`run_var_latency`]).
-///
-/// # Errors
-///
-/// Returns the first (in input order) simulation failure.
-pub fn run_var_latency_sweep(
-    error_rates: &[f64],
-    cycles: u64,
-    seed: u64,
-) -> Result<Vec<VarLatencyOutcome>, SimError> {
-    parallel_map(error_rates, |_, &error_rate| run_var_latency(error_rate, cycles, seed))
-        .into_iter()
-        .collect()
-}
-
-/// Runs the Figure-7 comparison at several soft-error rates in parallel,
-/// results in input order (the parallel counterpart of mapping
-/// [`run_resilient`]).
-///
-/// # Errors
-///
-/// Returns the first (in input order) simulation failure.
-pub fn run_resilient_sweep(
-    upset_rates: &[f64],
-    cycles: u64,
-    seed: u64,
-) -> Result<Vec<ResilientOutcome>, SimError> {
-    parallel_map(upset_rates, |_, &upset_rate| run_resilient(upset_rate, cycles, seed))
-        .into_iter()
-        .collect()
-}
-
 /// Outcome of the variable-latency comparison (Figure 6).
 #[derive(Debug, Clone)]
 pub struct VarLatencyOutcome {
-    /// Fraction of operand pairs whose approximation fails.
-    pub error_rate: f64,
     /// Throughput of the stalling design of Figure 6(a).
     pub stalling_throughput: f64,
     /// Throughput of the speculative design of Figure 6(b).
@@ -236,7 +200,6 @@ pub fn run_var_latency(
     let speculative_report = sim.run(cycles)?;
 
     Ok(VarLatencyOutcome {
-        error_rate,
         stalling_throughput: stalling_report.throughput(stalling.sink),
         speculative_throughput: speculative_report.throughput(speculative.sink),
         replays: speculative_report.total_mispredictions(),
@@ -248,8 +211,6 @@ pub fn run_var_latency(
 /// Outcome of the resilient-adder comparison (Figure 7).
 #[derive(Debug, Clone)]
 pub struct ResilientOutcome {
-    /// Probability of a soft error hitting the stored codeword per cycle.
-    pub upset_rate: f64,
     /// Throughput of the unprotected accumulator baseline.
     pub unprotected_throughput: f64,
     /// Throughput of the non-speculative resilient design of Figure 7(a).
@@ -300,7 +261,6 @@ pub fn run_resilient(
     let speculative_report = Simulation::new(&speculative.netlist, &quiet)?.run(cycles)?;
 
     Ok(ResilientOutcome {
-        upset_rate,
         unprotected_throughput: unprotected_report.throughput(unprotected.sink),
         nonspeculative_throughput: nonspeculative_report.throughput(nonspeculative.sink),
         speculative_throughput: speculative_report.throughput(speculative.sink),
@@ -398,18 +358,6 @@ mod tests {
             assert_eq!(outcome.throughput, sequential.throughput);
             assert_eq!(outcome.mispredictions, sequential.mispredictions);
             assert_eq!(outcome.report.sink_streams, sequential.report.sink_streams);
-        }
-    }
-
-    #[test]
-    fn parallel_resilient_sweep_matches_sequential_runs() {
-        let rates = [0.0, 0.05, 0.1];
-        let parallel = run_resilient_sweep(&rates, 150, 11).unwrap();
-        for (&rate, outcome) in rates.iter().zip(&parallel) {
-            let sequential = run_resilient(rate, 150, 11).unwrap();
-            assert_eq!(outcome.upset_rate, rate, "input order preserved");
-            assert_eq!(outcome.speculative_throughput, sequential.speculative_throughput);
-            assert_eq!(outcome.replays, sequential.replays);
         }
     }
 

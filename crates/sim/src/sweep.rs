@@ -1,6 +1,6 @@
 //! Deterministic parallel execution of independent simulation runs.
 //!
-//! Scenario sweeps (Figure-1 design points, Figure-6/7 rate curves) and the
+//! The Figure-1 scenario sweep ([`crate::scenarios::run_fig1_sweep`]) and the
 //! bounded exploration of `elastic-verify` are embarrassingly parallel: every
 //! run builds its own [`crate::Simulation`] from shared read-only inputs.
 //! [`parallel_map`] fans such runs across OS threads with `std::thread::scope`

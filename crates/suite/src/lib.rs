@@ -3,8 +3,8 @@
 //! Umbrella crate of the *Speculation in Elastic Systems* reproduction. It
 //! re-exports the workspace crates under one roof so that the runnable
 //! examples (`examples/`) and the cross-crate integration tests (`tests/`)
-//! have a single dependency, and provides a couple of small helpers shared by
-//! both.
+//! have a single dependency, and holds the one design both build:
+//! [`feedforward_mux_design`].
 //!
 //! The root `README.md` is included below — its quickstart snippet compiles
 //! as a doctest of this crate, so the documented entry point cannot rot.
@@ -16,7 +16,6 @@ pub use elastic_analysis as analysis;
 pub use elastic_core as core;
 pub use elastic_datapath as datapath;
 pub use elastic_explore as explore;
-pub use elastic_hdl as hdl;
 pub use elastic_predict as predict;
 pub use elastic_serve as serve;
 pub use elastic_sim as sim;
@@ -54,27 +53,4 @@ pub fn feedforward_mux_design(
     n.connect(Port::output(f, 0), Port::input(sink, 0), 8).unwrap();
     n.validate().unwrap();
     (n, mux, sink)
-}
-
-/// Formats a throughput figure as the example reports print it (for
-/// instance `cargo run --example quickstart`).
-pub fn format_throughput(throughput: f64) -> String {
-    format!("{throughput:.3} tokens/cycle")
-}
-
-/// Formats a relative change as a signed percentage.
-pub fn format_percent(fraction: f64) -> String {
-    format!("{:+.1}%", fraction * 100.0)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn formatting_helpers_are_stable() {
-        assert_eq!(format_throughput(0.5), "0.500 tokens/cycle");
-        assert_eq!(format_percent(0.091), "+9.1%");
-        assert_eq!(format_percent(-0.36), "-36.0%");
-    }
 }

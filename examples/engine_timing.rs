@@ -1,18 +1,20 @@
-//! Wall-clock engine timing on the `sim_speed` benchmark designs.
+//! Wall-clock engine timing on the designs `BENCH_sim_speed.json` records.
 //!
 //! Prints cycles/second for the Figure-1(d) and Figure-7(b) designs and for
-//! the two 256-stage synthetic pipelines of `crates/bench/benches/sim_speed.rs`,
-//! for the seed's full-sweep settle (`SettleStrategy::FullSweep`, kept as
-//! the oracle: the "before" column), the scalar event-driven engine, the
-//! compiled settle and the 64-lane bit-parallel engine (lane numbers are
-//! **aggregate** scenario-cycles/second: simulated cycles × 64 lanes / wall
-//! time). The four engines are timed in interleaved rounds, so every ratio
-//! compares runs made in the same host phase. A final environment-sweep
-//! workload runs the same 2048 sink-back-pressure scenarios once through
-//! the scalar `sweep::parallel_map_with` path and once through
-//! `sweep::lane_map` with 64 scenarios per lane block — the ratio of those
-//! two aggregate numbers is the headline lane-engine win recorded in
-//! `BENCH_sim_speed.json`. A generated-netlist case times the scalar and
+//! two 256-stage synthetic pipelines (standard buffers, and zero-backward
+//! buffers under a stalling sink), for the seed's full-sweep settle
+//! (`SettleStrategy::FullSweep`, kept as the oracle: the "before" column),
+//! the scalar event-driven engine, the compiled settle and the 64-lane
+//! bit-parallel engine (lane numbers are **aggregate**
+//! scenario-cycles/second: simulated cycles × 64 lanes / wall time). The
+//! four engines are timed in interleaved rounds, so every ratio compares
+//! runs made in the same host phase. A traced line times the Figure-1(d)
+//! run on the event-driven engine with its trace recorded against the same
+//! run without it. A final environment-sweep workload runs the same 2048
+//! sink-back-pressure scenarios once through the scalar
+//! `sweep::parallel_map_with` path and once through `sweep::lane_map` with
+//! 64 scenarios per lane block — the ratio of those two aggregate numbers
+//! is the headline lane-engine win recorded in `BENCH_sim_speed.json`. A generated-netlist case times the scalar and
 //! 64-lane engines over a few designs of each `elastic-gen` preset, the
 //! datapath-heavy mix the service verifies.
 //!
@@ -269,6 +271,22 @@ fn main() {
         );
         cases.push(Case { key, design, before, scalar, compiled, lanes });
     }
+
+    // The cost of recording the trace, on the event-driven engine.
+    let fig1d_netlist = &fig1.netlist;
+    let fig1d_run = |record_trace| -> Box<dyn FnMut() + '_> {
+        let config = SimConfig { record_trace, settle: SettleStrategy::EventDriven };
+        Box::new(move || {
+            drop(Simulation::new(fig1d_netlist, &config).unwrap().run(cycles).unwrap())
+        })
+    };
+    let times = best_times(7, &mut [fig1d_run(false), fig1d_run(true)]);
+    let [untraced, traced] = [0, 1].map(|k| cycles as f64 / times[k]);
+    println!(
+        "{:<28} untraced {untraced:>10.0}   traced {traced:>10.0} cycles/s ({:.2}x)",
+        "fig1d_with_trace",
+        traced / untraced
+    );
 
     // Generated netlists: the first seeds of the default, loops and
     // pipelines presets — function blocks with real datapaths, joins,

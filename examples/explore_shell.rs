@@ -1,12 +1,11 @@
 //! The interactive exploration workflow of the paper's Section 5, driven by a
 //! command script: apply transformations step by step, inspect the design,
-//! undo/redo, and emit Verilog/BLIF for the result.
+//! and undo/redo.
 //!
 //! Run with `cargo run --example explore_shell`.
 
 use elastic_core::library::{fig1a, Fig1Config};
 use elastic_core::shell::ExplorationShell;
-use elastic_hdl::{emit_blif, emit_verilog};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut shell = ExplorationShell::new(fig1a(&Fig1Config::default()).netlist);
@@ -37,18 +36,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // Export the final design the way the paper's toolkit does.
-    let netlist = shell.into_netlist();
-    let verilog = emit_verilog(&netlist);
-    let blif = emit_blif(&netlist);
-    println!(
-        "\ngenerated Verilog ({} lines) and BLIF ({} lines);",
-        verilog.lines().count(),
-        blif.lines().count()
-    );
-    println!("first Verilog lines:\n");
-    for line in verilog.lines().take(12) {
-        println!("    {line}");
-    }
     Ok(())
 }

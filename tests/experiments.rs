@@ -1,7 +1,7 @@
 //! End-to-end experiment shape checks: the qualitative results of the paper's
 //! evaluation (Sections 2 and 5) must emerge from the simulator plus the cost
-//! model. The benchmark harness regenerates the full tables; these tests pin
-//! the *shape* (who wins, roughly by how much) so regressions are caught by
+//! model. The examples regenerate the full tables; these tests pin the
+//! *shape* (who wins, roughly by how much) so regressions are caught by
 //! `cargo test`.
 
 use elastic_analysis::{cost::CostModel, report::DesignPoint, DesignComparison};
@@ -90,7 +90,7 @@ fn speculation_throughput_degrades_gracefully_with_prediction_accuracy() {
 
 #[test]
 fn variable_latency_speculation_beats_stalling_and_degrades_with_error_rate() {
-    // E3-fig6: the speculative variable-latency unit matches the stalling one
+    // Figure 6: the speculative variable-latency unit matches the stalling one
     // at low error rates and only loses the replay cycles as errors increase.
     let low = scenarios::run_var_latency(0.05, 400, 21).unwrap();
     let high = scenarios::run_var_latency(0.5, 400, 21).unwrap();
@@ -113,7 +113,7 @@ fn variable_latency_speculation_beats_stalling_and_degrades_with_error_rate() {
 
 #[test]
 fn resilient_speculation_is_free_when_error_free_and_costs_one_cycle_per_error() {
-    // E4-fig7: error-free behaviour matches the unprotected accumulator; each
+    // Figure 7: error-free behaviour matches the unprotected accumulator; each
     // soft error costs a single replay cycle; the non-speculative design pays
     // the SECDED stage on every iteration.
     let clean = scenarios::run_resilient(0.0, 400, 33).unwrap();
@@ -208,4 +208,87 @@ fn zero_backward_buffers_remove_the_recovery_bottleneck() {
         zero > 0.2,
         "the speculative loop keeps running with recovery buffers in place ({zero})"
     );
+}
+
+#[test]
+fn simulated_throughput_never_beats_the_marked_graph_bound() {
+    // `marked_graph::analyze` feeds `DesignPoint::from_netlist`. It abstracts
+    // a netlist into a marked graph in which every node waits for all of its
+    // inputs, so early-evaluation muxes and shared modules fall outside it:
+    // the list holds every library design without either. Each has one sink,
+    // downstream of every cycle. Generated netlists are left out: the bound
+    // is the minimum over all cycles of the netlist, and a generated netlist
+    // may hold sinks that no select loop reaches, which run faster than it.
+    use elastic_analysis::marked_graph::analyze;
+    use elastic_core::kind::{BackpressurePattern, BufferSpec};
+    use elastic_core::library::{self, Fig1Config, ResilientConfig, VarLatencyConfig};
+    use elastic_core::op::secded_codeword_width;
+    use elastic_core::transform::insert_bubble;
+    use elastic_core::{Netlist, NodeKind};
+    use elastic_datapath::workload;
+    use elastic_sim::{SimConfig, Simulation};
+
+    const CYCLES: u64 = 2000;
+    let stream = CYCLES as usize + 8;
+    let fig1 = Fig1Config::default();
+    let bubbled = |channels: &[&str]| {
+        let mut netlist = library::fig1a(&fig1).netlist;
+        for name in channels {
+            let channel = netlist.live_channels().find(|c| c.name == *name).unwrap().id;
+            insert_bubble(&mut netlist, channel).unwrap();
+        }
+        netlist
+    };
+    let (operands_a, operands_b) = workload::approx_error_operands(8, 4, 0.2, stream, 13);
+    let var_latency = VarLatencyConfig { operands_a, operands_b, ..VarLatencyConfig::default() };
+    let resilient = ResilientConfig {
+        data_width: 32,
+        operands: workload::uniform_operands(32, stream, 17),
+        error_masks: workload::soft_error_masks(secded_codeword_width(32), 0.05, stream, 17),
+    };
+    let pipeline = |buffer| library::deep_pipeline(16, buffer, BackpressurePattern::Never);
+    // (name, netlist, exact): the bound is exact where the sources always
+    // offer and the sink never stalls.
+    let designs: [(&str, Netlist, bool); 9] = [
+        ("fig1a", library::fig1a(&fig1).netlist, true),
+        ("fig1b", library::fig1b(&fig1).netlist, true),
+        ("fig1a with 2 bubbles", bubbled(&["mux_out", "loop_to_g"]), true),
+        ("fig1a with 3 bubbles", bubbled(&["mux_out", "loop_to_g", "select"]), true),
+        (
+            "variable_latency_stalling",
+            library::variable_latency_stalling(&var_latency).netlist,
+            false,
+        ),
+        ("resilient_unprotected", library::resilient_unprotected(&resilient).netlist, false),
+        ("resilient_nonspeculative", library::resilient_nonspeculative(&resilient).netlist, false),
+        ("deep_pipeline standard", pipeline(BufferSpec::standard(0)), false),
+        ("deep_pipeline zero_backward", pipeline(BufferSpec::zero_backward(0)), false),
+    ];
+
+    let quiet = SimConfig { record_trace: false, ..SimConfig::default() };
+    for (name, netlist, exact) in &designs {
+        assert!(
+            netlist.live_nodes().all(|n| match &n.kind {
+                NodeKind::Mux(mux) => !mux.early_eval,
+                kind => !matches!(kind, NodeKind::Shared(_)),
+            }),
+            "{name} is outside the marked-graph abstraction"
+        );
+        let bound = analyze(netlist).throughput_bound();
+        let sink = netlist.live_nodes().find(|n| matches!(n.kind, NodeKind::Sink(_))).unwrap().id;
+        let report = Simulation::new(netlist, &quiet).unwrap().run(CYCLES).unwrap();
+        let throughput = report.throughput(sink);
+        // The initial tokens can leave ahead of the steady state.
+        let slack = netlist.total_initial_tokens() as f64 / CYCLES as f64;
+        assert!(
+            throughput <= bound + slack,
+            "{name}: simulated throughput {throughput} beats the marked-graph bound {bound}"
+        );
+        if *exact {
+            assert!(
+                (throughput - bound).abs() <= 0.02 * bound,
+                "{name}: simulated throughput {throughput} is not within 2% of the bound {bound}"
+            );
+        }
+    }
 }
