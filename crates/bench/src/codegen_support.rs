@@ -23,8 +23,8 @@ pub fn designs() -> Vec<(&'static str, Netlist)> {
 ///
 /// # Panics
 ///
-/// When a design fails to emit — only possible after an emitter regression,
-/// since every design in [`designs`] is non-optimistic.
+/// When a design fails to emit — only possible after an emitter or planner
+/// regression, since every design in [`designs`] has a plan.
 pub fn module_text() -> String {
     let mut out = String::from(
         "//! Settle functions generated by `elastic_sim::codegen::emit_settle_fn`.\n\
@@ -32,7 +32,7 @@ pub fn module_text() -> String {
          //! Checked-in output of the codegen golden test; regenerate with\n\
          //! `cargo run -p elastic-bench --example regen_generated_settle` after\n\
          //! changing the emitter or the source designs. Each function is the\n\
-         //! fused settle pass for one paper design, driven through\n\
+         //! straight-line settle pass for one paper design, driven through\n\
          //! `elastic_sim::codegen::run_generated`; the golden test pins this file to\n\
          //! the emitter's current output and the differential test pins each function\n\
          //! to the interpreted engines, cycle for cycle and bit for bit.\n",

@@ -100,7 +100,7 @@ pub struct HarnessOptions {
     /// smoke test switches it on via `ELASTIC_FUZZ_LANES`.
     pub lane_differential: bool,
     /// Also run the compiled settle backend against the event-driven engine
-    /// on every case ([`compiled_agrees`]): the fused micro-op plan must
+    /// on every case ([`compiled_agrees`]): the straight-line plan must
     /// reproduce the worklist engine bit-for-bit. Off by default for the
     /// same reason as the lane leg; the fuzz smoke test switches it on via
     /// `ELASTIC_FUZZ_COMPILED`.
@@ -240,10 +240,12 @@ pub fn engines_agree(netlist: &Netlist, cycles: u64) -> Result<(), String> {
 }
 
 /// Runs the event-driven engine against the compiled settle backend
-/// ([`SettleStrategy::Compiled`]): the fused micro-op plan must reproduce
-/// the worklist engine's trace and report bit-for-bit — including on
-/// netlists with lazy forks, where the compiled strategy transparently
-/// falls back to the event-driven settle.
+/// ([`SettleStrategy::Compiled`]): the straight-line plan of forward and
+/// backward halves must reproduce the worklist engine's trace and report
+/// bit-for-bit. A netlist whose rails form a cycle (a combinational loop,
+/// or a lazy fork whose branches reconverge) has no plan, and the compiled
+/// strategy then settles event-driven itself, so only a netlist with a
+/// plan tests one.
 ///
 /// # Errors
 ///

@@ -107,8 +107,8 @@ fn every_corpus_seed_is_lane_broadcast_identical() {
 fn every_corpus_seed_is_compiled_identical() {
     // The compiled settle backend's bit-identity contract, replayed over the
     // whole regression corpus: each historical finding's netlist must
-    // simulate identically under the fused micro-op plan (or its
-    // event-driven fallback for lazy-fork designs).
+    // simulate identically under the straight-line plan (or its
+    // event-driven fallback for designs whose rails form a cycle).
     use elastic_gen::{compiled_agrees, generate};
     for entry in load_corpus() {
         let generated = generate(entry.seed, &entry.config);

@@ -1,25 +1,14 @@
 //! Rust source emission for compiled settle plans.
 //!
 //! [`emit_settle_fn`] lowers a netlist through the same planner as
-//! [`SettleStrategy::Compiled`] and then prints the scheduled micro-ops as
-//! the source text of one Rust function with one call per op: a fused op
-//! becomes a statically dispatched call of the planned controller's
-//! `forward` or `backward` equation (which run the shared equations of
-//! [`crate::handshake`] on the controller's own state, function blocks
-//! evaluating their data through [`elastic_datapath::evaluate_columns`]), found
-//! with [`concrete`] as the compiled interpreter finds it; a controller the
-//! planner does not specialize keeps its dynamic [`Controller::eval`]. The
-//! generated function is the compiled interpreter with the `match`
-//! dispatch and the port lookups constant-folded away:
-//!
-//! * the plan's **straight-line prefix** becomes one statement per op, in
-//!   schedule order (every operand rail is final when an op runs);
-//! * the **trailing segment** (ops on or downstream of combinational rail
-//!   cycles, e.g. the speculative select loops of Figures 1(d) and 7(b))
-//!   becomes a [`Wires::relax`] sweep, repeated in deterministic order until
-//!   a sweep changes nothing, capped at the engine's settle budget — whole
-//!   sweeps, where the interpreter re-runs only the trailing ops whose
-//!   operands changed; both reach the same fixed point.
+//! [`SettleStrategy::Compiled`](crate::SettleStrategy::Compiled) and
+//! prints the plan as the source text of one straight-line Rust function
+//! with one call per op, in plan order: a [`Controller::forward`] or
+//! [`Controller::backward`] call for a half, or a [`Controller::eval`] call
+//! for a registered controller. The generated
+//! function is the compiled interpreter with the op loop unrolled and the
+//! port lookups constant-folded away; the equations stay in the
+//! controllers, which run the shared equations of [`crate::handshake`].
 //!
 //! The emitted text is self-contained — every path is fully qualified
 //! against `elastic_sim` — so a downstream crate checks it in as a module
@@ -32,27 +21,19 @@
 //!
 //! # Restrictions
 //!
-//! Emission fails (with [`CodegenError`]) when the netlist contains
-//! **optimistic controllers** (lazy forks): they need the event-driven
-//! two-pass seeding — the compiled strategy itself falls back to the
-//! event-driven engine for those.
-//!
-//! A netlist whose trailing segment fails to converge within the budget
-//! raises [`SimError::CombinationalLoop`] on the interpreted engines; the
-//! generated function has no error channel, so [`run_generated`] is only
-//! meaningful for netlists the interpreted engines settle — which the
-//! differential tests enforce.
+//! Emission fails (with [`CodegenError`]) for a netlist without a plan:
+//! one whose rail groups form a cycle (a combinational loop, or a lazy fork
+//! whose branches reconverge). Those settle on the event-driven worklist,
+//! which iterates, and a straight-line function cannot.
 
-use std::any::Any;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use elastic_core::Netlist;
 
-use crate::compiled::MicroOp;
+use crate::compiled::{CompiledPlan, Half};
 use crate::controller::{Controller, NodeIo};
-use crate::engine::{SettleStrategy, SimConfig, SimError, Simulation};
-use crate::handshake::Rail;
+use crate::engine::{SimConfig, SimError, Simulation};
+use crate::engine_core::EngineCore;
 use crate::signal::ChannelState;
 
 /// Why a netlist could not be emitted as a settle function.
@@ -79,10 +60,6 @@ fn err(reason: impl Into<String>) -> CodegenError {
 pub struct Wires<'a> {
     channels: &'a mut [ChannelState],
     widths: &'a [u8],
-    /// Channels changed in the current relaxation sweep (tracked only
-    /// inside [`Wires::relax`]).
-    dirty: Vec<usize>,
-    relaxing: bool,
 }
 
 impl<'a> Wires<'a> {
@@ -90,56 +67,13 @@ impl<'a> Wires<'a> {
     /// each channel's declared width.
     pub fn clear(channels: &'a mut [ChannelState], widths: &'a [u8]) -> Self {
         channels.fill(ChannelState::default());
-        Wires { channels, widths, dirty: Vec::new(), relaxing: false }
+        Wires { channels, widths }
     }
 
-    /// A port view of one node: data writes are masked to the channel
-    /// width, and inside [`Wires::relax`] every changed signal is recorded.
+    /// A port view of one node; data writes are masked to the channel
+    /// width.
     pub fn ports<'s>(&'s mut self, inputs: &'s [usize], outputs: &'s [usize]) -> NodeIo<'s> {
-        let dirty = self.relaxing.then_some(&mut self.dirty);
-        NodeIo::masked(self.channels, inputs, outputs, self.widths, dirty)
-    }
-
-    /// Runs `sweep` until a sweep changes no signal, at most `budget` times.
-    pub fn relax(&mut self, budget: usize, mut sweep: impl FnMut(&mut Self)) {
-        self.relaxing = true;
-        for _ in 0..budget {
-            self.dirty.clear();
-            sweep(self);
-            if self.dirty.is_empty() {
-                break;
-            }
-        }
-        self.relaxing = false;
-    }
-}
-
-/// The concrete controller of node `node`, on which the compiled plan's
-/// fused ops (at either rail word `R`) and emitted settle functions make
-/// their statically dispatched `forward` and `backward` calls.
-///
-/// # Panics
-///
-/// When the controller is not a `T` — the plan or function was built for
-/// another netlist.
-pub fn concrete<T: Controller<R>, R: Rail>(
-    controllers: &[Box<dyn Controller<R>>],
-    node: usize,
-) -> &T {
-    let controller: &dyn Any = controllers[node].as_ref();
-    controller
-        .downcast_ref()
-        .unwrap_or_else(|| panic!("node {node} is not a {}", std::any::type_name::<T>()))
-}
-
-/// The controller type each fused op calls, by planned op.
-fn concrete_type(op: &MicroOp) -> &'static str {
-    match op {
-        MicroOp::Eval { .. } => unreachable!("dynamic evals call through the trait"),
-        MicroOp::FnFwd { .. } | MicroOp::FnBwd { .. } => "function::FunctionBlock<bool>",
-        MicroOp::ZbFwd { .. } | MicroOp::ZbBwd { .. } => "buffer::ZeroBackwardBuffer<bool>",
-        MicroOp::ForkFwd { .. } | MicroOp::ForkBwd { .. } => "fork::EagerFork<bool>",
-        MicroOp::MuxFwd { .. } | MicroOp::MuxBwd { .. } => "mux::MuxController<bool>",
+        NodeIo::masked(self.channels, inputs, outputs, self.widths, None)
     }
 }
 
@@ -162,7 +96,7 @@ fn concrete_type(op: &MicroOp) -> &'static str {
 /// # Errors
 ///
 /// [`CodegenError`] when the function name is not an identifier, the
-/// netlist does not build, or it needs optimistic (two-pass) settling.
+/// netlist does not build, or it has no plan.
 pub fn emit_settle_fn(netlist: &Netlist, fn_name: &str) -> Result<String, CodegenError> {
     let valid_name = !fn_name.is_empty()
         && fn_name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
@@ -171,49 +105,23 @@ pub fn emit_settle_fn(netlist: &Netlist, fn_name: &str) -> Result<String, Codege
         return Err(err(format!("`{fn_name}` is not a valid function identifier")));
     }
 
-    let config = SimConfig { settle: SettleStrategy::Compiled, ..SimConfig::default() };
-    let sim = Simulation::new(netlist, &config)
+    let core = EngineCore::<bool>::build(netlist)
         .map_err(|error| err(format!("netlist does not build: {error}")))?;
-    let Some(plan) = sim.compiled_plan() else {
-        return Err(err("netlist contains optimistic controllers (lazy forks); they need the \
-             event-driven two-pass settle and cannot be emitted as a fixed op sequence"));
+    let Some(plan) = CompiledPlan::build(&core) else {
+        return Err(err("netlist has no plan: its rail groups form a cycle (a combinational \
+             loop, or a lazy fork whose branches reconverge), which only the event-driven \
+             settle iterates"));
     };
 
     let nodes: Vec<_> = netlist.live_nodes().collect();
-    let node_ports = sim.node_ports_table();
-    let widths = sim.channel_widths_table();
-    let mut planned = BTreeMap::new();
-    let mut emit = |body: &mut String, op: &MicroOp, pad: &str| {
-        let node = op.node() as usize;
-        let (inputs, outputs) = &node_ports[node];
-        let ports = format!("&mut wires.ports(&{inputs:?}, &{outputs:?})");
-        let call = match op.forward() {
-            None => format!("controllers[{node}].eval({ports}, false)"),
-            Some(forward) => {
-                planned.insert(node, concrete_type(op));
-                format!("n{node}.{}({ports})", if forward { "forward" } else { "backward" })
-            }
-        };
-        let (name, kind) = (&nodes[node].name, nodes[node].kind.kind_name());
-        let _ = writeln!(body, "{pad}{call}; // n{node} `{name}` ({kind})");
-    };
-    let mut prefix = String::new();
-    for op in &plan.ops[..plan.prefix_len] {
-        emit(&mut prefix, op, "    ");
-    }
-    let mut trailing = String::new();
-    for op in &plan.ops[plan.prefix_len..] {
-        emit(&mut trailing, op, "        ");
-    }
-
+    let (node_ports, widths) = (&core.node_ports, &core.channel_widths);
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "/// Settle pass for `{}` ({} channels, {} micro-ops, {} trailing),",
+        "/// Settle pass for `{}` ({} channels, {} ops),",
         netlist.name(),
         widths.len(),
         plan.ops.len(),
-        plan.ops.len() - plan.prefix_len,
     );
     let _ = writeln!(out, "/// emitted by `elastic_sim::codegen::emit_settle_fn`. Drive it with");
     let _ = writeln!(out, "/// `elastic_sim::codegen::run_generated` on the same netlist.");
@@ -223,22 +131,20 @@ pub fn emit_settle_fn(netlist: &Netlist, fn_name: &str) -> Result<String, Codege
     let _ = writeln!(out, "    channels: &mut [elastic_sim::signal::ChannelState],");
     let _ = writeln!(out, "    controllers: &[Box<dyn elastic_sim::controller::Controller>],");
     let _ = writeln!(out, ") {{");
-    let _ = writeln!(out, "    use elastic_sim::codegen::{{concrete, Wires}};");
-    let _ = writeln!(out, "    use elastic_sim::controllers::*;");
-    for (node, ty) in &planned {
-        let _ = writeln!(out, "    let n{node}: &{ty} = concrete(controllers, {node});");
-    }
-    let _ = writeln!(out, "    let mut wires = Wires::clear(channels, &{widths:?});");
-    out.push_str(&prefix);
-    if !trailing.is_empty() {
-        let _ =
-            writeln!(out, "    // Trailing segment: ops on or downstream of combinational rail");
-        let _ =
-            writeln!(out, "    // cycles, relaxed in deterministic order until a sweep changes");
-        let _ = writeln!(out, "    // nothing (settle budget {}).", sim.settle_budget());
-        let _ = writeln!(out, "    wires.relax({}, |wires| {{", sim.settle_budget());
-        out.push_str(&trailing);
-        let _ = writeln!(out, "    }});");
+    let _ = writeln!(
+        out,
+        "    let mut wires = elastic_sim::codegen::Wires::clear(channels, &{widths:?});"
+    );
+    for &(node, half) in &plan.ops {
+        let (inputs, outputs) = &node_ports[node];
+        let ports = format!("&mut wires.ports(&{inputs:?}, &{outputs:?})");
+        let call = match half {
+            Half::Both => format!("eval({ports}, false)"),
+            Half::Forward => format!("forward({ports})"),
+            Half::Backward => format!("backward({ports})"),
+        };
+        let (name, kind) = (&nodes[node].name, nodes[node].kind.kind_name());
+        let _ = writeln!(out, "    controllers[{node}].{call}; // n{node} `{name}` ({kind})");
     }
     let _ = writeln!(out, "}}");
     Ok(out)
@@ -253,10 +159,7 @@ pub fn emit_settle_fn(netlist: &Netlist, fn_name: &str) -> Result<String, Codege
 ///
 /// # Errors
 ///
-/// [`SimError`] when the netlist does not build. (Stepping itself is
-/// infallible: a generated function relaxes rail cycles with the same
-/// budget the engines use but has no error channel, so only drive netlists
-/// the interpreted engines settle.)
+/// [`SimError`] when the netlist does not build.
 pub fn run_generated<F>(
     netlist: &Netlist,
     cycles: u64,
@@ -280,7 +183,7 @@ mod tests {
         deep_pipeline, fig1a, fig1b, fig1c, fig1d, resilient_speculative, Fig1Config,
         ResilientConfig,
     };
-    use elastic_core::{BufferSpec, ForkSpec, SinkSpec, SourceSpec};
+    use elastic_core::{BufferSpec, ForkSpec, FunctionSpec, Op, Port, SinkSpec, SourceSpec};
 
     #[test]
     fn paper_designs_emit_settle_functions() {
@@ -310,122 +213,60 @@ mod tests {
 
     #[test]
     fn acyclic_designs_have_no_relaxation_loop() {
+        // An 8-stage pipeline of standard buffers: the source, the sink and
+        // the buffers are one eval each, every incrementer a forward and a
+        // backward half, all in one block with no loop or closure.
         let netlist = deep_pipeline(
             8,
             BufferSpec::standard(1),
             elastic_core::kind::BackpressurePattern::Never,
         );
         let source = emit_settle_fn(&netlist, "settle").unwrap();
-        assert!(!source.contains("Trailing segment"), "a pipeline is fully straight-line");
-        assert!(!source.contains("wires.relax("), "no relaxation sweep without trailing ops");
+        let calls: Vec<&str> =
+            source.lines().filter(|line| line.trim_start().starts_with("controllers[")).collect();
+        assert_eq!(calls.len(), 2 + 8 * 3, "one call per op");
+        assert_eq!(calls.iter().filter(|call| call.contains(".eval(")).count(), 2 + 8);
+        assert_eq!(source.matches('{').count(), 1, "the function body is the only block");
     }
 
     #[test]
-    fn rail_cycles_emit_a_bounded_relaxation_loop() {
-        // Figure 1(d) speculates across the select loop: part of its rail
-        // graph is genuinely cyclic and settles by iteration.
-        let netlist = fig1d(&Fig1Config::default()).netlist;
-        let source = emit_settle_fn(&netlist, "settle").unwrap();
-        assert!(source.contains("Trailing segment"), "fig1d has trailing ops");
-        assert!(source.contains("wires.relax("), "trailing ops relax to a fixpoint");
+    fn netlists_without_a_plan_are_refused() {
+        // A two-node combinational ring and a node feeding itself: their
+        // rails form a cycle, which only the event-driven settle iterates.
+        let mut ring = Netlist::new("ring");
+        let a = ring.add_op("a", Op::Inc);
+        let b = ring.add_op("b", Op::Inc);
+        ring.connect(Port::output(a, 0), Port::input(b, 0), 8).unwrap();
+        ring.connect(Port::output(b, 0), Port::input(a, 0), 8).unwrap();
+        let mut self_loop = Netlist::new("self-loop");
+        let f = self_loop.add_op("f", Op::Inc);
+        self_loop.connect(Port::output(f, 0), Port::input(f, 0), 8).unwrap();
+        for netlist in [ring, self_loop] {
+            let error = emit_settle_fn(&netlist, "settle").expect_err("no plan");
+            assert!(error.reason.contains("no plan"), "{}: {error}", netlist.name());
+        }
     }
 
     #[test]
     fn generated_functions_cannot_be_emitted_for_lazy_forks() {
-        let mut n = Netlist::new("lazy");
+        // A lazy fork whose branches reconverge at a join: each branch's
+        // offer waits on the join's stops, which wait on the offers.
+        let mut n = Netlist::new("rendezvous");
         let src = n.add_source(
             "src",
             SourceSpec { pattern: SourcePattern::Always, ..SourceSpec::default() },
         );
         let fork = n.add_fork("fork", ForkSpec::lazy(2));
-        let sink_a = n.add_sink("sink_a", SinkSpec::always_ready());
-        let sink_b = n.add_sink("sink_b", SinkSpec::always_ready());
-        n.connect_named(
-            "in",
-            elastic_core::Port::output(src, 0),
-            elastic_core::Port::input(fork, 0),
-            8,
-        )
-        .unwrap();
-        n.connect_named(
-            "a",
-            elastic_core::Port::output(fork, 0),
-            elastic_core::Port::input(sink_a, 0),
-            8,
-        )
-        .unwrap();
-        n.connect_named(
-            "b",
-            elastic_core::Port::output(fork, 1),
-            elastic_core::Port::input(sink_b, 0),
-            8,
-        )
-        .unwrap();
+        let join = n.add_function("join", FunctionSpec::with_inputs(Op::Add, 2));
+        let sink = n.add_sink("sink", SinkSpec::always_ready());
+        n.connect(Port::output(src, 0), Port::input(fork, 0), 8).unwrap();
+        n.connect(Port::output(fork, 0), Port::input(join, 0), 8).unwrap();
+        n.connect(Port::output(fork, 1), Port::input(join, 1), 8).unwrap();
+        n.connect(Port::output(join, 0), Port::input(sink, 0), 8).unwrap();
         n.validate().unwrap();
 
-        let error = emit_settle_fn(&n, "settle").expect_err("lazy forks need two-pass settling");
-        assert!(error.reason.contains("optimistic"), "{error}");
-    }
-
-    #[test]
-    fn concrete_returns_each_planned_controller() {
-        use crate::controllers::buffer::ZeroBackwardBuffer;
-        use crate::controllers::fork::EagerFork;
-        use crate::controllers::function::FunctionBlock;
-        use crate::controllers::mux::MuxController;
-
-        let zb_chain = deep_pipeline(
-            4,
-            BufferSpec::zero_backward(0),
-            elastic_core::kind::BackpressurePattern::Never,
-        );
-        let mut found = std::collections::BTreeSet::new();
-        for netlist in [fig1d(&Fig1Config::default()).netlist, zb_chain] {
-            let config = SimConfig { settle: SettleStrategy::Compiled, ..SimConfig::default() };
-            let sim = Simulation::new(&netlist, &config).unwrap();
-            let ops = sim.compiled_plan().expect("no lazy forks, so planned").ops.clone();
-            run_generated(&netlist, 1, |_, controllers| {
-                for op in &ops {
-                    let node = op.node() as usize;
-                    let controller: &dyn Any = match op {
-                        MicroOp::Eval { .. } => continue,
-                        MicroOp::FnFwd { .. } | MicroOp::FnBwd { .. } => {
-                            concrete::<FunctionBlock<bool>, _>(controllers, node)
-                        }
-                        MicroOp::ZbFwd { .. } | MicroOp::ZbBwd { .. } => {
-                            concrete::<ZeroBackwardBuffer<bool>, _>(controllers, node)
-                        }
-                        MicroOp::ForkFwd { .. } | MicroOp::ForkBwd { .. } => {
-                            concrete::<EagerFork<bool>, _>(controllers, node)
-                        }
-                        MicroOp::MuxFwd { .. } | MicroOp::MuxBwd { .. } => {
-                            concrete::<MuxController<bool>, _>(controllers, node)
-                        }
-                    };
-                    let planned: &dyn Controller = controllers[node].as_ref();
-                    assert!(std::ptr::addr_eq(controller, planned), "node {node}: {op:?}");
-                    found.insert(concrete_type(op));
-                }
-            })
-            .unwrap();
-        }
-        assert_eq!(found.len(), 4, "every fused kind is looked up: {found:?}");
-    }
-
-    #[test]
-    #[should_panic(expected = "is not a")]
-    fn concrete_panics_on_a_type_mismatch() {
-        use crate::controllers::function::FunctionBlock;
-
-        let netlist = deep_pipeline(
-            4,
-            BufferSpec::standard(1),
-            elastic_core::kind::BackpressurePattern::Never,
-        );
-        let _ = run_generated(&netlist, 1, |_, controllers| {
-            // Node 0 is the pipeline's source.
-            concrete::<FunctionBlock<bool>, _>(controllers, 0);
-        });
+        let error = emit_settle_fn(&n, "settle").expect_err("a rendezvous has no plan");
+        assert!(error.reason.contains("no plan"), "{error}");
     }
 
     #[test]

@@ -2,16 +2,22 @@
 //!
 //! A [`Controller`] is the cycle-accurate model of one netlist node, written
 //! once over the rail word (`bool` for one scenario, `u64` for 64 lanes).
-//! Every clock cycle the engine:
+//! Its combinational equations come as the two directions of the SELF
+//! handshake: [`Controller::forward`] drives `V+`, data and `S−` on the
+//! node's outputs, and [`Controller::backward`] drives `S+` and `V−` on its
+//! inputs; [`Controller::reads`] declares which attached rail groups each
+//! half reads. Every clock cycle the engine:
 //!
-//! 1. repeatedly calls [`Controller::eval`] on every controller until the
-//!    channel signals reach a fixed point (the combinational phase), then
+//! 1. drives the halves until the channel signals reach a fixed point (the
+//!    combinational phase) — on the compiled plan each half once, in
+//!    dataflow order, otherwise by repeated [`Controller::eval`] calls,
+//!    which run both halves — then
 //! 2. calls [`Controller::commit`] exactly once on every controller with the
 //!    settled signals (the clock edge).
 //!
-//! `eval` must be a pure function of the controller's sequential state and of
-//! the signals it *reads*; it drives only the signals its node owns (see
-//! [`crate::signal::ChannelState`] for the ownership convention).
+//! Each half must be a pure function of the controller's sequential state
+//! and of the rail groups it declares; it drives only the signals its node
+//! owns (see [`crate::signal::ChannelState`] for the ownership convention).
 //!
 //! ## Kill/transfer precedence
 //!
@@ -22,8 +28,8 @@
 //! follow this "kill wins over transfer" convention so both endpoints agree
 //! on what happened.
 
-use std::any::Any;
 use std::fmt::Debug;
+use std::ops::BitOr;
 
 use elastic_core::kind::{BackpressurePattern, SourcePattern};
 use elastic_core::Scheduler;
@@ -183,6 +189,54 @@ pub enum NodeReport<'a> {
     Commit(CommitStageStats),
 }
 
+/// A set of the rail groups attached to one node: what a handshake half
+/// reads (see [`Controller::reads`]).
+///
+/// Every channel carries two rail groups, each driven by one endpoint: the
+/// forward group `{V+, data, S−}` by its producer and the backward group
+/// `{S+, V−}` by its consumer. Seen from a node, its inputs' forward groups
+/// and its outputs' backward groups are its neighbours'; its outputs'
+/// forward groups are its own forward half's and its inputs' backward
+/// groups its own backward half's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Groups(u8);
+
+impl Groups {
+    /// No group: a function of the node's sequential state alone.
+    pub const NONE: Groups = Groups(0);
+    /// `V+`, data and `S−` of every input, driven by the producers.
+    pub const INPUT_FORWARD: Groups = Groups(1);
+    /// `S+` and `V−` of every input, driven by the node's backward half.
+    pub const INPUT_BACKWARD: Groups = Groups(2);
+    /// `V+`, data and `S−` of every output, driven by the node's forward
+    /// half.
+    pub const OUTPUT_FORWARD: Groups = Groups(4);
+    /// `S+` and `V−` of every output, driven by the consumers.
+    pub const OUTPUT_BACKWARD: Groups = Groups(8);
+
+    /// Whether the set holds every group of `groups`.
+    pub fn contains(self, groups: Groups) -> bool {
+        self.0 & groups.0 == groups.0
+    }
+}
+
+impl BitOr for Groups {
+    type Output = Groups;
+
+    fn bitor(self, other: Groups) -> Groups {
+        Groups(self.0 | other.0)
+    }
+}
+
+/// The rail groups each half of a controller reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Reads {
+    /// What [`Controller::forward`] reads.
+    pub forward: Groups,
+    /// What [`Controller::backward`] reads.
+    pub backward: Groups,
+}
+
 /// A cycle-accurate model of one netlist node, written once over the rail
 /// word `R`: it owns its per-lane state, the clock-edge update of that
 /// state, its reset, its observables and its per-lane environment, and
@@ -190,11 +244,27 @@ pub enum NodeReport<'a> {
 /// view [`Rail::Io`]. Every node kind is one such type. The scalar engine
 /// holds its nodes as `Box<dyn Controller>` (the `bool` rail, one
 /// scenario) and the 64-lane engine as `Box<dyn Controller<u64>>`.
-pub trait Controller<R: Rail = bool>: Debug + Any {
-    /// Combinational evaluation: read the attached channels and drive the
-    /// node-owned signals. Called repeatedly within a cycle until the channel
-    /// signals stop changing; it must therefore be deterministic and depend
-    /// only on the sequential state and the read signals.
+pub trait Controller<R: Rail = bool>: Debug {
+    /// The forward half: drives `V+`, data and `S−` on every output from
+    /// the sequential state and the groups [`Reads::forward`] names.
+    fn forward(&self, io: &mut R::Io<'_>);
+
+    /// The backward half: drives `S+` and `V−` on every input from the
+    /// sequential state and the groups [`Reads::backward`] names.
+    fn backward(&self, io: &mut R::Io<'_>);
+
+    /// The attached rail groups each half reads. The compiled plan orders
+    /// the halves by these declarations, so a half must not read a group it
+    /// does not declare; declaring more than a half reads only costs
+    /// ordering freedom. A controller whose halves read nothing is fully
+    /// registered (the standard elastic buffer, sources, sinks): the
+    /// engines evaluate it once per cycle, never re-wake it, and use it to
+    /// cut the control loops when they order the others.
+    fn reads(&self) -> Reads;
+
+    /// Combinational evaluation of both halves, forward first: the step of
+    /// the event-driven worklist and the full-sweep oracle, which call it
+    /// repeatedly within a cycle until the channel signals stop changing.
     ///
     /// `optimistic` is set only during the engine's seeding pass (see
     /// [`Controller::is_optimistic`]): drive the signals *as if* every
@@ -203,7 +273,10 @@ pub trait Controller<R: Rail = bool>: Debug + Any {
     /// rewritten by the honest evaluation before the cycle settles, so
     /// optimistic assumptions never leak into the committed state — they
     /// only steer a multi-fixpoint system towards its live solution.
-    fn eval(&self, io: &mut R::Io<'_>, optimistic: bool);
+    fn eval(&self, io: &mut R::Io<'_>, _optimistic: bool) {
+        self.forward(io);
+        self.backward(io);
+    }
 
     /// Clock edge: updates every lane's sequential state from the settled
     /// signals. Purely combinational nodes keep none and take the default.
@@ -224,28 +297,14 @@ pub trait Controller<R: Rail = bool>: Debug + Any {
     }
 
     /// `true` when this controller's settle equations have more than one
-    /// fixed point and the engine must run the **optimistic seeding pass**
-    /// before the honest fixpoint (see the engine's module docs). Lazy forks
-    /// are the one such component: a branch's valid is withheld while any
-    /// sibling is not ready, and a reconverging join's stop is held while
-    /// the valids are missing — a circular wait with a live *and* a dead
-    /// solution.
+    /// fixed point and the event-driven settle must run the **optimistic
+    /// seeding pass** before the honest fixpoint (see the engine's module
+    /// docs). Lazy forks are the one such component: a branch's valid is
+    /// withheld while any sibling is not ready, and a reconverging join's
+    /// stop is held while the valids are missing — a circular wait with a
+    /// live *and* a dead solution.
     fn is_optimistic(&self) -> bool {
         false
-    }
-
-    /// `true` when [`Controller::eval`] reads any attached channel signal.
-    ///
-    /// Fully registered controllers (the standard elastic buffer, sources,
-    /// sinks) drive all of their signals from sequential state alone; the
-    /// engine then evaluates them exactly once per cycle and never re-wakes
-    /// them, and uses them as the cut points that break control loops when it
-    /// computes the static evaluation order. Returning `true` is always safe;
-    /// returning `false` for a controller that *does* read channels makes the
-    /// simulation silently miss signal updates — only return it when `eval`
-    /// is a function of `&self` alone.
-    fn eval_reads_channels(&self) -> bool {
-        true
     }
 
     /// Replaces every lane's back-pressure pattern, lane `ℓ` taking
@@ -280,6 +339,15 @@ pub trait Controller<R: Rail = bool>: Debug + Any {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::{rails, FWD};
+    use crate::engine_core::{EngineCore, EngineRail};
+    use crate::lanes::LaneChannels;
+    use elastic_core::kind::{
+        BufferSpec, CommitSpec, ForkSpec, FunctionSpec, MuxSpec, SharedSpec, SinkSpec, SourceSpec,
+        VarLatencySpec,
+    };
+    use elastic_core::mix::splitmix64;
+    use elastic_core::{Netlist, NodeKind, Op, Port, SchedulerKind};
 
     #[test]
     fn node_io_reads_and_writes_the_right_channels() {
@@ -323,5 +391,155 @@ mod tests {
         assert!(!block.override_source(&[SourcePattern::Always]));
         let scheduler = Box::new(elastic_core::scheduler::StaticScheduler::new(0));
         assert!(!block.override_scheduler(0, scheduler));
+    }
+
+    /// A node of `kind` with a source on every input and a sink on every
+    /// output.
+    fn isolated(kind: NodeKind) -> Netlist {
+        let mut n = Netlist::new(kind.kind_name());
+        let (inputs, outputs) = (kind.input_count(), kind.output_count());
+        let node = n.add_node("node", kind);
+        for port in 0..inputs {
+            let source = n.add_source(format!("source{port}"), SourceSpec::always());
+            n.connect(Port::output(source, 0), Port::input(node, port), 8).unwrap();
+        }
+        for port in 0..outputs {
+            let sink = n.add_sink(format!("sink{port}"), SinkSpec::always_ready());
+            n.connect(Port::output(node, port), Port::input(sink, 0), 8).unwrap();
+        }
+        n
+    }
+
+    /// Runs each half of every controller of `netlist` on scrambled rails,
+    /// scrambles the rail groups the half does not declare in
+    /// `Controller::reads`, runs it again, and asserts that its writes did
+    /// not change. Between checks, clock edges on scrambled rails move the
+    /// controllers' state. A group is read through its channel's consumer
+    /// and scrambled through the endpoint that drives it.
+    fn assert_declared_reads_are_honest<R: EngineRail>(
+        netlist: &Netlist,
+        channels: &mut R::Channels,
+    ) {
+        let mut core = EngineCore::<R>::build(netlist).unwrap();
+        let (mut producer, mut consumer) =
+            (vec![(0, 0); core.channel_count()], vec![(0, 0); core.channel_count()]);
+        for (node, (inputs, outputs)) in core.node_ports.iter().enumerate() {
+            inputs.iter().enumerate().for_each(|(port, &c)| consumer[c] = (node, port));
+            outputs.iter().enumerate().for_each(|(port, &c)| producer[c] = (node, port));
+        }
+        let (ports, widths) = (&core.node_ports, &core.channel_widths);
+        let group = |channels: &mut R::Channels, rail: usize| {
+            let (node, port) = consumer[rail / 2];
+            let io = R::io(channels, &ports[node], widths, None);
+            match rail % 2 {
+                FWD => [io.input_valid(port), io.input_anti_stop(port)]
+                    .map(Rail::word)
+                    .into_iter()
+                    .chain(io.input_data(port).iter().copied())
+                    .collect(),
+                _ => vec![io.input_stop(port).word(), io.input_kill(port).word()],
+            }
+        };
+        let mut stream = 0;
+        let mut next = move || {
+            stream += 1;
+            splitmix64(stream)
+        };
+        let mut scramble = |channels: &mut R::Channels, rail: usize| {
+            let (node, port) =
+                if rail % 2 == FWD { producer[rail / 2] } else { consumer[rail / 2] };
+            let mut io = R::io(channels, &ports[node], widths, None);
+            let mut word = || R::from_word(next());
+            if rail % 2 == FWD {
+                io.set_output_valid(port, word());
+                io.set_output_anti_stop(port, word());
+                let data: Vec<u64> = (0..R::LANES).map(|_| next()).collect();
+                io.drive_data(port, &data);
+            } else {
+                io.set_input_stop(port, word());
+                io.set_input_kill(port, word());
+            }
+        };
+        let every = Groups::INPUT_FORWARD
+            | Groups::INPUT_BACKWARD
+            | Groups::OUTPUT_FORWARD
+            | Groups::OUTPUT_BACKWARD;
+        for step in 0..48 {
+            (0..2 * core.channel_count()).for_each(|rail| scramble(channels, rail));
+            for (node, controller) in core.controllers.iter().enumerate() {
+                let reads = controller.reads();
+                for (half, declared, written) in [
+                    ("forward", reads.forward, Groups::OUTPUT_FORWARD),
+                    ("backward", reads.backward, Groups::INPUT_BACKWARD),
+                ] {
+                    let mut writes = Vec::new();
+                    for _ in 0..2 {
+                        let mut io = R::io(channels, &ports[node], widths, None);
+                        match half {
+                            "forward" => controller.forward(&mut io),
+                            _ => controller.backward(&mut io),
+                        }
+                        drop(io);
+                        writes.push(
+                            rails(&ports[node], written)
+                                .map(|rail| group(channels, rail))
+                                .collect::<Vec<_>>(),
+                        );
+                        for rail in rails(&ports[node], every) {
+                            if !rails(&ports[node], declared).any(|read| read == rail) {
+                                scramble(channels, rail);
+                            }
+                        }
+                    }
+                    assert_eq!(
+                        writes[0],
+                        writes[1],
+                        "{}: the {half} half of node {node} ({}) reads an undeclared group, \
+                         step {step}",
+                        netlist.name(),
+                        core.node_kinds[node],
+                    );
+                }
+            }
+            for (controller, ports) in core.controllers.iter_mut().zip(ports) {
+                controller.commit(&R::io(channels, ports, &[], None));
+            }
+        }
+    }
+
+    #[test]
+    fn every_declared_read_set_is_honest() {
+        let var_latency = VarLatencySpec {
+            exact: Op::RippleAdd { width: 8 },
+            approx: Op::ApproxAdd { width: 8, spec_bits: 4 },
+            error: Op::ApproxAddErr { width: 8, spec_bits: 4 },
+            inputs: 2,
+        };
+        let shared = SharedSpec { starvation_limit: Some(2), ..SharedSpec::new(2, Op::Add) };
+        let kinds = [
+            NodeKind::Buffer(BufferSpec::standard(1)),
+            NodeKind::Buffer(BufferSpec::standard(-1)),
+            NodeKind::Buffer(BufferSpec::zero_backward(1)),
+            NodeKind::Function(FunctionSpec::with_inputs(Op::Add, 2)),
+            NodeKind::Fork(ForkSpec::eager(3)),
+            NodeKind::Fork(ForkSpec::lazy(3)),
+            NodeKind::Mux(MuxSpec::lazy(2)),
+            NodeKind::Mux(MuxSpec::early(2)),
+            NodeKind::Shared(
+                shared.with_inputs_per_user(2).with_scheduler(SchedulerKind::Static(0)),
+            ),
+            NodeKind::Commit(CommitSpec { lanes: 2, depth: 2 }),
+            NodeKind::VarLatency(var_latency),
+        ];
+        // Sources and sinks are every netlist's neighbours.
+        for kind in kinds {
+            let netlist = isolated(kind);
+            let channels = netlist.live_channels().count();
+            assert_declared_reads_are_honest::<bool>(
+                &netlist,
+                &mut vec![ChannelState::default(); channels],
+            );
+            assert_declared_reads_are_honest::<u64>(&netlist, &mut LaneChannels::new(channels));
+        }
     }
 }

@@ -21,7 +21,7 @@
 
 use elastic_core::BufferSpec;
 
-use crate::controller::Controller;
+use crate::controller::{Controller, Groups, Reads};
 use crate::controllers::blend;
 use crate::handshake::{
     standard_buffer_backward, standard_buffer_forward, zero_backward_backward,
@@ -156,8 +156,8 @@ impl<R: Rail> TokenFifo<R> {
 ///
 /// Tokens live in a `TokenFifo` that starts at the FIFO bound, and
 /// anti-tokens as thermometer words saturating at the anti-token capacity;
-/// the clock edge reads the equations' state words straight off both. `eval`
-/// does no per-lane work, and neither does the clock edge.
+/// the clock edge reads the equations' state words straight off both. The
+/// halves do no per-lane work, and neither does the clock edge.
 #[derive(Debug)]
 pub struct StandardBuffer<R: Rail> {
     spec: BufferSpec,
@@ -246,9 +246,19 @@ impl<R: Rail> StandardBuffer<R> {
 }
 
 impl<R: Rail> Controller<R> for StandardBuffer<R> {
-    fn eval(&self, io: &mut R::Io<'_>, _optimistic: bool) {
+    fn forward(&self, io: &mut R::Io<'_>) {
         standard_buffer_forward(io, self.state, self.tokens.front());
+    }
+
+    fn backward(&self, io: &mut R::Io<'_>) {
         standard_buffer_backward(io, self.state);
+    }
+
+    /// Both handshake directions are fully registered: each half is a
+    /// function of the FIFO state alone, so the standard buffer cuts every
+    /// zero-delay control path and is never re-evaluated within a cycle.
+    fn reads(&self) -> Reads {
+        Reads::default()
     }
 
     fn commit(&mut self, io: &R::Io<'_>) {
@@ -266,13 +276,6 @@ impl<R: Rail> Controller<R> for StandardBuffer<R> {
             *word = if k < anti_tokens { R::HIGH } else { R::LOW };
         }
         self.state = self.read_state();
-    }
-
-    /// Both handshake directions are fully registered: `eval` is a function
-    /// of the FIFO state alone, so the standard buffer cuts every zero-delay
-    /// control path and is never re-evaluated within a cycle.
-    fn eval_reads_channels(&self) -> bool {
-        false
     }
 }
 
@@ -295,23 +298,21 @@ impl<R: Rail> ZeroBackwardBuffer<R> {
         buffer.reset();
         buffer
     }
-
-    /// The forward equation on this buffer's state — one planned op of
-    /// the compiled plan and of emitted settle functions.
-    pub fn forward<P: HandshakeIo<Rail = R>>(&self, io: &mut P) {
-        zero_backward_forward(io, self.full, self.stored.as_ref());
-    }
-
-    /// The backward equation on this buffer's state.
-    pub fn backward<P: HandshakeIo<Rail = R>>(&self, io: &mut P) {
-        zero_backward_backward(io, self.full);
-    }
 }
 
 impl<R: Rail> Controller<R> for ZeroBackwardBuffer<R> {
-    fn eval(&self, io: &mut R::Io<'_>, _optimistic: bool) {
-        self.forward(io);
-        self.backward(io);
+    fn forward(&self, io: &mut R::Io<'_>) {
+        zero_backward_forward(io, self.full, self.stored.as_ref());
+    }
+
+    fn backward(&self, io: &mut R::Io<'_>) {
+        zero_backward_backward(io, self.full);
+    }
+
+    /// An empty buffer exposes the producer's anti-token stop downstream,
+    /// and the stop and kill traverse it combinationally upstream.
+    fn reads(&self) -> Reads {
+        Reads { forward: Groups::INPUT_FORWARD, backward: Groups::OUTPUT_BACKWARD }
     }
 
     fn commit(&mut self, io: &R::Io<'_>) {

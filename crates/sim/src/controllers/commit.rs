@@ -27,15 +27,16 @@
 //! "lane" apart, the code calls a commit-stage lane a *user* and keeps
 //! `lane` for the rail lane. Each user's FIFO is a `TokenFifo` of slot
 //! columns, whose thermometer words are the occupancy words
-//! [`crate::handshake::commit_lane`] reads, so the clock edge moves tokens
+//! [`crate::handshake::commit_lane_forward`] and
+//! [`crate::handshake::commit_lane_backward`] read, so the clock edge moves tokens
 //! by word and column. Only the per-lane counters behind
 //! [`CommitStageStats`] visit lanes, the set lanes of the event words.
 
 use elastic_core::CommitSpec;
 
-use crate::controller::{Controller, NodeReport};
+use crate::controller::{Controller, Groups, NodeReport, Reads};
 use crate::controllers::buffer::TokenFifo;
-use crate::handshake::{commit_lane, HandshakeIo, Rail};
+use crate::handshake::{commit_lane_backward, commit_lane_forward, HandshakeIo, Rail};
 use crate::metrics::CommitStageStats;
 
 /// Controller for an in-order commit stage, per lane of the rail word `R`.
@@ -108,11 +109,23 @@ impl<R: Rail> CommitStage<R> {
 }
 
 impl<R: Rail> Controller<R> for CommitStage<R> {
-    fn eval(&self, io: &mut R::Io<'_>, _optimistic: bool) {
+    fn forward(&self, io: &mut R::Io<'_>) {
+        for (user, fifo) in self.fifos.iter().enumerate() {
+            commit_lane_forward(io, user, fifo.at_least(1), fifo.front());
+        }
+    }
+
+    fn backward(&self, io: &mut R::Io<'_>) {
         let depth = self.depth as usize;
         for (user, fifo) in self.fifos.iter().enumerate() {
-            commit_lane(io, user, fifo.at_least(1), fifo.at_least(depth), fifo.front());
+            commit_lane_backward(io, user, fifo.at_least(1), fifo.at_least(depth));
         }
+    }
+
+    /// An empty lane passes the shared module's anti-token stop downstream,
+    /// and the consumer's stop and kill upstream.
+    fn reads(&self) -> Reads {
+        Reads { forward: Groups::INPUT_FORWARD, backward: Groups::OUTPUT_BACKWARD }
     }
 
     fn commit(&mut self, io: &R::Io<'_>) {

@@ -8,7 +8,7 @@
 //!
 //! Both are generic over the rail word: each lane has its own pattern,
 //! random generator, stream cursor and transfer stream, and the clock
-//! edge computes the next cycle's offer (or stop) word, so `eval` drives
+//! edge computes the next cycle's offer (or stop) word, so each half drives
 //! one word. The clock edge computes that word by word where it can: the
 //! lanes whose patterns are deterministic (`Always`, `Never`, `Every`,
 //! `List`) are grouped by period into tables of per-phase lane words, so
@@ -31,7 +31,7 @@ use elastic_core::{SinkSpec, SourceSpec};
 use elastic_datapath::adder::mask;
 use elastic_datapath::lfsr::Lfsr64;
 
-use crate::controller::{Controller, NodeReport};
+use crate::controller::{Controller, NodeReport, Reads};
 use crate::handshake::{HandshakeIo, Rail};
 
 const OUT: usize = 0;
@@ -372,7 +372,7 @@ fn move_lanes<R: Rail>(
 }
 
 impl<R: Rail> Controller<R> for SourceController<R> {
-    fn eval(&self, io: &mut R::Io<'_>, _optimistic: bool) {
+    fn forward(&self, io: &mut R::Io<'_>) {
         // A pending offer persists (Retry behaviour); otherwise the pattern
         // decides whether a fresh token is offered this cycle.
         io.set_output_valid(OUT, self.offering | self.timing.fires);
@@ -380,6 +380,15 @@ impl<R: Rail> Controller<R> for SourceController<R> {
         // Sources always accept anti-tokens: a kill simply cancels the
         // pending (or next) token.
         io.set_output_anti_stop(OUT, R::LOW);
+    }
+
+    /// A source has no inputs.
+    fn backward(&self, _io: &mut R::Io<'_>) {}
+
+    /// The offer pattern and persistence state fully determine the driven
+    /// signals; sources never react to channel signals within a cycle.
+    fn reads(&self) -> Reads {
+        Reads::default()
     }
 
     fn commit(&mut self, io: &R::Io<'_>) {
@@ -400,12 +409,6 @@ impl<R: Rail> Controller<R> for SourceController<R> {
         self.offering = R::LOW;
         self.cursor.as_mut().fill(0);
         self.move_cursors(R::HIGH, 0);
-    }
-
-    /// The offer pattern and persistence state fully determine the driven
-    /// signals; sources never react to channel signals within a cycle.
-    fn eval_reads_channels(&self) -> bool {
-        false
     }
 
     fn override_source(&mut self, patterns: &[SourcePattern]) -> bool {
@@ -436,9 +439,19 @@ impl<R: Rail> SinkController<R> {
 }
 
 impl<R: Rail> Controller<R> for SinkController<R> {
-    fn eval(&self, io: &mut R::Io<'_>, _optimistic: bool) {
+    /// A sink has no outputs.
+    fn forward(&self, _io: &mut R::Io<'_>) {}
+
+    fn backward(&self, io: &mut R::Io<'_>) {
         io.set_input_stop(IN, self.timing.fires);
         io.set_input_kill(IN, R::LOW);
+    }
+
+    /// The back-pressure pattern fully determines the driven signals; sinks
+    /// never react to channel signals within a cycle (recording happens at
+    /// the clock edge).
+    fn reads(&self) -> Reads {
+        Reads::default()
     }
 
     fn commit(&mut self, io: &R::Io<'_>) {
@@ -457,13 +470,6 @@ impl<R: Rail> Controller<R> for SinkController<R> {
 
     fn report(&self, lane: usize) -> Option<NodeReport<'_>> {
         Some(NodeReport::Sink(&self.received[lane]))
-    }
-
-    /// The back-pressure pattern fully determines the driven signals; sinks
-    /// never react to channel signals within a cycle (recording happens at
-    /// the clock edge).
-    fn eval_reads_channels(&self) -> bool {
-        false
     }
 
     fn override_sink(&mut self, patterns: &[BackpressurePattern]) -> bool {

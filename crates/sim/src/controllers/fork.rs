@@ -17,7 +17,7 @@
 
 use elastic_core::ForkSpec;
 
-use crate::controller::Controller;
+use crate::controller::{Controller, Groups, Reads};
 use crate::handshake::{fork_backward, fork_delivered, fork_forward, HandshakeIo, Rail};
 
 const IN: usize = 0;
@@ -43,20 +43,30 @@ impl<R: Rail> EagerFork<R> {
     fn pending(&self, branch: usize) -> R {
         !self.serving | self.pending[branch]
     }
-
-    /// The forward equation on this fork's pending branches — one planned
-    /// op of the compiled plan and of emitted settle functions.
-    pub fn forward<P: HandshakeIo<Rail = R>>(&self, io: &mut P) {
-        fork_forward(io, self.spec.eager, false, |branch| self.pending(branch));
-    }
-
-    /// The backward equation on this fork's pending branches.
-    pub fn backward<P: HandshakeIo<Rail = R>>(&self, io: &mut P) {
-        fork_backward(io, self.spec.eager, |branch| self.pending(branch));
-    }
 }
 
 impl<R: Rail> Controller<R> for EagerFork<R> {
+    fn forward(&self, io: &mut R::Io<'_>) {
+        fork_forward(io, self.spec.eager, false, |branch| self.pending(branch));
+    }
+
+    fn backward(&self, io: &mut R::Io<'_>) {
+        fork_backward(io, self.spec.eager, |branch| self.pending(branch));
+    }
+
+    /// A lazy fork's forward half gates each branch on its siblings'
+    /// readiness; the backward half judges every branch's delivery on the
+    /// copies the forward half offered.
+    fn reads(&self) -> Reads {
+        let readiness = if self.spec.eager { Groups::NONE } else { Groups::OUTPUT_BACKWARD };
+        Reads {
+            forward: Groups::INPUT_FORWARD | readiness,
+            backward: Groups::INPUT_FORWARD | Groups::OUTPUT_FORWARD | Groups::OUTPUT_BACKWARD,
+        }
+    }
+
+    /// The optimistic seeding pass offers every copy as if all branches
+    /// were ready.
     fn eval(&self, io: &mut R::Io<'_>, optimistic: bool) {
         fork_forward(io, self.spec.eager, optimistic, |branch| self.pending(branch));
         self.backward(io);

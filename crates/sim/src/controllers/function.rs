@@ -27,7 +27,7 @@ use elastic_core::FunctionSpec;
 use elastic_datapath::adder::mask;
 use elastic_datapath::evaluate_columns;
 
-use crate::controller::Controller;
+use crate::controller::{Controller, Groups, Reads};
 use crate::controllers::same_column;
 use crate::handshake::{function_backward, function_forward, HandshakeIo, Rail};
 
@@ -64,11 +64,10 @@ impl<R: Rail> FunctionBlock<R> {
         };
         FunctionBlock { spec, output_width, memo: RefCell::new(memo) }
     }
+}
 
-    /// The forward equation, driving the operation's result on the input
-    /// words — one planned op of the compiled plan and of emitted settle
-    /// functions.
-    pub fn forward<P: HandshakeIo<Rail = R>>(&self, io: &mut P) {
+impl<R: Rail> Controller<R> for FunctionBlock<R> {
+    fn forward(&self, io: &mut R::Io<'_>) {
         let Memo { operands, results, valid } = &mut *self.memo.borrow_mut();
         let column = |port: usize| port * R::LANES..(port + 1) * R::LANES;
         let ports = 0..self.spec.inputs;
@@ -86,16 +85,15 @@ impl<R: Rail> FunctionBlock<R> {
         function_forward(io, results.as_ref());
     }
 
-    /// The backward equation.
-    pub fn backward<P: HandshakeIo<Rail = R>>(&self, io: &mut P) {
+    fn backward(&self, io: &mut R::Io<'_>) {
         function_backward(io);
     }
-}
 
-impl<R: Rail> Controller<R> for FunctionBlock<R> {
-    fn eval(&self, io: &mut R::Io<'_>, _optimistic: bool) {
-        self.forward(io);
-        self.backward(io);
+    fn reads(&self) -> Reads {
+        Reads {
+            forward: Groups::INPUT_FORWARD,
+            backward: Groups::INPUT_FORWARD | Groups::OUTPUT_BACKWARD,
+        }
     }
 
     fn reset(&mut self) {

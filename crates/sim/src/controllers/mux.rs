@@ -24,7 +24,7 @@ use std::cell::RefCell;
 
 use elastic_core::MuxSpec;
 
-use crate::controller::Controller;
+use crate::controller::{Controller, Groups, Reads};
 use crate::controllers::{blend, lanes_where, same_column};
 use crate::handshake::{mux_backward, mux_forward, HandshakeIo, Rail};
 
@@ -110,9 +110,9 @@ impl<R: Rail> MuxController<R> {
         }
     }
 
-    /// Evaluates the forward and/or the backward equation on this mux's
-    /// select and owed anti-tokens.
-    fn equations<P: HandshakeIo<Rail = R>>(&self, io: &mut P, forward: bool, backward: bool) {
+    /// Evaluates the forward or the backward equation on this mux's select
+    /// and owed anti-tokens.
+    fn equations<P: HandshakeIo<Rail = R>>(&self, io: &mut P, forward: bool) {
         let mut steering = self.steering.borrow_mut();
         steering.select(io);
         if forward {
@@ -121,27 +121,26 @@ impl<R: Rail> MuxController<R> {
         let (early, selected, clean) = (self.spec.early_eval, &steering.selected, &self.clean);
         if forward {
             mux_forward(io, early, |j| selected[j], |j| clean[j], steering.data.as_ref());
-        }
-        if backward {
+        } else {
             mux_backward(io, early, |j| selected[j], |j| clean[j]);
         }
-    }
-
-    /// The forward equation — one planned op of the compiled plan and of
-    /// emitted settle functions.
-    pub fn forward<P: HandshakeIo<Rail = R>>(&self, io: &mut P) {
-        self.equations(io, true, false);
-    }
-
-    /// The backward equation.
-    pub fn backward<P: HandshakeIo<Rail = R>>(&self, io: &mut P) {
-        self.equations(io, false, true);
     }
 }
 
 impl<R: Rail> Controller<R> for MuxController<R> {
-    fn eval(&self, io: &mut R::Io<'_>, _optimistic: bool) {
-        self.equations(io, true, true);
+    fn forward(&self, io: &mut R::Io<'_>) {
+        self.equations(io, true);
+    }
+
+    fn backward(&self, io: &mut R::Io<'_>) {
+        self.equations(io, false);
+    }
+
+    fn reads(&self) -> Reads {
+        Reads {
+            forward: Groups::INPUT_FORWARD,
+            backward: Groups::INPUT_FORWARD | Groups::OUTPUT_BACKWARD,
+        }
     }
 
     fn commit(&mut self, io: &R::Io<'_>) {
@@ -316,14 +315,14 @@ mod tests {
                 }
             };
             reselect(&mut io, inputs, &mut next);
-            mux.forward(&mut io);
+            mux.equations(&mut io, true);
             check(&mux, &io, "forward");
             let gathered: Vec<u64> = (0..R::LANES)
                 .map(|lane| io.data[1 + chosen(io.data[0][lane], inputs)][lane])
                 .collect();
             assert_eq!(io.data[inputs + 1], gathered, "forward data column, step {step}");
             reselect(&mut io, inputs, &mut next);
-            mux.backward(&mut io);
+            mux.equations(&mut io, false);
             check(&mux, &io, "backward");
             reselect(&mut io, inputs, &mut next);
             let fired = io.output_valid(OUT) & !io.output_stop(OUT) & io.input_valid(SELECT);

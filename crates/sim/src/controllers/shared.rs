@@ -17,8 +17,9 @@
 //!
 //! The module is generic over the rail word. Each lane owns a scheduler;
 //! the clock edge hands every lane's scheduler its feedback and refreshes
-//! one grant word per user, so `eval` drives the equations of
-//! [`crate::handshake::shared_user`] on words.
+//! one grant word per user, so the two halves drive the equations of
+//! [`crate::handshake::shared_user_forward`] and
+//! [`crate::handshake::shared_user_backward`] on words.
 
 use std::cell::RefCell;
 
@@ -26,9 +27,9 @@ use elastic_core::{Scheduler, SharedFeedback, SharedSpec};
 use elastic_datapath::adder::mask;
 use elastic_datapath::evaluate_columns;
 
-use crate::controller::{Controller, NodeReport};
+use crate::controller::{Controller, Groups, NodeReport, Reads};
 use crate::controllers::same_column;
-use crate::handshake::{shared_user, HandshakeIo, Rail};
+use crate::handshake::{shared_user_backward, shared_user_forward, HandshakeIo, Rail};
 use crate::metrics::SharedModuleStats;
 
 /// What one cycle did at a user's ports, one word per condition.
@@ -63,7 +64,8 @@ pub struct SharedModule<R: Rail> {
     outcomes: Vec<Outcome<R>>,
     /// Each lane's misprediction count.
     shared: R::PerLane<SharedModuleStats>,
-    /// The result columns `eval` drives, with what they were computed from.
+    /// The result columns the forward half drives, with what they were
+    /// computed from.
     memo: RefCell<Memo<R>>,
 }
 
@@ -184,7 +186,7 @@ impl<R: Rail> SharedModule<R> {
 }
 
 impl<R: Rail> Controller<R> for SharedModule<R> {
-    fn eval(&self, io: &mut R::Io<'_>, _optimistic: bool) {
+    fn forward(&self, io: &mut R::Io<'_>) {
         let memo = &mut *self.memo.borrow_mut();
         for (user, &granted) in self.grant.iter().enumerate() {
             // Only the granted user's operands reach the shared logic.
@@ -213,7 +215,20 @@ impl<R: Rail> Controller<R> for SharedModule<R> {
                     }
                 }
             }
-            shared_user(io, user, ports, granted, results);
+            shared_user_forward(io, user, ports, granted, results);
+        }
+    }
+
+    fn backward(&self, io: &mut R::Io<'_>) {
+        for (user, &granted) in self.grant.iter().enumerate() {
+            shared_user_backward(io, user, self.operand_ports(user), granted);
+        }
+    }
+
+    fn reads(&self) -> Reads {
+        Reads {
+            forward: Groups::INPUT_FORWARD,
+            backward: Groups::INPUT_FORWARD | Groups::OUTPUT_BACKWARD,
         }
     }
 

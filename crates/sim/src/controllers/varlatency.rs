@@ -18,7 +18,7 @@ use elastic_core::kind::VarLatencySpec;
 use elastic_datapath::adder::mask;
 use elastic_datapath::evaluate_columns;
 
-use crate::controller::Controller;
+use crate::controller::{Controller, Groups, Reads};
 use crate::handshake::{HandshakeIo, Rail};
 
 const OUT: usize = 0;
@@ -74,16 +74,26 @@ impl<R: Rail> VarLatencyUnit<R> {
 }
 
 impl<R: Rail> Controller<R> for VarLatencyUnit<R> {
-    fn eval(&self, io: &mut R::Io<'_>, _optimistic: bool) {
+    /// Offer the waiting result; the unit never absorbs anti-tokens.
+    fn forward(&self, io: &mut R::Io<'_>) {
         io.set_output_valid(OUT, self.full);
         io.drive_data(OUT, self.register.as_ref());
         io.set_output_anti_stop(OUT, R::HIGH);
-        let slot_free = !self.full | (io.output_valid(OUT) & !io.output_stop(OUT));
+    }
+
+    /// Consume the operands once their result finishes into a free output
+    /// register: an empty one, or one whose result leaves this cycle.
+    fn backward(&self, io: &mut R::Io<'_>) {
+        let slot_free = !self.full | !io.output_stop(OUT);
         let (_, finish, _) = self.finishing(io, slot_free);
         for port in 0..io.input_count() {
             io.set_input_stop(port, !finish);
             io.set_input_kill(port, R::LOW);
         }
+    }
+
+    fn reads(&self) -> Reads {
+        Reads { forward: Groups::NONE, backward: Groups::INPUT_FORWARD | Groups::OUTPUT_BACKWARD }
     }
 
     fn commit(&mut self, io: &R::Io<'_>) {

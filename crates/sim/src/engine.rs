@@ -29,8 +29,9 @@
 //!   read `S+`/`V-`), and a **static evaluation rank**: a topological order
 //!   over the zero-delay dataflow graph, in which a controller that reads
 //!   channels is ranked after the producer of each of its inputs and fully
-//!   registered controllers (standard elastic buffers, sources, sinks — see
-//!   [`Controller::eval_reads_channels`]) cut the edges;
+//!   registered controllers (standard elastic buffers, sources, sinks:
+//!   neither half reads a channel, see [`Controller::reads`]) cut the
+//!   edges;
 //! * each cycle, every controller is seeded into a rank-ordered worklist
 //!   once. Controllers are popped in rank order; every signal write is
 //!   compare-and-set ([`NodeIo`]), and an actual change re-enqueues
@@ -67,7 +68,9 @@
 //! (valids fall, stops rise), so the second pass converges onto the
 //! greatest — maximal-progress — fixpoint when one exists, and genuine
 //! blockers (real back-pressure) still win. Netlists without optimistic
-//! controllers pay nothing: the pass is skipped entirely.
+//! controllers pay nothing: the pass is skipped entirely. A lazy fork whose
+//! branches never reconverge has one fixed point, so the compiled plan
+//! (see [`SettleStrategy::Compiled`]) settles it in one pass.
 //!
 //! The pre-rewrite full-sweep behaviour is kept as
 //! [`SettleStrategy::FullSweep`] — a debugging oracle used by the
@@ -102,23 +105,23 @@ pub enum SettleStrategy {
     /// a full sweep changes nothing. Kept as the reference oracle for
     /// engine-equivalence tests and for debugging suspected worklist bugs.
     FullSweep,
-    /// Compiled plan: the netlist is lowered once into a topologically
-    /// ordered sequence of fused, monomorphic micro-ops (see the
-    /// `compiled` module); the acyclic part of the control network settles
-    /// in one straight-line pass with no dynamic dispatch and no worklist,
-    /// and the ops on or behind rail cycles settle by an op-level worklist.
-    /// The 64-lane [`crate::LaneSimulation`] always settles on this plan
-    /// when it can. Netlists with optimistic controllers (lazy forks)
-    /// transparently fall back to [`SettleStrategy::EventDriven`], which
-    /// implements the two-pass seeding they need.
+    /// Compiled plan: the netlist is lowered once into one straight-line
+    /// sequence of its controllers' handshake halves in dataflow order (see
+    /// the `compiled` module), each run once per cycle with no worklist.
+    /// A netlist gets a plan exactly when the rail groups its halves read
+    /// and write form no cycle; that covers every netlist without a
+    /// combinational loop, a node feeding itself or a lazy fork whose
+    /// branches reconverge. The 64-lane [`crate::LaneSimulation`] settles
+    /// on the same plan. A netlist without one transparently settles
+    /// [`SettleStrategy::EventDriven`], which iterates to its fixed point
+    /// (with the two-pass seeding lazy forks need) or reports the loop.
     ///
-    /// Effort counters under this strategy:
-    /// [`SimulationReport::settle_iterations`] counts **micro-op
-    /// executions** (each scheduled op once per cycle, plus every re-run
-    /// of a trailing op), and [`SimulationReport::controller_evals`] counts
-    /// only the remaining *dynamic* [`Controller::eval`] calls (registered
-    /// controllers and unspecialized kinds) — fused ops evaluate no
-    /// controller at all.
+    /// Effort counters on a plan: [`SimulationReport::settle_iterations`]
+    /// counts **op executions** (every op once per cycle), and
+    /// [`SimulationReport::controller_evals`] counts the ops that evaluate a
+    /// whole controller, one per registered controller (sources, sinks,
+    /// standard buffers) — every other node runs as a forward and a
+    /// backward op and counts no evaluation.
     Compiled,
 }
 
@@ -267,8 +270,8 @@ pub struct Simulation {
     core: EngineCore<bool>,
     channels: Vec<ChannelState>,
     /// The lowered settle plan when [`SettleStrategy::Compiled`] is active
-    /// and the netlist has no optimistic controllers; `None` otherwise (the
-    /// strategy then falls back to the event-driven settle).
+    /// and the netlist has one; `None` otherwise (the strategy then falls
+    /// back to the event-driven settle).
     compiled: Option<Box<CompiledPlan>>,
     trace: Trace,
     /// Armed fault injector, if any (see [`Simulation::arm_faults`]).
@@ -299,15 +302,12 @@ impl Simulation {
     /// simulator cannot model.
     pub fn new(netlist: &Netlist, config: &SimConfig) -> Result<Self, SimError> {
         CONSTRUCTIONS.fetch_add(1, Ordering::Relaxed);
-        let mut core = EngineCore::build(netlist)?;
-
-        // Lower the netlist to the fused micro-op plan only when the compiled
-        // strategy will actually use it: optimistic controllers (lazy forks)
-        // need the event-driven engine's two-pass seeding, so such netlists
-        // run uncompiled.
-        let compiled = (config.settle == SettleStrategy::Compiled
-            && core.optimistic_nodes.is_empty())
-        .then(|| Box::new(CompiledPlan::build(netlist, &mut core)));
+        let core = EngineCore::build(netlist)?;
+        let compiled = if config.settle == SettleStrategy::Compiled {
+            CompiledPlan::build(&core).map(Box::new)
+        } else {
+            None
+        };
 
         Ok(Simulation {
             config: config.clone(),
@@ -536,22 +536,6 @@ impl Simulation {
             self.trace.record(&self.channels);
         }
         self.core.clock_edge(&mut self.channels);
-    }
-
-    /// The lowered settle plan, when the compiled strategy is active and the
-    /// netlist could be planned (codegen introspection).
-    pub(crate) fn compiled_plan(&self) -> Option<&CompiledPlan> {
-        self.compiled.as_deref()
-    }
-
-    /// Dense `(input, output)` channel indices per controller (codegen).
-    pub(crate) fn node_ports_table(&self) -> &[(Vec<usize>, Vec<usize>)] {
-        &self.core.node_ports
-    }
-
-    /// Declared width per dense channel index (codegen).
-    pub(crate) fn channel_widths_table(&self) -> &[u8] {
-        &self.core.channel_widths
     }
 
     /// Simulates `cycles` clock cycles and returns the accumulated report.
@@ -837,9 +821,9 @@ mod tests {
     #[test]
     fn compiled_effort_counters_count_micro_ops_and_dynamic_evals() {
         // The documented compiled-counter semantics, pinned: the 4-node
-        // pipeline (source, inc, standard buffer, sink) lowers to 5 micro-ops
-        // — three dynamic evals for the registered controllers plus the
-        // fused FnFwd/FnBwd pair — all in the straight-line prefix.
+        // pipeline (source, inc, standard buffer, sink) lowers to 5 ops —
+        // one eval for each registered controller plus the incrementer's
+        // forward and backward halves.
         let (netlist, _src, _sink) = pipeline();
         let mut sim = Simulation::new(
             &netlist,
@@ -847,8 +831,8 @@ mod tests {
         )
         .unwrap();
         let report = sim.run(10).unwrap();
-        assert_eq!(report.settle_iterations, 10 * 5, "micro-op executions");
-        assert_eq!(report.controller_evals, 10 * 3, "remaining dynamic evals");
+        assert_eq!(report.settle_iterations, 10 * 5, "op executions");
+        assert_eq!(report.controller_evals, 10 * 3, "eval ops");
     }
 
     #[test]

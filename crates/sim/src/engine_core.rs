@@ -14,9 +14,9 @@
 //!   per-node ports, the producer and consumer of every channel — and the
 //!   static evaluation ranks;
 //! * the event-driven settle: rank-ordered seeding, the worklist drain with
-//!   its wake rule, and the optimistic pass for lazy forks;
-//! * the dispatch to the [`CompiledPlan`] when the engine has one, and the
-//!   queue its trailing segment settles with;
+//!   its wake rule, and the optimistic pass for lazy forks — the one
+//!   iterative settle, for the netlists without a plan;
+//! * the dispatch to the [`CompiledPlan`] when the engine has one;
 //! * the settle budget and the [`OscillationWitness`] when it runs out;
 //! * override lookup for the `reset_with_*` family, the clock edge, the
 //!   cycle and effort counters, and report assembly from each controller's
@@ -32,7 +32,7 @@ use std::collections::{BTreeMap, VecDeque};
 use elastic_core::{Channel, ChannelId, Netlist, NodeId, Port};
 
 use crate::compiled::CompiledPlan;
-use crate::controller::{Controller, NodeReport};
+use crate::controller::{Controller, NodeReport, Reads};
 use crate::controllers::build_controller;
 use crate::engine::{OscillationWitness, SimError};
 use crate::handshake::Rail;
@@ -107,36 +107,6 @@ impl Worklist {
     }
 }
 
-/// A first-in first-out queue of op indices with O(1) dedupe: the queue
-/// the compiled plan's trailing segment settles with.
-#[derive(Debug, Default)]
-pub(crate) struct OpQueue {
-    queue: VecDeque<u32>,
-    queued: Vec<bool>,
-}
-
-impl OpQueue {
-    /// An empty queue over `ops` op indices.
-    pub(crate) fn new(ops: usize) -> Self {
-        OpQueue { queue: VecDeque::with_capacity(ops), queued: vec![false; ops] }
-    }
-
-    /// Queues `op` unless it is already queued.
-    pub(crate) fn push(&mut self, op: usize) {
-        if !self.queued[op] {
-            self.queued[op] = true;
-            self.queue.push_back(op as u32);
-        }
-    }
-
-    /// The longest-queued op.
-    pub(crate) fn pop(&mut self) -> Option<usize> {
-        let op = self.queue.pop_front()? as usize;
-        self.queued[op] = false;
-        Some(op)
-    }
-}
-
 /// The netlist-derived state and settle machinery both engines share.
 pub(crate) struct EngineCore<R: Rail> {
     pub(crate) controllers: Vec<Box<dyn Controller<R>>>,
@@ -152,8 +122,9 @@ pub(crate) struct EngineCore<R: Rail> {
     /// Controller index producing / consuming each channel.
     channel_producer: Vec<u32>,
     channel_consumer: Vec<u32>,
-    /// Cached `eval_reads_channels` per controller.
-    pub(crate) reads_channels: Vec<bool>,
+    /// Per controller, whether either half reads a channel
+    /// ([`Controller::reads`]).
+    reads_channels: Vec<bool>,
     /// Controller indices requiring the optimistic seeding pass (lazy forks);
     /// empty for the vast majority of netlists, in which case the settle
     /// phase is exactly the single-pass fixpoint.
@@ -163,9 +134,6 @@ pub(crate) struct EngineCore<R: Rail> {
     /// Controller indices grouped by rank — the per-cycle seed layout.
     seed_buckets: Vec<Vec<u32>>,
     worklist: Worklist,
-    /// The compiled plan's trailing-segment queue, sized by
-    /// [`CompiledPlan::build`]; empty when the engine has no plan.
-    pub(crate) tail: OpQueue,
     /// Scratch buffer receiving the channels dirtied by one eval.
     pub(crate) dirty: Vec<usize>,
     /// Controllers still queued (event-driven) or still changing (full
@@ -174,7 +142,7 @@ pub(crate) struct EngineCore<R: Rail> {
     pub(crate) oscillating: Vec<u32>,
     pub(crate) cycle: u64,
     /// Total settle iterations: worklist pops (event-driven), full sweeps
-    /// (reference) or micro-op executions (compiled plan), over all cycles.
+    /// (reference) or op executions (compiled plan), over all cycles.
     pub(crate) settle_iterations: u64,
     /// Total controller evaluations over all cycles.
     pub(crate) controller_evals: u64,
@@ -226,7 +194,7 @@ impl<R: EngineRail> EngineCore<R> {
         }
 
         let reads_channels: Vec<bool> =
-            controllers.iter().map(|c| c.eval_reads_channels()).collect();
+            controllers.iter().map(|c| c.reads() != Reads::default()).collect();
         let optimistic_nodes: Vec<u32> = controllers
             .iter()
             .enumerate()
@@ -255,7 +223,6 @@ impl<R: EngineRail> EngineCore<R> {
             optimistic_nodes,
             rank,
             seed_buckets,
-            tail: OpQueue::default(),
             dirty: Vec::new(),
             oscillating: Vec::new(),
             cycle: 0,
@@ -418,15 +385,18 @@ impl<R: EngineRail> EngineCore<R> {
     }
 
     /// Settles one cycle on `plan` when the engine has one, event-driven
-    /// otherwise. Returns `false` when the budget is exhausted
-    /// (combinational loop).
+    /// otherwise. Returns `false` when the event-driven budget is exhausted
+    /// (combinational loop); a plan always settles.
     pub(crate) fn settle(
         &mut self,
         plan: Option<&CompiledPlan>,
         channels: &mut R::Channels,
     ) -> bool {
         match plan {
-            Some(plan) => plan.settle(self, channels),
+            Some(plan) => {
+                plan.settle(self, channels);
+                true
+            }
             None => self.settle_event_driven(channels),
         }
     }
@@ -494,12 +464,12 @@ impl<R: EngineRail> EngineCore<R> {
 /// Computes the static evaluation rank of every controller: a topological
 /// order over the zero-delay dataflow graph.
 ///
-/// A controller whose `eval` reads channels (`reads_channels`) has one edge
+/// A controller whose halves read channels (`reads_channels`) has one edge
 /// from the producer of each of its input channels, and no other edges:
 /// valids and data flow from producer to consumer, so a rank-ordered pass
 /// evaluates every consumer after its inputs' producers. Stops and kills
 /// flow the other way; a consumer that changes one wakes the producer
-/// through the worklist, against the ranks. Controllers whose `eval` reads
+/// through the worklist, against the ranks. Controllers whose halves read
 /// nothing have no incoming edges and thereby cut every loop that crosses
 /// a registered boundary. Controllers on a combinational dataflow ring are
 /// assigned one shared trailing rank — the worklist still settles them by

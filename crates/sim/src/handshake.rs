@@ -1,18 +1,16 @@
 //! The SELF handshake equations of the controllers, written once.
 //!
 //! Every settle path evaluates the same equations (Cortadella, Kishinevsky
-//! and Grundmann, DAC 2006): the controllers of [`crate::controllers`] at
-//! both rail words (the scalar engine and the 64-lane engine of
-//! [`crate::lanes`]) and, through those controllers' `forward` and
-//! `backward` methods, the compiled micro-ops and the settle functions
-//! emitted by [`crate::codegen`]. Each hot node kind (buffer, function
-//! block, fork, mux) has a **forward** equation — the `V+` and `S−` it
-//! drives on its outputs (plus the data word, supplied by the caller) — and
-//! a **backward** equation — the `S+` and `V−` it drives on its inputs. The
-//! compiled planner schedules the two as separate ops; the controllers'
-//! `eval` calls forward, then backward. The shared module and the commit
-//! stage, which the planner leaves to their controllers, have one equation
-//! per user channel covering both directions.
+//! and Grundmann, DAC 2006): the controllers of [`crate::controllers`] call
+//! them from their `forward` and `backward` halves at both rail words, and
+//! every engine — scalar, 64-lane ([`crate::lanes`]), the compiled plan and
+//! the settle functions emitted by [`crate::codegen`] — drives those halves.
+//! Each node kind's equations come in the two directions of the handshake:
+//! a **forward** equation — the `V+` and `S−` it drives on its outputs
+//! (plus the data word, supplied by the caller) — and a **backward**
+//! equation — the `S+` and `V−` it drives on its inputs. The shared module
+//! and the commit stage have one such pair per user channel; the
+//! variable-latency unit's pair lives in its controller.
 //!
 //! The equations are generic over the rail word ([`Rail`]: `bool` for one
 //! scenario, `u64` for 64 lanes, bit `ℓ` = lane `ℓ`) and over the port view
@@ -433,9 +431,9 @@ pub fn mux_forward<P: HandshakeIo>(
 
 /// Multiplexor, backward. A firing early mux owes an anti-token to every
 /// non-selected input and injects it at once; an owed anti-token keeps
-/// being offered until delivered. Stop and kill are mutually exclusive: a
-/// channel being killed is not stopped, and the selected input is stopped
-/// unless the mux fires.
+/// being offered until delivered, and the select is never owed one. Stop
+/// and kill are mutually exclusive: a channel being killed is not stopped,
+/// and the selected input is stopped unless the mux fires.
 pub fn mux_backward<P: HandshakeIo>(
     io: &mut P,
     early: bool,
@@ -446,6 +444,7 @@ pub fn mux_backward<P: HandshakeIo>(
     let select_valid = io.input_valid(SELECT);
     let fire = valid & !io.output_stop(OUT);
     io.set_input_stop(SELECT, !fire);
+    io.set_input_kill(SELECT, P::Rail::LOW);
     for input in 0..io.input_count() - 1 {
         if early {
             let is_selected = selected(input) & select_valid;
@@ -462,25 +461,36 @@ pub fn mux_backward<P: HandshakeIo>(
 }
 
 /// Speculative shared module (Figure 4), user `user` with operand ports
-/// `ports`: only a `granted` user's joined operands reach its output (the
-/// caller supplies the result column). An anti-token from the consumer
-/// annihilates against waiting operands, or is forwarded to every operand
-/// producer at once when none waits; the operands are consumed when the
-/// result transfers or is annihilated.
-pub fn shared_user<P: HandshakeIo>(
+/// `ports`, forward: only a `granted` user's joined operands reach its
+/// output (the caller supplies the result column); an arriving anti-token
+/// is refused only while operands are missing and some producer cannot
+/// take it.
+pub fn shared_user_forward<P: HandshakeIo>(
     io: &mut P,
     user: usize,
     ports: Range<usize>,
     granted: P::Rail,
     data: &[u64],
 ) {
-    let (valid, accept_kill) = join(io, ports.clone());
-    let kill = io.output_kill(user);
-    let offers = granted & valid;
-    io.set_output_valid(user, offers);
+    let (valid, accept_kill) = join(io, ports);
+    io.set_output_valid(user, granted & valid);
     io.drive_data(user, data);
     io.set_output_anti_stop(user, !(valid | accept_kill));
-    let consume = (offers & !io.output_stop(user) & !kill) | (valid & kill);
+}
+
+/// Shared module, user `user`, backward: an anti-token from the consumer
+/// annihilates against waiting operands, or is forwarded to every operand
+/// producer at once when none waits; the operands are consumed when the
+/// result transfers or is annihilated.
+pub fn shared_user_backward<P: HandshakeIo>(
+    io: &mut P,
+    user: usize,
+    ports: Range<usize>,
+    granted: P::Rail,
+) {
+    let (valid, accept_kill) = join(io, ports.clone());
+    let kill = io.output_kill(user);
+    let consume = (granted & valid & !io.output_stop(user) & !kill) | (valid & kill);
     let forward_kill = kill & !valid & accept_kill;
     for port in ports {
         io.set_input_stop(port, !consume);
@@ -488,24 +498,34 @@ pub fn shared_user<P: HandshakeIo>(
     }
 }
 
-/// In-order commit stage (Section 4.2), user lane `user`: offer the oldest
-/// parked result persistently; a full lane still accepts when its head
-/// leaves this cycle (zero backward latency); an anti-token squashes the
-/// head in place, or passes an empty lane towards the shared module.
-pub fn commit_lane<P: HandshakeIo>(
+/// In-order commit stage (Section 4.2), user lane `user`, forward: offer
+/// the oldest parked result persistently; an empty lane passes the shared
+/// module's anti-token stop downstream.
+pub fn commit_lane_forward<P: HandshakeIo>(
+    io: &mut P,
+    user: usize,
+    occupied: P::Rail,
+    data: &[u64],
+) {
+    io.set_output_valid(user, occupied);
+    io.drive_data(user, data);
+    io.set_output_anti_stop(user, !occupied & io.input_anti_stop(user));
+}
+
+/// Commit stage, user lane `user`, backward: a full lane still accepts when
+/// its head leaves this cycle (zero backward latency); an anti-token
+/// squashes the head in place, or passes an empty lane towards the shared
+/// module.
+pub fn commit_lane_backward<P: HandshakeIo>(
     io: &mut P,
     user: usize,
     occupied: P::Rail,
     full: P::Rail,
-    data: &[u64],
 ) {
     let stop = io.output_stop(user);
     let kill = io.output_kill(user);
-    io.set_output_valid(user, occupied);
-    io.drive_data(user, data);
     io.set_input_stop(user, full & stop & !kill);
     io.set_input_kill(user, !occupied & kill);
-    io.set_output_anti_stop(user, !occupied & io.input_anti_stop(user));
 }
 
 #[cfg(test)]
@@ -749,7 +769,8 @@ mod tests {
             for user in 0..2 {
                 let ports = user * operands..(user + 1) * operands;
                 lanewise!((2 * operands, 2, false, 1), |io, s| {
-                    shared_user(io, user, ports.clone(), s[0], &[])
+                    shared_user_forward(io, user, ports.clone(), s[0], &[]);
+                    shared_user_backward(io, user, ports.clone(), s[0]);
                 });
             }
         }
@@ -760,7 +781,10 @@ mod tests {
         // Per user lane, an occupied and a full state bit.
         for users in 1..=2 {
             for user in 0..users {
-                lanewise!((users, users, false, 2), |io, s| commit_lane(io, user, s[0], s[1], &[]));
+                lanewise!((users, users, false, 2), |io, s| {
+                    commit_lane_forward(io, user, s[0], &[]);
+                    commit_lane_backward(io, user, s[0], s[1]);
+                });
             }
         }
     }

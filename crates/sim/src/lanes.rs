@@ -13,15 +13,15 @@
 //!   [`crate::Simulation`]: dense channel indexing, the settle paths, the
 //!   settle budget and oscillation witness, override lookup, the clock
 //!   edge and report assembly (from `Controller::report`) are the same
-//!   code. A netlist without optimistic controllers settles every step on
-//!   the compiled plan (`compiled.rs`), the one the scalar `Compiled`
-//!   strategy runs, at the `u64` rail word: a straight-line
-//!   prefix in dataflow order and an op-level worklist for the ops on or
-//!   behind rail cycles. A netlist with lazy forks settles on the
-//!   rank-bucketed event-driven worklist with its optimistic two-pass.
-//!   Compare-and-set dirty tracking is word-wide: a channel re-enters
-//!   either worklist when *any* lane changed. The lane engine keeps the
-//!   word storage, the per-lane traces and the per-lane environments.
+//!   code. A netlist with a plan settles every step on the compiled plan
+//!   (`compiled.rs`), the one the scalar `Compiled` strategy runs, at the
+//!   `u64` rail word: each controller's forward and backward half once, in
+//!   dataflow order. A netlist whose rails form a cycle (a combinational
+//!   loop, or a lazy fork whose branches reconverge) settles on the
+//!   rank-bucketed event-driven worklist with its optimistic two-pass,
+//!   where compare-and-set dirty tracking is word-wide: a channel re-enters
+//!   the worklist when *any* lane changed. The lane engine keeps the word
+//!   storage, the per-lane traces and the per-lane environments.
 //! * Rails are stored structure-of-arrays: `Vec<u64>` per rail, one word
 //!   per channel. Data is a lane-major column per channel
 //!   (`data[channel * LANES + lane]`) touched only by the ops that consume
@@ -110,7 +110,7 @@ pub(crate) struct LaneChannels {
 }
 
 impl LaneChannels {
-    fn new(channel_count: usize) -> Self {
+    pub(crate) fn new(channel_count: usize) -> Self {
         LaneChannels {
             forward_valid: vec![0; channel_count],
             forward_stop: vec![0; channel_count],
@@ -297,10 +297,9 @@ impl EngineRail for u64 {
 ///
 /// The settle paths, budget, oscillation reporting and report assembly are
 /// the scalar [`crate::Simulation`]'s — both engines run on the same engine
-/// core. A netlist without optimistic controllers settles on the compiled
-/// plan (what the scalar engine runs under `SettleStrategy::Compiled`); one
-/// with lazy forks settles on the event-driven worklist (the scalar
-/// default). This engine keeps the lane
+/// core. A netlist with a plan settles on it (what the scalar engine runs
+/// under `SettleStrategy::Compiled`); one without settles on the
+/// event-driven worklist (the scalar default). This engine keeps the lane
 /// word storage, the per-lane traces and the per-lane environments: sink
 /// back-pressure and source offer patterns vary per lane, and
 /// shared-module schedulers inject lane-blocked (one freshly built
@@ -312,8 +311,8 @@ pub struct LaneSimulation {
     config: LaneConfig,
     core: EngineCore<u64>,
     channels: LaneChannels,
-    /// The plan every step settles on; `None` when the netlist has
-    /// optimistic controllers, which settle event-driven.
+    /// The plan every step settles on; `None` when the netlist has none
+    /// and settles event-driven.
     plan: Option<Box<CompiledPlan>>,
     /// One trace per lane when recording; otherwise the one empty trace
     /// every lane reports.
@@ -341,12 +340,9 @@ impl LaneSimulation {
     /// simulator cannot model — the same conditions as
     /// [`crate::Simulation::new`].
     pub fn new(netlist: &Netlist, config: &LaneConfig) -> Result<Self, SimError> {
-        let mut core = EngineCore::build(netlist)?;
+        let core = EngineCore::build(netlist)?;
         LANE_CONSTRUCTIONS.fetch_add(1, Ordering::Relaxed);
-        let plan = core
-            .optimistic_nodes
-            .is_empty()
-            .then(|| Box::new(CompiledPlan::build(netlist, &mut core)));
+        let plan = CompiledPlan::build(&core).map(Box::new);
         let traces = if config.record_trace { LANES } else { 1 };
         Ok(LaneSimulation {
             config: config.clone(),
@@ -511,8 +507,8 @@ impl LaneSimulation {
     /// engine's [`crate::Simulation::report`] returns for that lane's
     /// scenario, except for the effort counters, which are shared across
     /// lanes and count what the scalar engine counts on the same settle
-    /// path: on the compiled plan `settle_iterations` counts micro-op
-    /// executions and `controller_evals` the dynamic evals among them (as
+    /// path: on the compiled plan `settle_iterations` counts op executions
+    /// and `controller_evals` the ops that evaluate a whole controller (as
     /// under `SettleStrategy::Compiled`), on the event-driven worklist they
     /// count worklist pops and word evaluations.
     ///
@@ -531,25 +527,28 @@ impl LaneSimulation {
 mod tests {
     use super::*;
     use crate::engine::{SettleStrategy, SimConfig, Simulation};
-    use elastic_core::kind::{BufferSpec, ForkSpec, SinkSpec, SourceSpec};
+    use elastic_core::kind::{BufferSpec, ForkSpec, FunctionSpec, SinkSpec, SourceSpec};
     use elastic_core::library::deep_pipeline;
-    use elastic_core::Port;
+    use elastic_core::{Op, Port};
 
     /// src -> inc -> EB -> sink.
     fn pipeline() -> Netlist {
         deep_pipeline(1, BufferSpec::standard(0), BackpressurePattern::Never)
     }
 
-    /// src -> lazy fork -> two sinks.
+    /// src -> lazy fork -> both branches into one join -> sink: a
+    /// rendezvous, whose rails form a cycle.
     fn lazy_fork() -> Netlist {
         let mut n = Netlist::new("lazy-fork");
         let src = n.add_source("src", SourceSpec::always());
         let fork = n.add_fork("fork", ForkSpec::lazy(2));
+        let join = n.add_function("join", FunctionSpec::with_inputs(Op::Add, 2));
+        let sink = n.add_sink("sink", SinkSpec::always_ready());
         n.connect(Port::output(src, 0), Port::input(fork, 0), 8).unwrap();
         for branch in 0..2 {
-            let sink = n.add_sink(format!("sink{branch}"), SinkSpec::always_ready());
-            n.connect(Port::output(fork, branch), Port::input(sink, 0), 8).unwrap();
+            n.connect(Port::output(fork, branch), Port::input(join, branch), 8).unwrap();
         }
+        n.connect(Port::output(join, 0), Port::input(sink, 0), 8).unwrap();
         n
     }
 
@@ -571,9 +570,9 @@ mod tests {
     fn lanes_settle_on_the_plan_without_optimistic_controllers() {
         let netlist = pipeline();
         assert!(LaneSimulation::new(&netlist, &LaneConfig::default()).unwrap().plan.is_some());
-        // Five micro-ops per cycle, three of them the registered
-        // controllers' dynamic evals: what the scalar Compiled strategy
-        // counts, where the worklist would count four evals.
+        // Five ops per cycle, three of them the registered controllers'
+        // evals and two the incrementer's halves: what the scalar Compiled
+        // strategy counts, where the worklist would count four evals.
         let [lanes, compiled] = effort(&netlist, SettleStrategy::Compiled);
         assert_eq!(lanes, (10 * 5, 10 * 3));
         assert_eq!(lanes, compiled);

@@ -23,18 +23,20 @@
 //! Valids and data settle in one rank-ordered pass, stops and kills in a
 //! few re-wake waves; the per-cycle work is proportional to the number of
 //! signal changes, not `iterations × nodes`. [`SettleStrategy::Compiled`]
-//! settles on a compiled plan of forward and backward ops in dataflow
-//! order, which the 64-lane engine settles on whenever the netlist has no
-//! lazy forks. The naive full-sweep engine survives as
+//! settles in one straight-line pass of every controller's forward and
+//! backward half in dataflow order — a plan every netlist whose rails form
+//! no cycle gets, and which the 64-lane engine settles on whenever there
+//! is one. The naive full-sweep engine survives as
 //! [`SettleStrategy::FullSweep`], the oracle of the engine-equivalence test
 //! suite.
 //!
 //! The SELF handshake equations (buffers, function blocks, forks, muxes,
-//! shared modules, commit stages) are written once, in [`handshake`],
-//! generic over a one-scenario `bool` rail and a 64-lane `u64` rail; every
-//! settle path — scalar, 64-lane, compiled and generated — evaluates them,
-//! and every node kind's controller is one type at both rail words, behind
-//! the one [`controller::Controller`] trait both engines drive.
+//! shared modules, commit stages) are written once, in [`handshake`], as
+//! a forward and a backward half, generic over a one-scenario `bool` rail
+//! and a 64-lane `u64` rail; every settle path — scalar, 64-lane, compiled
+//! and generated — evaluates them, and every node kind's controller is one
+//! type at both rail words, behind the one [`controller::Controller`] trait
+//! both engines drive.
 //!
 //! Main entry points:
 //!

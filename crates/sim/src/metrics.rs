@@ -62,8 +62,9 @@ pub struct SimulationReport {
     /// Number of simulated cycles.
     pub cycles: u64,
     /// Settle iterations accumulated over all cycles: worklist pops for the
-    /// event-driven engine, full sweeps for the reference engine. Exposed so
-    /// that the asymptotic win of the worklist settle phase is observable.
+    /// event-driven engine, full sweeps for the reference engine, op
+    /// executions on the compiled plan. Exposed so that the asymptotic win
+    /// of the worklist settle phase is observable.
     pub settle_iterations: u64,
     /// [`crate::controller::Controller::eval`] invocations accumulated over
     /// all cycles.

@@ -3,8 +3,9 @@
 //! paper scenario — bit-identical traces and reports, with strictly fewer
 //! controller evaluations. The compiled settle backend
 //! ([`SettleStrategy::Compiled`]) joins the same matrix: same traces, same
-//! reports, and never more dynamic controller evaluations than the
-//! event-driven engine.
+//! reports, and never more whole-controller evaluations than the
+//! event-driven engine. Which designs get a plan, and what a plan costs per
+//! cycle, is pinned here too.
 
 use elastic_core::library;
 use elastic_core::{Netlist, NodeId};
@@ -63,7 +64,7 @@ fn assert_engines_equivalent(name: &str, netlist: &Netlist, cycles: u64) {
     );
     assert!(
         compiled_report.controller_evals <= event_report.controller_evals,
-        "{name}: fusing controllers must never add dynamic evals \
+        "{name}: splitting controllers into halves must never add evals \
          (compiled {} evals vs event-driven {})",
         compiled_report.controller_evals,
         event_report.controller_evals
@@ -376,12 +377,12 @@ fn per_lane_sink_environments_match_per_lane_scalar_runs() {
 
 #[test]
 fn trailing_segment_designs_match_every_scalar_strategy_lane_by_lane() {
-    // The speculative select loops of fig1d and fig7b put part of their
-    // compiled plans in the trailing segment (the emitted settle function
-    // relaxes it), which the scalar Compiled strategy and the lane engine
-    // settle by the op-level worklist. Under 64 distinct sink environments,
-    // every lane must equal the FullSweep oracle, the EventDriven engine
-    // and the Compiled strategy given that lane's environment.
+    // The speculative select loops of fig1d and fig7b run through a shared
+    // module, which the compiled plan settles as a forward and a backward
+    // half. Under 64 distinct sink environments, every lane of the lane
+    // engine (on the plan) must equal the FullSweep oracle, the
+    // EventDriven engine and the Compiled strategy given that lane's
+    // environment.
     let patterns: Vec<_> = (0..LANES).map(lane_pattern).collect();
     let designs: Vec<_> = lane_designs()
         .into_iter()
@@ -389,8 +390,6 @@ fn trailing_segment_designs_match_every_scalar_strategy_lane_by_lane() {
         .collect();
     assert_eq!(designs.len(), 2);
     for (name, netlist, cycles) in designs {
-        let settle = elastic_sim::codegen::emit_settle_fn(&netlist, "settle").unwrap();
-        assert!(settle.contains("wires.relax("), "{name}: the plan has a trailing segment");
         let sinks = sink_ids(&netlist);
         let mut lane_sim = LaneSimulation::new(&netlist, &LaneConfig::default()).unwrap();
         let overrides: Vec<_> = sinks.iter().map(|&sink| (sink, patterns.clone())).collect();
@@ -590,5 +589,83 @@ fn lane_blocked_scheduler_injection_matches_per_lane_scalar_runs() {
             distinct_streams.len() > 1,
             "{name}: the injected policies must actually change behaviour across lanes"
         );
+    }
+}
+
+/// The number of ops in `netlist`'s compiled plan, read off its emitted
+/// settle function (one call per op); `None` when it has no plan.
+fn plan_ops(netlist: &Netlist) -> Option<u64> {
+    let settle = elastic_sim::codegen::emit_settle_fn(netlist, "settle").ok()?;
+    Some(settle.lines().filter(|line| line.trim_start().starts_with("controllers[")).count() as u64)
+}
+
+#[test]
+fn acyclic_designs_get_a_plan_that_runs_each_op_once_per_cycle() {
+    use elastic_core::kind::{BackpressurePattern, ForkSpec, SinkSpec, SourceSpec};
+    use elastic_core::{Op, Port};
+
+    let mut lazy_fork_into_sinks = Netlist::new("lazy_fork_into_sinks");
+    let src = lazy_fork_into_sinks.add_source("src", SourceSpec::always());
+    let fork = lazy_fork_into_sinks.add_fork("fork", ForkSpec::lazy(2));
+    lazy_fork_into_sinks.connect(Port::output(src, 0), Port::input(fork, 0), 8).unwrap();
+    for branch in 0..2 {
+        let stalls = SinkSpec { backpressure: BackpressurePattern::List(vec![branch == 0, false]) };
+        let sink = lazy_fork_into_sinks.add_sink(format!("s{branch}"), stalls);
+        lazy_fork_into_sinks.connect(Port::output(fork, branch), Port::input(sink, 0), 8).unwrap();
+    }
+    let var_latency = library::VarLatencyConfig::default();
+    let planned = [
+        ("fig1d", library::fig1d(&library::Fig1Config::default()).netlist),
+        ("fig7b", library::resilient_speculative(&library::ResilientConfig::default()).netlist),
+        ("fig6a", library::variable_latency_stalling(&var_latency).netlist),
+        ("fig6b", library::variable_latency_speculative(&var_latency).netlist),
+        ("ff-commit", feedforward_commit_design()),
+        ("lazy-fork-into-sinks", lazy_fork_into_sinks),
+    ];
+    let cycles = 100;
+    for (name, netlist) in planned {
+        let ops = plan_ops(&netlist).unwrap_or_else(|| panic!("{name} gets a plan"));
+        let (_, compiled) = run_with(&netlist, SettleStrategy::Compiled, cycles);
+        assert_eq!(compiled.settle_iterations, ops * cycles, "{name}: each op once per cycle");
+        let mut lanes = LaneSimulation::new(&netlist, &LaneConfig::default()).unwrap();
+        lanes.run(cycles).unwrap();
+        assert_eq!(lanes.report(0).settle_iterations, ops * cycles, "{name}: lanes, once a cycle");
+        assert_engines_equivalent(name, &netlist, cycles);
+    }
+
+    // Two function blocks feeding each other, one feeding itself, and a
+    // lazy fork whose branches reconverge: their rails form a cycle, so
+    // they get no plan, and the Compiled strategy is the event-driven
+    // settle, the same report or the same error. The full sweep and the
+    // lane engine settle, or report the loop, alike.
+    let mut ring = Netlist::new("ring");
+    let (a, b) = (ring.add_op("a", Op::Inc), ring.add_op("b", Op::Inc));
+    ring.connect(Port::output(a, 0), Port::input(b, 0), 8).unwrap();
+    ring.connect(Port::output(b, 0), Port::input(a, 0), 8).unwrap();
+    let mut self_loop = Netlist::new("self-loop");
+    let f = self_loop.add_op("f", Op::Inc);
+    self_loop.connect(Port::output(f, 0), Port::input(f, 0), 8).unwrap();
+    for netlist in [ring, self_loop, lazy_fork_regression_netlist()] {
+        let name = netlist.name().to_string();
+        assert_eq!(plan_ops(&netlist), None, "{name} has no plan");
+        let run = |settle| {
+            let config = SimConfig { settle, ..SimConfig::default() };
+            Simulation::new(&netlist, &config).unwrap().run(cycles)
+        };
+        let event_driven = run(SettleStrategy::EventDriven);
+        let compiled = run(SettleStrategy::Compiled);
+        assert_eq!(format!("{event_driven:?}"), format!("{compiled:?}"), "{name}");
+        let mut lanes = LaneSimulation::new(&netlist, &LaneConfig::default()).unwrap();
+        for (engine, outcome) in
+            [("full sweep", run(SettleStrategy::FullSweep).map(drop)), ("lanes", lanes.run(cycles))]
+        {
+            match outcome {
+                Ok(()) => assert!(event_driven.is_ok(), "{name}: {engine} settles a loop"),
+                Err(elastic_sim::SimError::CombinationalLoop { cycle: 0, .. }) => {
+                    assert!(event_driven.is_err(), "{name}: {engine} reports a loop that settles")
+                }
+                Err(error) => panic!("{name}: {engine}: {error}"),
+            }
+        }
     }
 }

@@ -51,9 +51,9 @@ fn best_times(repeats: u32, runs: &mut [Box<dyn FnMut() + '_>]) -> Vec<f64> {
 }
 
 /// One case's cycles/second: full sweep, event-driven and compiled scalar
-/// engines (`SettleStrategy::Compiled` lowers the netlist once into a fused
-/// micro-op plan and replays it with no per-eval dispatch), and the
-/// aggregate scenario-cycles/second of the 64-lane engine.
+/// engines (`SettleStrategy::Compiled` lowers the netlist once into a
+/// straight-line plan of handshake halves and runs each once per cycle),
+/// and the aggregate scenario-cycles/second of the 64-lane engine.
 fn time_case(netlist: &Netlist, cycles: u64, repeats: u32) -> [f64; 4] {
     let scalar = |settle| -> Box<dyn FnMut() + '_> {
         let config = SimConfig { record_trace: false, settle };
@@ -195,8 +195,13 @@ fn time_sweep_lanes(
 /// fig7b 7.9x and 11.7x (half of 7.9 is below the target, so 4.0 stays).
 /// With standard buffers storing their tokens by slot column, the
 /// 256-stage standard pipeline measured 20.3x and 29.3x (floor 10.1).
+/// With every controller planned as its two handshake halves, compiled
+/// over scalar measured 1.59x and 1.51x on fig1d (floor 0.75) and 1.81x
+/// and 1.90x on fig7b (floor 0.90).
 const SWEEP_LANES_FLOOR: f64 = 8.8;
 const CHAIN_COMPILED_FLOOR: f64 = 0.95;
+const FIG1D_COMPILED_FLOOR: f64 = 0.75;
+const FIG7B_COMPILED_FLOOR: f64 = 0.90;
 const PIPELINE_LANES_FLOOR: f64 = 10.1;
 const CHAIN_LANES_FLOOR: f64 = 4.1;
 const FIG7B_OVER_FIG1D_FLOOR: f64 = 0.14;
@@ -353,6 +358,8 @@ fn main() {
         ),
         ("comb_chain256_zero_backward lanes/scalar", chain.lanes / chain.scalar, CHAIN_LANES_FLOOR),
         ("fig7b/fig1d scalar cycles/s", fig7b.scalar / fig1d.scalar, FIG7B_OVER_FIG1D_FLOOR),
+        ("fig1d compiled/scalar", fig1d.compiled / fig1d.scalar, FIG1D_COMPILED_FLOOR),
+        ("fig7b compiled/scalar", fig7b.compiled / fig7b.scalar, FIG7B_COMPILED_FLOOR),
         ("fig1d lanes/scalar", fig1d.lanes / fig1d.scalar, FIG1D_LANES_FLOOR),
         ("fig7b lanes/scalar", fig7b.lanes / fig7b.scalar, FIG7B_LANES_FLOOR),
         ("generated_netlists lanes/scalar", generated_ratio, GENERATED_LANES_FLOOR),
@@ -370,9 +377,9 @@ fn main() {
              --example engine_timing` (best of N interleaved rounds, 512 cycles per run). \
              'before' is the seed's Jacobi settle (SettleStrategy::FullSweep: a full sweep of \
              every controller per settle iteration, kept as the oracle), measured in the same \
-             run; 'scalar' is the event-driven worklist engine; 'compiled' is the fused compiled \
-             settle backend (SettleStrategy::Compiled: one monomorphic micro-op plan replayed \
-             per cycle, no per-eval dispatch, an op-level worklist only behind rail cycles); \
+             run; 'scalar' is the event-driven worklist engine; 'compiled' is the compiled \
+             settle backend (SettleStrategy::Compiled: every controller's forward and \
+             backward half once per cycle, in dataflow order, with no worklist); \
              'lanes' is the 64-lane bit-parallel engine in aggregate scenario-cycles/second \
              (cycles x 64 lanes / wall time), settling on the same plan. The \
              environment_sweep case runs 2048 enumerated sink back-pressure scenarios through \
@@ -384,22 +391,22 @@ fn main() {
              are the signal.\",\n",
         );
         json.push_str(
-            "  \"compiled_note\": \"From measured layers (perfbench --trace 1, \
-             handshake_control seed 1): fig7b's ceiling was SECDED evaluation, not dispatch — \
-             encode, correct and syndrome each took 3-5.5 us per token \
-             (datapath.secded_*_ns) with the quadratic parity loop and take 25-55 ns with \
-             the mask tables. The compiled plan settles its trailing segment (the ops on or \
-             behind fig1d's and fig7b's speculative select loops, SECDED function blocks \
-             included) with an op-level worklist that re-runs only the trailing ops whose \
-             operand rails changed, and its fused ops call the shared handshake equations \
-             through a port view on the node's ports. The event-driven engine ranks each \
-             controller after the producers of its inputs only, which settles fig7b about 2x \
-             faster than ranking it after both neighbours did; that puts compiled at about \
-             0.7x of scalar on fig7b and 0.9-1.1x on fig1d. The chain cases, whose settle time \
-             is fused rail work in an acyclic prefix, keep a 1.1-1.5x gain over the worklist \
-             engine. The 64-lane engine settles on the same plan whenever the netlist has no \
-             lazy forks, and for throughput on many scenarios it stacks on top; \
-             engine_timing asserts each headline ratio at a floor.\",\n",
+            "  \"compiled_note\": \"From measured layers. Settle effort (the reports' \
+             settle_iterations and controller_evals over 512 cycles of these designs): the \
+             compiled plan runs each of its ops once per cycle, 12 on fig1d (4 of them \
+             whole-controller evals) and 28 on fig7b (4 evals), where the earlier plan, which \
+             settled the ops behind the shared module with an op-level worklist, ran 15.5 op \
+             executions per cycle on fig1d (5.5 evals) and 55 on fig7b (6 evals); the \
+             event-driven engine evaluates 10 \
+             and 25 whole controllers per cycle, each running both halves. That took \
+             compiled over scalar from 0.90 to 1.5-1.6x on fig1d and from 0.69 to 1.7-1.9x on \
+             fig7b. Datapath (perfbench --trace 1, handshake_control seed 1): fig7b's SECDED \
+             encode, correct and syndrome take 25-55 ns per token with the mask tables (3-5.5 \
+             us with the quadratic parity loop before them). The chain cases, whose settle \
+             time is rail work in dataflow order, keep a 1.0-1.7x gain over the worklist \
+             engine. The 64-lane engine settles on the same plan whenever the netlist has \
+             one, and for throughput on many scenarios it stacks on top; engine_timing \
+             asserts each headline ratio at a floor.\",\n",
         );
         json.push_str("  \"cases\": {\n");
         // Every scalar case is followed by the generated_netlists and
